@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build + full test suite (the
 # parallel-vs-sequential determinism tests included) with backtraces on.
-.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate bench-par bench-rawspeed bench-scale clean
+.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity bench-par bench-rawspeed bench-scale clean
 
 all: build
 
@@ -10,7 +10,7 @@ build:
 test:
 	OCAMLRUNPARAM=b dune runtest
 
-check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate
+check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity
 	OCAMLRUNPARAM=b dune build
 	OCAMLRUNPARAM=b dune runtest
 
@@ -215,12 +215,30 @@ scale-smoke:
 	  || { echo "scale-smoke: sharded run not deterministic (trace)"; exit 1; }
 	@echo "scale-smoke: OK"
 
-# Zero-allocation gate: every guarded hot-path probe (disabled trace
+# Allocation gate: every guarded hot-path probe (disabled trace
 # emission, event-heap push/take, idle engine polling, delayed-ACK
-# bookkeeping) must measure 0.000 minor words per op.  Writes
+# bookkeeping) must measure 0.000 minor words per op, and each byte-path
+# round trip (a 16 KiB and a 64 B SET, client -> conn -> server and
+# back) must stay within its words-per-request ceiling.  Writes
 # BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc
+
+# Trace identity across commits: regenerate the two binary traces named
+# in test/regress/trace_digests.txt and compare their MD5s with the
+# recorded ones.  The determinism tests compare runs of one build; this
+# catches a change that alters simulated behaviour between builds.
+trace-identity:
+	dune build bin/e2ebench.exe
+	mkdir -p _smoke/identity
+	dune exec bin/e2ebench.exe -- run --nagle=dynamic --rate=100 --duration-ms=200 \
+	  --value-size=64 --trace-out _smoke/identity/trace-64-dynamic.bin > /dev/null
+	dune exec bin/e2ebench.exe -- run --nagle=off --rate=50 --duration-ms=100 \
+	  --value-size=16384 --trace-out _smoke/identity/trace-16k-off.bin > /dev/null
+	cd _smoke/identity && md5sum trace-64-dynamic.bin trace-16k-off.bin > got.md5
+	@grep -v '^#' test/regress/trace_digests.txt | diff -u - _smoke/identity/got.md5 \
+	  || { echo "trace-identity: traces differ from test/regress/trace_digests.txt"; exit 1; }
+	@echo "trace-identity: OK"
 
 # Sequential-vs-parallel sweep wall-clock; writes BENCH_par.json.
 bench-par:

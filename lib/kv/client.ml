@@ -75,7 +75,7 @@ and wake t = if not t.busy then process t
 
 and process t =
   let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Resp.Parser.feed t.parser (Tcp.Socket.recv t.socket avail);
+  if avail > 0 then ignore (Tcp.Socket.recv_into t.socket (Resp.Parser.input t.parser) avail);
   match Resp.Parser.next t.parser with
   | Error msg -> failwith ("kv client: protocol error: " ^ msg)
   | Ok None -> ()

@@ -15,18 +15,26 @@ val equal : value -> value -> bool
 val pp : Format.formatter -> value -> unit
 
 val encode : value -> string
+(** Writes into one exact-size buffer sized by {!encoded_length}. *)
 
 val encoded_length : value -> int
 (** [String.length (encode v)] without building the string. *)
 
 (** Incremental parser for a TCP byte stream: feed arbitrary chunks,
-    pop complete values as they become available. *)
+    pop complete values as they become available.  It parses in place
+    over its {!input} buffer, so the only copy a bulk payload takes is
+    into the returned value, and a consumed value leaves nothing
+    behind. *)
 module Parser : sig
   type t
 
   val create : unit -> t
 
   val feed : t -> string -> unit
+
+  val input : t -> Tcp.Bytebuf.t
+  (** The buffer {!next} parses from; a receive path fills it with
+      {!Tcp.Socket.recv_into} instead of copying through {!feed}. *)
 
   val next : t -> (value option, string) result
   (** [Ok None] when the buffered bytes do not yet form a complete

@@ -72,7 +72,7 @@ and process t =
   t.busy <- true;
   t.wakeups <- t.wakeups + 1;
   let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Resp.Parser.feed t.parser (Tcp.Socket.recv t.socket avail);
+  if avail > 0 then ignore (Tcp.Socket.recv_into t.socket (Resp.Parser.input t.parser) avail);
   let requests = drain_requests t in
   let k = List.length requests in
   if k = 0 then t.empty_wakeups <- t.empty_wakeups + 1

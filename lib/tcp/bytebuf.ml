@@ -1,69 +1,141 @@
+(* A singly linked FIFO of slices, like [Stdlib.Queue] but open so that
+   [transfer] can relink whole cells into another buffer. *)
+type cells = Nil | Cons of { s : Slice.t; mutable next : cells }
+
 type t = {
-  chunks : string Queue.t;
-  mutable head_off : int;  (* consumed prefix of the front chunk *)
+  mutable first : cells;
+  mutable last : cells;
+  mutable head_off : int;  (* consumed prefix of the front slice *)
   mutable len : int;
   mutable appended : int;
   mutable consumed : int;
 }
 
 let create () =
-  { chunks = Queue.create (); head_off = 0; len = 0; appended = 0; consumed = 0 }
+  { first = Nil; last = Nil; head_off = 0; len = 0; appended = 0; consumed = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
+let clamp t n = Stdlib.max 0 (Stdlib.min n t.len)
 
-let append t s =
-  if String.length s > 0 then begin
-    Queue.add s t.chunks;
-    t.len <- t.len + String.length s;
-    t.appended <- t.appended + String.length s
-  end
+(* Link a detached cell (its [next] is [Nil]) at the tail. *)
+let link t cell n =
+  (match t.last with Nil -> t.first <- cell | Cons c -> c.next <- cell);
+  t.last <- cell;
+  t.len <- t.len + n;
+  t.appended <- t.appended + n
 
-(* Copy [n] bytes starting at the logical head into [buf]; [consume]
-   decides whether the bytes are removed. *)
-let extract t n ~consume =
-  let n = Stdlib.min n t.len in
+let append_slice t s =
+  let n = Slice.length s in
+  if n > 0 then link t (Cons { s; next = Nil }) n
+
+let append t s = if String.length s > 0 then append_slice t (Slice.of_string s)
+
+(* Unlink the front cell; the caller settles [len]/[consumed]. *)
+let pop_front t =
+  match t.first with
+  | Nil -> ()
+  | Cons c ->
+    t.first <- c.next;
+    (match c.next with Nil -> t.last <- Nil | Cons _ -> ());
+    c.next <- Nil;
+    t.head_off <- 0
+
+(* The loops below are top-level functions, not local closures, so the
+   per-segment and per-parse paths allocate nothing of their own. *)
+let rec unlink t left =
+  match t.first with
+  | Cons c when left > 0 ->
+    let avail = Slice.length c.s - t.head_off in
+    if left < avail then t.head_off <- t.head_off + left
+    else begin
+      pop_front t;
+      unlink t (left - avail)
+    end
+  | Cons _ | Nil -> ()
+
+let skip t n =
+  let n = clamp t n in
+  unlink t n;
+  t.len <- t.len - n;
+  t.consumed <- t.consumed + n
+
+let rec get_in cells i =
+  match cells with
+  | Nil -> assert false
+  | Cons { s; next } ->
+    if i < Slice.length s then Slice.get s i else get_in next (i - Slice.length s)
+
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Bytebuf.get";
+  get_in t.first (i + t.head_off)
+
+let rec blit_from cells from dst dst_off len =
+  match cells with
+  | Cons { s; next } when len > 0 ->
+    let n = Slice.length s in
+    if from >= n then blit_from next (from - n) dst dst_off len
+    else begin
+      let k = Stdlib.min (n - from) len in
+      Slice.blit s ~src_off:from dst ~dst_off ~len:k;
+      blit_from next 0 dst (dst_off + k) (len - k)
+    end
+  | Cons _ | Nil -> ()
+
+let blit t ~src_off dst ~dst_off ~len =
+  if src_off < 0 || len < 0 || src_off + len > t.len then invalid_arg "Bytebuf.blit";
+  blit_from t.first (src_off + t.head_off) dst dst_off len
+
+let peek t n =
+  let n = clamp t n in
   let buf = Bytes.create n in
-  if consume then begin
-    let filled = ref 0 in
-    while !filled < n do
-      let chunk = Queue.peek t.chunks in
-      let avail = String.length chunk - t.head_off in
-      let take = Stdlib.min avail (n - !filled) in
-      Bytes.blit_string chunk t.head_off buf !filled take;
-      filled := !filled + take;
-      if take = avail then begin
-        ignore (Queue.pop t.chunks);
-        t.head_off <- 0
-      end
-      else t.head_off <- t.head_off + take
-    done;
-    t.len <- t.len - n;
-    t.consumed <- t.consumed + n
-  end
-  else begin
-    let filled = ref 0 in
-    let off = ref t.head_off in
-    let iter chunk =
-      if !filled < n then begin
-        let avail = String.length chunk - !off in
-        let take = Stdlib.min avail (n - !filled) in
-        Bytes.blit_string chunk !off buf !filled take;
-        filled := !filled + take;
-        off := 0
-      end
-    in
-    Queue.iter iter t.chunks
-  end;
+  blit t ~src_off:0 buf ~dst_off:0 ~len:n;
   Bytes.unsafe_to_string buf
 
-let read t n = extract t n ~consume:true
+(* Bytes that lie inside the front slice come out as a view of it;
+   only a take that spans slices (a segment coalescing several sends)
+   gathers into a fresh string. *)
+let take t n =
+  let n = clamp t n in
+  let v =
+    match t.first with
+    | _ when n = 0 -> Slice.empty
+    | Cons c when Slice.length c.s - t.head_off >= n -> Slice.sub c.s t.head_off n
+    | Cons _ | Nil -> Slice.of_string (peek t n)
+  in
+  skip t n;
+  v
+
+let rec move t dst left =
+  match t.first with
+  | Cons c as cell when left > 0 ->
+    let avail = Slice.length c.s - t.head_off in
+    if t.head_off = 0 && left >= avail then begin
+      pop_front t;
+      link dst cell avail;
+      move t dst (left - avail)
+    end
+    else begin
+      let k = Stdlib.min left avail in
+      append_slice dst (Slice.sub c.s t.head_off k);
+      if k = avail then pop_front t else t.head_off <- t.head_off + k;
+      move t dst (left - k)
+    end
+  | Cons _ | Nil -> ()
+
+let transfer t ~dst n =
+  let n = clamp t n in
+  move t dst n;
+  t.len <- t.len - n;
+  t.consumed <- t.consumed + n;
+  n
+
+let read t n = Slice.to_string (take t n)
 let read_all t = read t t.len
-let peek t n = extract t n ~consume:false
 
 let drop t n =
-  let n = Stdlib.min n t.len in
-  ignore (read t n);
+  let n = clamp t n in
+  skip t n;
   n
 
 let total_appended t = t.appended

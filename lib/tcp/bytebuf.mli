@@ -1,8 +1,11 @@
 (** Byte-stream FIFO carrying real payload bytes.
 
-    Send and receive socket buffers: appended strings are queued
-    without copying and sliced out on read.  Carrying actual bytes (not
-    just counts) lets the RESP protocol layer parse genuine traffic. *)
+    Send and receive socket buffers and the RESP parser's input: a
+    queue of immutable {!Slice.t} views.  Appending, taking a prefix
+    that lies inside one slice, skipping and moving bytes to another
+    buffer never copy payload; only {!read}, {!peek}, {!blit} and a
+    {!take} spanning two slices do.  Carrying actual bytes (not just
+    counts) lets the RESP protocol layer parse genuine traffic. *)
 
 type t
 
@@ -11,6 +14,28 @@ val length : t -> int
 val is_empty : t -> bool
 
 val append : t -> string -> unit
+(** Queue the whole string as one slice; no copy. *)
+
+val append_slice : t -> Slice.t -> unit
+
+val take : t -> int -> Slice.t
+(** [take t n] removes and returns [min n (length t)] bytes — a view of
+    the front slice when they lie inside it, a fresh copy otherwise. *)
+
+val skip : t -> int -> unit
+(** Discard up to [n] bytes without copying them. *)
+
+val transfer : t -> dst:t -> int -> int
+(** [transfer t ~dst n] moves up to [n] bytes from the front of [t] to
+    the back of [dst] by relinking (or sub-slicing) slices; returns the
+    number moved. *)
+
+val get : t -> int -> char
+(** [get t i] is the byte [i] positions after the head, not consumed.
+    Raises [Invalid_argument] unless [0 <= i < length t]. *)
+
+val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
+(** Copy [len] bytes starting [src_off] after the head, not consumed. *)
 
 val read : t -> int -> string
 (** [read t n] removes and returns [min n (length t)] bytes. *)

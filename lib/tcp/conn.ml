@@ -47,7 +47,7 @@ let split_tso ~mss (seg : Segment.t) =
           {
             seg with
             Segment.seq = seg.seq + off;
-            payload = String.sub seg.payload off n;
+            payload = Slice.sub seg.payload off n;
             push = seg.push && last;
             msg_ends = (if last then seg.msg_ends else 0);
             e2e = (if first then seg.e2e else None);

@@ -1,7 +1,7 @@
 type t = {
   seq : int;
   ack : int;
-  payload : string;
+  payload : Slice.t;
   window : int;
   push : bool;
   msg_ends : int;
@@ -15,11 +15,12 @@ type t = {
   fin : bool;
 }
 
-let make ?(payload = "") ?(push = false) ?(msg_ends = 0) ?e2e ?hint ?ts_val ?ts_ecr
+let make ?payload ?(push = false) ?(msg_ends = 0) ?e2e ?hint ?ts_val ?ts_ecr
     ?(sack = []) ?(rst = false) ?(syn = false) ?(fin = false) ~seq ~ack ~window () =
+  let payload = match payload with Some s -> Slice.of_string s | None -> Slice.empty in
   { seq; ack; payload; window; push; msg_ends; e2e; hint; ts_val; ts_ecr; sack; rst; syn; fin }
 
-let len t = String.length t.payload
+let len t = Slice.length t.payload
 
 let is_pure_ack t = len t = 0 && not t.fin && not t.rst && not t.syn
 

@@ -7,7 +7,8 @@
 type t = {
   seq : int;  (** stream offset of the first payload byte *)
   ack : int;  (** cumulative ack: next byte expected from the peer *)
-  payload : string;
+  payload : Slice.t;
+      (** a view into the sender's application write; see {!Slice} *)
   window : int;  (** advertised receive window, bytes *)
   push : bool;  (** PSH: carries the final byte of an app send() *)
   msg_ends : int;

@@ -83,7 +83,7 @@ let state_to_string = function
    still tells the receiver where application messages end. *)
 type retx_entry = {
   mutable r_seq : int;
-  mutable r_payload : string;
+  mutable r_payload : Slice.t;  (* shares the app write's bytes *)
   r_push : bool;
   r_msg_ends : int;
   r_fin : bool;
@@ -363,13 +363,13 @@ let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~push ~msg_ends =
   in
   note_ack_leaving t;
   t.last_advertised <- seg.window;
-  if String.length payload = 0 && not fin && not rst then
+  if Slice.length payload = 0 && not fin && not rst then
     t.pure_acks_out <- t.pure_acks_out + 1;
   t.transmit seg
 
 (* {2 Retransmission timer} *)
 
-let retx_len e = String.length e.r_payload + if e.r_fin then 1 else 0
+let retx_len e = Slice.length e.r_payload + if e.r_fin then 1 else 0
 
 let current_rto t =
   let base = Rtt.rto t.rtt in
@@ -405,7 +405,7 @@ and retransmit_head t ~counter =
     if tracing t then
       event t
         (Sim.Trace.Segment_sent
-           { seq = entry.r_seq; len = String.length entry.r_payload;
+           { seq = entry.r_seq; len = Slice.length entry.r_payload;
              push = entry.r_push; retx = true });
     put_on_wire t ~fin:entry.r_fin ~seq:entry.r_seq ~payload:entry.r_payload
       ~push:entry.r_push ~msg_ends:entry.r_msg_ends
@@ -470,7 +470,7 @@ let max_persist_probes = 10
 (* {2 Transmission} *)
 
 let emit_fresh t ~payload ~push ~msg_ends =
-  let len = String.length payload in
+  let len = Slice.length payload in
   let seq = t.snd_nxt in
   t.snd_nxt <- t.snd_nxt + len;
   t.segs_out <- t.segs_out + 1;
@@ -488,7 +488,7 @@ let emit_fresh t ~payload ~push ~msg_ends =
   put_on_wire t ~seq ~payload ~push ~msg_ends;
   arm_rto t
 
-let send_pure_ack t = put_on_wire t ~seq:t.snd_nxt ~payload:"" ~push:false ~msg_ends:0
+let send_pure_ack t = put_on_wire t ~seq:t.snd_nxt ~payload:Slice.empty ~push:false ~msg_ends:0
 
 (* Count send()-buffer boundaries completed by the [chunk] bytes that
    are about to leave, consuming them from the queue; the last one
@@ -507,6 +507,8 @@ let consume_boundaries t ~upto =
   in
   go ();
   (!ends, !push)
+
+let probe_byte = Slice.of_string "?"
 
 let rec arm_persist t =
   if Option.is_none t.persist_timer && persist_due t then
@@ -531,7 +533,7 @@ and on_persist t =
     let seq = t.snd_una - 1 in
     if tracing t then
       event t (Sim.Trace.Probe_sent { seq; backoff = t.persist_backoff });
-    put_on_wire t ~seq ~payload:"?" ~push:false ~msg_ends:0;
+    put_on_wire t ~seq ~payload:probe_byte ~push:false ~msg_ends:0;
     arm_persist t
   end
 
@@ -570,7 +572,7 @@ and try_transmit t =
                    try_transmit t))
           end
         | _ ->
-          let payload = Bytebuf.read t.sndbuf chunk in
+          let payload = Bytebuf.take t.sndbuf chunk in
           let msg_ends, push = consume_boundaries t ~upto:(t.snd_nxt + chunk) in
           emit_fresh t ~payload ~push ~msg_ends;
           try_transmit t
@@ -593,10 +595,10 @@ and maybe_emit_fin t =
     t.fin_pending <- false;
     t.snd_nxt <- t.snd_nxt + 1;
     Queue.add
-      { r_seq = seq; r_payload = ""; r_push = false; r_msg_ends = 0; r_fin = true;
+      { r_seq = seq; r_payload = Slice.empty; r_push = false; r_msg_ends = 0; r_fin = true;
         r_sacked = false }
       t.retx;
-    put_on_wire t ~fin:true ~seq ~payload:"" ~push:false ~msg_ends:0;
+    put_on_wire t ~fin:true ~seq ~payload:Slice.empty ~push:false ~msg_ends:0;
     arm_rto t
   end
 
@@ -667,7 +669,7 @@ let drop_acked_retx t =
     | Some e when e.r_seq < t.snd_una ->
       (* partial coverage: trim the acknowledged prefix *)
       let cut = t.snd_una - e.r_seq in
-      e.r_payload <- String.sub e.r_payload cut (String.length e.r_payload - cut);
+      e.r_payload <- Slice.sub e.r_payload cut (Slice.length e.r_payload - cut);
       e.r_seq <- t.snd_una
     | Some _ | None -> ()
   in
@@ -706,12 +708,12 @@ let retransmit_hole t =
               queue; resending it would be pure waste. *)
            if e.r_seq + retx_len e > from && not e.r_sacked then begin
              if !budget <= 0 then raise Exit;
-             budget := !budget - String.length e.r_payload;
+             budget := !budget - Slice.length e.r_payload;
              t.retransmits <- t.retransmits + 1;
              if tracing t then
                event t
                  (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = String.length e.r_payload;
+                    { seq = e.r_seq; len = Slice.length e.r_payload;
                       push = e.r_push; retx = true });
              put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload
                ~push:e.r_push ~msg_ends:e.r_msg_ends;
@@ -763,13 +765,13 @@ let sack_retransmit_holes t =
            if e.r_seq >= hs then raise Exit;
            if e.r_seq + retx_len e > from && not e.r_sacked then begin
              if !budget <= 0 then raise Exit;
-             budget := !budget - String.length e.r_payload;
+             budget := !budget - Slice.length e.r_payload;
              t.retransmits <- t.retransmits + 1;
              t.sack_retransmits <- t.sack_retransmits + 1;
              if tracing t then
                event t
                  (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = String.length e.r_payload;
+                    { seq = e.r_seq; len = Slice.length e.r_payload;
                       push = e.r_push; retx = true });
              put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload
                ~push:e.r_push ~msg_ends:e.r_msg_ends;
@@ -882,12 +884,12 @@ let accept_payload t (seg : Segment.t) ~at =
   let len = Segment.len seg in
   let skip = t.rcv_nxt - seg.seq in
   let fresh = len - skip in
-  let payload = if skip = 0 then seg.payload else String.sub seg.payload skip fresh in
+  let payload = Slice.sub seg.payload skip fresh in
   if tracing t then
     event t (Sim.Trace.Segment_received { seq = seg.seq; fresh });
   t.rcv_nxt <- t.rcv_nxt + fresh;
   t.bytes_in <- t.bytes_in + fresh;
-  Bytebuf.append t.recvbuf payload;
+  Bytebuf.append_slice t.recvbuf payload;
   let units = rx_units t ~len:fresh ~msg_ends:seg.msg_ends in
   if units > 0 then begin
     E2e.Estimator.track_unread t.estim ~at units;
@@ -1031,9 +1033,8 @@ let receive_batch t segs =
   in
   if had_payload then t.readable_cb ()
 
-let recv t n =
-  let data = Bytebuf.read t.recvbuf n in
-  let len = String.length data in
+(* Settle the accounting for [len] bytes the application just read. *)
+let note_read t len =
   if len > 0 then begin
     let units = Unit_fifo.drain t.unread_fifo ~bytes:len in
     if units > 0 then E2e.Estimator.track_unread t.estim ~at:(now t) (-units);
@@ -1057,7 +1058,16 @@ let recv t n =
     let wnd = wire_window t in
     if t.last_advertised < 2 * t.cfg.mss && wnd - t.last_advertised >= 2 * t.cfg.mss
     then send_pure_ack t
-  end;
+  end
+
+let recv_into t dst n =
+  let len = Bytebuf.transfer t.recvbuf ~dst n in
+  note_read t len;
+  len
+
+let recv t n =
+  let data = Bytebuf.read t.recvbuf n in
+  note_read t (String.length data);
   data
 
 let recv_available t = Bytebuf.length t.recvbuf
@@ -1098,7 +1108,7 @@ let abort t =
   match t.conn_state with
   | Closed -> ()
   | _ ->
-    put_on_wire t ~rst:true ~seq:t.snd_nxt ~payload:"" ~push:false ~msg_ends:0;
+    put_on_wire t ~rst:true ~seq:t.snd_nxt ~payload:Slice.empty ~push:false ~msg_ends:0;
     cancel_rto t;
     cancel_persist t;
     t.conn_state <- Closed

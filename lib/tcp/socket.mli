@@ -104,6 +104,11 @@ val send : t -> string -> unit
 val recv : t -> int -> string
 (** Read up to [n] bytes of in-order received data. *)
 
+val recv_into : t -> Bytebuf.t -> int -> int
+(** [recv_into t dst n] moves up to [n] bytes of in-order received data
+    to the back of [dst] without copying them; returns the count.  The
+    window-update and queue accounting is {!recv}'s. *)
+
 val recv_available : t -> int
 
 val on_readable : t -> (unit -> unit) -> unit

@@ -58,44 +58,128 @@ let prop_socket_stream_integrity =
 
 (* {1 RESP under arbitrary chunking} *)
 
+(* Pop every complete value; a protocol error fails the property. *)
+let drain_parser parser acc =
+  let rec go acc =
+    match Kv.Resp.Parser.next parser with
+    | Ok (Some v) -> go (v :: acc)
+    | Ok None -> acc
+    | Error e -> failwith e
+  in
+  go acc
+
+(* Cut [wire] at the widths in [cuts], cycling through them. *)
+let chunk_wire wire cuts =
+  let rec go pos cuts acc =
+    if pos >= String.length wire then List.rev acc
+    else
+      match cuts with
+      | [] -> go pos [ 7 ] acc
+      | w :: rest ->
+        let n = min w (String.length wire - pos) in
+        go (pos + n) (rest @ [ w ]) (String.sub wire pos n :: acc)
+  in
+  go 0 cuts []
+
+let parse_by_feed chunks =
+  let parser = Kv.Resp.Parser.create () in
+  List.rev
+    (List.fold_left
+       (fun acc chunk ->
+         Kv.Resp.Parser.feed parser chunk;
+         drain_parser parser acc)
+       [] chunks)
+
+(* The receive path the KV client and server use: every chunk is one
+   send() on a real connection, and the receiver moves slices straight
+   into the parser's input with [Socket.recv_into]. *)
+let parse_by_socket ~nagle chunks =
+  let engine = Sim.Engine.create () in
+  let host =
+    { Tcp.Conn.default_host with socket = { Tcp.Socket.default_config with nagle } }
+  in
+  let conn = Tcp.Conn.create engine ~a:host ~b:host () in
+  let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
+  let parser = Kv.Resp.Parser.create () in
+  let parsed = ref [] in
+  Tcp.Socket.on_readable b (fun () ->
+      ignore (Tcp.Socket.recv_into b (Kv.Resp.Parser.input parser) (Tcp.Socket.recv_available b));
+      parsed := drain_parser parser !parsed);
+  List.iter (Tcp.Socket.send a) chunks;
+  Sim.Engine.run engine;
+  (List.rev !parsed, Kv.Resp.Parser.buffered parser)
+
+(* Small and 16 KiB bulks, cut at widths from 1 byte (cuts inside every
+   [$N] header and CRLF) up to a few MSS, parsed both through [feed]
+   and through a socket. *)
 let prop_resp_parse_any_chunking =
   QCheck.Test.make ~name:"RESP parser is chunking-invariant" ~count:200
     QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 8) (string_of_size Gen.(0 -- 40)))
-        (list_of_size Gen.(1 -- 20) (int_range 1 30)))
-    (fun (payloads, cuts) ->
+      triple
+        (list_of_size Gen.(1 -- 8)
+           (make
+              Gen.(
+                frequency
+                  [
+                    (4, string_size (0 -- 40));
+                    (1, map (fun c -> String.make 16_384 c) printable);
+                  ])))
+        (list_of_size Gen.(1 -- 20)
+           (make Gen.(frequency [ (4, int_range 1 30); (1, int_range 31 5000) ])))
+        bool)
+    (fun (payloads, cuts, nagle) ->
       let values =
         List.map (fun s -> Kv.Resp.Array (Some [ Kv.Resp.Bulk (Some s) ])) payloads
       in
-      let wire = String.concat "" (List.map Kv.Resp.encode values) in
-      (* split the wire at the pseudo-random cut widths *)
-      let parser = Kv.Resp.Parser.create () in
-      let parsed = ref [] in
-      let pos = ref 0 in
-      let cuts = ref cuts in
-      while !pos < String.length wire do
-        let width =
-          match !cuts with
-          | w :: rest ->
-            cuts := rest @ [ w ];
-            w
-          | [] -> 7
-        in
-        let n = min width (String.length wire - !pos) in
-        Kv.Resp.Parser.feed parser (String.sub wire !pos n);
-        pos := !pos + n;
-        let rec drain () =
-          match Kv.Resp.Parser.next parser with
-          | Ok (Some v) ->
-            parsed := v :: !parsed;
-            drain ()
-          | Ok None -> ()
-          | Error e -> failwith e
-        in
-        drain ()
-      done;
-      List.equal Kv.Resp.equal values (List.rev !parsed))
+      let chunks = chunk_wire (String.concat "" (List.map Kv.Resp.encode values)) cuts in
+      let by_socket, left = parse_by_socket ~nagle chunks in
+      List.equal Kv.Resp.equal values (parse_by_feed chunks)
+      && List.equal Kv.Resp.equal values by_socket
+      && left = 0)
+
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The parser reads its input in place: one 64 B SET costs the parsed
+   value and nothing that grows with what came before.  A parser that
+   snapshots its whole buffer per call costs hundreds of words here. *)
+let test_resp_parser_alloc_bounded () =
+  let wire =
+    Kv.Resp.encode
+      (Kv.Command.to_resp
+         (Kv.Command.Set { key = "key:000042"; value = String.make 64 'v'; ttl = None }))
+  in
+  let parser = Kv.Resp.Parser.create () in
+  let one () =
+    Kv.Resp.Parser.feed parser wire;
+    match Kv.Resp.Parser.next parser with
+    | Ok (Some _) -> ()
+    | Ok None | Error _ -> Alcotest.fail "64 B SET did not parse"
+  in
+  for _ = 1 to 100 do
+    one ()
+  done;
+  let n = 10_000 in
+  let words = words_allocated (fun () -> for _ = 1 to n do one () done) in
+  let per_value = words /. float_of_int n in
+  if per_value > 120.0 then
+    Alcotest.failf "%.1f words per 64 B SET (bound 120)" per_value
+
+(* Once a 16 KiB value is consumed, the parser holds on to nothing of
+   it: no grown buffer stays behind per connection. *)
+let test_resp_parser_releases_consumed () =
+  let value = String.make 16_384 'x' in
+  let wire = Kv.Resp.encode (Kv.Resp.Array (Some [ Kv.Resp.Bulk (Some value) ])) in
+  let parser = Kv.Resp.Parser.create () in
+  List.iter (Kv.Resp.Parser.feed parser) (chunk_wire wire [ 1448 ]);
+  (match Kv.Resp.Parser.next parser with
+  | Ok (Some _) -> ()
+  | Ok None | Error _ -> Alcotest.fail "16 KiB value did not parse");
+  let words = Obj.reachable_words (Obj.repr parser) in
+  if words > 256 then Alcotest.failf "parser retains %d words after its value" words
 
 (* {1 Model-based store checking} *)
 
@@ -266,6 +350,10 @@ let suite =
         QCheck_alcotest.to_alcotest prop_unwrap_across_wraparound;
         QCheck_alcotest.to_alcotest prop_socket_stream_integrity;
         QCheck_alcotest.to_alcotest prop_resp_parse_any_chunking;
+        Alcotest.test_case "RESP parse allocation per value is bounded" `Quick
+          test_resp_parser_alloc_bounded;
+        Alcotest.test_case "RESP parser releases a consumed value" `Quick
+          test_resp_parser_releases_consumed;
         QCheck_alcotest.to_alcotest prop_store_matches_model;
         QCheck_alcotest.to_alcotest prop_gro_conserves_segments;
         Alcotest.test_case "estimator input discipline" `Quick

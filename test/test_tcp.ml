@@ -76,6 +76,146 @@ let prop_bytebuf_roundtrip =
       done;
       String.equal (Buffer.contents out) expected)
 
+(* Every operation against a plain-string model: the buffer under test
+   plus a second buffer that [transfer] moves bytes into.  Lengths run
+   from 0 so zero-length operations on an empty buffer are exercised
+   from the first step. *)
+type bytebuf_op =
+  | Append of string
+  | Append_slice of string * int * int
+  | Take of int
+  | Skip of int
+  | Transfer of int
+  | Read of int
+  | Peek of int
+  | Drop of int
+  | Get of int
+
+let show_bytebuf_op = function
+  | Append s -> Printf.sprintf "append %S" s
+  | Append_slice (s, off, len) -> Printf.sprintf "append_slice %S %d %d" s off len
+  | Take n -> Printf.sprintf "take %d" n
+  | Skip n -> Printf.sprintf "skip %d" n
+  | Transfer n -> Printf.sprintf "transfer %d" n
+  | Read n -> Printf.sprintf "read %d" n
+  | Peek n -> Printf.sprintf "peek %d" n
+  | Drop n -> Printf.sprintf "drop %d" n
+  | Get i -> Printf.sprintf "get %d" i
+
+let bytebuf_op_gen =
+  QCheck.Gen.(
+    let n = int_range 0 20 in
+    let str = string_size ~gen:printable (int_range 0 12) in
+    frequency
+      [
+        (3, map (fun s -> Append s) str);
+        ( 2,
+          map3
+            (fun s off len ->
+              let off = min off (String.length s) in
+              Append_slice (s, off, min len (String.length s - off)))
+            str (int_range 0 12) (int_range 0 12) );
+        (2, map (fun k -> Take k) n);
+        (1, map (fun k -> Skip k) n);
+        (2, map (fun k -> Transfer k) n);
+        (2, map (fun k -> Read k) n);
+        (1, map (fun k -> Peek k) n);
+        (1, map (fun k -> Drop k) n);
+        (2, map (fun k -> Get k) n);
+      ])
+
+let prop_bytebuf_matches_model =
+  QCheck.Test.make ~name:"bytebuf matches a string model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_bytebuf_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) bytebuf_op_gen))
+    (fun ops ->
+      let b = Tcp.Bytebuf.create () and dst = Tcp.Bytebuf.create () in
+      let model = ref "" and dst_model = Buffer.create 64 in
+      (* remove [min k len] bytes from the model and return them *)
+      let cut k =
+        let k = max 0 (min k (String.length !model)) in
+        let head = String.sub !model 0 k in
+        model := String.sub !model k (String.length !model - k);
+        head
+      in
+      let step op =
+        match op with
+        | Append s ->
+          Tcp.Bytebuf.append b s;
+          model := !model ^ s;
+          true
+        | Append_slice (s, off, len) ->
+          Tcp.Bytebuf.append_slice b (Tcp.Slice.sub (Tcp.Slice.of_string s) off len);
+          model := !model ^ String.sub s off len;
+          true
+        | Take k -> String.equal (Tcp.Slice.to_string (Tcp.Bytebuf.take b k)) (cut k)
+        | Skip k ->
+          Tcp.Bytebuf.skip b k;
+          ignore (cut k);
+          true
+        | Transfer k ->
+          let moved = Tcp.Bytebuf.transfer b ~dst k in
+          let head = cut k in
+          Buffer.add_string dst_model head;
+          moved = String.length head
+        | Read k -> String.equal (Tcp.Bytebuf.read b k) (cut k)
+        | Peek k ->
+          String.equal (Tcp.Bytebuf.peek b k)
+            (String.sub !model 0 (min k (String.length !model)))
+        | Drop k -> Tcp.Bytebuf.drop b k = String.length (cut k)
+        | Get i ->
+          if i < String.length !model then Tcp.Bytebuf.get b i = !model.[i]
+          else (
+            match Tcp.Bytebuf.get b i with
+            | _ -> false
+            | exception Invalid_argument _ -> true)
+      in
+      let conserved t = Tcp.Bytebuf.total_appended t - Tcp.Bytebuf.total_consumed t = Tcp.Bytebuf.length t in
+      List.for_all
+        (fun op ->
+          step op
+          && Tcp.Bytebuf.length b = String.length !model
+          && Tcp.Bytebuf.is_empty b = (!model = "")
+          && conserved b && conserved dst)
+        ops
+      &&
+      let whole = Bytes.make (String.length !model) '?' in
+      Tcp.Bytebuf.blit b ~src_off:0 whole ~dst_off:0 ~len:(Bytes.length whole);
+      String.equal (Bytes.to_string whole) !model
+      && String.equal (Tcp.Bytebuf.read_all dst) (Buffer.contents dst_model))
+
+(* A ring-based variant once spun forever on a zero-length read of an
+   empty buffer. *)
+let test_bytebuf_zero_length_on_empty () =
+  let b = Tcp.Bytebuf.create () and dst = Tcp.Bytebuf.create () in
+  Alcotest.(check int) "take 0" 0 (Tcp.Slice.length (Tcp.Bytebuf.take b 0));
+  Alcotest.(check int) "take 5" 0 (Tcp.Slice.length (Tcp.Bytebuf.take b 5));
+  Tcp.Bytebuf.skip b 0;
+  Tcp.Bytebuf.skip b 3;
+  Alcotest.(check int) "transfer 0" 0 (Tcp.Bytebuf.transfer b ~dst 0);
+  Alcotest.(check int) "transfer 4" 0 (Tcp.Bytebuf.transfer b ~dst 4);
+  Alcotest.(check string) "read 0" "" (Tcp.Bytebuf.read b 0);
+  Alcotest.(check string) "read 9" "" (Tcp.Bytebuf.read_all b);
+  Alcotest.(check string) "peek 0" "" (Tcp.Bytebuf.peek b 0);
+  Alcotest.(check int) "drop 0" 0 (Tcp.Bytebuf.drop b 0);
+  Tcp.Bytebuf.append b "";
+  Tcp.Bytebuf.append_slice b Tcp.Slice.empty;
+  Alcotest.(check bool) "still empty" true (Tcp.Bytebuf.is_empty b && Tcp.Bytebuf.is_empty dst)
+
+(* A prefix inside one slice comes out as a view of the appended
+   string, not a copy; a whole-chunk read hands back the string
+   itself. *)
+let test_bytebuf_take_shares () =
+  let s = String.make 100 'a' in
+  let b = Tcp.Bytebuf.create () in
+  Tcp.Bytebuf.append b s;
+  let v = Tcp.Bytebuf.take b 40 in
+  Alcotest.(check bool) "view of the appended string" true (v.Tcp.Slice.base == s);
+  Tcp.Bytebuf.append b s;
+  Tcp.Bytebuf.skip b 60;
+  Alcotest.(check bool) "whole chunk read is the string" true (Tcp.Bytebuf.read b 100 == s)
+
 (* {1 Unit_fifo} *)
 
 let test_unit_fifo_bytes_identity () =
@@ -488,6 +628,10 @@ let suite =
         Alcotest.test_case "peek and drop" `Quick test_bytebuf_peek_drop;
         Alcotest.test_case "byte conservation" `Quick test_bytebuf_conservation;
         QCheck_alcotest.to_alcotest prop_bytebuf_roundtrip;
+        QCheck_alcotest.to_alcotest prop_bytebuf_matches_model;
+        Alcotest.test_case "zero-length operations on empty" `Quick
+          test_bytebuf_zero_length_on_empty;
+        Alcotest.test_case "take shares the appended string" `Quick test_bytebuf_take_shares;
       ] );
     ( "tcp.unit_fifo",
       [
