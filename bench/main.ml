@@ -784,8 +784,7 @@ let micro () =
     Test.make ~name:"resp.parse_small_set"
       (Staged.stage (fun () -> ignore (Kv.Resp.parse_exactly wire)))
   in
-  (* Old closure-comparator heap vs the monomorphic event heap now in
-     the engine, on the same push/pop event workload. *)
+  (* The engine's monomorphic event heap on a push/pop event workload. *)
   let heap_events =
     Array.init 256 (fun i ->
         {
@@ -794,19 +793,6 @@ let micro () =
           action = ignore;
           cancelled = false;
         })
-  in
-  let heap_poly =
-    let cmp (a : Sim.Event_heap.event) (b : Sim.Event_heap.event) =
-      let c = Sim.Time.compare a.at b.at in
-      if c <> 0 then c else Int.compare a.seq b.seq
-    in
-    Test.make ~name:"heap.poly_push_pop_256"
-      (Staged.stage (fun () ->
-           let h = Sim.Heap.create ~cmp in
-           Array.iter (Sim.Heap.push h) heap_events;
-           while not (Sim.Heap.is_empty h) do
-             ignore (Sim.Heap.pop h)
-           done))
   in
   let heap_mono =
     Test.make ~name:"heap.mono_push_pop_256"
@@ -913,7 +899,7 @@ let micro () =
     Test.make_grouped ~name:"e2e"
       [
         queue_state_track; get_avgs; encode; decode; option_codec; ewma; resp_parse;
-        heap_poly; heap_mono; heap_mono_take; emitf_disabled; emitf_guarded_disabled;
+        heap_mono; heap_mono_take; emitf_disabled; emitf_guarded_disabled;
         emitf_enabled; event_guarded_disabled; event_enabled;
         span_req_guarded_disabled; span_build;
       ]
@@ -1644,7 +1630,7 @@ let fleet () =
           ("server_irq_util", Float r.server_irq_util);
           ( "final_modes",
             Obj
-              (List.map (fun (gid, m) -> (gid, String (mode_label m))) r.final_modes)
+              (List.map (fun (gid, m) -> (gid, String (mode_label m))) (Loadgen.Fleet.final_modes r))
           );
         ])
   in
@@ -1918,7 +1904,7 @@ let scale () =
         List.length
           (List.filter
              (fun (gid, _) -> shard_of_gid gid = s.sh_index)
-             conv.Fleet.final_modes)
+             (Fleet.final_modes conv))
       in
       (* every shard hosts 2 bare + 2 vm conns; all four must have
          settled on a final mode for "converged per shard" to hold *)

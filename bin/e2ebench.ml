@@ -1134,30 +1134,15 @@ let slo_row_of ~burn_window_us (g : slo_agg) slo_us =
     sl_first_burn_us = !first;
   }
 
-(* Rows for the ids that both declared an SLO and traced completions,
-   plus the count of declared-only ids (in-run per-connection
-   trackers). *)
+(* Rows for the ids that both declared an SLO and traced completions. *)
 let slo_rows ~burn_window_us sr =
-  let ids = List.rev sr.sr_order_rev in
-  let rows =
-    List.filter_map
-      (fun id ->
-        let g = Hashtbl.find sr.sr_tbl id in
-        match g.g_slo_us with
-        | Some slo_us when g.g_total > 0 ->
-          Some (slo_row_of ~burn_window_us g slo_us)
-        | Some _ | None -> None)
-      ids
-  in
-  let declared_only =
-    List.length
-      (List.filter
-         (fun id ->
-           let g = Hashtbl.find sr.sr_tbl id in
-           g.g_slo_us <> None && g.g_total = 0)
-         ids)
-  in
-  (rows, declared_only)
+  List.filter_map
+    (fun id ->
+      let g = Hashtbl.find sr.sr_tbl id in
+      match g.g_slo_us with
+      | Some slo_us when g.g_total > 0 -> Some (slo_row_of ~burn_window_us g slo_us)
+      | Some _ | None -> None)
+    (List.rev sr.sr_order_rev)
 
 let fopt = function Some v -> Printf.sprintf "%8.1fus" v | None -> "         -"
 
@@ -1250,7 +1235,7 @@ let print_settle_rows rows =
   end
 
 let print_slo_run ~burn_window_us sr =
-  let rows, declared_only = slo_rows ~burn_window_us sr in
+  let rows = slo_rows ~burn_window_us sr in
   pf "run %s: SLO attainment (burn window %.0fus, budget %.0f%%)\n"
     (if sr.sr_run = "" then "-" else sr.sr_run)
     burn_window_us (100.0 *. slo_budget);
@@ -1267,11 +1252,6 @@ let print_slo_run ~burn_window_us sr =
         | Some us -> Printf.sprintf "%10.1fus" us
         | None -> "           -"))
     rows;
-  if declared_only > 0 then
-    pf "  (%d declared id%s without traced completions: per-connection \
-        trackers report in-run only)\n"
-      declared_only
-      (if declared_only = 1 then "" else "s");
   (* sharded traces ("...@s<k>" ids): per-shard attainment roll-up *)
   let by_shard = Hashtbl.create 4 in
   let shard_order_rev = ref [] in
@@ -1654,7 +1634,7 @@ let slo_panel_sections slo_tables =
        (fun (file, runs) ->
          List.filter_map
            (fun (sr : slo_run) ->
-             let rows, _ = slo_rows ~burn_window_us:10_000.0 sr in
+             let rows = slo_rows ~burn_window_us:10_000.0 sr in
              if rows = [] then None
              else
                let label =
@@ -2069,7 +2049,7 @@ let print_fleet_result (r : Loadgen.Fleet.result) =
   | Some ratio, Some jain ->
     pf "fairness: goodput max/min %.3f, Jain %.3f\n" ratio jain
   | _ -> ());
-  match r.final_modes with
+  match Loadgen.Fleet.final_modes r with
   | [] -> ()
   | modes ->
     pf "final modes: %s\n"
@@ -2127,7 +2107,7 @@ let fleet_json (r : Loadgen.Fleet.result) =
         ("server_app_util", Float r.server_app_util);
         ("server_irq_util", Float r.server_irq_util);
         ( "final_modes",
-          Obj (List.map (fun (gid, m) -> (gid, String (mode_label m))) r.final_modes)
+          Obj (List.map (fun (gid, m) -> (gid, String (mode_label m))) (Loadgen.Fleet.final_modes r))
         );
       ]))
 

@@ -16,7 +16,7 @@
 type t
 
 val create : trace:Sim.Trace.t -> group:string -> t
-(** Events are emitted into [trace] under id [group] (e.g. ["fleet"],
+(** Events are emitted into [trace] under id [group] (e.g. ["run"],
     ["bare"], ["bare/c0"]). *)
 
 val group : t -> string

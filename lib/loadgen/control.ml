@@ -1,7 +1,6 @@
-(* The batching-control plane, factored out of [Runner.run] so that a
-   multi-tenant fleet can instantiate one controller per scope unit
-   (whole fleet, tenant, or single connection) instead of exactly one
-   per run.  A control group owns the sockets it switches, the client
+(* The batching-control plane: the fleet engine instantiates one
+   controller per scope unit (whole fleet, tenant, or single
+   connection).  A control group owns the sockets it switches, the client
    estimators it reads, and — for dynamic groups — its own toggler rng,
    degrade state machine and tick-by-tick sample log, so groups are
    fully independent of each other. *)
@@ -51,12 +50,6 @@ let default_aimd =
   }
 
 type batching = Static_on | Static_off | Dynamic of dynamic | Aimd_limit of aimd_cfg
-
-let batching_label = function
-  | Static_on -> "nagle-on"
-  | Static_off -> "nagle-off"
-  | Dynamic _ -> "dynamic"
-  | Aimd_limit _ -> "aimd"
 
 let initial_nagle = function
   | Static_on -> true

@@ -7,12 +7,11 @@
     reads the group's client-side estimators, scores the active arm and
     switches every socket of the group together.
 
-    {!Runner.run} attaches exactly one group spanning the whole run
-    (the pre-fleet behaviour, re-exported there so its API is
-    unchanged); {!Fleet.run} attaches one per scope unit — fleet,
-    tenant, or single connection — each with an independently split
-    rng, so a per-connection group can settle on Nagle-on while its
-    neighbour settles on Nagle-off. *)
+    {!Fleet.run} attaches one per scope unit — fleet, tenant, or single
+    connection — each with an independently split rng, so a
+    per-connection group can settle on Nagle-on while its neighbour
+    settles on Nagle-off; a single run ({!Runner.run}) has one group
+    spanning the run. *)
 
 type dynamic = {
   policy : E2e.Policy.t;
@@ -46,8 +45,6 @@ val default_aimd : aimd_cfg
 (** SLO 500 µs, 1 ms tick, limit in 64–1448 B, +128 B / x0.5. *)
 
 type batching = Static_on | Static_off | Dynamic of dynamic | Aimd_limit of aimd_cfg
-
-val batching_label : batching -> string
 
 val initial_nagle : batching -> bool
 (** The socket's Nagle flag at connection setup for this mode. *)

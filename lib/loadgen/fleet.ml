@@ -1,10 +1,12 @@
-(* Heterogeneous multi-tenant fleet: N tenants, each with its own
-   client host (app CPU + IRQ CPU, optionally VM-priced), arrival
-   process, workload, link and SLO, all driving one shared server (one
-   app core, one IRQ core — Redis is single-threaded).  Batching is
-   controlled by {!Control} groups whose granularity is the [scope]
-   knob: one group spanning the fleet, one per tenant, or one per
-   connection with its own toggler/estimator/degrade state.
+(* The run engine.  A fleet is N tenants, each with its own client host
+   (app CPU + IRQ CPU, optionally VM-priced), arrival process or
+   command schedule, workload, link and SLO, all driving one server
+   tier ([cores] shards of one app core and one IRQ core each — Redis
+   is single-threaded).  A single run is a one-tenant fleet: {!Runner}
+   only translates its config and projects this module's result.
+   Batching is controlled by {!Control} groups whose granularity is the
+   [scope] knob: one group spanning the fleet, one per tenant, or one
+   per connection with its own toggler/estimator/degrade state.
 
    Time-varying load: each tenant's arrival process can be wrapped in
    an {!Arrival.envelope}, and tenants may declare connection [churn] —
@@ -13,7 +15,26 @@
    estimator cold-start path; departing connections drain outstanding
    requests and FIN cleanly.  Envelope-free, churn-free configs take
    none of these paths and split no extra rng streams, so their results
-   stay bit-identical to the fixed-population implementation. *)
+   stay bit-identical to the fixed-population implementation.
+
+   Rng split order is fixed, so identical configs replay identical draw
+   sequences regardless of host parallelism: two streams per tenant in
+   declaration order (workload, arrival); one per control group in
+   group order; one loss stream when [loss_prob > 0] or a fault plan is
+   armed; one fault stream when a plan is armed (each link's injector
+   stream is split from it, c2s then s2c, connection by connection);
+   then one churn stream per churning tenant in declaration order.  For
+   one churn-free tenant this is the historical single-run order:
+   workload, arrival, toggler, loss, fault.  Sharding adds no streams:
+   load-balancer policies and flow steering are deterministic hashes
+   and counters.
+
+   Ids: connection [i] of tenant [t] is labelled ["t/c<i>"] at the
+   client and ["t/s<i>"] at the server, suffixed ["@s<k>"] on sharded
+   runs, and the tenant's request and SLO id is ["t/client"].  A sole
+   tenant with an empty name — how {!Runner} states a single run — gets
+   the untagged ids ["c<i>"], ["s<i>"] and ["client"], which trace
+   readers take as "no tenant". *)
 
 type scope = Global | Per_tenant | Per_conn
 
@@ -44,6 +65,7 @@ type tenant = {
   batching : Control.batching;
   envelope : Arrival.envelope;
   replay_gaps : int array option;
+  trace : Trace.entry list option;
   churn : churn option;
 }
 
@@ -56,10 +78,11 @@ let default_tenant ~name ~rate_rps =
     workload = Workload.paper_set_only;
     cpu_multiplier = 1.0;
     link = Tcp.Conn.default_link;
-    slo_us = Runner.slo_us;
+    slo_us = E2e.Policy.default_slo_ns /. 1e3;
     batching = Control.Static_off;
     envelope = Arrival.Flat;
     replay_gaps = None;
+    trace = None;
     churn = None;
   }
 
@@ -71,6 +94,9 @@ type config = {
   batching : Control.batching;
   server : Kv.Server.config;
   client : Kv.Client.config;
+  host : Tcp.Conn.host_params;
+  loss_prob : float;
+  fault : Fault.Plan.t option;
   observe : Observe.config option;
   cold_start_inherit : bool;
   cores : int;  (* server shards; 1 = the unsharded tier *)
@@ -79,6 +105,7 @@ type config = {
 }
 
 let default_config ~tenants =
+  let h = Tcp.Conn.default_host in
   {
     seed = 42;
     warmup = Sim.Time.ms 100;
@@ -87,6 +114,9 @@ let default_config ~tenants =
     batching = Control.Static_off;
     server = Kv.Server.default_config;
     client = Kv.Client.default_config;
+    host = { h with socket = { h.socket with rcv_buf = 1024 * 1024 } };
+    loss_prob = 0.0;
+    fault = None;
     observe = None;
     cold_start_inherit = true;
     cores = 1;
@@ -107,11 +137,27 @@ type tenant_result = {
   t_p99_us : float;
   t_under_slo : float;
   t_estimated_us : float option;
-  t_estimated_tput_rps : float;
+  t_estimated_local_us : float option;
+  t_estimated_remote_us : float option;
   t_client_app_util : float;
+  t_client_irq_util : float;
   t_nagle_toggles : int;
   t_conns_opened : int;
   t_conns_closed : int;
+}
+
+type run_detail = {
+  d_hint_estimated_us : float option;
+  d_hint_server_estimated_us : float option;
+  d_packets : int;
+  d_link_dropped : int;
+  d_shares_corrupted : int;
+  d_shares_rejected : int;
+  d_server_batch_mean : float;
+  d_server_wakeups : int;
+  d_server_gro_merge : float;
+  d_srtt_us : float option;
+  d_p99_est_us : float option;
 }
 
 type shard_result = {
@@ -128,9 +174,20 @@ type shard_result = {
   sh_irq_util : float;
 }
 
+type group_result = {
+  g_id : string;
+  g_final_mode : E2e.Toggler.mode option;
+  g_final_batch_limit : int option;
+  g_degrade_freezes : int option;
+  g_degrade_thaws : int option;
+  g_degrade_frozen_end : bool option;
+  g_samples : Control.estimate_sample list;
+}
+
 type result = {
   tenants : tenant_result list;
   shards : shard_result list;
+  groups : group_result list;
   fleet_achieved_rps : float;
   fleet_mean_us : float;
   fleet_p99_us : float;
@@ -138,9 +195,12 @@ type result = {
   goodput_jain : float option;
   server_app_util : float;
   server_irq_util : float;
-  final_modes : (string * E2e.Toggler.mode) list;
+  detail : run_detail option;
   observability : Observe.output option;
 }
+
+let final_modes r =
+  List.filter_map (fun g -> Option.map (fun m -> (g.g_id, m)) g.g_final_mode) r.groups
 
 let validate_churn name c =
   let bad msg =
@@ -158,51 +218,55 @@ let validate_churn name c =
       if delta = 0 then bad "churn script deltas must be non-zero")
     c.script
 
-let validate_tenant t =
-  if t.name = "" then invalid_arg "Fleet.run: tenant name must be non-empty";
-  String.iter
-    (fun c ->
-      if c = '/' || c = ' ' || c = '\t' then
-        invalid_arg
-          (Printf.sprintf "Fleet.run: tenant name %S may not contain '/' or whitespace"
-             t.name))
-    t.name;
-  if t.n_conns < 1 then
-    invalid_arg (Printf.sprintf "Fleet.run: tenant %s: n_conns must be at least 1" t.name);
-  if (not (Float.is_finite t.rate_rps)) || t.rate_rps <= 0.0 then
+let validate_tenant ~sole t =
+  let bad msg = invalid_arg (Printf.sprintf "Fleet.run: tenant %s: %s" t.name msg) in
+  let positive x = Float.is_finite x && x > 0.0 in
+  if t.name = "" && not sole then
+    invalid_arg "Fleet.run: only a sole tenant may have an empty name";
+  if String.exists (fun c -> c = '/' || c = ' ' || c = '\t') t.name then
     invalid_arg
-      (Printf.sprintf "Fleet.run: tenant %s: rate_rps must be positive and finite" t.name);
-  if t.burst < 1 then
-    invalid_arg (Printf.sprintf "Fleet.run: tenant %s: burst must be at least 1" t.name);
-  if (not (Float.is_finite t.cpu_multiplier)) || t.cpu_multiplier <= 0.0 then
-    invalid_arg
-      (Printf.sprintf "Fleet.run: tenant %s: cpu_multiplier must be positive" t.name);
-  if (not (Float.is_finite t.slo_us)) || t.slo_us <= 0.0 then
-    invalid_arg (Printf.sprintf "Fleet.run: tenant %s: slo_us must be positive" t.name);
+      (Printf.sprintf "Fleet.run: tenant name %S may not contain '/' or whitespace" t.name);
+  if t.n_conns < 1 then bad "n_conns must be at least 1";
+  if not (positive t.rate_rps) then bad "rate_rps must be positive and finite";
+  if t.burst < 1 then bad "burst must be at least 1";
+  if not (positive t.cpu_multiplier) then bad "cpu_multiplier must be positive";
+  if not (positive t.slo_us) then bad "slo_us must be positive";
   match t.churn with
   | None -> ()
   | Some c ->
     validate_churn t.name c;
     if t.n_conns < c.min_conns || t.n_conns > c.max_conns then
-      invalid_arg
-        (Printf.sprintf
-           "Fleet.run: tenant %s: n_conns must lie within churn [min_conns, max_conns]"
-           t.name)
+      bad "n_conns must lie within churn [min_conns, max_conns]"
+
+(* The id scheme (see the header): [side] is "c" or "s". *)
+let conn_label t side i suffix =
+  let id = side ^ string_of_int i ^ suffix in
+  if t.name = "" then id else t.name ^ "/" ^ id
+
+let client_id t = if t.name = "" then "client" else t.name ^ "/client"
 
 (* One connection's lifetime state.  [gen] is 0 for run-start
    connections and the per-tenant spawn ordinal for churn arrivals;
    [accepting] keeps the entry in the issue rotation, [retired] marks a
-   fully drained-and-closed departure (kept for lifetime accounting). *)
+   fully drained-and-closed departure (kept for lifetime accounting).
+   [csock]/[ssock] are [conn]'s ends, kept here so a pass over 10^4
+   connections skips a cold [conn] record.  The hint baselines are the
+   client's and the server's view of the client hint queue at warmup
+   end. *)
 type conn_entry = {
   gen : int;
   shard : int;  (* backend shard this connection is steered to *)
+  conn : Tcp.Conn.t;
+  csock : Tcp.Socket.t;  (* client end *)
+  ssock : Tcp.Socket.t;  (* server end *)
   client : Kv.Client.t;
-  csock : Tcp.Socket.t;
-  ssock : Tcp.Socket.t;
+  server : Kv.Server.t;
   mutable accepting : bool;
   mutable retired : bool;
   mutable egroup : Control.t option;
   mutable on_complete : latency:Sim.Time.span -> Kv.Resp.value -> unit;
+  mutable hint0 : E2e.Queue_state.share option;
+  mutable server_hint0 : E2e.Queue_state.share option;
 }
 
 (* Everything one tenant owns at runtime.  [entries] holds every
@@ -217,7 +281,6 @@ type tenant_state = {
   client_cpu : Sim.Cpu.t;
   client_irq : Sim.Cpu.t;
   store : Kv.Store.t;
-  conns0 : Tcp.Conn.t list;  (* run-start connections, for trace wiring *)
   recorder : Recorder.t;
   workload_rng : Sim.Rng.t;
   arrival : Arrival.t;
@@ -227,6 +290,10 @@ type tenant_state = {
   mutable closed_mid : int;
   mutable rotation : conn_entry array;
   next_client : int ref;
+  (* warmup-end baselines for the measured-window utilizations/packets *)
+  mutable base_app : int;
+  mutable base_irq : int;
+  mutable base_packets : int;
 }
 
 let ns_opt_to_us = Option.map (fun ns -> ns /. 1e3)
@@ -241,32 +308,11 @@ let iter_entries s ~f = Shard.Flat.iter s.entries ~f:(fun _ e -> f e)
 let fold_entries s ~init ~f =
   Shard.Flat.fold s.entries ~init ~f:(fun acc _ e -> f acc e)
 
+(* The issue rotation: accepting connections in ascending handle order. *)
 let rebuild_rotation s =
-  let n = fold_entries s ~init:0 ~f:(fun n e -> if e.accepting then n + 1 else n) in
-  if n = 0 then s.rotation <- [||]
-  else begin
-    (* Seed the array with any entry to avoid an option box per slot,
-       then overwrite in ascending-handle order. *)
-    let seed = ref None in
-    (try
-       iter_entries s ~f:(fun e ->
-           if e.accepting then begin
-             seed := Some e;
-             raise Exit
-           end)
-     with Exit -> ());
-    match !seed with
-    | None -> s.rotation <- [||]
-    | Some e0 ->
-      let a = Array.make n e0 in
-      let i = ref 0 in
-      iter_entries s ~f:(fun e ->
-          if e.accepting then begin
-            a.(!i) <- e;
-            incr i
-          end);
-      s.rotation <- a
-  end
+  s.rotation <-
+    Array.of_list
+      (List.rev (fold_entries s ~init:[] ~f:(fun acc e -> if e.accepting then e :: acc else acc)))
 
 let accepting_count s = Array.length s.rotation
 
@@ -275,10 +321,58 @@ let live_entries s =
     (fold_entries s ~init:[] ~f:(fun acc e ->
          if e.retired then acc else e :: acc))
 
+let packets s = fold_entries s ~init:0 ~f:(fun acc e -> acc + Tcp.Conn.total_packets e.conn)
+
+(* Queue-depth gauges of one socket's estimator. *)
+let queue_gauges m sock =
+  let e = Tcp.Socket.estimator sock in
+  let prefix = Tcp.Socket.label sock in
+  Sim.Metrics.gauge m (prefix ^ ".unacked") (fun () ->
+      float_of_int (E2e.Estimator.unacked_size e));
+  Sim.Metrics.gauge m (prefix ^ ".unread") (fun () ->
+      float_of_int (E2e.Estimator.unread_size e));
+  Sim.Metrics.gauge m (prefix ^ ".ackdelay") (fun () ->
+      float_of_int (E2e.Estimator.ackdelay_size e))
+
+(* Attach the trace and the Little's-law audit to sockets. *)
+let observe_socks o socks =
+  let tr = Observe.trace o in
+  let au = Observe.audit o in
+  List.iter
+    (fun sock ->
+      Tcp.Socket.set_trace sock tr;
+      E2e.Estimator.set_audit (Tcp.Socket.estimator sock) au ~prefix:(Tcp.Socket.label sock))
+    socks
+
+(* Fault visibility: each direction's drops, reorders and duplicates
+   are labelled with the sending side's id. *)
+let observe_links o e =
+  let tr = Observe.trace o in
+  Tcp.Link.set_trace (Tcp.Conn.link_ab e.conn) tr ~id:(Tcp.Socket.label e.csock);
+  Tcp.Link.set_trace (Tcp.Conn.link_ba e.conn) tr ~id:(Tcp.Socket.label e.ssock)
+
+(* §3.3 hint input of one connection: the hint-queue averages between
+   its warmup baseline and [cur]. *)
+let no_hint = { E2e.Aggregate.latency_ns = None; throughput = 0.0 }
+
+let hint_input base cur =
+  match (base, cur) with
+  | Some prev, Some cur -> (
+    match E2e.Hints.avgs ~prev ~cur with
+    | Some avgs -> { E2e.Aggregate.latency_ns = avgs.latency_ns; throughput = avgs.throughput }
+    | None -> no_hint)
+  | _ -> no_hint
+
+(* The aggregate over hint inputs gathered newest first. *)
+let hint_estimate_us inputs = ns_opt_to_us (E2e.Aggregate.combine (List.rev inputs)).latency_ns
+
+let rejected_shares sock = E2e.Estimator.rejected_shares (Tcp.Socket.estimator sock)
+
 let run (cfg : config) =
   if cfg.tenants = [] then invalid_arg "Fleet.run: at least one tenant required";
   if cfg.cores < 1 then invalid_arg "Fleet.run: cores must be at least 1";
-  List.iter validate_tenant cfg.tenants;
+  let sole = match cfg.tenants with [ _ ] -> true | _ -> false in
+  List.iter (validate_tenant ~sole) cfg.tenants;
   let names = List.map (fun t -> t.name) cfg.tenants in
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Fleet.run: tenant names must be unique";
@@ -286,79 +380,133 @@ let run (cfg : config) =
   let rng = Sim.Rng.create ~seed:cfg.seed in
   let warmup_until = cfg.warmup in
   let total = cfg.warmup + cfg.duration in
+  (* The split order documented in the header. *)
+  let tenant_rngs =
+    List.map
+      (fun _ ->
+        let workload_rng = Sim.Rng.split rng in
+        let arrival_rng = Sim.Rng.split rng in
+        (workload_rng, arrival_rng))
+      cfg.tenants
+  in
+  let n_groups =
+    match cfg.scope with
+    | Global -> 1
+    | Per_tenant -> List.length cfg.tenants
+    | Per_conn -> List.fold_left (fun acc t -> acc + t.n_conns) 0 cfg.tenants
+  in
+  let group_rngs = Array.init n_groups (fun _ -> Sim.Rng.split rng) in
+  let loss_rng =
+    if cfg.loss_prob > 0.0 || cfg.fault <> None then Some (Sim.Rng.split rng) else None
+  in
+  let fault_rng = Option.map (fun _ -> Sim.Rng.split rng) cfg.fault in
+  let churn_rngs =
+    List.map (fun t -> Option.map (fun _ -> Sim.Rng.split rng) t.churn) cfg.tenants
+  in
   (* Sharded server tier: [cores] simulated cores, each with a private
      app CPU (its run queue) and IRQ CPU.  With [cores = 1] this is the
      classic shared single-core server (contention for which is the
-     coupling that makes global batching decisions unfair), created in
-     exactly the pre-sharding CPU order so such runs stay
-     bit-identical.  The front load balancer assigns each connection a
-     shard (deterministic, rng-free policies — no stream splits), and
-     the RSS steering table is pinned to agree so repinning stays an
-     explicit, observable operation. *)
+     coupling that makes global batching decisions unfair).  The front
+     load balancer assigns each connection a shard, and the RSS
+     steering table is pinned to agree so repinning stays an explicit,
+     observable operation. *)
   let cores = cfg.cores in
   let pool = Shard.Pool.create engine ~cores in
-  let lb = Shard.Lb.create ~policy:cfg.lb ~shards:cores in
-  let steer = Shard.Steer.create ~shards:cores in
+  let lb_steer =
+    if cores = 1 then None
+    else Some (Shard.Lb.create ~policy:cfg.lb ~shards:cores, Shard.Steer.create ~shards:cores)
+  in
   (* Per-shard dispatch depth (issued - completed), for the
      [Shard_enqueued] stream and end-of-run accounting closure. *)
   let sh_issued = Array.make cores 0 in
   let sh_done = Array.make cores 0 in
-  let sh_recorders =
-    Array.init cores (fun _ -> Recorder.create ~warmup_until ())
-  in
   let lb_policy_name = Shard.Lb.policy_to_string cfg.lb in
   (* Assign a connection to a shard: LB policy picks, steering table
      pinned to match.  [key] is the shard-free connection label. *)
   let assign_shard key =
-    if cores = 1 then 0
-    else begin
+    match lb_steer with
+    | None -> 0
+    | Some (lb, steer) ->
       let sh = Shard.Lb.assign lb ~key in
       Shard.Steer.repin steer key ~shard:sh;
       sh
-    end
   in
-  let fleet_recorder = Recorder.create ~warmup_until () in
   let obs = Option.map Observe.create cfg.observe in
-  let host ~nagle =
-    {
-      Tcp.Conn.socket =
-        {
-          Tcp.Socket.mss = 1448;
-          nagle;
-          cork = false;
-          tso_max = None;
-          cc_enabled = false;
-          delack_timeout = Sim.Time.ms 40;
-          delack_max_pending = 2;
-          rcv_buf = 1024 * 1024;
-          unit_mode = E2e.Units.Bytes;
-          exchange = E2e.Exchange.Periodic (Sim.Time.us 100);
-          sack = true;
-          wscale = `Exact;
-          persist = true;
-        };
-      tx_cost = Sim.Time.ns 300;
-      rx_seg_cost = Sim.Time.ns 150;
-      rx_batch_cost = Sim.Time.us 8;
-      gro = Tcp.Gro.default_config ~mss:1448;
+  let lb_breadcrumb ~at ~shard id =
+    match obs with
+    | Some o when cores > 1 ->
+      let tr = Observe.trace o in
+      if Sim.Trace.enabled tr then
+        Sim.Trace.event tr ~at ~id (Sim.Trace.Lb_assigned { shard; policy = lb_policy_name })
+    | Some _ | None -> ()
+  in
+  (* A tenant's host parameters and client costs; churn arrivals
+     ([spawned]) enter TCP slow start. *)
+  let host_for mode ~spawned =
+    let socket =
+      {
+        cfg.host.socket with
+        Tcp.Socket.nagle = Control.initial_nagle mode;
+        cc_enabled = cfg.host.socket.cc_enabled || spawned;
+      }
+    in
+    { cfg.host with socket }
+  in
+  let client_cfg_for (t : tenant) =
+    { cfg.client with
+      Kv.Client.cpu_multiplier = cfg.client.Kv.Client.cpu_multiplier *. t.cpu_multiplier
     }
   in
-  (* Rng split order is fixed and documented: two streams per tenant in
-     declaration order (workload, arrival), then one per control group
-     in group order, then — only for tenants that declare churn — one
-     churn stream per churning tenant in declaration order.  Identical
-     configs therefore replay identical draw sequences regardless of
-     host parallelism, and configs without churn split exactly the
-     pre-churn streams.  Sharding adds {e no} streams: load-balancer
-     policies and flow steering are deterministic hashes and counters,
-     so [cores = 1] configs split exactly the unsharded streams. *)
+  (* The one connection constructor, for run-start connections and
+     churn arrivals alike: shard assignment, the socket pair and its
+     links (loss and fault injection armed), the KV server and client. *)
+  let connect (t : tenant) ~h ~client_cfg ~client_cpu ~client_irq ~store ~idx ~gen =
+    let shard = assign_shard (conn_label t "c" idx "") in
+    let suffix = if cores = 1 then "" else Printf.sprintf "@s%d" shard in
+    let conn =
+      Tcp.Conn.create engine ~a:h ~b:h ~link_ab:t.link ~link_ba:t.link ~cpu_a:client_irq
+        ~cpu_b:(Shard.Pool.irq pool shard) ~label_a:(conn_label t "c" idx suffix)
+        ~label_b:(conn_label t "s" idx suffix) ()
+    in
+    (match loss_rng with
+    | Some rng when cfg.loss_prob > 0.0 ->
+      Tcp.Link.set_loss (Tcp.Conn.link_ab conn) ~rng ~prob:cfg.loss_prob;
+      Tcp.Link.set_loss (Tcp.Conn.link_ba conn) ~rng ~prob:cfg.loss_prob
+    | Some _ | None -> ());
+    (match (cfg.fault, fault_rng) with
+    | Some plan, Some frng ->
+      let inj side = Fault.Injector.create ~side ~rng:(Sim.Rng.split frng) in
+      Tcp.Link.set_fault (Tcp.Conn.link_ab conn) (inj plan.Fault.Plan.c2s);
+      Tcp.Link.set_fault (Tcp.Conn.link_ba conn) (inj plan.Fault.Plan.s2c)
+    | _ -> ());
+    let server =
+      Kv.Server.create engine ~cpu:(Shard.Pool.cpu pool shard) ~socket:(Tcp.Conn.sock_b conn)
+        ~store cfg.server
+    in
+    let client =
+      Kv.Client.create engine ~cpu:client_cpu ~socket:(Tcp.Conn.sock_a conn) client_cfg
+    in
+    lb_breadcrumb ~at:(Sim.Engine.now engine) ~shard (Tcp.Socket.label (Tcp.Conn.sock_a conn));
+    {
+      gen;
+      shard;
+      conn;
+      csock = Tcp.Conn.sock_a conn;
+      ssock = Tcp.Conn.sock_b conn;
+      client;
+      server;
+      accepting = true;
+      retired = false;
+      egroup = None;
+      on_complete = (fun ~latency:_ _ -> ());
+      hint0 = None;
+      server_hint0 = None;
+    }
+  in
   let states =
-    List.map
-      (fun (t : tenant) ->
-        let workload_rng = Sim.Rng.split rng in
-        let arrival_rng = Sim.Rng.split rng in
+    List.map2
+      (fun (t : tenant) (workload_rng, arrival_rng) ->
         let mode = match cfg.scope with Global -> cfg.batching | _ -> t.batching in
-        let h = host ~nagle:(Control.initial_nagle mode) in
         let client_irq = Sim.Cpu.create engine in
         let client_cpu = Sim.Cpu.create engine in
         (* One store per tenant: workloads may disagree on value sizes
@@ -366,57 +514,19 @@ let run (cfg : config) =
            would let one tenant resize another's GET responses. *)
         let store = Kv.Store.create () in
         Workload.prepopulate t.workload store ~now:(Sim.Engine.now engine);
-        (* LB assignment per connection, in label order.  Sharded runs
-           suffix ids with "@s<k>" so every downstream tool (spans,
-           inspect, slo, report) can break the run down per shard;
-           single-shard runs keep the exact pre-sharding labels. *)
-        let conn_shards =
-          List.init t.n_conns (fun i ->
-              assign_shard (Printf.sprintf "%s/c%d" t.name i))
+        let h = host_for mode ~spawned:false in
+        let client_cfg = client_cfg_for t in
+        let connect = connect t ~h ~client_cfg ~client_cpu ~client_irq ~store ~gen:0 in
+        let first = connect ~idx:0 in
+        let entries =
+          Shard.Flat.create ~capacity:(max 16 t.n_conns)
+            ~dummy:{ first with gen = -1; accepting = false; retired = true }
+            ()
         in
-        let conns =
-          List.mapi
-            (fun i shard ->
-              let suffix =
-                if cores = 1 then "" else Printf.sprintf "@s%d" shard
-              in
-              Tcp.Conn.create engine ~a:h ~b:h ~link_ab:t.link ~link_ba:t.link
-                ~cpu_a:client_irq ~cpu_b:(Shard.Pool.irq pool shard)
-                ~label_a:(Printf.sprintf "%s/c%d%s" t.name i suffix)
-                ~label_b:(Printf.sprintf "%s/s%d%s" t.name i suffix)
-                ())
-            conn_shards
-        in
-        let client_socks = List.map Tcp.Conn.sock_a conns in
-        List.iter2
-          (fun shard conn ->
-            ignore
-              (Kv.Server.create engine ~cpu:(Shard.Pool.cpu pool shard)
-                 ~socket:(Tcp.Conn.sock_b conn) ~store cfg.server))
-          conn_shards conns;
-        let client_cfg =
-          { cfg.client with
-            Kv.Client.cpu_multiplier = cfg.client.Kv.Client.cpu_multiplier *. t.cpu_multiplier
-          }
-        in
-        let clients =
-          List.map
-            (fun sock -> Kv.Client.create engine ~cpu:client_cpu ~socket:sock client_cfg)
-            client_socks
-        in
-        (* Typed LB breadcrumbs, sharded runs only, so unsharded traces
-           stay byte-identical to pre-sharding ones. *)
-        (match obs with
-        | Some o when cores > 1 ->
-          let tr = Observe.trace o in
-          if Sim.Trace.enabled tr then
-            List.iter2
-              (fun shard sock ->
-                Sim.Trace.event tr ~at:(Sim.Engine.now engine)
-                  ~id:(Tcp.Socket.label sock)
-                  (Sim.Trace.Lb_assigned { shard; policy = lb_policy_name }))
-              conn_shards client_socks
-        | Some _ | None -> ());
+        ignore (Shard.Flat.alloc entries first);
+        for idx = 1 to t.n_conns - 1 do
+          ignore (Shard.Flat.alloc entries (connect ~idx))
+        done;
         let base =
           match t.replay_gaps with
           | Some gaps -> Arrival.replay ~gaps_ns:gaps
@@ -425,43 +535,6 @@ let run (cfg : config) =
               Arrival.bursty ~rng:arrival_rng ~rate_rps:t.rate_rps ~burst:t.burst
             else Arrival.poisson ~rng:arrival_rng ~rate_rps:t.rate_rps
         in
-        let arrival = Arrival.modulate base t.envelope in
-        let entries =
-          Shard.Flat.create ~capacity:(max 16 t.n_conns)
-            ~dummy:
-              (match (clients, conns, conn_shards) with
-              | client :: _, conn :: _, shard :: _ ->
-                {
-                  gen = -1;
-                  shard;
-                  client;
-                  csock = Tcp.Conn.sock_a conn;
-                  ssock = Tcp.Conn.sock_b conn;
-                  accepting = false;
-                  retired = true;
-                  egroup = None;
-                  on_complete = (fun ~latency:_ _ -> ());
-                }
-              | _ -> assert false)
-            ()
-        in
-        List.iter2
-          (fun (client, shard) conn ->
-            ignore
-              (Shard.Flat.alloc entries
-                 {
-                   gen = 0;
-                   shard;
-                   client;
-                   csock = Tcp.Conn.sock_a conn;
-                   ssock = Tcp.Conn.sock_b conn;
-                   accepting = true;
-                   retired = false;
-                   egroup = None;
-                   on_complete = (fun ~latency:_ _ -> ());
-                 }))
-          (List.combine clients conn_shards)
-          conns;
         let s =
           {
             spec = t;
@@ -469,22 +542,58 @@ let run (cfg : config) =
             client_cpu;
             client_irq;
             store;
-            conns0 = conns;
             recorder = Recorder.create ~warmup_until ();
             workload_rng;
-            arrival;
+            arrival = Arrival.modulate base t.envelope;
             entries;
             next_gen = 1;
             opened_mid = 0;
             closed_mid = 0;
             rotation = [||];
             next_client = ref 0;
+            base_app = 0;
+            base_irq = 0;
+            base_packets = 0;
           }
         in
         rebuild_rotation s;
         s)
-      cfg.tenants
+      cfg.tenants tenant_rngs
   in
+  (* Each completion is recorded once per distinct population: a sole
+     tenant's recorder is the fleet's, and one shard's is the fleet's. *)
+  let fleet_recorder =
+    match states with [ s ] -> s.recorder | _ -> Recorder.create ~warmup_until ()
+  in
+  let sh_recorders =
+    if cores = 1 then [| fleet_recorder |]
+    else Array.init cores (fun _ -> Recorder.create ~warmup_until ())
+  in
+  (* Mid-run bandwidth/propagation-delay steps apply to every link of
+     the run at the planned instant. *)
+  Option.iter
+    (fun plan ->
+      List.iter
+        (fun (st : Fault.Plan.step) ->
+          ignore
+            (Sim.Engine.schedule_at engine
+               ~at:(Sim.Time.ns (int_of_float (st.at_us *. 1e3)))
+               (fun () ->
+                 List.iter
+                   (fun s ->
+                     iter_entries s ~f:(fun e ->
+                         List.iter
+                           (fun link ->
+                             Option.iter (Tcp.Link.set_gbit_per_s link) st.gbit_per_s;
+                             Option.iter
+                               (fun us ->
+                                 Tcp.Link.set_prop_delay link
+                                   (Sim.Time.ns (int_of_float (us *. 1e3))))
+                               st.delay_us)
+                           [ Tcp.Conn.link_ab e.conn; Tcp.Conn.link_ba e.conn ]))
+                   states)))
+        plan.Fault.Plan.steps)
+    cfg.fault;
   let all_client_socks =
     List.concat_map (fun s -> List.map (fun e -> e.csock) (entries_list s)) states
   in
@@ -493,85 +602,67 @@ let run (cfg : config) =
   in
   (match obs with
   | Some o ->
-    let tr = Observe.trace o in
-    let au = Observe.audit o in
-    List.iter
-      (fun sock ->
-        Tcp.Socket.set_trace sock tr;
-        E2e.Estimator.set_audit (Tcp.Socket.estimator sock) au
-          ~prefix:(Tcp.Socket.label sock))
-      (all_client_socks @ all_server_socks);
-    List.iter
-      (fun s ->
-        List.iter
-          (fun conn ->
-            Tcp.Link.set_trace (Tcp.Conn.link_ab conn) tr
-              ~id:(Tcp.Socket.label (Tcp.Conn.sock_a conn)))
-          s.conns0)
-      states
+    observe_socks o (all_client_socks @ all_server_socks);
+    List.iter (fun s -> iter_entries s ~f:(observe_links o)) states
   | None -> ());
-  (* Decision ledgers (one per control group) and SLO trackers (one
-     per tenant plus one per connection), created before the drivers so
-     completions are attributed from the first request on.  Group ids
-     match the control groups attached below. *)
-  let ledger_tbl : (string, E2e.Ledger.t) Hashtbl.t = Hashtbl.create 16 in
-  (match obs with
-  | None -> ()
-  | Some o ->
+  (* The control group (and decision ledger) a connection belongs to. *)
+  let group_id s e =
+    match cfg.scope with
+    | Global -> "run"
+    | Per_tenant -> s.spec.name
+    | Per_conn -> Tcp.Socket.label e.csock
+  in
+  (* Sharded runs declare tenant-per-shard SLO ids ("<tenant>/client@s<k>")
+     as trace breadcrumbs only — offline [slo] rebuilds a per-shard
+     attainment roll-up from them while the in-run observatory keeps
+     its tenant-level trackers. *)
+  let declare_shard_slos o ~at =
     let tr = Observe.trace o in
-    let at = Sim.Engine.now engine in
-    let add group =
-      Hashtbl.replace ledger_tbl group (E2e.Ledger.create ~trace:tr ~group)
-    in
-    List.iter
-      (fun s ->
-        Observe.declare_slo o ~at ~id:(s.spec.name ^ "/client")
-          ~slo_us:s.spec.slo_us;
-        iter_entries s ~f:(fun e ->
-            Observe.declare_slo o ~at ~id:(Tcp.Socket.label e.csock)
-              ~slo_us:s.spec.slo_us))
-      states;
-    (* Sharded runs additionally declare tenant-per-shard SLO ids
-       ("<tenant>/client@s<k>") as trace breadcrumbs only — offline
-       [slo] rebuilds a per-shard attainment roll-up from them while
-       the in-run observatory keeps its tenant-level trackers. *)
     if cores > 1 && Sim.Trace.enabled tr then
       List.iter
         (fun s ->
           for k = 0 to cores - 1 do
             Sim.Trace.event tr ~at
-              ~id:(Printf.sprintf "%s/client@s%d" s.spec.name k)
+              ~id:(Printf.sprintf "%s@s%d" (client_id s.spec) k)
               (Sim.Trace.Message
-                 { tag = "slo_declared";
-                   detail = Printf.sprintf "%.17g" s.spec.slo_us })
+                 { tag = "slo_declared"; detail = Printf.sprintf "%.17g" s.spec.slo_us })
           done)
-        states;
-    match cfg.scope with
-    | Global -> add "fleet"
-    | Per_tenant -> List.iter (fun s -> add s.spec.name) states
-    | Per_conn ->
-      List.iter
-        (fun s -> iter_entries s ~f:(fun e -> add (Tcp.Socket.label e.csock)))
-        states);
-  let ledger_for gid = Hashtbl.find_opt ledger_tbl gid in
-  let entry_ledger s e =
-    match cfg.scope with
-    | Global -> ledger_for "fleet"
-    | Per_tenant -> ledger_for s.spec.name
-    | Per_conn -> ledger_for (Tcp.Socket.label e.csock)
+        states
   in
-  (* Per-entry completion callback: records latency, feeds the owning
-     group's ledger and the per-tenant + per-connection SLO trackers.
-     Built once per connection (run-start or spawned) so the hot path
-     allocates no closures. *)
+  (* Decision ledgers (one per control group) and SLO trackers (one per
+     tenant), created before the drivers so completions are attributed
+     from the first request on. *)
+  let ledger_tbl : (string, E2e.Ledger.t) Hashtbl.t = Hashtbl.create 16 in
+  let add_ledger group =
+    match obs with
+    | Some o when not (Hashtbl.mem ledger_tbl group) ->
+      Hashtbl.replace ledger_tbl group (E2e.Ledger.create ~trace:(Observe.trace o) ~group)
+    | Some _ | None -> ()
+  in
+  (match obs with
+  | None -> ()
+  | Some o ->
+    let at = Sim.Engine.now engine in
+    List.iter
+      (fun s -> Observe.declare_slo o ~at ~id:(client_id s.spec) ~slo_us:s.spec.slo_us)
+      states;
+    declare_shard_slos o ~at;
+    List.iter (fun s -> iter_entries s ~f:(fun e -> add_ledger (group_id s e))) states);
+  let ledger_for gid = Hashtbl.find_opt ledger_tbl gid in
+  (* Per-entry completion callback: records latency in every distinct
+     recorder and feeds the owning group's ledger and the tenant's SLO
+     tracker.  Built once per connection (run-start or spawned) so the
+     hot path allocates no closures. *)
   let wire_entry s e =
-    let lg = entry_ledger s e in
-    let conn_id = Tcp.Socket.label e.csock in
-    let tenant_req_id = s.spec.name ^ "/client" in
+    let lg = ledger_for (group_id s e) in
+    let req_id = client_id s.spec in
     let shard = e.shard in
     let shard_req_id =
-      if cores = 1 then None
-      else Some (Printf.sprintf "%s/client@s%d" s.spec.name shard)
+      if cores = 1 then None else Some (Printf.sprintf "%s@s%d" req_id shard)
+    in
+    let fleet_rec = if fleet_recorder == s.recorder then None else Some fleet_recorder in
+    let shard_rec =
+      if sh_recorders.(shard) == fleet_recorder then None else Some sh_recorders.(shard)
     in
     e.on_complete <-
       (fun ~latency reply ->
@@ -580,29 +671,28 @@ let run (cfg : config) =
         | Kv.Resp.Simple _ | Kv.Resp.Integer _ | Kv.Resp.Bulk _ | Kv.Resp.Array _ -> ());
         let at = Sim.Engine.now engine in
         Recorder.record s.recorder ~at ~latency;
-        Recorder.record fleet_recorder ~at ~latency;
+        (match fleet_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
         sh_done.(shard) <- sh_done.(shard) + 1;
-        Recorder.record sh_recorders.(shard) ~at ~latency;
+        (match shard_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
         (match lg with
         | Some lg -> E2e.Ledger.completion lg ~latency
         | None -> ());
         match obs with
-        | Some o ->
-          Observe.note_request o ~id:tenant_req_id ~at ~latency;
-          (match shard_req_id with
+        | Some o -> (
+          Observe.note_request o ~id:req_id ~at ~latency;
+          match shard_req_id with
           | Some sid ->
             let tr = Observe.trace o in
             if Sim.Trace.enabled tr then
               Sim.Trace.event tr ~at ~id:sid
                 (Sim.Trace.Request_done { latency_us = Sim.Time.to_us latency })
-          | None -> ());
-          Observe.note_slo o ~id:conn_id ~at ~latency
+          | None -> ())
         | None -> ())
   in
-  (* Open-loop drivers: one independent arrival process per tenant,
-     round-robin over the tenant's currently accepting connections.
-     The rotation is rebuilt on churn; with a fixed population it is
-     the fixed array the pre-churn implementation used. *)
+  (* Open-loop drivers: one independent arrival process (or replayed
+     command schedule) per tenant, round-robin over the tenant's
+     currently accepting connections.  The rotation is rebuilt on
+     churn; with a fixed population it is a fixed array. *)
   List.iter
     (fun s ->
       iter_entries s ~f:(wire_entry s);
@@ -630,35 +720,43 @@ let run (cfg : config) =
           Kv.Client.request e.client cmd ~on_complete:e.on_complete
         end
       in
-      let rec schedule_request () =
-        let gap = Arrival.next_gap s.arrival ~now:(Sim.Engine.now engine) in
-        let at = Sim.Time.add (Sim.Engine.now engine) gap in
-        if Sim.Time.compare at total <= 0 then
-          ignore
-            (Sim.Engine.schedule engine ~after:gap (fun () ->
-                 issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
-                 schedule_request ()))
-      in
-      schedule_request ())
+      match s.spec.trace with
+      | Some entries ->
+        (* command replay: the schedule is the trace, clipped to the run *)
+        List.iter
+          (fun (en : Trace.entry) ->
+            if Sim.Time.compare en.at total <= 0 then
+              ignore (Sim.Engine.schedule_at engine ~at:en.at (fun () -> issue en.cmd)))
+          entries
+      | None ->
+        let rec schedule_request () =
+          let gap = Arrival.next_gap s.arrival ~now:(Sim.Engine.now engine) in
+          let at = Sim.Time.add (Sim.Engine.now engine) gap in
+          if Sim.Time.compare at total <= 0 then
+            ignore
+              (Sim.Engine.schedule engine ~after:gap (fun () ->
+                   issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
+                   schedule_request ()))
+        in
+        schedule_request ())
     states;
-  (* Observability sampling, scheduled before the control groups so a
-     coincident-instant sample sees the window the controller is about
-     to advance (same invariant as {!Runner.run}).  The tick iterates
-     the live population, so churn arrivals join the sample and the
-     per-tenant settling series the moment they exist. *)
+  (* Observability sampling.  Everything read here is non-destructive
+     ([peek_estimate], queue sizes, counters), and the tick chain is
+     scheduled before the control groups so that at coincident instants
+     the sample sees the window the controller is about to advance —
+     enabling observability cannot change the simulation.  The tick
+     iterates the live population, so churn arrivals join the sample
+     and the per-tenant settling series the moment they exist. *)
   (match obs with
   | None -> ()
   | Some o ->
     let m = Observe.metrics o in
-    List.iter
-      (fun sock ->
-        let e = Tcp.Socket.estimator sock in
-        let prefix = Tcp.Socket.label sock in
-        Sim.Metrics.gauge m (prefix ^ ".unacked") (fun () ->
-            float_of_int (E2e.Estimator.unacked_size e));
-        Sim.Metrics.gauge m (prefix ^ ".unread") (fun () ->
-            float_of_int (E2e.Estimator.unread_size e)))
-      all_client_socks;
+    List.iter (queue_gauges m) (all_client_socks @ all_server_socks);
+    let first_client = List.hd all_client_socks in
+    Sim.Metrics.gauge m "client.nagle_toggles" (fun () ->
+        float_of_int (Tcp.Nagle.toggles (Tcp.Socket.nagle first_client)));
+    Sim.Metrics.gauge m "packets" (fun () ->
+        float_of_int (List.fold_left (fun acc s -> acc + packets s) 0 states));
     Sim.Metrics.gauge m "completed" (fun () ->
         float_of_int (Recorder.count fleet_recorder));
     let interval = Observe.interval o in
@@ -674,6 +772,9 @@ let run (cfg : config) =
                   let est =
                     E2e.Estimator.peek_estimate (Tcp.Socket.estimator e.csock) ~at
                   in
+                  (* Static runs never call [estimate] mid-run, so the
+                     trace would carry no estimate events without these
+                     peeked ones. *)
                   (match est with
                   | Some (est : E2e.Estimator.estimate) ->
                     Sim.Trace.event (Observe.trace o) ~at
@@ -693,17 +794,32 @@ let run (cfg : config) =
       in
       let flows = List.concat_map (fun (_, _, fl) -> fl) per_tenant in
       let agg = E2e.Aggregate.of_estimates flows in
-      (match agg.latency_ns with
-      | Some lat_ns when Sim.Time.compare at warmup_until > 0 ->
-        let window_us =
-          List.fold_left
-            (fun acc (e : E2e.Estimator.estimate) ->
-              Float.max acc (float_of_int e.window /. 1e3))
-            0.0 flows
-        in
-        ignore (Observe.note_residual o ~at ~window_us ~est_us:(lat_ns /. 1e3))
-      | Some _ | None -> ());
-      Observe.note_sample o (Sim.Metrics.sample m ~at);
+      let est_truth =
+        match agg.latency_ns with
+        | Some lat_ns when Sim.Time.compare at warmup_until > 0 ->
+          let window_us =
+            List.fold_left
+              (fun acc (e : E2e.Estimator.estimate) ->
+                Float.max acc (float_of_int e.window /. 1e3))
+              0.0 flows
+          in
+          let est_us = lat_ns /. 1e3 in
+          Option.map
+            (fun truth_us -> (est_us, truth_us))
+            (Observe.note_residual o ~at ~window_us ~est_us)
+        | Some _ | None -> None
+      in
+      let sample = Sim.Metrics.sample m ~at in
+      let sample =
+        match est_truth with
+        | Some (est_us, truth_us) ->
+          { sample with
+            Sim.Metrics.values =
+              sample.Sim.Metrics.values @ [ ("estimate_us", est_us); ("truth_us", truth_us) ]
+          }
+        | None -> sample
+      in
+      Observe.note_sample o sample;
       Observe.slo_tick o ~at;
       List.iter
         (fun (s, live, tflows) ->
@@ -722,7 +838,7 @@ let run (cfg : config) =
               in
               float_of_int on /. float_of_int (List.length accepting)
           in
-          Observe.note_settle o ~id:(s.spec.name ^ "/client") ~at
+          Observe.note_settle o ~id:(client_id s.spec) ~at
             ~est_us:(ns_opt_to_us tagg.latency_ns) ~nagle_frac)
         per_tenant;
       if Sim.Time.compare (Sim.Time.add at interval) total <= 0 then
@@ -748,73 +864,49 @@ let run (cfg : config) =
               let at = int_of_float (at_us *. 1e3) in
               ignore
                 (Sim.Engine.schedule_at engine ~at (fun () ->
-                     Observe.note_edge o ~id:(s.spec.name ^ "/client") ~at)))
+                     Observe.note_edge o ~id:(client_id s.spec) ~at)))
             (Arrival.edges env ~until_us:(float_of_int total /. 1e3)))
       states);
-  (* Control groups, one per scope unit, each with its own rng split in
-     a fixed order so per-connection togglers explore independently. *)
-  let groups =
+  (* Control groups, one per scope unit, in group order.  Each entry is
+     (id, the one tenant the group covers if any, group). *)
+  let fault_armed = cfg.fault <> None in
+  let attach ~rng ~gid ~batching es =
+    let g =
+      Control.attach ?ledger:(ledger_for gid) ~engine ~until:total ~rng ~fault_armed ~batching
+        ~client_socks:(List.map (fun e -> e.csock) es)
+        ~all_socks:(List.map (fun e -> e.csock) es @ List.map (fun e -> e.ssock) es)
+        ()
+    in
+    List.iter (fun e -> e.egroup <- Some g) es;
+    g
+  in
+  let units =
     match cfg.scope with
     | Global ->
-      let g =
-        Control.attach ?ledger:(ledger_for "fleet") ~engine ~until:total
-          ~rng:(Sim.Rng.split rng) ~fault_armed:false ~batching:cfg.batching
-          ~client_socks:all_client_socks
-          ~all_socks:(all_client_socks @ all_server_socks)
-          ()
-      in
-      List.iter (fun s -> iter_entries s ~f:(fun e -> e.egroup <- Some g)) states;
-      [ ("fleet", None, g) ]
-    | Per_tenant ->
-      List.mapi
-        (fun i s ->
-          let es = entries_list s in
-          let g =
-            Control.attach ?ledger:(ledger_for s.spec.name) ~engine ~until:total
-              ~rng:(Sim.Rng.split rng) ~fault_armed:false ~batching:s.mode
-              ~client_socks:(List.map (fun e -> e.csock) es)
-              ~all_socks:
-                (List.map (fun e -> e.csock) es
-                @ List.map (fun e -> e.ssock) es)
-              ()
-          in
-          List.iter (fun e -> e.egroup <- Some g) es;
-          (s.spec.name, Some i, g))
-        states
+      [ ("run", (if sole then Some 0 else None), cfg.batching,
+         List.concat_map entries_list states) ]
+    | Per_tenant -> List.mapi (fun i s -> (s.spec.name, Some i, s.mode, entries_list s)) states
     | Per_conn ->
       List.concat
         (List.mapi
            (fun i s ->
-             List.map
-               (fun e ->
-                 let g =
-                   Control.attach
-                     ?ledger:(ledger_for (Tcp.Socket.label e.csock))
-                     ~engine ~until:total ~rng:(Sim.Rng.split rng)
-                     ~fault_armed:false ~batching:s.mode ~client_socks:[ e.csock ]
-                     ~all_socks:[ e.csock; e.ssock ]
-                     ()
-                 in
-                 e.egroup <- Some g;
-                 (Tcp.Socket.label e.csock, Some i, g))
-               (entries_list s))
+             List.map (fun e -> (group_id s e, Some i, s.mode, [ e ])) (entries_list s))
            states)
   in
+  let groups =
+    List.mapi
+      (fun k (gid, ti, batching, es) -> (gid, ti, attach ~rng:group_rngs.(k) ~gid ~batching es))
+      units
+  in
   (* Connection churn: spawn and retire connections while the run is
-     live.  Spawned connections enter TCP slow-start ([cc_enabled]) and
-     — when [cold_start_inherit] — the estimator cold-start path plus
+     live.  Spawned connections enter TCP slow-start and — when
+     [cold_start_inherit] — the estimator cold-start path plus
      group-prior inheritance (adopting the live mode under
      Global/Per_tenant, seeding the fresh toggler's arms from a sibling
      under Per_conn).  Departing connections leave the rotation, drain
      outstanding requests, FIN, and close the server side once its
      half-close is seen. *)
   let spawned_groups = ref [] in
-  let tenant_group i =
-    List.find_map (fun (_, ti, g) -> if ti = Some i then Some g else None) groups
-  in
-  let global_group () =
-    match groups with (_, _, g) :: _ -> Some g | [] -> None
-  in
   let sibling_group s =
     fold_entries s ~init:None ~f:(fun acc e ->
         match acc with
@@ -822,101 +914,35 @@ let run (cfg : config) =
         | None -> if e.retired then None else e.egroup)
   in
   let spawn_one i s crng =
-    let t = s.spec in
-    let idx = Shard.Flat.live s.entries in
     let gen = s.next_gen in
     s.next_gen <- gen + 1;
-    (* Churn arrivals go through the same front LB as run-start
-       connections (rng-free, so churn streams stay untouched). *)
-    let shard = assign_shard (Printf.sprintf "%s/c%d" t.name idx) in
-    let suffix = if cores = 1 then "" else Printf.sprintf "@s%d" shard in
-    let hp = host ~nagle:(Control.initial_nagle s.mode) in
-    let hp =
-      { hp with
-        Tcp.Conn.socket = { hp.Tcp.Conn.socket with Tcp.Socket.cc_enabled = true }
-      }
+    let entry =
+      connect s.spec ~h:(host_for s.mode ~spawned:true) ~client_cfg:(client_cfg_for s.spec)
+        ~client_cpu:s.client_cpu ~client_irq:s.client_irq ~store:s.store
+        ~idx:(Shard.Flat.live s.entries) ~gen
     in
-    let conn =
-      Tcp.Conn.create engine ~a:hp ~b:hp ~link_ab:t.link ~link_ba:t.link
-        ~cpu_a:s.client_irq ~cpu_b:(Shard.Pool.irq pool shard)
-        ~label_a:(Printf.sprintf "%s/c%d%s" t.name idx suffix)
-        ~label_b:(Printf.sprintf "%s/s%d%s" t.name idx suffix)
-        ()
-    in
-    let csock = Tcp.Conn.sock_a conn in
-    let ssock = Tcp.Conn.sock_b conn in
-    ignore
-      (Kv.Server.create engine ~cpu:(Shard.Pool.cpu pool shard) ~socket:ssock
-         ~store:s.store cfg.server);
-    let client_cfg =
-      { cfg.client with
-        Kv.Client.cpu_multiplier = cfg.client.Kv.Client.cpu_multiplier *. t.cpu_multiplier
-      }
-    in
-    let client = Kv.Client.create engine ~cpu:s.client_cpu ~socket:csock client_cfg in
+    let csock = entry.csock and ssock = entry.ssock in
     let label = Tcp.Socket.label csock in
     let at = Sim.Engine.now engine in
     (match obs with
     | Some o ->
-      let tr = Observe.trace o in
-      let au = Observe.audit o in
-      List.iter
-        (fun sock ->
-          Tcp.Socket.set_trace sock tr;
-          E2e.Estimator.set_audit (Tcp.Socket.estimator sock) au
-            ~prefix:(Tcp.Socket.label sock))
-        [ csock; ssock ];
-      Tcp.Link.set_trace (Tcp.Conn.link_ab conn) tr ~id:label;
-      Observe.declare_slo o ~at ~id:label ~slo_us:t.slo_us;
-      let m = Observe.metrics o in
-      let est = Tcp.Socket.estimator csock in
-      Sim.Metrics.gauge m (label ^ ".unacked") (fun () ->
-          float_of_int (E2e.Estimator.unacked_size est));
-      Sim.Metrics.gauge m (label ^ ".unread") (fun () ->
-          float_of_int (E2e.Estimator.unread_size est))
+      observe_socks o [ csock; ssock ];
+      observe_links o entry;
+      List.iter (queue_gauges (Observe.metrics o)) [ csock; ssock ]
     | None -> ());
     let inherited = cfg.cold_start_inherit in
     if inherited then E2e.Estimator.set_cold_start (Tcp.Socket.estimator csock);
-    (match obs with
-    | Some o when cores > 1 ->
-      let tr = Observe.trace o in
-      if Sim.Trace.enabled tr then
-        Sim.Trace.event tr ~at ~id:label
-          (Sim.Trace.Lb_assigned { shard; policy = lb_policy_name })
-    | Some _ | None -> ());
-    let entry =
-      {
-        gen;
-        shard;
-        client;
-        csock;
-        ssock;
-        accepting = true;
-        retired = false;
-        egroup = None;
-        on_complete = (fun ~latency:_ _ -> ());
-      }
-    in
     (match cfg.scope with
-    | Global | Per_tenant ->
-      let g = (match cfg.scope with Global -> global_group () | _ -> tenant_group i) in
-      (match g with
+    | Global | Per_tenant -> (
+      (* every connection of the tenant shares its group *)
+      match sibling_group s with
       | Some g ->
         Control.adopt ~inherit_mode:inherited g ~client_sock:csock ~server_sock:ssock;
         entry.egroup <- Some g
       | None -> ())
     | Per_conn ->
-      (match obs with
-      | Some o ->
-        Hashtbl.replace ledger_tbl label
-          (E2e.Ledger.create ~trace:(Observe.trace o) ~group:label)
-      | None -> ());
-      let g =
-        Control.attach ?ledger:(ledger_for label) ~engine ~until:total
-          ~rng:(Sim.Rng.split crng) ~fault_armed:false ~batching:s.mode
-          ~client_socks:[ csock ] ~all_socks:[ csock; ssock ] ()
-      in
-      entry.egroup <- Some g;
+      add_ledger label;
+      let g = attach ~rng:(Sim.Rng.split crng) ~gid:label ~batching:s.mode [ entry ] in
       spawned_groups := !spawned_groups @ [ (label, Some i, g) ];
       if inherited then (
         match sibling_group s with
@@ -956,7 +982,7 @@ let run (cfg : config) =
         | None -> ());
         e.retired <- true;
         s.closed_mid <- s.closed_mid + 1;
-        if cores > 1 then Shard.Lb.release lb ~shard:e.shard;
+        Option.iter (fun (lb, _) -> Shard.Lb.release lb ~shard:e.shard) lb_steer;
         (match obs with
         | Some o ->
           Sim.Trace.event (Observe.trace o) ~at:(Sim.Engine.now engine) ~id:label
@@ -975,15 +1001,10 @@ let run (cfg : config) =
     in
     drain ()
   in
-  let last_accepting s =
-    Array.fold_left (fun _ e -> Some e) None s.rotation
-  in
   List.iteri
-    (fun i s ->
-      match s.spec.churn with
-      | None -> ()
-      | Some ch ->
-        let crng = Sim.Rng.split rng in
+    (fun i (s, crng) ->
+      match (s.spec.churn, crng) with
+      | Some ch, Some crng ->
         (if ch.arrive_rps > 0.0 then
            let rec arrivals () =
              let gap =
@@ -1016,7 +1037,7 @@ let run (cfg : config) =
           (fun (at, delta) ->
             if Sim.Time.compare at total <= 0 then begin
               (match obs with
-              | Some o -> Observe.note_edge o ~id:(s.spec.name ^ "/client") ~at
+              | Some o -> Observe.note_edge o ~id:(client_id s.spec) ~at
               | None -> ());
               ignore
                 (Sim.Engine.schedule_at engine ~at (fun () ->
@@ -1027,38 +1048,43 @@ let run (cfg : config) =
                      else
                        for _ = 1 to -delta do
                          if accepting_count s > ch.min_conns then
-                           match last_accepting s with
-                           | Some e -> retire_entry s e
-                           | None -> ()
+                           retire_entry s s.rotation.(accepting_count s - 1)
                        done))
             end)
-          ch.script)
-    states;
-  (* Warmup boundary: close every estimation window, reset the audit,
-     capture CPU baselines. *)
-  let baseline = ref None in
+          ch.script
+      | _ -> ())
+    (List.combine states churn_rngs);
+  (* Warmup boundary: close every estimation window, capture CPU
+     baselines and a sole tenant's packet and hint baselines, reset the
+     audit. *)
+  let shard_baseline = ref None in
   ignore
     (Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
          let at = Sim.Engine.now engine in
          List.iter
            (fun s ->
+             s.base_app <- Sim.Cpu.busy_ns s.client_cpu;
+             s.base_irq <- Sim.Cpu.busy_ns s.client_irq;
              iter_entries s ~f:(fun e ->
                  if not e.retired then
-                   ignore
-                     (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at)))
+                   ignore (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at);
+                 if sole then begin
+                   s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn;
+                   e.hint0 <- Some (E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at);
+                   e.server_hint0 <- Option.map snd (Tcp.Socket.remote_hint_window e.ssock)
+                 end))
            states;
          (match obs with
          | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
          | None -> ());
-         baseline :=
+         shard_baseline :=
            Some
-             ( Array.init cores (fun k ->
-                   Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
-               Array.init cores (fun k ->
-                   Sim.Cpu.busy_ns (Shard.Pool.irq pool k)),
-               List.map (fun s -> Sim.Cpu.busy_ns s.client_cpu) states )));
+             ( Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
+               Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.irq pool k)) )));
   Sim.Engine.run_until engine total;
   let at = Sim.Engine.now engine in
+  (* Close the Little's-law audit window and put each queue's verdict
+     on the trace before [Observe.output] snapshots the ring. *)
   (match obs with
   | None -> ()
   | Some o ->
@@ -1080,23 +1106,9 @@ let run (cfg : config) =
      start-of-run breadcrumbs are long evicted by completion events.
      The [slo] reader is order-independent, so the newest copy is as
      good as the first. *)
-  (match obs with
-  | Some o when cores > 1 ->
-    let tr = Observe.trace o in
-    if Sim.Trace.enabled tr then
-      List.iter
-        (fun s ->
-          for k = 0 to cores - 1 do
-            Sim.Trace.event tr ~at
-              ~id:(Printf.sprintf "%s/client@s%d" s.spec.name k)
-              (Sim.Trace.Message
-                 { tag = "slo_declared";
-                   detail = Printf.sprintf "%.17g" s.spec.slo_us })
-          done)
-        states
-  | Some _ | None -> ());
-  let b_sh_app, b_sh_irq, b_clients =
-    match !baseline with
+  Option.iter (declare_shard_slos ~at) obs;
+  let b_sh_app, b_sh_irq =
+    match !shard_baseline with
     | Some b -> b
     | None -> failwith "fleet: warmup sample never fired"
   in
@@ -1104,9 +1116,11 @@ let run (cfg : config) =
   let util busy base_v = float_of_int (busy - base_v) /. float_of_int cfg.duration in
   let all_groups = groups @ !spawned_groups in
   (* Per-tenant stack estimate: dynamic groups advance their windows on
-     every tick, so aggregate their tick samples; static/AIMD groups
-     (and any tenant under a global group) kept windows open since
-     warmup, so a final peek covers the whole measured period. *)
+     every tick, so a tenant with groups of its own aggregates their
+     tick samples; static/AIMD groups (and tenants under a group shared
+     with other tenants) kept windows open since warmup, so a final
+     peek covers the whole measured period.  The per-vantage detail is
+     reported for a single connection only. *)
   let tenant_estimate i s =
     let own_groups =
       List.filter_map
@@ -1114,57 +1128,112 @@ let run (cfg : config) =
         all_groups
     in
     let dynamic = match s.mode with Control.Dynamic _ -> true | _ -> false in
-    if cfg.scope <> Global && dynamic then
+    if dynamic && own_groups <> [] then
       let summaries = List.map (Control.sample_summary ~warmup_until) own_groups in
-      let weighted, weight =
-        List.fold_left
-          (fun (acc, w) (lat, tput) ->
-            match lat with
-            | Some us when tput > 0.0 -> (acc +. (us *. tput), w +. tput)
-            | Some _ | None -> (acc, w))
-          (0.0, 0.0) summaries
+      let lat =
+        match summaries with
+        | [ (one, _) ] -> one
+        | _ ->
+          let weighted, weight =
+            List.fold_left
+              (fun (acc, w) (lat, tput) ->
+                match lat with
+                | Some us when tput > 0.0 -> (acc +. (us *. tput), w +. tput)
+                | Some _ | None -> (acc, w))
+              (0.0, 0.0) summaries
+          in
+          if weight > 0.0 then Some (weighted /. weight) else None
       in
-      let tput = List.fold_left (fun acc (_, tp) -> acc +. tp) 0.0 summaries in
-      ((if weight > 0.0 then Some (weighted /. weight) else None), tput)
+      (lat, None, None)
     else
-      let live_socks = List.map (fun e -> e.csock) (live_entries s) in
-      let agg, _ = Control.estimate_socks live_socks ~at in
-      (ns_opt_to_us agg.latency_ns, agg.throughput)
+      let agg, per_flow =
+        Control.estimate_socks (List.map (fun e -> e.csock) (live_entries s)) ~at
+      in
+      let local, remote =
+        match (agg.latency_ns, per_flow) with
+        | Some _, [ only ] ->
+          (ns_opt_to_us only.latency_local_ns, ns_opt_to_us only.latency_remote_ns)
+        | _ -> (None, None)
+      in
+      (ns_opt_to_us agg.latency_ns, local, remote)
   in
   let tenant_results =
     List.mapi
       (fun i s ->
         let completed = Recorder.count s.recorder in
-        let est_us, est_tput = tenant_estimate i s in
-        let clients = List.map (fun e -> e.client) (entries_list s) in
-        let issued = List.fold_left (fun acc c -> acc + Kv.Client.issued c) 0 clients in
-        let outstanding =
-          List.fold_left (fun acc c -> acc + Kv.Client.outstanding c) 0 clients
-        in
+        let est_us, est_local, est_remote = tenant_estimate i s in
+        let sum f = fold_entries s ~init:0 ~f:(fun acc e -> acc + f e) in
         {
           t_name = s.spec.name;
           t_offered_rps = Arrival.rate s.arrival;
           t_achieved_rps = float_of_int completed /. duration_s;
           t_completed = completed;
-          t_issued = issued;
-          t_completed_total =
-            List.fold_left (fun acc c -> acc + Kv.Client.completed c) 0 clients;
-          t_outstanding_end = outstanding;
+          t_issued = sum (fun e -> Kv.Client.issued e.client);
+          t_completed_total = sum (fun e -> Kv.Client.completed e.client);
+          t_outstanding_end = sum (fun e -> Kv.Client.outstanding e.client);
           t_mean_us = Recorder.mean_us s.recorder;
           t_p50_us = Recorder.p50_us s.recorder;
           t_p99_us = Recorder.p99_us s.recorder;
           t_under_slo = Recorder.under_slo_fraction s.recorder ~slo_us:s.spec.slo_us;
           t_estimated_us = est_us;
-          t_estimated_tput_rps = est_tput;
-          t_client_app_util =
-            util (Sim.Cpu.busy_ns s.client_cpu) (List.nth b_clients i);
-          t_nagle_toggles =
-            fold_entries s ~init:0 ~f:(fun acc e ->
-                acc + Tcp.Nagle.toggles (Tcp.Socket.nagle e.csock));
+          t_estimated_local_us = est_local;
+          t_estimated_remote_us = est_remote;
+          t_client_app_util = util (Sim.Cpu.busy_ns s.client_cpu) s.base_app;
+          t_client_irq_util = util (Sim.Cpu.busy_ns s.client_irq) s.base_irq;
+          t_nagle_toggles = sum (fun e -> Tcp.Nagle.toggles (Tcp.Socket.nagle e.csock));
           t_conns_opened = s.opened_mid;
           t_conns_closed = s.closed_mid;
         })
       states
+  in
+  (* The single-run detail over a sole tenant's connections, in one
+     pass. *)
+  let detail s =
+    let pkts = ref 0 and dropped = ref 0 and corrupted = ref 0 and rejected = ref 0 in
+    let wakeups = ref 0 and gro_batches = ref 0 and gro_segments = ref 0 in
+    let batches = ref (Sim.Stats.Summary.create ()) and p99_est = ref None in
+    let hints = ref [] and server_hints = ref [] in
+    iter_entries s ~f:(fun e ->
+        let ab = Tcp.Conn.link_ab e.conn and ba = Tcp.Conn.link_ba e.conn in
+        let gro = Tcp.Conn.gro_b e.conn in
+        pkts := !pkts + Tcp.Conn.total_packets e.conn;
+        dropped := !dropped + Tcp.Link.dropped ab + Tcp.Link.dropped ba;
+        corrupted := !corrupted + Tcp.Link.corrupted_shares ab + Tcp.Link.corrupted_shares ba;
+        rejected := !rejected + rejected_shares e.csock + rejected_shares e.ssock;
+        wakeups := !wakeups + Kv.Server.wakeups e.server;
+        gro_batches := !gro_batches + Tcp.Gro.batches gro;
+        gro_segments := !gro_segments + Tcp.Gro.segments gro;
+        batches := Sim.Stats.Summary.merge !batches (Kv.Server.batch_sizes e.server);
+        (* the worst per-connection tail *)
+        (match (Kv.Client.p99_estimate_ns e.client, !p99_est) with
+        | Some ns, Some worst -> p99_est := Some (Float.max (ns /. 1e3) worst)
+        | Some ns, None -> p99_est := Some (ns /. 1e3)
+        | None, _ -> ());
+        hints :=
+          hint_input e.hint0 (Some (E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at))
+          :: !hints;
+        server_hints :=
+          hint_input e.server_hint0 (Option.map snd (Tcp.Socket.remote_hint_window e.ssock))
+          :: !server_hints);
+    {
+      d_hint_estimated_us = hint_estimate_us !hints;
+      d_hint_server_estimated_us = hint_estimate_us !server_hints;
+      d_packets = !pkts - s.base_packets;
+      d_link_dropped = !dropped;
+      d_shares_corrupted = !corrupted;
+      d_shares_rejected = !rejected;
+      d_server_batch_mean = Sim.Stats.Summary.mean !batches;
+      d_server_wakeups = !wakeups;
+      d_server_gro_merge =
+        (if !gro_batches = 0 then 0.0
+         else float_of_int !gro_segments /. float_of_int !gro_batches);
+      d_srtt_us =
+        (* the first connection's *)
+        ns_opt_to_us
+          (Option.map float_of_int
+             (Tcp.Rtt.srtt (Tcp.Socket.rtt (Shard.Flat.get s.entries 0).csock)));
+      d_p99_est_us = !p99_est;
+    }
   in
   (* Fairness over goodput fractions (achieved/offered) so tenants with
      very different offered loads are comparable. *)
@@ -1209,6 +1278,19 @@ let run (cfg : config) =
   {
     tenants = tenant_results;
     shards = shard_results;
+    groups =
+      List.map
+        (fun (gid, _, ctrl) ->
+          {
+            g_id = gid;
+            g_final_mode = Control.final_mode ctrl;
+            g_final_batch_limit = Control.final_batch_limit ctrl;
+            g_degrade_freezes = Control.degrade_freezes ctrl;
+            g_degrade_thaws = Control.degrade_thaws ctrl;
+            g_degrade_frozen_end = Control.degrade_frozen_end ctrl;
+            g_samples = Control.samples ctrl;
+          })
+        all_groups;
     fleet_achieved_rps = float_of_int (Recorder.count fleet_recorder) /. duration_s;
     fleet_mean_us = Recorder.mean_us fleet_recorder;
     fleet_p99_us = Recorder.p99_us fleet_recorder;
@@ -1218,11 +1300,7 @@ let run (cfg : config) =
       List.fold_left (fun acc r -> acc +. r.sh_app_util) 0.0 shard_results;
     server_irq_util =
       List.fold_left (fun acc r -> acc +. r.sh_irq_util) 0.0 shard_results;
-    final_modes =
-      List.filter_map
-        (fun (gid, _, ctrl) ->
-          Option.map (fun m -> (gid, m)) (Control.final_mode ctrl))
-        all_groups;
+    detail = (match states with [ s ] -> Some (detail s) | _ -> None);
     observability =
       Option.map (Observe.output ~until_us:(float_of_int total /. 1e3)) obs;
   }

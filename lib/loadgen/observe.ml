@@ -2,7 +2,7 @@
    one residual tracker, the completed-request log that supplies the
    residual's ground truth, and the SLO observatory — streaming
    per-tenant latency histograms with sliding-window burn rates.  The
-   runner owns the sampling tick; this module only holds state and
+   fleet engine owns the sampling tick; this module only holds state and
    turns it into a pure [output] at the end of the run, so results
    stay structurally comparable across runs and domains. *)
 
@@ -23,10 +23,10 @@ let default_config =
     settling = true;
   }
 
-(* One SLO tracker per declared id (the whole run, a tenant, or a
-   single connection).  The completion log mirrors the request log's
-   layout: sorted completion times plus a violation prefix sum, so a
-   sliding window is two binary searches. *)
+(* One SLO tracker per declared id (the whole run or a tenant).  The
+   completion log mirrors the request log's layout: sorted completion
+   times plus a violation prefix sum, so a sliding window is two binary
+   searches. *)
 type slo_tracker = {
   slo_id : string;
   slo_us : float;
@@ -194,12 +194,6 @@ let slo_feed tr ~at_us ~latency_us =
   tr.s_at.(n) <- at_us;
   tr.s_viol.(n + 1) <- tr.s_viol.(n) + (if latency_us > tr.slo_us then 1 else 0);
   tr.s_n <- n + 1
-
-let note_slo t ~id ~at ~latency =
-  match Hashtbl.find_opt t.slo_tbl id with
-  | Some tr ->
-      slo_feed tr ~at_us:(Sim.Time.to_us at) ~latency_us:(Sim.Time.to_us latency)
-  | None -> ()
 
 (* First index whose completion time exceeds [bound] in a sorted
    array prefix. *)

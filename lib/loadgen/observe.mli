@@ -1,7 +1,7 @@
 (** Per-run observability: trace ring + metrics registry + estimator
     residuals.
 
-    Created by {!Runner.run} when [config.observe] is set.  Sockets get
+    Created by {!Fleet.run} when [config.observe] is set.  Sockets get
     the trace attached, queue-depth gauges are registered for every
     connection, and a read-only sampling tick (running on the
     configured cadence) snapshots the registry and pairs peeked
@@ -31,7 +31,7 @@ val default_config : config
     tracker on. *)
 
 type slo_report = {
-  r_id : string;  (** the declared id (run, tenant, or connection) *)
+  r_id : string;  (** the declared id (run or tenant) *)
   r_slo_us : float;  (** declared SLO, judged at p99 *)
   r_total : int;
   r_violations : int;  (** completions above the SLO *)
@@ -95,7 +95,7 @@ val metrics : t -> Sim.Metrics.t
 val interval : t -> Sim.Time.span
 
 val audit : t -> Sim.Audit.t
-(** The Little's-law audit registry; {!Runner.run} attaches it to every
+(** The Little's-law audit registry; {!Fleet.run} attaches it to every
     socket's estimator and resets its window at warmup end. *)
 
 val finalize_audit : t -> at:Sim.Time.t -> Sim.Audit.report list
@@ -104,24 +104,15 @@ val finalize_audit : t -> at:Sim.Time.t -> Sim.Audit.report list
 
 val declare_slo : t -> at:Sim.Time.t -> id:string -> slo_us:float -> unit
 (** Start tracking SLO attainment for completions logged under [id]
-    ({!note_request}/{!note_slo}).  Emits an [slo_declared] trace
-    breadcrumb carrying the SLO so offline tools can recover it from
-    the file alone.  Re-declaring an id is a no-op.
+    ({!note_request}).  Emits an [slo_declared] trace breadcrumb
+    carrying the SLO so offline tools can recover it from the file
+    alone.  Re-declaring an id is a no-op.
     @raise Invalid_argument for a non-positive or non-finite SLO. *)
-
-val note_slo : t -> id:string -> at:Sim.Time.t -> latency:Sim.Time.span -> unit
-(** Feed one completion to [id]'s SLO tracker without logging a
-    request or emitting any trace event — how fleet runs track
-    per-connection attainment on top of the tenant-level
-    {!note_request} stream.  Ignored for undeclared ids. *)
 
 val slo_tick : t -> at:Sim.Time.t -> unit
 (** Sample every tracker's sliding-window burn rate at [at].  Called
     from the read-only observability tick; touches no simulation
     state. *)
-
-val slo_reports : t -> slo_report list
-(** Current per-id reports, declaration order. *)
 
 val note_request :
   ?id:string -> t -> at:Sim.Time.t -> latency:Sim.Time.span -> unit
@@ -130,10 +121,6 @@ val note_request :
     Fleet runs pass tenant-tagged ids like ["bare/c0"] so reports can
     group request events by tenant.  When [id] has a declared SLO the
     completion also feeds its tracker. *)
-
-val truth_over : t -> from_us:float -> upto_us:float -> float option
-(** Mean logged latency of requests completing in [(from_us, upto_us]];
-    [None] when no request completed in the window. *)
 
 val note_residual :
   t -> at:Sim.Time.t -> window_us:float -> est_us:float -> float option
@@ -164,9 +151,6 @@ val note_settle :
 (** Feed one observability-tick sample for [id]: the aggregate latency
     estimate (skipped when [None]) and the fraction of the id's
     connections currently running Nagle-on ([nan] to skip). *)
-
-val settle_reports : t -> until_us:float -> settle_report list
-(** Judge every segment now, closing the last one at [until_us]. *)
 
 val judge_settle :
   (float * float) list ->

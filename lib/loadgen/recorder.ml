@@ -26,7 +26,6 @@ let mean_us t = Sim.Stats.Summary.mean t.summary
 let p50_us t = Sim.Stats.Histogram.percentile t.histogram 50.0
 let p99_us t = Sim.Stats.Histogram.percentile t.histogram 99.0
 let max_us t = if count t = 0 then 0.0 else Sim.Stats.Summary.max t.summary
-let stddev_us t = Sim.Stats.Summary.stddev t.summary
 
 let under_slo_fraction t ~slo_us =
   let n = count t in

@@ -12,7 +12,6 @@ val mean_us : t -> float
 val p50_us : t -> float
 val p99_us : t -> float
 val max_us : t -> float
-val stddev_us : t -> float
 
 val under_slo_fraction : t -> slo_us:float -> float
 (** Fraction of recorded requests completing within the SLO. *)

@@ -1,5 +1,7 @@
 (** One benchmark run: client + server + simulated stack at a fixed
-    offered load and batching configuration.
+    offered load and batching configuration.  It runs as a one-tenant
+    {!Fleet} (the one run engine): this module translates its config
+    and projects the fleet result.
 
     Reproduces the paper's methodology: a Lancet-style open-loop client
     drives a Redis-style server; measured latency comes from per-request
@@ -9,7 +11,9 @@
     dynamic (the ε-greedy toggler of §5 driven by the estimates).
 
     The batching types are re-exports of {!Control}'s — the controller
-    itself lives there so {!Fleet} can attach one per scope unit. *)
+    itself lives there so {!Fleet} can attach one per scope unit.  The
+    run's ids are the untagged ["c<i>"] / ["s<i>"] / ["client"]; its
+    one control group (and decision ledger) is ["run"]. *)
 
 type dynamic = Control.dynamic = {
   policy : E2e.Policy.t;
@@ -53,8 +57,6 @@ type batching = Control.batching =
   | Aimd_limit of aimd_cfg
       (** §5 "Better Batching Heuristics": replace the binary toggle
           with an AIMD-adjusted minimum-transmit size. *)
-
-val batching_label : batching -> string
 
 type config = {
   seed : int;
@@ -150,9 +152,7 @@ type result = {
       (** stack estimate over the measured window (max of vantages) *)
   estimated_local_us : float option;
   estimated_remote_us : float option;
-  estimated_tput_rps : float;
   hint_estimated_us : float option;  (** §3.3 hint-based estimate *)
-  hint_tput_rps : float option;
   hint_server_estimated_us : float option;
       (** the server's view of the client's hint queue *)
   client_app_util : float;
@@ -167,8 +167,6 @@ type result = {
   final_mode : E2e.Toggler.mode option;  (** dynamic runs only *)
   final_batch_limit : int option;  (** AIMD runs only *)
   server_gro_merge : float;  (** wire segments per GRO delivery at the server *)
-  server_gro_batches : int;
-  server_acks_by_timer : int;  (** delayed-ack timer expirations at the server *)
   client_srtt_us : float option;
       (** the client's smoothed RTT — the baseline signal §2 shows is
           insufficient for end-to-end latency *)

@@ -152,12 +152,3 @@ let load_gaps path =
         | Ok gaps -> Ok gaps
         | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   with Sys_error msg -> Error msg
-
-let save_gaps path gaps =
-  try
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (gaps_to_string gaps));
-    Ok ()
-  with Sys_error msg -> Error msg

@@ -13,12 +13,6 @@
 
 type entry = { at : Sim.Time.t; cmd : Kv.Command.t }
 
-val entry_to_line : entry -> (string, string) result
-(** [Error] for command types the format does not cover. *)
-
-val parse_line : string -> (entry option, string) result
-(** [Ok None] for blank lines and comments. *)
-
 val to_string : entry list -> string
 val of_string : string -> (entry list, string) result
 (** Checks timestamp monotonicity; errors carry the line number. *)
@@ -54,4 +48,3 @@ val gaps_to_string : int array -> string
 val load_gaps : string -> (int array, string) result
 (** Like {!gaps_of_string}; errors are prefixed with the path. *)
 
-val save_gaps : string -> int array -> (unit, string) result

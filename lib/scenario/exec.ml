@@ -64,6 +64,7 @@ let to_tenant (t : Spec.tenant) : Fleet.tenant =
     batching = to_batching t.batching;
     envelope = to_envelope t.envelope;
     replay_gaps = to_replay_gaps t.envelope;
+    trace = None;
     churn = Option.map to_churn t.churn;
   }
 

@@ -28,12 +28,17 @@ type queue = {
   fifo : waiter Queue.t;  (* outstanding units, oldest first *)
 }
 
-type t = { mutable queues : queue list (* newest first *) }
+(* [by_name] indexes [queues] so registering N queues costs O(N), not
+   the O(N^2) of a list scan per registration. *)
+type t = {
+  mutable queues : queue list;  (* newest first *)
+  by_name : (string, queue) Hashtbl.t;
+}
 
-let create () = { queues = [] }
+let create () = { queues = []; by_name = Hashtbl.create 16 }
 
 let queue t name =
-  match List.find_opt (fun q -> String.equal q.name name) t.queues with
+  match Hashtbl.find_opt t.by_name name with
   | Some q -> q
   | None ->
       let q =
@@ -50,6 +55,7 @@ let queue t name =
         }
       in
       t.queues <- q :: t.queues;
+      Hashtbl.add t.by_name name q;
       q
 
 let queue_name q = q.name

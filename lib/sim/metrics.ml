@@ -11,10 +11,19 @@ type source =
   | Gauge of (unit -> float)
   | Hist of Histo.t
 
-type t = { mutable sources : (string * source) list (* newest first *) }
+(* [by_name] indexes [sources] so registering N instruments costs
+   O(N), not the O(N^2) of a list scan per registration. *)
+type t = {
+  mutable sources : (string * source) list;  (* newest first *)
+  by_name : (string, source) Hashtbl.t;
+}
 
-let create () = { sources = [] }
-let find_source t name = List.assoc_opt name t.sources
+let create () = { sources = []; by_name = Hashtbl.create 16 }
+let find_source t name = Hashtbl.find_opt t.by_name name
+
+let add_source t name src =
+  t.sources <- (name, src) :: t.sources;
+  Hashtbl.replace t.by_name name src
 
 let wrong_kind name what =
   invalid_arg
@@ -27,7 +36,7 @@ let counter t name =
   | Some _ -> wrong_kind name "wanted counter"
   | None ->
       let c = { c_name = name; c_value = 0 } in
-      t.sources <- (name, Counter c) :: t.sources;
+      add_source t name (Counter c);
       c
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
@@ -35,17 +44,13 @@ let counter_name c = c.c_name
 let counter_value c = c.c_value
 
 let gauge t name f =
-  if List.mem_assoc name t.sources then
-    t.sources <-
-      List.map
-        (fun (n, src) ->
-          if String.equal n name then
-            match src with
-            | Gauge _ -> (n, Gauge f)
-            | _ -> wrong_kind name "wanted gauge"
-          else (n, src))
-        t.sources
-  else t.sources <- (name, Gauge f) :: t.sources
+  match find_source t name with
+  | Some (Gauge _) ->
+      t.sources <-
+        List.map (fun (n, src) -> if String.equal n name then (n, Gauge f) else (n, src)) t.sources;
+      Hashtbl.replace t.by_name name (Gauge f)
+  | Some _ -> wrong_kind name "wanted gauge"
+  | None -> add_source t name (Gauge f)
 
 let histogram t name =
   match find_source t name with
@@ -53,7 +58,7 @@ let histogram t name =
   | Some _ -> wrong_kind name "wanted histogram"
   | None ->
       let h = Histo.create () in
-      t.sources <- (name, Hist h) :: t.sources;
+      add_source t name (Hist h);
       h
 
 let names t = List.rev_map fst t.sources

@@ -344,7 +344,7 @@ let test_churn_fleet_deterministic () =
   Alcotest.(check bool) "tenant results bit-identical" true
     (r1.Fleet.tenants = r2.Fleet.tenants);
   Alcotest.(check bool) "final modes bit-identical" true
-    (r1.Fleet.final_modes = r2.Fleet.final_modes)
+    (Fleet.final_modes r1 = Fleet.final_modes r2)
 
 (* {1 Chaos churn cells: ablation contract} *)
 

@@ -160,9 +160,7 @@ let fake_result ~rate ~mean ~achieved : Loadgen.Runner.result =
     estimated_us = Some (mean *. 0.9);
     estimated_local_us = None;
     estimated_remote_us = None;
-    estimated_tput_rps = achieved;
     hint_estimated_us = Some mean;
-    hint_tput_rps = Some achieved;
     hint_server_estimated_us = None;
     client_app_util = 0.1;
     server_app_util = 0.5;
@@ -176,8 +174,6 @@ let fake_result ~rate ~mean ~achieved : Loadgen.Runner.result =
     final_mode = None;
     final_batch_limit = None;
     server_gro_merge = 10.0;
-    server_gro_batches = 100;
-    server_acks_by_timer = 0;
     client_srtt_us = Some 40.0;
     client_p99_est_us = Some (mean *. 2.0);
     samples = [];

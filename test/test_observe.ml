@@ -33,6 +33,18 @@ let test_metrics_sample_order () =
   Alcotest.(check (float 1e-9)) "gauge read" 2.5 (List.assoc "b" s.values);
   Alcotest.(check (float 1e-9)) "hist count" 2.0 (List.assoc "c.count" s.values)
 
+(* 10k gauges (a few thousand observed connections): registration
+   order is kept, and re-registering a name replaces its gauge in
+   place. *)
+let test_metrics_many_gauges () =
+  let m = Sim.Metrics.create () in
+  let names = List.init 10_000 (Printf.sprintf "c%d.unacked") in
+  List.iter (fun n -> Sim.Metrics.gauge m n (fun () -> 1.0)) names;
+  Sim.Metrics.gauge m "c7.unacked" (fun () -> 2.0);
+  Alcotest.(check (list string)) "registration order" names (Sim.Metrics.names m);
+  let s = Sim.Metrics.sample m ~at:0 in
+  Alcotest.(check (float 0.0)) "replaced gauge read" 2.0 (List.assoc "c7.unacked" s.values)
+
 let test_metrics_kind_mismatch () =
   let m = Sim.Metrics.create () in
   ignore (Sim.Metrics.counter m "x");
@@ -324,6 +336,7 @@ let suite =
         Alcotest.test_case "metrics: counter" `Quick test_metrics_counter;
         Alcotest.test_case "metrics: sample order" `Quick test_metrics_sample_order;
         Alcotest.test_case "metrics: kind mismatch" `Quick test_metrics_kind_mismatch;
+        Alcotest.test_case "metrics: 10k gauges" `Quick test_metrics_many_gauges;
         Alcotest.test_case "metrics: sample JSON" `Quick test_metrics_sample_json;
         Alcotest.test_case "metrics: duplicate registration" `Quick
           test_metrics_duplicate_registration;

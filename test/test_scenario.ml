@@ -358,7 +358,7 @@ let test_fleet_deterministic_across_domains () =
 
 let count_groups scope =
   let r = Exec.run (quick_spec ~scope ~batching:"dynamic") in
-  List.length r.Fleet.final_modes
+  List.length (Fleet.final_modes r)
 
 let test_scope_group_granularity () =
   Alcotest.(check int) "global: one group" 1 (count_groups "global");
@@ -366,7 +366,7 @@ let test_scope_group_granularity () =
   Alcotest.(check int) "per_conn: one per connection" 3 (count_groups "per_conn");
   (* static fleets have no dynamic groups to report *)
   let r = Exec.run (quick_spec ~scope:"global" ~batching:"off") in
-  Alcotest.(check int) "static: none" 0 (List.length r.Fleet.final_modes)
+  Alcotest.(check int) "static: none" 0 (List.length (Fleet.final_modes r))
 
 let test_fleet_tenant_tagging () =
   let spec = quick_spec ~scope:"per_conn" ~batching:"dynamic" in
@@ -397,7 +397,7 @@ let test_fleet_tenant_tagging () =
       match Sim.Trace.tenant_of_id gid with
       | Some _ -> ()
       | None -> Alcotest.failf "group id %S not tenant-tagged" gid)
-    r.Fleet.final_modes
+    (Fleet.final_modes r)
 
 let test_fleet_observe_invariance () =
   (* Attaching observability must not change simulation results. *)
@@ -410,7 +410,7 @@ let test_fleet_observe_invariance () =
   Alcotest.(check bool) "tenant results identical" true
     (plain.Fleet.tenants = observed.Fleet.tenants);
   Alcotest.(check bool) "final modes identical" true
-    (plain.Fleet.final_modes = observed.Fleet.final_modes)
+    (Fleet.final_modes plain = Fleet.final_modes observed)
 
 let test_fleet_validation () =
   let expect msg tenants =
@@ -420,7 +420,8 @@ let test_fleet_validation () =
   expect "Fleet.run: at least one tenant required" [];
   let t = Fleet.default_tenant ~name:"a" ~rate_rps:1000.0 in
   expect "Fleet.run: tenant names must be unique" [ t; t ];
-  expect "Fleet.run: tenant name must be non-empty" [ { t with Fleet.name = "" } ];
+  expect "Fleet.run: only a sole tenant may have an empty name"
+    [ t; { t with Fleet.name = "" } ];
   expect "Fleet.run: tenant name \"a/b\" may not contain '/' or whitespace"
     [ { t with Fleet.name = "a/b" } ];
   expect "Fleet.run: tenant a: rate_rps must be positive and finite"

@@ -451,7 +451,7 @@ let test_fleet_sharded_deterministic () =
   Alcotest.(check bool) "tenant results repeat" true (a.Fleet.tenants = b.Fleet.tenants);
   Alcotest.(check bool) "shard results repeat" true (a.Fleet.shards = b.Fleet.shards);
   Alcotest.(check bool) "final modes repeat" true
-    (a.Fleet.final_modes = b.Fleet.final_modes)
+    (Fleet.final_modes a = Fleet.final_modes b)
 
 let test_fleet_cores_validation () =
   Alcotest.check_raises "zero cores"

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: time, heap, engine, rng, stats,
+(* Tests for the simulation substrate: time, event heap, engine, rng, stats,
    cpu, trace. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -25,64 +25,6 @@ let test_time_pp () =
   Alcotest.(check string) "us" "1.50us" (Sim.Time.to_string 1_500);
   Alcotest.(check string) "ms" "2.00ms" (Sim.Time.to_string 2_000_000);
   Alcotest.(check string) "s" "1.000s" (Sim.Time.to_string 1_000_000_000)
-
-(* {1 Heap} *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  List.iter (Sim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Sim.Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  let order = List.init 6 (fun _ -> Sim.Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted pops" [ 1; 2; 3; 5; 8; 9 ] order;
-  Alcotest.(check (option int)) "pop empty" None (Sim.Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Sim.Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.push h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Sim.Heap.pop h)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare in
-      List.iter (Sim.Heap.push h) xs;
-      let popped = List.init (List.length xs) (fun _ -> Sim.Heap.pop_exn h) in
-      popped = List.sort Int.compare xs)
-
-(* [pop] must overwrite the vacated slot: a popped element may be the
-   only reference keeping a large closure graph alive.  The weak pointer
-   sees through the heap's backing array — if the slot were retained the
-   element would survive a full major collection. *)
-let test_heap_pop_releases_slot () =
-  let h = Sim.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  let w = Weak.create 2 in
-  (* build, push and pop inside a closure so no stack slot pins them *)
-  (fun () ->
-    let p0 = ref 0 and p1 = ref 1 in
-    Weak.set w 0 (Some p0);
-    Weak.set w 1 (Some p1);
-    Sim.Heap.push h (1, p0);
-    Sim.Heap.push h (2, p1);
-    ignore (Sim.Heap.pop h);
-    ignore (Sim.Heap.pop h))
-    ();
-  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h);
-  Gc.full_major ();
-  Alcotest.(check bool) "first popped element collectable" false (Weak.check w 0);
-  (* the full-drain case: popping the last element must not leave it in
-     the shrunk-to-empty backing array *)
-  Alcotest.(check bool) "last popped element collectable" false (Weak.check w 1)
 
 (* {1 Event heap} *)
 
@@ -1087,6 +1029,20 @@ let test_audit_report_order () =
     (List.map (fun (r : Sim.Audit.report) -> r.queue)
        (Sim.Audit.report au ~at:100))
 
+(* 10k registrations (the queue count of a few thousand observed
+   connections): a repeated name returns the queue already registered,
+   and reports keep declaration order. *)
+let test_audit_many_queues () =
+  let au = Sim.Audit.create () in
+  let names = List.init 10_000 (Printf.sprintf "c%d.unacked") in
+  let qs = List.map (Sim.Audit.queue au) names in
+  List.iter2
+    (fun name q ->
+      Alcotest.(check bool) "repeated name, same queue" true (Sim.Audit.queue au name == q))
+    names qs;
+  Alcotest.(check (list string)) "report order = declaration order" names
+    (List.map (fun (r : Sim.Audit.report) -> r.queue) (Sim.Audit.report au ~at:100))
+
 (* The guarded call-site pattern used on every hot path must not
    allocate while tracing is disabled: the whole point of leaving the
    instrumentation compiled in. *)
@@ -1159,14 +1115,6 @@ let suite =
         Alcotest.test_case "units" `Quick test_time_units;
         Alcotest.test_case "arithmetic" `Quick test_time_arith;
         Alcotest.test_case "pretty-printing" `Quick test_time_pp;
-      ] );
-    ( "sim.heap",
-      [
-        Alcotest.test_case "push/pop ordering" `Quick test_heap_basic;
-        Alcotest.test_case "pop_exn on empty" `Quick test_heap_pop_exn_empty;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "pop releases slot" `Quick test_heap_pop_releases_slot;
-        QCheck_alcotest.to_alcotest prop_heap_sorted;
       ] );
     ( "sim.event_heap",
       [
@@ -1261,5 +1209,6 @@ let suite =
         Alcotest.test_case "window reset carries occupancy" `Quick
           test_audit_reset_window;
         Alcotest.test_case "report order and dedup" `Quick test_audit_report_order;
+        Alcotest.test_case "10k queues: dedup and order" `Quick test_audit_many_queues;
       ] );
   ]

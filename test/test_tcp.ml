@@ -1,6 +1,6 @@
 (* Tests for TCP building blocks: sequence arithmetic, byte buffers,
-   unit translation, options codec, Nagle, delayed acks, links, GRO,
-   and the pacer. *)
+   unit translation, options codec, Nagle, delayed acks, links and
+   GRO. *)
 
 let us = Sim.Time.us
 
@@ -526,38 +526,6 @@ let test_gro_preserves_order () =
   Tcp.Gro.submit gro (seg ~len:10 2896);
   Alcotest.(check (list int)) "in-order delivery" [ 0; 1448; 2896 ] (List.rev !segs)
 
-(* {1 Pacer} *)
-
-let test_pacer_batches_by_count () =
-  let e = Sim.Engine.create () in
-  let out = ref [] in
-  let p =
-    Tcp.Pacer.create e ~max_delay:(us 100) ~max_batch:3 ~forward:(fun s ->
-        out := s.Tcp.Segment.seq :: !out)
-  in
-  Tcp.Pacer.submit p (seg 0);
-  Tcp.Pacer.submit p (seg 1);
-  Alcotest.(check int) "held" 2 (Tcp.Pacer.pending p);
-  Tcp.Pacer.submit p (seg 2);
-  Alcotest.(check (list int)) "flushed in order" [ 0; 1; 2 ] (List.rev !out);
-  Alcotest.(check int) "one doorbell" 1 (Tcp.Pacer.batches p)
-
-let test_pacer_flushes_on_timer () =
-  let e = Sim.Engine.create () in
-  let out = ref 0 in
-  let p = Tcp.Pacer.create e ~max_delay:(us 50) ~max_batch:10 ~forward:(fun _ -> incr out) in
-  Tcp.Pacer.submit p (seg 0);
-  Sim.Engine.run e;
-  Alcotest.(check int) "timer flush" 1 !out;
-  Alcotest.(check int) "at deadline" (us 50) (Sim.Engine.now e)
-
-let test_pacer_zero_delay_passthrough () =
-  let e = Sim.Engine.create () in
-  let out = ref 0 in
-  let p = Tcp.Pacer.create e ~max_delay:0 ~max_batch:10 ~forward:(fun _ -> incr out) in
-  Tcp.Pacer.submit p (seg 0);
-  Alcotest.(check int) "immediate" 1 !out
-
 (* {1 Rtt} *)
 
 let test_rtt_first_sample () =
@@ -682,12 +650,6 @@ let suite =
         Alcotest.test_case "idle timeout flushes" `Quick test_gro_timeout_flush;
         Alcotest.test_case "disabled passthrough" `Quick test_gro_disabled_passthrough;
         Alcotest.test_case "order preserved" `Quick test_gro_preserves_order;
-      ] );
-    ( "tcp.pacer",
-      [
-        Alcotest.test_case "batches by count" `Quick test_pacer_batches_by_count;
-        Alcotest.test_case "flushes on timer" `Quick test_pacer_flushes_on_timer;
-        Alcotest.test_case "zero delay passthrough" `Quick test_pacer_zero_delay_passthrough;
       ] );
     ( "tcp.rtt",
       [
