@@ -791,7 +791,7 @@ let micro () =
           Sim.Event_heap.at = Sim.Time.ns ((i * 7919) mod 4096);
           seq = i;
           action = ignore;
-          cancelled = false;
+          pos = -1;
         })
   in
   let heap_mono =
@@ -1062,7 +1062,7 @@ let alloc () =
   in
   let heap = Sim.Event_heap.create () in
   let heap_ev =
-    { Sim.Event_heap.at = 0; seq = 0; action = ignore; cancelled = false }
+    { Sim.Event_heap.at = 0; seq = 0; action = ignore; pos = -1 }
   in
   let idle_engine = Sim.Engine.create () in
   let delack_engine = Sim.Engine.create () in
@@ -1091,6 +1091,10 @@ let alloc () =
         fun () ->
           Sim.Event_heap.push heap heap_ev;
           ignore (Sim.Event_heap.take heap) );
+      ( "event_heap.push_remove",
+        fun () ->
+          Sim.Event_heap.push heap heap_ev;
+          Sim.Event_heap.remove heap heap_ev );
       ("engine.run_until_idle", fun () -> Sim.Engine.run_until idle_engine 0);
       ("delack.on_ack_sent_idle", fun () -> Tcp.Delayed_ack.on_ack_sent delack);
       ("histo.add", fun () -> Sim.Histo.add histo 123.456);

@@ -3,23 +3,20 @@ type handle = Event_heap.event
 type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
-  mutable live : int;
   queue : Event_heap.t;
 }
 
 (* Ordering (earliest deadline first, FIFO among same-instant events
    via [seq]) lives inside Event_heap's inlined comparison. *)
-let create () =
-  { clock = Time.zero; next_seq = 0; live = 0; queue = Event_heap.create () }
+let create () = { clock = Time.zero; next_seq = 0; queue = Event_heap.create () }
 
 let now t = t.clock
 
 let schedule_at t ~at action =
   if Time.compare at t.clock < 0 then
     invalid_arg "Engine.schedule_at: time is in the simulated past";
-  let ev = { Event_heap.at; seq = t.next_seq; action; cancelled = false } in
+  let ev = { Event_heap.at; seq = t.next_seq; action; pos = -1 } in
   t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
   Event_heap.push t.queue ev;
   ev
 
@@ -27,44 +24,34 @@ let schedule t ~after action =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~at:(Time.add t.clock after) action
 
-let cancel t (ev : handle) =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    t.live <- t.live - 1
-  end
+(* Cancellation is eager: the event leaves the heap now, so the heap
+   only ever holds live events.  A fired, cancelled or foreign handle
+   is not in this heap, and [remove] ignores it. *)
+let cancel t (ev : handle) = Event_heap.remove t.queue ev
 
-let pending t = t.live
+let pending t = Event_heap.length t.queue
 
 (* The event loop uses Event_heap's option-free [take]/[top] so that
    dispatching an event allocates nothing at all — the per-event [Some]
    boxes of peek/pop were the loop's last allocations, and they are
    paid once per simulated event. *)
-let rec step t =
+let step t =
   if Event_heap.is_empty t.queue then false
   else begin
     let ev = Event_heap.take t.queue in
-    if ev.cancelled then step t
-    else begin
-      t.clock <- ev.at;
-      t.live <- t.live - 1;
-      ev.action ();
-      true
-    end
+    t.clock <- ev.at;
+    ev.action ();
+    true
   end
 
 let rec run t = if step t then run t
 
 let rec run_until t deadline =
-  if Event_heap.is_empty t.queue then t.clock <- Time.max t.clock deadline
-  else begin
-    let ev = Event_heap.top t.queue in
-    if ev.cancelled then begin
-      ignore (Event_heap.take t.queue);
-      run_until t deadline
-    end
-    else if Time.compare ev.at deadline <= 0 then begin
-      ignore (step t);
-      run_until t deadline
-    end
-    else t.clock <- Time.max t.clock deadline
+  if
+    (not (Event_heap.is_empty t.queue))
+    && Time.compare (Event_heap.top t.queue).at deadline <= 0
+  then begin
+    ignore (step t);
+    run_until t deadline
   end
+  else t.clock <- Time.max t.clock deadline

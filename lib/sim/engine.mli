@@ -24,8 +24,9 @@ val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
 (** Absolute-time variant.  [at] must not be in the simulated past. *)
 
 val cancel : t -> handle -> unit
-(** Cancel a pending event; cancelling an already-fired or already-
-    cancelled event is a no-op. *)
+(** Cancel a pending event, removing it from the queue in O(log n).
+    Cancelling an already-fired or already-cancelled event, or one
+    scheduled on another engine, is a no-op. *)
 
 val pending : t -> int
 (** Number of events scheduled but not yet fired or cancelled. *)

@@ -2,7 +2,7 @@ type event = {
   at : Time.t;
   seq : int;
   action : unit -> unit;
-  mutable cancelled : bool;
+  mutable pos : int;
 }
 
 type t = {
@@ -12,7 +12,7 @@ type t = {
 }
 
 let create () =
-  let sentinel = { at = Time.zero; seq = -1; action = ignore; cancelled = true } in
+  let sentinel = { at = Time.zero; seq = -1; action = ignore; pos = -1 } in
   { data = [||]; size = 0; sentinel }
 
 let length h = h.size
@@ -32,34 +32,45 @@ let grow h =
     h.data <- ndata
   end
 
-let rec sift_up h i =
+(* Every write of an event into a slot goes through [set], so [pos]
+   always names the slot that holds the event. *)
+let[@inline] set h i ev =
+  h.data.(i) <- ev;
+  ev.pos <- i
+
+(* Both sifts carry [ev] down (or up) a hole starting at slot [i],
+   moving each displaced event one level, and write [ev] once at the
+   end. *)
+let rec sift_up h i ev =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+    let p = h.data.(parent) in
+    if before ev p then begin
+      set h i p;
+      sift_up h parent ev
     end
+    else set h i ev
   end
+  else set h i ev
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && before h.data.(l) h.data.(!smallest) then smallest := l;
-  if r < h.size && before h.data.(r) h.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
+let rec sift_down h i ev =
+  let l = (2 * i) + 1 in
+  if l >= h.size then set h i ev
+  else begin
+    let r = l + 1 in
+    let c = if r < h.size && before h.data.(r) h.data.(l) then r else l in
+    let child = h.data.(c) in
+    if before child ev then begin
+      set h i child;
+      sift_down h c ev
+    end
+    else set h i ev
   end
 
 let push h ev =
   grow h;
-  h.data.(h.size) <- ev;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) ev
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
@@ -67,26 +78,41 @@ let peek h = if h.size = 0 then None else Some h.data.(0)
    plain int, [top]/[take] allocate nothing, where [peek]/[pop] box a
    [Some] per call — which was the engine's last per-event allocation.
    Callers must check [is_empty] first; on an empty heap both return
-   the (cancelled) sentinel. *)
+   the sentinel. *)
 let top h = if h.size = 0 then h.sentinel else h.data.(0)
+
+(* Vacate slot [i]: the last event fills the hole and sifts whichever
+   way restores the heap.  The old last slot is cleared so no action
+   closure lingers in the array. *)
+let vacate h i =
+  h.size <- h.size - 1;
+  let last = h.data.(h.size) in
+  h.data.(h.size) <- h.sentinel;
+  if i < h.size then
+    if i > 0 && before last h.data.((i - 1) / 2) then sift_up h i last
+    else sift_down h i last
 
 let take h =
   if h.size = 0 then h.sentinel
   else begin
     let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    (* Clear the vacated slot so [top]'s action closure (and, after a
-       drain, every popped event's) does not linger in the array. *)
-    h.data.(h.size) <- h.sentinel;
+    vacate h 0;
+    top.pos <- -1;
     top
   end
 
 let pop h = if h.size = 0 then None else Some (take h)
 
+let remove h ev =
+  let i = ev.pos in
+  if i >= 0 && i < h.size && h.data.(i) == ev then begin
+    vacate h i;
+    ev.pos <- -1
+  end
+
 let clear h =
+  for i = 0 to h.size - 1 do
+    h.data.(i).pos <- -1
+  done;
   Array.fill h.data 0 h.size h.sentinel;
   h.size <- 0

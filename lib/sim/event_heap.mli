@@ -7,7 +7,9 @@
     [(at, seq)] integer comparison (earliest deadline first, FIFO among
     same-instant events), with no function pointer in sight.
 
-    Vacated slots are overwritten with a per-heap sentinel on [pop] and
+    Each event records its slot in [pos], so {!remove} takes an event
+    out of the middle of the heap in O(log n).  Vacated slots are
+    overwritten with a per-heap sentinel on [take], [pop], [remove] and
     [clear], so a fired or cancelled event's action closure — which can
     capture sockets, connections, whole simulation worlds — becomes
     collectable as soon as it leaves the queue. *)
@@ -16,7 +18,9 @@ type event = {
   at : Time.t;
   seq : int;
   action : unit -> unit;
-  mutable cancelled : bool;
+  mutable pos : int;
+      (** Slot index while queued; [-1] once taken, removed or cleared.
+          Maintained by the heap: create events with [pos = -1]. *)
 }
 
 type t
@@ -37,13 +41,18 @@ val pop : t -> event option
 
 val top : t -> event
 (** Option-free [peek] for the engine's hot loop: no allocation.
-    Returns the heap's (cancelled) sentinel when empty — callers must
-    check {!is_empty} first to distinguish. *)
+    Returns the heap's sentinel ([seq = -1], [pos = -1]) when empty —
+    callers must check {!is_empty} first to distinguish. *)
 
 val take : t -> event
 (** Option-free [pop]: removes and returns the earliest event without
     boxing it, clearing the vacated slot.  Returns the sentinel when
     empty — check {!is_empty} first. *)
+
+val remove : t -> event -> unit
+(** Take [ev] out of the heap in O(log n), clearing its slot.  A no-op
+    when [ev] is not queued here: already taken, removed or cleared, or
+    queued in another heap. *)
 
 val clear : t -> unit
 (** Drop every queued event, overwriting all live slots with the

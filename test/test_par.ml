@@ -61,7 +61,7 @@ let prop_pool_map_matches_list_map =
 (* {1 Event heap} *)
 
 let mk_event at seq =
-  { Sim.Event_heap.at; seq; action = ignore; cancelled = false }
+  { Sim.Event_heap.at; seq; action = ignore; pos = -1 }
 
 let prop_event_heap_sorted =
   QCheck.Test.make ~count:200 ~name:"Event_heap pops in (at, seq) order"

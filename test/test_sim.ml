@@ -28,7 +28,7 @@ let test_time_pp () =
 
 (* {1 Event heap} *)
 
-let ev_at at action = { Sim.Event_heap.at; seq = at; action; cancelled = false }
+let ev_at at action = { Sim.Event_heap.at; seq = at; action; pos = -1 }
 
 let test_event_heap_order_and_sentinel () =
   let h = Sim.Event_heap.create () in
@@ -39,12 +39,13 @@ let test_event_heap_order_and_sentinel () =
   let order = List.init 4 (fun _ -> (Sim.Event_heap.take h).Sim.Event_heap.at) in
   Alcotest.(check (list int)) "take drains in order" [ 1; 3; 5; 8 ] order;
   Alcotest.(check bool) "drained" true (Sim.Event_heap.is_empty h);
-  (* past empty, top/take return the per-heap cancelled sentinel instead
-     of raising or boxing an option *)
-  Alcotest.(check bool) "sentinel is cancelled" true
-    (Sim.Event_heap.top h).Sim.Event_heap.cancelled;
+  (* past empty, top/take return the per-heap sentinel instead of
+     raising or boxing an option *)
+  let sentinel = Sim.Event_heap.top h in
+  Alcotest.(check (pair int int)) "sentinel is unqueued" (-1, -1)
+    (sentinel.Sim.Event_heap.seq, sentinel.Sim.Event_heap.pos);
   Alcotest.(check bool) "take past empty is sentinel" true
-    (Sim.Event_heap.take h).Sim.Event_heap.cancelled
+    (Sim.Event_heap.take h == sentinel)
 
 let test_event_heap_take_releases_action () =
   let h = Sim.Event_heap.create () in
@@ -58,7 +59,19 @@ let test_event_heap_take_releases_action () =
     ();
   Gc.full_major ();
   Alcotest.(check bool) "taken event's closure collectable" false (Weak.check w 0);
-  Alcotest.(check int) "later event still queued" 1 (Sim.Event_heap.length h)
+  Alcotest.(check int) "later event still queued" 1 (Sim.Event_heap.length h);
+  (* a removed event's closure goes the same way, without waiting for
+     its deadline *)
+  (fun () ->
+    let big = Array.make 256 1 in
+    Weak.set w 0 (Some big);
+    let ev = ev_at 7 (fun () -> ignore (Array.length big)) in
+    Sim.Event_heap.push h ev;
+    Sim.Event_heap.remove h ev)
+    ();
+  Gc.full_major ();
+  Alcotest.(check bool) "removed event's closure collectable" false (Weak.check w 0);
+  Alcotest.(check int) "only the later event queued" 1 (Sim.Event_heap.length h)
 
 let test_event_heap_clear_releases_actions () =
   let h = Sim.Event_heap.create () in
@@ -81,6 +94,103 @@ let test_event_heap_clear_releases_actions () =
   (* heap stays usable after clear *)
   Sim.Event_heap.push h (ev_at 7 ignore);
   Alcotest.(check int) "usable after clear" 7 (Sim.Event_heap.take h).Sim.Event_heap.at
+
+(* Random push/take/remove scripts against a sorted-list model.  Removal
+   targets a slot (so the root, the last slot and interior slots are all
+   hit) or an event that already left the heap, by removal or by take;
+   those must be no-ops.  Pushes outweigh the other operations, so the
+   heap grows deep enough for a removal to need a sift up. *)
+type heap_op =
+  | Push of int
+  | Take
+  | Remove_slot of int
+  | Remove_last
+  | Remove_removed of int
+  | Remove_taken of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun at -> Push at) (0 -- 100));
+        (2, return Take);
+        (1, return (Remove_slot 0));
+        (2, map (fun k -> Remove_slot k) (1 -- 64));
+        (1, return Remove_last);
+        (1, map (fun k -> Remove_removed k) nat);
+        (1, map (fun k -> Remove_taken k) nat);
+      ])
+
+let show_heap_op = function
+  | Push at -> Printf.sprintf "push %d" at
+  | Take -> "take"
+  | Remove_slot k -> Printf.sprintf "remove slot %d" k
+  | Remove_last -> "remove last"
+  | Remove_removed k -> Printf.sprintf "re-remove %d" k
+  | Remove_taken k -> Printf.sprintf "remove taken %d" k
+
+let ev_key ev = (ev.Sim.Event_heap.at, ev.Sim.Event_heap.seq)
+
+let prop_event_heap_model =
+  QCheck.Test.make ~count:300 ~name:"event heap matches a sorted-list model"
+    QCheck.(
+      make ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+        Gen.(list_size (0 -- 120) heap_op_gen))
+    (fun ops ->
+      let h = Sim.Event_heap.create () in
+      let live = ref [] and removed = ref [] and taken = ref [] in
+      let next_seq = ref 0 in
+      let in_slot i = List.find (fun ev -> ev.Sim.Event_heap.pos = i) !live in
+      let nth_of l k = List.nth l (k mod List.length l) in
+      let drop ev = live := List.filter (fun e -> e != ev) !live in
+      let remove_live ev =
+        Sim.Event_heap.remove h ev;
+        drop ev;
+        removed := ev :: !removed
+      in
+      let apply = function
+        | Push at ->
+          let ev = { Sim.Event_heap.at; seq = !next_seq; action = ignore; pos = -1 } in
+          incr next_seq;
+          Sim.Event_heap.push h ev;
+          live := ev :: !live
+        | Take ->
+          if !live <> [] then begin
+            let ev = Sim.Event_heap.take h in
+            let expected = List.hd (List.sort compare (List.map ev_key !live)) in
+            if ev_key ev <> expected then QCheck.Test.fail_report "take out of order";
+            drop ev;
+            taken := ev :: !taken
+          end
+        | Remove_slot k ->
+          let n = Sim.Event_heap.length h in
+          if n > 0 then remove_live (in_slot (k mod n))
+        | Remove_last ->
+          let n = Sim.Event_heap.length h in
+          if n > 0 then remove_live (in_slot (n - 1))
+        | Remove_removed k ->
+          if !removed <> [] then Sim.Event_heap.remove h (nth_of !removed k)
+        | Remove_taken k ->
+          if !taken <> [] then Sim.Event_heap.remove h (nth_of !taken k)
+      in
+      let consistent () =
+        let n = List.length !live in
+        Sim.Event_heap.length h = n
+        && List.sort compare (List.map (fun ev -> ev.Sim.Event_heap.pos) !live)
+           = List.init n Fun.id
+        && List.for_all (fun ev -> ev.Sim.Event_heap.pos = -1) (!removed @ !taken)
+        && (n = 0
+           || ev_key (Sim.Event_heap.top h) = List.hd (List.sort compare (List.map ev_key !live)))
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          consistent ())
+        ops
+      &&
+      let expected = List.sort compare (List.map ev_key !live) in
+      let drained = List.init (List.length expected) (fun _ -> ev_key (Sim.Event_heap.take h)) in
+      drained = expected && Sim.Event_heap.is_empty h)
 
 (* {1 Engine} *)
 
@@ -114,7 +224,120 @@ let test_engine_cancel () =
   Sim.Engine.run e;
   Alcotest.(check bool) "did not fire" false !fired;
   (* double cancel is a no-op *)
-  Sim.Engine.cancel e h
+  Sim.Engine.cancel e h;
+  Alcotest.(check int) "double cancel leaves pending" 0 (Sim.Engine.pending e);
+  let later () = Sim.Engine.schedule e ~after:(Sim.Time.us 50) ignore in
+  (* cancel after the event fired *)
+  let fired_h = Sim.Engine.schedule e ~after:(Sim.Time.us 10) ignore in
+  ignore (later ());
+  Sim.Engine.run_until e (Sim.Engine.now e + Sim.Time.us 20);
+  Alcotest.(check int) "one left after firing" 1 (Sim.Engine.pending e);
+  Sim.Engine.cancel e fired_h;
+  Alcotest.(check int) "cancel after fire leaves pending" 1 (Sim.Engine.pending e);
+  (* cancel from inside the event's own action *)
+  let self = ref None in
+  let inside = ref (-1) in
+  self :=
+    Some
+      (Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () ->
+           Option.iter (Sim.Engine.cancel e) !self;
+           inside := Sim.Engine.pending e));
+  Sim.Engine.run_until e (Sim.Engine.now e + Sim.Time.us 20);
+  Alcotest.(check int) "self-cancel leaves pending" 1 !inside;
+  Alcotest.(check int) "self-cancel leaves pending after" 1 (Sim.Engine.pending e);
+  (* cancel with a handle from another engine, whose slot index is
+     occupied here by a different event *)
+  let other = Sim.Engine.create () in
+  let foreign = Sim.Engine.schedule other ~after:(Sim.Time.us 10) ignore in
+  Sim.Engine.cancel e foreign;
+  Alcotest.(check int) "foreign cancel leaves pending" 1 (Sim.Engine.pending e);
+  Alcotest.(check int) "foreign cancel leaves its own engine" 1 (Sim.Engine.pending other);
+  Sim.Engine.run e;
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e)
+
+(* A restarted retransmission timer: cancel the old one, schedule anew.
+   Cancelled events must leave the engine, not wait out their 200 ms
+   deadline, or a busy connection's engine grows without bound. *)
+let test_engine_cancel_releases () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let timer = ref (Sim.Engine.schedule e ~after:(Sim.Time.ms 200) (fun () -> incr fired)) in
+  for _ = 1 to 100_000 do
+    Sim.Engine.cancel e !timer;
+    timer := Sim.Engine.schedule e ~after:(Sim.Time.ms 200) (fun () -> incr fired)
+  done;
+  Alcotest.(check int) "one timer pending" 1 (Sim.Engine.pending e);
+  let words = Obj.reachable_words (Obj.repr e) in
+  if words > 1_000 then Alcotest.failf "engine retains %d words after 100k restarts" words;
+  Sim.Engine.run e;
+  Alcotest.(check int) "only the last timer fires" 1 !fired
+
+(* Random schedule/cancel/step scripts fire the same (at, seq) sequence
+   as a naive list model.  Cancels pick any handle ever issued, so they
+   also hit fired and already-cancelled events. *)
+type engine_op = Schedule of int | Cancel of int | Step | Run_until of int
+
+let prop_engine_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (0 -- 150)
+        (frequency
+           [
+             (4, map (fun d -> Schedule d) (0 -- 30));
+             (2, map (fun k -> Cancel k) nat);
+             (2, return Step);
+             (1, map (fun d -> Run_until d) (0 -- 20));
+           ]))
+  in
+  QCheck.Test.make ~count:300 ~name:"engine fires like a list model" (QCheck.make gen)
+    (fun ops ->
+      let e = Sim.Engine.create () in
+      let fired = ref [] in
+      let handles = ref [||] in
+      (* model: live (at, seq) keys, and what fired *)
+      let live = ref [] and model_fired = ref [] in
+      let model_step () =
+        match List.sort compare !live with
+        | [] -> ()
+        | k :: rest ->
+          live := rest;
+          model_fired := k :: !model_fired
+      in
+      let apply = function
+        | Schedule d ->
+          let seq = Array.length !handles in
+          let at = Sim.Engine.now e + d in
+          let h = Sim.Engine.schedule e ~after:d (fun () -> fired := (at, seq) :: !fired) in
+          handles := Array.append !handles [| (h, (at, seq)) |];
+          live := (at, seq) :: !live
+        | Cancel k ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            let h, key = !handles.(k mod n) in
+            Sim.Engine.cancel e h;
+            live := List.filter (( <> ) key) !live
+          end
+        | Step ->
+          ignore (Sim.Engine.step e);
+          model_step ()
+        | Run_until d ->
+          let deadline = Sim.Engine.now e + d in
+          Sim.Engine.run_until e deadline;
+          while List.exists (fun (at, _) -> at <= deadline) !live do
+            model_step ()
+          done
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          Sim.Engine.pending e = List.length !live && !fired = !model_fired)
+        ops
+      &&
+      (Sim.Engine.run e;
+       while !live <> [] do
+         model_step ()
+       done;
+       !fired = !model_fired && Sim.Engine.pending e = 0))
 
 let test_engine_schedule_from_callback () =
   let e = Sim.Engine.create () in
@@ -1124,12 +1347,15 @@ let suite =
           test_event_heap_take_releases_action;
         Alcotest.test_case "clear releases actions" `Quick
           test_event_heap_clear_releases_actions;
+        QCheck_alcotest.to_alcotest prop_event_heap_model;
       ] );
     ( "sim.engine",
       [
         Alcotest.test_case "time ordering" `Quick test_engine_ordering;
         Alcotest.test_case "FIFO tie-break" `Quick test_engine_fifo_ties;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "cancel releases the event" `Quick test_engine_cancel_releases;
+        QCheck_alcotest.to_alcotest prop_engine_model;
         Alcotest.test_case "schedule from callback" `Quick test_engine_schedule_from_callback;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
         Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;
