@@ -217,8 +217,8 @@ scale-smoke:
 
 # Allocation gate: every guarded hot-path probe (disabled trace
 # emission, event-heap push/take and push/remove, idle engine polling,
-# delayed-ACK bookkeeping) must measure 0.000 minor words per op, and each byte-path
-# round trip (a 16 KiB and a 64 B SET, client -> conn -> server and
+# delayed-ACK bookkeeping, an Rng.int draw) must measure 0.000 minor
+# words per op, and each byte-path round trip (a 16 KiB and a 64 B SET, client -> conn -> server and
 # back) must stay within its words-per-request ceiling.  Writes
 # BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:

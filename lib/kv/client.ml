@@ -104,7 +104,7 @@ let request t cmd ~on_complete =
   t.issued <- t.issued + 1;
   E2e.Hints.create t.hints ~at:now 1;
   Queue.add { issued_at = now; on_complete } t.pending;
-  let wire = Resp.encode (Command.to_resp cmd) in
+  let wire = Command.encode cmd in
   if span_tracing t then
     span_event t ~at:now
       (Sim.Trace.Req_issued { req; off = t.next_off; len = String.length wire });

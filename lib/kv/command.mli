@@ -23,11 +23,16 @@ type t =
   | Keys of string
 
 val to_resp : t -> Resp.value
-(** Client-side encoding: the command as a RESP array of bulk strings,
-    exactly as redis-cli would send it. *)
+(** The command as a RESP array of bulk strings, exactly as redis-cli
+    would send it. *)
+
+val encode : t -> string
+(** Client-side encoding: [Resp.encode (to_resp t)], written straight
+    into one exact-size buffer without building the {!Resp.value}. *)
 
 val of_resp : Resp.value -> (t, string) result
-(** Server-side decoding.  Command names are case-insensitive. *)
+(** Server-side decoding.  Command names are case-insensitive; a
+    known command decodes without copying its name or arguments. *)
 
 val execute : Store.t -> now:Sim.Time.t -> t -> Resp.value
 (** Run against the store, producing the RESP reply. *)

@@ -26,21 +26,21 @@ let rec pp ppf = function
     Format.fprintf ppf "[@[<h>%a@]]" (Format.pp_print_list ~pp_sep:(fun ppf () ->
         Format.pp_print_string ppf "; ") pp) vs
 
-let digits n =
-  let rec go n acc = if n < 10 then acc else go (n / 10) (acc + 1) in
-  if n < 0 then String.length (string_of_int n) else go n 1
+let rec count_digits n acc = if n < 10 then acc else count_digits (n / 10) (acc + 1)
+let digits n = if n < 0 then String.length (string_of_int n) else count_digits n 1
+
+let header_length n = 1 + digits n + 2
+let bulk_length s = header_length (String.length s) + String.length s + 2
+let array_header_length = header_length
 
 let rec encoded_length = function
   | Simple s | Error s -> 1 + String.length s + 2
-  | Integer i -> 1 + digits i + 2
+  | Integer i -> header_length i
   | Bulk None -> 5
-  | Bulk (Some s) ->
-    let n = String.length s in
-    1 + digits n + 2 + n + 2
+  | Bulk (Some s) -> bulk_length s
   | Array None -> 5
   | Array (Some vs) ->
-    List.fold_left (fun acc v -> acc + encoded_length v) (1 + digits (List.length vs) + 2)
-      vs
+    List.fold_left (fun acc v -> acc + encoded_length v) (header_length (List.length vs)) vs
 
 (* Writers return the position after what they wrote. *)
 let put_string b pos s =
@@ -52,15 +52,16 @@ let put_crlf b pos =
   Bytes.set b (pos + 1) '\n';
   pos + 2
 
+(* Last digit first, at [i] and leftwards. *)
+let rec put_digits b i n =
+  Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits b (i - 1) (n / 10)
+
 let put_int b pos n =
   if n < 0 then put_string b pos (string_of_int n)
   else begin
     let len = digits n in
-    let rec go n i =
-      Bytes.set b i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
-      if n >= 10 then go (n / 10) (i - 1)
-    in
-    go n (pos + len - 1);
+    put_digits b (pos + len - 1) n;
     pos + len
   end
 
@@ -68,15 +69,17 @@ let put_header b pos c n =
   Bytes.set b pos c;
   put_crlf b (put_int b (pos + 1) n)
 
+let put_array_header b pos n = put_header b pos '*' n
+let put_bulk b pos s = put_crlf b (put_string b (put_header b pos '$' (String.length s)) s)
+
 let rec encode_into b pos = function
   | Simple s -> put_line b pos '+' s
   | Error s -> put_line b pos '-' s
   | Integer i -> put_header b pos ':' i
   | Bulk None -> put_string b pos "$-1\r\n"
-  | Bulk (Some s) -> put_crlf b (put_string b (put_header b pos '$' (String.length s)) s)
+  | Bulk (Some s) -> put_bulk b pos s
   | Array None -> put_string b pos "*-1\r\n"
-  | Array (Some vs) ->
-    List.fold_left (encode_into b) (put_header b pos '*' (List.length vs)) vs
+  | Array (Some vs) -> List.fold_left (encode_into b) (put_array_header b pos (List.length vs)) vs
 
 and put_line b pos c s =
   Bytes.set b pos c;
@@ -89,89 +92,164 @@ let encode v =
   ignore (encode_into b 0 v);
   Bytes.unsafe_to_string b
 
+(* Redis's default [proto-max-bulk-len]. *)
+let max_bulk_length = 512 * 1024 * 1024
+
 module Parser = struct
+  module B = Tcp.Bytebuf
+
   type t = {
-    input : Tcp.Bytebuf.t;
+    input : B.t;
     mutable failed : string option;
   }
 
-  let create () = { input = Tcp.Bytebuf.create (); failed = None }
-  let feed t s = Tcp.Bytebuf.append t.input s
+  let create () = { input = B.create (); failed = None }
+  let feed t s = B.append t.input s
   let input t = t.input
-  let buffered t = Tcp.Bytebuf.length t.input
+  let buffered t = B.length t.input
 
-  exception Incomplete
   exception Bad of string
 
-  (* Parsing reads the input in place at positions relative to its
-     head; [Incomplete] aborts without consuming, so a later feed can
-     retry. *)
-  let rec find_crlf b i limit =
-    if i + 1 >= limit then raise Incomplete
-    else if Tcp.Bytebuf.get b i = '\r' && Tcp.Bytebuf.get b (i + 1) = '\n' then i
-    else find_crlf b (i + 1) limit
+  (* A value is read front to back through a cursor over the input's
+     slices, without consuming them.  The cursor holds the slice it is
+     in ([base] from [i] to [stop]) and the cells after it, so a byte
+     costs one comparison and the step to the next slice comes once per
+     slice.  Running out of bytes raises [End_of_file], which leaves the
+     input unconsumed so that a later feed can retry. *)
+  type cursor = {
+    mutable rest : B.cells;
+    mutable base : string;
+    mutable i : int;
+    mutable stop : int;
+    mutable origin : int;  (* bytes read = [origin + i] *)
+    limit : int;  (* bytes buffered *)
+  }
 
-  let parse_int b ~from ~until =
-    let negative = until > from && Tcp.Bytebuf.get b from = '-' in
-    let start = if negative then from + 1 else from in
-    if start >= until then raise (Bad "empty integer");
-    let acc = ref 0 in
-    for i = start to until - 1 do
-      match Tcp.Bytebuf.get b i with
-      | '0' .. '9' as c -> acc := (!acc * 10) + (Char.code c - Char.code '0')
-      | c -> raise (Bad (Printf.sprintf "bad digit %C in integer" c))
-    done;
-    if negative then - !acc else !acc
+  let cursor input =
+    let limit = B.length input in
+    match B.cells input with
+    | B.Nil as rest -> { rest; base = ""; i = 0; stop = 0; origin = 0; limit }
+    | B.Cons { s = { base; off; len }; next } ->
+      let i = off + B.head_offset input in
+      { rest = next; base; i; stop = off + len; origin = -i; limit }
 
-  (* The receive side's one copy of a payload: out of the shared
-     slices into a string the caller owns. *)
-  let sub b pos len =
+  let offset c = c.origin + c.i
+
+  let advance c =
+    match c.rest with
+    | B.Nil -> raise End_of_file
+    | B.Cons { s = { base; off; len }; next } ->
+      c.origin <- c.origin + c.i - off;
+      c.rest <- next;
+      c.base <- base;
+      c.i <- off;
+      c.stop <- off + len
+
+  let[@inline] read_char c =
+    if c.i >= c.stop then advance c;
+    let ch = String.unsafe_get c.base c.i in
+    c.i <- c.i + 1;
+    ch
+
+  let rec read_into c dst ~dst_off ~len =
+    if len > 0 then begin
+      if c.i >= c.stop then advance c;
+      let k = Stdlib.min len (c.stop - c.i) in
+      Bytes.blit_string c.base c.i dst dst_off k;
+      c.i <- c.i + k;
+      read_into c dst ~dst_off:(dst_off + k) ~len:(len - k)
+    end
+
+  let expect_lf c = if read_char c <> '\n' then raise (Bad "header not terminated by CRLF")
+
+  (* Digits accumulate negatively, so [min_int] parses and every other
+     overflow is caught before it wraps. *)
+  let rec read_digits c acc =
+    match read_char c with
+    | '0' .. '9' as ch ->
+      let d = Char.code ch - Char.code '0' in
+      if acc < (min_int + d) / 10 then raise (Bad "integer out of range");
+      read_digits c ((acc * 10) - d)
+    | '\r' ->
+      expect_lf c;
+      acc
+    | ch -> raise (Bad (Printf.sprintf "bad digit %C in integer" ch))
+
+  (* The integer ending a header line, through its CRLF. *)
+  let read_int c =
+    let first = read_char c in
+    let negative = first = '-' in
+    let first = if negative then read_char c else first in
+    if first = '\r' then raise (Bad "empty integer");
+    let acc =
+      match first with
+      | '0' .. '9' -> read_digits c (Char.code '0' - Char.code first)
+      | ch -> raise (Bad (Printf.sprintf "bad digit %C in integer" ch))
+    in
+    if negative then acc
+    else if acc = min_int then raise (Bad "integer out of range")
+    else -acc
+
+  (* A simple string or error runs to the first CRLF: [c] finds it,
+     and a copy of [c] left where the line began reads it out. *)
+  let rec line_end c ~after_cr =
+    match read_char c with
+    | '\n' when after_cr -> offset c - 2
+    | ch -> line_end c ~after_cr:(ch = '\r')
+
+  let read_line c =
+    let start = { c with i = c.i } in
+    let len = line_end c ~after_cr:false - offset start in
     let out = Bytes.create len in
-    Tcp.Bytebuf.blit b ~src_off:pos out ~dst_off:0 ~len;
+    read_into start out ~dst_off:0 ~len;
     Bytes.unsafe_to_string out
 
-  let rec parse b pos limit =
-    if pos >= limit then raise Incomplete;
-    let header_end = find_crlf b (pos + 1) limit in
-    let after = header_end + 2 in
-    match Tcp.Bytebuf.get b pos with
-    | '+' -> (Simple (sub b (pos + 1) (header_end - pos - 1)), after)
-    | '-' -> (Error (sub b (pos + 1) (header_end - pos - 1)), after)
-    | ':' -> (Integer (parse_int b ~from:(pos + 1) ~until:header_end), after)
+  (* The receive side's one copy of a payload: out of the shared
+     slices into a string the caller owns.  The length is checked
+     against what is buffered before anything is allocated. *)
+  let read_bulk c n =
+    if offset c + n + 2 > c.limit then raise End_of_file;
+    let out = Bytes.create n in
+    read_into c out ~dst_off:0 ~len:n;
+    if read_char c <> '\r' || read_char c <> '\n' then
+      raise (Bad "bulk payload not terminated by CRLF");
+    Bytes.unsafe_to_string out
+
+  let rec value c =
+    match read_char c with
+    | '+' -> Simple (read_line c)
+    | '-' -> Error (read_line c)
+    | ':' -> Integer (read_int c)
     | '$' ->
-      let n = parse_int b ~from:(pos + 1) ~until:header_end in
-      if n = -1 then (Bulk None, after)
+      let n = read_int c in
+      if n = -1 then Bulk None
       else if n < 0 then raise (Bad "negative bulk length")
-      else if after + n + 2 > limit then raise Incomplete
-      else if
-        not (Tcp.Bytebuf.get b (after + n) = '\r' && Tcp.Bytebuf.get b (after + n + 1) = '\n')
-      then raise (Bad "bulk payload not terminated by CRLF")
-      else (Bulk (Some (sub b after n)), after + n + 2)
+      else if n > max_bulk_length then raise (Bad "bulk length exceeds 512 MiB")
+      else Bulk (Some (read_bulk c n))
     | '*' ->
-      let n = parse_int b ~from:(pos + 1) ~until:header_end in
-      if n = -1 then (Array None, after)
+      let n = read_int c in
+      if n = -1 then Array None
       else if n < 0 then raise (Bad "negative array length")
-      else begin
-        let items = ref [] in
-        let cursor = ref after in
-        for _ = 1 to n do
-          let v, next = parse b !cursor limit in
-          items := v :: !items;
-          cursor := next
-        done;
-        (Array (Some (List.rev !items)), !cursor)
-      end
-    | c -> raise (Bad (Printf.sprintf "unexpected type byte %C" c))
+      else Array (Some (items c n))
+    | ch -> raise (Bad (Printf.sprintf "unexpected type byte %C" ch))
+
+  and[@tail_mod_cons] items c n =
+    if n = 0 then []
+    else
+      let v = value c in
+      v :: items c (n - 1)
 
   let next t =
     match t.failed with
     | Some msg -> Result.Error msg
+    | None when B.is_empty t.input -> Ok None
     | None -> (
-      match parse t.input 0 (Tcp.Bytebuf.length t.input) with
-      | v, consumed ->
-        Tcp.Bytebuf.skip t.input consumed;
+      let c = cursor t.input in
+      match value c with
+      | v ->
+        B.skip t.input (offset c);
         Ok (Some v)
-      | exception Incomplete -> Ok None
+      | exception End_of_file -> Ok None
       | exception Bad msg ->
         t.failed <- Some msg;
         Result.Error msg)

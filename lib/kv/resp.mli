@@ -20,6 +20,21 @@ val encode : value -> string
 val encoded_length : value -> int
 (** [String.length (encode v)] without building the string. *)
 
+(** {2 Arrays of bulk strings}
+
+    The pieces {!encode} writes a request with, for an encoder that
+    writes a command without building its {!value} first.  Each
+    [put_*] writes at a position and returns the position after it. *)
+
+val bulk_length : string -> int
+(** [encoded_length (Bulk (Some s))]. *)
+
+val array_header_length : int -> int
+(** [encoded_length] of the [*n\r\n] header of an [n]-element array. *)
+
+val put_array_header : Bytes.t -> int -> int -> int
+val put_bulk : Bytes.t -> int -> string -> int
+
 (** Incremental parser for a TCP byte stream: feed arbitrary chunks,
     pop complete values as they become available.  It parses in place
     over its {!input} buffer, so the only copy a bulk payload takes is
@@ -39,7 +54,9 @@ module Parser : sig
   val next : t -> (value option, string) result
   (** [Ok None] when the buffered bytes do not yet form a complete
       value; [Error _] on protocol violations (parsing cannot continue
-      afterwards). *)
+      afterwards).  An integer that does not fit in an [int], and a bulk
+      length above 512 MiB (Redis's [proto-max-bulk-len]), are
+      violations. *)
 
   val buffered : t -> int
   (** Bytes fed but not yet consumed by returned values. *)

@@ -37,6 +37,9 @@ let span_event t ~at ev =
   | Some tr -> Sim.Trace.event tr ~at ~id:(Tcp.Socket.label t.socket) ev
   | None -> ()
 
+(* The constant reply to SET and friends, encoded once. *)
+let ok_wire = Resp.encode (Resp.Simple "OK")
+
 let drain_requests t =
   let rec go acc =
     match Resp.Parser.next t.parser with
@@ -92,7 +95,9 @@ and process t =
         (fun j cmd ->
           let reply = Command.execute t.store ~now cmd in
           t.served <- t.served + 1;
-          let wire = Resp.encode reply in
+          let wire =
+            match reply with Resp.Simple "OK" -> ok_wire | _ -> Resp.encode reply
+          in
           if span_tracing t then
             span_event t ~at:now
               (Sim.Trace.Srv_reply

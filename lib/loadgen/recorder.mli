@@ -15,6 +15,3 @@ val max_us : t -> float
 
 val under_slo_fraction : t -> slo_us:float -> float
 (** Fraction of recorded requests completing within the SLO. *)
-
-val summary : t -> Sim.Stats.Summary.t
-val histogram : t -> Sim.Stats.Histogram.t

@@ -22,43 +22,65 @@ let validate t =
   else Ok t
 
 (* Fixed-width keys: "k:0000000042" padded to key_size. *)
-let key_of t i =
+let format_key t i =
   let base = Printf.sprintf "k:%010d" i in
   if String.length base >= t.key_size then String.sub base 0 t.key_size
   else base ^ String.make (t.key_size - String.length base) 'x'
 
-(* One shared value payload per size: request contents do not matter,
-   only their size, and sharing avoids allocating 16 KiB per request.
-   The cache is domain-local so parallel sweeps (Par.Pool) never race
-   on the table; each domain pays at most one allocation per distinct
-   size. *)
-let value_cache : (int, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* Keys and the value payload are built once and shared.  Request
+   contents do not matter, only their size, so one value per size
+   serves every request, and each workload shape's keys are formatted
+   once, not per request.  The caches are domain-local so parallel
+   sweeps (Par.Pool) never race on them; each domain builds each entry
+   at most once.  A run uses a few shapes, so a scan of a short list
+   finds an entry without hashing. *)
+type cache = {
+  mutable keys : (int * int * string array) list;  (* key_size, n_keys, keys *)
+  mutable values : (int * string) list;  (* value_size, value *)
+}
+
+let cache = Domain.DLS.new_key (fun () -> { keys = []; values = [] })
+
+let rec find_keys t = function
+  | (key_size, n_keys, keys) :: rest ->
+    if key_size = t.key_size && n_keys = t.n_keys then keys else find_keys t rest
+  | [] -> raise Not_found
+
+let rec find_value t = function
+  | (value_size, v) :: rest -> if value_size = t.value_size then v else find_value t rest
+  | [] -> raise Not_found
+
+let keys_of t =
+  let c = Domain.DLS.get cache in
+  match find_keys t c.keys with
+  | keys -> keys
+  | exception Not_found ->
+    let keys = Array.init t.n_keys (format_key t) in
+    c.keys <- (t.key_size, t.n_keys, keys) :: c.keys;
+    keys
 
 let value_of t =
-  let cache = Domain.DLS.get value_cache in
-  match Hashtbl.find_opt cache t.value_size with
-  | Some v -> v
-  | None ->
+  let c = Domain.DLS.get cache in
+  match find_value t c.values with
+  | v -> v
+  | exception Not_found ->
     let v = String.make t.value_size 'v' in
-    Hashtbl.add cache t.value_size v;
+    c.values <- (t.value_size, v) :: c.values;
     v
 
 let next_command t ~rng =
   let i = Sim.Rng.zipf rng ~n:t.n_keys ~theta:t.zipf_theta in
-  let key = key_of t i in
+  let key = (keys_of t).(i) in
   if Sim.Rng.float rng < t.set_ratio then
     Kv.Command.Set { key; value = value_of t; ttl = None }
   else Kv.Command.Get key
 
 let prepopulate t store ~now =
   let value = value_of t in
-  for i = 0 to t.n_keys - 1 do
-    Kv.Store.set store ~now (key_of t i) value
-  done
+  Array.iter (fun key -> Kv.Store.set store ~now key value) (keys_of t)
 
 let request_bytes t kind =
-  let key = key_of t 0 in
+  let key = (keys_of t).(0) in
   match kind with
   | `Set -> Kv.Command.request_bytes (Kv.Command.Set { key; value = value_of t; ttl = None })
   | `Get -> Kv.Command.request_bytes (Kv.Command.Get key)

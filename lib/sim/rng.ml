@@ -1,20 +1,28 @@
-type t = { mutable state : int64; mutable zipf_cache : (int * float * float array) option }
+(* The state lives in an 8-byte buffer, not a [mutable int64] field, so
+   a draw updates it in place instead of boxing a new int64. *)
+type t = { state : Bytes.t; mutable zipf_cache : (int * float * float array) option }
 
 (* SplitMix64 (Steele, Lea, Flood 2014). *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = Int64.of_int seed; zipf_cache = None }
+let of_state z =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 z;
+  { state; zipf_cache = None }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create ~seed = of_state (Int64.of_int seed)
 
-let split t = { state = mix (bits64 t); zipf_cache = None }
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 z;
+  mix z
+
+let split t = of_state (mix (bits64 t))
 
 let float t =
   (* 53 high-quality bits into [0,1). *)

@@ -60,16 +60,6 @@ let skip t n =
   t.len <- t.len - n;
   t.consumed <- t.consumed + n
 
-let rec get_in cells i =
-  match cells with
-  | Nil -> assert false
-  | Cons { s; next } ->
-    if i < Slice.length s then Slice.get s i else get_in next (i - Slice.length s)
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Bytebuf.get";
-  get_in t.first (i + t.head_off)
-
 let rec blit_from cells from dst dst_off len =
   match cells with
   | Cons { s; next } when len > 0 ->
@@ -85,6 +75,9 @@ let rec blit_from cells from dst dst_off len =
 let blit t ~src_off dst ~dst_off ~len =
   if src_off < 0 || len < 0 || src_off + len > t.len then invalid_arg "Bytebuf.blit";
   blit_from t.first (src_off + t.head_off) dst dst_off len
+
+let cells t = t.first
+let head_offset t = t.head_off
 
 let peek t n =
   let n = clamp t n in

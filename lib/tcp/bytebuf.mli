@@ -30,12 +30,20 @@ val transfer : t -> dst:t -> int -> int
     the back of [dst] by relinking (or sub-slicing) slices; returns the
     number moved. *)
 
-val get : t -> int -> char
-(** [get t i] is the byte [i] positions after the head, not consumed.
-    Raises [Invalid_argument] unless [0 <= i < length t]. *)
-
 val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy [len] bytes starting [src_off] after the head, not consumed. *)
+
+(** {2 Reading in place} *)
+
+type cells = private Nil | Cons of { s : Slice.t; mutable next : cells }
+(** The buffered bytes are the slices of {!cells}, front first, minus
+    the first {!head_offset} bytes of the front slice.  No slice is
+    empty.  A parser walks them to read without consuming, then
+    {!skip}s what it used; it must not keep them across a change to
+    the buffer. *)
+
+val cells : t -> cells
+val head_offset : t -> int
 
 val read : t -> int -> string
 (** [read t n] removes and returns [min n (length t)] bytes. *)

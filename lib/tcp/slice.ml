@@ -8,10 +8,6 @@ let sub t off len =
   if off < 0 || len < 0 || off + len > t.len then invalid_arg "Slice.sub";
   if off = 0 && len = t.len then t else { base = t.base; off = t.off + off; len }
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Slice.get";
-  String.unsafe_get t.base (t.off + i)
-
 let blit t ~src_off dst ~dst_off ~len =
   if src_off < 0 || len < 0 || src_off + len > t.len then invalid_arg "Slice.blit";
   Bytes.blit_string t.base (t.off + src_off) dst dst_off len

@@ -19,8 +19,6 @@ val sub : t -> int -> int -> t
 (** [sub t off len] is the view of bytes [off, off + len) of [t]; no
     copy.  Raises [Invalid_argument] when out of range. *)
 
-val get : t -> int -> char
-
 val blit : t -> src_off:int -> Bytes.t -> dst_off:int -> len:int -> unit
 
 val to_string : t -> string

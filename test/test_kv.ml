@@ -92,6 +92,36 @@ let test_resp_bad_bulk_terminator () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad terminator"
 
+(* Integers that do not fit in an [int], and bulk lengths above Redis's
+   512 MiB limit, are protocol errors, not wrapped or waited on. *)
+let test_resp_rejects_overflow () =
+  let next_of wire =
+    let p = Kv.Resp.Parser.create () in
+    Kv.Resp.Parser.feed p wire;
+    Kv.Resp.Parser.next p
+  in
+  List.iter
+    (fun wire ->
+      match next_of wire with
+      | Error _ -> ()
+      | Ok None -> Alcotest.failf "%S waits for more input" wire
+      | Ok (Some v) -> Alcotest.failf "%S parsed as %a" wire Kv.Resp.pp v)
+    [
+      "$9223372036854775813\r\nhello\r\n";
+      ":18446744073709551617\r\n";
+      "*9223372036854775809\r\n:1\r\n";
+      "$99999999999\r\n";
+      "$536870913\r\n";
+      ":4611686018427387904\r\n";
+      ":-4611686018427387905\r\n";
+    ];
+  (* The limits themselves are accepted. *)
+  Alcotest.(check bool) "max_int" true
+    (next_of ":4611686018427387903\r\n" = Ok (Some (Kv.Resp.Integer max_int)));
+  Alcotest.(check bool) "min_int" true
+    (next_of ":-4611686018427387904\r\n" = Ok (Some (Kv.Resp.Integer min_int)));
+  Alcotest.(check bool) "512 MiB bulk waits" true (next_of "$536870912\r\n" = Ok None)
+
 let prop_resp_roundtrip =
   let gen_value =
     QCheck.Gen.(
@@ -235,6 +265,97 @@ let test_command_roundtrip_encoding () =
       | Error e -> Alcotest.failf "%s: %s" (Kv.Command.name cmd) e)
     cmds
 
+(* Keys and values are arbitrary bytes: empty, CRLF inside, any byte. *)
+let gen_bytes =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, string_size ~gen:char (0 -- 24));
+        (1, return "");
+        (1, map (fun s -> s ^ "\r\n" ^ s) (string_size ~gen:char (0 -- 8)));
+      ])
+
+let gen_command ~value =
+  QCheck.Gen.(
+    let key = gen_bytes in
+    let keys = list_size (0 -- 4) key in
+    let ttl = opt (map Sim.Time.us (0 -- 10_000_000)) in
+    oneof
+      [
+        return Kv.Command.Ping;
+        map (fun s -> Kv.Command.Echo s) value;
+        map3 (fun key value ttl -> Kv.Command.Set { key; value; ttl }) key value ttl;
+        map (fun k -> Kv.Command.Get k) key;
+        map (fun ks -> Kv.Command.Del ks) keys;
+        map (fun ks -> Kv.Command.Exists ks) keys;
+        map2 (fun key value -> Kv.Command.Append { key; value }) key value;
+        map (fun k -> Kv.Command.Strlen k) key;
+        map (fun k -> Kv.Command.Incr k) key;
+        map (fun k -> Kv.Command.Decr k) key;
+        map2 (fun key delta -> Kv.Command.Incrby { key; delta }) key int;
+        map (fun ps -> Kv.Command.Mset ps) (list_size (0 -- 3) (pair key value));
+        map (fun ks -> Kv.Command.Mget ks) keys;
+        map2 (fun key value -> Kv.Command.Setnx { key; value }) key value;
+        map2 (fun key value -> Kv.Command.Getset { key; value }) key value;
+        map2 (fun key seconds -> Kv.Command.Expire { key; seconds }) key int;
+        map (fun k -> Kv.Command.Ttl k) key;
+        return Kv.Command.Dbsize;
+        return Kv.Command.Flushall;
+        map (fun p -> Kv.Command.Keys p) key;
+      ])
+
+let arb_command ~value =
+  QCheck.make ~print:(fun c -> Kv.Resp.encode (Kv.Command.to_resp c)) (gen_command ~value)
+
+let prop_command_encode_matches_resp =
+  QCheck.Test.make ~name:"Command.encode = Resp.encode (to_resp _)" ~count:2000
+    (arb_command ~value:gen_bytes)
+    (fun c ->
+      let wire = Kv.Command.encode c in
+      String.equal wire (Kv.Resp.encode (Kv.Command.to_resp c))
+      && String.length wire = Kv.Command.request_bytes c)
+
+(* Encoded commands, concatenated and cut at random widths into views
+   of one string (so slices start mid-string), decode through the
+   parser's input exactly as each decodes alone. *)
+let prop_command_stream_any_cuts =
+  let value =
+    QCheck.Gen.(frequency [ (6, gen_bytes); (1, map (fun c -> String.make 16_384 c) char) ])
+  in
+  QCheck.Test.make ~name:"command stream decodes the same under any cuts" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 8) (arb_command ~value))
+        (list_of_size Gen.(1 -- 20)
+           (make Gen.(frequency [ (4, int_range 1 30); (1, int_range 31 5000) ]))))
+    (fun (cmds, cuts) ->
+      let wires = List.map Kv.Command.encode cmds in
+      let expected =
+        List.map (fun w -> Result.bind (Kv.Resp.parse_exactly w) Kv.Command.of_resp) wires
+      in
+      let whole = Tcp.Slice.of_string (String.concat "" wires) in
+      let parser = Kv.Resp.Parser.create () in
+      let decoded = ref [] in
+      let rec drain () =
+        match Kv.Resp.Parser.next parser with
+        | Ok (Some v) ->
+          decoded := Kv.Command.of_resp v :: !decoded;
+          drain ()
+        | Ok None -> ()
+        | Error e -> failwith e
+      in
+      let rec feed pos cuts =
+        if pos < Tcp.Slice.length whole then begin
+          let w, rest = match cuts with w :: rest -> (w, rest @ [ w ]) | [] -> (7, []) in
+          let n = min w (Tcp.Slice.length whole - pos) in
+          Tcp.Bytebuf.append_slice (Kv.Resp.Parser.input parser) (Tcp.Slice.sub whole pos n);
+          drain ();
+          feed (pos + n) rest
+        end
+      in
+      feed 0 cuts;
+      List.rev !decoded = expected && Kv.Resp.Parser.buffered parser = 0)
+
 let test_command_case_insensitive () =
   match
     Kv.Command.of_resp
@@ -242,6 +363,35 @@ let test_command_case_insensitive () =
   with
   | Ok (Kv.Command.Get "k") -> ()
   | _ -> Alcotest.fail "lowercase get rejected"
+
+(* Any spelling of a known name decodes to the same command, and
+   allocates no more than the upper-case spelling: the name is not
+   copied to be compared.  A GET allocates only its result, [Ok] and
+   [Get] of two words each. *)
+let test_command_names_without_copies () =
+  let request parts = Kv.Resp.Array (Some (List.map (fun s -> Kv.Resp.Bulk (Some s)) parts)) in
+  let words_of v =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Kv.Command.of_resp v))
+    done;
+    (Gc.minor_words () -. before) /. 1000.0
+  in
+  List.iter
+    (fun (upper, other) ->
+      let a = request upper and b = request other in
+      Alcotest.(check bool)
+        (String.concat " " other ^ " decodes")
+        true
+        (Kv.Command.of_resp a = Kv.Command.of_resp b && Result.is_ok (Kv.Command.of_resp b));
+      Alcotest.(check (float 0.0)) (String.concat " " other ^ " words") (words_of a) (words_of b))
+    [
+      ([ "GET"; "k" ], [ "gEt"; "k" ]);
+      ([ "SET"; "k"; "v" ], [ "set"; "k"; "v" ]);
+      ([ "SET"; "k"; "v"; "PX"; "250" ], [ "Set"; "k"; "v"; "px"; "250" ]);
+      ([ "FLUSHALL" ], [ "flushAll" ]);
+    ];
+  Alcotest.(check (float 0.0)) "GET words" 4.0 (words_of (request [ "get"; "k" ]))
 
 let test_command_unknown_and_arity () =
   (match
@@ -293,6 +443,7 @@ let suite =
         Alcotest.test_case "pipelined values" `Quick test_resp_pipelined_values;
         Alcotest.test_case "malformed input" `Quick test_resp_malformed;
         Alcotest.test_case "bad bulk terminator" `Quick test_resp_bad_bulk_terminator;
+        Alcotest.test_case "integer overflow and bulk limit" `Quick test_resp_rejects_overflow;
         QCheck_alcotest.to_alcotest prop_resp_roundtrip;
       ] );
     ( "kv.store",
@@ -310,9 +461,13 @@ let suite =
     ( "kv.command",
       [
         Alcotest.test_case "encode/decode roundtrip" `Quick test_command_roundtrip_encoding;
+        QCheck_alcotest.to_alcotest prop_command_encode_matches_resp;
+        QCheck_alcotest.to_alcotest prop_command_stream_any_cuts;
         Alcotest.test_case "case-insensitive names" `Quick test_command_case_insensitive;
         Alcotest.test_case "unknown command / bad arity" `Quick
           test_command_unknown_and_arity;
+        Alcotest.test_case "names decode without copies" `Quick
+          test_command_names_without_copies;
         Alcotest.test_case "execute flow" `Quick test_command_execute_flow;
         Alcotest.test_case "Figure-4 request size" `Quick
           test_command_request_bytes_realism;

@@ -126,6 +126,28 @@ let test_recorder_slo_fraction () =
        (Loadgen.Recorder.create ~warmup_until:0 ())
        ~slo_us:500.0)
 
+(* The recorder keeps its samples unboxed; the fraction must equal the
+   one a plain list of every recorded sample gives, ties at the SLO
+   included.  Latencies are whole microseconds, and the SLO is one of
+   them, so many samples sit exactly on it. *)
+let prop_recorder_slo_matches_list =
+  QCheck.Test.make ~name:"under_slo_fraction agrees with a list" ~count:200
+    QCheck.(pair (list_of_size Gen.(0 -- 3000) (int_range 1 50)) (int_range 0 51))
+    (fun (samples, slo) ->
+      let r = Loadgen.Recorder.create ~warmup_until:0 () in
+      List.iter
+        (fun us -> Loadgen.Recorder.record r ~at:(Sim.Time.ms 1) ~latency:(Sim.Time.us us))
+        samples;
+      let slo_us = float_of_int slo in
+      let expected =
+        match samples with
+        | [] -> 1.0
+        | _ ->
+          let under = List.filter (fun us -> Sim.Time.to_us (Sim.Time.us us) <= slo_us) samples in
+          float_of_int (List.length under) /. float_of_int (List.length samples)
+      in
+      Float.equal expected (Loadgen.Recorder.under_slo_fraction r ~slo_us))
+
 let test_recorder_percentiles_ordered () =
   let r = Loadgen.Recorder.create ~warmup_until:0 () in
   for i = 1 to 1000 do
@@ -274,6 +296,7 @@ let suite =
         Alcotest.test_case "warmup exclusion" `Quick test_recorder_warmup_exclusion;
         Alcotest.test_case "SLO fraction" `Quick test_recorder_slo_fraction;
         Alcotest.test_case "percentiles ordered" `Quick test_recorder_percentiles_ordered;
+        QCheck_alcotest.to_alcotest prop_recorder_slo_matches_list;
       ] );
     ( "loadgen.sweep",
       [

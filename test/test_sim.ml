@@ -390,6 +390,27 @@ let test_rng_split_independent () =
   let x = Sim.Rng.bits64 a and y = Sim.Rng.bits64 c in
   Alcotest.(check bool) "streams differ" true (not (Int64.equal x y))
 
+(* The SplitMix64 sequence is part of every recorded digest: the first
+   10k outputs of three seeds, one decimal per line, hashed. *)
+let test_rng_sequence_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      let r = Sim.Rng.create ~seed in
+      let b = Buffer.create 200_000 in
+      for _ = 1 to 10_000 do
+        Buffer.add_string b (Int64.to_string (Sim.Rng.bits64 r));
+        Buffer.add_char b '\n'
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (0, "5e8c30c6998bb8f644f592b5e24dd6ac");
+      (1, "0e16b1e6638abca9c2b80b48e98371e3");
+      (42, "fdc8d51127819bc6fb0291355f96dd76");
+    ]
+
 let test_rng_float_range () =
   let r = Sim.Rng.create ~seed:11 in
   for _ = 1 to 10_000 do
@@ -1365,6 +1386,7 @@ let suite =
       [
         Alcotest.test_case "deterministic from seed" `Quick test_rng_deterministic;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+        Alcotest.test_case "sequence pinned" `Quick test_rng_sequence_pinned;
         Alcotest.test_case "float in [0,1)" `Quick test_rng_float_range;
         Alcotest.test_case "int in bounds" `Quick test_rng_int_range;
         Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;

@@ -89,7 +89,7 @@ type bytebuf_op =
   | Read of int
   | Peek of int
   | Drop of int
-  | Get of int
+  | Cells
 
 let show_bytebuf_op = function
   | Append s -> Printf.sprintf "append %S" s
@@ -100,7 +100,7 @@ let show_bytebuf_op = function
   | Read n -> Printf.sprintf "read %d" n
   | Peek n -> Printf.sprintf "peek %d" n
   | Drop n -> Printf.sprintf "drop %d" n
-  | Get i -> Printf.sprintf "get %d" i
+  | Cells -> "cells"
 
 let bytebuf_op_gen =
   QCheck.Gen.(
@@ -121,7 +121,7 @@ let bytebuf_op_gen =
         (2, map (fun k -> Read k) n);
         (1, map (fun k -> Peek k) n);
         (1, map (fun k -> Drop k) n);
-        (2, map (fun k -> Get k) n);
+        (2, return Cells);
       ])
 
 let prop_bytebuf_matches_model =
@@ -164,12 +164,18 @@ let prop_bytebuf_matches_model =
           String.equal (Tcp.Bytebuf.peek b k)
             (String.sub !model 0 (min k (String.length !model)))
         | Drop k -> Tcp.Bytebuf.drop b k = String.length (cut k)
-        | Get i ->
-          if i < String.length !model then Tcp.Bytebuf.get b i = !model.[i]
-          else (
-            match Tcp.Bytebuf.get b i with
-            | _ -> false
-            | exception Invalid_argument _ -> true)
+        | Cells ->
+          (* non-empty slices that, past the head offset, are the model *)
+          let rec slices = function
+            | Tcp.Bytebuf.Nil -> []
+            | Tcp.Bytebuf.Cons { s; next } -> s :: slices next
+          in
+          let ss = slices (Tcp.Bytebuf.cells b) in
+          let all = String.concat "" (List.map Tcp.Slice.to_string ss) in
+          let off = Tcp.Bytebuf.head_offset b in
+          List.for_all (fun s -> Tcp.Slice.length s > 0) ss
+          && String.length all >= off
+          && String.equal (String.sub all off (String.length all - off)) !model
       in
       let conserved t = Tcp.Bytebuf.total_appended t - Tcp.Bytebuf.total_consumed t = Tcp.Bytebuf.length t in
       List.for_all
