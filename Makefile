@@ -224,7 +224,7 @@ scale-smoke:
 alloc-gate:
 	dune exec bench/main.exe -- alloc
 
-# Trace identity across commits: regenerate the four binary traces named
+# Trace identity across commits: regenerate the five binary traces named
 # in test/regress/trace_digests.txt and compare their MD5s with the
 # recorded ones.  The determinism tests compare runs of one build; this
 # catches a change that alters simulated behaviour between builds.
@@ -235,12 +235,14 @@ trace-identity:
 	  --value-size=64 --trace-out _smoke/identity/trace-64-dynamic.bin > /dev/null
 	dune exec bin/e2ebench.exe -- run --nagle=off --rate=50 --duration-ms=100 \
 	  --value-size=16384 --trace-out _smoke/identity/trace-16k-off.bin > /dev/null
+	dune exec bin/e2ebench.exe -- run --nagle=off --rate=50 --duration-ms=100 \
+	  --value-size=16384 --set-ratio=0.95 --trace-out _smoke/identity/trace-16k-mixed.bin > /dev/null
 	dune exec bin/e2ebench.exe -- run --conns=3 --loss=0.001 \
 	  --trace-out _smoke/identity/trace-conns3-loss.bin > /dev/null
 	dune exec bin/e2ebench.exe -- run --fault-plan test/regress/identity.fault \
 	  --trace-out _smoke/identity/trace-fault.bin > /dev/null
 	cd _smoke/identity && md5sum trace-64-dynamic.bin trace-16k-off.bin \
-	  trace-conns3-loss.bin trace-fault.bin > got.md5
+	  trace-16k-mixed.bin trace-conns3-loss.bin trace-fault.bin > got.md5
 	@grep -v '^#' test/regress/trace_digests.txt | diff -u - _smoke/identity/got.md5 \
 	  || { echo "trace-identity: traces differ from test/regress/trace_digests.txt"; exit 1; }
 	@echo "trace-identity: OK"

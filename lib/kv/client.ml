@@ -104,15 +104,15 @@ let request t cmd ~on_complete =
   t.issued <- t.issued + 1;
   E2e.Hints.create t.hints ~at:now 1;
   Queue.add { issued_at = now; on_complete } t.pending;
-  let wire = Command.encode cmd in
+  let wire = Command.encode_slices cmd in
+  let len = Tcp.Slice.total_length wire in
   if span_tracing t then
-    span_event t ~at:now
-      (Sim.Trace.Req_issued { req; off = t.next_off; len = String.length wire });
-  t.next_off <- t.next_off + String.length wire;
+    span_event t ~at:now (Sim.Trace.Req_issued { req; off = t.next_off; len });
+  t.next_off <- t.next_off + len;
   Sim.Cpu.run t.cpu ~cost:t.send_cost (fun () ->
       if span_tracing t then
         span_event t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Req_sent { req });
-      Tcp.Socket.send t.socket wire)
+      Tcp.Socket.send_slices t.socket wire)
 
 let outstanding t = Queue.length t.pending
 let issued t = t.issued

@@ -93,6 +93,14 @@ let encode t =
   ignore (fold_args Resp.put_bulk b pos t);
   Bytes.unsafe_to_string b
 
+(* A request carrying a shared-size argument (a large SET value) goes
+   out as views through [Resp.encode_slices], the encoder replies use
+   too; any other request is the one buffer [encode] writes. *)
+let encode_slices t =
+  if fold_args (fun () acc s -> acc || String.length s >= Resp.shared_bulk_min) () false t then
+    Resp.encode_slices (to_resp t)
+  else [ Tcp.Slice.of_string (encode t) ]
+
 let wrong_args cmd = Result.Error (Printf.sprintf "wrong number of arguments for '%s'" cmd)
 
 let parse_int_arg s ~what =

@@ -30,6 +30,12 @@ val encode : t -> string
 (** Client-side encoding: [Resp.encode (to_resp t)], written straight
     into one exact-size buffer without building the {!Resp.value}. *)
 
+val encode_slices : t -> Tcp.Slice.t list
+(** The request as it is sent: views whose concatenation is {!encode}'s
+    string.  An argument of at least {!Resp.shared_bulk_min} bytes is a
+    view of the caller's string ({!Resp.encode_slices}); a request
+    without one is a single view of {!encode}'s buffer. *)
+
 val of_resp : Resp.value -> (t, string) result
 (** Server-side decoding.  Command names are case-insensitive; a
     known command decodes without copying its name or arguments. *)

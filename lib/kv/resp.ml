@@ -85,12 +85,57 @@ and put_line b pos c s =
   Bytes.set b pos c;
   put_crlf b (put_string b (pos + 1) s)
 
-(* One exact-size allocation: the only copy a payload takes on the send
-   side. *)
+(* One exact-size allocation, for a value with no shared bulk. *)
 let encode v =
   let b = Bytes.create (encoded_length v) in
   ignore (encode_into b 0 v);
   Bytes.unsafe_to_string b
+
+(* A bulk of this many bytes or more is sent as a view of the caller's
+   string, not copied into the frame.  OCaml allocates any block above
+   [Max_young_wosize] (256 words) straight on the major heap, and a
+   string of 2,048 bytes is 257 words with its padding, so a copy of
+   such a bulk is a major-heap allocation per message, while its view
+   costs four minor words.  A smaller bulk is cheaper copied than
+   carried as a separate view. *)
+let shared_bulk_min = 2048
+
+let shares s = String.length s >= shared_bulk_min
+
+let rec shared_bytes = function
+  | Bulk (Some s) when shares s -> String.length s
+  | Array (Some vs) -> List.fold_left (fun acc v -> acc + shared_bytes v) 0 vs
+  | Simple _ | Error _ | Integer _ | Bulk _ | Array None -> 0
+
+(* Writes what [encode_into] does minus the payloads of shared bulks;
+   returns the end position and, last first, the position each shared
+   payload belongs at. *)
+let rec frame_into b (pos, cuts) = function
+  | Bulk (Some s) when shares s ->
+    let pos = put_header b pos '$' (String.length s) in
+    (put_crlf b pos, (pos, s) :: cuts)
+  | Array (Some vs) ->
+    List.fold_left (frame_into b) (put_array_header b pos (List.length vs), cuts) vs
+  | v -> (encode_into b pos v, cuts)
+
+(* The wire bytes as views: a shared bulk is a view of its own string,
+   and everything else — headers, CRLFs, small bulks — is written into
+   one buffer and viewed between them. *)
+let encode_slices v =
+  match shared_bytes v with
+  | 0 -> [ Tcp.Slice.of_string (encode v) ]
+  | shared ->
+    let b = Bytes.create (encoded_length v - shared) in
+    let stop, cuts = frame_into b (0, []) v in
+    let frame = Tcp.Slice.of_string (Bytes.unsafe_to_string b) in
+    (* Every shared payload follows its header and precedes a CRLF, so
+       no frame piece is empty. *)
+    let rec views stop acc = function
+      | [] -> Tcp.Slice.sub frame 0 stop :: acc
+      | (pos, s) :: cuts ->
+        views pos (Tcp.Slice.of_string s :: Tcp.Slice.sub frame pos (stop - pos) :: acc) cuts
+    in
+    views stop [] cuts
 
 (* Redis's default [proto-max-bulk-len]. *)
 let max_bulk_length = 512 * 1024 * 1024
@@ -151,6 +196,14 @@ module Parser = struct
     c.i <- c.i + 1;
     ch
 
+  let rec skip_bytes c len =
+    if len > 0 then begin
+      if c.i >= c.stop then advance c;
+      let k = Stdlib.min len (c.stop - c.i) in
+      c.i <- c.i + k;
+      skip_bytes c (len - k)
+    end
+
   let rec read_into c dst ~dst_off ~len =
     if len > 0 then begin
       if c.i >= c.stop then advance c;
@@ -204,16 +257,40 @@ module Parser = struct
     read_into start out ~dst_off:0 ~len;
     Bytes.unsafe_to_string out
 
-  (* The receive side's one copy of a payload: out of the shared
+  (* Whether the cells [rest] carry [base] on from byte [off] to its
+     end, in order. *)
+  let rec continues base off rest =
+    off = String.length base
+    ||
+    match rest with
+    | B.Cons { s = { base = b; off = o; len }; next } ->
+      b == base && o = off && continues base (off + len) next
+    | B.Nil -> false
+
+  (* A bulk that is all of one string, start to end, across however
+     many cells — a sender's shared bulk, cut into segments — is that
+     string: no copy, and since it is the whole string it pins no
+     neighbour's bytes.  Any other bulk is copied out of the shared
      slices into a string the caller owns.  The length is checked
      against what is buffered before anything is allocated. *)
   let read_bulk c n =
     if offset c + n + 2 > c.limit then raise End_of_file;
-    let out = Bytes.create n in
-    read_into c out ~dst_off:0 ~len:n;
+    if c.i >= c.stop then advance c;
+    let base = c.base in
+    let v =
+      if c.i = 0 && String.length base = n && continues base c.stop c.rest then begin
+        skip_bytes c n;
+        base
+      end
+      else begin
+        let out = Bytes.create n in
+        read_into c out ~dst_off:0 ~len:n;
+        Bytes.unsafe_to_string out
+      end
+    in
     if read_char c <> '\r' || read_char c <> '\n' then
       raise (Bad "bulk payload not terminated by CRLF");
-    Bytes.unsafe_to_string out
+    v
 
   let rec value c =
     match read_char c with

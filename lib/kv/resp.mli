@@ -17,6 +17,19 @@ val pp : Format.formatter -> value -> unit
 val encode : value -> string
 (** Writes into one exact-size buffer sized by {!encoded_length}. *)
 
+val shared_bulk_min : int
+(** Bulks of at least this many bytes (2,048: the size above which
+    OCaml allocates a string on the major heap) are sent as views of
+    the caller's string by {!encode_slices}. *)
+
+val encode_slices : value -> Tcp.Slice.t list
+(** The wire bytes of a value as views whose concatenation is
+    {!encode}'s string.  Each bulk of at least {!shared_bulk_min} bytes
+    is a view of its own string, and everything else is written into
+    one buffer the other views share; a value without such a bulk is
+    one view of [encode v].  Client requests and server replies both
+    encode through this. *)
+
 val encoded_length : value -> int
 (** [String.length (encode v)] without building the string. *)
 
@@ -37,9 +50,10 @@ val put_bulk : Bytes.t -> int -> string -> int
 
 (** Incremental parser for a TCP byte stream: feed arbitrary chunks,
     pop complete values as they become available.  It parses in place
-    over its {!input} buffer, so the only copy a bulk payload takes is
-    into the returned value, and a consumed value leaves nothing
-    behind. *)
+    over its {!input} buffer, and a consumed value leaves nothing
+    behind.  A bulk whose bytes are all of one buffered string, start
+    to end, is returned as that string; any other bulk is copied out
+    once. *)
 module Parser : sig
   type t
 

@@ -38,7 +38,7 @@ let span_event t ~at ev =
   | None -> ()
 
 (* The constant reply to SET and friends, encoded once. *)
-let ok_wire = Resp.encode (Resp.Simple "OK")
+let ok_wire = Resp.encode_slices (Resp.Simple "OK")
 
 let drain_requests t =
   let rec go acc =
@@ -96,14 +96,14 @@ and process t =
           let reply = Command.execute t.store ~now cmd in
           t.served <- t.served + 1;
           let wire =
-            match reply with Resp.Simple "OK" -> ok_wire | _ -> Resp.encode reply
+            match reply with Resp.Simple "OK" -> ok_wire | _ -> Resp.encode_slices reply
           in
+          let len = Tcp.Slice.total_length wire in
           if span_tracing t then
             span_event t ~at:now
-              (Sim.Trace.Srv_reply
-                 { req = first_req + j; off = t.reply_off; len = String.length wire });
-          t.reply_off <- t.reply_off + String.length wire;
-          Tcp.Socket.send t.socket wire)
+              (Sim.Trace.Srv_reply { req = first_req + j; off = t.reply_off; len });
+          t.reply_off <- t.reply_off + len;
+          Tcp.Socket.send_slices t.socket wire)
         requests;
       t.busy <- false;
       (* Data may have accumulated while we were processing. *)

@@ -28,6 +28,10 @@ val next_command : t -> rng:Sim.Rng.t -> Kv.Command.t
 (** Draw one request.  Values are materialized at [value_size]; keys
     are fixed-width and drawn Zipf([zipf_theta]) over [n_keys]. *)
 
+val value_of : t -> string
+(** The one [value_size]-byte value every SET of this shape carries;
+    built once per domain and shared. *)
+
 val prepopulate : t -> Kv.Store.t -> now:Sim.Time.t -> unit
 (** Insert every key so GETs always hit, as a benchmark loader would. *)
 

@@ -26,7 +26,7 @@ let link t cell n =
   t.appended <- t.appended + n
 
 let append_slice t s =
-  let n = Slice.length s in
+  let n = s.Slice.len in
   if n > 0 then link t (Cons { s; next = Nil }) n
 
 let append t s = if String.length s > 0 then append_slice t (Slice.of_string s)
@@ -46,7 +46,7 @@ let pop_front t =
 let rec unlink t left =
   match t.first with
   | Cons c when left > 0 ->
-    let avail = Slice.length c.s - t.head_off in
+    let avail = c.s.Slice.len - t.head_off in
     if left < avail then t.head_off <- t.head_off + left
     else begin
       pop_front t;
@@ -63,7 +63,7 @@ let skip t n =
 let rec blit_from cells from dst dst_off len =
   match cells with
   | Cons { s; next } when len > 0 ->
-    let n = Slice.length s in
+    let n = s.Slice.len in
     if from >= n then blit_from next (from - n) dst dst_off len
     else begin
       let k = Stdlib.min (n - from) len in
@@ -85,24 +85,36 @@ let peek t n =
   blit t ~src_off:0 buf ~dst_off:0 ~len:n;
   Bytes.unsafe_to_string buf
 
-(* Bytes that lie inside the front slice come out as a view of it;
-   only a take that spans slices (a segment coalescing several sends)
-   gathers into a fresh string. *)
-let take t n =
-  let n = clamp t n in
-  let v =
-    match t.first with
-    | _ when n = 0 -> Slice.empty
-    | Cons c when Slice.length c.s - t.head_off >= n -> Slice.sub c.s t.head_off n
-    | Cons _ | Nil -> Slice.of_string (peek t n)
-  in
-  skip t n;
-  v
+(* Remove and return the view of up to [n > 0] bytes of the front
+   slice.  Each taken view is a sub-slice of one appended slice: a
+   segment that coalesces several sends carries several views, never a
+   gathered copy. *)
+let front_view t n =
+  match t.first with
+  | Cons c ->
+    let avail = c.s.Slice.len - t.head_off in
+    let k = Stdlib.min n avail in
+    let v = Slice.sub c.s t.head_off k in
+    if k = avail then pop_front t else t.head_off <- t.head_off + k;
+    t.len <- t.len - k;
+    t.consumed <- t.consumed + k;
+    v
+  | Nil -> Slice.empty
+
+let take_front t n = if n <= 0 then Slice.empty else front_view t n
+
+let rec take_views t n =
+  if n = 0 then []
+  else
+    let v = front_view t n in
+    v :: take_views t (n - v.Slice.len)
+
+let take t n = take_views t (clamp t n)
 
 let rec move t dst left =
   match t.first with
   | Cons c as cell when left > 0 ->
-    let avail = Slice.length c.s - t.head_off in
+    let avail = c.s.Slice.len - t.head_off in
     if t.head_off = 0 && left >= avail then begin
       pop_front t;
       link dst cell avail;
@@ -116,14 +128,33 @@ let rec move t dst left =
     end
   | Cons _ | Nil -> ()
 
+(* Moving the whole buffer relinks its chain of cells in one step,
+   however many slices it holds. *)
+let splice_all t dst =
+  (match dst.last with Nil -> dst.first <- t.first | Cons c -> c.next <- t.first);
+  dst.last <- t.last;
+  dst.len <- dst.len + t.len;
+  dst.appended <- dst.appended + t.len;
+  t.first <- Nil;
+  t.last <- Nil
+
 let transfer t ~dst n =
   let n = clamp t n in
-  move t dst n;
+  if n > 0 && n = t.len && t.head_off = 0 then splice_all t dst else move t dst n;
   t.len <- t.len - n;
   t.consumed <- t.consumed + n;
   n
 
-let read t n = Slice.to_string (take t n)
+(* A read inside the front slice can hand back that slice's whole
+   string; only a read spanning slices gathers. *)
+let read t n =
+  let n = clamp t n in
+  match t.first with
+  | Cons c when c.s.Slice.len - t.head_off >= n -> Slice.to_string (take_front t n)
+  | Cons _ | Nil ->
+    let s = peek t n in
+    skip t n;
+    s
 let read_all t = read t t.len
 
 let drop t n =

@@ -1,10 +1,9 @@
 (** Byte-stream FIFO carrying real payload bytes.
 
     Send and receive socket buffers and the RESP parser's input: a
-    queue of immutable {!Slice.t} views.  Appending, taking a prefix
-    that lies inside one slice, skipping and moving bytes to another
-    buffer never copy payload; only {!read}, {!peek}, {!blit} and a
-    {!take} spanning two slices do.  Carrying actual bytes (not just
+    queue of immutable {!Slice.t} views.  Appending, taking, skipping
+    and moving bytes to another buffer never copy payload; only
+    {!read}, {!peek} and {!blit} do.  Carrying actual bytes (not just
     counts) lets the RESP protocol layer parse genuine traffic. *)
 
 type t
@@ -18,9 +17,16 @@ val append : t -> string -> unit
 
 val append_slice : t -> Slice.t -> unit
 
-val take : t -> int -> Slice.t
-(** [take t n] removes and returns [min n (length t)] bytes — a view of
-    the front slice when they lie inside it, a fresh copy otherwise. *)
+val take : t -> int -> Slice.t list
+(** [take t n] removes [min n (length t)] bytes and returns them as
+    views, front first: one sub-slice of each appended slice they
+    touch, never a copy.  [[]] when nothing is taken. *)
+
+val take_front : t -> int -> Slice.t
+(** [take_front t n] removes and returns the view of up to [n] bytes
+    that lie in the front slice — fewer than [n] when the front slice
+    ends first.  A segment's first view costs one slice and no list
+    cell this way; {!take} returns whatever follows. *)
 
 val skip : t -> int -> unit
 (** Discard up to [n] bytes without copying them. *)

@@ -35,34 +35,55 @@ type t = {
    metadata options ride the first packet; PSH and the message-boundary
    count ride the last. *)
 let split_tso ~mss (seg : Segment.t) =
-  let len = Segment.len seg in
-  if len <= mss then [ seg ]
-  else begin
-    let rec go off acc =
-      if off >= len then List.rev acc
-      else begin
-        let n = Stdlib.min mss (len - off) in
-        let first = off = 0 and last = off + n >= len in
-        let sub =
-          {
-            seg with
-            Segment.seq = seg.seq + off;
-            payload = Slice.sub seg.payload off n;
-            push = seg.push && last;
-            msg_ends = (if last then seg.msg_ends else 0);
-            e2e = (if first then seg.e2e else None);
-            hint = (if first then seg.hint else None);
-            (* SACK blocks, like the other option metadata, ride the
-               first wire packet only (RST/SYN never carry payload, so
-               they are never split). *)
-            sack = (if first then seg.sack else []);
-          }
-        in
-        go (off + n) (sub :: acc)
-      end
-    in
-    go 0 []
-  end
+  let len = seg.Segment.payload_len in
+  let rec go off acc =
+    if off >= len then List.rev acc
+    else begin
+      let n = Stdlib.min mss (len - off) in
+      let first = off = 0 and last = off + n >= len in
+      let payload, payload_rest = Segment.sub_payload seg off n in
+      let sub =
+        {
+          seg with
+          Segment.seq = seg.seq + off;
+          payload;
+          payload_rest;
+          payload_len = n;
+          push = seg.push && last;
+          msg_ends = (if last then seg.msg_ends else 0);
+          e2e = (if first then seg.e2e else None);
+          hint = (if first then seg.hint else None);
+          (* SACK blocks, like the other option metadata, ride the
+             first wire packet only (RST/SYN never carry payload, so
+             they are never split). *)
+          sack = (if first then seg.sack else []);
+        }
+      in
+      go (off + n) (sub :: acc)
+    end
+  in
+  go 0 []
+
+(* One wire packet: corruption, then the link, then the receiver's
+   GRO.  Corruption targets the exchange option bytes, so it has to
+   happen here where the option still rides the segment; the wire size
+   is unchanged (same 36 bytes, different contents — or none, when the
+   mangled payload no longer decodes). *)
+let put_packet ~link ~gro (sub : Segment.t) =
+  let wire_bytes = Segment.wire_bytes sub in
+  let sub =
+    match (Link.fault link, sub.e2e) with
+    | Some inj, Some triple -> (
+      match Fault.Injector.corrupt_triple inj triple with
+      | None -> sub
+      | Some garbled ->
+        (* An undecodable option ([garbled = None]) still crossed the
+           wire: bill [wire_bytes] from the original segment. *)
+        Link.note_share_corrupted link ~seq:sub.seq;
+        { sub with e2e = garbled })
+    | _ -> sub
+  in
+  Link.send link ~seq:sub.seq ~wire_bytes (fun () -> Gro.submit gro sub)
 
 (* Transmit path: sender IRQ CPU per stack segment (one per TSO
    super-segment) -> wire split -> link (serialization + propagation
@@ -74,39 +95,18 @@ let wire engine ~src ~dst ~src_cpu ~dst_cpu ~(link : Link.t) ~src_params ~dst_pa
         (* Header-only batches (pure acks) skip the full stack
            traversal and wakeup path; only data deliveries pay the
            per-batch cost. *)
-        let has_payload = List.exists (fun seg -> Segment.len seg > 0) batch in
+        let has_payload = List.exists (fun seg -> seg.Segment.payload_len > 0) batch in
         let cost =
           (if has_payload then dst_params.rx_batch_cost else 0)
           + (List.length batch * dst_params.rx_seg_cost)
         in
         Sim.Cpu.run dst_cpu ~cost (fun () -> Socket.receive_batch dst batch))
   in
+  let mss = src_params.socket.Socket.mss in
   Socket.set_transmit src (fun seg ->
       Sim.Cpu.run src_cpu ~cost:src_params.tx_cost (fun () ->
-          List.iter
-            (fun sub ->
-              (* Corruption targets the exchange option bytes, so it
-                 has to happen here where the option still rides the
-                 segment; the wire size is unchanged (same 36 bytes,
-                 different contents — or none, when the mangled payload
-                 no longer decodes). *)
-              let wire_bytes = Segment.wire_bytes sub in
-              let sub =
-                match (Link.fault link, sub.Segment.e2e) with
-                | Some inj, Some triple -> (
-                  match Fault.Injector.corrupt_triple inj triple with
-                  | None -> sub
-                  | Some garbled ->
-                    (* An undecodable option ([garbled = None]) still
-                       crossed the wire: bill [wire_bytes] from the
-                       original segment. *)
-                    Link.note_share_corrupted link ~seq:sub.Segment.seq;
-                    { sub with Segment.e2e = garbled })
-                | _ -> sub
-              in
-              Link.send link ~seq:sub.Segment.seq ~wire_bytes (fun () ->
-                  Gro.submit gro sub))
-            (split_tso ~mss:src_params.socket.Socket.mss seg)));
+          if seg.Segment.payload_len <= mss then put_packet ~link ~gro seg
+          else List.iter (put_packet ~link ~gro) (split_tso ~mss seg)));
   Socket.set_cork_signal src (fun () ->
       if Link.busy link then
         (* Approximate the reclaim instant with a short backoff; the

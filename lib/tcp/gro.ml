@@ -12,7 +12,7 @@ type t = {
   engine : Sim.Engine.t;
   cfg : config;
   deliver : Segment.t list -> unit;
-  held : Segment.t Queue.t;
+  mutable held : Segment.t list;  (* newest first *)
   mutable held_bytes : int;
   mutable timer : Sim.Engine.handle option;
   mutable batches : int;
@@ -26,7 +26,7 @@ let create engine cfg ~deliver =
     engine;
     cfg;
     deliver;
-    held = Queue.create ();
+    held = [];
     held_bytes = 0;
     timer = None;
     batches = 0;
@@ -42,13 +42,13 @@ let disarm t =
 
 let flush t =
   disarm t;
-  if not (Queue.is_empty t.held) then begin
-    let batch = List.of_seq (Queue.to_seq t.held) in
-    Queue.clear t.held;
+  match t.held with
+  | [] -> ()
+  | held ->
+    t.held <- [];
     t.held_bytes <- 0;
     t.batches <- t.batches + 1;
-    t.deliver batch
-  end
+    t.deliver (List.rev held)
 
 let arm t =
   (* handle options hold closures: [Option.is_none], never [= None] *)
@@ -66,16 +66,16 @@ let submit t seg =
     t.deliver [ seg ]
   end
   else begin
-    let len = Segment.len seg in
+    let len = seg.Segment.payload_len in
     if t.held_bytes + len > t.cfg.max_bytes then flush t;
-    Queue.add seg t.held;
+    t.held <- seg :: t.held;
     t.held_bytes <- t.held_bytes + len;
     (* Only a full-sized data segment can keep a batch open; short
        tails and pure acks terminate it. *)
     if len < t.cfg.mss then flush t else arm t
   end
 
-let pending t = Queue.length t.held
+let pending t = List.length t.held
 let batches t = t.batches
 let segments t = t.segments
 

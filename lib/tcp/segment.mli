@@ -8,7 +8,13 @@ type t = {
   seq : int;  (** stream offset of the first payload byte *)
   ack : int;  (** cumulative ack: next byte expected from the peer *)
   payload : Slice.t;
-      (** a view into the sender's application write; see {!Slice} *)
+      (** the payload's first view, into the sender's application
+          write; see {!Slice} *)
+  payload_rest : Slice.t list;
+      (** the payload's further views, in order: [[]] unless the
+          segment spans the end of one write slice.  Nearly every
+          segment is one view, so it costs no list cell. *)
+  payload_len : int;  (** the payload's length, over all its views *)
   window : int;  (** advertised receive window, bytes *)
   push : bool;  (** PSH: carries the final byte of an app send() *)
   msg_ends : int;
@@ -18,9 +24,11 @@ type t = {
   hint : E2e.Queue_state.share option;
       (** a cooperative application's in-flight-request queue state
           (§3.3), forwarded by the sender's stack *)
-  ts_val : int option;
-      (** RFC 7323 timestamp: the sender's clock in microseconds *)
-  ts_ecr : int option;  (** echo of the most recent peer timestamp *)
+  ts_val : int;
+      (** RFC 7323 timestamp: the sender's clock in microseconds; -1
+          when absent *)
+  ts_ecr : int;
+      (** echo of the most recent peer timestamp; -1 when absent *)
   sack : (int * int) list;
       (** RFC 2018 selective-ack blocks: [left, right) byte ranges the
           receiver holds above the cumulative ack.  Empty on every
@@ -54,6 +62,11 @@ val make :
 
 val len : t -> int
 (** Payload length. *)
+
+val sub_payload : t -> int -> int -> Slice.t * Slice.t list
+(** [sub_payload t off len] is the first view and further views of
+    payload bytes [off, off + len): views of the same strings, no
+    copy.  Raises [Invalid_argument] when out of range. *)
 
 val is_pure_ack : t -> bool
 (** No payload and no RST/SYN/FIN flag — possibly still carrying SACK

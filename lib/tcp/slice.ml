@@ -4,6 +4,9 @@ let empty = { base = ""; off = 0; len = 0 }
 let of_string s = { base = s; off = 0; len = String.length s }
 let length t = t.len
 
+let rec lengths_from acc = function [] -> acc | s :: rest -> lengths_from (acc + s.len) rest
+let total_length views = lengths_from 0 views
+
 let sub t off len =
   if off < 0 || len < 0 || off + len > t.len then invalid_arg "Slice.sub";
   if off = 0 && len = t.len then t else { base = t.base; off = t.off + off; len }

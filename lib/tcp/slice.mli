@@ -4,7 +4,9 @@
     bytes cross the stack as slices: the send buffer, the retransmit
     queue, the wire segments and the receiver's buffer all share the
     one string the application wrote, and cutting a segment or trimming
-    an acknowledged prefix makes a new view instead of a copy.  A slice
+    an acknowledged prefix makes a new view instead of a copy.  A write
+    made of several strings travels as several views, so a large value
+    crosses the stack as views of the caller's own string.  A slice
     keeps its whole [base] alive. *)
 
 type t = private { base : string; off : int; len : int }
@@ -14,6 +16,9 @@ val of_string : string -> t
 (** A view of the whole string; no copy. *)
 
 val length : t -> int
+
+val total_length : t list -> int
+(** The summed length of a list of views. *)
 
 val sub : t -> int -> int -> t
 (** [sub t off len] is the view of bytes [off, off + len) of [t]; no

@@ -84,6 +84,8 @@ let state_to_string = function
 type retx_entry = {
   mutable r_seq : int;
   mutable r_payload : Slice.t;  (* shares the app write's bytes *)
+  mutable r_rest : Slice.t list;  (* the payload's further views *)
+  mutable r_len : int;  (* payload bytes, over all the views *)
   r_push : bool;
   r_msg_ends : int;
   r_fin : bool;
@@ -324,37 +326,39 @@ let note_ack_leaving t =
   end;
   match t.delack with Some d -> Delayed_ack.on_ack_sent d | None -> ()
 
-let attach_metadata t =
-  let at = now t in
-  let e2e =
-    if E2e.Exchange.should_attach t.exchange_sched ~now:at then
-      Some (E2e.Estimator.local_snapshot t.estim ~at)
-    else None
-  in
-  let hint =
-    match (e2e, t.hint_provider) with
-    | Some _, Some provider -> Some (provider ~at)
-    | _ -> None
-  in
-  (e2e, hint)
+(* The queue state due on this segment, if any; a hint rides only
+   alongside it. *)
+let e2e_due t ~at =
+  if E2e.Exchange.should_attach t.exchange_sched ~now:at then
+    Some (E2e.Estimator.local_snapshot t.estim ~at)
+  else None
+
+let hint_due t ~at e2e =
+  match (e2e, t.hint_provider) with
+  | Some _, Some provider -> Some (provider ~at)
+  | _ -> None
 
 (* Put one segment on the wire, piggybacking the cumulative ack and
    whatever metadata is due.  [seq] may be below [snd_nxt] for a
    retransmission. *)
-let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~push ~msg_ends =
-  let e2e, hint = attach_metadata t in
+let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~rest ~len ~push ~msg_ends =
+  let at = now t in
+  let e2e = e2e_due t ~at in
+  let hint = hint_due t ~at e2e in
   let seg =
     {
       Segment.seq;
       ack = t.rcv_nxt;
       payload;
+      payload_rest = rest;
+      payload_len = len;
       window = wire_window t;
       push;
       msg_ends;
       e2e;
       hint;
-      ts_val = Some (Sim.Time.to_ns (now t) / 1_000);
-      ts_ecr = (if t.ts_recent >= 0 then Some t.ts_recent else None);
+      ts_val = Sim.Time.to_ns at / 1_000;
+      ts_ecr = t.ts_recent;
       sack = (if t.cfg.sack && t.ooo <> [] then sack_blocks t.ooo else []);
       rst;
       syn = false;
@@ -363,13 +367,17 @@ let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~push ~msg_ends =
   in
   note_ack_leaving t;
   t.last_advertised <- seg.window;
-  if Slice.length payload = 0 && not fin && not rst then
+  if len = 0 && not fin && not rst then
     t.pure_acks_out <- t.pure_acks_out + 1;
   t.transmit seg
 
 (* {2 Retransmission timer} *)
 
-let retx_len e = Slice.length e.r_payload + if e.r_fin then 1 else 0
+let retx_len e = e.r_len + if e.r_fin then 1 else 0
+
+let resend t e =
+  put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload ~rest:e.r_rest ~len:e.r_len
+    ~push:e.r_push ~msg_ends:e.r_msg_ends
 
 let current_rto t =
   let base = Rtt.rto t.rtt in
@@ -405,10 +413,9 @@ and retransmit_head t ~counter =
     if tracing t then
       event t
         (Sim.Trace.Segment_sent
-           { seq = entry.r_seq; len = Slice.length entry.r_payload;
+           { seq = entry.r_seq; len = entry.r_len;
              push = entry.r_push; retx = true });
-    put_on_wire t ~fin:entry.r_fin ~seq:entry.r_seq ~payload:entry.r_payload
-      ~push:entry.r_push ~msg_ends:entry.r_msg_ends
+    resend t entry
 
 and on_rto t =
   t.rto_timer <- None;
@@ -469,15 +476,14 @@ let max_persist_probes = 10
 
 (* {2 Transmission} *)
 
-let emit_fresh t ~payload ~push ~msg_ends =
-  let len = Slice.length payload in
+let emit_fresh t ~payload ~rest ~len ~push ~msg_ends =
   let seq = t.snd_nxt in
   t.snd_nxt <- t.snd_nxt + len;
   t.segs_out <- t.segs_out + 1;
   t.bytes_out <- t.bytes_out + len;
   Queue.add
-    { r_seq = seq; r_payload = payload; r_push = push; r_msg_ends = msg_ends;
-      r_fin = false; r_sacked = false }
+    { r_seq = seq; r_payload = payload; r_rest = rest; r_len = len; r_push = push;
+      r_msg_ends = msg_ends; r_fin = false; r_sacked = false }
     t.retx;
   if E2e.Units.equal t.cfg.unit_mode E2e.Units.Packets then begin
     E2e.Estimator.track_unacked t.estim ~at:(now t) 1;
@@ -485,28 +491,17 @@ let emit_fresh t ~payload ~push ~msg_ends =
   end;
   if tracing t then
     event t (Sim.Trace.Segment_sent { seq; len; push; retx = false });
-  put_on_wire t ~seq ~payload ~push ~msg_ends;
+  put_on_wire t ~seq ~payload ~rest ~len ~push ~msg_ends;
   arm_rto t
 
-let send_pure_ack t = put_on_wire t ~seq:t.snd_nxt ~payload:Slice.empty ~push:false ~msg_ends:0
+let send_pure_ack t =
+  put_on_wire t ~seq:t.snd_nxt ~payload:Slice.empty ~rest:[] ~len:0 ~push:false ~msg_ends:0
 
-(* Count send()-buffer boundaries completed by the [chunk] bytes that
-   are about to leave, consuming them from the queue; the last one
-   landing exactly at the segment end sets PSH. *)
-let consume_boundaries t ~upto =
-  let ends = ref 0 in
-  let push = ref false in
-  let rec go () =
-    match Queue.peek_opt t.boundaries with
-    | Some b when b <= upto ->
-      ignore (Queue.pop t.boundaries);
-      incr ends;
-      if b = upto then push := true;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  (!ends, !push)
+(* Pop the send()-buffer boundaries at or below [upto], the end of the
+   bytes about to leave; returns the last one popped, or -1. *)
+let rec pop_boundaries q ~upto last =
+  if Queue.is_empty q || Queue.peek q > upto then last
+  else pop_boundaries q ~upto (Queue.pop q)
 
 let probe_byte = Slice.of_string "?"
 
@@ -533,7 +528,7 @@ and on_persist t =
     let seq = t.snd_una - 1 in
     if tracing t then
       event t (Sim.Trace.Probe_sent { seq; backoff = t.persist_backoff });
-    put_on_wire t ~seq ~payload:probe_byte ~push:false ~msg_ends:0;
+    put_on_wire t ~seq ~payload:probe_byte ~rest:[] ~len:1 ~push:false ~msg_ends:0;
     arm_persist t
   end
 
@@ -572,9 +567,14 @@ and try_transmit t =
                    try_transmit t))
           end
         | _ ->
-          let payload = Bytebuf.take t.sndbuf chunk in
-          let msg_ends, push = consume_boundaries t ~upto:(t.snd_nxt + chunk) in
-          emit_fresh t ~payload ~push ~msg_ends;
+          let payload = Bytebuf.take_front t.sndbuf chunk in
+          let rest = Bytebuf.take t.sndbuf (chunk - payload.Slice.len) in
+          (* The buffers that end inside the segment count its
+             message ends; one ending exactly at its end sets PSH. *)
+          let upto = t.snd_nxt + chunk and queued = Queue.length t.boundaries in
+          let last = pop_boundaries t.boundaries ~upto (-1) in
+          emit_fresh t ~payload ~rest ~len:chunk ~push:(last = upto)
+            ~msg_ends:(queued - Queue.length t.boundaries);
           try_transmit t
       end
     end
@@ -595,36 +595,58 @@ and maybe_emit_fin t =
     t.fin_pending <- false;
     t.snd_nxt <- t.snd_nxt + 1;
     Queue.add
-      { r_seq = seq; r_payload = Slice.empty; r_push = false; r_msg_ends = 0; r_fin = true;
-        r_sacked = false }
+      { r_seq = seq; r_payload = Slice.empty; r_rest = []; r_len = 0; r_push = false;
+        r_msg_ends = 0; r_fin = true; r_sacked = false }
       t.retx;
-    put_on_wire t ~fin:true ~seq ~payload:Slice.empty ~push:false ~msg_ends:0;
+    put_on_wire t ~fin:true ~seq ~payload:Slice.empty ~rest:[] ~len:0 ~push:false
+      ~msg_ends:0;
     arm_rto t
   end
 
 let kick = try_transmit
 
-let send t data =
-  (match t.conn_state with
+let check_open t =
+  match t.conn_state with
   | Established | Close_wait -> ()
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait | Closed ->
-    invalid_arg "Socket.send: socket is closing or closed");
+    invalid_arg "Socket.send: socket is closing or closed"
+
+(* Account for a write of [len > 0] bytes just appended to [sndbuf]. *)
+let wrote t len =
+  t.sends <- t.sends + 1;
+  t.snd_write <- t.snd_write + len;
+  Queue.add t.snd_write t.boundaries;
+  let at = now t in
+  (match t.cfg.unit_mode with
+  | E2e.Units.Bytes | E2e.Units.Hinted ->
+    E2e.Estimator.track_unacked t.estim ~at len;
+    Unit_fifo.push t.unacked_fifo ~bytes:len ~units:len
+  | E2e.Units.Syscalls ->
+    E2e.Estimator.track_unacked t.estim ~at 1;
+    Unit_fifo.push t.unacked_fifo ~bytes:len ~units:1
+  | E2e.Units.Packets -> (* tracked at segment transmission *) ());
+  try_transmit t
+
+let send t data =
+  check_open t;
   let len = String.length data in
   if len > 0 then begin
-    t.sends <- t.sends + 1;
     Bytebuf.append t.sndbuf data;
-    t.snd_write <- t.snd_write + len;
-    Queue.add t.snd_write t.boundaries;
-    let at = now t in
-    (match t.cfg.unit_mode with
-    | E2e.Units.Bytes | E2e.Units.Hinted ->
-      E2e.Estimator.track_unacked t.estim ~at len;
-      Unit_fifo.push t.unacked_fifo ~bytes:len ~units:len
-    | E2e.Units.Syscalls ->
-      E2e.Estimator.track_unacked t.estim ~at 1;
-      Unit_fifo.push t.unacked_fifo ~bytes:len ~units:1
-    | E2e.Units.Packets -> (* tracked at segment transmission *) ());
-    try_transmit t
+    wrote t len
+  end
+
+let rec append_all buf = function
+  | [] -> ()
+  | s :: rest ->
+    Bytebuf.append_slice buf s;
+    append_all buf rest
+
+let send_slices t slices =
+  check_open t;
+  let len = Slice.total_length slices in
+  if len > 0 then begin
+    append_all t.sndbuf slices;
+    wrote t len
   end
 
 let ensure_delack t =
@@ -660,6 +682,16 @@ let enter_time_wait t =
 
 (* {2 Acknowledgment processing (sender side)} *)
 
+(* Drop the first [cut] payload bytes of [e], a view at a time. *)
+let rec trim_front e cut =
+  let n = e.r_payload.Slice.len in
+  match e.r_rest with
+  | next :: rest when cut >= n ->
+    e.r_payload <- next;
+    e.r_rest <- rest;
+    trim_front e (cut - n)
+  | _ :: _ | [] -> e.r_payload <- Slice.sub e.r_payload cut (n - cut)
+
 let drop_acked_retx t =
   let rec go () =
     match Queue.peek_opt t.retx with
@@ -669,7 +701,8 @@ let drop_acked_retx t =
     | Some e when e.r_seq < t.snd_una ->
       (* partial coverage: trim the acknowledged prefix *)
       let cut = t.snd_una - e.r_seq in
-      e.r_payload <- Slice.sub e.r_payload cut (Slice.length e.r_payload - cut);
+      trim_front e cut;
+      e.r_len <- e.r_len - cut;
       e.r_seq <- t.snd_una
     | Some _ | None -> ()
   in
@@ -708,15 +741,13 @@ let retransmit_hole t =
               queue; resending it would be pure waste. *)
            if e.r_seq + retx_len e > from && not e.r_sacked then begin
              if !budget <= 0 then raise Exit;
-             budget := !budget - Slice.length e.r_payload;
+             budget := !budget - e.r_len;
              t.retransmits <- t.retransmits + 1;
              if tracing t then
                event t
                  (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = Slice.length e.r_payload;
-                      push = e.r_push; retx = true });
-             put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload
-               ~push:e.r_push ~msg_ends:e.r_msg_ends;
+                    { seq = e.r_seq; len = e.r_len; push = e.r_push; retx = true });
+             resend t e;
              t.retx_next <- e.r_seq + retx_len e
            end)
          t.retx
@@ -765,16 +796,14 @@ let sack_retransmit_holes t =
            if e.r_seq >= hs then raise Exit;
            if e.r_seq + retx_len e > from && not e.r_sacked then begin
              if !budget <= 0 then raise Exit;
-             budget := !budget - Slice.length e.r_payload;
+             budget := !budget - e.r_len;
              t.retransmits <- t.retransmits + 1;
              t.sack_retransmits <- t.sack_retransmits + 1;
              if tracing t then
                event t
                  (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = Slice.length e.r_payload;
-                      push = e.r_push; retx = true });
-             put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload
-               ~push:e.r_push ~msg_ends:e.r_msg_ends;
+                    { seq = e.r_seq; len = e.r_len; push = e.r_push; retx = true });
+             resend t e;
              t.retx_next <- e.r_seq + retx_len e
            end)
          t.retx
@@ -835,11 +864,10 @@ let process_ack t (seg : Segment.t) ~at =
     (* RTT sample from the echoed timestamp (RFC 7323 resolves Karn's
        retransmission ambiguity because retransmits carry fresh
        timestamps). *)
-    match seg.ts_ecr with
-    | Some ecr ->
-      let sample_ns = Sim.Time.to_ns at - (ecr * 1_000) in
+    if seg.ts_ecr >= 0 then begin
+      let sample_ns = Sim.Time.to_ns at - (seg.ts_ecr * 1_000) in
       if sample_ns >= 0 then Rtt.sample t.rtt sample_ns
-    | None -> ()
+    end
   end
   else if Segment.is_pure_ack seg && seg.ack = t.snd_una && in_flight t > 0 then begin
     (* duplicate ack: the receiver is missing something *)
@@ -879,17 +907,27 @@ let process_ack t (seg : Segment.t) ~at =
 
 (* {2 In-order delivery (receiver side)} *)
 
+(* Append the views [s :: rest] to [buf], less their first [skip]
+   bytes. *)
+let rec append_from buf skip s rest =
+  let n = s.Slice.len in
+  if skip < n then Bytebuf.append_slice buf (Slice.sub s skip (n - skip));
+  match rest with
+  | [] -> ()
+  | s' :: rest' -> append_from buf (Stdlib.max 0 (skip - n)) s' rest'
+
 let accept_payload t (seg : Segment.t) ~at =
   (* [seg.seq <= t.rcv_nxt < seg.seq + len]: append the new suffix. *)
-  let len = Segment.len seg in
+  let len = seg.Segment.payload_len in
   let skip = t.rcv_nxt - seg.seq in
   let fresh = len - skip in
-  let payload = Slice.sub seg.payload skip fresh in
   if tracing t then
     event t (Sim.Trace.Segment_received { seq = seg.seq; fresh });
   t.rcv_nxt <- t.rcv_nxt + fresh;
   t.bytes_in <- t.bytes_in + fresh;
-  Bytebuf.append_slice t.recvbuf payload;
+  (match seg.payload_rest with
+  | [] -> Bytebuf.append_slice t.recvbuf (Slice.sub seg.payload skip fresh)
+  | rest -> append_from t.recvbuf skip seg.payload rest);
   let units = rx_units t ~len:fresh ~msg_ends:seg.msg_ends in
   if units > 0 then begin
     E2e.Estimator.track_unread t.estim ~at units;
@@ -897,7 +935,7 @@ let accept_payload t (seg : Segment.t) ~at =
   end;
   Unit_fifo.push t.unread_fifo ~bytes:fresh ~units;
   Unit_fifo.push t.ackdelay_fifo ~bytes:fresh ~units;
-  (match seg.ts_val with Some v -> t.ts_recent <- v | None -> ())
+  if seg.ts_val >= 0 then t.ts_recent <- seg.ts_val
 
 let process_fin t =
   if not t.peer_fin then begin
@@ -919,7 +957,7 @@ let rec drain_ooo t ~at =
   match t.ooo with
   | seg :: rest when seg.Segment.seq <= t.rcv_nxt ->
     t.ooo <- rest;
-    if seg.Segment.seq + Segment.len seg > t.rcv_nxt then accept_payload t seg ~at;
+    if seg.Segment.seq + seg.Segment.payload_len > t.rcv_nxt then accept_payload t seg ~at;
     if seg.Segment.fin && seg.Segment.seq + Segment.seq_len seg > t.rcv_nxt then
       process_fin t;
     drain_ooo t ~at
@@ -1011,7 +1049,7 @@ and receive_valid t ~notify (seg : Segment.t) ~at =
     t.hint_cur <- Some share
   | None -> ());
   process_ack t seg ~at;
-  let len = Segment.len seg in
+  let len = seg.Segment.payload_len in
   if len > 0 || seg.fin then process_payload t seg ~at;
   (* An ack may have freed Nagle-, window-, cwnd-held data or a
      pending FIN. *)
@@ -1028,7 +1066,7 @@ let receive_batch t segs =
     List.fold_left
       (fun acc seg ->
         receive_one t ~notify:false seg;
-        acc || Segment.len seg > 0 || seg.Segment.fin)
+        acc || seg.Segment.payload_len > 0 || seg.Segment.fin)
       false segs
   in
   if had_payload then t.readable_cb ()
@@ -1108,7 +1146,8 @@ let abort t =
   match t.conn_state with
   | Closed -> ()
   | _ ->
-    put_on_wire t ~rst:true ~seq:t.snd_nxt ~payload:Slice.empty ~push:false ~msg_ends:0;
+    put_on_wire t ~rst:true ~seq:t.snd_nxt ~payload:Slice.empty ~rest:[] ~len:0 ~push:false
+      ~msg_ends:0;
     cancel_rto t;
     cancel_persist t;
     t.conn_state <- Closed

@@ -101,6 +101,11 @@ val send : t -> string -> unit
 (** Queue one application write (a [send(2)] call); triggers
     transmission subject to Nagle/cork/window rules. *)
 
+val send_slices : t -> Slice.t list -> unit
+(** {!send} for a write made of several slices (a [writev(2)] call):
+    one message boundary, and the slices are queued as they are, so a
+    segment's payload is views of the caller's strings. *)
+
 val recv : t -> int -> string
 (** Read up to [n] bytes of in-order received data. *)
 

@@ -356,6 +356,211 @@ let prop_command_stream_any_cuts =
       feed 0 cuts;
       List.rev !decoded = expected && Kv.Resp.Parser.buffered parser = 0)
 
+(* Values around the shared-bulk cut-off, and the paper's 16 KiB. *)
+let gen_mixed_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, gen_bytes);
+        ( 2,
+          map2
+            (fun n c -> String.make n c)
+            (oneofl
+               [ Kv.Resp.shared_bulk_min - 1; Kv.Resp.shared_bulk_min;
+                 Kv.Resp.shared_bulk_min + 1; 16_384 ])
+            char );
+      ])
+
+let views_to_string views = String.concat "" (List.map Tcp.Slice.to_string views)
+
+(* Whether a bulk this long is sent as a view of itself. *)
+let shares s = String.length s >= Kv.Resp.shared_bulk_min
+
+let args_of c =
+  match Kv.Command.to_resp c with
+  | Kv.Resp.Array (Some (_ :: args)) ->
+    List.filter_map (function Kv.Resp.Bulk s -> s | _ -> None) args
+  | _ -> []
+
+(* The views a request is sent as spell exactly [Resp.encode (to_resp
+   _)], and each argument of shared size is a view of the argument
+   itself. *)
+let prop_command_encode_slices_matches_resp =
+  QCheck.Test.make ~name:"Command.encode_slices = Resp.encode (to_resp _)" ~count:1000
+    (arb_command ~value:gen_mixed_value)
+    (fun c ->
+      let views = Kv.Command.encode_slices c in
+      let shared = List.filter shares (args_of c) in
+      String.equal (views_to_string views) (Kv.Resp.encode (Kv.Command.to_resp c))
+      && List.for_all (fun v -> Tcp.Slice.length v > 0) views
+      && List.for_all
+           (fun s -> List.exists (fun (v : Tcp.Slice.t) -> v.base == s) views)
+           shared
+      && List.length views = if shared = [] then 1 else 1 + (2 * List.length shared))
+
+(* The same for replies, over arbitrary nested values. *)
+let prop_resp_encode_slices =
+  let gen_value =
+    QCheck.Gen.(
+      sized @@ fix (fun self n ->
+          let leaf =
+            oneof
+              [
+                map (fun s -> Kv.Resp.Simple s) (string_size ~gen:(char_range 'a' 'z') (0 -- 8));
+                map (fun i -> Kv.Resp.Integer i) int;
+                map (fun s -> Kv.Resp.Bulk (Some s)) gen_mixed_value;
+                return (Kv.Resp.Bulk None);
+                return (Kv.Resp.Array None);
+              ]
+          in
+          if n = 0 then leaf
+          else
+            oneof
+              [ leaf; map (fun l -> Kv.Resp.Array (Some l)) (list_size (0 -- 4) (self (n / 2))) ]))
+  in
+  QCheck.Test.make ~name:"Resp.encode_slices spells Resp.encode" ~count:300
+    (QCheck.make gen_value)
+    (fun v ->
+      let views = Kv.Resp.encode_slices v in
+      String.equal (views_to_string views) (Kv.Resp.encode v)
+      && List.for_all (fun s -> Tcp.Slice.length s > 0) views)
+
+(* Requests sent as views, cut at random offsets into narrower views,
+   decode exactly as [parse_exactly] decodes each alone.  Some
+   requests have a middle stretch of their shared-size argument
+   replaced, either by a copy (the bulk spans two strings) or by a view
+   of the same string at another offset (equal bytes, since generated
+   shared values repeat one character, but not one run of the string):
+   those must come back as equal copies, the intact ones as the
+   argument itself. *)
+let prop_command_stream_views =
+  QCheck.Test.make ~name:"command stream of views decodes the same under any cuts"
+    ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 6)
+           (pair (arb_command ~value:gen_mixed_value)
+              (make ~print:(Printf.sprintf "gap=%d") Gen.(int_range 0 2))))
+        (list_of_size Gen.(1 -- 20)
+           (make ~print:string_of_int
+              Gen.(frequency [ (4, int_range 1 30); (1, int_range 31 5000) ]))))
+    (fun (cmds, cuts) ->
+      let gap c kind (v : Tcp.Slice.t) =
+        if shares v.base && List.memq v.base (args_of c) then
+          let a = v.len / 3 and b = 2 * v.len / 3 in
+          let middle =
+            if kind = 1 then Tcp.Slice.of_string (String.sub v.base a (b - a))
+            else Tcp.Slice.sub v 0 (b - a)
+          in
+          [ Tcp.Slice.sub v 0 a; middle; Tcp.Slice.sub v b (v.len - b) ]
+        else [ v ]
+      in
+      let views =
+        List.concat_map
+          (fun (c, kind) ->
+            let vs = Kv.Command.encode_slices c in
+            if kind > 0 then List.concat_map (gap c kind) vs else vs)
+          cmds
+      in
+      let expected =
+        List.map
+          (fun (c, _) ->
+            Result.bind
+              (Kv.Resp.parse_exactly (Kv.Resp.encode (Kv.Command.to_resp c)))
+              Kv.Command.of_resp)
+          cmds
+      in
+      let parser = Kv.Resp.Parser.create () in
+      let input = Kv.Resp.Parser.input parser in
+      let decoded = ref [] in
+      let rec drain () =
+        match Kv.Resp.Parser.next parser with
+        | Ok (Some v) ->
+          decoded := Kv.Command.of_resp v :: !decoded;
+          drain ()
+        | Ok None -> ()
+        | Error e -> failwith e
+      in
+      (* Append [v] in pieces of the cut widths, draining after each. *)
+      let rec feed (v : Tcp.Slice.t) cuts =
+        if v.len = 0 then cuts
+        else begin
+          let w, cuts = match cuts with w :: rest -> (w, rest @ [ w ]) | [] -> (7, []) in
+          let n = min w v.len in
+          Tcp.Bytebuf.append_slice input (Tcp.Slice.sub v 0 n);
+          drain ();
+          feed (Tcp.Slice.sub v n (v.len - n)) cuts
+        end
+      in
+      ignore (List.fold_left (fun cuts v -> feed v cuts) cuts views);
+      let decoded = List.rev !decoded in
+      let shared_as_sent (c, kind) got =
+        match got with
+        | Ok got ->
+          List.for_all2
+            (fun sent arg -> (not (shares sent)) || (sent == arg) = (kind = 0))
+            (args_of c) (args_of got)
+        | Error _ -> true
+      in
+      decoded = expected
+      && Kv.Resp.Parser.buffered parser = 0
+      && List.for_all2 shared_as_sent cmds decoded)
+
+(* A 16 KiB value crosses the stack uncopied in both directions: the
+   store keeps the workload's own string, and the GET reply the client
+   parses is the stored string — also with TSO super-segments cut at
+   the wire and with loss forcing retransmissions, trims and
+   out-of-order reassembly. *)
+let test_value_crosses_uncopied () =
+  let workload = Loadgen.Workload.paper_set_only in
+  let value = Loadgen.Workload.value_of workload in
+  let key = String.make workload.key_size 'k' in
+  let run ~tso ~loss =
+    let engine = Sim.Engine.create () in
+    let host =
+      { Tcp.Conn.default_host with
+        socket = { Tcp.Socket.default_config with nagle = false; tso_max = tso } }
+    in
+    let conn = Tcp.Conn.create engine ~a:host ~b:host () in
+    if loss > 0.0 then begin
+      Tcp.Link.set_loss (Tcp.Conn.link_ab conn) ~rng:(Sim.Rng.create ~seed:3) ~prob:loss;
+      Tcp.Link.set_loss (Tcp.Conn.link_ba conn) ~rng:(Sim.Rng.create ~seed:4) ~prob:loss
+    end;
+    let store = Kv.Store.create () in
+    ignore
+      (Kv.Server.create engine ~cpu:(Sim.Cpu.create engine) ~socket:(Tcp.Conn.sock_b conn)
+         ~store Kv.Server.default_config);
+    let client =
+      Kv.Client.create engine ~cpu:(Sim.Cpu.create engine) ~socket:(Tcp.Conn.sock_a conn)
+        Kv.Client.default_config
+    in
+    let replies = ref [] in
+    let request cmd =
+      Kv.Client.request client cmd ~on_complete:(fun ~latency:_ r -> replies := r :: !replies);
+      Sim.Engine.run engine
+    in
+    request (Kv.Command.Set { key; value; ttl = None });
+    let stored = Kv.Store.get store ~now:(Sim.Engine.now engine) key in
+    request (Kv.Command.Get key);
+    let label = Printf.sprintf "tso=%b loss=%.2f" (Option.is_some tso) loss in
+    let retransmits =
+      (Tcp.Socket.counters (Tcp.Conn.sock_a conn)).retransmits
+      + (Tcp.Socket.counters (Tcp.Conn.sock_b conn)).retransmits
+    in
+    Alcotest.(check bool) (label ^ ": retransmits iff lossy") (loss > 0.0) (retransmits > 0);
+    Alcotest.(check int) (label ^ ": both replied") 2 (List.length !replies);
+    Alcotest.(check bool) (label ^ ": stored value is the workload's string") true
+      (match stored with Some s -> s == value | None -> false);
+    Alcotest.(check bool) (label ^ ": GET reply is the stored string") true
+      (match (!replies, stored) with
+      | Kv.Resp.Bulk (Some got) :: _, Some s -> got == s
+      | _ -> false)
+  in
+  run ~tso:None ~loss:0.0;
+  run ~tso:(Some 65_536) ~loss:0.0;
+  run ~tso:None ~loss:0.2;
+  run ~tso:(Some 65_536) ~loss:0.2
+
 let test_command_case_insensitive () =
   match
     Kv.Command.of_resp
@@ -463,6 +668,10 @@ let suite =
         Alcotest.test_case "encode/decode roundtrip" `Quick test_command_roundtrip_encoding;
         QCheck_alcotest.to_alcotest prop_command_encode_matches_resp;
         QCheck_alcotest.to_alcotest prop_command_stream_any_cuts;
+        QCheck_alcotest.to_alcotest prop_command_encode_slices_matches_resp;
+        QCheck_alcotest.to_alcotest prop_resp_encode_slices;
+        QCheck_alcotest.to_alcotest prop_command_stream_views;
+        Alcotest.test_case "16 KiB value crosses uncopied" `Quick test_value_crosses_uncopied;
         Alcotest.test_case "case-insensitive names" `Quick test_command_case_insensitive;
         Alcotest.test_case "unknown command / bad arity" `Quick
           test_command_unknown_and_arity;

@@ -3,12 +3,13 @@
 
 let us = Sim.Time.us
 
-let testbed ?(cc = false) ?(loss_ab = 0.0) ?(loss_ba = 0.0) ?(seed = 1)
+let testbed ?(cc = false) ?(nagle = false) ?tso ?(loss_ab = 0.0) ?(loss_ba = 0.0) ?(seed = 1)
     ?(prop = us 5) () =
   let engine = Sim.Engine.create () in
   let host =
     {
-      Tcp.Conn.socket = { Tcp.Socket.default_config with nagle = false; cc_enabled = cc };
+      Tcp.Conn.socket =
+        { Tcp.Socket.default_config with nagle; cc_enabled = cc; tso_max = tso };
       tx_cost = 0;
       rx_seg_cost = 0;
       rx_batch_cost = 0;
@@ -203,6 +204,43 @@ let prop_stream_integrity_under_loss =
       Sim.Engine.run engine;
       String.equal (Buffer.contents sent) (Buffer.contents received))
 
+(* Writes made of several slices ([send_slices]) leave as segments of
+   several views, which TSO cuts, acks trim and the receiver reassembles
+   out of order: the stream must still arrive intact, and each write
+   counts as one send(). *)
+let prop_slice_writes_survive_loss =
+  QCheck.Test.make ~name:"multi-slice writes survive loss, TSO and Nagle" ~count:20
+    QCheck.(
+      quad (int_range 1 10_000) bool bool
+        (list_of_size Gen.(1 -- 25)
+           (list_of_size Gen.(1 -- 4)
+              (make Gen.(frequency [ (3, int_range 1 40); (1, int_range 1000 5000) ])))))
+    (fun (seed, tso, nagle, writes) ->
+      let tso = if tso then Some 65_536 else None in
+      let engine, conn = testbed ?tso ~nagle ~loss_ab:0.04 ~loss_ba:0.04 ~seed () in
+      let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
+      let received = Buffer.create 65536 in
+      Tcp.Socket.on_readable b (collect_into received b);
+      let sent = Buffer.create 65536 in
+      List.iteri
+        (fun i sizes ->
+          (* each piece a view into the middle of a larger string *)
+          let pieces =
+            List.mapi
+              (fun j n ->
+                let s = String.init (n + 2) (fun k -> Char.chr ((i + j + k) mod 256)) in
+                Tcp.Slice.sub (Tcp.Slice.of_string s) 1 n)
+              sizes
+          in
+          List.iter (fun v -> Buffer.add_string sent (Tcp.Slice.to_string v)) pieces;
+          ignore
+            (Sim.Engine.schedule_at engine ~at:(us ((i + 1) * 50)) (fun () ->
+                 Tcp.Socket.send_slices a pieces)))
+        writes;
+      Sim.Engine.run engine;
+      String.equal (Buffer.contents sent) (Buffer.contents received)
+      && (Tcp.Socket.counters a).sends = List.length writes)
+
 let test_estimator_consistent_under_loss () =
   (* Queue accounting must stay conserved through retransmissions. *)
   let engine, conn = testbed ~loss_ab:0.05 ~loss_ba:0.05 ~seed:11 () in
@@ -255,6 +293,7 @@ let suite =
           test_ooo_reassembly_preserves_stream;
         Alcotest.test_case "duplicate data re-acked" `Quick test_duplicate_data_reacked;
         QCheck_alcotest.to_alcotest prop_stream_integrity_under_loss;
+        QCheck_alcotest.to_alcotest prop_slice_writes_survive_loss;
         Alcotest.test_case "estimator conserved under loss" `Quick
           test_estimator_consistent_under_loss;
       ] );

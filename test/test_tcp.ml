@@ -124,6 +124,8 @@ let bytebuf_op_gen =
         (2, return Cells);
       ])
 
+let views_to_string views = String.concat "" (List.map Tcp.Slice.to_string views)
+
 let prop_bytebuf_matches_model =
   QCheck.Test.make ~name:"bytebuf matches a string model" ~count:500
     (QCheck.make
@@ -149,7 +151,7 @@ let prop_bytebuf_matches_model =
           Tcp.Bytebuf.append_slice b (Tcp.Slice.sub (Tcp.Slice.of_string s) off len);
           model := !model ^ String.sub s off len;
           true
-        | Take k -> String.equal (Tcp.Slice.to_string (Tcp.Bytebuf.take b k)) (cut k)
+        | Take k -> String.equal (views_to_string (Tcp.Bytebuf.take b k)) (cut k)
         | Skip k ->
           Tcp.Bytebuf.skip b k;
           ignore (cut k);
@@ -191,12 +193,82 @@ let prop_bytebuf_matches_model =
       String.equal (Bytes.to_string whole) !model
       && String.equal (Tcp.Bytebuf.read_all dst) (Buffer.contents dst_model))
 
+(* [take] and [take_front] hand out views, never copies: whatever the
+   mix of whole strings and sub-slices appended, the views' bytes are
+   the model's and each view's base is one of the appended strings. *)
+type take_op = Put of string | Put_sub of string * int * int | Take_n of int | Front of int
+
+let show_take_op = function
+  | Put s -> Printf.sprintf "put %S" s
+  | Put_sub (s, off, len) -> Printf.sprintf "put_sub %S %d %d" s off len
+  | Take_n n -> Printf.sprintf "take %d" n
+  | Front n -> Printf.sprintf "front %d" n
+
+let take_op_gen =
+  QCheck.Gen.(
+    let str = string_size ~gen:printable (int_range 1 12) in
+    frequency
+      [
+        (3, map (fun s -> Put s) str);
+        ( 2,
+          map3
+            (fun s off len ->
+              let off = min off (String.length s) in
+              Put_sub (s, off, min len (String.length s - off)))
+            str (int_range 0 12) (int_range 0 12) );
+        (3, map (fun n -> Take_n n) (int_range 0 30));
+        (2, map (fun n -> Front n) (int_range 0 30));
+      ])
+
+let prop_bytebuf_take_views =
+  QCheck.Test.make ~name:"bytebuf take returns views of the appended strings" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_take_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) take_op_gen))
+    (fun ops ->
+      let b = Tcp.Bytebuf.create () in
+      let model = ref "" and bases = ref [] in
+      let cut k =
+        let k = max 0 (min k (String.length !model)) in
+        let head = String.sub !model 0 k in
+        model := String.sub !model k (String.length !model - k);
+        head
+      in
+      let appended (v : Tcp.Slice.t) = List.memq v.base !bases in
+      List.for_all
+        (fun op ->
+          match op with
+          | Put s ->
+            Tcp.Bytebuf.append b s;
+            bases := s :: !bases;
+            model := !model ^ s;
+            true
+          | Put_sub (s, off, len) ->
+            Tcp.Bytebuf.append_slice b (Tcp.Slice.sub (Tcp.Slice.of_string s) off len);
+            bases := s :: !bases;
+            model := !model ^ String.sub s off len;
+            true
+          | Take_n n ->
+            let views = Tcp.Bytebuf.take b n in
+            String.equal (views_to_string views) (cut n)
+            && List.for_all (fun v -> Tcp.Slice.length v > 0 && appended v) views
+          | Front n ->
+            let before = String.length !model in
+            let v = Tcp.Bytebuf.take_front b n in
+            let k = Tcp.Slice.length v in
+            String.equal (Tcp.Slice.to_string v) (cut k)
+            && k <= n
+            && (k > 0 || n = 0 || before = 0)
+            && (k = 0 || appended v))
+        ops
+      && Tcp.Bytebuf.length b = String.length !model)
+
 (* A ring-based variant once spun forever on a zero-length read of an
    empty buffer. *)
 let test_bytebuf_zero_length_on_empty () =
   let b = Tcp.Bytebuf.create () and dst = Tcp.Bytebuf.create () in
-  Alcotest.(check int) "take 0" 0 (Tcp.Slice.length (Tcp.Bytebuf.take b 0));
-  Alcotest.(check int) "take 5" 0 (Tcp.Slice.length (Tcp.Bytebuf.take b 5));
+  Alcotest.(check int) "take 0" 0 (List.length (Tcp.Bytebuf.take b 0));
+  Alcotest.(check int) "take 5" 0 (List.length (Tcp.Bytebuf.take b 5));
   Tcp.Bytebuf.skip b 0;
   Tcp.Bytebuf.skip b 3;
   Alcotest.(check int) "transfer 0" 0 (Tcp.Bytebuf.transfer b ~dst 0);
@@ -217,7 +289,8 @@ let test_bytebuf_take_shares () =
   let b = Tcp.Bytebuf.create () in
   Tcp.Bytebuf.append b s;
   let v = Tcp.Bytebuf.take b 40 in
-  Alcotest.(check bool) "view of the appended string" true (v.Tcp.Slice.base == s);
+  Alcotest.(check bool) "view of the appended string" true
+    (match v with [ v ] -> v.Tcp.Slice.base == s | _ -> false);
   Tcp.Bytebuf.append b s;
   Tcp.Bytebuf.skip b 60;
   Alcotest.(check bool) "whole chunk read is the string" true (Tcp.Bytebuf.read b 100 == s)
@@ -603,6 +676,7 @@ let suite =
         Alcotest.test_case "byte conservation" `Quick test_bytebuf_conservation;
         QCheck_alcotest.to_alcotest prop_bytebuf_roundtrip;
         QCheck_alcotest.to_alcotest prop_bytebuf_matches_model;
+        QCheck_alcotest.to_alcotest prop_bytebuf_take_views;
         Alcotest.test_case "zero-length operations on empty" `Quick
           test_bytebuf_zero_length_on_empty;
         Alcotest.test_case "take shares the appended string" `Quick test_bytebuf_take_shares;
