@@ -1047,6 +1047,34 @@ let bytepath_words_per_req cmd ~requests =
 
 let set_of_size n = Kv.Command.Set { key = "k"; value = String.make n 'v'; ttl = None }
 
+(* Construction budget: words allocated to build one connection — a
+   [Tcp.Conn] (two sockets, two links, two GROs) with the [Kv.Server]
+   and [Kv.Client] on its ends — averaged over [builds].  The CPUs and
+   the store are shared, as a fleet shares them.  Counted like the
+   byte-path probes, and as exact. *)
+let conn_build_words ~builds =
+  let engine = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create engine and store = Kv.Store.create () in
+  let build () =
+    let conn = Tcp.Conn.create engine ~cpu_a:cpu ~cpu_b:cpu () in
+    ignore
+      (Kv.Server.create engine ~cpu ~socket:(Tcp.Conn.sock_b conn) ~store
+         Kv.Server.default_config);
+    ignore
+      (Kv.Client.create engine ~cpu ~socket:(Tcp.Conn.sock_a conn) Kv.Client.default_config)
+  in
+  build ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to builds do
+    build ()
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int builds
+
+(* 1.25x the words one connection took to build once sockets, the
+   estimator and the client were laid out small. *)
+let conn_build_ceiling = 1.25 *. 434.0
+
 (* Each ceiling is 1.25x a measured words per request.  The 16 KiB
    ones date from zero-copy bulk values: a 16 KiB SET value or GET
    reply crosses the stack as views of the sender's string and is
@@ -1126,9 +1154,13 @@ let alloc () =
       (fun (name, cmd, requests, ceiling) -> (name, bytepath_words_per_req cmd ~requests, ceiling))
       bytepath_probes
   in
+  let build = conn_build_words ~builds:1_000 in
   pf "\n%-34s %14s %10s\n" "byte-path probe" "words/req" "ceiling";
   pf "%s\n" (String.make 60 '-');
   List.iter (fun (name, w, c) -> pf "%-34s %14.1f %10.0f\n" name w c) budgets;
+  pf "%-34s %14s %10s\n" "construction probe" "words/conn" "ceiling";
+  pf "%s\n" (String.make 60 '-');
+  pf "%-34s %14.1f %10.0f\n" "conn.build" build conn_build_ceiling;
   let bad =
     List.filter_map
       (fun (name, w) ->
@@ -1139,6 +1171,10 @@ let alloc () =
           if w > c then Some (Printf.sprintf "%s allocates %.1f words/req > %.0f" name w c)
           else None)
         budgets
+    @
+    if build > conn_build_ceiling then
+      [ Printf.sprintf "conn.build allocates %.1f words/conn > %.0f" build conn_build_ceiling ]
+    else []
   in
   let oc = open_out "BENCH_alloc.json" in
   Printf.fprintf oc "{\n  \"section\": \"alloc\",\n  \"minor_words_per_op\": {\n";
@@ -1154,11 +1190,16 @@ let alloc () =
       Printf.fprintf oc "    %S: { \"value\": %.1f, \"ceiling\": %.0f }%s\n" name w c
         (if i < nb - 1 then "," else ""))
     budgets;
+  Printf.fprintf oc "  },\n  \"words_per_conn\": {\n";
+  Printf.fprintf oc "    \"conn.build\": { \"value\": %.1f, \"ceiling\": %.0f }\n" build
+    conn_build_ceiling;
   Printf.fprintf oc "  },\n  \"pass\": %b\n}\n" (bad = []);
   close_out oc;
   pf "  wrote BENCH_alloc.json\n";
   match bad with
-  | [] -> pf "alloc-gate          : all %d probes at 0.000 words/op, %d byte-path probes within budget\n" n nb
+  | [] ->
+    pf "alloc-gate          : all %d probes at 0.000 words/op, %d byte-path probes and \
+        conn.build within budget\n" n nb
   | bad ->
     List.iter (fun msg -> pf "alloc-gate FAILURE  : %s\n" msg) bad;
     exit 1
@@ -1881,13 +1922,28 @@ let scale () =
       duration = Sim.Time.ms 100;
     }
   in
+  (* Construction cost: the same fleet run for the shortest simulated
+     time the run API accepts, so the major-heap words it allocates
+     (promotions included) are the connections being built — what
+     perfbench reports as heap_words_per_conn.  From an empty minor
+     heap the count is exact. *)
+  Gc.full_major ();
+  let _, _, major0 = Gc.counters () in
+  ignore (Fleet.run { cfg with Fleet.warmup = Sim.Time.ns 1; duration = Sim.Time.ns 1 });
+  let _, _, major1 = Gc.counters () in
+  let construction_words = (major1 -. major0) /. float_of_int (4 * per_tenant) in
   let t0 = Unix.gettimeofday () in
   let r = Fleet.run cfg in
   let dt = Unix.gettimeofday () -. t0 in
+  let peak_heap_mb =
+    float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. float_of_int (Sys.word_size / 8) /. 1e6
+  in
   pf "100k fleet: %d connections over %d shards (%s), %.1fs wall\n"
     (4 * per_tenant) (List.length r.Fleet.shards)
     (Shard.Lb.policy_to_string cfg.Fleet.lb)
     dt;
+  pf "construction: %.1f major-heap words per connection; peak heap %.1f MB\n"
+    construction_words peak_heap_mb;
   pf "%-6s %8s %10s %10s %12s %8s\n" "shard" "conns" "issued" "completed"
     "outstanding" "closure";
   let closure_ok = ref true in
@@ -1996,6 +2052,8 @@ let scale () =
           ("connections", Int (4 * per_tenant));
           ("shards", Int (List.length r.Fleet.shards));
           ("wall_s", Float dt);
+          ("construction_words_per_conn", Float construction_words);
+          ("peak_heap_mb", Float peak_heap_mb);
           ("closure_pass", Bool !closure_ok);
           ("headline_shards", List (List.map shard_json r.Fleet.shards));
           ("convergence_pass", Bool !conv_ok);

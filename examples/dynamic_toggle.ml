@@ -88,4 +88,4 @@ let () =
         (if frac > 0.5 then "batching ON" else "batching OFF"))
     stages;
   pf "\nNagle toggles over the whole ramp: %d\n"
-    (Tcp.Nagle.toggles (Tcp.Socket.nagle sock_client))
+    (Tcp.Socket.nagle_toggles sock_client)

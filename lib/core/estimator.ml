@@ -1,64 +1,76 @@
 type lifecycle = Cold_start | Warm
 
+(* The three local queues. *)
+let unacked = 0
+let unread = 1
+let ackdelay = 2
+
+(* The saved triples: the local window's baseline, and the remote
+   window's baseline and latest accepted share. *)
+let local_prev = 0
+let remote_baseline = 1
+let remote_latest = 2
+
+(* All counters live in two flat arrays that are overwritten in place,
+   so an estimator allocates nothing that outlives a call after it is
+   built.  [floats]: queue [q]'s {!Queue_state} at [queue_at q], then
+   the saved triples' integrals.  [ints]: the saved triples' times and
+   departures.  A saved triple's three shares share one time: local
+   snapshots are taken at one instant, and remote ones with different
+   times are refused. *)
 type t = {
-  unacked : Queue_state.t;
-  unread : Queue_state.t;
-  ackdelay : Queue_state.t;
-  created_at : Sim.Time.t;
   mutable lifecycle : lifecycle;
-  mutable local_prev : Exchange.triple;
-  mutable remote_baseline : Exchange.triple option;
-  mutable remote_latest : Exchange.triple option;
-  mutable last_share_at : Sim.Time.t option;
-      (* arrival time of the last *accepted* remote share *)
-  mutable staleness : Sim.Time.span option;
-      (* no accepted share within this span -> estimates are stale *)
+  ints : int array;
+  floats : float array;
+  mutable last_share_at : Sim.Time.t;
+      (* arrival time of the last *accepted* remote share, or creation
+         time until the first one *)
+  mutable staleness : Sim.Time.span;
+      (* no accepted share within this span -> estimates are stale; -1 for none *)
   mutable rejected : int;
-  mutable trace : Sim.Trace.t option;
-  mutable trace_id : string;
+  mutable trace : (Sim.Trace.t * string) option;  (* ring, id *)
   mutable audit : (Sim.Audit.queue * Sim.Audit.queue * Sim.Audit.queue) option;
       (* (unacked, unread, ackdelay) Little's-law audit mirrors *)
 }
 
-let triple_at estim ~at : Exchange.triple =
-  {
-    unacked = Queue_state.snapshot estim.unacked ~at;
-    unread = Queue_state.snapshot estim.unread ~at;
-    ackdelay = Queue_state.snapshot estim.ackdelay ~at;
-  }
+let queue_at q = Queue_state.slots * q
+
+(* Saved triple [w]: its snapshot time (-1 for none yet), queue [q]'s
+   departures and queue [q]'s integral. *)
+let time_slot w = 4 * w
+let total_slot w q = time_slot w + 1 + q
+let integral_slot w q = queue_at 3 + (3 * w) + q
+
+let saved_time t w = t.ints.(time_slot w)
+
+(* The first accepted share sets the remote baseline, which is never
+   cleared again. *)
+let has_shares t = saved_time t remote_baseline >= 0
 
 let create ~at =
-  let unacked = Queue_state.create ~at in
-  let unread = Queue_state.create ~at in
-  let ackdelay = Queue_state.create ~at in
-  let zero : Queue_state.share = { time = at; total = 0; integral = 0.0 } in
-  let local_prev : Exchange.triple =
-    { unacked = zero; unread = zero; ackdelay = zero }
-  in
+  let ints = Array.make 12 0 and floats = Array.make (integral_slot 3 0) 0.0 in
+  for q = 0 to 2 do
+    Queue_state.init_in floats (queue_at q) ~at
+  done;
+  ints.(time_slot local_prev) <- at;
+  ints.(time_slot remote_baseline) <- -1;
+  ints.(time_slot remote_latest) <- -1;
   {
-    unacked;
-    unread;
-    ackdelay;
-    created_at = at;
     (* Estimators created with their run start Warm: their first window
        spans warmup, which the warmup-boundary [estimate] call already
        discards.  Only connections spawned mid-run (fleet churn) are
        marked [Cold_start] explicitly. *)
     lifecycle = Warm;
-    local_prev;
-    remote_baseline = None;
-    remote_latest = None;
-    last_share_at = None;
-    staleness = None;
+    ints;
+    floats;
+    last_share_at = at;
+    staleness = -1;
     rejected = 0;
     trace = None;
-    trace_id = "";
     audit = None;
   }
 
-let set_trace t tr ~id =
-  t.trace <- Some tr;
-  t.trace_id <- id
+let set_trace t tr ~id = t.trace <- Some (tr, id)
 
 let set_cold_start t = t.lifecycle <- Cold_start
 let lifecycle t = t.lifecycle
@@ -71,41 +83,92 @@ let set_audit t au ~prefix =
         Sim.Audit.queue au (prefix ^ ".unread"),
         Sim.Audit.queue au (prefix ^ ".ackdelay") )
 
+let track t q ~at n = Queue_state.track_in t.floats (queue_at q) ~at n
+
 (* The audit mirrors are passive bookkeeping (no engine interaction),
    so attaching them cannot perturb the run. *)
 let track_unacked t ~at n =
-  Queue_state.track t.unacked ~at n;
+  track t unacked ~at n;
   match t.audit with
   | Some (q, _, _) -> Sim.Audit.track q ~at n
   | None -> ()
 
 let track_unread t ~at n =
-  Queue_state.track t.unread ~at n;
+  track t unread ~at n;
   match t.audit with
   | Some (_, q, _) -> Sim.Audit.track q ~at n
   | None -> ()
 
 let track_ackdelay t ~at n =
-  Queue_state.track t.ackdelay ~at n;
+  track t ackdelay ~at n;
   match t.audit with
   | Some (_, _, q) -> Sim.Audit.track q ~at n
   | None -> ()
 
-let unacked_size t = Queue_state.size t.unacked
-let unread_size t = Queue_state.size t.unread
-let ackdelay_size t = Queue_state.size t.ackdelay
+let unacked_size t = Queue_state.size_in t.floats (queue_at unacked)
+let unread_size t = Queue_state.size_in t.floats (queue_at unread)
+let ackdelay_size t = Queue_state.size_in t.floats (queue_at ackdelay)
 
-let local_snapshot t ~at = triple_at t ~at
+let live_share t q ~at = Queue_state.snapshot_in t.floats (queue_at q) ~at
+
+let local_snapshot t ~at : Exchange.triple =
+  {
+    unacked = live_share t unacked ~at;
+    unread = live_share t unread ~at;
+    ackdelay = live_share t ackdelay ~at;
+  }
+
+let saved_share t w q : Queue_state.share =
+  {
+    time = saved_time t w;
+    total = t.ints.(total_slot w q);
+    integral = t.floats.(integral_slot w q);
+  }
+
+let saved t w : Exchange.triple =
+  { unacked = saved_share t w unacked; unread = saved_share t w unread;
+    ackdelay = saved_share t w ackdelay }
+
+let save_share t w q (s : Queue_state.share) =
+  t.ints.(total_slot w q) <- s.total;
+  t.floats.(integral_slot w q) <- s.integral
+
+let save t w (tr : Exchange.triple) =
+  t.ints.(time_slot w) <- tr.unacked.time;
+  save_share t w unacked tr.unacked;
+  save_share t w unread tr.unread;
+  save_share t w ackdelay tr.ackdelay
+
+let copy_saved t ~src ~dst =
+  Array.blit t.ints (time_slot src) t.ints (time_slot dst) 4;
+  Array.blit t.floats (integral_slot src 0) t.floats (integral_slot dst 0) 3
+
+(* Any counter of [cur] behind the last accepted share's.  Times are
+   compared once: both triples passed the skew check. *)
+let regressed t (cur : Exchange.triple) =
+  let behind q (s : Queue_state.share) =
+    s.total < t.ints.(total_slot remote_latest q)
+    || s.integral < t.floats.(integral_slot remote_latest q)
+  in
+  saved_time t remote_latest >= 0
+  && (Sim.Time.compare cur.unacked.time (saved_time t remote_latest) < 0
+     || behind unacked cur.unacked || behind unread cur.unread
+     || behind ackdelay cur.ackdelay)
 
 let ingest_remote t ~at (triple : Exchange.triple) =
-  match Exchange.check_plausible ?prev:t.remote_latest ~now:at triple with
+  let verdict =
+    match Exchange.check_plausible ~now:at triple with
+    | Ok () when regressed t triple -> Error "regress"
+    | v -> v
+  in
+  match verdict with
   | Error reason ->
     (* Corrupted or implausible shares must never poison the monotone
        counters: count, trace, and leave every window untouched. *)
     t.rejected <- t.rejected + 1;
     (match t.trace with
-    | Some tr when Sim.Trace.enabled tr ->
-      Sim.Trace.event tr ~at ~id:t.trace_id (Share_rejected { reason })
+    | Some (tr, id) when Sim.Trace.enabled tr ->
+      Sim.Trace.event tr ~at ~id (Share_rejected { reason })
     | _ -> ())
   | Ok () -> (
     (* The first-ever share anchors the remote window, exactly as
@@ -114,12 +177,12 @@ let ingest_remote t ~at (triple : Exchange.triple) =
        baseline to the first share (rather than sliding it with every
        pre-estimate ingest) is what keeps the two vantage points' windows
        aligned.  Pinned by a regression test in test_exchange.ml. *)
-    if t.remote_baseline = None then t.remote_baseline <- Some triple;
-    t.remote_latest <- Some triple;
-    t.last_share_at <- Some at;
+    if not (has_shares t) then save t remote_baseline triple;
+    save t remote_latest triple;
+    t.last_share_at <- at;
     match t.trace with
-    | Some tr when Sim.Trace.enabled tr ->
-        Sim.Trace.event tr ~at:triple.unacked.time ~id:t.trace_id
+    | Some (tr, id) when Sim.Trace.enabled tr ->
+        Sim.Trace.event tr ~at:triple.unacked.time ~id
           (Share_ingested
              {
                unacked_total = triple.unacked.total;
@@ -129,22 +192,16 @@ let ingest_remote t ~at (triple : Exchange.triple) =
     | _ -> ())
 
 let rejected_shares t = t.rejected
-let last_share_at t = t.last_share_at
+let last_share_at t = if has_shares t then Some t.last_share_at else None
 
-let set_staleness t ~timeout = t.staleness <- timeout
-let staleness t = t.staleness
+let set_staleness t ~timeout = t.staleness <- Option.value timeout ~default:(-1)
+let staleness t = if t.staleness < 0 then None else Some t.staleness
 
-let is_stale t ~at =
-  match t.staleness with
-  | None -> false
-  | Some timeout ->
-    let anchor = Option.value t.last_share_at ~default:t.created_at in
-    Sim.Time.diff at anchor > timeout
+let is_stale t ~at = t.staleness >= 0 && Sim.Time.diff at t.last_share_at > t.staleness
 
 let remote_window t =
-  match (t.remote_baseline, t.remote_latest) with
-  | Some prev, Some cur -> Some (prev, cur)
-  | _ -> None
+  if not (has_shares t) then None
+  else Some (saved t remote_baseline, saved t remote_latest)
 
 type estimate = {
   latency_ns : float option;
@@ -156,11 +213,11 @@ type estimate = {
 }
 
 let compute t ~at =
-  let local_cur = triple_at t ~at in
-  let local_prev = t.local_prev in
-  let window = Sim.Time.diff local_cur.unacked.time local_prev.unacked.time in
+  let local_cur = local_snapshot t ~at in
+  let window = Sim.Time.diff at (saved_time t local_prev) in
   if window <= 0 then None
   else begin
+    let local_prev = saved t local_prev in
     let local_comp = Latency.components_of_triples ~prev:local_prev ~cur:local_cur in
     let remote_comp =
       match remote_window t with
@@ -201,13 +258,12 @@ let estimate t ~at =
   match compute t ~at with
   | None -> None
   | Some (est, local_cur) ->
-    t.local_prev <- local_cur;
+    save t local_prev local_cur;
     (* The remote window advances too: the latest ingested share becomes
        the next window's baseline, keeping the two vantage points'
        windows aligned (modulo one network delay). *)
-    (match t.remote_latest with
-    | Some latest -> t.remote_baseline <- Some latest
-    | None -> ());
+    if saved_time t remote_latest >= 0 then
+      copy_saved t ~src:remote_latest ~dst:remote_baseline;
     if t.lifecycle = Cold_start then begin
       (* The first window of a mid-run connection spans its slow-start
          ramp: a handful of samples over a tiny span.  Discard it —
@@ -218,8 +274,8 @@ let estimate t ~at =
     end
     else begin
       (match t.trace with
-      | Some tr when Sim.Trace.enabled tr ->
-          Sim.Trace.event tr ~at ~id:t.trace_id
+      | Some (tr, id) when Sim.Trace.enabled tr ->
+          Sim.Trace.event tr ~at ~id
             (Estimate_computed
                {
                  latency_us = Option.map (fun l -> l /. 1e3) est.latency_ns;

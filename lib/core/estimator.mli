@@ -10,6 +10,8 @@
     {!estimate} returns the maximum of the two (§3.2). *)
 
 type t
+(** Built at its full size: ingesting shares and tracking queues
+    overwrite its counters in place, so it never grows with traffic. *)
 
 val create : at:Sim.Time.t -> t
 
@@ -60,10 +62,10 @@ val ingest_remote : t -> at:Sim.Time.t -> Exchange.triple -> unit
     at the last window advance (see {!estimate}) to the latest one,
     mirroring the local window.
 
-    The triple first passes {!Exchange.check_plausible} against the
-    last accepted share: implausible ones (corruption that survived
-    decode, counters running backwards, future timestamps) are
-    dropped without touching any window, counted in
+    The triple first passes {!Exchange.check_plausible} and must not
+    run behind the last accepted share: implausible ones (corruption
+    that survived decode, counters running backwards, future
+    timestamps) are dropped without touching any window, counted in
     {!rejected_shares}, and traced as [Share_rejected].
 
     Before the first {!estimate} the baseline stays pinned to the

@@ -71,7 +71,7 @@ let decode s =
 (* Plausibility clamps for a reconstructed triple (after {!decode} /
    {!unwrap}, or a triple arriving by value in the simulator): callers
    reject shares that could poison monotone counters. *)
-let check_plausible ?prev ~now (cur : triple) =
+let check_plausible ~now (cur : triple) =
   let skewed =
     Sim.Time.compare cur.unacked.time cur.unread.time <> 0
     || Sim.Time.compare cur.unread.time cur.ackdelay.time <> 0
@@ -81,23 +81,11 @@ let check_plausible ?prev ~now (cur : triple) =
     || not (Float.is_finite s.integral)
     || s.integral < 0.0
   in
-  let regressed (prev : Queue_state.share) (cur : Queue_state.share) =
-    Sim.Time.compare cur.time prev.time < 0
-    || cur.total < prev.total
-    || cur.integral < prev.integral
-  in
   if skewed then Error "skew"
   else if bad_range cur.unacked || bad_range cur.unread || bad_range cur.ackdelay
   then Error "range"
   else if Sim.Time.compare cur.unacked.time now > 0 then Error "future"
-  else
-    match prev with
-    | Some (p : triple)
-      when regressed p.unacked cur.unacked
-           || regressed p.unread cur.unread
-           || regressed p.ackdelay cur.ackdelay ->
-      Error "regress"
-    | _ -> Ok ()
+  else Ok ()
 
 (* Reconstruct a monotone counter from its wrapped 32-bit value, given
    the previous full-width value: advance by the wrapped delta. *)
@@ -129,28 +117,8 @@ let unwrap ~prev ~cur =
 
 type policy = Every_segment | Periodic of Sim.Time.span | On_demand
 
-type scheduler = {
-  policy : policy;
-  mutable last_sent : Sim.Time.t option;
-  mutable requested : bool;
-}
-
-let scheduler policy = { policy; last_sent = None; requested = false }
-
-let request s = s.requested <- true
-
-let should_attach s ~now =
-  let attach =
-    match s.policy with
-    | Every_segment -> true
-    | On_demand -> s.requested
-    | Periodic interval -> (
-      match s.last_sent with
-      | None -> true
-      | Some last -> Sim.Time.diff now last >= interval)
-  in
-  if attach then begin
-    s.last_sent <- Some now;
-    s.requested <- false
-  end;
-  attach
+let due policy ~last_sent ~requested ~now =
+  match policy with
+  | Every_segment -> true
+  | On_demand -> requested
+  | Periodic interval -> last_sent < 0 || Sim.Time.diff now last_sent >= interval

@@ -36,15 +36,15 @@ val decode : string -> (triple, string) result
     instant), which random 36-byte garbage survives with probability
     2{^-64}. *)
 
-val check_plausible :
-  ?prev:triple -> now:Sim.Time.t -> triple -> (unit, string) result
+val check_plausible : now:Sim.Time.t -> triple -> (unit, string) result
 (** Sanity clamps on a reconstructed triple before it may touch
     estimator state.  Rejects (with a short reason usable as a trace
     tag): shares whose snapshot times disagree (["skew"]), negative or
-    non-finite counters (["range"]), snapshots from the future
-    relative to [now] (["future"]), and — given [prev], the last
-    accepted triple — any counter running backwards (["regress"];
-    times, totals and integrals are all monotone by construction). *)
+    non-finite counters (["range"]) and snapshots from the future
+    relative to [now] (["future"]).  The estimator then refuses any
+    counter running backwards against the last accepted share
+    (["regress"]; times, totals and integrals are all monotone by
+    construction). *)
 
 val unwrap : prev:triple -> cur:triple -> triple
 (** Reconstruct full-width monotone counters for [cur] given the
@@ -56,15 +56,10 @@ val unwrap : prev:triple -> cur:triple -> triple
 type policy =
   | Every_segment  (** attach the option to every outgoing segment *)
   | Periodic of Sim.Time.span  (** at most one exchange per interval *)
-  | On_demand  (** only when {!request} was called since the last send *)
+  | On_demand  (** only when an exchange was requested since the last send *)
 
-type scheduler
-
-val scheduler : policy -> scheduler
-val request : scheduler -> unit
-(** Ask for an exchange at the next transmission opportunity
-    (meaningful for [On_demand]). *)
-
-val should_attach : scheduler -> now:Sim.Time.t -> bool
-(** Decide whether the segment being built should carry the option;
-    when it returns [true] the scheduler records the send. *)
+val due : policy -> last_sent:Sim.Time.t -> requested:bool -> now:Sim.Time.t -> bool
+(** Should the segment being built at [now] carry the option?
+    [last_sent] is when the last one was attached ([-1] for never) and
+    [requested] whether an exchange was asked for since ([On_demand]).
+    The caller keeps both and updates them when this returns [true]. *)

@@ -1,37 +1,57 @@
-type t = {
-  mutable time : Sim.Time.t;
-  mutable size : int;
-  mutable total : int;
-  mutable integral : float;
-}
+(* A queue state is four floats — time, size, departures, integral —
+   at some offset of a flat float array, so the step below overwrites
+   them in place instead of allocating a boxed integral, and a caller
+   holding several queues keeps them all in one array.  The time, size
+   and departures are integers held exactly (below 2^53). *)
+type t = float array
 
-let create ~at = { time = at; size = 0; total = 0; integral = 0.0 }
+let slots = 4
 
-let track t ~at nitems =
-  if Sim.Time.compare at t.time < 0 then
+let init_in a o ~at =
+  a.(o) <- float_of_int at;
+  a.(o + 1) <- 0.0;
+  a.(o + 2) <- 0.0;
+  a.(o + 3) <- 0.0
+
+let create ~at =
+  let t = Array.make slots 0.0 in
+  init_in t 0 ~at;
+  t
+
+let advance integral ~size ~since ~at =
+  integral +. (float_of_int size *. float_of_int (Sim.Time.diff at since))
+
+let size_in a o = int_of_float a.(o + 1)
+
+let track_in a o ~at nitems =
+  let time = int_of_float a.(o) in
+  if Sim.Time.compare at time < 0 then
     invalid_arg "Queue_state.track: time went backwards";
-  let dt = Sim.Time.diff at t.time in
-  t.integral <- t.integral +. (float_of_int t.size *. float_of_int dt);
-  t.time <- at;
-  let nsize = t.size + nitems in
+  let size = size_in a o in
+  a.(o + 3) <- advance a.(o + 3) ~size ~since:time ~at;
+  a.(o) <- float_of_int at;
+  let nsize = size + nitems in
   if nsize < 0 then invalid_arg "Queue_state.track: size would become negative";
-  t.size <- nsize;
-  if nitems < 0 then t.total <- t.total - nitems
+  a.(o + 1) <- float_of_int nsize;
+  if nitems < 0 then a.(o + 2) <- a.(o + 2) -. float_of_int nitems
 
-let size t = t.size
-let total t = t.total
+let track t ~at nitems = track_in t 0 ~at nitems
+let size t = size_in t 0
+let total t = int_of_float t.(2)
 
 type share = { time : Sim.Time.t; total : int; integral : float }
 
-let snapshot (t : t) ~at =
-  if Sim.Time.compare at t.time < 0 then
+let snapshot_in a o ~at =
+  let time = int_of_float a.(o) in
+  if Sim.Time.compare at time < 0 then
     invalid_arg "Queue_state.snapshot: time went backwards";
-  let dt = Sim.Time.diff at t.time in
   {
     time = at;
-    total = t.total;
-    integral = t.integral +. (float_of_int t.size *. float_of_int dt);
+    total = int_of_float a.(o + 2);
+    integral = advance a.(o + 3) ~size:(size_in a o) ~since:time ~at;
   }
+
+let snapshot t ~at = snapshot_in t 0 ~at
 
 type avgs = { q_avg : float; throughput : float; latency_ns : float option }
 
@@ -53,6 +73,6 @@ let pp_share ppf s =
   Format.fprintf ppf "(time=%a total=%d integral=%.0f)" Sim.Time.pp s.time s.total
     s.integral
 
-let pp ppf (t : t) =
-  Format.fprintf ppf "(time=%a size=%d total=%d integral=%.0f)" Sim.Time.pp t.time
-    t.size t.total t.integral
+let pp ppf t =
+  Format.fprintf ppf "(time=%a size=%d total=%d integral=%.0f)" Sim.Time.pp
+    (int_of_float t.(0)) (size t) (total t) t.(3)

@@ -52,5 +52,28 @@ val get_avgs : prev:share -> cur:share -> avgs option
 (** Algorithm 2 over the window between two snapshots; [None] when the
     window is empty or inverted. *)
 
+(** {1 Flat storage}
+
+    The same state and steps over [slots] consecutive floats of a
+    caller's array, starting at an offset: for callers that keep several
+    queues in one block.  {!track} and {!snapshot} are these at offset 0
+    of a [t]'s own storage. *)
+
+val slots : int
+(** Floats one queue state occupies. *)
+
+val init_in : float array -> int -> at:Sim.Time.t -> unit
+(** [init_in a o ~at] writes an empty state initialized at [at] into
+    [a.(o)] .. [a.(o + slots - 1)]. *)
+
+val track_in : float array -> int -> at:Sim.Time.t -> int -> unit
+(** {!track} on the state at offset [o]. *)
+
+val snapshot_in : float array -> int -> at:Sim.Time.t -> share
+(** {!snapshot} of the state at offset [o]. *)
+
+val size_in : float array -> int -> int
+(** {!size} of the state at offset [o]. *)
+
 val pp_share : Format.formatter -> share -> unit
 val pp : Format.formatter -> t -> unit

@@ -22,8 +22,7 @@ type t = {
   hints : E2e.Hints.t;
   tail : Sim.Stats.P2.t;  (* online p99 without storing samples *)
   mutable busy : bool;
-  mutable issued : int;
-  mutable completed : int;
+  mutable completed : int;  (* issued = completed + Queue.length pending *)
   mutable next_off : int;  (* stream offset of the next command byte *)
 }
 
@@ -59,12 +58,11 @@ let rec create engine ~cpu ~socket cfg =
       hints = E2e.Hints.tracker ~at:(Sim.Engine.now engine);
       tail = Sim.Stats.P2.create ~q:0.99;
       busy = false;
-      issued = 0;
       completed = 0;
       next_off = 0;
     }
   in
-  Tcp.Socket.set_hint_provider socket (fun ~at -> E2e.Hints.share t.hints ~at);
+  Tcp.Socket.set_hint_tracker socket t.hints;
   Tcp.Socket.on_readable socket (fun () -> wake t);
   t
 
@@ -98,10 +96,12 @@ and process t =
         t.busy <- false;
         process t)
 
+let outstanding t = Queue.length t.pending
+let issued t = t.completed + outstanding t
+
 let request t cmd ~on_complete =
   let now = Sim.Engine.now t.engine in
-  let req = t.issued in
-  t.issued <- t.issued + 1;
+  let req = issued t in
   E2e.Hints.create t.hints ~at:now 1;
   Queue.add { issued_at = now; on_complete } t.pending;
   let wire = Command.encode_slices cmd in
@@ -114,8 +114,6 @@ let request t cmd ~on_complete =
         span_event t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Req_sent { req });
       Tcp.Socket.send_slices t.socket wire)
 
-let outstanding t = Queue.length t.pending
-let issued t = t.issued
 let completed t = t.completed
 let hint_tracker t = t.hints
 

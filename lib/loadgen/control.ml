@@ -66,62 +66,75 @@ type estimate_sample = {
 
 let ns_opt_to_us = Option.map (fun ns -> ns /. 1e3)
 
-(* Aggregate the current estimates of [socks]' client-side estimators
-   per §3.2.  [advance] closes each estimator's window (the controller
-   tick does this); the default peeks without consuming it. *)
-let estimate_socks ?(advance = false) socks ~at =
-  let per_flow =
-    List.filter_map
-      (fun sock ->
-        let e = Tcp.Socket.estimator sock in
-        if advance then E2e.Estimator.estimate e ~at
-        else E2e.Estimator.peek_estimate e ~at)
-      socks
-  in
+(* Aggregate the current estimates of the client-side estimators that
+   [iter] visits, per §3.2, in visiting order.  [advance] closes each
+   estimator's window (the controller tick does this); the default
+   peeks without consuming it. *)
+let estimate_socks ?(advance = false) iter ~at =
+  let per_flow_rev = ref [] in
+  iter (fun sock ->
+      let e = Tcp.Socket.estimator sock in
+      let est =
+        if advance then E2e.Estimator.estimate e ~at else E2e.Estimator.peek_estimate e ~at
+      in
+      match est with Some est -> per_flow_rev := est :: !per_flow_rev | None -> ());
+  let per_flow = List.rev !per_flow_rev in
   (E2e.Aggregate.of_estimates per_flow, per_flow)
 
 type t = {
   batching : batching;
-  toggler : E2e.Toggler.t option;
-  aimd : E2e.Aimd.t option;
-  degrade : E2e.Degrade.t option;
+  mutable toggler : E2e.Toggler.t option;
+  mutable aimd : E2e.Aimd.t option;
+  mutable degrade : E2e.Degrade.t option;
   samples_rev : estimate_sample list ref;
-  (* Group membership is mutable so connections can join (churn spawn)
-     and leave (drain + FIN) a live group: the decision-tick closures
-     read these refs, never a captured list. *)
-  clients : Tcp.Socket.t list ref;
-  alls : Tcp.Socket.t list ref;
+  (* The members of a dynamic or AIMD group.  [alls] is in switch
+     order: the run-start clients, then the run-start servers, then each
+     adopted (client, server) pair.  Both are mutable so connections can
+     join (churn spawn) and leave (drain + FIN) a live group: the
+     decision-tick closures read these fields, never a captured array.
+     A static group switches nothing and reads no estimator, so it
+     keeps no member list. *)
+  mutable clients : Tcp.Socket.t array;
+  mutable alls : Tcp.Socket.t array;
 }
 
-let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
-    ~all_socks () =
-  let clients = ref client_socks in
-  let alls = ref all_socks in
-  let aggregate_estimate ~advance at = estimate_socks ~advance !clients ~at in
-  let kick_all () = List.iter Tcp.Socket.kick !alls in
+let is_static = function Static_on | Static_off -> true | Dynamic _ | Aimd_limit _ -> false
+
+(* The run-start members of a switching group, as arrays. *)
+let collect members =
+  let cs = ref [] and ss = ref [] in
+  members (fun client server ->
+      cs := client :: !cs;
+      ss := server :: !ss);
+  let clients = Array.of_list (List.rev !cs) in
+  (clients, Array.append clients (Array.of_list (List.rev !ss)))
+
+let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
+  let clients, alls = if is_static batching then ([||], [||]) else collect members in
+  let samples_rev = ref [] in
+  let g = { batching; toggler = None; aimd = None; degrade = None; samples_rev; clients; alls } in
+  let aggregate_estimate ~advance at =
+    estimate_socks ~advance (fun f -> Array.iter f g.clients) ~at
+  in
+  let kick_all () = Array.iter Tcp.Socket.kick g.alls in
   (* Age (µs) of the freshest accepted remote share across the group's
      estimators — the staleness clock the ledger records; -1 until the
      first share arrives. *)
   let stale_age_us at =
     let age =
-      List.fold_left
+      Array.fold_left
         (fun acc sock ->
           match E2e.Estimator.last_share_at (Tcp.Socket.estimator sock) with
           | Some t0 ->
               let a = Sim.Time.to_us at -. Sim.Time.to_us t0 in
               (match acc with None -> Some a | Some b -> Some (Stdlib.min a b))
           | None -> acc)
-        None !clients
+        None g.clients
     in
     match age with None -> -1.0 | Some a -> Stdlib.max a 0.0
   in
-  let samples_rev = ref [] in
-  let none =
-    { batching; toggler = None; aimd = None; degrade = None; samples_rev;
-      clients; alls }
-  in
   match batching with
-  | Static_on | Static_off -> none
+  | Static_on | Static_off -> g
   | Aimd_limit a ->
     (* The AIMD variable is "latency headroom" h in [1, span+1]: the
        batching limit is max_limit - (h - 1).  While the SLO is met,
@@ -137,9 +150,8 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
     in
     let limit_of_headroom h = a.max_limit - (h - 1) in
     let set_limit limit =
-      List.iter
-        (fun sock -> Tcp.Nagle.set_min_send (Tcp.Socket.nagle sock) (Some limit))
-        !alls;
+      let limit = Some limit in
+      Array.iter (fun sock -> Tcp.Socket.set_nagle_min_send sock limit) g.alls;
       kick_all ()
     in
     set_limit (limit_of_headroom (E2e.Aimd.limit controller));
@@ -169,7 +181,8 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
         ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick)
     in
     ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick);
-    { none with aimd = Some controller }
+    g.aimd <- Some controller;
+    g
   | Dynamic d ->
     let toggler =
       E2e.Toggler.create ~epsilon:d.epsilon ~ewma_alpha:d.ewma_alpha
@@ -186,7 +199,7 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
     let degrade = if fault_armed then Some (E2e.Degrade.create ~config:d.degrade ()) else None in
     let set_mode mode =
       let enabled = match mode with E2e.Toggler.Batch_on -> true | Batch_off -> false in
-      List.iter (fun sock -> Tcp.Socket.set_nagle_enabled sock enabled) !alls;
+      Array.iter (fun sock -> Tcp.Socket.set_nagle_enabled sock enabled) g.alls;
       kick_all ()
     in
     let step_degrade at =
@@ -197,13 +210,11 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
            max(k · srtt, floor); the timeout tracks the live RTT
            estimate. *)
         let stale =
-          !clients <> []
-          && List.for_all
+          Array.length g.clients > 0
+          && Array.for_all
             (fun sock ->
               let e = Tcp.Socket.estimator sock in
-              let srtt =
-                Option.value (Tcp.Rtt.srtt (Tcp.Socket.rtt sock)) ~default:0
-              in
+              let srtt = Option.value (Tcp.Rtt.srtt (Tcp.Socket.rtt sock)) ~default:0 in
               let timeout =
                 Stdlib.max
                   (int_of_float (d.stale_after_rtts *. float_of_int srtt))
@@ -211,7 +222,7 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
               in
               E2e.Estimator.set_staleness e ~timeout:(Some timeout);
               E2e.Estimator.is_stale e ~at)
-            !clients
+            g.clients
         in
         let state = E2e.Degrade.step dg ~stale in
         E2e.Toggler.force toggler
@@ -257,12 +268,13 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
         ignore (Sim.Engine.schedule engine ~after:d.tick tick)
     in
     ignore (Sim.Engine.schedule engine ~after:d.tick tick);
-    { none with toggler = Some toggler; degrade }
+    g.toggler <- Some toggler;
+    g.degrade <- degrade;
+    g
 
 let samples t = List.rev !(t.samples_rev)
 let final_mode t = Option.map E2e.Toggler.mode t.toggler
 let toggler t = t.toggler
-let client_socks t = !(t.clients)
 
 let current_nagle t =
   match t.toggler with
@@ -275,10 +287,11 @@ let current_nagle t =
    [Global]/[Per_tenant] scope (a fresh socket otherwise starts at the
    configuration default and waits a tick for correction). *)
 let adopt ?(inherit_mode = true) t ~client_sock ~server_sock =
-  t.clients := !(t.clients) @ [ client_sock ];
-  t.alls := !(t.alls) @ [ client_sock; server_sock ];
-  if not inherit_mode then ()
-  else
+  if not (is_static t.batching) then begin
+    t.clients <- Array.append t.clients [| client_sock |];
+    t.alls <- Array.append t.alls [| client_sock; server_sock |]
+  end;
+  if inherit_mode then
     match t.batching with
   | Static_on | Static_off -> ()
   | Dynamic _ ->
@@ -291,14 +304,16 @@ let adopt ?(inherit_mode = true) t ~client_sock ~server_sock =
       | Some c -> a.max_limit - (E2e.Aimd.limit c - 1)
       | None -> a.max_limit
     in
-    Tcp.Nagle.set_min_send (Tcp.Socket.nagle client_sock) (Some limit);
-    Tcp.Nagle.set_min_send (Tcp.Socket.nagle server_sock) (Some limit)
+    Tcp.Socket.set_nagle_min_send client_sock (Some limit);
+    Tcp.Socket.set_nagle_min_send server_sock (Some limit)
 
 (* Departing connections leave the group before closing so the decision
    tick stops reading their (now idle) estimators. *)
+let without socks drop = Array.of_list (List.filter (fun s -> not (drop s)) (Array.to_list socks))
+
 let abandon t ~client_sock ~server_sock =
-  t.clients := List.filter (fun s -> s != client_sock) !(t.clients);
-  t.alls := List.filter (fun s -> s != client_sock && s != server_sock) !(t.alls)
+  t.clients <- without t.clients (fun s -> s == client_sock);
+  t.alls <- without t.alls (fun s -> s == client_sock || s == server_sock)
 
 let final_batch_limit t =
   match (t.aimd, t.batching) with

@@ -58,12 +58,12 @@ type estimate_sample = {
 
 val estimate_socks :
   ?advance:bool ->
-  Tcp.Socket.t list ->
+  ((Tcp.Socket.t -> unit) -> unit) ->
   at:Sim.Time.t ->
   E2e.Aggregate.t * E2e.Estimator.estimate list
-(** §3.2 aggregate over the sockets' client-side estimators.
-    [advance] (default false) closes each estimation window instead of
-    peeking. *)
+(** §3.2 aggregate over the client-side estimators of the sockets the
+    iterator visits, in that order.  [advance] (default false) closes
+    each estimation window instead of peeking. *)
 
 type t
 
@@ -74,14 +74,15 @@ val attach :
   rng:Sim.Rng.t ->
   fault_armed:bool ->
   batching:batching ->
-  client_socks:Tcp.Socket.t list ->
-  all_socks:Tcp.Socket.t list ->
+  members:((Tcp.Socket.t -> Tcp.Socket.t -> unit) -> unit) ->
   unit ->
   t
 (** Create the group and (for [Dynamic]/[Aimd_limit]) schedule its
-    decision tick until [until].  [client_socks] supply the estimates;
-    mode switches apply to [all_socks] (both ends of every connection
-    in the group).  [rng] feeds the ε-greedy exploration draws only —
+    decision tick until [until].  [members f] calls [f client server]
+    for each connection of the group, in order: the client sockets
+    supply the estimates, and mode switches apply to every client and
+    then every server.  A static group never calls [members] and keeps
+    no member list.  [rng] feeds the ε-greedy exploration draws only —
     static and AIMD groups never consume it.  [fault_armed] arms the
     staleness → degrade → fallback machinery (dynamic groups only).
     With [ledger] set, every toggler/AIMD decision is recorded as a
@@ -116,9 +117,6 @@ val toggler : t -> E2e.Toggler.t option
 (** The group's ε-greedy toggler (dynamic groups only) — exposed so a
     per-conn group spawned by churn can seed its arms from a sibling
     via {!E2e.Toggler.seed_arm}. *)
-
-val client_socks : t -> Tcp.Socket.t list
-(** Current client-side membership. *)
 
 val current_nagle : t -> bool
 (** The Nagle flag the group would apply to a joining socket now. *)

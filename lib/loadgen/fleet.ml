@@ -250,9 +250,8 @@ let client_id t = if t.name = "" then "client" else t.name ^ "/client"
    [accepting] keeps the entry in the issue rotation, [retired] marks a
    fully drained-and-closed departure (kept for lifetime accounting).
    [csock]/[ssock] are [conn]'s ends, kept here so a pass over 10^4
-   connections skips a cold [conn] record.  The hint baselines are the
-   client's and the server's view of the client hint queue at warmup
-   end. *)
+   connections skips a cold [conn] record.  [on_complete] is shared by
+   every connection of one tenant, shard and control group. *)
 type conn_entry = {
   gen : int;
   shard : int;  (* backend shard this connection is steered to *)
@@ -265,8 +264,6 @@ type conn_entry = {
   mutable retired : bool;
   mutable egroup : Control.t option;
   mutable on_complete : latency:Sim.Time.span -> Kv.Resp.value -> unit;
-  mutable hint0 : E2e.Queue_state.share option;
-  mutable server_hint0 : E2e.Queue_state.share option;
 }
 
 (* Everything one tenant owns at runtime.  [entries] holds every
@@ -294,14 +291,12 @@ type tenant_state = {
   mutable base_app : int;
   mutable base_irq : int;
   mutable base_packets : int;
+  (* a sole tenant's hint baselines at warmup end, by handle: the
+     client's and the server's view of the client hint queue *)
+  mutable hint_base : (E2e.Queue_state.share * E2e.Queue_state.share option) option array;
 }
 
 let ns_opt_to_us = Option.map (fun ns -> ns /. 1e3)
-
-(* Live slots in ascending handle order — the old oldest-first list
-   order, for every iteration below that depends on it. *)
-let entries_list s =
-  List.rev (Shard.Flat.fold s.entries ~init:[] ~f:(fun acc _ e -> e :: acc))
 
 let iter_entries s ~f = Shard.Flat.iter s.entries ~f:(fun _ e -> f e)
 
@@ -334,15 +329,11 @@ let queue_gauges m sock =
   Sim.Metrics.gauge m (prefix ^ ".ackdelay") (fun () ->
       float_of_int (E2e.Estimator.ackdelay_size e))
 
-(* Attach the trace and the Little's-law audit to sockets. *)
-let observe_socks o socks =
-  let tr = Observe.trace o in
-  let au = Observe.audit o in
-  List.iter
-    (fun sock ->
-      Tcp.Socket.set_trace sock tr;
-      E2e.Estimator.set_audit (Tcp.Socket.estimator sock) au ~prefix:(Tcp.Socket.label sock))
-    socks
+(* Attach the trace and the Little's-law audit to a socket. *)
+let observe_sock o sock =
+  Tcp.Socket.set_trace sock (Observe.trace o);
+  E2e.Estimator.set_audit (Tcp.Socket.estimator sock) (Observe.audit o)
+    ~prefix:(Tcp.Socket.label sock)
 
 (* Fault visibility: each direction's drops, reorders and duplicates
    are labelled with the sending side's id. *)
@@ -407,30 +398,18 @@ let run (cfg : config) =
      app CPU (its run queue) and IRQ CPU.  With [cores = 1] this is the
      classic shared single-core server (contention for which is the
      coupling that makes global batching decisions unfair).  The front
-     load balancer assigns each connection a shard, and the RSS
-     steering table is pinned to agree so repinning stays an explicit,
-     observable operation. *)
+     load balancer assigns each connection a shard. *)
   let cores = cfg.cores in
   let pool = Shard.Pool.create engine ~cores in
-  let lb_steer =
-    if cores = 1 then None
-    else Some (Shard.Lb.create ~policy:cfg.lb ~shards:cores, Shard.Steer.create ~shards:cores)
-  in
+  let lb = if cores = 1 then None else Some (Shard.Lb.create ~policy:cfg.lb ~shards:cores) in
   (* Per-shard dispatch depth (issued - completed), for the
      [Shard_enqueued] stream and end-of-run accounting closure. *)
   let sh_issued = Array.make cores 0 in
   let sh_done = Array.make cores 0 in
   let lb_policy_name = Shard.Lb.policy_to_string cfg.lb in
-  (* Assign a connection to a shard: LB policy picks, steering table
-     pinned to match.  [key] is the shard-free connection label. *)
-  let assign_shard key =
-    match lb_steer with
-    | None -> 0
-    | Some (lb, steer) ->
-      let sh = Shard.Lb.assign lb ~key in
-      Shard.Steer.repin steer key ~shard:sh;
-      sh
-  in
+  (* Assign a connection to a shard.  [key] is the shard-free
+     connection label. *)
+  let assign_shard key = match lb with None -> 0 | Some lb -> Shard.Lb.assign lb ~key in
   let obs = Option.map Observe.create cfg.observe in
   let lb_breadcrumb ~at ~shard id =
     match obs with
@@ -499,8 +478,6 @@ let run (cfg : config) =
       retired = false;
       egroup = None;
       on_complete = (fun ~latency:_ _ -> ());
-      hint0 = None;
-      server_hint0 = None;
     }
   in
   let states =
@@ -554,6 +531,7 @@ let run (cfg : config) =
             base_app = 0;
             base_irq = 0;
             base_packets = 0;
+            hint_base = [||];
           }
         in
         rebuild_rotation s;
@@ -594,15 +572,15 @@ let run (cfg : config) =
                    states)))
         plan.Fault.Plan.steps)
     cfg.fault;
-  let all_client_socks =
-    List.concat_map (fun s -> List.map (fun e -> e.csock) (entries_list s)) states
-  in
-  let all_server_socks =
-    List.concat_map (fun s -> List.map (fun e -> e.ssock) (entries_list s)) states
+  (* Every run-start socket, the client ends first, each side in
+     tenant and handle order. *)
+  let iter_socks f =
+    List.iter (fun s -> iter_entries s ~f:(fun e -> f e.csock)) states;
+    List.iter (fun s -> iter_entries s ~f:(fun e -> f e.ssock)) states
   in
   (match obs with
   | Some o ->
-    observe_socks o (all_client_socks @ all_server_socks);
+    iter_socks (observe_sock o);
     List.iter (fun s -> iter_entries s ~f:(observe_links o)) states
   | None -> ());
   (* The control group (and decision ledger) a connection belongs to. *)
@@ -649,14 +627,13 @@ let run (cfg : config) =
     declare_shard_slos o ~at;
     List.iter (fun s -> iter_entries s ~f:(fun e -> add_ledger (group_id s e))) states);
   let ledger_for gid = Hashtbl.find_opt ledger_tbl gid in
-  (* Per-entry completion callback: records latency in every distinct
-     recorder and feeds the owning group's ledger and the tenant's SLO
-     tracker.  Built once per connection (run-start or spawned) so the
-     hot path allocates no closures. *)
-  let wire_entry s e =
-    let lg = ledger_for (group_id s e) in
+  (* Completion callback of a tenant's connections on [shard] in group
+     [gid]: records latency in every distinct recorder and feeds the
+     group's ledger and the tenant's SLO tracker.  Built before the
+     first request so the hot path allocates no closures. *)
+  let completion s ~shard ~gid =
+    let lg = ledger_for gid in
     let req_id = client_id s.spec in
-    let shard = e.shard in
     let shard_req_id =
       if cores = 1 then None else Some (Printf.sprintf "%s@s%d" req_id shard)
     in
@@ -664,30 +641,46 @@ let run (cfg : config) =
     let shard_rec =
       if sh_recorders.(shard) == fleet_recorder then None else Some sh_recorders.(shard)
     in
-    e.on_complete <-
-      (fun ~latency reply ->
-        (match reply with
-        | Kv.Resp.Error err -> failwith ("fleet: server replied with error: " ^ err)
-        | Kv.Resp.Simple _ | Kv.Resp.Integer _ | Kv.Resp.Bulk _ | Kv.Resp.Array _ -> ());
-        let at = Sim.Engine.now engine in
-        Recorder.record s.recorder ~at ~latency;
-        (match fleet_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
-        sh_done.(shard) <- sh_done.(shard) + 1;
-        (match shard_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
-        (match lg with
-        | Some lg -> E2e.Ledger.completion lg ~latency
-        | None -> ());
-        match obs with
-        | Some o -> (
-          Observe.note_request o ~id:req_id ~at ~latency;
-          match shard_req_id with
-          | Some sid ->
-            let tr = Observe.trace o in
-            if Sim.Trace.enabled tr then
-              Sim.Trace.event tr ~at ~id:sid
-                (Sim.Trace.Request_done { latency_us = Sim.Time.to_us latency })
-          | None -> ())
+    fun ~latency reply ->
+      (match reply with
+      | Kv.Resp.Error err -> failwith ("fleet: server replied with error: " ^ err)
+      | Kv.Resp.Simple _ | Kv.Resp.Integer _ | Kv.Resp.Bulk _ | Kv.Resp.Array _ -> ());
+      let at = Sim.Engine.now engine in
+      Recorder.record s.recorder ~at ~latency;
+      (match fleet_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
+      sh_done.(shard) <- sh_done.(shard) + 1;
+      (match shard_rec with Some r -> Recorder.record r ~at ~latency | None -> ());
+      (match lg with
+      | Some lg -> E2e.Ledger.completion lg ~latency
+      | None -> ());
+      match obs with
+      | Some o -> (
+        Observe.note_request o ~id:req_id ~at ~latency;
+        match shard_req_id with
+        | Some sid ->
+          let tr = Observe.trace o in
+          if Sim.Trace.enabled tr then
+            Sim.Trace.event tr ~at ~id:sid
+              (Sim.Trace.Request_done { latency_us = Sim.Time.to_us latency })
         | None -> ())
+      | None -> ()
+  in
+  (* One callback per tenant, shard and group: a per-connection group
+     gets its own, the other scopes share one per tenant and shard. *)
+  let completions = Hashtbl.create 16 in
+  let wire_entry s e =
+    let gid = group_id s e in
+    e.on_complete <-
+      (match cfg.scope with
+      | Per_conn -> completion s ~shard:e.shard ~gid
+      | Global | Per_tenant -> (
+        let key = (s.spec.name, e.shard) in
+        match Hashtbl.find_opt completions key with
+        | Some f -> f
+        | None ->
+          let f = completion s ~shard:e.shard ~gid in
+          Hashtbl.add completions key f;
+          f))
   in
   (* Open-loop drivers: one independent arrival process (or replayed
      command schedule) per tenant, round-robin over the tenant's
@@ -751,10 +744,10 @@ let run (cfg : config) =
   | None -> ()
   | Some o ->
     let m = Observe.metrics o in
-    List.iter (queue_gauges m) (all_client_socks @ all_server_socks);
-    let first_client = List.hd all_client_socks in
+    iter_socks (queue_gauges m);
+    let first_client = (Shard.Flat.get (List.hd states).entries 0).csock in
     Sim.Metrics.gauge m "client.nagle_toggles" (fun () ->
-        float_of_int (Tcp.Nagle.toggles (Tcp.Socket.nagle first_client)));
+        float_of_int (Tcp.Socket.nagle_toggles first_client));
     Sim.Metrics.gauge m "packets" (fun () ->
         float_of_int (List.fold_left (fun acc s -> acc + packets s) 0 states));
     Sim.Metrics.gauge m "completed" (fun () ->
@@ -832,7 +825,7 @@ let run (cfg : config) =
               let on =
                 List.fold_left
                   (fun acc e ->
-                    if Tcp.Nagle.enabled (Tcp.Socket.nagle e.csock) then acc + 1
+                    if Tcp.Socket.nagle_enabled e.csock then acc + 1
                     else acc)
                   0 accepting
               in
@@ -870,33 +863,42 @@ let run (cfg : config) =
   (* Control groups, one per scope unit, in group order.  Each entry is
      (id, the one tenant the group covers if any, group). *)
   let fault_armed = cfg.fault <> None in
-  let attach ~rng ~gid ~batching es =
+  (* [iter f] calls [f] on each of the group's connections, in order. *)
+  let attach ~rng ~gid ~batching iter =
     let g =
       Control.attach ?ledger:(ledger_for gid) ~engine ~until:total ~rng ~fault_armed ~batching
-        ~client_socks:(List.map (fun e -> e.csock) es)
-        ~all_socks:(List.map (fun e -> e.csock) es @ List.map (fun e -> e.ssock) es)
+        ~members:(fun f -> iter (fun e -> f e.csock e.ssock))
         ()
     in
-    List.iter (fun e -> e.egroup <- Some g) es;
+    let some_g = Some g in
+    iter (fun e -> e.egroup <- some_g);
     g
   in
-  let units =
+  let groups =
     match cfg.scope with
     | Global ->
-      [ ("run", (if sole then Some 0 else None), cfg.batching,
-         List.concat_map entries_list states) ]
-    | Per_tenant -> List.mapi (fun i s -> (s.spec.name, Some i, s.mode, entries_list s)) states
+      let iter f = List.iter (fun s -> iter_entries s ~f) states in
+      [ ("run", (if sole then Some 0 else None),
+         attach ~rng:group_rngs.(0) ~gid:"run" ~batching:cfg.batching iter) ]
+    | Per_tenant ->
+      List.mapi
+        (fun i s ->
+          ( s.spec.name, Some i,
+            attach ~rng:group_rngs.(i) ~gid:s.spec.name ~batching:s.mode (fun f ->
+                iter_entries s ~f) ))
+        states
     | Per_conn ->
+      let k = ref 0 in
       List.concat
         (List.mapi
            (fun i s ->
-             List.map (fun e -> (group_id s e, Some i, s.mode, [ e ])) (entries_list s))
+             List.rev
+               (fold_entries s ~init:[] ~f:(fun acc e ->
+                    let gid = group_id s e in
+                    let rng = group_rngs.(!k) in
+                    incr k;
+                    (gid, Some i, attach ~rng ~gid ~batching:s.mode (fun f -> f e)) :: acc)))
            states)
-  in
-  let groups =
-    List.mapi
-      (fun k (gid, ti, batching, es) -> (gid, ti, attach ~rng:group_rngs.(k) ~gid ~batching es))
-      units
   in
   (* Connection churn: spawn and retire connections while the run is
      live.  Spawned connections enter TCP slow-start and — when
@@ -926,7 +928,8 @@ let run (cfg : config) =
     let at = Sim.Engine.now engine in
     (match obs with
     | Some o ->
-      observe_socks o [ csock; ssock ];
+      observe_sock o csock;
+      observe_sock o ssock;
       observe_links o entry;
       List.iter (queue_gauges (Observe.metrics o)) [ csock; ssock ]
     | None -> ());
@@ -942,7 +945,7 @@ let run (cfg : config) =
       | None -> ())
     | Per_conn ->
       add_ledger label;
-      let g = attach ~rng:(Sim.Rng.split crng) ~gid:label ~batching:s.mode [ entry ] in
+      let g = attach ~rng:(Sim.Rng.split crng) ~gid:label ~batching:s.mode (fun f -> f entry) in
       spawned_groups := !spawned_groups @ [ (label, Some i, g) ];
       if inherited then (
         match sibling_group s with
@@ -982,7 +985,7 @@ let run (cfg : config) =
         | None -> ());
         e.retired <- true;
         s.closed_mid <- s.closed_mid + 1;
-        Option.iter (fun (lb, _) -> Shard.Lb.release lb ~shard:e.shard) lb_steer;
+        Option.iter (fun lb -> Shard.Lb.release lb ~shard:e.shard) lb;
         (match obs with
         | Some o ->
           Sim.Trace.event (Observe.trace o) ~at:(Sim.Engine.now engine) ~id:label
@@ -1068,11 +1071,17 @@ let run (cfg : config) =
              iter_entries s ~f:(fun e ->
                  if not e.retired then
                    ignore (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at);
-                 if sole then begin
-                   s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn;
-                   e.hint0 <- Some (E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at);
-                   e.server_hint0 <- Option.map snd (Tcp.Socket.remote_hint_window e.ssock)
-                 end))
+                 if sole then
+                   s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn);
+             if sole then
+               s.hint_base <-
+                 Array.init (Shard.Flat.capacity s.entries) (fun i ->
+                     if Shard.Flat.in_use s.entries i then
+                       let e = Shard.Flat.get s.entries i in
+                       Some
+                         ( E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at,
+                           Option.map snd (Tcp.Socket.remote_hint_window e.ssock) )
+                     else None))
            states;
          (match obs with
          | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
@@ -1147,7 +1156,9 @@ let run (cfg : config) =
       (lat, None, None)
     else
       let agg, per_flow =
-        Control.estimate_socks (List.map (fun e -> e.csock) (live_entries s)) ~at
+        Control.estimate_socks
+          (fun f -> iter_entries s ~f:(fun e -> if not e.retired then f e.csock))
+          ~at
       in
       let local, remote =
         match (agg.latency_ns, per_flow) with
@@ -1157,20 +1168,42 @@ let run (cfg : config) =
       in
       (ns_opt_to_us agg.latency_ns, local, remote)
   in
+  (* Lifetime request accounting in one pass over every connection
+     (live and retired alike), summed per tenant and per shard, so
+     issued = completed_total + outstanding_end closes for both. *)
+  let n_tenants = List.length states in
+  let t_issued = Array.make n_tenants 0 and t_completed = Array.make n_tenants 0 in
+  let t_outstanding = Array.make n_tenants 0 and t_toggles = Array.make n_tenants 0 in
+  let s_conns = Array.make cores 0 and s_issued = Array.make cores 0 in
+  let s_completed = Array.make cores 0 and s_outstanding = Array.make cores 0 in
+  let add a i v = a.(i) <- a.(i) + v in
+  List.iteri
+    (fun i s ->
+      iter_entries s ~f:(fun e ->
+          let issued = Kv.Client.issued e.client and completed = Kv.Client.completed e.client in
+          let outstanding = Kv.Client.outstanding e.client in
+          add t_issued i issued;
+          add t_completed i completed;
+          add t_outstanding i outstanding;
+          add t_toggles i (Tcp.Socket.nagle_toggles e.csock);
+          add s_conns e.shard 1;
+          add s_issued e.shard issued;
+          add s_completed e.shard completed;
+          add s_outstanding e.shard outstanding))
+    states;
   let tenant_results =
     List.mapi
       (fun i s ->
         let completed = Recorder.count s.recorder in
         let est_us, est_local, est_remote = tenant_estimate i s in
-        let sum f = fold_entries s ~init:0 ~f:(fun acc e -> acc + f e) in
         {
           t_name = s.spec.name;
           t_offered_rps = Arrival.rate s.arrival;
           t_achieved_rps = float_of_int completed /. duration_s;
           t_completed = completed;
-          t_issued = sum (fun e -> Kv.Client.issued e.client);
-          t_completed_total = sum (fun e -> Kv.Client.completed e.client);
-          t_outstanding_end = sum (fun e -> Kv.Client.outstanding e.client);
+          t_issued = t_issued.(i);
+          t_completed_total = t_completed.(i);
+          t_outstanding_end = t_outstanding.(i);
           t_mean_us = Recorder.mean_us s.recorder;
           t_p50_us = Recorder.p50_us s.recorder;
           t_p99_us = Recorder.p99_us s.recorder;
@@ -1180,7 +1213,7 @@ let run (cfg : config) =
           t_estimated_remote_us = est_remote;
           t_client_app_util = util (Sim.Cpu.busy_ns s.client_cpu) s.base_app;
           t_client_irq_util = util (Sim.Cpu.busy_ns s.client_irq) s.base_irq;
-          t_nagle_toggles = sum (fun e -> Tcp.Nagle.toggles (Tcp.Socket.nagle e.csock));
+          t_nagle_toggles = t_toggles.(i);
           t_conns_opened = s.opened_mid;
           t_conns_closed = s.closed_mid;
         })
@@ -1193,7 +1226,14 @@ let run (cfg : config) =
     let wakeups = ref 0 and gro_batches = ref 0 and gro_segments = ref 0 in
     let batches = ref (Sim.Stats.Summary.create ()) and p99_est = ref None in
     let hints = ref [] and server_hints = ref [] in
-    iter_entries s ~f:(fun e ->
+    Shard.Flat.iter s.entries ~f:(fun i e ->
+        let hint0, server_hint0 =
+          if i < Array.length s.hint_base then
+            match s.hint_base.(i) with
+            | Some (h, sh) -> (Some h, sh)
+            | None -> (None, None)
+          else (None, None)
+        in
         let ab = Tcp.Conn.link_ab e.conn and ba = Tcp.Conn.link_ba e.conn in
         let gro = Tcp.Conn.gro_b e.conn in
         pkts := !pkts + Tcp.Conn.total_packets e.conn;
@@ -1210,10 +1250,10 @@ let run (cfg : config) =
         | Some ns, None -> p99_est := Some (ns /. 1e3)
         | None, _ -> ());
         hints :=
-          hint_input e.hint0 (Some (E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at))
+          hint_input hint0 (Some (E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at))
           :: !hints;
         server_hints :=
-          hint_input e.server_hint0 (Option.map snd (Tcp.Socket.remote_hint_window e.ssock))
+          hint_input server_hint0 (Option.map snd (Tcp.Socket.remote_hint_window e.ssock))
           :: !server_hints);
     {
       d_hint_estimated_us = hint_estimate_us !hints;
@@ -1240,31 +1280,15 @@ let run (cfg : config) =
   let goodput =
     List.map (fun r -> r.t_achieved_rps /. r.t_offered_rps) tenant_results
   in
-  (* Per-shard accounting: fold every tenant's entries (live and
-     retired alike) bucketed by the shard each connection was steered
-     to, so t_issued = t_completed_total + t_outstanding_end closes
-     per shard exactly as it does per tenant. *)
   let shard_results =
     List.init cores (fun k ->
-        let conns, issued, completed_total, outstanding =
-          List.fold_left
-            (fun acc s ->
-              fold_entries s ~init:acc ~f:(fun (n, iss, ct, out) e ->
-                  if e.shard = k then
-                    ( n + 1,
-                      iss + Kv.Client.issued e.client,
-                      ct + Kv.Client.completed e.client,
-                      out + Kv.Client.outstanding e.client )
-                  else (n, iss, ct, out)))
-            (0, 0, 0, 0) states
-        in
         let rec_k = sh_recorders.(k) in
         {
           sh_index = k;
-          sh_conns = conns;
-          sh_issued = issued;
-          sh_completed_total = completed_total;
-          sh_outstanding_end = outstanding;
+          sh_conns = s_conns.(k);
+          sh_issued = s_issued.(k);
+          sh_completed_total = s_completed.(k);
+          sh_outstanding_end = s_outstanding.(k);
           sh_completed = Recorder.count rec_k;
           sh_achieved_rps = float_of_int (Recorder.count rec_k) /. duration_s;
           sh_mean_us = Recorder.mean_us rec_k;

@@ -9,15 +9,16 @@
 
    Representation: [slots] holds the payloads ([dummy] in dead
    slots, so freed payloads are unreachable and can be collected),
-   [live] marks occupancy, [free] is a LIFO stack of dead indices.
-   Liveness is tracked with an explicit bool array rather than an
-   option payload so [get] on the hot path is a bounds check plus a
-   flat load, no tag test or indirection. *)
+   [live] marks occupancy a byte per slot, [free] is a LIFO stack of
+   dead indices, built at the first [free].  Liveness is tracked
+   explicitly rather than with an option payload so [get] on the hot
+   path is a bounds check plus a flat load, no tag test or
+   indirection. *)
 
 type 'a t = {
   dummy : 'a;
   mutable slots : 'a array;
-  mutable live : bool array;
+  mutable live : Bytes.t;  (* '\001' = live *)
   mutable free : int array;  (* LIFO stack of dead indices *)
   mutable free_top : int;    (* number of valid entries in [free] *)
   mutable used : int;        (* indices ever handed out: 0..used-1 *)
@@ -29,8 +30,8 @@ let create ?(capacity = 16) ~dummy () =
   {
     dummy;
     slots = Array.make capacity dummy;
-    live = Array.make capacity false;
-    free = Array.make capacity 0;
+    live = Bytes.make capacity '\000';
+    free = [||];
     free_top = 0;
     used = 0;
     n_live = 0;
@@ -38,7 +39,8 @@ let create ?(capacity = 16) ~dummy () =
 
 let capacity t = Array.length t.slots
 let live t = t.n_live
-let in_use t i = i >= 0 && i < t.used && t.live.(i)
+let is_live t i = Bytes.get t.live i = '\001'
+let in_use t i = i >= 0 && i < t.used && is_live t i
 
 let grow t =
   let cap = Array.length t.slots in
@@ -46,12 +48,9 @@ let grow t =
   let slots' = Array.make cap' t.dummy in
   Array.blit t.slots 0 slots' 0 cap;
   t.slots <- slots';
-  let live' = Array.make cap' false in
-  Array.blit t.live 0 live' 0 cap;
-  t.live <- live';
-  let free' = Array.make cap' 0 in
-  Array.blit t.free 0 free' 0 t.free_top;
-  t.free <- free'
+  let live' = Bytes.make cap' '\000' in
+  Bytes.blit t.live 0 live' 0 cap;
+  t.live <- live'
 
 let alloc t v =
   let i =
@@ -67,7 +66,7 @@ let alloc t v =
     end
   in
   t.slots.(i) <- v;
-  t.live.(i) <- true;
+  Bytes.set t.live i '\001';
   t.n_live <- t.n_live + 1;
   i
 
@@ -82,19 +81,24 @@ let set t i v =
 let free t i =
   if not (in_use t i) then invalid_arg "Shard.Flat.free: dead slot";
   t.slots.(i) <- t.dummy;
-  t.live.(i) <- false;
+  Bytes.set t.live i '\000';
   t.n_live <- t.n_live - 1;
+  if t.free_top = Array.length t.free then begin
+    let free' = Array.make (Array.length t.slots) 0 in
+    Array.blit t.free 0 free' 0 t.free_top;
+    t.free <- free'
+  end;
   t.free.(t.free_top) <- i;
   t.free_top <- t.free_top + 1
 
 let iter t ~f =
   for i = 0 to t.used - 1 do
-    if t.live.(i) then f i t.slots.(i)
+    if is_live t i then f i t.slots.(i)
   done
 
 let fold t ~init ~f =
   let acc = ref init in
   for i = 0 to t.used - 1 do
-    if t.live.(i) then acc := f !acc i t.slots.(i)
+    if is_live t i then acc := f !acc i t.slots.(i)
   done;
   !acc

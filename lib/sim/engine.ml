@@ -29,6 +29,9 @@ let schedule t ~after action =
    is not in this heap, and [remove] ignores it. *)
 let cancel t (ev : handle) = Event_heap.remove t.queue ev
 
+let idle = { Event_heap.at = Time.zero; seq = -1; action = ignore; pos = -1 }
+let is_pending (ev : handle) = ev.pos >= 0
+
 let pending t = Event_heap.length t.queue
 
 (* The event loop uses Event_heap's option-free [take]/[top] so that

@@ -28,6 +28,14 @@ val cancel : t -> handle -> unit
     Cancelling an already-fired or already-cancelled event, or one
     scheduled on another engine, is a no-op. *)
 
+val idle : handle
+(** Names no event: never pending, and cancelling it does nothing.  A
+    timer field holds it while disarmed, so arming overwrites the field
+    instead of boxing each handle in an option. *)
+
+val is_pending : handle -> bool
+(** [true] from scheduling until the event fires or is cancelled. *)
+
 val pending : t -> int
 (** Number of events scheduled but not yet fired or cancelled. *)
 

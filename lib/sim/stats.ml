@@ -1,6 +1,8 @@
 module Summary = struct
+  (* Float-only, so [add] overwrites the fields in place instead of
+     allocating boxed floats.  [n] is a count, held exactly. *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -9,36 +11,33 @@ module Summary = struct
   }
 
   let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+    { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
     t.total <- t.total +. x
 
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0.0 then 0.0 else t.mean
+  let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
   let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
   let total t = t.total
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0.0 then { b with n = b.n }
+    else if b.n = 0.0 then { a with n = a.n }
     else begin
-      let n = a.n + b.n in
+      let n = a.n +. b.n in
       let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
+      let mean = a.mean +. (delta *. b.n /. n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
       {
         n;
         mean;
@@ -50,7 +49,7 @@ module Summary = struct
     end
 
   let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
+    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" (count t) (mean t)
       (stddev t) t.min t.max
 end
 
@@ -140,101 +139,119 @@ module P2 = struct
      quantiles and histograms without storing observations" (1985).
      Five markers track the min, the q/2, q, (1+q)/2 quantiles and the
      max; marker heights are adjusted with a piecewise-parabolic fit as
-     samples arrive. *)
-  type t = {
-    q : float;
-    heights : float array;  (* marker heights *)
-    positions : float array;  (* actual marker positions (1-based) *)
-    desired : float array;  (* desired marker positions *)
-    increments : float array;
-    mutable n : int;
-  }
+     samples arrive.
+
+     The whole state is one flat float array: [q] at 0, the sample
+     count at 1 (held exactly), then the five marker heights, actual
+     positions (1-based) and desired positions.  The desired positions'
+     increments are recomputed from [q]. *)
+  type t = float array
+
+  let height i = 2 + i
+  let pos i = 7 + i
+  let desired i = 12 + i
+
+  let increment q = function
+    | 0 -> 0.0
+    | 1 -> q /. 2.0
+    | 2 -> q
+    | 3 -> (1.0 +. q) /. 2.0
+    | _ -> 1.0
 
   let create ~q =
     if q <= 0.0 || q >= 1.0 then invalid_arg "P2.create: q must be in (0,1)";
-    {
-      q;
-      heights = Array.make 5 0.0;
-      positions = [| 1.0; 2.0; 3.0; 4.0; 5.0 |];
-      desired = [| 1.0; 1.0 +. (2.0 *. q); 1.0 +. (4.0 *. q); 3.0 +. (2.0 *. q); 5.0 |];
-      increments = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
-      n = 0;
-    }
+    let t = Array.make 17 0.0 in
+    t.(0) <- q;
+    for i = 0 to 4 do
+      t.(pos i) <- float_of_int (i + 1)
+    done;
+    t.(desired 0) <- 1.0;
+    t.(desired 1) <- 1.0 +. (2.0 *. q);
+    t.(desired 2) <- 1.0 +. (4.0 *. q);
+    t.(desired 3) <- 3.0 +. (2.0 *. q);
+    t.(desired 4) <- 5.0;
+    t
 
-  let count t = t.n
+  let count (t : t) = int_of_float t.(1)
 
-  let parabolic t i d =
-    let q = t.heights and n = t.positions in
-    q.(i)
+  (* The first [n] heights, sorted. *)
+  let sorted_heights (t : t) n =
+    let a = Array.sub t (height 0) n in
+    Array.sort compare a;
+    a
+
+  let parabolic (t : t) i d =
+    let q i = t.(height i) and n i = t.(pos i) in
+    q i
     +. d
-       /. (n.(i + 1) -. n.(i - 1))
-       *. (((n.(i) -. n.(i - 1) +. d) *. (q.(i + 1) -. q.(i)) /. (n.(i + 1) -. n.(i)))
-          +. ((n.(i + 1) -. n.(i) -. d) *. (q.(i) -. q.(i - 1)) /. (n.(i) -. n.(i - 1))))
+       /. (n (i + 1) -. n (i - 1))
+       *. (((n i -. n (i - 1) +. d) *. (q (i + 1) -. q i) /. (n (i + 1) -. n i))
+          +. ((n (i + 1) -. n i -. d) *. (q i -. q (i - 1)) /. (n i -. n (i - 1))))
 
-  let linear t i d =
-    let q = t.heights and n = t.positions in
-    q.(i) +. (d *. (q.(i + int_of_float d) -. q.(i)) /. (n.(i + int_of_float d) -. n.(i)))
+  let linear (t : t) i d =
+    let q i = t.(height i) and n i = t.(pos i) in
+    q i +. (d *. (q (i + int_of_float d) -. q i) /. (n (i + int_of_float d) -. n i))
 
-  let add t x =
-    if t.n < 5 then begin
-      t.heights.(t.n) <- x;
-      t.n <- t.n + 1;
-      if t.n = 5 then Array.sort compare t.heights
+  let add (t : t) x =
+    let n = count t in
+    if n < 5 then begin
+      t.(height n) <- x;
+      t.(1) <- float_of_int (n + 1);
+      if n + 1 = 5 then Array.blit (sorted_heights t 5) 0 t (height 0) 5
     end
     else begin
       (* find the cell k in [0,3] containing x, updating extremes *)
       let k =
-        if x < t.heights.(0) then begin
-          t.heights.(0) <- x;
+        if x < t.(height 0) then begin
+          t.(height 0) <- x;
           0
         end
-        else if x >= t.heights.(4) then begin
-          t.heights.(4) <- x;
+        else if x >= t.(height 4) then begin
+          t.(height 4) <- x;
           3
         end
         else begin
           let k = ref 0 in
           for i = 0 to 3 do
-            if t.heights.(i) <= x && x < t.heights.(i + 1) then k := i
+            if t.(height i) <= x && x < t.(height (i + 1)) then k := i
           done;
           !k
         end
       in
       (* increment positions of markers above the cell *)
       for i = k + 1 to 4 do
-        t.positions.(i) <- t.positions.(i) +. 1.0
+        t.(pos i) <- t.(pos i) +. 1.0
       done;
       (* update desired positions *)
       for i = 0 to 4 do
-        t.desired.(i) <- t.desired.(i) +. t.increments.(i)
+        t.(desired i) <- t.(desired i) +. increment t.(0) i
       done;
       (* adjust the three middle markers *)
       for i = 1 to 3 do
-        let d = t.desired.(i) -. t.positions.(i) in
+        let d = t.(desired i) -. t.(pos i) in
         if
-          (d >= 1.0 && t.positions.(i + 1) -. t.positions.(i) > 1.0)
-          || (d <= -1.0 && t.positions.(i - 1) -. t.positions.(i) < -1.0)
+          (d >= 1.0 && t.(pos (i + 1)) -. t.(pos i) > 1.0)
+          || (d <= -1.0 && t.(pos (i - 1)) -. t.(pos i) < -1.0)
         then begin
           let d = if d >= 0.0 then 1.0 else -1.0 in
           let candidate = parabolic t i d in
-          let fits = t.heights.(i - 1) < candidate && candidate < t.heights.(i + 1) in
-          t.heights.(i) <- (if fits then candidate else linear t i d);
-          t.positions.(i) <- t.positions.(i) +. d
+          let fits = t.(height (i - 1)) < candidate && candidate < t.(height (i + 1)) in
+          t.(height i) <- (if fits then candidate else linear t i d);
+          t.(pos i) <- t.(pos i) +. d
         end
       done;
-      t.n <- t.n + 1
+      t.(1) <- float_of_int (n + 1)
     end
 
-  let value t =
-    if t.n = 0 then None
-    else if t.n < 5 then begin
+  let value (t : t) =
+    let n = count t in
+    if n = 0 then None
+    else if n < 5 then begin
       (* exact quantile over the few samples seen *)
-      let sorted = Array.sub t.heights 0 t.n in
-      Array.sort compare sorted;
-      let idx = int_of_float (Float.round (t.q *. float_of_int (t.n - 1))) in
-      Some sorted.(idx)
+      let idx = int_of_float (Float.round (t.(0) *. float_of_int (n - 1))) in
+      Some (sorted_heights t n).(idx)
     end
-    else Some t.heights.(2)
+    else Some t.(height 2)
 end
 
 module Time_avg = struct

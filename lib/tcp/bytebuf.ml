@@ -7,12 +7,11 @@ type t = {
   mutable last : cells;
   mutable head_off : int;  (* consumed prefix of the front slice *)
   mutable len : int;
-  mutable appended : int;
-  mutable consumed : int;
+  mutable consumed : int;  (* lifetime; [len] more were appended *)
 }
 
 let create () =
-  { first = Nil; last = Nil; head_off = 0; len = 0; appended = 0; consumed = 0 }
+  { first = Nil; last = Nil; head_off = 0; len = 0; consumed = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -22,8 +21,7 @@ let clamp t n = Stdlib.max 0 (Stdlib.min n t.len)
 let link t cell n =
   (match t.last with Nil -> t.first <- cell | Cons c -> c.next <- cell);
   t.last <- cell;
-  t.len <- t.len + n;
-  t.appended <- t.appended + n
+  t.len <- t.len + n
 
 let append_slice t s =
   let n = s.Slice.len in
@@ -134,7 +132,6 @@ let splice_all t dst =
   (match dst.last with Nil -> dst.first <- t.first | Cons c -> c.next <- t.first);
   dst.last <- t.last;
   dst.len <- dst.len + t.len;
-  dst.appended <- dst.appended + t.len;
   t.first <- Nil;
   t.last <- Nil
 
@@ -162,5 +159,5 @@ let drop t n =
   skip t n;
   n
 
-let total_appended t = t.appended
+let total_appended t = t.consumed + t.len
 let total_consumed t = t.consumed

@@ -102,17 +102,18 @@ let wire engine ~src ~dst ~src_cpu ~dst_cpu ~(link : Link.t) ~src_params ~dst_pa
         in
         Sim.Cpu.run dst_cpu ~cost (fun () -> Socket.receive_batch dst batch))
   in
-  let mss = src_params.socket.Socket.mss in
   Socket.set_transmit src (fun seg ->
       Sim.Cpu.run src_cpu ~cost:src_params.tx_cost (fun () ->
+          let mss = src_params.socket.Socket.mss in
           if seg.Segment.payload_len <= mss then put_packet ~link ~gro seg
           else List.iter (put_packet ~link ~gro) (split_tso ~mss seg)));
-  Socket.set_cork_signal src (fun () ->
-      if Link.busy link then
-        (* Approximate the reclaim instant with a short backoff; the
-           socket re-checks on the kick. *)
-        Some (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 1))
-      else None);
+  if src_params.socket.Socket.cork then
+    Socket.set_cork_signal src (fun () ->
+        if Link.busy link then
+          (* Approximate the reclaim instant with a short backoff; the
+             socket re-checks on the kick. *)
+          Some (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 1))
+        else None);
   gro
 
 let create engine ?(a = default_host) ?(b = default_host) ?(link_ab = default_link)

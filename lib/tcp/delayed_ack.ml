@@ -4,7 +4,7 @@ type t = {
   max_pending : int;
   send_ack : unit -> unit;
   mutable pending : int;
-  mutable timer : Sim.Engine.handle option;
+  mutable timer : Sim.Engine.handle;
   mutable by_count : int;
   mutable by_timer : int;
   mutable trace : (Sim.Trace.t * string) option;
@@ -19,7 +19,7 @@ let create engine ?(timeout = Sim.Time.ms 40) ?(max_pending = 2) ~send_ack () =
     max_pending;
     send_ack;
     pending = 0;
-    timer = None;
+    timer = Sim.Engine.idle;
     by_count = 0;
     by_timer = 0;
     trace = None;
@@ -40,23 +40,18 @@ let emit t ev =
   | None -> ()
 
 let disarm t =
-  match t.timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.timer <- None
-  | None -> ()
+  Sim.Engine.cancel t.engine t.timer;
+  t.timer <- Sim.Engine.idle
 
 let on_ack_sent t =
-  (* An armed timer that never fires: the ack went out another way.
-     [Sim.Engine.handle] carries a closure, so only [Option.is_some]
-     may touch it — structural comparison would be a trap. *)
-  if Option.is_some t.timer && t.pending > 0 && tracing t then
+  (* An armed timer that never fires: the ack went out another way. *)
+  if Sim.Engine.is_pending t.timer && t.pending > 0 && tracing t then
     emit t (Sim.Trace.Delack_cancel { pending = t.pending });
   t.pending <- 0;
   disarm t
 
 let fire t =
-  t.timer <- None;
+  t.timer <- Sim.Engine.idle;
   if t.pending > 0 then begin
     t.by_timer <- t.by_timer + 1;
     if tracing t then emit t (Sim.Trace.Delack_fire { pending = t.pending });
@@ -71,10 +66,10 @@ let on_data_segment t =
     t.by_count <- t.by_count + 1;
     t.send_ack ()
   end
-  else if Option.is_none t.timer then
-    t.timer <- Some (Sim.Engine.schedule t.engine ~after:t.timeout (fun () -> fire t))
+  else if not (Sim.Engine.is_pending t.timer) then
+    t.timer <- Sim.Engine.schedule t.engine ~after:t.timeout (fun () -> fire t)
 
 let pending t = t.pending
-let timer_armed t = Option.is_some t.timer
+let timer_armed t = Sim.Engine.is_pending t.timer
 let acks_forced_by_count t = t.by_count
 let acks_forced_by_timer t = t.by_timer

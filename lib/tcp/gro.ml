@@ -14,7 +14,7 @@ type t = {
   deliver : Segment.t list -> unit;
   mutable held : Segment.t list;  (* newest first *)
   mutable held_bytes : int;
-  mutable timer : Sim.Engine.handle option;
+  mutable timer : Sim.Engine.handle;
   mutable batches : int;
   mutable segments : int;
 }
@@ -28,17 +28,14 @@ let create engine cfg ~deliver =
     deliver;
     held = [];
     held_bytes = 0;
-    timer = None;
+    timer = Sim.Engine.idle;
     batches = 0;
     segments = 0;
   }
 
 let disarm t =
-  match t.timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.timer <- None
-  | None -> ()
+  Sim.Engine.cancel t.engine t.timer;
+  t.timer <- Sim.Engine.idle
 
 let flush t =
   disarm t;
@@ -51,13 +48,11 @@ let flush t =
     t.deliver (List.rev held)
 
 let arm t =
-  (* handle options hold closures: [Option.is_none], never [= None] *)
-  if Option.is_none t.timer then
+  if not (Sim.Engine.is_pending t.timer) then
     t.timer <-
-      Some
-        (Sim.Engine.schedule t.engine ~after:t.cfg.flush_timeout (fun () ->
-             t.timer <- None;
-             flush t))
+      Sim.Engine.schedule t.engine ~after:t.cfg.flush_timeout (fun () ->
+          t.timer <- Sim.Engine.idle;
+          flush t)
 
 let submit t seg =
   t.segments <- t.segments + 1;

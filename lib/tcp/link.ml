@@ -1,3 +1,12 @@
+(* Loss and fault injection, built the first time either is armed: a
+   clean link carries none of it. *)
+type impair = {
+  mutable loss : (Sim.Rng.t * float) option;
+  mutable fault : Fault.Injector.t option;
+  mutable dropped : int;
+  mutable corrupted_shares : int;
+}
+
 type t = {
   engine : Sim.Engine.t;
   mutable prop_delay : Sim.Time.span;
@@ -6,10 +15,7 @@ type t = {
   mutable packets : int;
   mutable bytes : int;
   mutable tx_busy : Sim.Time.span;
-  mutable loss : (Sim.Rng.t * float) option;
-  mutable dropped : int;
-  mutable fault : Fault.Injector.t option;
-  mutable corrupted_shares : int;
+  mutable impair : impair option;
   mutable trace : (Sim.Trace.t * string) option;
 }
 
@@ -24,19 +30,24 @@ let create engine ~prop_delay ~gbit_per_s =
     packets = 0;
     bytes = 0;
     tx_busy = 0;
-    loss = None;
-    dropped = 0;
-    fault = None;
-    corrupted_shares = 0;
+    impair = None;
     trace = None;
   }
 
+let impair t =
+  match t.impair with
+  | Some i -> i
+  | None ->
+    let i = { loss = None; fault = None; dropped = 0; corrupted_shares = 0 } in
+    t.impair <- Some i;
+    i
+
 let set_loss t ~rng ~prob =
   if prob < 0.0 || prob >= 1.0 then invalid_arg "Link.set_loss: prob must be in [0,1)";
-  t.loss <- (if prob = 0.0 then None else Some (rng, prob))
+  (impair t).loss <- (if prob = 0.0 then None else Some (rng, prob))
 
-let set_fault t inj = t.fault <- Some inj
-let fault t = t.fault
+let set_fault t inj = (impair t).fault <- Some inj
+let fault t = match t.impair with Some i -> i.fault | None -> None
 
 let set_trace t tr ~id = t.trace <- Some (tr, id)
 
@@ -59,7 +70,8 @@ let emit t ~at ev =
   | None -> ()
 
 let note_share_corrupted t ~seq =
-  t.corrupted_shares <- t.corrupted_shares + 1;
+  let i = impair t in
+  i.corrupted_shares <- i.corrupted_shares + 1;
   if tracing t then
     emit t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Share_corrupted { seq })
 
@@ -76,55 +88,58 @@ let send ?(seq = -1) t ~wire_bytes k =
   t.tx_busy <- t.tx_busy + tx_time;
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + wire_bytes;
-  (* Loss is decided after serialization: the sender still spent the
-     wire time, the receiver just never sees the packet. *)
-  let lost =
-    match t.loss with
-    | Some (rng, prob) -> Sim.Rng.float rng < prob
-    | None -> false
-  in
-  if lost then begin
-    t.dropped <- t.dropped + 1;
-    if tracing t then
-      emit t ~at:now
-        (Sim.Trace.Segment_dropped { seq; len = wire_bytes; reason = "loss" })
-  end
-  else begin
-    match t.fault with
-    | None ->
-      ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
-    | Some inj -> (
-      match Fault.Injector.decide inj ~now_us:(Sim.Time.to_us now) with
-      | { action = Drop reason; _ } ->
-        t.dropped <- t.dropped + 1;
-        if tracing t then
-          emit t ~at:now
-            (Sim.Trace.Segment_dropped { seq; len = wire_bytes; reason })
-      | { action = Deliver; extra_delay_us; duplicate } ->
-        let arrival = Sim.Time.add done_tx t.prop_delay in
-        let arrival =
-          if extra_delay_us > 0.0 then begin
-            if tracing t then
-              emit t ~at:now
-                (Sim.Trace.Segment_reordered { seq; delay_us = extra_delay_us });
-            Sim.Time.add arrival (Sim.Time.ns (int_of_float (extra_delay_us *. 1e3)))
-          end
-          else arrival
-        in
-        ignore (Sim.Engine.schedule_at t.engine ~at:arrival k);
-        if duplicate then begin
-          if tracing t then emit t ~at:now (Sim.Trace.Segment_duplicated { seq });
-          (* The copy trails by a microsecond — far enough apart to be
-             two deliveries, close enough to stress duplicate
-             detection. *)
-          ignore
-            (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k)
-        end)
-  end
+  match t.impair with
+  | None -> ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
+  | Some i ->
+    (* Loss is decided after serialization: the sender still spent the
+       wire time, the receiver just never sees the packet. *)
+    let lost =
+      match i.loss with
+      | Some (rng, prob) -> Sim.Rng.float rng < prob
+      | None -> false
+    in
+    if lost then begin
+      i.dropped <- i.dropped + 1;
+      if tracing t then
+        emit t ~at:now
+          (Sim.Trace.Segment_dropped { seq; len = wire_bytes; reason = "loss" })
+    end
+    else begin
+      match i.fault with
+      | None ->
+        ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
+      | Some inj -> (
+        match Fault.Injector.decide inj ~now_us:(Sim.Time.to_us now) with
+        | { action = Drop reason; _ } ->
+          i.dropped <- i.dropped + 1;
+          if tracing t then
+            emit t ~at:now
+              (Sim.Trace.Segment_dropped { seq; len = wire_bytes; reason })
+        | { action = Deliver; extra_delay_us; duplicate } ->
+          let arrival = Sim.Time.add done_tx t.prop_delay in
+          let arrival =
+            if extra_delay_us > 0.0 then begin
+              if tracing t then
+                emit t ~at:now
+                  (Sim.Trace.Segment_reordered { seq; delay_us = extra_delay_us });
+              Sim.Time.add arrival (Sim.Time.ns (int_of_float (extra_delay_us *. 1e3)))
+            end
+            else arrival
+          in
+          ignore (Sim.Engine.schedule_at t.engine ~at:arrival k);
+          if duplicate then begin
+            if tracing t then emit t ~at:now (Sim.Trace.Segment_duplicated { seq });
+            (* The copy trails by a microsecond — far enough apart to be
+               two deliveries, close enough to stress duplicate
+               detection. *)
+            ignore
+              (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k)
+          end)
+    end
 
 let busy t = Sim.Time.compare t.tx_free_at (Sim.Engine.now t.engine) > 0
 let packets t = t.packets
 let bytes t = t.bytes
 let tx_busy_ns t = t.tx_busy
-let dropped t = t.dropped
-let corrupted_shares t = t.corrupted_shares
+let dropped t = match t.impair with Some i -> i.dropped | None -> 0
+let corrupted_shares t = match t.impair with Some i -> i.corrupted_shares | None -> 0

@@ -1,30 +1,6 @@
-type t = {
-  mutable enabled : bool;
-  mutable min_send : int option;
-  mutable toggles : int;
-}
-
-let create ~enabled = { enabled; min_send = None; toggles = 0 }
-
-let enabled t = t.enabled
-
-let set_enabled t v =
-  if t.enabled <> v then begin
-    t.enabled <- v;
-    t.toggles <- t.toggles + 1
-  end
-
-let min_send t = t.min_send
-let set_min_send t v = t.min_send <- v
-let toggles t = t.toggles
-
-let should_send t ~mss ~chunk ~in_flight =
+let should_send ~enabled ~min_send ~mss ~chunk ~in_flight =
   if chunk <= 0 then false
-  else if not t.enabled then true
+  else if not enabled then true
   else if chunk >= mss then true
   else if in_flight = 0 then true
-  else begin
-    match t.min_send with
-    | Some threshold -> chunk >= Stdlib.min threshold mss
-    | None -> false
-  end
+  else min_send >= 0 && chunk >= Stdlib.min min_send mss

@@ -5,26 +5,11 @@
     otherwise sub-MSS data waits for an acknowledgment.  An optional
     [min_send] threshold below the MSS generalizes the rule for the
     AIMD batch-limit controller: segments at least that large may go
-    out even with data in flight. *)
+    out even with data in flight.  The socket keeps the state (see
+    {!Socket.set_nagle_enabled} and {!Socket.set_nagle_min_send}); this
+    is the decision. *)
 
-type t
-
-val create : enabled:bool -> t
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-(** Flip at runtime — the paper's dynamic on/off toggling. *)
-
-val min_send : t -> int option
-val set_min_send : t -> int option -> unit
-(** [Some n]: treat segments of at least [n] bytes as releasable even
-    while data is in flight (AIMD-adjusted batch limit).  [None]
-    restores pure RFC 896 behaviour. *)
-
-val toggles : t -> int
-(** How many times [set_enabled] changed the state — controller
-    stability metric. *)
-
-val should_send : t -> mss:int -> chunk:int -> in_flight:int -> bool
+val should_send : enabled:bool -> min_send:int -> mss:int -> chunk:int -> in_flight:int -> bool
 (** May a [chunk]-byte segment be transmitted now, given [in_flight]
-    unacknowledged bytes? *)
+    unacknowledged bytes?  A negative [min_send] means no threshold
+    (pure RFC 896). *)

@@ -78,6 +78,26 @@ let state_to_string = function
   | Time_wait -> "time-wait"
   | Closed -> "closed"
 
+(* The first and the latest hint share a peer sent, overwritten in
+   place: float-only, so updates allocate nothing (times and totals are
+   integers, held exactly). *)
+type hint_window = {
+  mutable first_time : float;
+  mutable first_total : float;
+  mutable first_integral : float;
+  mutable last_time : float;
+  mutable last_total : float;
+  mutable last_integral : float;
+}
+
+(* Byte-to-unit translation of the three queues for the unit modes
+   that count something other than bytes (see [unit_fifos] below). *)
+type unit_fifos = {
+  unacked_units : Unit_fifo.t;
+  unread_units : Unit_fifo.t;
+  ackdelay_units : Unit_fifo.t;
+}
+
 (* A transmitted, unacknowledged extent kept for retransmission.  The
    message-boundary metadata travels with it so a retransmitted segment
    still tells the receiver where application messages end. *)
@@ -96,29 +116,32 @@ type t = {
   engine : Sim.Engine.t;
   cfg : config;
   label : string;
-  nagle : Nagle.t;
+  (* Nagle state: the decision is [Nagle.should_send] *)
+  mutable nagle_enabled : bool;
+  mutable nagle_min_send : int;  (* -1 = no AIMD threshold *)
+  mutable nagle_toggles : int;
   estim : E2e.Estimator.t;
-  exchange_sched : E2e.Exchange.scheduler;
+  (* E2E option scheduling, see [E2e.Exchange.due] *)
+  mutable exchange_last : Sim.Time.t;  (* -1 = never attached *)
+  mutable exchange_requested : bool;
   (* sender state *)
   sndbuf : Bytebuf.t;
   mutable snd_una : int;  (* oldest unacknowledged byte *)
   mutable snd_nxt : int;  (* next byte to put on the wire *)
-  mutable snd_write : int;  (* next byte position the app will write *)
   boundaries : int Queue.t;  (* stream positions where send() buffers end *)
-  unacked_fifo : Unit_fifo.t;
   mutable peer_window : int;
   mutable transmit : Segment.t -> unit;
   mutable cork_signal : unit -> Sim.Time.t option;
   mutable cork_kick_armed : bool;
   (* reliability *)
   retx : retx_entry Queue.t;
-  mutable rto_timer : Sim.Engine.handle option;
+  mutable rto_timer : Sim.Engine.handle;
   mutable rto_backoff : int;
   mutable recover : int;  (* recovery episode: snd_nxt at episode entry *)
   mutable retx_next : int;  (* hole recovery: next sequence to resend *)
   mutable dup_acks : int;
   (* zero-window persist probing *)
-  mutable persist_timer : Sim.Engine.handle option;
+  mutable persist_timer : Sim.Engine.handle;
   mutable persist_backoff : int;
   (* window scaling: [None] = idealized full-width windows; [Some s] =
      every advertised window is quantized through a 16-bit field
@@ -140,8 +163,9 @@ type t = {
   mutable rcv_wup : int;  (* highest ack we have sent *)
   mutable last_advertised : int;
   mutable ooo : Segment.t list;  (* out-of-order segments, sorted by seq *)
-  unread_fifo : Unit_fifo.t;
-  ackdelay_fifo : Unit_fifo.t;
+  (* [None] in byte units, where a queue's units are its bytes and the
+     estimator's queue size is its pending byte count *)
+  unit_fifos : unit_fifos option;
   mutable delack : Delayed_ack.t option;
   mutable readable_cb : unit -> unit;
   (* RTT estimation (RFC 7323 timestamps feeding RFC 6298) *)
@@ -149,16 +173,14 @@ type t = {
   mutable ts_recent : int;  (* latest peer ts_val seen on data, us; -1 = none *)
   (* diagnostics *)
   mutable trace : Sim.Trace.t option;
-  (* hints (§3.3) *)
-  mutable hint_provider : (at:Sim.Time.t -> E2e.Queue_state.share) option;
-  mutable hint_prev : E2e.Queue_state.share option;
-  mutable hint_cur : E2e.Queue_state.share option;
+  (* hints (§3.3): the tracker whose share rides our segments, and the
+     shares the peer sent us (built at the first one) *)
+  mutable hint_tracker : E2e.Hints.t option;
+  mutable hints_in : hint_window option;
   (* counters *)
   mutable segs_out : int;
   mutable pure_acks_out : int;
-  mutable bytes_out : int;
   mutable segs_in : int;
-  mutable bytes_in : int;
   mutable sends : int;
   mutable nagle_holds : int;
   mutable cork_holds : int;
@@ -191,26 +213,27 @@ let create ?(label = "sock") engine cfg =
     engine;
     cfg;
     label;
-    nagle = Nagle.create ~enabled:cfg.nagle;
+    nagle_enabled = cfg.nagle;
+    nagle_min_send = -1;
+    nagle_toggles = 0;
     estim = E2e.Estimator.create ~at:(Sim.Engine.now engine);
-    exchange_sched = E2e.Exchange.scheduler cfg.exchange;
+    exchange_last = -1;
+    exchange_requested = false;
     sndbuf = Bytebuf.create ();
     snd_una = 0;
     snd_nxt = 0;
-    snd_write = 0;
     boundaries = Queue.create ();
-    unacked_fifo = Unit_fifo.create ();
     peer_window = cfg.rcv_buf;
     transmit = (fun _ -> failwith "Socket: transmit path not wired");
     cork_signal = (fun () -> None);
     cork_kick_armed = false;
     retx = Queue.create ();
-    rto_timer = None;
+    rto_timer = Sim.Engine.idle;
     rto_backoff = 0;
     recover = 0;
     retx_next = 0;
     dup_acks = 0;
-    persist_timer = None;
+    persist_timer = Sim.Engine.idle;
     persist_backoff = 0;
     snd_wscale = offered_wscale cfg;
     max_snd_wnd = cfg.rcv_buf;
@@ -226,21 +249,23 @@ let create ?(label = "sock") engine cfg =
     rcv_wup = 0;
     last_advertised = cfg.rcv_buf;
     ooo = [];
-    unread_fifo = Unit_fifo.create ();
-    ackdelay_fifo = Unit_fifo.create ();
+    unit_fifos =
+      (match cfg.unit_mode with
+      | E2e.Units.Bytes | E2e.Units.Hinted -> None
+      | E2e.Units.Packets | E2e.Units.Syscalls ->
+        Some
+          { unacked_units = Unit_fifo.create (); unread_units = Unit_fifo.create ();
+            ackdelay_units = Unit_fifo.create () });
     delack = None;
     readable_cb = ignore;
     rtt = Rtt.create ();
     ts_recent = -1;
     trace = None;
-    hint_provider = None;
-    hint_prev = None;
-    hint_cur = None;
+    hint_tracker = None;
+    hints_in = None;
     segs_out = 0;
     pure_acks_out = 0;
-    bytes_out = 0;
     segs_in = 0;
-    bytes_in = 0;
     sends = 0;
     nagle_holds = 0;
     cork_holds = 0;
@@ -274,6 +299,21 @@ let event t ev =
   match t.trace with
   | Some tr -> Sim.Trace.event tr ~at:(now t) ~id:t.label ev
   | None -> ()
+
+(* The pending bytes of a queue and the units that draining [bytes] of
+   it completes; [size] is its estimator queue size. *)
+let pending_bytes t queue ~size =
+  match t.unit_fifos with None -> size | Some f -> Unit_fifo.pending_bytes (queue f)
+
+let drain_units t queue ~bytes =
+  match t.unit_fifos with None -> bytes | Some f -> Unit_fifo.drain (queue f) ~bytes
+
+let push_units t queue ~bytes ~units =
+  match t.unit_fifos with None -> () | Some f -> Unit_fifo.push (queue f) ~bytes ~units
+
+let unacked f = f.unacked_units
+let unread f = f.unread_units
+let ackdelay f = f.ackdelay_units
 
 let advertised_window t = Stdlib.max 0 (t.cfg.rcv_buf - Bytebuf.length t.recvbuf)
 
@@ -319,8 +359,11 @@ let note_ack_leaving t =
   if unacked_rx > 0 then begin
     (* the peer's FIN consumes a sequence number that carries no
        payload, so clamp to the bytes actually queued *)
-    let bytes = Stdlib.min unacked_rx (Unit_fifo.pending_bytes t.ackdelay_fifo) in
-    let units = Unit_fifo.drain t.ackdelay_fifo ~bytes in
+    let bytes =
+      Stdlib.min unacked_rx
+        (pending_bytes t ackdelay ~size:(E2e.Estimator.ackdelay_size t.estim))
+    in
+    let units = drain_units t ackdelay ~bytes in
     if units > 0 then E2e.Estimator.track_ackdelay t.estim ~at:(now t) (-units);
     t.rcv_wup <- t.rcv_nxt
   end;
@@ -329,13 +372,19 @@ let note_ack_leaving t =
 (* The queue state due on this segment, if any; a hint rides only
    alongside it. *)
 let e2e_due t ~at =
-  if E2e.Exchange.should_attach t.exchange_sched ~now:at then
+  if
+    E2e.Exchange.due t.cfg.exchange ~last_sent:t.exchange_last
+      ~requested:t.exchange_requested ~now:at
+  then begin
+    t.exchange_last <- at;
+    t.exchange_requested <- false;
     Some (E2e.Estimator.local_snapshot t.estim ~at)
+  end
   else None
 
 let hint_due t ~at e2e =
-  match (e2e, t.hint_provider) with
-  | Some _, Some provider -> Some (provider ~at)
+  match (e2e, t.hint_tracker) with
+  | Some _, Some tracker -> Some (E2e.Hints.share tracker ~at)
   | _ -> None
 
 (* Put one segment on the wire, piggybacking the cumulative ack and
@@ -385,20 +434,12 @@ let current_rto t =
   Stdlib.min scaled Rtt.max_rto
 
 let cancel_rto t =
-  match t.rto_timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.rto_timer <- None
-  | None -> ()
+  Sim.Engine.cancel t.engine t.rto_timer;
+  t.rto_timer <- Sim.Engine.idle
 
-(* [Sim.Engine.handle] values carry closures, so they must only ever
-   meet [Option.is_none]/[is_some] — structural [= None] would raise
-   [Invalid_argument] the day the compiler stops short-circuiting on
-   the constructor. *)
 let rec arm_rto t =
-  if Option.is_none t.rto_timer && in_flight t > 0 then
-    t.rto_timer <-
-      Some (Sim.Engine.schedule t.engine ~after:(current_rto t) (fun () -> on_rto t))
+  if (not (Sim.Engine.is_pending t.rto_timer)) && in_flight t > 0 then
+    t.rto_timer <- Sim.Engine.schedule t.engine ~after:(current_rto t) (fun () -> on_rto t)
 
 and restart_rto t =
   cancel_rto t;
@@ -418,7 +459,7 @@ and retransmit_head t ~counter =
     resend t entry
 
 and on_rto t =
-  t.rto_timer <- None;
+  t.rto_timer <- Sim.Engine.idle;
   if in_flight t > 0 then begin
     (* Loss signal: collapse the congestion window and back off. *)
     if t.cfg.cc_enabled then begin
@@ -445,11 +486,8 @@ and on_rto t =
 (* {2 Zero-window persist timer} *)
 
 let cancel_persist t =
-  match t.persist_timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.persist_timer <- None
-  | None -> ()
+  Sim.Engine.cancel t.engine t.persist_timer;
+  t.persist_timer <- Sim.Engine.idle
 
 (* The persist timer runs exactly when the connection would otherwise
    be deaf: data queued, nothing in flight (so no RTO), and the peer's
@@ -480,14 +518,13 @@ let emit_fresh t ~payload ~rest ~len ~push ~msg_ends =
   let seq = t.snd_nxt in
   t.snd_nxt <- t.snd_nxt + len;
   t.segs_out <- t.segs_out + 1;
-  t.bytes_out <- t.bytes_out + len;
   Queue.add
     { r_seq = seq; r_payload = payload; r_rest = rest; r_len = len; r_push = push;
       r_msg_ends = msg_ends; r_fin = false; r_sacked = false }
     t.retx;
   if E2e.Units.equal t.cfg.unit_mode E2e.Units.Packets then begin
     E2e.Estimator.track_unacked t.estim ~at:(now t) 1;
-    Unit_fifo.push t.unacked_fifo ~bytes:len ~units:1
+    push_units t unacked ~bytes:len ~units:1
   end;
   if tracing t then
     event t (Sim.Trace.Segment_sent { seq; len; push; retx = false });
@@ -506,14 +543,12 @@ let rec pop_boundaries q ~upto last =
 let probe_byte = Slice.of_string "?"
 
 let rec arm_persist t =
-  if Option.is_none t.persist_timer && persist_due t then
+  if (not (Sim.Engine.is_pending t.persist_timer)) && persist_due t then
     t.persist_timer <-
-      Some
-        (Sim.Engine.schedule t.engine ~after:(current_persist_timeout t)
-           (fun () -> on_persist t))
+      Sim.Engine.schedule t.engine ~after:(current_persist_timeout t) (fun () -> on_persist t)
 
 and on_persist t =
-  t.persist_timer <- None;
+  t.persist_timer <- Sim.Engine.idle;
   if persist_due t && t.persist_backoff < max_persist_probes then begin
     t.persist_backoff <- t.persist_backoff + 1;
     t.probes_sent <- t.probes_sent + 1;
@@ -546,15 +581,18 @@ and try_transmit t =
     in
     let chunk = Stdlib.min pending (Stdlib.min max_chunk window_avail) in
     if chunk > 0 then begin
-      if not (Nagle.should_send t.nagle ~mss:t.cfg.mss ~chunk ~in_flight:(in_flight t))
+      if
+        not
+          (Nagle.should_send ~enabled:t.nagle_enabled ~min_send:t.nagle_min_send ~mss:t.cfg.mss
+             ~chunk ~in_flight:(in_flight t))
       then begin
         t.nagle_holds <- t.nagle_holds + 1;
         if tracing t then
           event t (Sim.Trace.Nagle_hold { chunk; in_flight = in_flight t })
       end
       else begin
-        match (t.cfg.cork, chunk < t.cfg.mss, t.cork_signal ()) with
-        | true, true, Some free_at ->
+        match if t.cfg.cork && chunk < t.cfg.mss then t.cork_signal () else None with
+        | Some free_at ->
           (* Auto-cork: transmitter busy and the segment is small; hold
              until the NIC frees and retry. *)
           t.cork_holds <- t.cork_holds + 1;
@@ -566,7 +604,7 @@ and try_transmit t =
                    t.cork_kick_armed <- false;
                    try_transmit t))
           end
-        | _ ->
+        | None ->
           let payload = Bytebuf.take_front t.sndbuf chunk in
           let rest = Bytebuf.take t.sndbuf (chunk - payload.Slice.len) in
           (* The buffers that end inside the segment count its
@@ -614,16 +652,16 @@ let check_open t =
 (* Account for a write of [len > 0] bytes just appended to [sndbuf]. *)
 let wrote t len =
   t.sends <- t.sends + 1;
-  t.snd_write <- t.snd_write + len;
-  Queue.add t.snd_write t.boundaries;
+  (* no FIN is out while writes are allowed, so the stream position of
+     the write's end is everything handed to the wire plus the queue *)
+  Queue.add (t.snd_nxt + Bytebuf.length t.sndbuf) t.boundaries;
   let at = now t in
   (match t.cfg.unit_mode with
   | E2e.Units.Bytes | E2e.Units.Hinted ->
-    E2e.Estimator.track_unacked t.estim ~at len;
-    Unit_fifo.push t.unacked_fifo ~bytes:len ~units:len
+    E2e.Estimator.track_unacked t.estim ~at len
   | E2e.Units.Syscalls ->
     E2e.Estimator.track_unacked t.estim ~at 1;
-    Unit_fifo.push t.unacked_fifo ~bytes:len ~units:1
+    push_units t unacked ~bytes:len ~units:1
   | E2e.Units.Packets -> (* tracked at segment transmission *) ());
   try_transmit t
 
@@ -849,8 +887,10 @@ let process_ack t (seg : Segment.t) ~at =
         acked - 1
       | _ -> acked
     in
-    let fifo_bytes = Stdlib.min fifo_bytes (Unit_fifo.pending_bytes t.unacked_fifo) in
-    let units = Unit_fifo.drain t.unacked_fifo ~bytes:fifo_bytes in
+    let fifo_bytes =
+      Stdlib.min fifo_bytes (pending_bytes t unacked ~size:(E2e.Estimator.unacked_size t.estim))
+    in
+    let units = drain_units t unacked ~bytes:fifo_bytes in
     if units > 0 then E2e.Estimator.track_unacked t.estim ~at (-units);
     (* teardown progress: our FIN is acknowledged *)
     (match t.fin_sent_seq with
@@ -901,7 +941,7 @@ let process_ack t (seg : Segment.t) ~at =
   if seg.window > 0 then begin
     (* the peer's window opened (or was never shut): any persist
        episode is over *)
-    if Option.is_some t.persist_timer then cancel_persist t;
+    if Sim.Engine.is_pending t.persist_timer then cancel_persist t;
     t.persist_backoff <- 0
   end
 
@@ -924,7 +964,6 @@ let accept_payload t (seg : Segment.t) ~at =
   if tracing t then
     event t (Sim.Trace.Segment_received { seq = seg.seq; fresh });
   t.rcv_nxt <- t.rcv_nxt + fresh;
-  t.bytes_in <- t.bytes_in + fresh;
   (match seg.payload_rest with
   | [] -> Bytebuf.append_slice t.recvbuf (Slice.sub seg.payload skip fresh)
   | rest -> append_from t.recvbuf skip seg.payload rest);
@@ -933,8 +972,8 @@ let accept_payload t (seg : Segment.t) ~at =
     E2e.Estimator.track_unread t.estim ~at units;
     E2e.Estimator.track_ackdelay t.estim ~at units
   end;
-  Unit_fifo.push t.unread_fifo ~bytes:fresh ~units;
-  Unit_fifo.push t.ackdelay_fifo ~bytes:fresh ~units;
+  push_units t unread ~bytes:fresh ~units;
+  push_units t ackdelay ~bytes:fresh ~units;
   if seg.ts_val >= 0 then t.ts_recent <- seg.ts_val
 
 let process_fin t =
@@ -1045,8 +1084,17 @@ and receive_valid t ~notify (seg : Segment.t) ~at =
     (* Keep a (baseline, latest) pair: the first share anchors the
        window so consumers can estimate over the whole connection (or
        re-anchor themselves from a snapshot they saved). *)
-    if t.hint_prev = None then t.hint_prev <- Some share;
-    t.hint_cur <- Some share
+    let time = float_of_int share.time and total = float_of_int share.total in
+    (match t.hints_in with
+    | Some w ->
+      w.last_time <- time;
+      w.last_total <- total;
+      w.last_integral <- share.integral
+    | None ->
+      t.hints_in <-
+        Some
+          { first_time = time; first_total = total; first_integral = share.integral;
+            last_time = time; last_total = total; last_integral = share.integral })
   | None -> ());
   process_ack t seg ~at;
   let len = seg.Segment.payload_len in
@@ -1074,7 +1122,7 @@ let receive_batch t segs =
 (* Settle the accounting for [len] bytes the application just read. *)
 let note_read t len =
   if len > 0 then begin
-    let units = Unit_fifo.drain t.unread_fifo ~bytes:len in
+    let units = drain_units t unread ~bytes:len in
     if units > 0 then E2e.Estimator.track_unread t.estim ~at:(now t) (-units);
     (* Window-update ack when a pinched advertised window reopens, so a
        blocked sender resumes.  The receiver half of silly-window
@@ -1114,12 +1162,17 @@ let on_readable t cb = t.readable_cb <- cb
 let set_transmit t f = t.transmit <- f
 let set_cork_signal t f = t.cork_signal <- f
 
-let nagle t = t.nagle
+let nagle_enabled t = t.nagle_enabled
+let nagle_toggles t = t.nagle_toggles
 
 let set_nagle_enabled t v =
-  if Nagle.enabled t.nagle <> v && tracing t then
-    event t (Sim.Trace.Nagle_toggle { enabled = v });
-  Nagle.set_enabled t.nagle v
+  if t.nagle_enabled <> v then begin
+    if tracing t then event t (Sim.Trace.Nagle_toggle { enabled = v });
+    t.nagle_enabled <- v;
+    t.nagle_toggles <- t.nagle_toggles + 1
+  end
+
+let set_nagle_min_send t v = t.nagle_min_send <- Option.value v ~default:(-1)
 
 (* {2 Teardown API} *)
 
@@ -1171,22 +1224,27 @@ let set_trace t tr =
 let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
 
-let set_hint_provider t f = t.hint_provider <- Some f
+let set_hint_tracker t tracker = t.hint_tracker <- Some tracker
 
 let remote_hint_window t =
-  match (t.hint_prev, t.hint_cur) with
-  | Some prev, Some cur -> Some (prev, cur)
-  | _ -> None
+  Option.map
+    (fun w ->
+      ( { E2e.Queue_state.time = int_of_float w.first_time;
+          total = int_of_float w.first_total; integral = w.first_integral },
+        { E2e.Queue_state.time = int_of_float w.last_time;
+          total = int_of_float w.last_total; integral = w.last_integral } ))
+    t.hints_in
 
-let request_exchange t = E2e.Exchange.request t.exchange_sched
+let request_exchange t = t.exchange_requested <- true
 
 let counters t =
   {
     segs_out = t.segs_out;
     pure_acks_out = t.pure_acks_out;
-    bytes_out = t.bytes_out;
+    (* the FIN takes a sequence number and carries no byte *)
+    bytes_out = (t.snd_nxt - if t.fin_sent_seq = None then 0 else 1);
     segs_in = t.segs_in;
-    bytes_in = t.bytes_in;
+    bytes_in = (t.rcv_nxt - if t.peer_fin then 1 else 0);
     sends = t.sends;
     nagle_holds = t.nagle_holds;
     cork_holds = t.cork_holds;

@@ -168,8 +168,21 @@ val eof : t -> bool
 
 (** {1 Batching controls} *)
 
-val nagle : t -> Nagle.t
+val nagle_enabled : t -> bool
+(** Whether Nagle's algorithm (see {!Nagle.should_send}) holds small
+    segments now. *)
+
 val set_nagle_enabled : t -> bool -> unit
+(** Flip at runtime — the paper's dynamic on/off toggling. *)
+
+val nagle_toggles : t -> int
+(** How many times {!set_nagle_enabled} changed the state — controller
+    stability metric. *)
+
+val set_nagle_min_send : t -> int option -> unit
+(** [Some n]: treat segments of at least [n] bytes as releasable even
+    while data is in flight (AIMD-adjusted batch limit).  [None]
+    restores pure RFC 896 behaviour. *)
 
 (** {1 End-to-end estimation} *)
 
@@ -188,10 +201,10 @@ val rtt : t -> Rtt.t
     latency (it misses application read delays and is inflated by
     delayed acks). *)
 
-val set_hint_provider : t -> (at:Sim.Time.t -> E2e.Queue_state.share) -> unit
-(** §3.3 cooperative-application mode: attach the application's
-    in-flight-request queue state to outgoing segments instead of
-    relying on stack queues alone. *)
+val set_hint_tracker : t -> E2e.Hints.t -> unit
+(** §3.3 cooperative-application mode: attach the share of the
+    application's in-flight-request tracker to outgoing segments
+    instead of relying on stack queues alone. *)
 
 val remote_hint_window :
   t -> (E2e.Queue_state.share * E2e.Queue_state.share) option

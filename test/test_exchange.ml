@@ -71,25 +71,29 @@ let test_wire_roundtrip_preserves_deltas_across_wrap () =
   Alcotest.(check int) "delta time us" 1000
     ((Sim.Time.to_ns u1.unacked.time - Sim.Time.to_ns u0.unacked.time) / 1000)
 
+(* [Exchange.due] is pure: the socket keeps [last_sent] and [requested]
+   and updates them when it attaches a share (test_socket.ml checks that
+   bookkeeping through a real connection). *)
+let due policy ?(last_sent = -1) ?(requested = false) now =
+  E2e.Exchange.due policy ~last_sent ~requested ~now
+
 let test_scheduler_every_segment () =
-  let s = E2e.Exchange.scheduler E2e.Exchange.Every_segment in
-  Alcotest.(check bool) "always" true (E2e.Exchange.should_attach s ~now:0);
-  Alcotest.(check bool) "always again" true (E2e.Exchange.should_attach s ~now:0)
+  let p = E2e.Exchange.Every_segment in
+  Alcotest.(check bool) "always" true (due p 0);
+  Alcotest.(check bool) "always again" true (due p ~last_sent:0 0)
 
 let test_scheduler_periodic () =
-  let s = E2e.Exchange.scheduler (E2e.Exchange.Periodic (us 100)) in
-  Alcotest.(check bool) "first send attaches" true (E2e.Exchange.should_attach s ~now:0);
-  Alcotest.(check bool) "too soon" false (E2e.Exchange.should_attach s ~now:(us 50));
-  Alcotest.(check bool) "after interval" true (E2e.Exchange.should_attach s ~now:(us 100));
-  Alcotest.(check bool) "interval restarts" false
-    (E2e.Exchange.should_attach s ~now:(us 150))
+  let p = E2e.Exchange.Periodic (us 100) in
+  Alcotest.(check bool) "first send attaches" true (due p 0);
+  Alcotest.(check bool) "too soon" false (due p ~last_sent:0 (us 50));
+  Alcotest.(check bool) "after interval" true (due p ~last_sent:0 (us 100));
+  Alcotest.(check bool) "interval restarts" false (due p ~last_sent:(us 100) (us 150))
 
 let test_scheduler_on_demand () =
-  let s = E2e.Exchange.scheduler E2e.Exchange.On_demand in
-  Alcotest.(check bool) "nothing requested" false (E2e.Exchange.should_attach s ~now:0);
-  E2e.Exchange.request s;
-  Alcotest.(check bool) "requested" true (E2e.Exchange.should_attach s ~now:0);
-  Alcotest.(check bool) "consumed" false (E2e.Exchange.should_attach s ~now:0)
+  let p = E2e.Exchange.On_demand in
+  Alcotest.(check bool) "nothing requested" false (due p 0);
+  Alcotest.(check bool) "requested" true (due p ~requested:true 0);
+  Alcotest.(check bool) "consumed" false (due p ~last_sent:0 0)
 
 (* {1 Latency combination (§3.2)} *)
 

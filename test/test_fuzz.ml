@@ -41,9 +41,8 @@ let prop_socket_stream_integrity =
                  | 0 -> Tcp.Socket.set_nagle_enabled a true
                  | 1 -> Tcp.Socket.set_nagle_enabled a false
                  | 2 ->
-                   Tcp.Nagle.set_min_send (Tcp.Socket.nagle a)
-                     (Some (1 + Sim.Rng.int rng ~bound:1448))
-                 | _ -> Tcp.Nagle.set_min_send (Tcp.Socket.nagle a) None);
+                   Tcp.Socket.set_nagle_min_send a (Some (1 + Sim.Rng.int rng ~bound:1448))
+                 | _ -> Tcp.Socket.set_nagle_min_send a None);
                  Tcp.Socket.kick a;
                  if len > 0 then begin
                    let chunk =

@@ -637,6 +637,33 @@ let test_command_request_bytes_realism () =
   let n = Kv.Command.request_bytes cmd in
   Alcotest.(check bool) "between 16424 and 16480" true (n > 16420 && n < 16480)
 
+(* A socket's estimator is built at its full size: shares, hints and
+   queue updates overwrite it in place, so 99 more SET round trips after
+   the first leave it exactly as many words, at both ends. *)
+let test_estimator_does_not_grow () =
+  let engine = Sim.Engine.create () in
+  let conn = Tcp.Conn.create engine () in
+  let cpu = Sim.Cpu.create engine in
+  ignore (Kv.Server.create engine ~cpu ~socket:(Tcp.Conn.sock_b conn) Kv.Server.default_config);
+  let client =
+    Kv.Client.create engine ~cpu ~socket:(Tcp.Conn.sock_a conn) Kv.Client.default_config
+  in
+  let set = Kv.Command.Set { key = "k"; value = String.make 64 'v'; ttl = None } in
+  let round_trips n =
+    for _ = 1 to n do
+      Kv.Client.request client set ~on_complete:(fun ~latency:_ _ -> ());
+      Sim.Engine.run engine
+    done
+  in
+  let words sock = Obj.reachable_words (Obj.repr (Tcp.Socket.estimator sock)) in
+  round_trips 1;
+  let client_words = words (Tcp.Conn.sock_a conn) in
+  let server_words = words (Tcp.Conn.sock_b conn) in
+  round_trips 99;
+  Alcotest.(check int) "client estimator" client_words (words (Tcp.Conn.sock_a conn));
+  Alcotest.(check int) "server estimator" server_words (words (Tcp.Conn.sock_b conn));
+  Alcotest.(check int) "all replied" 100 (Kv.Client.completed client)
+
 let suite =
   [
     ( "kv.resp",
@@ -672,6 +699,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_resp_encode_slices;
         QCheck_alcotest.to_alcotest prop_command_stream_views;
         Alcotest.test_case "16 KiB value crosses uncopied" `Quick test_value_crosses_uncopied;
+        Alcotest.test_case "estimators do not grow with traffic" `Quick
+          test_estimator_does_not_grow;
         Alcotest.test_case "case-insensitive names" `Quick test_command_case_insensitive;
         Alcotest.test_case "unknown command / bad arity" `Quick
           test_command_unknown_and_arity;

@@ -425,7 +425,12 @@ let test_fleet_sharded_accounting () =
       Alcotest.(check int)
         (Printf.sprintf "shard %d closure" k)
         s.Fleet.sh_issued
-        (s.Fleet.sh_completed_total + s.Fleet.sh_outstanding_end))
+        (s.Fleet.sh_completed_total + s.Fleet.sh_outstanding_end);
+      (* a shard's recorder sees its own connections' completions in
+         the measured window, a subset of their lifetime completions *)
+      if s.Fleet.sh_completed > s.Fleet.sh_completed_total then
+        Alcotest.failf "shard %d recorded %d completions of %d" k s.Fleet.sh_completed
+          s.Fleet.sh_completed_total)
     r.Fleet.shards;
   (* shard accounting partitions the fleet exactly *)
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 in

@@ -272,11 +272,48 @@ let test_exchange_option_flows () =
   Alcotest.(check bool) "server saw client queue states" true
     (E2e.Estimator.remote_window (Tcp.Socket.estimator b) <> None)
 
+(* A connection whose receiver [b] traces the shares its estimator
+   accepts, and a [send ~at] that writes one small request from [a] at
+   [at] and runs the engine until it has been delivered. *)
+let share_counting_testbed exchange =
+  let engine, conn = testbed ~exchange () in
+  let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
+  let tr = Sim.Trace.create () in
+  Sim.Trace.set_enabled tr true;
+  Tcp.Socket.set_trace b tr;
+  Tcp.Socket.on_readable b (fun () -> ignore (drain_to_string b));
+  let send ~at =
+    ignore (Sim.Engine.schedule_at engine ~at (fun () -> Tcp.Socket.send a "req"));
+    Sim.Engine.run_until engine (at + us 30)
+  in
+  let shares () = List.length (Sim.Trace.find tr ~tag:"share") in
+  (a, send, shares)
+
+let test_exchange_on_demand_per_request () =
+  let a, send, shares = share_counting_testbed E2e.Exchange.On_demand in
+  send ~at:0;
+  Alcotest.(check int) "nothing requested, nothing shared" 0 (shares ());
+  Tcp.Socket.request_exchange a;
+  send ~at:(us 100);
+  send ~at:(us 200);
+  Alcotest.(check int) "one share for one request" 1 (shares ());
+  Tcp.Socket.request_exchange a;
+  send ~at:(us 300);
+  send ~at:(us 400);
+  Alcotest.(check int) "the next request, one more" 2 (shares ())
+
+let test_exchange_periodic_per_interval () =
+  let _, send, shares = share_counting_testbed (E2e.Exchange.Periodic (us 100)) in
+  List.iter (fun t -> send ~at:(us t)) [ 0; 40; 110; 160; 230 ];
+  (* Attached at 0, 110 (110 >= 0 + 100) and 230 (>= 110 + 100); the
+     interval restarts at each attach, so 160 is too soon. *)
+  Alcotest.(check int) "one share per interval" 3 (shares ())
+
 let test_hint_shares_flow () =
   let engine, conn = testbed () in
   let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
   let tracker = E2e.Hints.tracker ~at:0 in
-  Tcp.Socket.set_hint_provider a (fun ~at -> E2e.Hints.share tracker ~at);
+  Tcp.Socket.set_hint_tracker a tracker;
   Tcp.Socket.on_readable b (fun () -> ignore (drain_to_string b));
   E2e.Hints.create tracker ~at:0 1;
   Tcp.Socket.send a "request-1";
@@ -395,6 +432,10 @@ let suite =
         Alcotest.test_case "estimate matches ground truth" `Quick
           test_end_to_end_estimate_matches_ground_truth;
         Alcotest.test_case "exchange option flows" `Quick test_exchange_option_flows;
+        Alcotest.test_case "on-demand exchange per request" `Quick
+          test_exchange_on_demand_per_request;
+        Alcotest.test_case "periodic exchange per interval" `Quick
+          test_exchange_periodic_per_interval;
         Alcotest.test_case "hint shares flow" `Quick test_hint_shares_flow;
       ] );
   ]

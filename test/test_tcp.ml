@@ -347,6 +347,83 @@ let prop_unit_fifo_conserves_units =
       done;
       !credited = total_units && Tcp.Unit_fifo.pending_units f = 0)
 
+(* The same translation over a [Stdlib.Queue] of entries: the model
+   that [Unit_fifo]'s hand-rolled list is checked against. *)
+module Unit_fifo_model = struct
+  type entry = { total : int; units : int; mutable drained : int; mutable credited : int }
+
+  let create () = Queue.create ()
+
+  let push q ~bytes ~units =
+    if bytes > 0 || units > 0 then Queue.add { total = bytes; units; drained = 0; credited = 0 } q
+
+  let finish e =
+    let earned = if e.total = 0 then e.units else e.units * e.drained / e.total in
+    let fresh = earned - e.credited in
+    e.credited <- earned;
+    fresh
+
+  let rec pop_exhausted q acc =
+    match Queue.peek_opt q with
+    | Some e when e.total - e.drained = 0 ->
+      e.drained <- e.total;
+      let acc = acc + finish e in
+      ignore (Queue.pop q);
+      pop_exhausted q acc
+    | Some _ | None -> acc
+
+  let drain q ~bytes =
+    let acc = ref (pop_exhausted q 0) and left = ref bytes in
+    while !left > 0 do
+      let e = Queue.peek q in
+      let take = min (e.total - e.drained) !left in
+      e.drained <- e.drained + take;
+      left := !left - take;
+      acc := !acc + finish e;
+      if e.drained = e.total then ignore (Queue.pop q);
+      acc := pop_exhausted q !acc
+    done;
+    !acc
+
+  let pending_bytes q = Queue.fold (fun a e -> a + e.total - e.drained) 0 q
+  let pending_units q = Queue.fold (fun a e -> a + e.units - e.credited) 0 q
+end
+
+(* Random pushes (zero-byte entries among them) and drains of part of
+   what is pending: every drain credits what the model does, and the
+   pending bytes and units agree after every step. *)
+let prop_unit_fifo_matches_queue_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun b u -> `Push (b, u)) (oneof [ return 0; int_range 1 40 ]) (int_range 0 4));
+          (2, map (fun frac -> `Drain frac) (float_bound_inclusive 1.0));
+        ])
+  in
+  QCheck.Test.make ~name:"unit fifo matches a Stdlib.Queue model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (1 -- 60) op))
+    (fun ops ->
+      let f = Tcp.Unit_fifo.create () and m = Unit_fifo_model.create () in
+      List.for_all
+        (fun op ->
+          let same_credit =
+            match op with
+            | `Push (bytes, units) ->
+              Tcp.Unit_fifo.push f ~bytes ~units;
+              Unit_fifo_model.push m ~bytes ~units;
+              true
+            | `Drain frac ->
+              let bytes =
+                int_of_float (frac *. float_of_int (Tcp.Unit_fifo.pending_bytes f))
+              in
+              Tcp.Unit_fifo.drain f ~bytes = Unit_fifo_model.drain m ~bytes
+          in
+          same_credit
+          && Tcp.Unit_fifo.pending_bytes f = Unit_fifo_model.pending_bytes m
+          && Tcp.Unit_fifo.pending_units f = Unit_fifo_model.pending_units m)
+        ops)
+
 (* {1 Options codec} *)
 
 let sample_triple : E2e.Exchange.triple =
@@ -413,49 +490,39 @@ let test_options_overflow_rejected () =
 
 (* {1 Nagle} *)
 
+let nagle ?(min_send = -1) ~enabled ~chunk ~in_flight () =
+  Tcp.Nagle.should_send ~enabled ~min_send ~mss:1448 ~chunk ~in_flight
+
 let test_nagle_full_segment_always_sends () =
-  let n = Tcp.Nagle.create ~enabled:true in
-  Alcotest.(check bool) "full MSS" true
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:1448 ~in_flight:9999)
+  Alcotest.(check bool) "full MSS" true (nagle ~enabled:true ~chunk:1448 ~in_flight:9999 ())
 
 let test_nagle_holds_small_with_inflight () =
-  let n = Tcp.Nagle.create ~enabled:true in
-  Alcotest.(check bool) "held" false
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:100 ~in_flight:1448)
+  Alcotest.(check bool) "held" false (nagle ~enabled:true ~chunk:100 ~in_flight:1448 ())
 
 let test_nagle_sends_small_when_idle () =
-  let n = Tcp.Nagle.create ~enabled:true in
-  Alcotest.(check bool) "idle sends" true
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:100 ~in_flight:0)
+  Alcotest.(check bool) "idle sends" true (nagle ~enabled:true ~chunk:100 ~in_flight:0 ())
 
 let test_nagle_disabled_always_sends () =
-  let n = Tcp.Nagle.create ~enabled:false in
-  Alcotest.(check bool) "nodelay" true
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:1 ~in_flight:9999)
+  Alcotest.(check bool) "nodelay" true (nagle ~enabled:false ~chunk:1 ~in_flight:9999 ())
 
 let test_nagle_toggle_counting () =
-  let n = Tcp.Nagle.create ~enabled:true in
-  Tcp.Nagle.set_enabled n true;
-  Alcotest.(check int) "no-op toggle not counted" 0 (Tcp.Nagle.toggles n);
-  Tcp.Nagle.set_enabled n false;
-  Tcp.Nagle.set_enabled n true;
-  Alcotest.(check int) "two real toggles" 2 (Tcp.Nagle.toggles n)
+  let s = Tcp.Socket.create (Sim.Engine.create ()) Tcp.Socket.default_config in
+  Tcp.Socket.set_nagle_enabled s true;
+  Alcotest.(check int) "no-op toggle not counted" 0 (Tcp.Socket.nagle_toggles s);
+  Tcp.Socket.set_nagle_enabled s false;
+  Tcp.Socket.set_nagle_enabled s true;
+  Alcotest.(check int) "two real toggles" 2 (Tcp.Socket.nagle_toggles s)
 
 let test_nagle_min_send_threshold () =
-  let n = Tcp.Nagle.create ~enabled:true in
-  Tcp.Nagle.set_min_send n (Some 512);
   Alcotest.(check bool) "above threshold releases" true
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:600 ~in_flight:1448);
+    (nagle ~min_send:512 ~enabled:true ~chunk:600 ~in_flight:1448 ());
   Alcotest.(check bool) "below threshold holds" false
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:400 ~in_flight:1448);
-  Tcp.Nagle.set_min_send n None;
+    (nagle ~min_send:512 ~enabled:true ~chunk:400 ~in_flight:1448 ());
   Alcotest.(check bool) "back to RFC896" false
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:600 ~in_flight:1448)
+    (nagle ~enabled:true ~chunk:600 ~in_flight:1448 ())
 
 let test_nagle_zero_chunk () =
-  let n = Tcp.Nagle.create ~enabled:false in
-  Alcotest.(check bool) "nothing to send" false
-    (Tcp.Nagle.should_send n ~mss:1448 ~chunk:0 ~in_flight:0)
+  Alcotest.(check bool) "nothing to send" false (nagle ~enabled:false ~chunk:0 ~in_flight:0 ())
 
 (* {1 Delayed_ack} *)
 
@@ -689,6 +756,7 @@ let suite =
         Alcotest.test_case "drain spanning entries" `Quick test_unit_fifo_spanning_drain;
         Alcotest.test_case "overdrain rejected" `Quick test_unit_fifo_overdrain_rejected;
         QCheck_alcotest.to_alcotest prop_unit_fifo_conserves_units;
+        QCheck_alcotest.to_alcotest prop_unit_fifo_matches_queue_model;
       ] );
     ( "tcp.options",
       [

@@ -49,7 +49,10 @@ let test_fin_waits_for_queued_data () =
   Tcp.Socket.close a;
   Sim.Engine.run engine;
   Alcotest.(check int) "all data delivered before FIN" n (Buffer.length received);
-  Alcotest.(check bool) "b got eof after data" true (Tcp.Socket.eof b)
+  Alcotest.(check bool) "b got eof after data" true (Tcp.Socket.eof b);
+  (* the FIN takes a sequence number but is no payload byte *)
+  Alcotest.(check int) "bytes out" n (Tcp.Socket.counters a).bytes_out;
+  Alcotest.(check int) "bytes in" n (Tcp.Socket.counters b).bytes_in
 
 let test_send_after_close_rejected () =
   let _engine, a, _b = testbed () in
