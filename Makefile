@@ -216,11 +216,14 @@ scale-smoke:
 	@echo "scale-smoke: OK"
 
 # Allocation gate: every guarded hot-path probe (disabled trace
-# emission, event-heap push/take and push/remove, idle engine polling,
-# delayed-ACK bookkeeping, an Rng.int draw) must measure 0.000 minor
-# words per op, and each byte-path round trip (a 16 KiB and a 64 B SET, client -> conn -> server and
-# back) must stay within its words-per-request ceiling.  Writes
-# BENCH_alloc.json; exits nonzero on any regression.
+# emission, event-heap push/take and push/remove, an engine post+step,
+# idle engine polling, delayed-ACK bookkeeping, an Rng.int draw) must
+# measure 0.000 minor words per op; a restarted timer (cancel +
+# schedule) may take its 2-word handle and no more; each byte-path
+# round trip (a 16 KiB and a 64 B SET and a 16 KiB GET, client -> conn
+# -> server and back) must stay within its words-per-request ceiling,
+# and building one connection within its words-per-connection ceiling.
+# Writes BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc
 

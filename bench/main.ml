@@ -597,13 +597,12 @@ let ablate_offline () =
       ~local:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator a) ~at)
       ~remote:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator b) ~at);
     if Sim.Time.compare at (Sim.Time.ms 200) < 0 then
-      ignore (Sim.Engine.schedule engine ~after:(Sim.Time.ms 2) poll)
+      Sim.Engine.post engine ~after:(Sim.Time.ms 2) poll
   in
   poll ();
   for i = 0 to 4_000 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
-           Tcp.Socket.send a (String.make 2000 'x')))
+    Sim.Engine.post_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
+        Tcp.Socket.send a (String.make 2000 'x'))
   done;
   Sim.Engine.run_until engine (Sim.Time.ms 205);
   let offline =
@@ -784,34 +783,18 @@ let micro () =
     Test.make ~name:"resp.parse_small_set"
       (Staged.stage (fun () -> ignore (Kv.Resp.parse_exactly wire)))
   in
-  (* The engine's monomorphic event heap on a push/pop event workload. *)
-  let heap_events =
-    Array.init 256 (fun i ->
-        {
-          Sim.Event_heap.at = Sim.Time.ns ((i * 7919) mod 4096);
-          seq = i;
-          action = ignore;
-          pos = -1;
-        })
-  in
-  let heap_mono =
-    Test.make ~name:"heap.mono_push_pop_256"
-      (Staged.stage (fun () ->
-           let h = Sim.Event_heap.create () in
-           Array.iter (Sim.Event_heap.push h) heap_events;
-           while not (Sim.Event_heap.is_empty h) do
-             ignore (Sim.Event_heap.pop h)
-           done))
-  in
-  (* Same drain through the option-free accessor the engine's run loop
-     now uses: no Some box per event. *)
+  (* The engine's event heap on a push/take event workload: 256
+     one-shot events pushed, then drained in order. *)
+  let heap_ats = Array.init 256 (fun i -> Sim.Time.ns ((i * 7919) mod 4096)) in
   let heap_mono_take =
     Test.make ~name:"heap.mono_take_256"
       (Staged.stage (fun () ->
            let h = Sim.Event_heap.create () in
-           Array.iter (Sim.Event_heap.push h) heap_events;
+           Array.iteri
+             (fun seq at -> Sim.Event_heap.push h ~at ~seq Sim.Event_heap.none ignore)
+             heap_ats;
            while not (Sim.Event_heap.is_empty h) do
-             ignore (Sim.Event_heap.take h)
+             Sim.Event_heap.take h ()
            done))
   in
   (* Trace overhead: the disabled paths are what every segment pays when
@@ -899,7 +882,7 @@ let micro () =
     Test.make_grouped ~name:"e2e"
       [
         queue_state_track; get_avgs; encode; decode; option_codec; ewma; resp_parse;
-        heap_mono; heap_mono_take; emitf_disabled; emitf_guarded_disabled;
+        heap_mono_take; emitf_disabled; emitf_guarded_disabled;
         emitf_enabled; event_guarded_disabled; event_enabled;
         span_req_guarded_disabled; span_build;
       ]
@@ -1075,17 +1058,17 @@ let conn_build_words ~builds =
    estimator and the client were laid out small. *)
 let conn_build_ceiling = 1.25 *. 434.0
 
-(* Each ceiling is 1.25x a measured words per request.  The 16 KiB
-   ones date from zero-copy bulk values: a 16 KiB SET value or GET
-   reply crosses the stack as views of the sender's string and is
-   never copied.  The 64 B one dates from the direct request codec,
-   which writes and reads wire bytes without building RESP values, and
-   from before minor words were read with [Gc.minor_words]. *)
+(* The handle record [Engine.schedule] returns: two words. *)
+let timer_restart_ceiling = 2.0
+
+(* Each ceiling is 1.25x the words per request measured once one-shot
+   events carried no event record and CPU work items no wrapper
+   closure. *)
 let bytepath_probes =
   [
-    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 1.25 *. 2_653.0);
-    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 1.25 *. 817.0);
-    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1.25 *. 2_486.0);
+    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 1.25 *. 1_804.0);
+    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 1.25 *. 533.0);
+    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1.25 *. 1_625.0);
   ]
 
 let alloc () =
@@ -1100,10 +1083,10 @@ let alloc () =
     | Some _ | None -> ()
   in
   let heap = Sim.Event_heap.create () in
-  let heap_ev =
-    { Sim.Event_heap.at = 0; seq = 0; action = ignore; pos = -1 }
-  in
+  let heap_handle = Sim.Event_heap.handle () in
   let idle_engine = Sim.Engine.create () in
+  let post_engine = Sim.Engine.create () in
+  let noop () = () in
   let delack_engine = Sim.Engine.create () in
   let delack = Tcp.Delayed_ack.create delack_engine ~send_ack:ignore () in
   let histo = Sim.Histo.create () in
@@ -1129,12 +1112,16 @@ let alloc () =
                 (Sim.Trace.Req_issued { req = 42; off = 60_000; len = 72 })) );
       ( "event_heap.push_take",
         fun () ->
-          Sim.Event_heap.push heap heap_ev;
-          ignore (Sim.Event_heap.take heap) );
+          Sim.Event_heap.push heap ~at:0 ~seq:0 Sim.Event_heap.none noop;
+          Sim.Event_heap.take heap () );
       ( "event_heap.push_remove",
         fun () ->
-          Sim.Event_heap.push heap heap_ev;
-          Sim.Event_heap.remove heap heap_ev );
+          Sim.Event_heap.push heap ~at:0 ~seq:0 heap_handle noop;
+          Sim.Event_heap.remove heap heap_handle );
+      ( "engine.post_step",
+        fun () ->
+          Sim.Engine.post post_engine ~after:0 noop;
+          ignore (Sim.Engine.step post_engine) );
       ("engine.run_until_idle", fun () -> Sim.Engine.run_until idle_engine 0);
       ("delack.on_ack_sent_idle", fun () -> Tcp.Delayed_ack.on_ack_sent delack);
       ("histo.add", fun () -> Sim.Histo.add histo 123.456);
@@ -1149,6 +1136,16 @@ let alloc () =
   pf "%-34s %14s\n" "probe" "words/op";
   pf "%s\n" (String.make 50 '-');
   List.iter (fun (name, w) -> pf "%-34s %14.4f\n" name w) results;
+  (* A restarted timer (cancel, then schedule anew) pays for the one
+     handle record [schedule] returns, and nothing else. *)
+  let timer_engine = Sim.Engine.create () in
+  let timer = ref (Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop) in
+  let restart =
+    alloc_per_op (fun () ->
+        Sim.Engine.cancel timer_engine !timer;
+        timer := Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop)
+  in
+  pf "%-34s %14.4f  (ceiling %.0f)\n" "engine.timer_restart" restart timer_restart_ceiling;
   let budgets =
     List.map
       (fun (name, cmd, requests, ceiling) -> (name, bytepath_words_per_req cmd ~requests, ceiling))
@@ -1171,6 +1168,10 @@ let alloc () =
           if w > c then Some (Printf.sprintf "%s allocates %.1f words/req > %.0f" name w c)
           else None)
         budgets
+    @ (if restart > timer_restart_ceiling then
+         [ Printf.sprintf "engine.timer_restart allocates %.4f words/op > %.0f" restart
+             timer_restart_ceiling ]
+       else [])
     @
     if build > conn_build_ceiling then
       [ Printf.sprintf "conn.build allocates %.1f words/conn > %.0f" build conn_build_ceiling ]
@@ -1183,6 +1184,9 @@ let alloc () =
     (fun i (name, w) ->
       Printf.fprintf oc "    %S: %.4f%s\n" name w (if i < n - 1 then "," else ""))
     results;
+  Printf.fprintf oc "  },\n  \"words_per_op\": {\n";
+  Printf.fprintf oc "    \"engine.timer_restart\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
+    restart timer_restart_ceiling;
   Printf.fprintf oc "  },\n  \"words_per_req\": {\n";
   let nb = List.length budgets in
   List.iteri
@@ -1198,8 +1202,8 @@ let alloc () =
   pf "  wrote BENCH_alloc.json\n";
   match bad with
   | [] ->
-    pf "alloc-gate          : all %d probes at 0.000 words/op, %d byte-path probes and \
-        conn.build within budget\n" n nb
+    pf "alloc-gate          : all %d probes at 0.000 words/op, engine.timer_restart, %d \
+        byte-path probes and conn.build within budget\n" n nb
   | bad ->
     List.iter (fun msg -> pf "alloc-gate FAILURE  : %s\n" msg) bad;
     exit 1

@@ -35,13 +35,12 @@ let () =
   let stage_summary = ref (Sim.Stats.Summary.create ()) in
   let rec drive () =
     let gap = Sim.Rng.exponential rng ~mean:(1e9 /. !current_rate) in
-    ignore
-      (Sim.Engine.schedule engine ~after:(int_of_float gap) (fun () ->
-           Kv.Client.request client
-             (Loadgen.Workload.next_command workload ~rng:wl_rng)
-             ~on_complete:(fun ~latency _ ->
-               Sim.Stats.Summary.add !stage_summary (Sim.Time.to_us latency));
-           drive ()))
+    Sim.Engine.post engine ~after:(int_of_float gap) (fun () ->
+        Kv.Client.request client
+          (Loadgen.Workload.next_command workload ~rng:wl_rng)
+          ~on_complete:(fun ~latency _ ->
+            Sim.Stats.Summary.add !stage_summary (Sim.Time.to_us latency));
+        drive ())
   in
   drive ();
   (* The Section-5 controller: estimate -> observe -> decide, per tick. *)
@@ -67,9 +66,9 @@ let () =
     Tcp.Socket.kick sock_server;
     incr total_ticks;
     if enabled then incr on_ticks;
-    ignore (Sim.Engine.schedule engine ~after:tick control)
+    Sim.Engine.post engine ~after:tick control
   in
-  ignore (Sim.Engine.schedule engine ~after:tick control);
+  Sim.Engine.post engine ~after:tick control;
   (* Run the ramp, reporting per stage. *)
   pf "%8s | %9s | %10s | %14s\n" "load" "mean-lat" "%time-on" "dominant mode";
   pf "%s\n" (String.make 52 '-');

@@ -64,10 +64,9 @@ let () =
       done);
   let n_requests = 2_000 in
   for i = 0 to n_requests - 1 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 40)) (fun () ->
-           Queue.push (Sim.Engine.now engine) outstanding;
-           Tcp.Socket.send client_sock (String.make request_size 'r')))
+    Sim.Engine.post_at engine ~at:(Sim.Time.us (i * 40)) (fun () ->
+        Queue.push (Sim.Engine.now engine) outstanding;
+        Tcp.Socket.send client_sock (String.make request_size 'r'))
   done;
   Sim.Engine.run engine;
   let at = Sim.Engine.now engine in

@@ -71,9 +71,8 @@ let step4_stack () =
       ignore (Tcp.Socket.recv client (Tcp.Socket.recv_available client)));
   (* issue 100 requests, one every 100us *)
   for i = 0 to 99 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 100)) (fun () ->
-           Tcp.Socket.send client (String.make 1000 'q')))
+    Sim.Engine.post_at engine ~at:(Sim.Time.us (i * 100)) (fun () ->
+        Tcp.Socket.send client (String.make 1000 'q'))
   done;
   Sim.Engine.run engine;
   match

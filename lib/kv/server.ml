@@ -63,10 +63,9 @@ let rec wake t =
   if t.cfg.wake_delay > Sim.Time.zero then begin
     if not t.wake_pending then begin
       t.wake_pending <- true;
-      ignore
-        (Sim.Engine.schedule t.engine ~after:t.cfg.wake_delay (fun () ->
-             t.wake_pending <- false;
-             if not t.busy then process t))
+      Sim.Engine.post t.engine ~after:t.cfg.wake_delay (fun () ->
+          t.wake_pending <- false;
+          if not t.busy then process t)
     end
   end
   else if not t.busy then process t

@@ -178,9 +178,9 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
           ~reason ~frozen:false ~stale_us:(stale_age_us at) ()
       | None -> ());
       if Sim.Time.compare (Sim.Time.add at a.aimd_tick) until <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick)
+        Sim.Engine.post engine ~after:a.aimd_tick tick
     in
-    ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick);
+    Sim.Engine.post engine ~after:a.aimd_tick tick;
     g.aimd <- Some controller;
     g
   | Dynamic d ->
@@ -265,9 +265,9 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
           ~frozen ~stale_us:(stale_age_us at) ()
       | None -> ());
       if Sim.Time.compare (Sim.Time.add at d.tick) until <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:d.tick tick)
+        Sim.Engine.post engine ~after:d.tick tick
     in
-    ignore (Sim.Engine.schedule engine ~after:d.tick tick);
+    Sim.Engine.post engine ~after:d.tick tick;
     g.toggler <- Some toggler;
     g.degrade <- degrade;
     g

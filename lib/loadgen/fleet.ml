@@ -553,23 +553,22 @@ let run (cfg : config) =
     (fun plan ->
       List.iter
         (fun (st : Fault.Plan.step) ->
-          ignore
-            (Sim.Engine.schedule_at engine
-               ~at:(Sim.Time.ns (int_of_float (st.at_us *. 1e3)))
-               (fun () ->
-                 List.iter
-                   (fun s ->
-                     iter_entries s ~f:(fun e ->
-                         List.iter
-                           (fun link ->
-                             Option.iter (Tcp.Link.set_gbit_per_s link) st.gbit_per_s;
-                             Option.iter
-                               (fun us ->
-                                 Tcp.Link.set_prop_delay link
-                                   (Sim.Time.ns (int_of_float (us *. 1e3))))
-                               st.delay_us)
-                           [ Tcp.Conn.link_ab e.conn; Tcp.Conn.link_ba e.conn ]))
-                   states)))
+          Sim.Engine.post_at engine
+            ~at:(Sim.Time.ns (int_of_float (st.at_us *. 1e3)))
+            (fun () ->
+              List.iter
+                (fun s ->
+                  iter_entries s ~f:(fun e ->
+                      List.iter
+                        (fun link ->
+                          Option.iter (Tcp.Link.set_gbit_per_s link) st.gbit_per_s;
+                          Option.iter
+                            (fun us ->
+                              Tcp.Link.set_prop_delay link
+                                (Sim.Time.ns (int_of_float (us *. 1e3))))
+                            st.delay_us)
+                        [ Tcp.Conn.link_ab e.conn; Tcp.Conn.link_ba e.conn ]))
+                states))
         plan.Fault.Plan.steps)
     cfg.fault;
   (* Every run-start socket, the client ends first, each side in
@@ -719,17 +718,16 @@ let run (cfg : config) =
         List.iter
           (fun (en : Trace.entry) ->
             if Sim.Time.compare en.at total <= 0 then
-              ignore (Sim.Engine.schedule_at engine ~at:en.at (fun () -> issue en.cmd)))
+              Sim.Engine.post_at engine ~at:en.at (fun () -> issue en.cmd))
           entries
       | None ->
         let rec schedule_request () =
           let gap = Arrival.next_gap s.arrival ~now:(Sim.Engine.now engine) in
           let at = Sim.Time.add (Sim.Engine.now engine) gap in
           if Sim.Time.compare at total <= 0 then
-            ignore
-              (Sim.Engine.schedule engine ~after:gap (fun () ->
-                   issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
-                   schedule_request ()))
+            Sim.Engine.post engine ~after:gap (fun () ->
+                issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
+                schedule_request ())
         in
         schedule_request ())
     states;
@@ -835,9 +833,9 @@ let run (cfg : config) =
             ~est_us:(ns_opt_to_us tagg.latency_ns) ~nagle_frac)
         per_tenant;
       if Sim.Time.compare (Sim.Time.add at interval) total <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:interval tick)
+        Sim.Engine.post engine ~after:interval tick
     in
-    ignore (Sim.Engine.schedule engine ~after:interval tick));
+    Sim.Engine.post engine ~after:interval tick);
   (* Envelope edges: register every modulation discontinuity at its own
      instant so the settling tracker can segment the run.  Scheduling
      (rather than registering up front) keeps the trace breadcrumbs in
@@ -855,9 +853,8 @@ let run (cfg : config) =
           List.iter
             (fun at_us ->
               let at = int_of_float (at_us *. 1e3) in
-              ignore
-                (Sim.Engine.schedule_at engine ~at (fun () ->
-                     Observe.note_edge o ~id:(client_id s.spec) ~at)))
+              Sim.Engine.post_at engine ~at (fun () ->
+                  Observe.note_edge o ~id:(client_id s.spec) ~at))
             (Arrival.edges env ~until_us:(float_of_int total /. 1e3)))
       states);
   (* Control groups, one per scope unit, in group order.  Each entry is
@@ -996,11 +993,11 @@ let run (cfg : config) =
           match Tcp.Socket.state e.ssock with
           | Tcp.Socket.Close_wait -> Tcp.Socket.close e.ssock
           | Tcp.Socket.Closed | Tcp.Socket.Time_wait -> ()
-          | _ -> ignore (Sim.Engine.schedule engine ~after:(Sim.Time.us 100) server_close)
+          | _ -> Sim.Engine.post engine ~after:(Sim.Time.us 100) server_close
         in
         server_close ()
       end
-      else ignore (Sim.Engine.schedule engine ~after:(Sim.Time.us 50) drain)
+      else Sim.Engine.post engine ~after:(Sim.Time.us 50) drain
     in
     drain ()
   in
@@ -1015,10 +1012,9 @@ let run (cfg : config) =
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
              if Sim.Time.compare at total <= 0 then
-               ignore
-                 (Sim.Engine.schedule engine ~after:gap (fun () ->
-                      if accepting_count s < ch.max_conns then spawn_one i s crng;
-                      arrivals ()))
+               Sim.Engine.post engine ~after:gap (fun () ->
+                   if accepting_count s < ch.max_conns then spawn_one i s crng;
+                   arrivals ())
            in
            arrivals ());
         (if ch.depart_rps > 0.0 then
@@ -1028,12 +1024,11 @@ let run (cfg : config) =
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
              if Sim.Time.compare at total <= 0 then
-               ignore
-                 (Sim.Engine.schedule engine ~after:gap (fun () ->
-                      (if accepting_count s > ch.min_conns then
-                         let k = Sim.Rng.int crng ~bound:(accepting_count s) in
-                         retire_entry s s.rotation.(k));
-                      departures ()))
+               Sim.Engine.post engine ~after:gap (fun () ->
+                   (if accepting_count s > ch.min_conns then
+                      let k = Sim.Rng.int crng ~bound:(accepting_count s) in
+                      retire_entry s s.rotation.(k));
+                   departures ())
            in
            departures ());
         List.iter
@@ -1042,17 +1037,16 @@ let run (cfg : config) =
               (match obs with
               | Some o -> Observe.note_edge o ~id:(client_id s.spec) ~at
               | None -> ());
-              ignore
-                (Sim.Engine.schedule_at engine ~at (fun () ->
-                     if delta > 0 then
-                       for _ = 1 to delta do
-                         if accepting_count s < ch.max_conns then spawn_one i s crng
-                       done
-                     else
-                       for _ = 1 to -delta do
-                         if accepting_count s > ch.min_conns then
-                           retire_entry s s.rotation.(accepting_count s - 1)
-                       done))
+              Sim.Engine.post_at engine ~at (fun () ->
+                  if delta > 0 then
+                    for _ = 1 to delta do
+                      if accepting_count s < ch.max_conns then spawn_one i s crng
+                    done
+                  else
+                    for _ = 1 to -delta do
+                      if accepting_count s > ch.min_conns then
+                        retire_entry s s.rotation.(accepting_count s - 1)
+                    done)
             end)
           ch.script
       | _ -> ())
@@ -1061,35 +1055,34 @@ let run (cfg : config) =
      baselines and a sole tenant's packet and hint baselines, reset the
      audit. *)
   let shard_baseline = ref None in
-  ignore
-    (Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
-         let at = Sim.Engine.now engine in
-         List.iter
-           (fun s ->
-             s.base_app <- Sim.Cpu.busy_ns s.client_cpu;
-             s.base_irq <- Sim.Cpu.busy_ns s.client_irq;
-             iter_entries s ~f:(fun e ->
-                 if not e.retired then
-                   ignore (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at);
-                 if sole then
-                   s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn);
-             if sole then
-               s.hint_base <-
-                 Array.init (Shard.Flat.capacity s.entries) (fun i ->
-                     if Shard.Flat.in_use s.entries i then
-                       let e = Shard.Flat.get s.entries i in
-                       Some
-                         ( E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at,
-                           Option.map snd (Tcp.Socket.remote_hint_window e.ssock) )
-                     else None))
-           states;
-         (match obs with
-         | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
-         | None -> ());
-         shard_baseline :=
-           Some
-             ( Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
-               Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.irq pool k)) )));
+  Sim.Engine.post_at engine ~at:warmup_until (fun () ->
+      let at = Sim.Engine.now engine in
+      List.iter
+        (fun s ->
+          s.base_app <- Sim.Cpu.busy_ns s.client_cpu;
+          s.base_irq <- Sim.Cpu.busy_ns s.client_irq;
+          iter_entries s ~f:(fun e ->
+              if not e.retired then
+                ignore (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at);
+              if sole then
+                s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn);
+          if sole then
+            s.hint_base <-
+              Array.init (Shard.Flat.capacity s.entries) (fun i ->
+                  if Shard.Flat.in_use s.entries i then
+                    let e = Shard.Flat.get s.entries i in
+                    Some
+                      ( E2e.Hints.share (Kv.Client.hint_tracker e.client) ~at,
+                        Option.map snd (Tcp.Socket.remote_hint_window e.ssock) )
+                  else None))
+        states;
+      (match obs with
+      | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
+      | None -> ());
+      shard_baseline :=
+        Some
+          ( Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
+            Array.init cores (fun k -> Sim.Cpu.busy_ns (Shard.Pool.irq pool k)) ));
   Sim.Engine.run_until engine total;
   let at = Sim.Engine.now engine in
   (* Close the Little's-law audit window and put each queue's verdict

@@ -2,10 +2,9 @@ type t = {
   engine : Engine.t;
   mutable free_at : Time.t;
   mutable busy : Time.span;
-  mutable completed : int;
 }
 
-let create engine = { engine; free_at = Time.zero; busy = 0; completed = 0 }
+let create engine = { engine; free_at = Time.zero; busy = 0 }
 
 let run t ~cost k =
   if cost < 0 then invalid_arg "Cpu.run: negative cost";
@@ -14,14 +13,11 @@ let run t ~cost k =
   let finish = Time.add start cost in
   t.free_at <- finish;
   t.busy <- t.busy + cost;
-  ignore
-    (Engine.schedule_at t.engine ~at:finish (fun () ->
-         t.completed <- t.completed + 1;
-         k ()))
+  Engine.post_at t.engine ~at:finish k
 
 let run_after t ~delay ~cost k =
   if delay < 0 then invalid_arg "Cpu.run_after: negative delay";
-  ignore (Engine.schedule t.engine ~after:delay (fun () -> run t ~cost k))
+  Engine.post t.engine ~after:delay (fun () -> run t ~cost k)
 
 let busy_until t = Time.max t.free_at (Engine.now t.engine)
 
@@ -31,5 +27,3 @@ let busy_ns t = t.busy
 
 let utilization t ~over =
   if over <= 0 then 0.0 else float_of_int t.busy /. float_of_int over
-
-let completed t = t.completed

@@ -28,6 +28,3 @@ val busy_ns : t -> Time.span
 
 val utilization : t -> over:Time.span -> float
 (** [busy_ns / over]. *)
-
-val completed : t -> int
-(** Number of work items that have finished. *)

@@ -8,7 +8,9 @@
 type t
 
 type handle
-(** Identifies a scheduled event so it can be cancelled. *)
+(** Identifies a scheduled event so it can be cancelled: one small
+    record per {!schedule}.  An event that nobody cancels is {!post}ed
+    and has none. *)
 
 val create : unit -> t
 (** Fresh engine with the clock at {!Time.zero}. *)
@@ -16,9 +18,18 @@ val create : unit -> t
 val now : t -> Time.t
 (** Current simulated time. *)
 
-val schedule : t -> after:Time.span -> (unit -> unit) -> handle
-(** [schedule t ~after f] runs [f] at [now t + after].  [after] must be
+val post : t -> after:Time.span -> (unit -> unit) -> unit
+(** [post t ~after f] runs [f] at [now t + after], for an event nobody
+    will cancel: it costs nothing beyond [f] itself.  [after] must be
     non-negative.  @raise Invalid_argument on a negative delay. *)
+
+val post_at : t -> at:Time.t -> (unit -> unit) -> unit
+(** Absolute-time variant.  [at] must not be in the simulated past. *)
+
+val schedule : t -> after:Time.span -> (unit -> unit) -> handle
+(** Like {!post}, but returns a handle that can {!cancel} the event.
+    Same-instant events fire in the order they were queued, posted or
+    scheduled.  @raise Invalid_argument on a negative delay. *)
 
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
 (** Absolute-time variant.  [at] must not be in the simulated past. *)

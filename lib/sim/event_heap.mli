@@ -1,27 +1,31 @@
 (** Monomorphic binary min-heap specialized for engine events.
 
-    The generic {!Heap} orders elements through a closure comparator,
-    which costs an indirect call per comparison on the simulator's
-    hottest path and, being polymorphic, boxes nothing but also inlines
-    nothing.  This heap knows its element type: ordering is the inlined
-    [(at, seq)] integer comparison (earliest deadline first, FIFO among
-    same-instant events), with no function pointer in sight.
+    Events are ordered by the integer key [(at, seq)]: earliest deadline
+    first, FIFO among same-instant events.  The heap is a struct of
+    arrays.  Three int arrays in heap order hold each event's [at], its
+    [seq] and its pool slot, so a sift compares and moves only
+    immediates: no pointer chase, no write barrier.  A slot pool holds
+    what is not an int: each slot's action closure and its owner
+    handle, plus the slot's heap position, so {!remove} takes an event
+    out of the middle of the heap in O(log n).
 
-    Each event records its slot in [pos], so {!remove} takes an event
-    out of the middle of the heap in O(log n).  Vacated slots are
-    overwritten with a per-heap sentinel on [take], [pop], [remove] and
-    [clear], so a fired or cancelled event's action closure — which can
-    capture sockets, connections, whole simulation worlds — becomes
-    collectable as soon as it leaves the queue. *)
+    Pushing an event allocates nothing beyond the caller's closure once
+    the arrays have grown to the queue's peak size.  A slot is cleared
+    when its event is taken, removed or cleared, so the action closure
+    — which can capture sockets, connections, whole simulation worlds —
+    becomes collectable as soon as the event leaves the queue. *)
 
-type event = {
-  at : Time.t;
-  seq : int;
-  action : unit -> unit;
-  mutable pos : int;
-      (** Slot index while queued; [-1] once taken, removed or cleared.
-          Maintained by the heap: create events with [pos = -1]. *)
-}
+type handle = private { mutable slot : int }
+(** Names one queued event so it can be removed.  [slot] is the event's
+    pool slot while it is queued and [-1] before and after. *)
+
+val handle : unit -> handle
+(** A fresh handle, not yet queued. *)
+
+val none : handle
+(** The handle of a one-shot event, which nobody can remove.  Never
+    queued: pushing with it binds nothing, and removing it does
+    nothing. *)
 
 type t
 
@@ -30,30 +34,25 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val push : t -> event -> unit
+val push : t -> at:Time.t -> seq:int -> handle -> (unit -> unit) -> unit
+(** [push h ~at ~seq owner action] queues [action] at [(at, seq)].  A
+    handle other than {!none} is bound to the event until it leaves the
+    heap.  @raise Invalid_argument if [owner] is already queued. *)
 
-val peek : t -> event option
-(** Earliest event without removing it. *)
+val min_at : t -> Time.t
+(** [at] of the earliest event; [max_int] when empty. *)
 
-val pop : t -> event option
-(** Remove and return the earliest event.  The slot it occupied is
-    cleared. *)
+val take : t -> (unit -> unit)
+(** Remove the earliest event and return its action, clearing its slot
+    and unbinding its handle.  Returns [ignore] when empty — check
+    {!is_empty} first to tell the two apart. *)
 
-val top : t -> event
-(** Option-free [peek] for the engine's hot loop: no allocation.
-    Returns the heap's sentinel ([seq = -1], [pos = -1]) when empty —
-    callers must check {!is_empty} first to distinguish. *)
-
-val take : t -> event
-(** Option-free [pop]: removes and returns the earliest event without
-    boxing it, clearing the vacated slot.  Returns the sentinel when
-    empty — check {!is_empty} first. *)
-
-val remove : t -> event -> unit
-(** Take [ev] out of the heap in O(log n), clearing its slot.  A no-op
-    when [ev] is not queued here: already taken, removed or cleared, or
-    queued in another heap. *)
+val remove : t -> handle -> unit
+(** Take the handle's event out of the heap in O(log n), clearing its
+    slot.  A no-op when the handle is not queued here: never pushed,
+    already taken, removed or cleared, queued in another heap, or
+    {!none}. *)
 
 val clear : t -> unit
-(** Drop every queued event, overwriting all live slots with the
-    sentinel so their action closures are immediately collectable. *)
+(** Drop every queued event, clearing all live slots so their action
+    closures are immediately collectable. *)

@@ -89,7 +89,7 @@ let send ?(seq = -1) t ~wire_bytes k =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + wire_bytes;
   match t.impair with
-  | None -> ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
+  | None -> Sim.Engine.post_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k
   | Some i ->
     (* Loss is decided after serialization: the sender still spent the
        wire time, the receiver just never sees the packet. *)
@@ -107,7 +107,7 @@ let send ?(seq = -1) t ~wire_bytes k =
     else begin
       match i.fault with
       | None ->
-        ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
+        Sim.Engine.post_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k
       | Some inj -> (
         match Fault.Injector.decide inj ~now_us:(Sim.Time.to_us now) with
         | { action = Drop reason; _ } ->
@@ -126,14 +126,13 @@ let send ?(seq = -1) t ~wire_bytes k =
             end
             else arrival
           in
-          ignore (Sim.Engine.schedule_at t.engine ~at:arrival k);
+          Sim.Engine.post_at t.engine ~at:arrival k;
           if duplicate then begin
             if tracing t then emit t ~at:now (Sim.Trace.Segment_duplicated { seq });
             (* The copy trails by a microsecond — far enough apart to be
                two deliveries, close enough to stress duplicate
                detection. *)
-            ignore
-              (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k)
+            Sim.Engine.post_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k
           end)
     end
 

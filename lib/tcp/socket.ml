@@ -599,10 +599,9 @@ and try_transmit t =
           if tracing t then event t (Sim.Trace.Cork_hold { chunk });
           if not t.cork_kick_armed then begin
             t.cork_kick_armed <- true;
-            ignore
-              (Sim.Engine.schedule_at t.engine ~at:free_at (fun () ->
-                   t.cork_kick_armed <- false;
-                   try_transmit t))
+            Sim.Engine.post_at t.engine ~at:free_at (fun () ->
+                t.cork_kick_armed <- false;
+                try_transmit t)
           end
         | None ->
           let payload = Bytebuf.take_front t.sndbuf chunk in
@@ -714,9 +713,8 @@ let rx_units t ~len ~msg_ends =
 let enter_time_wait t =
   t.conn_state <- Time_wait;
   (* 2MSL stand-in: twice the RTO floor is plenty at simulation scale *)
-  ignore
-    (Sim.Engine.schedule t.engine ~after:(2 * Rtt.min_rto) (fun () ->
-         if t.conn_state = Time_wait then t.conn_state <- Closed))
+  Sim.Engine.post t.engine ~after:(2 * Rtt.min_rto) (fun () ->
+      if t.conn_state = Time_wait then t.conn_state <- Closed)
 
 (* {2 Acknowledgment processing (sender side)} *)
 

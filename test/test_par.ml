@@ -60,44 +60,37 @@ let prop_pool_map_matches_list_map =
 
 (* {1 Event heap} *)
 
-let mk_event at seq =
-  { Sim.Event_heap.at; seq; action = ignore; pos = -1 }
+(* Each event's action records its own key, so taking and running it
+   reads the keys in firing order. *)
+let fired = ref (-1, -1)
+
+let push h ~at ~seq =
+  Sim.Event_heap.push h ~at ~seq Sim.Event_heap.none (fun () -> fired := (at, seq))
+
+let take_key h =
+  Sim.Event_heap.take h ();
+  !fired
 
 let prop_event_heap_sorted =
   QCheck.Test.make ~count:200 ~name:"Event_heap pops in (at, seq) order"
     QCheck.(small_list small_nat)
     (fun ats ->
       let h = Sim.Event_heap.create () in
-      List.iteri (fun seq at -> Sim.Event_heap.push h (mk_event at seq)) ats;
-      let popped = ref [] in
-      let rec drain () =
-        match Sim.Event_heap.pop h with
-        | Some ev -> popped := (ev.Sim.Event_heap.at, ev.seq) :: !popped;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      let got = List.rev !popped in
+      List.iteri (fun seq at -> push h ~at ~seq) ats;
+      let got = List.init (List.length ats) (fun _ -> take_key h) in
       let expected = List.sort compare (List.mapi (fun seq at -> (at, seq)) ats) in
-      got = expected)
+      got = expected && Sim.Event_heap.is_empty h)
 
 let test_event_heap_peek_clear_slots () =
   let h = Sim.Event_heap.create () in
   Alcotest.(check bool) "empty" true (Sim.Event_heap.is_empty h);
-  Alcotest.(check bool) "peek empty" true (Sim.Event_heap.peek h = None);
-  Sim.Event_heap.push h (mk_event 30 0);
-  Sim.Event_heap.push h (mk_event 10 1);
-  Sim.Event_heap.push h (mk_event 20 2);
+  Alcotest.(check int) "min_at empty" max_int (Sim.Event_heap.min_at h);
+  push h ~at:30 ~seq:0;
+  push h ~at:10 ~seq:1;
+  push h ~at:20 ~seq:2;
   Alcotest.(check int) "length" 3 (Sim.Event_heap.length h);
-  (match Sim.Event_heap.peek h with
-  | Some ev -> Alcotest.(check int) "peek min" 10 ev.Sim.Event_heap.at
-  | None -> Alcotest.fail "peek");
-  let order =
-    List.init 3 (fun _ ->
-        match Sim.Event_heap.pop h with
-        | Some ev -> ev.Sim.Event_heap.at
-        | None -> Alcotest.fail "pop")
-  in
+  Alcotest.(check int) "min_at" 10 (Sim.Event_heap.min_at h);
+  let order = List.init 3 (fun _ -> fst (take_key h)) in
   Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] order
 
 (* {1 Sweep determinism} *)
