@@ -217,9 +217,10 @@ scale-smoke:
 
 # Allocation gate: every guarded hot-path probe (disabled trace
 # emission, event-heap push/take and push/remove, an engine post+step,
-# idle engine polling, delayed-ACK bookkeeping, an Rng.int draw) must
-# measure 0.000 minor words per op; a restarted timer (cancel +
-# schedule) may take its 2-word handle and no more; each byte-path
+# idle engine polling, delayed-ACK bookkeeping, an Rng.int draw, an
+# estimator's estimate folded into an aggregate) must measure 0.000
+# minor words per op; a restarted timer (cancel + schedule) may take
+# its 2-word handle and no more, and an estimate its result; each byte-path
 # round trip (a 16 KiB and a 64 B SET and a 16 KiB GET, client -> conn
 # -> server and back) must stay within its words-per-request ceiling,
 # and building one connection within its words-per-connection ceiling.

@@ -1061,6 +1061,33 @@ let conn_build_ceiling = 1.25 *. 434.0
 (* The handle record [Engine.schedule] returns: two words. *)
 let timer_restart_ceiling = 2.0
 
+(* An estimator with a departure on each of its three queues in both
+   its local and its remote window, so an estimate takes every branch
+   of Algorithm 2. *)
+let busy_estimator () =
+  let e = E2e.Estimator.create ~at:0 in
+  let share time total integral : E2e.Queue_state.share = { time; total; integral } in
+  let remote time n =
+    let s = share time n (float_of_int (n * 7_000)) in
+    { E2e.Exchange.unacked = s; unread = s; ackdelay = s }
+  in
+  E2e.Estimator.ingest_remote e ~at:(Sim.Time.us 10) (remote (Sim.Time.us 10) 1);
+  E2e.Estimator.ingest_remote e ~at:(Sim.Time.us 90) (remote (Sim.Time.us 90) 4);
+  List.iter
+    (fun track ->
+      track e ~at:(Sim.Time.us 20) 2;
+      track e ~at:(Sim.Time.us 50) (-1))
+    [ E2e.Estimator.track_unacked; E2e.Estimator.track_unread; E2e.Estimator.track_ackdelay ];
+  e
+
+(* Each call of [Estimator.estimate] may allocate its result and
+   nothing else: the [Some], the record, and an option and a box for each
+   of its four floats, every one present here. *)
+let estimate_ceiling () =
+  match E2e.Estimator.peek_estimate (busy_estimator ()) ~at:(Sim.Time.us 100) with
+  | Some est -> float_of_int (Obj.reachable_words (Obj.repr (Some est)))
+  | None -> failwith "alloc: the busy estimator has no estimate"
+
 (* Each ceiling is 1.25x the words per request measured once one-shot
    events carried no event record and CPU work items no wrapper
    closure. *)
@@ -1093,6 +1120,8 @@ let alloc () =
   let ledger_off = E2e.Ledger.create ~trace:trace_off ~group:"bench" in
   let steer = Shard.Steer.create ~shards:4 in
   let rng = Sim.Rng.create ~seed:42 in
+  let fold_acc = E2e.Aggregate.acc () in
+  let peeked = busy_estimator () and closed = busy_estimator () and closed_at = ref 0 in
   let probes =
     [
       ( "trace.emitf_guarded_disabled",
@@ -1130,6 +1159,15 @@ let alloc () =
       ( "shard.steer_disabled",
         fun () -> ignore (Shard.Steer.lookup steer "bare/c42") );
       ("rng.int", fun () -> ignore (Sim.Rng.int rng ~bound:1_000_000));
+      (* A group tick's step: one estimator's estimate folded into the
+         aggregate, peeked and with its windows closed. *)
+      ( "estimator.fold",
+        fun () ->
+          ignore (E2e.Estimator.fold peeked ~at:(Sim.Time.us 100) ~advance:false fold_acc);
+          closed_at := !closed_at + Sim.Time.us 100;
+          E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 30) 1;
+          E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 10) (-1);
+          ignore (E2e.Estimator.fold closed ~at:!closed_at ~advance:true fold_acc) );
     ]
   in
   let results = List.map (fun (name, f) -> (name, alloc_per_op f)) probes in
@@ -1146,6 +1184,12 @@ let alloc () =
         timer := Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop)
   in
   pf "%-34s %14.4f  (ceiling %.0f)\n" "engine.timer_restart" restart timer_restart_ceiling;
+  let estimate_est = busy_estimator () in
+  let estimate =
+    alloc_per_op (fun () -> ignore (E2e.Estimator.peek_estimate estimate_est ~at:(Sim.Time.us 100)))
+  in
+  let estimate_ceiling = estimate_ceiling () in
+  pf "%-34s %14.4f  (ceiling %.0f)\n" "estimator.estimate" estimate estimate_ceiling;
   let budgets =
     List.map
       (fun (name, cmd, requests, ceiling) -> (name, bytepath_words_per_req cmd ~requests, ceiling))
@@ -1172,6 +1216,10 @@ let alloc () =
          [ Printf.sprintf "engine.timer_restart allocates %.4f words/op > %.0f" restart
              timer_restart_ceiling ]
        else [])
+    @ (if estimate > estimate_ceiling then
+         [ Printf.sprintf "estimator.estimate allocates %.4f words/op > %.0f" estimate
+             estimate_ceiling ]
+       else [])
     @
     if build > conn_build_ceiling then
       [ Printf.sprintf "conn.build allocates %.1f words/conn > %.0f" build conn_build_ceiling ]
@@ -1185,8 +1233,10 @@ let alloc () =
       Printf.fprintf oc "    %S: %.4f%s\n" name w (if i < n - 1 then "," else ""))
     results;
   Printf.fprintf oc "  },\n  \"words_per_op\": {\n";
-  Printf.fprintf oc "    \"engine.timer_restart\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
+  Printf.fprintf oc "    \"engine.timer_restart\": { \"value\": %.4f, \"ceiling\": %.0f },\n"
     restart timer_restart_ceiling;
+  Printf.fprintf oc "    \"estimator.estimate\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
+    estimate estimate_ceiling;
   Printf.fprintf oc "  },\n  \"words_per_req\": {\n";
   let nb = List.length budgets in
   List.iteri
@@ -1202,8 +1252,8 @@ let alloc () =
   pf "  wrote BENCH_alloc.json\n";
   match bad with
   | [] ->
-    pf "alloc-gate          : all %d probes at 0.000 words/op, engine.timer_restart, %d \
-        byte-path probes and conn.build within budget\n" n nb
+    pf "alloc-gate          : all %d probes at 0.000 words/op, engine.timer_restart, \
+        estimator.estimate, %d byte-path probes and conn.build within budget\n" n nb
   | bad ->
     List.iter (fun msg -> pf "alloc-gate FAILURE  : %s\n" msg) bad;
     exit 1

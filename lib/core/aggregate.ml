@@ -2,22 +2,86 @@ type input = { latency_ns : float option; throughput : float }
 
 type t = { latency_ns : float option; throughput : float; flows : int }
 
-let combine (inputs : input list) =
-  let weighted, weight, flows, throughput =
-    List.fold_left
-      (fun (acc, w, n, tp) (i : input) ->
-        let tp = tp +. i.throughput in
-        match i.latency_ns with
-        | Some l when i.throughput > 0.0 ->
-          (acc +. (l *. i.throughput), w +. i.throughput, n + 1, tp)
-        | Some _ | None -> (acc, w, n, tp))
-      (0.0, 0.0, 0, 0.0) inputs
+(* Float-only, so every field is stored unboxed and overwritten in
+   place. *)
+type acc = {
+  mutable last_latency_ns : float;
+  mutable last_local_ns : float;
+  mutable last_remote_ns : float;
+  mutable last_throughput : float;
+  mutable last_window_ns : float;
+  mutable estimates : float;
+  mutable flows : float;
+  mutable weighted : float;
+  mutable weight : float;
+  mutable throughput : float;
+}
+
+let reset a =
+  a.last_latency_ns <- Float.nan;
+  a.last_local_ns <- Float.nan;
+  a.last_remote_ns <- Float.nan;
+  a.last_throughput <- 0.0;
+  a.last_window_ns <- 0.0;
+  a.estimates <- 0.0;
+  a.flows <- 0.0;
+  a.weighted <- 0.0;
+  a.weight <- 0.0;
+  a.throughput <- 0.0
+
+let acc () =
+  let a =
+    {
+      last_latency_ns = 0.0;
+      last_local_ns = 0.0;
+      last_remote_ns = 0.0;
+      last_throughput = 0.0;
+      last_window_ns = 0.0;
+      estimates = 0.0;
+      flows = 0.0;
+      weighted = 0.0;
+      weight = 0.0;
+      throughput = 0.0;
+    }
   in
+  reset a;
+  a
+
+let add_last a =
+  a.estimates <- a.estimates +. 1.0;
+  a.throughput <- a.throughput +. a.last_throughput;
+  let l = a.last_latency_ns in
+  if a.last_throughput > 0.0 && not (Float.is_nan l) then begin
+    a.weighted <- a.weighted +. (l *. a.last_throughput);
+    a.weight <- a.weight +. a.last_throughput;
+    a.flows <- a.flows +. 1.0
+  end
+
+let copy_last ~src a =
+  a.last_latency_ns <- src.last_latency_ns;
+  a.last_local_ns <- src.last_local_ns;
+  a.last_remote_ns <- src.last_remote_ns;
+  a.last_throughput <- src.last_throughput;
+  a.last_window_ns <- src.last_window_ns
+
+let result a : t =
   {
-    latency_ns = (if weight > 0.0 then Some (weighted /. weight) else None);
-    throughput;
-    flows;
+    latency_ns = (if a.weight > 0.0 then Some (a.weighted /. a.weight) else None);
+    throughput = a.throughput;
+    flows = int_of_float a.flows;
   }
+
+let known x = if Float.is_nan x then None else Some x
+
+let combine (inputs : input list) =
+  let a = acc () in
+  List.iter
+    (fun (i : input) ->
+      a.last_latency_ns <- Option.value i.latency_ns ~default:Float.nan;
+      a.last_throughput <- i.throughput;
+      add_last a)
+    inputs;
+  result a
 
 let max_min_ratio xs =
   match xs with
@@ -34,10 +98,3 @@ let jain xs =
     let sumsq = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if sumsq <= 0.0 then None
     else Some (sum *. sum /. (float_of_int n *. sumsq))
-
-let of_estimates estimates =
-  combine
-    (List.map
-       (fun (e : Estimator.estimate) : input ->
-         { latency_ns = e.latency_ns; throughput = e.throughput })
-       estimates)

@@ -15,6 +15,47 @@ type t = {
 }
 
 val combine : input list -> t
+(** {!add_last} over the inputs, in order. *)
+
+(** {1 Folding without lists}
+
+    A float-only accumulator, so that adding to it overwrites floats in
+    place and allocates nothing ({!Estimator.fold} writes an
+    estimator's estimate straight into it).  Counts are held as floats
+    (exact below 2{^53}), and an absent latency is [nan]: an estimate's
+    latencies are never [nan] themselves. *)
+
+type acc = {
+  mutable last_latency_ns : float;  (** the estimate added last *)
+  mutable last_local_ns : float;  (** its local vantage point *)
+  mutable last_remote_ns : float;  (** its remote vantage point *)
+  mutable last_throughput : float;
+  mutable last_window_ns : float;
+  mutable estimates : float;  (** estimates added *)
+  mutable flows : float;  (** those that contributed a latency *)
+  mutable weighted : float;  (** sum of latency x throughput over [flows] *)
+  mutable weight : float;  (** sum of throughput over [flows] *)
+  mutable throughput : float;  (** sum of throughput over [estimates] *)
+}
+
+val acc : unit -> acc
+(** An empty accumulator. *)
+
+val reset : acc -> unit
+(** Empty [acc] again. *)
+
+val add_last : acc -> unit
+(** Add the [last_*] estimate to the sums.  [combine] weighs each input
+    the same way, in the same float operations. *)
+
+val copy_last : src:acc -> acc -> unit
+(** Make [src]'s last estimate [acc]'s, to add it to a second
+    accumulator. *)
+
+val result : acc -> t
+
+val known : float -> float option
+(** [None] for [nan], an accumulator's absent latency. *)
 
 (** {1 Fairness across flows/tenants}
 
@@ -31,6 +72,3 @@ val jain : float list -> float option
 (** Jain's fairness index [(Σx)² / (n·Σx²)], in [(0, 1]]; 1.0 is
     perfectly fair, [1/n] is maximally unfair.  [None] on an empty
     list or when every input is zero. *)
-
-val of_estimates : Estimator.estimate list -> t
-(** Convenience over {!Estimator.estimate} results. *)

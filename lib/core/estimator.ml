@@ -192,7 +192,7 @@ let ingest_remote t ~at (triple : Exchange.triple) =
     | _ -> ())
 
 let rejected_shares t = t.rejected
-let last_share_at t = if has_shares t then Some t.last_share_at else None
+let last_share_at t = if has_shares t then t.last_share_at else -1
 
 let set_staleness t ~timeout = t.staleness <- Option.value timeout ~default:(-1)
 let staleness t = if t.staleness < 0 then None else Some t.staleness
@@ -212,80 +212,148 @@ type estimate = {
   stale : bool;
 }
 
-let compute t ~at =
-  let local_cur = local_snapshot t ~at in
+(* The local window's live end: each queue's integral at [at], written
+   by [compute] and read back within the same call.  One per domain,
+   since parallel sweeps run estimators on several domains at once. *)
+let live_integrals = Domain.DLS.new_key (fun () -> Array.make 3 0.0)
+
+(* Algorithm 2 on one queue: the mean delay of the [d_total] items that
+   departed while the occupancy integral grew by [d_integral]; nan (the
+   accumulator's "absent") when none departed. *)
+let[@inline] delay d_total d_integral =
+  if d_total > 0 then d_integral /. float_of_int d_total else Float.nan
+
+let[@inline] local_delay t live q =
+  delay
+    (Queue_state.total_in t.floats (queue_at q) - t.ints.(total_slot local_prev q))
+    (live.(q) -. t.floats.(integral_slot local_prev q))
+
+let[@inline] remote_delay t q =
+  delay
+    (t.ints.(total_slot remote_latest q) - t.ints.(total_slot remote_baseline q))
+    (t.floats.(integral_slot remote_latest q) -. t.floats.(integral_slot remote_baseline q))
+
+let[@inline] or_zero x = if Float.is_nan x then 0.0 else x
+
+(* [Aggregate.known], inlined: passing it a float would box one even
+   for [None]. *)
+let[@inline] known x = if Float.is_nan x then None else Some x
+
+(* [Float.max], written out so that it is inlined: a float passed to or
+   returned from another module is boxed. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y else x
+
+(* One vantage point's end-to-end latency (paper §3.2): its own unacked
+   delay less the peer's ack delay, plus both unread delays, clamped to
+   non-negative; absent without an unacked delay. *)
+let[@inline] combine ~unacked ~peer_ackdelay ~unread ~peer_unread =
+  if Float.is_nan unacked then Float.nan
+  else fmax (unacked -. or_zero peer_ackdelay +. or_zero unread +. or_zero peer_unread) 0.0
+
+(* The estimate over the current windows, written into [a]'s [last_*]
+   fields straight from [ints]/[floats]; returns the local window's
+   length, nothing written when it is not positive.  The remote window
+   counts once it spans time.  Both vantage points take the absent
+   peer terms as zero, and the estimate is the larger of the two. *)
+let compute t ~at (a : Aggregate.acc) =
+  let live = Domain.DLS.get live_integrals in
+  for q = unacked to ackdelay do
+    Queue_state.integral_into t.floats (queue_at q) ~at live q
+  done;
   let window = Sim.Time.diff at (saved_time t local_prev) in
-  if window <= 0 then None
+  if window > 0 then begin
+    let lu = local_delay t live unacked
+    and lr = local_delay t live unread
+    and la = local_delay t live ackdelay in
+    let remote =
+      has_shares t && Sim.Time.diff (saved_time t remote_latest) (saved_time t remote_baseline) > 0
+    in
+    let ru = if remote then remote_delay t unacked else Float.nan
+    and rr = if remote then remote_delay t unread else Float.nan
+    and ra = if remote then remote_delay t ackdelay else Float.nan in
+    let local_ns = combine ~unacked:lu ~peer_ackdelay:ra ~unread:lr ~peer_unread:rr in
+    let remote_ns = combine ~unacked:ru ~peer_ackdelay:la ~unread:rr ~peer_unread:lr in
+    a.last_local_ns <- local_ns;
+    a.last_remote_ns <- remote_ns;
+    a.last_latency_ns <-
+      (if Float.is_nan local_ns then remote_ns
+       else if Float.is_nan remote_ns then local_ns
+       else fmax local_ns remote_ns);
+    (* Departures per second; the divisor is [Sim.Time.to_sec window]. *)
+    a.last_throughput <-
+      float_of_int
+        (Queue_state.total_in t.floats (queue_at unacked) - t.ints.(total_slot local_prev unacked))
+      /. (float_of_int window /. 1e9);
+    a.last_window_ns <- float_of_int window
+  end;
+  window
+
+(* Close the windows just computed (the live local end becomes the
+   baseline, as does the latest remote share) and report whether the
+   estimate stands: a cold start's first window is discarded. *)
+let close_windows t ~at (a : Aggregate.acc) =
+  let live = Domain.DLS.get live_integrals in
+  t.ints.(time_slot local_prev) <- at;
+  for q = unacked to ackdelay do
+    t.ints.(total_slot local_prev q) <- Queue_state.total_in t.floats (queue_at q);
+    t.floats.(integral_slot local_prev q) <- live.(q)
+  done;
+  (* The remote window advances too: the latest ingested share becomes
+     the next window's baseline, keeping the two vantage points'
+     windows aligned (modulo one network delay). *)
+  if saved_time t remote_latest >= 0 then
+    copy_saved t ~src:remote_latest ~dst:remote_baseline;
+  if t.lifecycle = Cold_start then begin
+    (* The first window of a mid-run connection spans its slow-start
+       ramp: a handful of samples over a tiny span.  Discard it —
+       windows re-anchor at [at] — and report nothing, so a fresh
+       connection cannot poison its group's aggregate. *)
+    t.lifecycle <- Warm;
+    false
+  end
   else begin
-    let local_prev = saved t local_prev in
-    let local_comp = Latency.components_of_triples ~prev:local_prev ~cur:local_cur in
-    let remote_comp =
-      match remote_window t with
-      | None -> None
-      | Some (prev, cur) -> Latency.components_of_triples ~prev ~cur
-    in
-    let none_comp : Latency.components =
-      { unacked = None; unread = None; ackdelay = None }
-    in
-    let latency_local_ns =
-      match local_comp with
-      | None -> None
-      | Some local ->
-        Latency.combine ~local ~remote:(Option.value remote_comp ~default:none_comp)
-    in
-    let latency_remote_ns =
-      (* The peer's vantage point: its unacked/unread with our
-         ackdelay/unread subtracted or added symmetrically. *)
-      match remote_comp with
-      | None -> None
-      | Some remote ->
-        let local = Option.value local_comp ~default:none_comp in
-        Latency.combine ~local:remote ~remote:local
-    in
-    let throughput =
-      match Queue_state.get_avgs ~prev:local_prev.unacked ~cur:local_cur.unacked with
-      | Some avgs -> avgs.throughput
-      | None -> 0.0
-    in
-    let latency_ns = Latency.reconcile latency_local_ns latency_remote_ns in
-    let stale = is_stale t ~at in
-    Some
-      ( { latency_ns; latency_local_ns; latency_remote_ns; throughput; window; stale },
-        local_cur )
+    (match t.trace with
+    | Some (tr, id) when Sim.Trace.enabled tr ->
+        Sim.Trace.event tr ~at ~id
+          (Estimate_computed
+             {
+               latency_us = Option.map (fun l -> l /. 1e3) (known a.last_latency_ns);
+               throughput = a.last_throughput;
+               window_us = a.last_window_ns /. 1e3;
+             })
+    | _ -> ());
+    true
   end
 
-let estimate t ~at =
-  match compute t ~at with
-  | None -> None
-  | Some (est, local_cur) ->
-    save t local_prev local_cur;
-    (* The remote window advances too: the latest ingested share becomes
-       the next window's baseline, keeping the two vantage points'
-       windows aligned (modulo one network delay). *)
-    if saved_time t remote_latest >= 0 then
-      copy_saved t ~src:remote_latest ~dst:remote_baseline;
-    if t.lifecycle = Cold_start then begin
-      (* The first window of a mid-run connection spans its slow-start
-         ramp: a handful of samples over a tiny span.  Discard it —
-         windows re-anchor at [at] — and report nothing, so a fresh
-         connection cannot poison its group's aggregate. *)
-      t.lifecycle <- Warm;
-      None
-    end
-    else begin
-      (match t.trace with
-      | Some (tr, id) when Sim.Trace.enabled tr ->
-          Sim.Trace.event tr ~at ~id
-            (Estimate_computed
-               {
-                 latency_us = Option.map (fun l -> l /. 1e3) est.latency_ns;
-                 throughput = est.throughput;
-                 window_us = float_of_int est.window /. 1e3;
-               })
-      | _ -> ());
-      Some est
-    end
+(* The estimate into [a]'s [last_*] fields: [estimate] with [advance],
+   [peek_estimate] without. *)
+let estimate_into t ~at ~advance a =
+  if advance then compute t ~at a > 0 && close_windows t ~at a
+  else t.lifecycle <> Cold_start && compute t ~at a > 0
 
-let peek_estimate t ~at =
-  if t.lifecycle = Cold_start then None
-  else match compute t ~at with None -> None | Some (est, _) -> Some est
+let fold t ~at ~advance a =
+  estimate_into t ~at ~advance a && (Aggregate.add_last a; true)
+
+(* [estimate] and [peek_estimate] compute here and allocate only their
+   result. *)
+let scratch = Domain.DLS.new_key Aggregate.acc
+
+let to_estimate t ~at ~advance =
+  let a = Domain.DLS.get scratch in
+  if estimate_into t ~at ~advance a then
+    Some
+      {
+        latency_ns = known a.last_latency_ns;
+        latency_local_ns = known a.last_local_ns;
+        latency_remote_ns = known a.last_remote_ns;
+        throughput = a.last_throughput;
+        window = int_of_float a.last_window_ns;
+        stale = is_stale t ~at;
+      }
+  else None
+
+let estimate t ~at = to_estimate t ~at ~advance:true
+let peek_estimate t ~at = to_estimate t ~at ~advance:false

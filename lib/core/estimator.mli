@@ -97,8 +97,9 @@ val is_stale : t -> at:Sim.Time.t -> bool
 (** No accepted share within the timeout (anchored at creation until
     the first share)?  Always [false] with no timeout configured. *)
 
-val last_share_at : t -> Sim.Time.t option
-(** Arrival time of the last accepted remote share. *)
+val last_share_at : t -> Sim.Time.t
+(** Arrival time of the last accepted remote share; -1 before the
+    first. *)
 
 val remote_window : t -> (Exchange.triple * Exchange.triple) option
 (** The remote window bounds, oldest first. *)
@@ -131,6 +132,14 @@ val estimate : t -> at:Sim.Time.t -> estimate option
 val peek_estimate : t -> at:Sim.Time.t -> estimate option
 (** Same computation without advancing the window.  Read-only: safe to
     call from observability sampling without perturbing the run. *)
+
+val fold : t -> at:Sim.Time.t -> advance:bool -> Aggregate.acc -> bool
+(** {!estimate} (with [advance]) or {!peek_estimate} (without), added
+    into [acc] with {!Aggregate.add_last} instead of returned: the
+    estimate is left in [acc]'s [last_*] fields and [true] returned, or
+    [false] returned and [acc]'s sums left as they were where those
+    return [None].  Allocates nothing unless tracing.  All three share
+    one computation, and those two allocate only their result. *)
 
 (** {1 Observability} *)
 

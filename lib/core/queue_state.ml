@@ -18,10 +18,11 @@ let create ~at =
   init_in t 0 ~at;
   t
 
-let advance integral ~size ~since ~at =
+let[@inline] advance integral ~size ~since ~at =
   integral +. (float_of_int size *. float_of_int (Sim.Time.diff at since))
 
 let size_in a o = int_of_float a.(o + 1)
+let total_in a o = int_of_float a.(o + 2)
 
 let track_in a o ~at nitems =
   let time = int_of_float a.(o) in
@@ -37,19 +38,23 @@ let track_in a o ~at nitems =
 
 let track t ~at nitems = track_in t 0 ~at nitems
 let size t = size_in t 0
-let total t = int_of_float t.(2)
+let total t = total_in t 0
 
 type share = { time : Sim.Time.t; total : int; integral : float }
 
-let snapshot_in a o ~at =
+(* The integral advanced to [at]: the current occupancy has persisted
+   since the last update. *)
+let[@inline] live_integral a o ~at =
   let time = int_of_float a.(o) in
   if Sim.Time.compare at time < 0 then
     invalid_arg "Queue_state.snapshot: time went backwards";
-  {
-    time = at;
-    total = int_of_float a.(o + 2);
-    integral = advance a.(o + 3) ~size:(size_in a o) ~since:time ~at;
-  }
+  advance a.(o + 3) ~size:(size_in a o) ~since:time ~at
+
+let snapshot_in a o ~at =
+  let integral = live_integral a o ~at in
+  { time = at; total = total_in a o; integral }
+
+let integral_into a o ~at dst i = dst.(i) <- live_integral a o ~at
 
 let snapshot t ~at = snapshot_in t 0 ~at
 

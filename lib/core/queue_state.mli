@@ -75,5 +75,13 @@ val snapshot_in : float array -> int -> at:Sim.Time.t -> share
 val size_in : float array -> int -> int
 (** {!size} of the state at offset [o]. *)
 
+val total_in : float array -> int -> int
+(** {!total} of the state at offset [o]. *)
+
+val integral_into : float array -> int -> at:Sim.Time.t -> float array -> int -> unit
+(** [integral_into a o ~at dst i] writes the integral {!snapshot_in}
+    would share into [dst.(i)], with the same check.  It allocates
+    nothing, where a float returned across modules is boxed. *)
+
 val pp_share : Format.formatter -> share -> unit
 val pp : Format.formatter -> t -> unit

@@ -66,20 +66,13 @@ type estimate_sample = {
 
 let ns_opt_to_us = Option.map (fun ns -> ns /. 1e3)
 
-(* Aggregate the current estimates of the client-side estimators that
-   [iter] visits, per §3.2, in visiting order.  [advance] closes each
-   estimator's window (the controller tick does this); the default
-   peeks without consuming it. *)
-let estimate_socks ?(advance = false) iter ~at =
-  let per_flow_rev = ref [] in
-  iter (fun sock ->
-      let e = Tcp.Socket.estimator sock in
-      let est =
-        if advance then E2e.Estimator.estimate e ~at else E2e.Estimator.peek_estimate e ~at
-      in
-      match est with Some est -> per_flow_rev := est :: !per_flow_rev | None -> ());
-  let per_flow = List.rev !per_flow_rev in
-  (E2e.Aggregate.of_estimates per_flow, per_flow)
+(* Fold the current estimates of the client-side estimators that
+   [iter] visits into [acc], per §3.2, in visiting order.  [advance]
+   closes each estimator's window (the controller tick does this);
+   otherwise it peeks without consuming it. *)
+let estimate_socks ~advance iter ~at acc =
+  E2e.Aggregate.reset acc;
+  iter (fun sock -> ignore (E2e.Estimator.fold (Tcp.Socket.estimator sock) ~at ~advance acc))
 
 type t = {
   batching : batching;
@@ -113,25 +106,26 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
   let clients, alls = if is_static batching then ([||], [||]) else collect members in
   let samples_rev = ref [] in
   let g = { batching; toggler = None; aimd = None; degrade = None; samples_rev; clients; alls } in
-  let aggregate_estimate ~advance at =
-    estimate_socks ~advance (fun f -> Array.iter f g.clients) ~at
+  (* The tick's aggregate over the group's clients, each window closed,
+     folded into the group's one accumulator: a tick allocates the same
+     however large the group. *)
+  let aggregate_estimate acc at =
+    estimate_socks ~advance:true (fun f -> Array.iter f g.clients) ~at acc;
+    E2e.Aggregate.result acc
   in
   let kick_all () = Array.iter Tcp.Socket.kick g.alls in
   (* Age (µs) of the freshest accepted remote share across the group's
      estimators — the staleness clock the ledger records; -1 until the
-     first share arrives. *)
+     first share arrives.  The smallest age is that of the latest
+     share, since rounding keeps [to_us at -. to_us t0] monotone in
+     [t0]; so the loop folds int times, with -1 for "none yet". *)
   let stale_age_us at =
-    let age =
-      Array.fold_left
-        (fun acc sock ->
-          match E2e.Estimator.last_share_at (Tcp.Socket.estimator sock) with
-          | Some t0 ->
-              let a = Sim.Time.to_us at -. Sim.Time.to_us t0 in
-              (match acc with None -> Some a | Some b -> Some (Stdlib.min a b))
-          | None -> acc)
-        None g.clients
-    in
-    match age with None -> -1.0 | Some a -> Stdlib.max a 0.0
+    let latest = ref (-1) in
+    for i = 0 to Array.length g.clients - 1 do
+      let t0 = E2e.Estimator.last_share_at (Tcp.Socket.estimator g.clients.(i)) in
+      if t0 > !latest then latest := t0
+    done;
+    if !latest < 0 then -1.0 else Stdlib.max (Sim.Time.to_us at -. Sim.Time.to_us !latest) 0.0
   in
   match batching with
   | Static_on | Static_off -> g
@@ -155,9 +149,10 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
       kick_all ()
     in
     set_limit (limit_of_headroom (E2e.Aimd.limit controller));
+    let acc = E2e.Aggregate.acc () in
     let rec tick () =
       let at = Sim.Engine.now engine in
-      let agg, _ = aggregate_estimate ~advance:true at in
+      let agg = aggregate_estimate acc at in
       let before = limit_of_headroom (E2e.Aimd.limit controller) in
       let reason =
         match agg.latency_ns with
@@ -231,12 +226,13 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~members () =
           | E2e.Degrade.Active -> None);
         state = E2e.Degrade.Frozen
     in
+    let acc = E2e.Aggregate.acc () in
     let rec tick () =
       let at = Sim.Engine.now engine in
       let mode = E2e.Toggler.mode toggler in
       let frozen = step_degrade at in
-      let agg, per_flow = aggregate_estimate ~advance:true at in
-      if per_flow <> [] then begin
+      let agg = aggregate_estimate acc at in
+      if acc.estimates > 0.0 then begin
         (* While frozen the estimates are known-garbage (stale remote
            windows): keep them out of the arms so the bandit resumes
            from trustworthy scores after the fault clears. *)

@@ -57,13 +57,15 @@ type estimate_sample = {
 }
 
 val estimate_socks :
-  ?advance:bool ->
+  advance:bool ->
   ((Tcp.Socket.t -> unit) -> unit) ->
   at:Sim.Time.t ->
-  E2e.Aggregate.t * E2e.Estimator.estimate list
-(** §3.2 aggregate over the client-side estimators of the sockets the
-    iterator visits, in that order.  [advance] (default false) closes
-    each estimation window instead of peeking. *)
+  E2e.Aggregate.acc ->
+  unit
+(** Reset [acc] and fold into it the estimates of the client-side
+    estimators of the sockets the iterator visits, in that order
+    (§3.2).  [advance] closes each estimation window instead of
+    peeking. *)
 
 type t
 

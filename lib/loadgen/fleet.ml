@@ -238,10 +238,32 @@ let validate_tenant ~sole t =
     if t.n_conns < c.min_conns || t.n_conns > c.max_conns then
       bad "n_conns must lie within churn [min_conns, max_conns]"
 
-(* The id scheme (see the header): [side] is "c" or "s". *)
-let conn_label t side i suffix =
-  let id = side ^ string_of_int i ^ suffix in
-  if t.name = "" then id else t.name ^ "/" ^ id
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [n] in decimal into [b], its last digit at [last]. *)
+let rec put_digits b ~last n =
+  Bytes.set b last (Char.chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits b ~last:(last - 1) (n / 10)
+
+(* The id scheme (see the header): [side] is 'c' or 's', [i] the
+   connection index and [shard] its shard, or -1 for no ["@s<k>"]
+   suffix.  Written into one string: a fleet builds two per
+   connection. *)
+let conn_label t side i ~shard =
+  let name = String.length t.name in
+  let start = if name = 0 then 0 else name + 1 in
+  let suffix = start + 1 + digits i in
+  let len = if shard < 0 then suffix else suffix + 2 + digits shard in
+  let b = Bytes.create len in
+  Bytes.blit_string t.name 0 b 0 name;
+  if name > 0 then Bytes.set b name '/';
+  Bytes.set b start side;
+  put_digits b ~last:(suffix - 1) i;
+  if shard >= 0 then begin
+    Bytes.blit_string "@s" 0 b suffix 2;
+    put_digits b ~last:(len - 1) shard
+  end;
+  Bytes.unsafe_to_string b
 
 let client_id t = if t.name = "" then "client" else t.name ^ "/client"
 
@@ -310,11 +332,6 @@ let rebuild_rotation s =
       (List.rev (fold_entries s ~init:[] ~f:(fun acc e -> if e.accepting then e :: acc else acc)))
 
 let accepting_count s = Array.length s.rotation
-
-let live_entries s =
-  List.rev
-    (fold_entries s ~init:[] ~f:(fun acc e ->
-         if e.retired then acc else e :: acc))
 
 let packets s = fold_entries s ~init:0 ~f:(fun acc e -> acc + Tcp.Conn.total_packets e.conn)
 
@@ -407,9 +424,19 @@ let run (cfg : config) =
   let sh_issued = Array.make cores 0 in
   let sh_done = Array.make cores 0 in
   let lb_policy_name = Shard.Lb.policy_to_string cfg.lb in
-  (* Assign a connection to a shard.  [key] is the shard-free
-     connection label. *)
-  let assign_shard key = match lb with None -> 0 | Some lb -> Shard.Lb.assign lb ~key in
+  (* Assign connection [idx] of tenant [t] to a shard.  Only
+     [Consistent_hash] reads the key, the shard-free client label. *)
+  let assign_shard t idx =
+    match lb with
+    | None -> 0
+    | Some lb ->
+      let key =
+        match Shard.Lb.policy lb with
+        | Shard.Lb.Consistent_hash -> conn_label t 'c' idx ~shard:(-1)
+        | Round_robin | Least_loaded -> ""
+      in
+      Shard.Lb.assign lb ~key
+  in
   let obs = Option.map Observe.create cfg.observe in
   let lb_breadcrumb ~at ~shard id =
     match obs with
@@ -440,12 +467,12 @@ let run (cfg : config) =
      churn arrivals alike: shard assignment, the socket pair and its
      links (loss and fault injection armed), the KV server and client. *)
   let connect (t : tenant) ~h ~client_cfg ~client_cpu ~client_irq ~store ~idx ~gen =
-    let shard = assign_shard (conn_label t "c" idx "") in
-    let suffix = if cores = 1 then "" else Printf.sprintf "@s%d" shard in
+    let shard = assign_shard t idx in
+    let suffix = if cores = 1 then -1 else shard in
     let conn =
       Tcp.Conn.create engine ~a:h ~b:h ~link_ab:t.link ~link_ba:t.link ~cpu_a:client_irq
-        ~cpu_b:(Shard.Pool.irq pool shard) ~label_a:(conn_label t "c" idx suffix)
-        ~label_b:(conn_label t "s" idx suffix) ()
+        ~cpu_b:(Shard.Pool.irq pool shard) ~label_a:(conn_label t 'c' idx ~shard:suffix)
+        ~label_b:(conn_label t 's' idx ~shard:suffix) ()
     in
     (match loss_rng with
     | Some rng when cfg.loss_prob > 0.0 ->
@@ -751,53 +778,45 @@ let run (cfg : config) =
     Sim.Metrics.gauge m "completed" (fun () ->
         float_of_int (Recorder.count fleet_recorder));
     let interval = Observe.interval o in
+    (* The fleet-wide aggregate and one per tenant, refilled on every
+       tick. *)
+    let fleet_acc = E2e.Aggregate.acc () in
+    let tenant_accs = List.map (fun _ -> E2e.Aggregate.acc ()) states in
     let rec tick () =
       let at = Sim.Engine.now engine in
-      let per_tenant =
-        List.map
-          (fun s ->
-            let live = live_entries s in
-            let flows =
-              List.filter_map
-                (fun e ->
-                  let est =
-                    E2e.Estimator.peek_estimate (Tcp.Socket.estimator e.csock) ~at
-                  in
-                  (* Static runs never call [estimate] mid-run, so the
-                     trace would carry no estimate events without these
-                     peeked ones. *)
-                  (match est with
-                  | Some (est : E2e.Estimator.estimate) ->
-                    Sim.Trace.event (Observe.trace o) ~at
-                      ~id:(Tcp.Socket.label e.csock)
-                      (Sim.Trace.Estimate_computed
-                         {
-                           latency_us = ns_opt_to_us est.latency_ns;
-                           throughput = est.throughput;
-                           window_us = float_of_int est.window /. 1e3;
-                         })
-                  | None -> ());
-                  est)
-                live
-            in
-            (s, live, flows))
-          states
-      in
-      let flows = List.concat_map (fun (_, _, fl) -> fl) per_tenant in
-      let agg = E2e.Aggregate.of_estimates flows in
+      E2e.Aggregate.reset fleet_acc;
+      let window_us = ref 0.0 in
+      List.iter2
+        (fun s tacc ->
+          E2e.Aggregate.reset tacc;
+          iter_entries s ~f:(fun e ->
+              if
+                (not e.retired)
+                && E2e.Estimator.fold (Tcp.Socket.estimator e.csock) ~at ~advance:false fleet_acc
+              then begin
+                E2e.Aggregate.copy_last ~src:fleet_acc tacc;
+                E2e.Aggregate.add_last tacc;
+                window_us := Float.max !window_us (fleet_acc.last_window_ns /. 1e3);
+                (* Static runs never call [estimate] mid-run, so the
+                   trace would carry no estimate events without these
+                   peeked ones. *)
+                Sim.Trace.event (Observe.trace o) ~at ~id:(Tcp.Socket.label e.csock)
+                  (Sim.Trace.Estimate_computed
+                     {
+                       latency_us = ns_opt_to_us (E2e.Aggregate.known fleet_acc.last_latency_ns);
+                       throughput = fleet_acc.last_throughput;
+                       window_us = fleet_acc.last_window_ns /. 1e3;
+                     })
+              end))
+        states tenant_accs;
+      let agg = E2e.Aggregate.result fleet_acc in
       let est_truth =
         match agg.latency_ns with
         | Some lat_ns when Sim.Time.compare at warmup_until > 0 ->
-          let window_us =
-            List.fold_left
-              (fun acc (e : E2e.Estimator.estimate) ->
-                Float.max acc (float_of_int e.window /. 1e3))
-              0.0 flows
-          in
           let est_us = lat_ns /. 1e3 in
           Option.map
             (fun truth_us -> (est_us, truth_us))
-            (Observe.note_residual o ~at ~window_us ~est_us)
+            (Observe.note_residual o ~at ~window_us:!window_us ~est_us)
         | Some _ | None -> None
       in
       let sample = Sim.Metrics.sample m ~at in
@@ -812,26 +831,21 @@ let run (cfg : config) =
       in
       Observe.note_sample o sample;
       Observe.slo_tick o ~at;
-      List.iter
-        (fun (s, live, tflows) ->
-          let tagg = E2e.Aggregate.of_estimates tflows in
-          let accepting = List.filter (fun e -> e.accepting) live in
+      List.iter2
+        (fun s tacc ->
+          let accepting = ref 0 and on = ref 0 in
+          iter_entries s ~f:(fun e ->
+              if (not e.retired) && e.accepting then begin
+                incr accepting;
+                if Tcp.Socket.nagle_enabled e.csock then incr on
+              end);
           let nagle_frac =
-            match accepting with
-            | [] -> Float.nan
-            | _ ->
-              let on =
-                List.fold_left
-                  (fun acc e ->
-                    if Tcp.Socket.nagle_enabled e.csock then acc + 1
-                    else acc)
-                  0 accepting
-              in
-              float_of_int on /. float_of_int (List.length accepting)
+            if !accepting = 0 then Float.nan else float_of_int !on /. float_of_int !accepting
           in
           Observe.note_settle o ~id:(client_id s.spec) ~at
-            ~est_us:(ns_opt_to_us tagg.latency_ns) ~nagle_frac)
-        per_tenant;
+            ~est_us:(ns_opt_to_us (E2e.Aggregate.result tacc).latency_ns)
+            ~nagle_frac)
+        states tenant_accs;
       if Sim.Time.compare (Sim.Time.add at interval) total <= 0 then
         Sim.Engine.post engine ~after:interval tick
     in
@@ -1057,13 +1071,15 @@ let run (cfg : config) =
   let shard_baseline = ref None in
   Sim.Engine.post_at engine ~at:warmup_until (fun () ->
       let at = Sim.Engine.now engine in
+      (* Closing the windows is the point: the sums go unread. *)
+      let closed = E2e.Aggregate.acc () in
       List.iter
         (fun s ->
           s.base_app <- Sim.Cpu.busy_ns s.client_cpu;
           s.base_irq <- Sim.Cpu.busy_ns s.client_irq;
           iter_entries s ~f:(fun e ->
               if not e.retired then
-                ignore (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at);
+                ignore (E2e.Estimator.fold (Tcp.Socket.estimator e.csock) ~at ~advance:true closed);
               if sole then
                 s.base_packets <- s.base_packets + Tcp.Conn.total_packets e.conn);
           if sole then
@@ -1148,16 +1164,16 @@ let run (cfg : config) =
       in
       (lat, None, None)
     else
-      let agg, per_flow =
-        Control.estimate_socks
-          (fun f -> iter_entries s ~f:(fun e -> if not e.retired then f e.csock))
-          ~at
-      in
+      let acc = E2e.Aggregate.acc () in
+      Control.estimate_socks ~advance:false
+        (fun f -> iter_entries s ~f:(fun e -> if not e.retired then f e.csock))
+        ~at acc;
+      let agg = E2e.Aggregate.result acc in
       let local, remote =
-        match (agg.latency_ns, per_flow) with
-        | Some _, [ only ] ->
-          (ns_opt_to_us only.latency_local_ns, ns_opt_to_us only.latency_remote_ns)
-        | _ -> (None, None)
+        if agg.latency_ns <> None && acc.estimates = 1.0 then
+          ( ns_opt_to_us (E2e.Aggregate.known acc.last_local_ns),
+            ns_opt_to_us (E2e.Aggregate.known acc.last_remote_ns) )
+        else (None, None)
       in
       (ns_opt_to_us agg.latency_ns, local, remote)
   in

@@ -322,9 +322,10 @@ let test_estimator_staleness_clock () =
     (E2e.Estimator.is_stale e ~at:(us 50));
   Alcotest.(check bool) "stale once the anchor ages out" true
     (E2e.Estimator.is_stale e ~at:(us 150));
+  Alcotest.(check int) "no share yet" (-1) (E2e.Estimator.last_share_at e);
   E2e.Estimator.ingest_remote e ~at:(us 200) (sample_triple (us 190));
   Alcotest.(check bool) "share arrival" true
-    (E2e.Estimator.last_share_at e = Some (us 200));
+    (E2e.Estimator.last_share_at e = us 200);
   Alcotest.(check bool) "fresh again" false
     (E2e.Estimator.is_stale e ~at:(us 250));
   Alcotest.(check bool) "stale after silence" true
@@ -344,7 +345,7 @@ let test_estimator_ingest_clamps () =
       (E2e.Estimator.rejected_shares e);
     Alcotest.(check bool) (label ^ " leaves state untouched") true
       (E2e.Estimator.remote_window e = accepted_window
-      && E2e.Estimator.last_share_at e = Some (us 200))
+      && E2e.Estimator.last_share_at e = us 200)
   in
   (* skew: the three snapshot times must agree *)
   let skewed =
@@ -372,7 +373,7 @@ let test_estimator_ingest_clamps () =
    let fresh : E2e.Exchange.triple = { unacked = share; unread = share; ackdelay = share } in
    E2e.Estimator.ingest_remote e ~at:(us 400) fresh);
   Alcotest.(check bool) "recovers after rejects" true
-    (E2e.Estimator.last_share_at e = Some (us 400))
+    (E2e.Estimator.last_share_at e = us 400)
 
 (* {1 Degradation hysteresis} *)
 

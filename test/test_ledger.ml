@@ -204,6 +204,39 @@ let test_ledgered_pair_domains () =
   Alcotest.(check bool) "domains 1 = domains 2 (observed, ledgered)" true
     (p1 = p2)
 
+(* The staleness clock a decision records is the age of the freshest
+   accepted share across the group: members without shares count for
+   nothing, and a group with none reads -1. *)
+let test_stale_clock () =
+  let stale_clock shares =
+    let engine = Sim.Engine.create () in
+    let trace = Sim.Trace.create ~capacity:64 () in
+    Sim.Trace.set_enabled trace true;
+    let conns = Array.init 3 (fun _ -> Tcp.Conn.create engine ()) in
+    List.iter
+      (fun (i, t) ->
+        let s : E2e.Queue_state.share = { time = t; total = 0; integral = 0.0 } in
+        E2e.Estimator.ingest_remote
+          (Tcp.Socket.estimator (Tcp.Conn.sock_a conns.(i)))
+          ~at:t { unacked = s; unread = s; ackdelay = s })
+      shares;
+    ignore
+      (Loadgen.Control.attach ~ledger:(E2e.Ledger.create ~trace ~group:"g") ~engine
+         ~until:(Sim.Time.ms 1) ~rng:(Sim.Rng.create ~seed:1) ~fault_armed:false
+         ~batching:(Loadgen.Control.Dynamic Loadgen.Control.default_dynamic)
+         ~members:(fun f -> Array.iter (fun c -> f (Tcp.Conn.sock_a c) (Tcp.Conn.sock_b c)) conns)
+         ());
+    Sim.Engine.run_until engine (Sim.Time.ms 2);
+    List.filter_map
+      (fun (r : Sim.Trace.record) ->
+        match r.event with Sim.Trace.Decision_made { stale_us; _ } -> Some stale_us | _ -> None)
+      (Sim.Trace.records trace)
+  in
+  let us = Sim.Time.us in
+  Alcotest.(check (list (float 0.0))) "freshest share" [ 700.0 ]
+    (stale_clock [ (0, us 100); (2, us 300) ]);
+  Alcotest.(check (list (float 0.0))) "no shares" [ -1.0 ] (stale_clock [])
+
 let suite =
   [
     ( "ledger",
@@ -219,5 +252,6 @@ let suite =
           test_ledgered_run_bit_identical;
         Alcotest.test_case "domains 1 = 2 with ledger attached" `Quick
           test_ledgered_pair_domains;
+        Alcotest.test_case "staleness clock" `Quick test_stale_clock;
       ] );
   ]

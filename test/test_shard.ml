@@ -458,6 +458,28 @@ let test_fleet_sharded_deterministic () =
   Alcotest.(check bool) "final modes repeat" true
     (Fleet.final_modes a = Fleet.final_modes b)
 
+(* Connection ids follow the scheme in fleet.ml's header, and a
+   [Consistent_hash] LB hashes the shard-free client id: under
+   [Per_conn] scope each group is named after its client connection. *)
+let test_fleet_connection_labels () =
+  let group_ids cores =
+    let r =
+      Fleet.run
+        { (quick_config ~cores ~lb:Lb.Consistent_hash) with Fleet.scope = Fleet.Per_conn }
+    in
+    List.map (fun g -> g.Fleet.g_id) r.Fleet.groups
+  in
+  let keys =
+    List.concat_map
+      (fun (t : Fleet.tenant) -> List.init t.n_conns (Printf.sprintf "%s/c%d" t.name))
+      quick_tenants
+  in
+  Alcotest.(check (list string)) "unsharded" keys (group_ids 1);
+  let lb = Lb.create ~policy:Lb.Consistent_hash ~shards:4 in
+  Alcotest.(check (list string)) "sharded"
+    (List.map (fun key -> Printf.sprintf "%s@s%d" key (Lb.assign lb ~key)) keys)
+    (group_ids 4)
+
 let test_fleet_cores_validation () =
   Alcotest.check_raises "zero cores"
     (Invalid_argument "Fleet.run: cores must be at least 1") (fun () ->
@@ -514,5 +536,6 @@ let suite =
         Alcotest.test_case "sharded runs are deterministic" `Quick
           test_fleet_sharded_deterministic;
         Alcotest.test_case "cores validation" `Quick test_fleet_cores_validation;
+        Alcotest.test_case "connection labels" `Quick test_fleet_connection_labels;
       ] );
   ]
