@@ -94,7 +94,9 @@ scenario-smoke:
 
 # Binary trace smoke: the same run traced as .bin and as .jsonl must
 # inspect identically, and convert must round-trip the binary file
-# through JSONL byte-for-byte.
+# through JSONL byte-for-byte.  A second, scenario trace (per-conn
+# dynamic batching, a churn script, two shards) carries the decision,
+# churn and LB/shard kinds through the same round trip.
 convert-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -110,6 +112,21 @@ convert-smoke:
 	dune exec bin/e2ebench.exe -- convert _smoke/conv-rt.jsonl _smoke/conv-rt.bin
 	@cmp -s _smoke/conv.bin _smoke/conv-rt.bin \
 	  || { echo "convert-smoke: binary did not survive the JSONL round-trip"; exit 1; }
+	printf '%s\n' \
+	  'fleet seed=11 warmup_ms=5 duration_ms=20 scope=per_conn batching=dynamic' \
+	  'server cores=2 lb=least_loaded' \
+	  'tenant name=churny conns=3 rate_rps=8000 batching=dynamic churn_script=8:+2,14:-2 churn_max=8' \
+	  > _smoke/conv.scn
+	dune exec bin/e2ebench.exe -- scenario _smoke/conv.scn \
+	  --trace-out _smoke/conv-scn.bin > /dev/null
+	dune exec bin/e2ebench.exe -- convert _smoke/conv-scn.bin _smoke/conv-scn-rt.jsonl
+	@for ev in decision outcome conn_open conn_close lb_assign shard_enq; do \
+	  grep -q "\"ev\":\"$$ev\"" _smoke/conv-scn-rt.jsonl \
+	    || { echo "convert-smoke: scenario trace has no $$ev record"; exit 1; }; \
+	done
+	dune exec bin/e2ebench.exe -- convert _smoke/conv-scn-rt.jsonl _smoke/conv-scn-rt.bin
+	@cmp -s _smoke/conv-scn.bin _smoke/conv-scn-rt.bin \
+	  || { echo "convert-smoke: scenario binary did not survive the JSONL round-trip"; exit 1; }
 	@echo "convert-smoke: OK"
 
 # Decision-ledger / SLO-observatory smoke: trace a per-conn dynamic
@@ -220,7 +237,8 @@ scale-smoke:
 # idle engine polling, delayed-ACK bookkeeping, an Rng.int draw, an
 # estimator's estimate folded into an aggregate) must measure 0.000
 # minor words per op; a restarted timer (cancel + schedule) may take
-# its 2-word handle and no more, and an estimate its result; each byte-path
+# its 2-word handle and no more, an estimate its result, and a binary
+# trace record the 2-word id lookup; each byte-path
 # round trip (a 16 KiB and a 64 B SET and a 16 KiB GET, client -> conn
 # -> server and back) must stay within its words-per-request ceiling,
 # and building one connection within its words-per-connection ceiling.

@@ -1088,15 +1088,48 @@ let estimate_ceiling () =
   | Some est -> float_of_int (Obj.reachable_words (Obj.repr (Some est)))
   | None -> failwith "alloc: the busy estimator has no estimate"
 
-(* Each ceiling is 1.25x the words per request measured once one-shot
-   events carried no event record and CPU work items no wrapper
-   closure. *)
+(* Each ceiling is 1.25x the words per request measured once
+   estimation stopped allocating per estimate (1,605.7, 463.4 and
+   1,434.3). *)
 let bytepath_probes =
   [
-    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 1.25 *. 1_804.0);
-    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 1.25 *. 533.0);
-    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1.25 *. 1_625.0);
+    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 2_007.0);
+    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 579.0);
+    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1_793.0);
   ]
+
+(* [Trace.Binary.write] of a record with no string field allocates the
+   [Some] of its id's name-table lookup and nothing per field. *)
+let binary_write_ceiling = 2.0
+
+let binary_write_words () =
+  let records =
+    Array.map
+      (fun (id, event) -> { Sim.Trace.at = 1_000; id; event })
+      [|
+        ("c0", Sim.Trace.Req_issued { req = 7; off = 448; len = 64 });
+        ("c0", Sim.Trace.Segment_sent { seq = 448; len = 64; push = true; retx = false });
+        ("s0", Sim.Trace.Segment_received { seq = 448; fresh = 64 });
+        ("s0", Sim.Trace.Srv_start { req = 7 });
+        ("s0", Sim.Trace.Share_ingested { unacked_total = 3; unread_total = 7; ackdelay_total = 1 });
+        ("c0", Sim.Trace.Ack_received { acked = 64; una = 512 });
+        ( "c0",
+          Sim.Trace.Estimate_computed
+            { latency_us = Some 31.5; throughput = 1e5; window_us = 1000.0 } );
+        ("c0", Sim.Trace.Request_done { latency_us = 28.25 });
+        ("c0", Sim.Trace.Nagle_toggle { enabled = true });
+      |]
+  in
+  let oc = open_out_bin Filename.null in
+  let w = Sim.Trace.Binary.writer oc in
+  let i = ref 0 in
+  let words =
+    alloc_per_op (fun () ->
+        Sim.Trace.Binary.write w records.(!i mod Array.length records);
+        incr i)
+  in
+  close_out oc;
+  words
 
 let alloc () =
   hr "Allocation gate — guarded hot paths at 0.000 minor words/op (else exit 1)";
@@ -1190,6 +1223,8 @@ let alloc () =
   in
   let estimate_ceiling = estimate_ceiling () in
   pf "%-34s %14.4f  (ceiling %.0f)\n" "estimator.estimate" estimate estimate_ceiling;
+  let binary_write = binary_write_words () in
+  pf "%-34s %14.4f  (ceiling %.0f)\n" "trace.binary_write" binary_write binary_write_ceiling;
   let budgets =
     List.map
       (fun (name, cmd, requests, ceiling) -> (name, bytepath_words_per_req cmd ~requests, ceiling))
@@ -1220,6 +1255,10 @@ let alloc () =
          [ Printf.sprintf "estimator.estimate allocates %.4f words/op > %.0f" estimate
              estimate_ceiling ]
        else [])
+    @ (if binary_write > binary_write_ceiling then
+         [ Printf.sprintf "trace.binary_write allocates %.4f words/record > %.0f" binary_write
+             binary_write_ceiling ]
+       else [])
     @
     if build > conn_build_ceiling then
       [ Printf.sprintf "conn.build allocates %.1f words/conn > %.0f" build conn_build_ceiling ]
@@ -1235,8 +1274,10 @@ let alloc () =
   Printf.fprintf oc "  },\n  \"words_per_op\": {\n";
   Printf.fprintf oc "    \"engine.timer_restart\": { \"value\": %.4f, \"ceiling\": %.0f },\n"
     restart timer_restart_ceiling;
-  Printf.fprintf oc "    \"estimator.estimate\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
+  Printf.fprintf oc "    \"estimator.estimate\": { \"value\": %.4f, \"ceiling\": %.0f },\n"
     estimate estimate_ceiling;
+  Printf.fprintf oc "    \"trace.binary_write\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
+    binary_write binary_write_ceiling;
   Printf.fprintf oc "  },\n  \"words_per_req\": {\n";
   let nb = List.length budgets in
   List.iteri
@@ -1253,7 +1294,8 @@ let alloc () =
   match bad with
   | [] ->
     pf "alloc-gate          : all %d probes at 0.000 words/op, engine.timer_restart, \
-        estimator.estimate, %d byte-path probes and conn.build within budget\n" n nb
+        estimator.estimate, trace.binary_write, %d byte-path probes and conn.build within \
+        budget\n" n nb
   | bad ->
     List.iter (fun msg -> pf "alloc-gate FAILURE  : %s\n" msg) bad;
     exit 1

@@ -167,103 +167,334 @@ let shard_of_id id =
       int_of_string_opt (String.sub id (i + 2) (String.length id - i - 2))
   | Some _ | None -> None
 
+
+(* {1 The event schema}
+
+   One entry per [event] constructor, in declaration order.  An entry
+   gives the JSONL ["ev"] name, the binary kind code and the typed
+   fields in binary payload order, which is also the JSONL key order.
+   [read] copies a constructor's fields into [slots] (field [k] into
+   index [k] of the array its type uses) and [build] makes the
+   constructor back from them.  [tag], [detail], both JSONL directions
+   and the binary writer and reader are generic interpreters over these
+   entries. *)
+
+type ty = I64 | Num | F64 | Bool of int | Ev_bit of int | Str | Fopt of int
+type field = { key : string; ty : ty }
+type slots = { i : int array; f : float array; s : string array }
+
+type entry = {
+  ev : string;
+  kind : int;
+  verbatim : bool;
+  fields : field array;
+  read : slots -> event -> unit;
+  build : slots -> event;
+}
+
+let set_bool v k b = v.i.(k) <- Bool.to_int b
+let get_bool v k = v.i.(k) <> 0
+
+let set_opt v k = function
+  | Some x ->
+      v.i.(k) <- 1;
+      v.f.(k) <- x
+  | None -> v.i.(k) <- 0
+
+let get_opt v k = if v.i.(k) <> 0 then Some v.f.(k) else None
+
+let schema =
+  let i64 key = { key; ty = I64 } and num key = { key; ty = Num } in
+  let f64 key = { key; ty = F64 } and str key = { key; ty = Str } in
+  let flag k key = { key; ty = Bool k } and fopt k key = { key; ty = Fopt k } in
+  let entry ?(verbatim = false) ev kind fields read build =
+    { ev; kind; verbatim; fields; read; build }
+  in
+  [|
+    entry "tx" 0
+      [| i64 "seq"; num "len"; flag 0 "push"; { key = "retx"; ty = Ev_bit 1 } |]
+      (fun v -> function
+        | Segment_sent r ->
+            v.i.(0) <- r.seq;
+            v.i.(1) <- r.len;
+            set_bool v 2 r.push;
+            set_bool v 3 r.retx
+        | _ -> ())
+      (fun v ->
+        Segment_sent
+          { seq = v.i.(0); len = v.i.(1); push = get_bool v 2; retx = get_bool v 3 });
+    entry "rx" 1 [| i64 "seq"; num "fresh" |]
+      (fun v -> function
+        | Segment_received r ->
+            v.i.(0) <- r.seq;
+            v.i.(1) <- r.fresh
+        | _ -> ())
+      (fun v -> Segment_received { seq = v.i.(0); fresh = v.i.(1) });
+    entry "ack" 2 [| i64 "una"; num "acked" |]
+      (fun v -> function
+        | Ack_received r ->
+            v.i.(0) <- r.una;
+            v.i.(1) <- r.acked
+        | _ -> ())
+      (fun v -> Ack_received { una = v.i.(0); acked = v.i.(1) });
+    entry "hold" 3 [| num "chunk"; num "in_flight" |]
+      (fun v -> function
+        | Nagle_hold r ->
+            v.i.(0) <- r.chunk;
+            v.i.(1) <- r.in_flight
+        | _ -> ())
+      (fun v -> Nagle_hold { chunk = v.i.(0); in_flight = v.i.(1) });
+    entry "toggle" 4 [| flag 0 "enabled" |]
+      (fun v -> function Nagle_toggle r -> set_bool v 0 r.enabled | _ -> ())
+      (fun v -> Nagle_toggle { enabled = get_bool v 0 });
+    entry "cork" 5 [| num "chunk" |]
+      (fun v -> function Cork_hold r -> v.i.(0) <- r.chunk | _ -> ())
+      (fun v -> Cork_hold { chunk = v.i.(0) });
+    entry "delack_fire" 6 [| num "pending" |]
+      (fun v -> function Delack_fire r -> v.i.(0) <- r.pending | _ -> ())
+      (fun v -> Delack_fire { pending = v.i.(0) });
+    entry "delack_cancel" 7 [| num "pending" |]
+      (fun v -> function Delack_cancel r -> v.i.(0) <- r.pending | _ -> ())
+      (fun v -> Delack_cancel { pending = v.i.(0) });
+    entry "fin" 8 [| i64 "rcv_nxt" |]
+      (fun v -> function Fin_received r -> v.i.(0) <- r.rcv_nxt | _ -> ())
+      (fun v -> Fin_received { rcv_nxt = v.i.(0) });
+    entry "drop" 9 [| i64 "seq"; num "len"; str "reason" |]
+      (fun v -> function
+        | Segment_dropped r ->
+            v.i.(0) <- r.seq;
+            v.i.(1) <- r.len;
+            v.s.(2) <- r.reason
+        | _ -> ())
+      (fun v -> Segment_dropped { seq = v.i.(0); len = v.i.(1); reason = v.s.(2) });
+    entry "reorder" 10 [| i64 "seq"; f64 "delay_us" |]
+      (fun v -> function
+        | Segment_reordered r ->
+            v.i.(0) <- r.seq;
+            v.f.(1) <- r.delay_us
+        | _ -> ())
+      (fun v -> Segment_reordered { seq = v.i.(0); delay_us = v.f.(1) });
+    entry "dup" 11 [| i64 "seq" |]
+      (fun v -> function Segment_duplicated r -> v.i.(0) <- r.seq | _ -> ())
+      (fun v -> Segment_duplicated { seq = v.i.(0) });
+    (* Kinds 24 and 25: these two events were added after kind 23. *)
+    entry "challenge" 24 [| i64 "seq"; str "kind" |]
+      (fun v -> function
+        | Segment_challenged r ->
+            v.i.(0) <- r.seq;
+            v.s.(1) <- r.kind
+        | _ -> ())
+      (fun v -> Segment_challenged { seq = v.i.(0); kind = v.s.(1) });
+    entry "probe" 25 [| i64 "seq"; num "backoff" |]
+      (fun v -> function
+        | Probe_sent r ->
+            v.i.(0) <- r.seq;
+            v.i.(1) <- r.backoff
+        | _ -> ())
+      (fun v -> Probe_sent { seq = v.i.(0); backoff = v.i.(1) });
+    entry "share_corrupt" 12 [| i64 "seq" |]
+      (fun v -> function Share_corrupted r -> v.i.(0) <- r.seq | _ -> ())
+      (fun v -> Share_corrupted { seq = v.i.(0) });
+    entry "share_reject" 13 [| str "reason" |]
+      (fun v -> function Share_rejected r -> v.s.(0) <- r.reason | _ -> ())
+      (fun v -> Share_rejected { reason = v.s.(0) });
+    entry "share" 14 [| num "unacked"; num "unread"; num "ackdelay" |]
+      (fun v -> function
+        | Share_ingested r ->
+            v.i.(0) <- r.unacked_total;
+            v.i.(1) <- r.unread_total;
+            v.i.(2) <- r.ackdelay_total
+        | _ -> ())
+      (fun v ->
+        Share_ingested
+          { unacked_total = v.i.(0); unread_total = v.i.(1); ackdelay_total = v.i.(2) });
+    entry "estimate" 15 [| fopt 0 "latency_us"; f64 "throughput"; f64 "window_us" |]
+      (fun v -> function
+        | Estimate_computed r ->
+            set_opt v 0 r.latency_us;
+            v.f.(1) <- r.throughput;
+            v.f.(2) <- r.window_us
+        | _ -> ())
+      (fun v ->
+        Estimate_computed
+          { latency_us = get_opt v 0; throughput = v.f.(1); window_us = v.f.(2) });
+    entry "request" 16 [| f64 "latency_us" |]
+      (fun v -> function Request_done r -> v.f.(0) <- r.latency_us | _ -> ())
+      (fun v -> Request_done { latency_us = v.f.(0) });
+    entry "req_issued" 17 [| num "req"; i64 "off"; num "len" |]
+      (fun v -> function
+        | Req_issued r ->
+            v.i.(0) <- r.req;
+            v.i.(1) <- r.off;
+            v.i.(2) <- r.len
+        | _ -> ())
+      (fun v -> Req_issued { req = v.i.(0); off = v.i.(1); len = v.i.(2) });
+    entry "req_sent" 18 [| num "req" |]
+      (fun v -> function Req_sent r -> v.i.(0) <- r.req | _ -> ())
+      (fun v -> Req_sent { req = v.i.(0) });
+    entry "req_complete" 19 [| num "req" |]
+      (fun v -> function Req_complete r -> v.i.(0) <- r.req | _ -> ())
+      (fun v -> Req_complete { req = v.i.(0) });
+    entry "srv_start" 20 [| num "req" |]
+      (fun v -> function Srv_start r -> v.i.(0) <- r.req | _ -> ())
+      (fun v -> Srv_start { req = v.i.(0) });
+    entry "srv_reply" 21 [| num "req"; i64 "off"; num "len" |]
+      (fun v -> function
+        | Srv_reply r ->
+            v.i.(0) <- r.req;
+            v.i.(1) <- r.off;
+            v.i.(2) <- r.len
+        | _ -> ())
+      (fun v -> Srv_reply { req = v.i.(0); off = v.i.(1); len = v.i.(2) });
+    entry "audit" 22 [| str "queue"; f64 "l"; f64 "lambda"; f64 "w_us"; f64 "rel_err" |]
+      (fun v -> function
+        | Audit_window r ->
+            v.s.(0) <- r.queue;
+            v.f.(1) <- r.l_avg;
+            v.f.(2) <- r.lambda_per_s;
+            v.f.(3) <- r.w_us;
+            v.f.(4) <- r.rel_err
+        | _ -> ())
+      (fun v ->
+        Audit_window
+          {
+            queue = v.s.(0);
+            l_avg = v.f.(1);
+            lambda_per_s = v.f.(2);
+            w_us = v.f.(3);
+            rel_err = v.f.(4);
+          });
+    entry ~verbatim:true "msg" 23 [| str "tag"; str "detail" |]
+      (fun v -> function
+        | Message r ->
+            v.s.(0) <- r.tag;
+            v.s.(1) <- r.detail
+        | _ -> ())
+      (fun v -> Message { tag = v.s.(0); detail = v.s.(1) });
+    entry "decision" 26
+      [|
+        num "decision"; fopt 1 "on_us"; fopt 2 "off_us"; str "mode"; str "action";
+        str "reason"; flag 0 "frozen"; f64 "stale_us";
+      |]
+      (fun v -> function
+        | Decision_made r ->
+            v.i.(0) <- r.decision;
+            set_opt v 1 r.on_us;
+            set_opt v 2 r.off_us;
+            v.s.(3) <- r.mode;
+            v.s.(4) <- r.action;
+            v.s.(5) <- r.reason;
+            set_bool v 6 r.frozen;
+            v.f.(7) <- r.stale_us
+        | _ -> ())
+      (fun v ->
+        Decision_made
+          {
+            decision = v.i.(0);
+            on_us = get_opt v 1;
+            off_us = get_opt v 2;
+            mode = v.s.(3);
+            action = v.s.(4);
+            reason = v.s.(5);
+            frozen = get_bool v 6;
+            stale_us = v.f.(7);
+          });
+    entry "outcome" 27 [| num "decision"; num "n"; f64 "mean_us"; f64 "p99_us" |]
+      (fun v -> function
+        | Decision_outcome r ->
+            v.i.(0) <- r.decision;
+            v.i.(1) <- r.n;
+            v.f.(2) <- r.mean_us;
+            v.f.(3) <- r.p99_us
+        | _ -> ())
+      (fun v ->
+        Decision_outcome
+          { decision = v.i.(0); n = v.i.(1); mean_us = v.f.(2); p99_us = v.f.(3) });
+    entry "conn_open" 28 [| num "gen"; flag 0 "inherited" |]
+      (fun v -> function
+        | Conn_opened r ->
+            v.i.(0) <- r.gen;
+            set_bool v 1 r.inherited
+        | _ -> ())
+      (fun v -> Conn_opened { gen = v.i.(0); inherited = get_bool v 1 });
+    entry "conn_close" 29 [| num "gen"; num "completed" |]
+      (fun v -> function
+        | Conn_closed r ->
+            v.i.(0) <- r.gen;
+            v.i.(1) <- r.completed
+        | _ -> ())
+      (fun v -> Conn_closed { gen = v.i.(0); completed = v.i.(1) });
+    entry "lb_assign" 30 [| num "shard"; str "policy" |]
+      (fun v -> function
+        | Lb_assigned r ->
+            v.i.(0) <- r.shard;
+            v.s.(1) <- r.policy
+        | _ -> ())
+      (fun v -> Lb_assigned { shard = v.i.(0); policy = v.s.(1) });
+    entry "shard_enq" 31 [| num "shard"; num "depth" |]
+      (fun v -> function
+        | Shard_enqueued r ->
+            v.i.(0) <- r.shard;
+            v.i.(1) <- r.depth
+        | _ -> ())
+      (fun v -> Shard_enqueued { shard = v.i.(0); depth = v.i.(1) });
+  |]
+
+let slots =
+  let n = Array.fold_left (fun n e -> max n (Array.length e.fields)) 0 schema in
+  fun () -> { i = Array.make n 0; f = Array.make n 0.0; s = Array.make n "" }
+
+(* Every constructor carries a record, so an [event] is a block whose
+   tag is its constructor's declaration index: the index of its entry,
+   found with no match over the constructors. *)
+let entry_of ev = schema.(Obj.tag (Obj.repr ev))
+
+let () =
+  let v = slots () in
+  Array.iteri
+    (fun k e ->
+      if Obj.tag (Obj.repr (e.build v)) <> k then
+        failwith (Printf.sprintf "Trace.schema: entry %S is not at index %d" e.ev k))
+    schema
+
+let read_slots ev =
+  let e = entry_of ev in
+  let v = slots () in
+  e.read v ev;
+  (e, v)
+
+(* The JSONL "ev" name: the entry's, or the key of a set [Ev_bit]. *)
+let ev_name e v =
+  let name = ref e.ev in
+  Array.iteri
+    (fun k fd -> match fd.ty with Ev_bit _ when v.i.(k) <> 0 -> name := fd.key | _ -> ())
+    e.fields;
+  !name
+
 let tag r =
-  match r.event with
-  | Segment_sent { retx = true; _ } -> "retx"
-  | Segment_sent _ -> "tx"
-  | Segment_received _ -> "rx"
-  | Ack_received _ -> "ack"
-  | Nagle_hold _ -> "hold"
-  | Nagle_toggle _ -> "toggle"
-  | Cork_hold _ -> "cork"
-  | Delack_fire _ -> "delack_fire"
-  | Delack_cancel _ -> "delack_cancel"
-  | Fin_received _ -> "fin"
-  | Segment_dropped _ -> "drop"
-  | Segment_reordered _ -> "reorder"
-  | Segment_duplicated _ -> "dup"
-  | Segment_challenged _ -> "challenge"
-  | Probe_sent _ -> "probe"
-  | Share_corrupted _ -> "share_corrupt"
-  | Share_rejected _ -> "share_reject"
-  | Share_ingested _ -> "share"
-  | Estimate_computed _ -> "estimate"
-  | Request_done _ -> "request"
-  | Req_issued _ -> "req_issued"
-  | Req_sent _ -> "req_sent"
-  | Req_complete _ -> "req_complete"
-  | Srv_start _ -> "srv_start"
-  | Srv_reply _ -> "srv_reply"
-  | Audit_window _ -> "audit"
-  | Message { tag; _ } -> tag
-  | Decision_made _ -> "decision"
-  | Decision_outcome _ -> "outcome"
-  | Conn_opened _ -> "conn_open"
-  | Conn_closed _ -> "conn_close"
-  | Lb_assigned _ -> "lb_assign"
-  | Shard_enqueued _ -> "shard_enq"
+  let e = entry_of r.event in
+  let sets_ev fd = match fd.ty with Ev_bit _ -> true | _ -> false in
+  if not (e.verbatim || Array.exists sets_ev e.fields) then e.ev
+  else
+    let e, v = read_slots r.event in
+    if e.verbatim then v.s.(0) else ev_name e v
 
 let detail r =
-  match r.event with
-  | Segment_sent { seq; len; push; retx } ->
-      Printf.sprintf "seq=%d len=%d%s%s" seq len
-        (if push then " PSH" else "")
-        (if retx then " RETX" else "")
-  | Segment_received { seq; fresh } -> Printf.sprintf "seq=%d fresh=%d" seq fresh
-  | Ack_received { acked; una } -> Printf.sprintf "acked=%d una=%d" acked una
-  | Nagle_hold { chunk; in_flight } ->
-      Printf.sprintf "chunk=%d in_flight=%d" chunk in_flight
-  | Nagle_toggle { enabled } -> Printf.sprintf "enabled=%b" enabled
-  | Cork_hold { chunk } -> Printf.sprintf "chunk=%d" chunk
-  | Delack_fire { pending } | Delack_cancel { pending } ->
-      Printf.sprintf "pending=%d" pending
-  | Fin_received { rcv_nxt } -> Printf.sprintf "rcv_nxt=%d" rcv_nxt
-  | Segment_dropped { seq; len; reason } ->
-      Printf.sprintf "seq=%d len=%d reason=%s" seq len reason
-  | Segment_reordered { seq; delay_us } ->
-      Printf.sprintf "seq=%d delay_us=%.1f" seq delay_us
-  | Segment_duplicated { seq } -> Printf.sprintf "seq=%d" seq
-  | Segment_challenged { seq; kind } -> Printf.sprintf "seq=%d kind=%s" seq kind
-  | Probe_sent { seq; backoff } -> Printf.sprintf "seq=%d backoff=%d" seq backoff
-  | Share_corrupted { seq } -> Printf.sprintf "seq=%d" seq
-  | Share_rejected { reason } -> Printf.sprintf "reason=%s" reason
-  | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-      Printf.sprintf "unacked=%d unread=%d ackdelay=%d" unacked_total
-        unread_total ackdelay_total
-  | Estimate_computed { latency_us; throughput; window_us } ->
-      Printf.sprintf "latency_us=%s tput=%.1f window_us=%.1f"
-        (match latency_us with Some l -> Printf.sprintf "%.2f" l | None -> "-")
-        throughput window_us
-  | Request_done { latency_us } -> Printf.sprintf "latency_us=%.2f" latency_us
-  | Req_issued { req; off; len } -> Printf.sprintf "req=%d off=%d len=%d" req off len
-  | Req_sent { req } -> Printf.sprintf "req=%d" req
-  | Req_complete { req } -> Printf.sprintf "req=%d" req
-  | Srv_start { req } -> Printf.sprintf "req=%d" req
-  | Srv_reply { req; off; len } -> Printf.sprintf "req=%d off=%d len=%d" req off len
-  | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
-      Printf.sprintf "queue=%s L=%.3f lambda=%.1f/s W=%.2fus err=%.4f" queue l_avg
-        lambda_per_s w_us rel_err
-  | Message { detail; _ } -> detail
-  | Decision_made { decision; on_us; off_us; mode; action; reason; frozen; stale_us }
-    ->
-      let arm = function
-        | Some v -> Printf.sprintf "%.2f" v
-        | None -> "-"
+  let e, v = read_slots r.event in
+  if e.verbatim then v.s.(1)
+  else
+    let show k fd =
+      let value =
+        match fd.ty with
+        | I64 | Num -> string_of_int v.i.(k)
+        | F64 -> Printf.sprintf "%g" v.f.(k)
+        | Bool _ | Ev_bit _ -> string_of_bool (get_bool v k)
+        | Str -> v.s.(k)
+        | Fopt _ -> if get_bool v k then Printf.sprintf "%g" v.f.(k) else "-"
       in
-      Printf.sprintf "#%d on=%s off=%s mode=%s action=%s reason=%s%s stale_us=%.1f"
-        decision (arm on_us) (arm off_us) mode action reason
-        (if frozen then " FROZEN" else "")
-        stale_us
-  | Decision_outcome { decision; mean_us; p99_us; n } ->
-      Printf.sprintf "#%d mean_us=%.2f p99_us=%.2f n=%d" decision mean_us p99_us n
-  | Conn_opened { gen; inherited } ->
-      Printf.sprintf "gen=%d%s" gen (if inherited then " INHERITED" else "")
-  | Conn_closed { gen; completed } ->
-      Printf.sprintf "gen=%d completed=%d" gen completed
-  | Lb_assigned { shard; policy } ->
-      Printf.sprintf "shard=%d policy=%s" shard policy
-  | Shard_enqueued { shard; depth } ->
-      Printf.sprintf "shard=%d depth=%d" shard depth
+      fd.key ^ "=" ^ value
+    in
+    String.concat " " (Array.to_list (Array.mapi show e.fields))
 
 let find t ~tag:wanted =
   List.rev
@@ -307,12 +538,6 @@ let add_str b key v =
   json_escape b v;
   Buffer.add_char b '"'
 
-let add_int b key v =
-  Buffer.add_string b (Printf.sprintf ",\"%s\":%d" key v)
-
-let add_bool b key v =
-  Buffer.add_string b (Printf.sprintf ",\"%s\":%b" key v)
-
 (* %.17g round-trips every finite float through [float_of_string]. *)
 let add_float b key v =
   if Float.is_finite v then
@@ -320,151 +545,22 @@ let add_float b key v =
   else Buffer.add_string b (Printf.sprintf ",\"%s\":null" key)
 
 let record_to_json ?run r =
+  let e, v = read_slots r.event in
   let b = Buffer.create 128 in
   Buffer.add_string b (Printf.sprintf "{\"at_ns\":%d" (Time.to_ns r.at));
-  (match run with Some run -> add_str b "run" run | None -> ());
+  Option.iter (add_str b "run") run;
   add_str b "conn" r.id;
-  (match r.event with
-  | Segment_sent { seq; len; push; retx } ->
-      add_str b "ev" (if retx then "retx" else "tx");
-      add_int b "seq" seq;
-      add_int b "len" len;
-      add_bool b "push" push
-  | Segment_received { seq; fresh } ->
-      add_str b "ev" "rx";
-      add_int b "seq" seq;
-      add_int b "fresh" fresh
-  | Ack_received { acked; una } ->
-      add_str b "ev" "ack";
-      add_int b "acked" acked;
-      add_int b "una" una
-  | Nagle_hold { chunk; in_flight } ->
-      add_str b "ev" "hold";
-      add_int b "chunk" chunk;
-      add_int b "in_flight" in_flight
-  | Nagle_toggle { enabled } ->
-      add_str b "ev" "toggle";
-      add_bool b "enabled" enabled
-  | Cork_hold { chunk } ->
-      add_str b "ev" "cork";
-      add_int b "chunk" chunk
-  | Delack_fire { pending } ->
-      add_str b "ev" "delack_fire";
-      add_int b "pending" pending
-  | Delack_cancel { pending } ->
-      add_str b "ev" "delack_cancel";
-      add_int b "pending" pending
-  | Fin_received { rcv_nxt } ->
-      add_str b "ev" "fin";
-      add_int b "rcv_nxt" rcv_nxt
-  | Segment_dropped { seq; len; reason } ->
-      add_str b "ev" "drop";
-      add_int b "seq" seq;
-      add_int b "len" len;
-      add_str b "reason" reason
-  | Segment_reordered { seq; delay_us } ->
-      add_str b "ev" "reorder";
-      add_int b "seq" seq;
-      add_float b "delay_us" delay_us
-  | Segment_duplicated { seq } ->
-      add_str b "ev" "dup";
-      add_int b "seq" seq
-  | Segment_challenged { seq; kind } ->
-      add_str b "ev" "challenge";
-      add_int b "seq" seq;
-      add_str b "kind" kind
-  | Probe_sent { seq; backoff } ->
-      add_str b "ev" "probe";
-      add_int b "seq" seq;
-      add_int b "backoff" backoff
-  | Share_corrupted { seq } ->
-      add_str b "ev" "share_corrupt";
-      add_int b "seq" seq
-  | Share_rejected { reason } ->
-      add_str b "ev" "share_reject";
-      add_str b "reason" reason
-  | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-      add_str b "ev" "share";
-      add_int b "unacked" unacked_total;
-      add_int b "unread" unread_total;
-      add_int b "ackdelay" ackdelay_total
-  | Estimate_computed { latency_us; throughput; window_us } ->
-      add_str b "ev" "estimate";
-      (match latency_us with
-      | Some l -> add_float b "latency_us" l
-      | None -> Buffer.add_string b ",\"latency_us\":null");
-      add_float b "throughput" throughput;
-      add_float b "window_us" window_us
-  | Request_done { latency_us } ->
-      add_str b "ev" "request";
-      add_float b "latency_us" latency_us
-  | Req_issued { req; off; len } ->
-      add_str b "ev" "req_issued";
-      add_int b "req" req;
-      add_int b "off" off;
-      add_int b "len" len
-  | Req_sent { req } ->
-      add_str b "ev" "req_sent";
-      add_int b "req" req
-  | Req_complete { req } ->
-      add_str b "ev" "req_complete";
-      add_int b "req" req
-  | Srv_start { req } ->
-      add_str b "ev" "srv_start";
-      add_int b "req" req
-  | Srv_reply { req; off; len } ->
-      add_str b "ev" "srv_reply";
-      add_int b "req" req;
-      add_int b "off" off;
-      add_int b "len" len
-  | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
-      add_str b "ev" "audit";
-      add_str b "queue" queue;
-      add_float b "l" l_avg;
-      add_float b "lambda" lambda_per_s;
-      add_float b "w_us" w_us;
-      add_float b "rel_err" rel_err
-  | Message { tag; detail } ->
-      add_str b "ev" "msg";
-      add_str b "tag" tag;
-      add_str b "detail" detail
-  | Decision_made { decision; on_us; off_us; mode; action; reason; frozen; stale_us }
-    ->
-      add_str b "ev" "decision";
-      add_int b "decision" decision;
-      (match on_us with
-      | Some v -> add_float b "on_us" v
-      | None -> Buffer.add_string b ",\"on_us\":null");
-      (match off_us with
-      | Some v -> add_float b "off_us" v
-      | None -> Buffer.add_string b ",\"off_us\":null");
-      add_str b "mode" mode;
-      add_str b "action" action;
-      add_str b "reason" reason;
-      add_bool b "frozen" frozen;
-      add_float b "stale_us" stale_us
-  | Decision_outcome { decision; mean_us; p99_us; n } ->
-      add_str b "ev" "outcome";
-      add_int b "decision" decision;
-      add_float b "mean_us" mean_us;
-      add_float b "p99_us" p99_us;
-      add_int b "n" n
-  | Conn_opened { gen; inherited } ->
-      add_str b "ev" "conn_open";
-      add_int b "gen" gen;
-      add_bool b "inherited" inherited
-  | Conn_closed { gen; completed } ->
-      add_str b "ev" "conn_close";
-      add_int b "gen" gen;
-      add_int b "completed" completed
-  | Lb_assigned { shard; policy } ->
-      add_str b "ev" "lb_assign";
-      add_int b "shard" shard;
-      add_str b "policy" policy
-  | Shard_enqueued { shard; depth } ->
-      add_str b "ev" "shard_enq";
-      add_int b "shard" shard;
-      add_int b "depth" depth);
+  add_str b "ev" (ev_name e v);
+  Array.iteri
+    (fun k fd ->
+      match fd.ty with
+      | I64 | Num -> Buffer.add_string b (Printf.sprintf ",\"%s\":%d" fd.key v.i.(k))
+      | F64 -> add_float b fd.key v.f.(k)
+      | Bool _ -> Buffer.add_string b (Printf.sprintf ",\"%s\":%b" fd.key (get_bool v k))
+      | Ev_bit _ -> ()
+      | Str -> add_str b fd.key v.s.(k)
+      | Fopt _ -> add_float b fd.key (if get_bool v k then v.f.(k) else Float.nan))
+    e.fields;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -482,7 +578,7 @@ exception Parse_error of string
 let parse_flat_object line =
   let n = String.length line in
   let pos = ref 0 in
-  let err msg = raise (Parse_error msg) in
+  let err msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
   let peek () = if !pos < n then Some line.[!pos] else None in
   let skip_ws () =
     while
@@ -494,7 +590,7 @@ let parse_flat_object line =
   in
   let expect c =
     if !pos < n && line.[!pos] = c then incr pos
-    else err (Printf.sprintf "expected '%c' at offset %d" c !pos)
+    else err (Printf.sprintf "expected '%c'" c)
   in
   let parse_string () =
     expect '"';
@@ -575,7 +671,7 @@ let parse_flat_object line =
         let s = String.sub line start (!pos - start) in
         (try Jnum (float_of_string s)
          with _ -> err (Printf.sprintf "bad number %S" s))
-    | Some c -> err (Printf.sprintf "unexpected '%c' at offset %d" c !pos)
+    | Some c -> err (Printf.sprintf "unexpected '%c'" c)
     | None -> err "unexpected end of input"
   in
   try
@@ -598,7 +694,7 @@ let parse_flat_object line =
              incr pos;
              members ()
          | Some '}' -> incr pos
-         | _ -> err (Printf.sprintf "expected ',' or '}' at offset %d" !pos)
+         | _ -> err "expected ',' or '}'"
        in
        members ());
     skip_ws ();
@@ -631,9 +727,22 @@ let bool_field fields key =
 let ( let* ) = Result.bind
 
 (* Raised (internally) by the event decoder when the ["ev"] tag has no
-   case: the line is well-formed JSONL from a newer writer, not
+   entry: the line is well-formed JSONL from a newer writer, not
    garbage, and forward-compat readers may skip it. *)
 exception Unknown_ev of string
+
+(* JSONL "ev" name -> its entry and the [Ev_bit] field it sets (-1 for
+   none). *)
+let by_ev =
+  let t = Hashtbl.create 64 in
+  Array.iter
+    (fun e ->
+      Hashtbl.replace t e.ev (e, -1);
+      Array.iteri
+        (fun k fd -> match fd.ty with Ev_bit _ -> Hashtbl.replace t fd.key (e, k) | _ -> ())
+        e.fields)
+    schema;
+  t
 
 let record_of_json_ext line =
   let* fields = parse_flat_object line in
@@ -641,160 +750,29 @@ let record_of_json_ext line =
   let* ev = str fields "ev" in
   let run = match field fields "run" with Some (Jstr r) -> Some r | _ -> None in
   let id = match field fields "conn" with Some (Jstr c) -> c | _ -> "" in
-  let* event =
-    match ev with
-    | "tx" | "retx" ->
-        let* seq = int_field fields "seq" in
-        let* len = int_field fields "len" in
-        let* push = bool_field fields "push" in
-        Ok (Segment_sent { seq; len; push; retx = ev = "retx" })
-    | "rx" ->
-        let* seq = int_field fields "seq" in
-        let* fresh = int_field fields "fresh" in
-        Ok (Segment_received { seq; fresh })
-    | "ack" ->
-        let* acked = int_field fields "acked" in
-        let* una = int_field fields "una" in
-        Ok (Ack_received { acked; una })
-    | "hold" ->
-        let* chunk = int_field fields "chunk" in
-        let* in_flight = int_field fields "in_flight" in
-        Ok (Nagle_hold { chunk; in_flight })
-    | "toggle" ->
-        let* enabled = bool_field fields "enabled" in
-        Ok (Nagle_toggle { enabled })
-    | "cork" ->
-        let* chunk = int_field fields "chunk" in
-        Ok (Cork_hold { chunk })
-    | "delack_fire" ->
-        let* pending = int_field fields "pending" in
-        Ok (Delack_fire { pending })
-    | "delack_cancel" ->
-        let* pending = int_field fields "pending" in
-        Ok (Delack_cancel { pending })
-    | "fin" ->
-        let* rcv_nxt = int_field fields "rcv_nxt" in
-        Ok (Fin_received { rcv_nxt })
-    | "drop" ->
-        let* seq = int_field fields "seq" in
-        let* len = int_field fields "len" in
-        let* reason = str fields "reason" in
-        Ok (Segment_dropped { seq; len; reason })
-    | "reorder" ->
-        let* seq = int_field fields "seq" in
-        let* delay_us = num fields "delay_us" in
-        Ok (Segment_reordered { seq; delay_us })
-    | "dup" ->
-        let* seq = int_field fields "seq" in
-        Ok (Segment_duplicated { seq })
-    | "challenge" ->
-        let* seq = int_field fields "seq" in
-        let* kind = str fields "kind" in
-        Ok (Segment_challenged { seq; kind })
-    | "probe" ->
-        let* seq = int_field fields "seq" in
-        let* backoff = int_field fields "backoff" in
-        Ok (Probe_sent { seq; backoff })
-    | "share_corrupt" ->
-        let* seq = int_field fields "seq" in
-        Ok (Share_corrupted { seq })
-    | "share_reject" ->
-        let* reason = str fields "reason" in
-        Ok (Share_rejected { reason })
-    | "share" ->
-        let* unacked_total = int_field fields "unacked" in
-        let* unread_total = int_field fields "unread" in
-        let* ackdelay_total = int_field fields "ackdelay" in
-        Ok (Share_ingested { unacked_total; unread_total; ackdelay_total })
-    | "estimate" ->
-        let latency_us =
-          match field fields "latency_us" with
-          | Some (Jnum v) -> Some v
-          | _ -> None
-        in
-        let* throughput = num fields "throughput" in
-        let* window_us = num fields "window_us" in
-        Ok (Estimate_computed { latency_us; throughput; window_us })
-    | "request" ->
-        let* latency_us = num fields "latency_us" in
-        Ok (Request_done { latency_us })
-    | "req_issued" ->
-        let* req = int_field fields "req" in
-        let* off = int_field fields "off" in
-        let* len = int_field fields "len" in
-        Ok (Req_issued { req; off; len })
-    | "req_sent" ->
-        let* req = int_field fields "req" in
-        Ok (Req_sent { req })
-    | "req_complete" ->
-        let* req = int_field fields "req" in
-        Ok (Req_complete { req })
-    | "srv_start" ->
-        let* req = int_field fields "req" in
-        Ok (Srv_start { req })
-    | "srv_reply" ->
-        let* req = int_field fields "req" in
-        let* off = int_field fields "off" in
-        let* len = int_field fields "len" in
-        Ok (Srv_reply { req; off; len })
-    | "audit" ->
-        let* queue = str fields "queue" in
-        let* l_avg = num fields "l" in
-        let* lambda_per_s = num fields "lambda" in
-        let* w_us = num fields "w_us" in
-        let* rel_err = num fields "rel_err" in
-        Ok (Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err })
-    | "msg" ->
-        let* tag = str fields "tag" in
-        let* detail = str fields "detail" in
-        Ok (Message { tag; detail })
-    | "decision" ->
-        let* decision = int_field fields "decision" in
-        let opt key =
-          match field fields key with Some (Jnum v) -> Some v | _ -> None
-        in
-        let* mode = str fields "mode" in
-        let* action = str fields "action" in
-        let* reason = str fields "reason" in
-        let* frozen = bool_field fields "frozen" in
-        let* stale_us = num fields "stale_us" in
-        Ok
-          (Decision_made
-             {
-               decision;
-               on_us = opt "on_us";
-               off_us = opt "off_us";
-               mode;
-               action;
-               reason;
-               frozen;
-               stale_us;
-             })
-    | "outcome" ->
-        let* decision = int_field fields "decision" in
-        let* mean_us = num fields "mean_us" in
-        let* p99_us = num fields "p99_us" in
-        let* n = int_field fields "n" in
-        Ok (Decision_outcome { decision; mean_us; p99_us; n })
-    | "conn_open" ->
-        let* gen = int_field fields "gen" in
-        let* inherited = bool_field fields "inherited" in
-        Ok (Conn_opened { gen; inherited })
-    | "conn_close" ->
-        let* gen = int_field fields "gen" in
-        let* completed = int_field fields "completed" in
-        Ok (Conn_closed { gen; completed })
-    | "lb_assign" ->
-        let* shard = int_field fields "shard" in
-        let* policy = str fields "policy" in
-        Ok (Lb_assigned { shard; policy })
-    | "shard_enq" ->
-        let* shard = int_field fields "shard" in
-        let* depth = int_field fields "depth" in
-        Ok (Shard_enqueued { shard; depth })
-    | other -> raise (Unknown_ev other)
+  let e, ev_bit =
+    match Hashtbl.find_opt by_ev ev with Some x -> x | None -> raise (Unknown_ev ev)
   in
-  Ok (run, { at = at_ns; id; event })
+  let v = slots () in
+  let rec decode k =
+    if k = Array.length e.fields then Ok (run, { at = at_ns; id; event = e.build v })
+    else
+      let fd = e.fields.(k) in
+      let* () =
+        match fd.ty with
+        | I64 | Num -> Result.map (fun n -> v.i.(k) <- n) (int_field fields fd.key)
+        | F64 -> Result.map (fun x -> v.f.(k) <- x) (num fields fd.key)
+        | Bool _ -> Result.map (set_bool v k) (bool_field fields fd.key)
+        | Ev_bit _ -> Ok (set_bool v k (k = ev_bit))
+        | Str -> Result.map (fun s -> v.s.(k) <- s) (str fields fd.key)
+        | Fopt _ ->
+            Ok
+              (set_opt v k
+                 (match field fields fd.key with Some (Jnum x) -> Some x | _ -> None))
+      in
+      decode (k + 1)
+  in
+  decode 0
 
 let record_of_json line =
   match record_of_json_ext line with
@@ -848,6 +826,7 @@ let load_jsonl path =
   | Ok [] -> Error (Printf.sprintf "%s: no trace records" path)
   | Ok rev -> Ok (List.rev rev)
 
+
 (* {1 Binary trace format}
 
    A compact fixed-width encoding of the same records.  Layout (all
@@ -856,7 +835,7 @@ let load_jsonl path =
      header   magic "e2ebtrc1" (8B) | version u16 | header_len u16
               | reserved u32                                   = 16 B
      records  kind u8 | flags u8 | id_ref u16 | at_ns i64
-              | payload (fixed width per kind, see below)
+              | payload: the entry's fields in order
               | run_ref u16 when flags bit 7
      trailer  name table then string table, each entry
               u32 byte length + raw bytes
@@ -864,20 +843,15 @@ let load_jsonl path =
               | n_strs u32 | magic "e2ebtrcF" (8B)             = 32 B
 
    Connection ids and run labels are interned into the u16-indexed
-   name table (at most 65536 distinct values); free-form strings
-   (drop reasons, audit queue names, message tags/details) go into the
+   name table (at most 65536 distinct values); [Str] fields into the
    u32-indexed string table.  Both tables are buffered in memory and
    written after the records, so the writer streams records with
-   memory proportional to the number of distinct strings only, and a
-   reader loads the tables from the footer before scanning records.
+   memory proportional to the number of distinct strings only.
 
-   Flags: bit 0 and bit 1 carry kind-specific booleans (PSH / retx /
-   Nagle-enabled / latency-present), bit 6 ("wide") widens every
-   u32-slot payload field of the record to i64 when any value
-   overflows 32 bits, bit 7 marks a trailing run-label reference.
-   i64 fields (stream offsets, cumulative totals, timestamps) and f64
-   fields (IEEE bits) always round-trip OCaml ints and floats
-   exactly. *)
+   Flags: bits 0-2 are the entry's [Bool], [Ev_bit] and [Fopt] bits,
+   bit 6 ("wide") widens every [Num] field of the record to i64 when
+   any of them is outside u32, bit 7 marks a trailing run-label
+   reference. *)
 
 module Binary = struct
   let magic = "e2ebtrc1"
@@ -897,78 +871,30 @@ module Binary = struct
   let min_read_version = 1
   let header_len = 16
   let footer_len = 32
-
-  let flag_b0 = 0x01
-  let flag_b1 = 0x02
-  let flag_b2 = 0x04
   let flag_wide = 0x40
   let flag_run = 0x80
 
-  let kind_of_event = function
-    | Segment_sent _ -> 0
-    | Segment_received _ -> 1
-    | Ack_received _ -> 2
-    | Nagle_hold _ -> 3
-    | Nagle_toggle _ -> 4
-    | Cork_hold _ -> 5
-    | Delack_fire _ -> 6
-    | Delack_cancel _ -> 7
-    | Fin_received _ -> 8
-    | Segment_dropped _ -> 9
-    | Segment_reordered _ -> 10
-    | Segment_duplicated _ -> 11
-    | Share_corrupted _ -> 12
-    | Share_rejected _ -> 13
-    | Share_ingested _ -> 14
-    | Estimate_computed _ -> 15
-    | Request_done _ -> 16
-    | Req_issued _ -> 17
-    | Req_sent _ -> 18
-    | Req_complete _ -> 19
-    | Srv_start _ -> 20
-    | Srv_reply _ -> 21
-    | Audit_window _ -> 22
-    | Message _ -> 23
-    | Segment_challenged _ -> 24
-    | Probe_sent _ -> 25
-    | Decision_made _ -> 26
-    | Decision_outcome _ -> 27
-    | Conn_opened _ -> 28
-    | Conn_closed _ -> 29
-    | Lb_assigned _ -> 30
-    | Shard_enqueued _ -> 31
+  let width ty ~wide =
+    match ty with
+    | I64 | F64 | Fopt _ -> 8
+    | Num -> if wide then 8 else 4
+    | Str -> 4
+    | Bool _ | Ev_bit _ -> 0
 
-  (* Payload size in bytes for a (kind, wide) pair; the prefix (4B) and
-     the optional run ref (2B) are accounted for separately.  [num] is
-     the width of a u32-slot field under the record's wide flag. *)
-  let payload_len kind ~wide =
-    let num = if wide then 8 else 4 in
-    match kind with
-    | 0 | 1 | 2 -> 8 + num (* seq/una i64 + len/fresh/acked *)
-    | 3 -> 2 * num (* chunk + in_flight *)
-    | 4 -> 0 (* toggle: flags only *)
-    | 5 | 6 | 7 -> num (* chunk / pending *)
-    | 8 -> 8 (* rcv_nxt i64 *)
-    | 9 -> 8 + num + 4 (* seq + len + reason ref *)
-    | 10 -> 16 (* seq + delay f64 *)
-    | 11 | 12 -> 8 (* seq i64 *)
-    | 13 -> 4 (* reason ref *)
-    | 14 -> 3 * num (* share totals *)
-    | 15 -> 24 (* latency + throughput + window f64 *)
-    | 16 -> 8 (* latency f64 *)
-    | 17 | 21 -> num + 8 + num (* req + off i64 + len *)
-    | 18 | 19 | 20 -> num (* req *)
-    | 22 -> 4 + 32 (* queue ref + 4 f64 *)
-    | 23 -> 8 (* tag ref + detail ref *)
-    | 24 -> 8 + 4 (* seq i64 + kind ref *)
-    | 25 -> 8 + num (* seq i64 + backoff *)
-    | 26 -> num + 16 + 12 + 8 (* decision + on/off f64 + 3 refs + stale f64 *)
-    | 27 -> (2 * num) + 16 (* decision + n + mean/p99 f64 *)
-    | 28 -> num (* gen; inherited in flag b0 *)
-    | 29 -> 2 * num (* gen + completed *)
-    | 30 -> num + 4 (* shard + policy ref *)
-    | 31 -> 2 * num (* shard + depth *)
-    | k -> invalid_arg (Printf.sprintf "Trace.Binary: unknown kind %d" k)
+  (* Payload bytes of an entry's record; the 12-byte prefix and the
+     optional run ref are not counted. *)
+  let payload_len e ~wide = Array.fold_left (fun n fd -> n + width fd.ty ~wide) 0 e.fields
+
+  let max_payload = Array.fold_left (fun n e -> max n (payload_len e ~wide:true)) 0 schema
+
+  let by_kind =
+    let a = Array.make (1 + Array.fold_left (fun m e -> max m e.kind) 0 schema) None in
+    Array.iter
+      (fun e ->
+        if a.(e.kind) <> None then failwith (Printf.sprintf "Trace.schema: kind %d twice" e.kind);
+        a.(e.kind) <- Some e)
+      schema;
+    a
 
   let u32_ok v = v >= 0 && v <= 0xFFFF_FFFF
 
@@ -980,18 +906,19 @@ module Binary = struct
     strs : (string, int) Hashtbl.t;
     mutable strs_rev : string list;
     mutable n_strs : int;
-    buf : Buffer.t;
+    record : Bytes.t;  (** one record's bytes, and the header's and footer's *)
+    slots : slots;
     mutable n_records : int;
     mutable finished : bool;
   }
 
   let writer oc =
-    let b = Buffer.create 64 in
-    Buffer.add_string b magic;
-    Buffer.add_uint16_le b version;
-    Buffer.add_uint16_le b header_len;
-    Buffer.add_int32_le b 0l;
-    Buffer.output_buffer oc b;
+    let record = Bytes.create (max footer_len (14 + max_payload)) in
+    Bytes.blit_string magic 0 record 0 8;
+    Bytes.set_uint16_le record 8 version;
+    Bytes.set_uint16_le record 10 header_len;
+    Bytes.set_int32_le record 12 0l;
+    output oc record 0 header_len;
     {
       oc;
       names = Hashtbl.create 64;
@@ -1000,7 +927,8 @@ module Binary = struct
       strs = Hashtbl.create 64;
       strs_rev = [];
       n_strs = 0;
-      buf = b;
+      record;
+      slots = slots ();
       n_records = 0;
       finished = false;
     }
@@ -1027,153 +955,58 @@ module Binary = struct
         w.n_strs <- i + 1;
         i
 
-  let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-  let add_i64 b v = Buffer.add_int64_le b (Int64.of_int v)
-  let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
-
-  (* A u32-slot field: 4 bytes normally, widened to i64 when the
-     record's wide flag is set. *)
-  let add_num b ~wide v = if wide then add_i64 b v else add_u32 b v
-
+  (* Two passes over the entry's fields: the flags (bits and the wide
+     test), then the payload, set in place in the writer's record
+     bytes.  [slots] has room for every entry's fields, so [k] is in
+     bounds of its arrays. *)
   let write w ?run r =
     if w.finished then invalid_arg "Trace.Binary.write: writer is finished";
-    let b = w.buf in
-    Buffer.clear b;
-    let kind = kind_of_event r.event in
-    let bools, narrow =
-      match r.event with
-      | Segment_sent { len; push; retx; _ } ->
-          ( (if push then flag_b0 else 0) lor (if retx then flag_b1 else 0),
-            u32_ok len )
-      | Segment_received { fresh; _ } -> (0, u32_ok fresh)
-      | Ack_received { acked; _ } -> (0, u32_ok acked)
-      | Nagle_hold { chunk; in_flight } -> (0, u32_ok chunk && u32_ok in_flight)
-      | Nagle_toggle { enabled } -> ((if enabled then flag_b0 else 0), true)
-      | Cork_hold { chunk } -> (0, u32_ok chunk)
-      | Delack_fire { pending } | Delack_cancel { pending } ->
-          (0, u32_ok pending)
-      | Segment_dropped { len; _ } -> (0, u32_ok len)
-      | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-          (0, u32_ok unacked_total && u32_ok unread_total && u32_ok ackdelay_total)
-      | Estimate_computed { latency_us; _ } ->
-          ((if latency_us <> None then flag_b0 else 0), true)
-      | Req_issued { req; len; _ } | Srv_reply { req; len; _ } ->
-          (0, u32_ok req && u32_ok len)
-      | Req_sent { req } | Req_complete { req } | Srv_start { req } ->
-          (0, u32_ok req)
-      | Probe_sent { backoff; _ } -> (0, u32_ok backoff)
-      | Decision_made { decision; on_us; off_us; frozen; _ } ->
-          ( (if frozen then flag_b0 else 0)
-            lor (if on_us <> None then flag_b1 else 0)
-            lor (if off_us <> None then flag_b2 else 0),
-            u32_ok decision )
-      | Decision_outcome { decision; n; _ } -> (0, u32_ok decision && u32_ok n)
-      | Conn_opened { gen; inherited } ->
-          ((if inherited then flag_b0 else 0), u32_ok gen)
-      | Conn_closed { gen; completed } -> (0, u32_ok gen && u32_ok completed)
-      | Lb_assigned { shard; _ } -> (0, u32_ok shard)
-      | Shard_enqueued { shard; depth } -> (0, u32_ok shard && u32_ok depth)
-      | Fin_received _ | Segment_reordered _ | Segment_duplicated _
-      | Segment_challenged _ | Share_corrupted _ | Share_rejected _
-      | Request_done _ | Audit_window _ | Message _ ->
-          (0, true)
-    in
-    let wide = not narrow in
-    let flags =
-      bools
-      lor (if wide then flag_wide else 0)
-      lor match run with Some _ -> flag_run | None -> 0
-    in
-    let id_ref = intern_name w r.id in
-    Buffer.add_uint8 b kind;
-    Buffer.add_uint8 b flags;
-    Buffer.add_uint16_le b id_ref;
-    add_i64 b (Time.to_ns r.at);
-    (match r.event with
-    | Segment_sent { seq; len; _ } ->
-        add_i64 b seq;
-        add_num b ~wide len
-    | Segment_received { seq; fresh } ->
-        add_i64 b seq;
-        add_num b ~wide fresh
-    | Ack_received { acked; una } ->
-        add_i64 b una;
-        add_num b ~wide acked
-    | Nagle_hold { chunk; in_flight } ->
-        add_num b ~wide chunk;
-        add_num b ~wide in_flight
-    | Nagle_toggle _ -> ()
-    | Cork_hold { chunk } -> add_num b ~wide chunk
-    | Delack_fire { pending } | Delack_cancel { pending } ->
-        add_num b ~wide pending
-    | Fin_received { rcv_nxt } -> add_i64 b rcv_nxt
-    | Segment_dropped { seq; len; reason } ->
-        add_i64 b seq;
-        add_num b ~wide len;
-        add_u32 b (intern_str w reason)
-    | Segment_reordered { seq; delay_us } ->
-        add_i64 b seq;
-        add_f64 b delay_us
-    | Segment_duplicated { seq } | Share_corrupted { seq } -> add_i64 b seq
-    | Share_rejected { reason } -> add_u32 b (intern_str w reason)
-    | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-        add_num b ~wide unacked_total;
-        add_num b ~wide unread_total;
-        add_num b ~wide ackdelay_total
-    | Estimate_computed { latency_us; throughput; window_us } ->
-        add_f64 b (match latency_us with Some l -> l | None -> 0.0);
-        add_f64 b throughput;
-        add_f64 b window_us
-    | Request_done { latency_us } -> add_f64 b latency_us
-    | Req_issued { req; off; len } | Srv_reply { req; off; len } ->
-        add_num b ~wide req;
-        add_i64 b off;
-        add_num b ~wide len
-    | Req_sent { req } | Req_complete { req } | Srv_start { req } ->
-        add_num b ~wide req
-    | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
-        add_u32 b (intern_str w queue);
-        add_f64 b l_avg;
-        add_f64 b lambda_per_s;
-        add_f64 b w_us;
-        add_f64 b rel_err
-    | Message { tag; detail } ->
-        add_u32 b (intern_str w (tag : string));
-        add_u32 b (intern_str w detail)
-    | Segment_challenged { seq; kind } ->
-        add_i64 b seq;
-        add_u32 b (intern_str w kind)
-    | Probe_sent { seq; backoff } ->
-        add_i64 b seq;
-        add_num b ~wide backoff
-    | Decision_made
-        { decision; on_us; off_us; mode; action; reason; stale_us; frozen = _ } ->
-        add_num b ~wide decision;
-        add_f64 b (match on_us with Some v -> v | None -> 0.0);
-        add_f64 b (match off_us with Some v -> v | None -> 0.0);
-        add_u32 b (intern_str w mode);
-        add_u32 b (intern_str w action);
-        add_u32 b (intern_str w reason);
-        add_f64 b stale_us
-    | Decision_outcome { decision; mean_us; p99_us; n } ->
-        add_num b ~wide decision;
-        add_num b ~wide n;
-        add_f64 b mean_us;
-        add_f64 b p99_us
-    | Conn_opened { gen; inherited = _ } -> add_num b ~wide gen
-    | Conn_closed { gen; completed } ->
-        add_num b ~wide gen;
-        add_num b ~wide completed
-    | Lb_assigned { shard; policy } ->
-        add_num b ~wide shard;
-        add_u32 b (intern_str w policy)
-    | Shard_enqueued { shard; depth } ->
-        add_num b ~wide shard;
-        add_num b ~wide depth);
+    let e = entry_of r.event in
+    let v = w.slots and fields = e.fields and by = w.record in
+    e.read v r.event;
+    let ints = v.i and floats = v.f in
+    let n = Array.length fields in
+    let flags = ref (match run with Some _ -> flag_run | None -> 0) in
+    for k = 0 to n - 1 do
+      match (Array.unsafe_get fields k).ty with
+      | Bool bit | Ev_bit bit | Fopt bit ->
+          if Array.unsafe_get ints k <> 0 then flags := !flags lor (1 lsl bit)
+      | Num -> if not (u32_ok (Array.unsafe_get ints k)) then flags := !flags lor flag_wide
+      | I64 | F64 | Str -> ()
+    done;
+    let wide = !flags land flag_wide <> 0 in
+    (* prefix: kind u8, flags u8, id_ref u16 (one little-endian u32), at_ns i64 *)
+    Bytes.set_int32_le by 0
+      (Int32.of_int (e.kind lor (!flags lsl 8) lor (intern_name w r.id lsl 16)));
+    Bytes.set_int64_le by 4 (Int64.of_int (Time.to_ns r.at));
+    let pos = ref 12 in
+    for k = 0 to n - 1 do
+      let p = !pos in
+      match (Array.unsafe_get fields k).ty with
+      | Num when not wide ->
+          Bytes.set_int32_le by p (Int32.of_int (Array.unsafe_get ints k));
+          pos := p + 4
+      | I64 | Num ->
+          Bytes.set_int64_le by p (Int64.of_int (Array.unsafe_get ints k));
+          pos := p + 8
+      | F64 ->
+          Bytes.set_int64_le by p (Int64.bits_of_float (Array.unsafe_get floats k));
+          pos := p + 8
+      | Fopt _ ->
+          let x = if Array.unsafe_get ints k <> 0 then Array.unsafe_get floats k else 0.0 in
+          Bytes.set_int64_le by p (Int64.bits_of_float x);
+          pos := p + 8
+      | Str ->
+          Bytes.set_int32_le by p (Int32.of_int (intern_str w v.s.(k)));
+          pos := p + 4
+      | Bool _ | Ev_bit _ -> ()
+    done;
     (match run with
-    | Some label -> Buffer.add_uint16_le b (intern_name w label)
+    | Some label ->
+        Bytes.set_uint16_le by !pos (intern_name w label);
+        pos := !pos + 2
     | None -> ());
-    Buffer.output_buffer w.oc b;
+    output w.oc by 0 !pos;
     w.n_records <- w.n_records + 1
 
   let written w = w.n_records
@@ -1182,25 +1015,23 @@ module Binary = struct
     if not w.finished then begin
       w.finished <- true;
       let trailer_off = LargeFile.pos_out w.oc in
-      let b = w.buf in
+      let by = w.record in
       let emit_table rev =
         List.iter
           (fun s ->
-            Buffer.clear b;
-            add_u32 b (String.length s);
-            Buffer.output_buffer w.oc b;
+            Bytes.set_int32_le by 0 (Int32.of_int (String.length s));
+            output w.oc by 0 4;
             output_string w.oc s)
           (List.rev rev)
       in
       emit_table w.names_rev;
       emit_table w.strs_rev;
-      Buffer.clear b;
-      Buffer.add_int64_le b trailer_off;
-      add_i64 b w.n_records;
-      add_u32 b w.n_names;
-      add_u32 b w.n_strs;
-      Buffer.add_string b footer_magic;
-      Buffer.output_buffer w.oc b;
+      Bytes.set_int64_le by 0 trailer_off;
+      Bytes.set_int64_le by 8 (Int64.of_int w.n_records);
+      Bytes.set_int32_le by 16 (Int32.of_int w.n_names);
+      Bytes.set_int32_le by 20 (Int32.of_int w.n_strs);
+      Bytes.blit_string footer_magic 0 by 24 8;
+      output w.oc by 0 footer_len;
       flush w.oc
     end
 
@@ -1226,25 +1057,30 @@ module Binary = struct
         close_in ic;
         ok
 
+  (* Every [Corrupt] names the byte offset where the file went wrong.
+     Nothing read from the file sizes an allocation or a loop before it
+     is checked against the file's size. *)
   let fold_file ?unknown path ~init ~f =
     match open_in_bin path with
     | exception Sys_error msg -> Error msg
     | ic -> (
-        let corrupt fmt =
-          Printf.ksprintf (fun m -> raise (Corrupt (path ^ ": " ^ m))) fmt
+        let corrupt off fmt =
+          Printf.ksprintf
+            (fun m -> raise (Corrupt (Printf.sprintf "%s: offset %d: %s" path off m)))
+            fmt
         in
-        let scratch = Bytes.create 64 in
+        let scratch = Bytes.create (max footer_len max_payload) in
         let read n =
+          let off = pos_in ic in
           (try really_input ic scratch 0 n
-           with End_of_file -> corrupt "truncated file");
+           with End_of_file -> corrupt off "truncated file");
           scratch
         in
         let result =
           try
             let size = in_channel_length ic in
-            if size < header_len + footer_len then corrupt "file too short";
-            let by = read 8 in
-            if Bytes.sub_string by 0 8 <> magic then corrupt "bad magic";
+            if size < header_len + footer_len then corrupt 0 "file too short (%d bytes)" size;
+            if Bytes.sub_string (read 8) 0 8 <> magic then corrupt 0 "bad magic";
             let by = read 8 in
             let v = Bytes.get_uint16_le by 0 in
             (* With an [?unknown] callback, files from newer writers are
@@ -1252,54 +1088,54 @@ module Binary = struct
                the version note above) and get skipped record by
                record.  Without one, stay strict. *)
             if v < min_read_version || (v > version && unknown = None) then
-              corrupt "unsupported version %d" v;
+              corrupt 8 "unsupported version %d" v;
             let hlen = Bytes.get_uint16_le by 2 in
-            seek_in ic (size - footer_len);
+            if hlen < header_len then corrupt 10 "header length %d" hlen;
+            let foot = size - footer_len in
+            seek_in ic foot;
             let by = read footer_len in
             if Bytes.sub_string by 24 8 <> footer_magic then
-              corrupt "bad footer magic";
+              corrupt (foot + 24) "bad footer magic";
             let trailer_off = get_i64 by 0 in
             let n_records = get_i64 by 8 in
             let n_names = get_u32 by 16 in
             let n_strs = get_u32 by 20 in
-            if trailer_off < hlen || trailer_off > size - footer_len then
-              corrupt "trailer offset out of bounds";
+            if trailer_off < hlen || trailer_off > foot then
+              corrupt foot "trailer offset %d out of bounds" trailer_off;
+            if n_records < 0 then corrupt (foot + 8) "record count %d" n_records;
+            (* Each table entry takes at least its 4-byte length. *)
+            if n_names + n_strs > (foot - trailer_off) / 4 then
+              corrupt (foot + 16) "%d names and %d strings in a %d-byte trailer" n_names
+                n_strs (foot - trailer_off);
             seek_in ic trailer_off;
             let read_table n =
-              let a = Array.make n "" in
-              for i = 0 to n - 1 do
-                let len = get_u32 (read 4) 0 in
-                if len > size then corrupt "bad table entry";
-                let s = Bytes.create len in
-                (try really_input ic s 0 len
-                 with End_of_file -> corrupt "truncated table");
-                a.(i) <- Bytes.unsafe_to_string s
-              done;
-              a
+              Array.init n (fun _ ->
+                  let off = pos_in ic in
+                  let len = get_u32 (read 4) 0 in
+                  if len > foot - off - 4 then corrupt off "table entry of %d bytes" len;
+                  really_input_string ic len)
             in
             let names = read_table n_names in
             let strs = read_table n_strs in
-            let name i =
-              if i < Array.length names then names.(i)
-              else corrupt "name ref %d out of range" i
-            in
-            let str i =
-              if i < Array.length strs then strs.(i)
-              else corrupt "string ref %d out of range" i
+            let lookup table off i =
+              if i < Array.length table then table.(i)
+              else corrupt off "table ref %d out of range" i
             in
             seek_in ic hlen;
+            let v = slots () in
             let acc = ref init in
             for rec_no = 0 to n_records - 1 do
+              let off = pos_in ic in
+              if off >= trailer_off then
+                corrupt off "record %d of %d starts past the records' end %d" rec_no
+                  n_records trailer_off;
               let by = read 12 in
               let kind = Bytes.get_uint8 by 0 in
               let flags = Bytes.get_uint8 by 1 in
               let id_ref = Bytes.get_uint16_le by 2 in
               let at = get_i64 by 4 in
               let wide = flags land flag_wide <> 0 in
-              match
-                try Some (payload_len kind ~wide)
-                with Invalid_argument _ -> None
-              with
+              match if kind < Array.length by_kind then by_kind.(kind) else None with
               | None -> (
                   match unknown with
                   | Some cb ->
@@ -1309,119 +1145,35 @@ module Binary = struct
                       seek_in ic (pos_in ic + plen);
                       if flags land flag_run <> 0 then ignore (read 2);
                       cb (Printf.sprintf "kind %d" kind)
-                  | None -> corrupt "record %d: unknown kind %d" rec_no kind)
-              | Some plen ->
-              let by = read plen in
-              let num off = if wide then get_i64 by off else get_u32 by off in
-              let nsz = if wide then 8 else 4 in
-              let b0 = flags land flag_b0 <> 0 in
-              let b1 = flags land flag_b1 <> 0 in
-              let event =
-                match kind with
-                | 0 ->
-                    Segment_sent
-                      { seq = get_i64 by 0; len = num 8; push = b0; retx = b1 }
-                | 1 -> Segment_received { seq = get_i64 by 0; fresh = num 8 }
-                | 2 -> Ack_received { una = get_i64 by 0; acked = num 8 }
-                | 3 -> Nagle_hold { chunk = num 0; in_flight = num nsz }
-                | 4 -> Nagle_toggle { enabled = b0 }
-                | 5 -> Cork_hold { chunk = num 0 }
-                | 6 -> Delack_fire { pending = num 0 }
-                | 7 -> Delack_cancel { pending = num 0 }
-                | 8 -> Fin_received { rcv_nxt = get_i64 by 0 }
-                | 9 ->
-                    Segment_dropped
-                      {
-                        seq = get_i64 by 0;
-                        len = num 8;
-                        reason = str (get_u32 by (8 + nsz));
-                      }
-                | 10 ->
-                    Segment_reordered
-                      { seq = get_i64 by 0; delay_us = get_f64 by 8 }
-                | 11 -> Segment_duplicated { seq = get_i64 by 0 }
-                | 12 -> Share_corrupted { seq = get_i64 by 0 }
-                | 13 -> Share_rejected { reason = str (get_u32 by 0) }
-                | 14 ->
-                    Share_ingested
-                      {
-                        unacked_total = num 0;
-                        unread_total = num nsz;
-                        ackdelay_total = num (2 * nsz);
-                      }
-                | 15 ->
-                    Estimate_computed
-                      {
-                        latency_us = (if b0 then Some (get_f64 by 0) else None);
-                        throughput = get_f64 by 8;
-                        window_us = get_f64 by 16;
-                      }
-                | 16 -> Request_done { latency_us = get_f64 by 0 }
-                | 17 ->
-                    Req_issued
-                      { req = num 0; off = get_i64 by nsz; len = num (nsz + 8) }
-                | 18 -> Req_sent { req = num 0 }
-                | 19 -> Req_complete { req = num 0 }
-                | 20 -> Srv_start { req = num 0 }
-                | 21 ->
-                    Srv_reply
-                      { req = num 0; off = get_i64 by nsz; len = num (nsz + 8) }
-                | 22 ->
-                    Audit_window
-                      {
-                        queue = str (get_u32 by 0);
-                        l_avg = get_f64 by 4;
-                        lambda_per_s = get_f64 by 12;
-                        w_us = get_f64 by 20;
-                        rel_err = get_f64 by 28;
-                      }
-                | 23 ->
-                    Message
-                      { tag = str (get_u32 by 0); detail = str (get_u32 by 4) }
-                | 24 ->
-                    Segment_challenged
-                      { seq = get_i64 by 0; kind = str (get_u32 by 8) }
-                | 25 -> Probe_sent { seq = get_i64 by 0; backoff = num 8 }
-                | 26 ->
-                    Decision_made
-                      {
-                        decision = num 0;
-                        on_us =
-                          (if flags land flag_b1 <> 0 then
-                             Some (get_f64 by nsz)
-                           else None);
-                        off_us =
-                          (if flags land flag_b2 <> 0 then
-                             Some (get_f64 by (nsz + 8))
-                           else None);
-                        mode = str (get_u32 by (nsz + 16));
-                        action = str (get_u32 by (nsz + 20));
-                        reason = str (get_u32 by (nsz + 24));
-                        frozen = b0;
-                        stale_us = get_f64 by (nsz + 28);
-                      }
-                | 27 ->
-                    Decision_outcome
-                      {
-                        decision = num 0;
-                        n = num nsz;
-                        mean_us = get_f64 by (2 * nsz);
-                        p99_us = get_f64 by ((2 * nsz) + 8);
-                      }
-                | 28 -> Conn_opened { gen = num 0; inherited = b0 }
-                | 29 -> Conn_closed { gen = num 0; completed = num nsz }
-                | 30 ->
-                    Lb_assigned { shard = num 0; policy = str (get_u32 by nsz) }
-                | 31 -> Shard_enqueued { shard = num 0; depth = num nsz }
-                | k -> corrupt "record %d: unknown kind %d" rec_no k
-              in
-              let run =
-                if flags land flag_run <> 0 then
-                  Some (name (Bytes.get_uint16_le (read 2) 0))
-                else None
-              in
-              acc := f !acc run { at; id = name id_ref; event }
+                  | None -> corrupt off "record %d: unknown kind %d" rec_no kind)
+              | Some e ->
+                  let by = read (payload_len e ~wide) in
+                  let pos = ref 0 in
+                  Array.iteri
+                    (fun k fd ->
+                      (match fd.ty with
+                      | I64 -> v.i.(k) <- get_i64 by !pos
+                      | Num -> v.i.(k) <- (if wide then get_i64 by !pos else get_u32 by !pos)
+                      | F64 -> v.f.(k) <- get_f64 by !pos
+                      | Bool bit | Ev_bit bit -> v.i.(k) <- (flags lsr bit) land 1
+                      | Fopt bit ->
+                          v.i.(k) <- (flags lsr bit) land 1;
+                          v.f.(k) <- get_f64 by !pos
+                      | Str -> v.s.(k) <- lookup strs (off + 12 + !pos) (get_u32 by !pos));
+                      pos := !pos + width fd.ty ~wide)
+                    e.fields;
+                  let event = e.build v in
+                  let run =
+                    if flags land flag_run <> 0 then
+                      let off = pos_in ic in
+                      Some (lookup names off (Bytes.get_uint16_le (read 2) 0))
+                    else None
+                  in
+                  acc := f !acc run { at; id = lookup names (off + 2) id_ref; event }
             done;
+            let stop = pos_in ic in
+            if stop <> trailer_off then
+              corrupt stop "records end here but the trailer starts at %d" trailer_off;
             Ok !acc
           with
           | Corrupt msg -> Error msg

@@ -144,6 +144,62 @@ type event =
 type record = { at : Time.t; id : string; event : event }
 (** [id] names the emitting connection/socket (e.g. ["c0"]). *)
 
+(** {1 Event schema}
+
+    One table, with one entry per [event] constructor, describes every
+    event; [tag], [detail], both JSONL directions and the binary writer
+    and reader are interpreters over it.  An entry gives the JSONL
+    ["ev"] name, the binary kind code and the constructor's typed
+    fields, in binary payload order, which is also the JSONL key order.
+    Its [read] copies a constructor's fields into {!slots} and its
+    [build] makes the constructor back from them.
+
+    {b Adding a trace event}: add the constructor to [event] and its
+    entry at the same position in [schema], with a new kind code (the
+    next after the largest) and flag bits 0–5 not used by its other
+    fields.  The codecs, [tag], [detail] and the tests' generators all
+    follow the table.  A kind past 31 also changes the binary format:
+    it needs a new {!Binary.version} and, so that v4 readers can skip
+    it, the explicit payload length that version's note asks for. *)
+
+type ty =
+  | I64  (** int, 8 bytes *)
+  | Num  (** int in a u32 slot: 4 bytes, 8 when the record is wide *)
+  | F64  (** float as its IEEE-754 bits; JSON [null] when not finite *)
+  | Bool of int  (** bool in flag bit [k]; no payload bytes *)
+  | Ev_bit of int
+      (** bool in flag bit [k]; not a JSON key: when set, the field's
+          key replaces the entry's ["ev"] (["tx"] becomes ["retx"]) *)
+  | Str  (** string, a u32 reference into the string table *)
+  | Fopt of int
+      (** float option: flag bit [k] when [Some], then 8 bytes (0.0 for
+          [None]); JSON [null] for [None] *)
+
+type field = { key : string; ty : ty }
+(** [key] is the field's JSON key and its label in [detail]. *)
+
+type slots = { i : int array; f : float array; s : string array }
+(** Field [k] of an entry is at index [k] of the array its type uses:
+    ints, and bools and option presence as 0/1, in [i]; floats and
+    option values in [f]; strings in [s]. *)
+
+type entry = {
+  ev : string;  (** JSONL ["ev"] name, and [tag] *)
+  kind : int;  (** binary kind code *)
+  verbatim : bool;
+      (** [Message] only: [tag] and [detail] are the values of its two
+          fields, as they are *)
+  fields : field array;
+  read : slots -> event -> unit;  (** copy the constructor's fields into slots *)
+  build : slots -> event;  (** the constructor from slots *)
+}
+
+val schema : entry array
+(** One entry per [event] constructor, in declaration order. *)
+
+val slots : unit -> slots
+(** Fresh slots with room for every entry's fields. *)
+
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -206,13 +262,12 @@ val shard_of_id : string -> int option
     unsharded ids (["bare/c0"], ["c0"]) map to [None]. *)
 
 val tag : record -> string
-(** Short stable tag for the record's event ("tx", "rx", "ack", "hold",
-    "toggle", "cork", "delack_fire", "delack_cancel", "fin", "retx",
-    "challenge", "probe", "share", "estimate", "request", or the
-    [Message] tag). *)
+(** Short stable tag for the record's event: its JSONL ["ev"] name
+    ("tx", "retx", "rx", "ack", ...), or the [Message] tag. *)
 
 val detail : record -> string
-(** Human-readable rendering of the event payload. *)
+(** The event's fields as space-separated [key=value] pairs, with the
+    JSON keys; a [Message]'s detail as it is. *)
 
 val find : t -> tag:string -> record list
 val clear : t -> unit
@@ -255,9 +310,9 @@ val load_jsonl : string -> ((string option * record) list, string) result
 (** {1 Binary trace format}
 
     A compact fixed-width encoding of the same records: a 16-byte
-    versioned header, one record per event (4-byte prefix + per-kind
-    fixed-width payload), and interned string tables in a trailer
-    located via a fixed footer.  Typically 3–4x smaller and several
+    versioned header, one record per event (12-byte prefix, then its
+    entry's fields at the widths {!ty} gives), and interned string
+    tables in a trailer located via a fixed footer.  Typically 3–4x smaller and several
     times faster to write than JSONL; [record_to_json]-visible content
     round-trips exactly (ints as i64, floats as IEEE-754 bits).  See
     DESIGN.md "Binary trace & streaming spans" for the layout table. *)
@@ -300,7 +355,10 @@ module Binary : sig
     string -> init:'a -> f:('a -> string option -> record -> 'a) -> ('a, string) result
   (** Stream a binary trace file record by record, in file order, with
       memory bounded by the interned string tables.  [Error] on
-      missing/unreadable/corrupt files.
+      missing/unreadable/corrupt files; a corrupt file's error names
+      the byte offset where it went wrong, and no count read from the
+      file sizes an allocation before it is checked against the file's
+      size.
 
       [?unknown] opts into forward compatibility: files written by
       newer versions are accepted, and records of kinds this reader

@@ -342,6 +342,79 @@ let prop_unwrap_across_wraparound =
       && Float.abs (u1.unread.integral -. u0.unread.integral -. (float_of_int d_total *. 1e3))
          <= 2e3)
 
+(* {1 Trace readers under corruption} *)
+
+(* A small real trace, from a short dynamic-batching run, as a binary
+   file and as JSONL text: every 25th record, and every decision,
+   outcome, estimate, audit, toggle and message. *)
+let real_trace =
+  lazy
+    (let base = Loadgen.Runner.default_config ~rate_rps:20e3
+         ~batching:(Loadgen.Runner.Dynamic Loadgen.Runner.default_dynamic) in
+     let r =
+       Loadgen.Runner.run
+         { base with warmup = Sim.Time.ms 2; duration = Sim.Time.ms 4;
+           observe = Some { Loadgen.Observe.default_config with trace_capacity = 4096 } }
+     in
+     let records =
+       match r.observability with
+       | Some o ->
+         let rare = [ "decision"; "outcome"; "estimate"; "audit"; "toggle"; "slo_declared" ] in
+         List.filteri (fun i r -> i mod 25 = 0 || List.mem (Sim.Trace.tag r) rare) o.records
+       | None -> failwith "no observability output"
+     in
+     let runs = List.mapi (fun i r -> ((if i mod 2 = 0 then None else Some "r"), r)) records in
+     let path = Filename.temp_file "e2e_fuzz" ".bin" in
+     let oc = open_out_bin path in
+     let w = Sim.Trace.Binary.writer oc in
+     List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) runs;
+     Sim.Trace.Binary.finish w;
+     close_out oc;
+     let bin = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     let jsonl =
+       String.concat "" (List.map (fun (run, r) -> Sim.Trace.record_to_json ?run r ^ "\n") runs)
+     in
+     (bin, jsonl))
+
+(* Truncated at a random length, with random bits flipped, either file
+   reads as [Ok] or as an [Error] that says where (a byte offset or a
+   line), and [record_of_json] takes every JSONL line without raising.
+   A raise or a hang fails the property. *)
+let prop_trace_readers_survive_corruption =
+  QCheck.Test.make ~name:"trace readers survive truncation and bit flips" ~count:200
+    QCheck.(
+      triple bool (float_range 0.0 1.0)
+        (list_of_size Gen.(0 -- 6) (pair (float_range 0.0 1.0) (int_range 0 7))))
+    (fun (binary, cut, flips) ->
+      let bin, jsonl = Lazy.force real_trace in
+      let src = if binary then bin else jsonl in
+      let len = int_of_float (cut *. float_of_int (String.length src)) in
+      let by = Bytes.sub (Bytes.of_string src) 0 len in
+      if len > 0 then
+        List.iter
+          (fun (at, bit) ->
+            let i = min (len - 1) (int_of_float (at *. float_of_int len)) in
+            Bytes.set_uint8 by i (Bytes.get_uint8 by i lxor (1 lsl bit)))
+          flips;
+      let path = Filename.temp_file "e2e_fuzz" (if binary then ".bin" else ".jsonl") in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc by);
+      let result = Sim.Trace.fold_file path ~init:0 ~f:(fun n _ _ -> n + 1) in
+      Sys.remove path;
+      let has msg sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      (binary
+      || List.for_all
+           (fun line -> match Sim.Trace.record_of_json line with Ok _ | Error _ -> true)
+           (String.split_on_char '\n' (Bytes.to_string by)))
+      &&
+      match result with
+      | Ok _ -> true
+      | Error msg -> has msg "offset " || has msg "line ")
+
 let suite =
   [
     ( "fuzz",
@@ -360,5 +433,7 @@ let suite =
         Alcotest.test_case "option parser on garbage" `Quick test_decode_garbage_options;
         Alcotest.test_case "exchange decode on garbage" `Quick
           test_decode_garbage_exchange;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
+          prop_trace_readers_survive_corruption;
       ] );
   ]

@@ -925,20 +925,34 @@ let test_trace_iter_fold_match_records () =
   Alcotest.(check bool) "fold = records" true (List.rev via_fold = records);
   Alcotest.(check int) "ring capped" 8 (List.length records)
 
-let trace_sample_events : Sim.Trace.event list =
+(* One value of every [Trace.event] constructor, with payloads chosen to
+   exercise both encodings: u32-slot values past 2^32 and a negative seq
+   force the wide flag; [None] latency and false booleans exercise the
+   flag bits. *)
+let trace_every_event : Sim.Trace.event list =
   [
     Sim.Trace.Segment_sent { seq = 12; len = 1448; push = true; retx = false };
-    Sim.Trace.Segment_sent { seq = 0; len = 1; push = false; retx = true };
+    Sim.Trace.Segment_sent
+      { seq = 0x1_0000_0001; len = 0x1_0000_0002; push = false; retx = true };
     Sim.Trace.Segment_received { seq = 12; fresh = 1448 };
     Sim.Trace.Ack_received { acked = 1448; una = 1460 };
     Sim.Trace.Nagle_hold { chunk = 64; in_flight = 1448 };
     Sim.Trace.Nagle_toggle { enabled = true };
+    Sim.Trace.Nagle_toggle { enabled = false };
     Sim.Trace.Cork_hold { chunk = 256 };
     Sim.Trace.Delack_fire { pending = 2 };
     Sim.Trace.Delack_cancel { pending = 1 };
     Sim.Trace.Fin_received { rcv_nxt = 4242 };
+    Sim.Trace.Segment_dropped { seq = -1; len = 1500; reason = "loss" };
+    Sim.Trace.Segment_dropped { seq = 88; len = 64; reason = "blackout" };
+    Sim.Trace.Segment_reordered { seq = 7; delay_us = 123.456 };
+    Sim.Trace.Segment_duplicated { seq = 9 };
     Sim.Trace.Segment_challenged { seq = 9999; kind = "rst" };
-    Sim.Trace.Probe_sent { seq = 1447; backoff = 3 };
+    Sim.Trace.Segment_challenged { seq = -1; kind = "syn" };
+    Sim.Trace.Probe_sent { seq = 1447; backoff = 1 };
+    Sim.Trace.Probe_sent { seq = 0x1_0000_0003; backoff = 10 };
+    Sim.Trace.Share_corrupted { seq = 11 };
+    Sim.Trace.Share_rejected { reason = "w_us out of range" };
     Sim.Trace.Share_ingested { unacked_total = 3; unread_total = 7; ackdelay_total = 1 };
     Sim.Trace.Estimate_computed
       { latency_us = Some 123.456; throughput = 60000.25; window_us = 1000.0 };
@@ -953,29 +967,55 @@ let trace_sample_events : Sim.Trace.event list =
       { queue = "c0.unacked"; l_avg = 3.25; lambda_per_s = 60000.5;
         w_us = 54.125; rel_err = 0.015625 };
     Sim.Trace.Message { tag = "note"; detail = "hello \"quoted\" \\ world" };
+    Sim.Trace.Message { tag = ""; detail = "" };
     Sim.Trace.Decision_made
-      { decision = 3; on_us = Some 92.125; off_us = None; mode = "on";
-        action = "off"; reason = "exploit"; frozen = true; stale_us = -1.0 };
+      { decision = 0; on_us = Some 92.125; off_us = Some 54.5; mode = "on";
+        action = "off"; reason = "exploit"; frozen = false; stale_us = 18.75 };
+    Sim.Trace.Decision_made
+      { decision = 0x1_0000_0004; on_us = None; off_us = Some 54.5;
+        mode = "off"; action = "off"; reason = "undersampled"; frozen = true;
+        stale_us = -1.0 };
+    Sim.Trace.Decision_made
+      { decision = 7; on_us = Some 88.0; off_us = None; mode = "limit=4";
+        action = "limit=8"; reason = "good"; frozen = false; stale_us = 0.0 };
+    Sim.Trace.Decision_made
+      { decision = 8; on_us = None; off_us = None; mode = "off"; action = "on";
+        reason = "explore"; frozen = false; stale_us = 123.0625 };
     Sim.Trace.Decision_outcome
-      { decision = 3; mean_us = 78.8125; p99_us = 148.0; n = 51 };
+      { decision = 0; mean_us = 78.8125; p99_us = 148.0; n = 51 };
+    Sim.Trace.Decision_outcome
+      { decision = 0x1_0000_0004; mean_us = 0.0; p99_us = 0.0;
+        n = 0x1_0000_0001 };
+    Sim.Trace.Conn_opened { gen = 3; inherited = true };
+    Sim.Trace.Conn_opened { gen = 0x1_0000_0005; inherited = false };
+    Sim.Trace.Conn_closed { gen = 3; completed = 1234 };
+    Sim.Trace.Conn_closed { gen = 0; completed = 0x1_0000_0006 };
+    Sim.Trace.Lb_assigned { shard = 2; policy = "least_loaded" };
+    Sim.Trace.Lb_assigned { shard = 0x1_0000_0007; policy = "round_robin" };
+    Sim.Trace.Shard_enqueued { shard = 3; depth = 17 };
+    Sim.Trace.Shard_enqueued { shard = 1; depth = 0x1_0000_0008 };
   ]
+
+let trace_sample : (string option * Sim.Trace.record) list =
+  List.mapi
+    (fun i ev ->
+      let run = match i mod 3 with 0 -> None | 1 -> Some "off@60k" | _ -> Some "on" in
+      ( run,
+        { Sim.Trace.at = Sim.Time.us (i + 1);
+          id = Printf.sprintf "c%d" (i mod 4);
+          event = ev } ))
+    trace_every_event
 
 let test_trace_json_roundtrip () =
   List.iteri
-    (fun i ev ->
-      let r = { Sim.Trace.at = Sim.Time.us (i + 1); id = Printf.sprintf "c%d" i; event = ev } in
-      List.iter
-        (fun run ->
-          let line = Sim.Trace.record_to_json ?run r in
-          match Sim.Trace.record_of_json line with
-          | Ok (run', r') ->
-            Alcotest.(check bool)
-              (Printf.sprintf "run label %d" i)
-              true (run = run');
-            Alcotest.(check bool) (Printf.sprintf "record %d" i) true (r = r')
-          | Error e -> Alcotest.failf "roundtrip %d failed on %s: %s" i line e)
-        [ None; Some "off@60k" ])
-    trace_sample_events
+    (fun i (run, r) ->
+      let line = Sim.Trace.record_to_json ?run r in
+      match Sim.Trace.record_of_json line with
+      | Ok (run', r') ->
+        Alcotest.(check bool) (Printf.sprintf "run label %d" i) true (run = run');
+        Alcotest.(check bool) (Printf.sprintf "record %d" i) true (r = r')
+      | Error e -> Alcotest.failf "roundtrip %d failed on %s: %s" i line e)
+    trace_sample
 
 let test_trace_json_malformed () =
   List.iter
@@ -1089,90 +1129,13 @@ let test_trace_fold_jsonl () =
 
 (* {1 Binary trace format} *)
 
-(* One value of every [Trace.event] constructor, with payloads chosen to
-   exercise both encodings: u32-slot values past 2^32 and a negative seq
-   force the wide flag; [None] latency and false booleans exercise the
-   flag bits. *)
-let trace_every_event : Sim.Trace.event list =
-  [
-    Sim.Trace.Segment_sent { seq = 12; len = 1448; push = true; retx = false };
-    Sim.Trace.Segment_sent
-      { seq = 0x1_0000_0001; len = 0x1_0000_0002; push = false; retx = true };
-    Sim.Trace.Segment_received { seq = 12; fresh = 1448 };
-    Sim.Trace.Ack_received { acked = 1448; una = 1460 };
-    Sim.Trace.Nagle_hold { chunk = 64; in_flight = 1448 };
-    Sim.Trace.Nagle_toggle { enabled = true };
-    Sim.Trace.Nagle_toggle { enabled = false };
-    Sim.Trace.Cork_hold { chunk = 256 };
-    Sim.Trace.Delack_fire { pending = 2 };
-    Sim.Trace.Delack_cancel { pending = 1 };
-    Sim.Trace.Fin_received { rcv_nxt = 4242 };
-    Sim.Trace.Segment_dropped { seq = -1; len = 1500; reason = "loss" };
-    Sim.Trace.Segment_dropped { seq = 88; len = 64; reason = "blackout" };
-    Sim.Trace.Segment_reordered { seq = 7; delay_us = 123.456 };
-    Sim.Trace.Segment_duplicated { seq = 9 };
-    Sim.Trace.Segment_challenged { seq = 9999; kind = "rst" };
-    Sim.Trace.Segment_challenged { seq = -1; kind = "syn" };
-    Sim.Trace.Probe_sent { seq = 1447; backoff = 1 };
-    Sim.Trace.Probe_sent { seq = 0x1_0000_0003; backoff = 10 };
-    Sim.Trace.Share_corrupted { seq = 11 };
-    Sim.Trace.Share_rejected { reason = "w_us out of range" };
-    Sim.Trace.Share_ingested { unacked_total = 3; unread_total = 7; ackdelay_total = 1 };
-    Sim.Trace.Estimate_computed
-      { latency_us = Some 123.456; throughput = 60000.25; window_us = 1000.0 };
-    Sim.Trace.Estimate_computed { latency_us = None; throughput = 0.0; window_us = 0.5 };
-    Sim.Trace.Request_done { latency_us = 88.25 };
-    Sim.Trace.Req_issued { req = 17; off = 1234; len = 56 };
-    Sim.Trace.Req_sent { req = 17 };
-    Sim.Trace.Req_complete { req = 17 };
-    Sim.Trace.Srv_start { req = 17 };
-    Sim.Trace.Srv_reply { req = 17; off = 4321; len = 7 };
-    Sim.Trace.Audit_window
-      { queue = "c0.unacked"; l_avg = 3.25; lambda_per_s = 60000.5;
-        w_us = 54.125; rel_err = 0.015625 };
-    Sim.Trace.Message { tag = "note"; detail = "hello \"quoted\" \\ world" };
-    Sim.Trace.Message { tag = ""; detail = "" };
-    Sim.Trace.Decision_made
-      { decision = 0; on_us = Some 92.125; off_us = Some 54.5; mode = "on";
-        action = "off"; reason = "exploit"; frozen = false; stale_us = 18.75 };
-    Sim.Trace.Decision_made
-      { decision = 0x1_0000_0004; on_us = None; off_us = Some 54.5;
-        mode = "off"; action = "off"; reason = "undersampled"; frozen = true;
-        stale_us = -1.0 };
-    Sim.Trace.Decision_made
-      { decision = 7; on_us = Some 88.0; off_us = None; mode = "limit=4";
-        action = "limit=8"; reason = "good"; frozen = false; stale_us = 0.0 };
-    Sim.Trace.Decision_made
-      { decision = 8; on_us = None; off_us = None; mode = "off"; action = "on";
-        reason = "explore"; frozen = false; stale_us = 123.0625 };
-    Sim.Trace.Decision_outcome
-      { decision = 0; mean_us = 78.8125; p99_us = 148.0; n = 51 };
-    Sim.Trace.Decision_outcome
-      { decision = 0x1_0000_0004; mean_us = 0.0; p99_us = 0.0;
-        n = 0x1_0000_0001 };
-    Sim.Trace.Conn_opened { gen = 3; inherited = true };
-    Sim.Trace.Conn_opened { gen = 0x1_0000_0005; inherited = false };
-    Sim.Trace.Conn_closed { gen = 3; completed = 1234 };
-    Sim.Trace.Conn_closed { gen = 0; completed = 0x1_0000_0006 };
-  ]
-
-let trace_binary_sample : (string option * Sim.Trace.record) list =
-  List.mapi
-    (fun i ev ->
-      let run = match i mod 3 with 0 -> None | 1 -> Some "off@60k" | _ -> Some "on" in
-      ( run,
-        { Sim.Trace.at = Sim.Time.us (i + 1);
-          id = Printf.sprintf "c%d" (i mod 4);
-          event = ev } ))
-    trace_every_event
-
 let test_trace_binary_roundtrip () =
   let path = Filename.temp_file "e2e_bin" ".bin" in
   let oc = open_out_bin path in
   let w = Sim.Trace.Binary.writer oc in
-  List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) trace_binary_sample;
+  List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) trace_sample;
   Alcotest.(check int) "written count"
-    (List.length trace_binary_sample)
+    (List.length trace_sample)
     (Sim.Trace.Binary.written w);
   Sim.Trace.Binary.finish w;
   Sim.Trace.Binary.finish w; (* idempotent *)
@@ -1181,7 +1144,7 @@ let test_trace_binary_roundtrip () =
   (match Sim.Trace.Binary.load_file path with
   | Ok loaded ->
     Alcotest.(check bool) "every constructor round-trips exactly" true
-      (loaded = trace_binary_sample)
+      (loaded = trace_sample)
   | Error e -> Alcotest.failf "load_file failed: %s" e);
   (* the format-dispatching fold must pick the binary reader *)
   (match
@@ -1189,9 +1152,33 @@ let test_trace_binary_roundtrip () =
    with
   | Ok folded ->
     Alcotest.(check bool) "fold_file dispatches on magic" true
-      (List.rev folded = trace_binary_sample)
+      (List.rev folded = trace_sample)
   | Error e -> Alcotest.failf "fold_file failed: %s" e);
   Sys.remove path
+
+(* Golden bytes: [trace_sample] (every kind, narrow and wide
+   slots, [None] and [Some] float options, with and without a run
+   label) as JSONL lines, pinned in regress/trace_golden.jsonl, and as
+   a binary file, pinned by its MD5. *)
+let trace_golden_md5 = "6b6b78af3de1a03c8bc0e62740a621c9"
+
+let test_trace_golden () =
+  let expected =
+    In_channel.with_open_text "regress/trace_golden.jsonl" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "JSONL lines" expected
+    (List.map (fun (run, r) -> Sim.Trace.record_to_json ?run r) trace_sample);
+  let path = Filename.temp_file "e2e_golden" ".bin" in
+  let oc = open_out_bin path in
+  let w = Sim.Trace.Binary.writer oc in
+  List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) trace_sample;
+  Sim.Trace.Binary.finish w;
+  close_out oc;
+  let md5 = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  Alcotest.(check string) "binary MD5" trace_golden_md5 md5
 
 let test_trace_binary_sniff_negative () =
   (* a JSONL file and a missing file are both not-binary, without raising *)
@@ -1219,95 +1206,87 @@ let test_trace_binary_sniff_negative () =
   | Ok _ -> Alcotest.fail "expected an error for a truncated binary file");
   List.iter Sys.remove [ path; short; trunc ]
 
-let prop_trace_binary_roundtrip =
-  let open QCheck in
-  let fin = float_range (-1e12) 1e12 in
-  let gen =
-    Gen.(
-      let small_string = string_size ~gen:printable (0 -- 16) in
-      (* u32-slot values: mostly narrow, sometimes past 2^32 to force
-         the wide encoding, and -1 where call sites use it *)
-      let slot = oneofl [ 0; 1; 1448; 0xFFFF_FFFF; 0x1_0000_0000; 0x7F_FFFF_FFFF ] in
-      let seq = oneof [ slot; return (-1) ] in
-      let* at = 0 -- 2_000_000_000 in
-      let* id = oneofl [ "c0"; "s0"; "bare/c0"; "vm/s3"; "" ] in
-      let* run = oneofl [ None; Some "off@60k"; Some "r" ] in
-      let* ev =
-        oneof
-          [
-            (let* s = seq and* len = slot and* push = bool and* retx = bool in
-             return (Sim.Trace.Segment_sent { seq = s; len; push; retx }));
-            (let* s = slot and* fresh = slot in
-             return (Sim.Trace.Segment_received { seq = s; fresh }));
-            (let* acked = slot and* una = slot in
-             return (Sim.Trace.Ack_received { acked; una }));
-            (let* chunk = slot and* in_flight = slot in
-             return (Sim.Trace.Nagle_hold { chunk; in_flight }));
-            (let* enabled = bool in return (Sim.Trace.Nagle_toggle { enabled }));
-            (let* chunk = slot in return (Sim.Trace.Cork_hold { chunk }));
-            (let* pending = slot in return (Sim.Trace.Delack_fire { pending }));
-            (let* pending = slot in return (Sim.Trace.Delack_cancel { pending }));
-            (let* rcv_nxt = slot in return (Sim.Trace.Fin_received { rcv_nxt }));
-            (let* s = seq and* len = slot and* reason = small_string in
-             return (Sim.Trace.Segment_dropped { seq = s; len; reason }));
-            (let* s = seq and* delay_us = fin.gen in
-             return (Sim.Trace.Segment_reordered { seq = s; delay_us }));
-            (let* s = seq in return (Sim.Trace.Segment_duplicated { seq = s }));
-            (let* s = seq and* kind = oneofl [ "rst"; "syn"; "ack" ] in
-             return (Sim.Trace.Segment_challenged { seq = s; kind }));
-            (let* s = seq and* backoff = slot in
-             return (Sim.Trace.Probe_sent { seq = s; backoff }));
-            (let* s = seq in return (Sim.Trace.Share_corrupted { seq = s }));
-            (let* reason = small_string in
-             return (Sim.Trace.Share_rejected { reason }));
-            (let* a = slot and* b = slot and* c = slot in
-             return
-               (Sim.Trace.Share_ingested
-                  { unacked_total = a; unread_total = b; ackdelay_total = c }));
-            (let* latency = opt fin.gen and* tp = fin.gen and* w = fin.gen in
-             return
-               (Sim.Trace.Estimate_computed
-                  { latency_us = latency; throughput = tp; window_us = w }));
-            (let* l = fin.gen in return (Sim.Trace.Request_done { latency_us = l }));
-            (let* req = slot and* off = slot and* len = slot in
-             return (Sim.Trace.Req_issued { req; off; len }));
-            (let* req = slot in return (Sim.Trace.Req_sent { req }));
-            (let* req = slot in return (Sim.Trace.Req_complete { req }));
-            (let* req = slot in return (Sim.Trace.Srv_start { req }));
-            (let* req = slot and* off = slot and* len = slot in
-             return (Sim.Trace.Srv_reply { req; off; len }));
-            (let* queue = small_string and* l = fin.gen and* lam = fin.gen
-             and* w = fin.gen and* e = fin.gen in
-             return
-               (Sim.Trace.Audit_window
-                  { queue; l_avg = l; lambda_per_s = lam; w_us = w; rel_err = e }));
-            (let* tag = small_string and* detail = small_string in
-             return (Sim.Trace.Message { tag; detail }));
-            (let* decision = slot and* on_us = opt fin.gen
-             and* off_us = opt fin.gen
-             and* mode = oneofl [ "on"; "off"; "limit=4" ]
-             and* action = oneofl [ "on"; "off"; "limit=8" ]
-             and* reason =
-               oneofl [ "explore"; "exploit"; "undersampled"; "forced";
-                        "good"; "bad"; "hold" ]
-             and* frozen = bool and* stale_us = fin.gen in
-             return
-               (Sim.Trace.Decision_made
-                  { decision; on_us; off_us; mode; action; reason; frozen;
-                    stale_us }));
-            (let* decision = slot and* mean_us = fin.gen and* p99_us = fin.gen
-             and* n = slot in
-             return (Sim.Trace.Decision_outcome { decision; mean_us; p99_us; n }));
-            (let* gen = slot and* inherited = bool in
-             return (Sim.Trace.Conn_opened { gen; inherited }));
-            (let* gen = slot and* completed = slot in
-             return (Sim.Trace.Conn_closed { gen; completed }));
-          ]
+(* A footer whose counts disagree with the file: the reader must say
+   where, not load a prefix of the records or size a table from the
+   bad count.  Counts stay at or below 2^24 so that a reader which
+   trusts them cannot exhaust memory. *)
+let test_trace_binary_tampered_counts () =
+  let path = Filename.temp_file "e2e_tamper" ".bin" in
+  let oc = open_out_bin path in
+  let w = Sim.Trace.Binary.writer oc in
+  List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r)
+    (List.filteri (fun i _ -> i < 3) trace_sample);
+  Sim.Trace.Binary.finish w;
+  close_out oc;
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let footer = String.length good - 32 in
+  let tamper name off set =
+    let by = Bytes.of_string good in
+    set by off;
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc by);
+    match Sim.Trace.Binary.load_file path with
+    | Ok l -> Alcotest.failf "%s: loaded %d records" name (List.length l)
+    | Error msg ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
       in
-      return (run, { Sim.Trace.at; id; event = ev }))
+      Alcotest.(check bool) (name ^ " error names a byte offset: " ^ msg) true (has "offset")
   in
-  Test.make ~count:100 ~name:"binary trace roundtrips every constructor"
-    (make (Gen.list_size Gen.(1 -- 20) gen))
+  let i64 v by off = Bytes.set_int64_le by off (Int64.of_int v) in
+  let u32 v by off = Bytes.set_int32_le by off (Int32.of_int v) in
+  tamper "n_records = 2" (footer + 8) (i64 2);
+  tamper "n_records = 4" (footer + 8) (i64 4);
+  tamper "n_records = -1" (footer + 8) (i64 (-1));
+  tamper "n_names = 2^24" (footer + 16) (u32 (1 lsl 24));
+  tamper "n_strs = 2^24" (footer + 20) (u32 (1 lsl 24));
+  Sys.remove path
+
+(* A random record of any kind, drawn through the schema: each field
+   gets a random value of its type and the kind's entry builds the
+   event.  Int fields are mostly narrow, sometimes past 2^32 (the wide
+   binary encoding) or -1, and always exact as JSON numbers. *)
+let gen_trace_record : (string option * Sim.Trace.record) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let int = oneofl [ 0; 1; 1448; 0xFFFF_FFFF; 0x1_0000_0000; 0x7F_FFFF_FFFF; -1 ] in
+  let fin = float_range (-1e12) 1e12 in
+  let event st =
+    let e = oneofa Sim.Trace.schema st in
+    let v = Sim.Trace.slots () in
+    Array.iteri
+      (fun k (fd : Sim.Trace.field) ->
+        match fd.ty with
+        | I64 | Num -> v.i.(k) <- int st
+        | F64 -> v.f.(k) <- fin st
+        | Bool _ | Ev_bit _ | Fopt _ ->
+          v.i.(k) <- int_bound 1 st;
+          v.f.(k) <- fin st
+        | Str -> v.s.(k) <- string_size ~gen:printable (0 -- 16) st)
+      e.fields;
+    e.build v
+  in
+  let* at = 0 -- 2_000_000_000 in
+  let* id = oneofl [ "c0"; "s0"; "bare/c0"; "vm/s3@s1"; "" ] in
+  let* run = oneofl [ None; Some "off@60k"; Some "r" ] in
+  let* event = event in
+  return (run, { Sim.Trace.at; id; event })
+
+(* The schema has one entry per constructor, so the generator above
+   draws every kind; the golden sample covers them all too. *)
+let test_trace_schema_kinds () =
+  let kinds = Array.to_list (Array.map (fun (e : Sim.Trace.entry) -> e.kind) Sim.Trace.schema) in
+  Alcotest.(check (list int)) "kinds 0..31, once each" (List.init 32 Fun.id)
+    (List.sort compare kinds);
+  let evs = Array.to_list (Array.map (fun (e : Sim.Trace.entry) -> e.ev) Sim.Trace.schema) in
+  Alcotest.(check int) "distinct ev names" 32 (List.length (List.sort_uniq compare evs));
+  (* an event's block tag is its constructor's declaration index *)
+  let covered = List.sort_uniq compare (List.map (fun ev -> Obj.tag (Obj.repr ev)) trace_every_event) in
+  Alcotest.(check (list int)) "golden sample has every constructor" (List.init 32 Fun.id) covered
+
+let prop_trace_binary_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"binary trace roundtrips every constructor"
+    (QCheck.make (QCheck.Gen.list_size QCheck.Gen.(1 -- 20) gen_trace_record))
     (fun records ->
       let path = Filename.temp_file "e2e_binprop" ".bin" in
       let oc = open_out_bin path in
@@ -1421,49 +1400,9 @@ let test_trace_disabled_guard_no_alloc () =
     true (per_op < 0.01)
 
 let prop_trace_json_roundtrip =
-  let open QCheck in
-  let fin = float_range (-1e9) 1e9 in
-  let gen =
-    Gen.(
-      let* at = 0 -- 1_000_000_000 in
-      let* id = string_size ~gen:(char_range 'a' 'z') (0 -- 8) in
-      let* ev =
-        oneof
-          [
-            (* ints ride a float-backed JSON number: exact below 2^53 *)
-            (let* seq = 0 -- 1_000_000_000 and* len = 0 -- 100_000 and* push = bool
-             and* retx = bool in
-             return (Sim.Trace.Segment_sent { seq; len; push; retx }));
-            (let* latency = opt fin.gen and* tp = fin.gen and* w = fin.gen in
-             return
-               (Sim.Trace.Estimate_computed
-                  { latency_us = latency; throughput = tp; window_us = w }));
-            (let* tag = string_size ~gen:Gen.printable (0 -- 12)
-             and* detail = string_size ~gen:Gen.printable (0 -- 20) in
-             return (Sim.Trace.Message { tag; detail }));
-            (let* l = fin.gen in
-             return (Sim.Trace.Request_done { latency_us = l }));
-            (let* decision = 0 -- 1_000_000_000 and* on_us = opt fin.gen
-             and* off_us = opt fin.gen
-             and* mode = oneofl [ "on"; "off"; "limit=4" ]
-             and* action = oneofl [ "on"; "off"; "limit=8" ]
-             and* reason = oneofl [ "explore"; "exploit"; "hold" ]
-             and* frozen = bool and* stale_us = fin.gen in
-             return
-               (Sim.Trace.Decision_made
-                  { decision; on_us; off_us; mode; action; reason; frozen;
-                    stale_us }));
-            (let* decision = 0 -- 1_000_000_000 and* mean_us = fin.gen
-             and* p99_us = fin.gen and* n = 0 -- 1_000_000_000 in
-             return (Sim.Trace.Decision_outcome { decision; mean_us; p99_us; n }));
-          ]
-      in
-      return { Sim.Trace.at; id; event = ev })
-  in
-  Test.make ~count:300 ~name:"trace JSONL roundtrips exactly" (make gen) (fun r ->
-      match Sim.Trace.record_of_json (Sim.Trace.record_to_json r) with
-      | Ok (None, r') -> r = r'
-      | Ok (Some _, _) | Error _ -> false)
+  QCheck.Test.make ~count:300 ~name:"trace JSONL roundtrips exactly"
+    (QCheck.make gen_trace_record) (fun (run, r) ->
+      Sim.Trace.record_of_json (Sim.Trace.record_to_json ?run r) = Ok (run, r))
 
 let suite =
   [
@@ -1559,6 +1498,10 @@ let suite =
           test_trace_fold_jsonl;
         Alcotest.test_case "binary roundtrip (every constructor)" `Quick
           test_trace_binary_roundtrip;
+        Alcotest.test_case "schema: one entry per kind" `Quick test_trace_schema_kinds;
+        Alcotest.test_case "golden JSONL and binary bytes" `Quick test_trace_golden;
+        Alcotest.test_case "binary reader rejects tampered counts" `Quick
+          test_trace_binary_tampered_counts;
         Alcotest.test_case "binary sniff negatives" `Quick
           test_trace_binary_sniff_negative;
         Alcotest.test_case "guarded disabled path: no alloc" `Quick
