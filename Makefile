@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build + full test suite (the
 # parallel-vs-sequential determinism tests included) with backtraces on.
-.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity bench-par bench-rawspeed bench-scale clean
+.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity bench-par bench-rawspeed bench-scale bench-connscale clean
 
 all: build
 
@@ -238,7 +238,7 @@ scale-smoke:
 # estimator's estimate folded into an aggregate) must measure 0.000
 # minor words per op; a restarted timer (cancel + schedule) may take
 # its 2-word handle and no more, an estimate its result, and a binary
-# trace record the 2-word id lookup; each byte-path
+# trace record nothing; each byte-path
 # round trip (a 16 KiB and a 64 B SET and a 16 KiB GET, client -> conn
 # -> server and back) must stay within its words-per-request ceiling,
 # and building one connection within its words-per-connection ceiling.
@@ -286,6 +286,13 @@ bench-rawspeed:
 # any of those claims fails.
 bench-scale:
 	dune exec bench/main.exe -- scale
+
+# Wall time per request against connection count (100, 1k and 10k
+# connections at 10 req/s each, 4 tenants, 4 shards), median and
+# quartiles of 5 repeats; writes BENCH_connscale.json.  Wall-clock, so
+# not part of check.
+bench-connscale:
+	dune exec bench/main.exe -- connscale
 
 clean:
 	dune clean

@@ -7,7 +7,7 @@
                    [--requests N]
                    [fig1] [fig2] [fig3] [fig4a] [fig4b]
                    [small] [dynamic] [ablate] [observe] [micro] [alloc]
-                   [rawspeed] [par] [fault] [fleet] [churn]
+                   [rawspeed] [par] [fault] [fleet] [churn] [scale] [connscale]
                    (default: all sections)
 
    --domains N fans independent sweep simulations out over N OCaml
@@ -1054,9 +1054,10 @@ let conn_build_words ~builds =
   let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
   (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int builds
 
-(* 1.25x the words one connection took to build once sockets, the
-   estimator and the client were laid out small. *)
-let conn_build_ceiling = 1.25 *. 434.0
+(* 1.25x the words one connection takes to build once its cold socket
+   state is built on first use, its FIFOs are threaded through their
+   entries and its GROs hold their receiver instead of a closure. *)
+let conn_build_ceiling = 1.25 *. 351.0
 
 (* The handle record [Engine.schedule] returns: two words. *)
 let timer_restart_ceiling = 2.0
@@ -1088,19 +1089,20 @@ let estimate_ceiling () =
   | Some est -> float_of_int (Obj.reachable_words (Obj.repr (Some est)))
   | None -> failwith "alloc: the busy estimator has no estimate"
 
-(* Each ceiling is 1.25x the words per request measured once
-   estimation stopped allocating per estimate (1,605.7, 463.4 and
-   1,434.3). *)
+(* Each ceiling is 1.25x the words per request measured once the
+   retransmit and request FIFOs were threaded through their entries and
+   [Link.send] stopped boxing its [seq] (1,431.7, 431.4 and 1,264.3). *)
 let bytepath_probes =
   [
-    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 2_007.0);
-    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 579.0);
-    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1_793.0);
+    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 1_790.0);
+    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 539.0);
+    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1_580.0);
   ]
 
-(* [Trace.Binary.write] of a record with no string field allocates the
-   [Some] of its id's name-table lookup and nothing per field. *)
-let binary_write_ceiling = 2.0
+(* [Trace.Binary.write] of a record with no string field allocates
+   nothing: its id is one of the last few names it interned, found
+   without a table lookup. *)
+let binary_write_ceiling = 0.0
 
 let binary_write_words () =
   let records =
@@ -2162,6 +2164,101 @@ let scale () =
   pf "  wrote BENCH_scale.json\n";
   if not (!closure_ok && !conv_ok && ll_wins && deterministic) then exit 1
 
+(* Wall time per request against connection count: 4 tenants of 64 B
+   SETs at 10 req/s per connection on 4 shards behind least_loaded,
+   at 100, 1,000 and 10,000 connections.  Each size simulates about
+   12k requests, so the simulated work per request is the same and
+   only the connection count changes.  A size's run time is its full
+   run less a run of the shortest simulated time (the set-up), per
+   completed request; the median and quartiles of [connscale_repeats]
+   repeats are reported.  Wall-clock, so not part of [make check]. *)
+let connscale_sizes = [ 100; 1_000; 10_000 ]
+let connscale_repeats = 5
+
+let connscale () =
+  hr "Connection scale — wall time per request vs connection count";
+  let module Fleet = Loadgen.Fleet in
+  let config conns =
+    let per_tenant = conns / 4 in
+    let tenants =
+      List.init 4 (fun i ->
+          {
+            (Fleet.default_tenant ~name:(Printf.sprintf "t%d" i)
+               ~rate_rps:(10.0 *. float_of_int per_tenant))
+            with
+            Fleet.n_conns = per_tenant;
+            workload = Loadgen.Workload.small_requests;
+          })
+    in
+    {
+      (Fleet.default_config ~tenants) with
+      Fleet.seed = 42;
+      cores = 4;
+      lb = Shard.Lb.Least_loaded;
+      warmup = Sim.Time.ms 20;
+      duration = Sim.Time.ms (1_200_000 / conns);
+    }
+  in
+  let timed cfg =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    let r = Fleet.run cfg in
+    (Unix.gettimeofday () -. t0, r)
+  in
+  let quartiles xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let at q = a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1)))) in
+    (at 0.25, at 0.5, at 0.75)
+  in
+  pf "%8s %9s %10s %10s %10s %10s\n" "conns" "requests" "setup ms" "us/req q1" "median"
+    "q3";
+  let rows =
+    List.map
+      (fun conns ->
+        let cfg = config conns in
+        let probe = { cfg with Fleet.warmup = Sim.Time.ns 1; duration = Sim.Time.ns 1 } in
+        let runs =
+          List.init connscale_repeats (fun _ ->
+              let setup, _ = timed probe in
+              let full, r = timed cfg in
+              let requests =
+                List.fold_left (fun n (t : Fleet.tenant_result) -> n + t.t_completed_total) 0
+                  r.Fleet.tenants
+              in
+              (setup, (full -. setup) /. float_of_int requests *. 1e6, requests))
+        in
+        let _, _, requests = List.hd runs in
+        if List.exists (fun (_, _, n) -> n <> requests) runs then
+          failwith "connscale: repeats completed different request counts";
+        let _, setup_med, _ = quartiles (List.map (fun (s, _, _) -> s) runs) in
+        let q1, med, q3 = quartiles (List.map (fun (_, us, _) -> us) runs) in
+        pf "%8d %9d %10.1f %10.2f %10.2f %10.2f\n" conns requests (setup_med *. 1e3) q1 med q3;
+        Report.Json.(
+          Obj
+            [
+              ("conns", Int conns);
+              ("requests", Int requests);
+              ("setup_ms_median", Float (setup_med *. 1e3));
+              ("wall_us_per_req_q1", Float q1);
+              ("wall_us_per_req_median", Float med);
+              ("wall_us_per_req_q3", Float q3);
+            ]))
+      connscale_sizes
+  in
+  Report.Json.to_file "BENCH_connscale.json"
+    Report.Json.(
+      Obj
+        [
+          ("section", String "connscale");
+          ("tenants", Int 4);
+          ("shards", Int 4);
+          ("req_per_s_per_conn", Int 10);
+          ("repeats", Int connscale_repeats);
+          ("sizes", List rows);
+        ]);
+  pf "  wrote BENCH_connscale.json\n"
+
 (* ------------------------------------------------------------------ *)
 
 let sections =
@@ -2183,6 +2280,7 @@ let sections =
     ("fleet", fleet);
     ("churn", churn);
     ("scale", scale);
+    ("connscale", connscale);
   ]
 
 let () =

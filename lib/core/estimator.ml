@@ -11,17 +11,29 @@ let local_prev = 0
 let remote_baseline = 1
 let remote_latest = 2
 
-(* All counters live in two flat arrays that are overwritten in place,
-   so an estimator allocates nothing that outlives a call after it is
-   built.  [floats]: queue [q]'s {!Queue_state} at [queue_at q], then
-   the saved triples' integrals.  [ints]: the saved triples' times and
-   departures.  A saved triple's three shares share one time: local
-   snapshots are taken at one instant, and remote ones with different
-   times are refused. *)
+(* The counters are overwritten in place, so an estimator allocates
+   nothing that outlives a call after it is built.  [floats]: queue
+   [q]'s {!Queue_state} at [queue_at q], then the saved triples'
+   integrals.  The saved triples' times and departures are int fields:
+   [lp_*] for the local window's baseline, [rb_*] and [rl_*] for the
+   remote window's.  A saved triple's three shares share one time:
+   local snapshots are taken at one instant, and remote ones with
+   different times are refused. *)
 type t = {
-  mutable lifecycle : lifecycle;
-  ints : int array;
   floats : float array;
+  mutable lp_time : Sim.Time.t;
+  mutable lp_unacked : int;
+  mutable lp_unread : int;
+  mutable lp_ackdelay : int;
+  mutable rb_time : Sim.Time.t;  (* -1 until the first accepted share *)
+  mutable rb_unacked : int;
+  mutable rb_unread : int;
+  mutable rb_ackdelay : int;
+  mutable rl_time : Sim.Time.t;  (* -1 until the first accepted share *)
+  mutable rl_unacked : int;
+  mutable rl_unread : int;
+  mutable rl_ackdelay : int;
+  mutable lifecycle : lifecycle;
   mutable last_share_at : Sim.Time.t;
       (* arrival time of the last *accepted* remote share, or creation
          time until the first one *)
@@ -35,34 +47,37 @@ type t = {
 
 let queue_at q = Queue_state.slots * q
 
-(* Saved triple [w]: its snapshot time (-1 for none yet), queue [q]'s
-   departures and queue [q]'s integral. *)
-let time_slot w = 4 * w
-let total_slot w q = time_slot w + 1 + q
+(* Saved triple [w]'s integral of queue [q]. *)
 let integral_slot w q = queue_at 3 + (3 * w) + q
-
-let saved_time t w = t.ints.(time_slot w)
 
 (* The first accepted share sets the remote baseline, which is never
    cleared again. *)
-let has_shares t = saved_time t remote_baseline >= 0
+let has_shares t = t.rb_time >= 0
 
 let create ~at =
-  let ints = Array.make 12 0 and floats = Array.make (integral_slot 3 0) 0.0 in
+  let floats = Array.make (integral_slot 3 0) 0.0 in
   for q = 0 to 2 do
     Queue_state.init_in floats (queue_at q) ~at
   done;
-  ints.(time_slot local_prev) <- at;
-  ints.(time_slot remote_baseline) <- -1;
-  ints.(time_slot remote_latest) <- -1;
   {
+    floats;
+    lp_time = at;
+    lp_unacked = 0;
+    lp_unread = 0;
+    lp_ackdelay = 0;
+    rb_time = -1;
+    rb_unacked = 0;
+    rb_unread = 0;
+    rb_ackdelay = 0;
+    rl_time = -1;
+    rl_unacked = 0;
+    rl_unread = 0;
+    rl_ackdelay = 0;
     (* Estimators created with their run start Warm: their first window
        spans warmup, which the warmup-boundary [estimate] call already
        discards.  Only connections spawned mid-run (fleet churn) are
        marked [Cold_start] explicitly. *)
     lifecycle = Warm;
-    ints;
-    floats;
     last_share_at = at;
     staleness = -1;
     rejected = 0;
@@ -118,42 +133,54 @@ let local_snapshot t ~at : Exchange.triple =
     ackdelay = live_share t ackdelay ~at;
   }
 
-let saved_share t w q : Queue_state.share =
-  {
-    time = saved_time t w;
-    total = t.ints.(total_slot w q);
-    integral = t.floats.(integral_slot w q);
-  }
+let share time total integral : Queue_state.share = { time; total; integral }
 
-let saved t w : Exchange.triple =
-  { unacked = saved_share t w unacked; unread = saved_share t w unread;
-    ackdelay = saved_share t w ackdelay }
+let[@inline] integral t w q = t.floats.(integral_slot w q)
 
-let save_share t w q (s : Queue_state.share) =
-  t.ints.(total_slot w q) <- s.total;
-  t.floats.(integral_slot w q) <- s.integral
+let remote_triple t w ~time ~unacked ~unread ~ackdelay : Exchange.triple =
+  { unacked = share time unacked (integral t w 0);
+    unread = share time unread (integral t w 1);
+    ackdelay = share time ackdelay (integral t w 2) }
 
-let save t w (tr : Exchange.triple) =
-  t.ints.(time_slot w) <- tr.unacked.time;
-  save_share t w unacked tr.unacked;
-  save_share t w unread tr.unread;
-  save_share t w ackdelay tr.ackdelay
+let save_integrals t w (tr : Exchange.triple) =
+  t.floats.(integral_slot w unacked) <- tr.unacked.integral;
+  t.floats.(integral_slot w unread) <- tr.unread.integral;
+  t.floats.(integral_slot w ackdelay) <- tr.ackdelay.integral
 
-let copy_saved t ~src ~dst =
-  Array.blit t.ints (time_slot src) t.ints (time_slot dst) 4;
-  Array.blit t.floats (integral_slot src 0) t.floats (integral_slot dst 0) 3
+let save_baseline t (tr : Exchange.triple) =
+  t.rb_time <- tr.unacked.time;
+  t.rb_unacked <- tr.unacked.total;
+  t.rb_unread <- tr.unread.total;
+  t.rb_ackdelay <- tr.ackdelay.total;
+  save_integrals t remote_baseline tr
+
+let save_latest t (tr : Exchange.triple) =
+  t.rl_time <- tr.unacked.time;
+  t.rl_unacked <- tr.unacked.total;
+  t.rl_unread <- tr.unread.total;
+  t.rl_ackdelay <- tr.ackdelay.total;
+  save_integrals t remote_latest tr
+
+(* The latest remote share becomes the remote window's baseline. *)
+let latest_to_baseline t =
+  t.rb_time <- t.rl_time;
+  t.rb_unacked <- t.rl_unacked;
+  t.rb_unread <- t.rl_unread;
+  t.rb_ackdelay <- t.rl_ackdelay;
+  Array.blit t.floats (integral_slot remote_latest 0) t.floats
+    (integral_slot remote_baseline 0) 3
 
 (* Any counter of [cur] behind the last accepted share's.  Times are
    compared once: both triples passed the skew check. *)
 let regressed t (cur : Exchange.triple) =
-  let behind q (s : Queue_state.share) =
-    s.total < t.ints.(total_slot remote_latest q)
-    || s.integral < t.floats.(integral_slot remote_latest q)
+  let behind q latest (s : Queue_state.share) =
+    s.total < latest || s.integral < integral t remote_latest q
   in
-  saved_time t remote_latest >= 0
-  && (Sim.Time.compare cur.unacked.time (saved_time t remote_latest) < 0
-     || behind unacked cur.unacked || behind unread cur.unread
-     || behind ackdelay cur.ackdelay)
+  t.rl_time >= 0
+  && (Sim.Time.compare cur.unacked.time t.rl_time < 0
+     || behind unacked t.rl_unacked cur.unacked
+     || behind unread t.rl_unread cur.unread
+     || behind ackdelay t.rl_ackdelay cur.ackdelay)
 
 let ingest_remote t ~at (triple : Exchange.triple) =
   let verdict =
@@ -177,8 +204,8 @@ let ingest_remote t ~at (triple : Exchange.triple) =
        baseline to the first share (rather than sliding it with every
        pre-estimate ingest) is what keeps the two vantage points' windows
        aligned.  Pinned by a regression test in test_exchange.ml. *)
-    if not (has_shares t) then save t remote_baseline triple;
-    save t remote_latest triple;
+    if not (has_shares t) then save_baseline t triple;
+    save_latest t triple;
     t.last_share_at <- at;
     match t.trace with
     | Some (tr, id) when Sim.Trace.enabled tr ->
@@ -201,7 +228,12 @@ let is_stale t ~at = t.staleness >= 0 && Sim.Time.diff at t.last_share_at > t.st
 
 let remote_window t =
   if not (has_shares t) then None
-  else Some (saved t remote_baseline, saved t remote_latest)
+  else
+    Some
+      ( remote_triple t remote_baseline ~time:t.rb_time ~unacked:t.rb_unacked
+          ~unread:t.rb_unread ~ackdelay:t.rb_ackdelay,
+        remote_triple t remote_latest ~time:t.rl_time ~unacked:t.rl_unacked
+          ~unread:t.rl_unread ~ackdelay:t.rl_ackdelay )
 
 type estimate = {
   latency_ns : float option;
@@ -223,14 +255,13 @@ let live_integrals = Domain.DLS.new_key (fun () -> Array.make 3 0.0)
 let[@inline] delay d_total d_integral =
   if d_total > 0 then d_integral /. float_of_int d_total else Float.nan
 
-let[@inline] local_delay t live q =
+let[@inline] local_delay t live q ~prev_total =
   delay
-    (Queue_state.total_in t.floats (queue_at q) - t.ints.(total_slot local_prev q))
+    (Queue_state.total_in t.floats (queue_at q) - prev_total)
     (live.(q) -. t.floats.(integral_slot local_prev q))
 
-let[@inline] remote_delay t q =
-  delay
-    (t.ints.(total_slot remote_latest q) - t.ints.(total_slot remote_baseline q))
+let[@inline] remote_delay t q ~baseline ~latest =
+  delay (latest - baseline)
     (t.floats.(integral_slot remote_latest q) -. t.floats.(integral_slot remote_baseline q))
 
 let[@inline] or_zero x = if Float.is_nan x then 0.0 else x
@@ -263,17 +294,22 @@ let compute t ~at (a : Aggregate.acc) =
   for q = unacked to ackdelay do
     Queue_state.integral_into t.floats (queue_at q) ~at live q
   done;
-  let window = Sim.Time.diff at (saved_time t local_prev) in
+  let window = Sim.Time.diff at t.lp_time in
   if window > 0 then begin
-    let lu = local_delay t live unacked
-    and lr = local_delay t live unread
-    and la = local_delay t live ackdelay in
-    let remote =
-      has_shares t && Sim.Time.diff (saved_time t remote_latest) (saved_time t remote_baseline) > 0
+    let lu = local_delay t live unacked ~prev_total:t.lp_unacked
+    and lr = local_delay t live unread ~prev_total:t.lp_unread
+    and la = local_delay t live ackdelay ~prev_total:t.lp_ackdelay in
+    let remote = has_shares t && Sim.Time.diff t.rl_time t.rb_time > 0 in
+    let ru =
+      if remote then remote_delay t unacked ~baseline:t.rb_unacked ~latest:t.rl_unacked
+      else Float.nan
+    and rr =
+      if remote then remote_delay t unread ~baseline:t.rb_unread ~latest:t.rl_unread
+      else Float.nan
+    and ra =
+      if remote then remote_delay t ackdelay ~baseline:t.rb_ackdelay ~latest:t.rl_ackdelay
+      else Float.nan
     in
-    let ru = if remote then remote_delay t unacked else Float.nan
-    and rr = if remote then remote_delay t unread else Float.nan
-    and ra = if remote then remote_delay t ackdelay else Float.nan in
     let local_ns = combine ~unacked:lu ~peer_ackdelay:ra ~unread:lr ~peer_unread:rr in
     let remote_ns = combine ~unacked:ru ~peer_ackdelay:la ~unread:rr ~peer_unread:lr in
     a.last_local_ns <- local_ns;
@@ -284,8 +320,7 @@ let compute t ~at (a : Aggregate.acc) =
        else fmax local_ns remote_ns);
     (* Departures per second; the divisor is [Sim.Time.to_sec window]. *)
     a.last_throughput <-
-      float_of_int
-        (Queue_state.total_in t.floats (queue_at unacked) - t.ints.(total_slot local_prev unacked))
+      float_of_int (Queue_state.total_in t.floats (queue_at unacked) - t.lp_unacked)
       /. (float_of_int window /. 1e9);
     a.last_window_ns <- float_of_int window
   end;
@@ -296,16 +331,17 @@ let compute t ~at (a : Aggregate.acc) =
    estimate stands: a cold start's first window is discarded. *)
 let close_windows t ~at (a : Aggregate.acc) =
   let live = Domain.DLS.get live_integrals in
-  t.ints.(time_slot local_prev) <- at;
+  t.lp_time <- at;
+  t.lp_unacked <- Queue_state.total_in t.floats (queue_at unacked);
+  t.lp_unread <- Queue_state.total_in t.floats (queue_at unread);
+  t.lp_ackdelay <- Queue_state.total_in t.floats (queue_at ackdelay);
   for q = unacked to ackdelay do
-    t.ints.(total_slot local_prev q) <- Queue_state.total_in t.floats (queue_at q);
     t.floats.(integral_slot local_prev q) <- live.(q)
   done;
   (* The remote window advances too: the latest ingested share becomes
      the next window's baseline, keeping the two vantage points'
      windows aligned (modulo one network delay). *)
-  if saved_time t remote_latest >= 0 then
-    copy_saved t ~src:remote_latest ~dst:remote_baseline;
+  if t.rl_time >= 0 then latest_to_baseline t;
   if t.lifecycle = Cold_start then begin
     (* The first window of a mid-run connection spans its slow-start
        ramp: a handful of samples over a tiny span.  Discard it —

@@ -6,10 +6,16 @@ type config = {
 
 let default_config = { send_cost = Sim.Time.us 1; response_cost = Sim.Time.us 2; cpu_multiplier = 1.0 }
 
+(* The requests awaiting a reply form a circular list threaded
+   through [next]: the client holds the newest, whose [next] is the
+   oldest. *)
 type pending = {
   issued_at : Sim.Time.t;
   on_complete : latency:Sim.Time.span -> Resp.value -> unit;
+  mutable next : pending;
 }
+
+let rec no_pending = { issued_at = 0; on_complete = (fun ~latency:_ _ -> ()); next = no_pending }
 
 type t = {
   engine : Sim.Engine.t;
@@ -18,11 +24,12 @@ type t = {
   send_cost : Sim.Time.span;
   response_cost : Sim.Time.span;
   parser : Resp.Parser.t;
-  pending : pending Queue.t;
+  mutable pending : pending;  (* newest request awaiting a reply; [no_pending] = none *)
   hints : E2e.Hints.t;
   tail : Sim.Stats.P2.t;  (* online p99 without storing samples *)
   mutable busy : bool;
-  mutable completed : int;  (* issued = completed + Queue.length pending *)
+  mutable issued : int;
+  mutable completed : int;  (* issued - completed requests are pending *)
   mutable next_off : int;  (* stream offset of the next command byte *)
 }
 
@@ -54,10 +61,11 @@ let rec create engine ~cpu ~socket cfg =
       send_cost = scale cfg.cpu_multiplier cfg.send_cost;
       response_cost = scale cfg.cpu_multiplier cfg.response_cost;
       parser = Resp.Parser.create ();
-      pending = Queue.create ();
+      pending = no_pending;
       hints = E2e.Hints.tracker ~at:(Sim.Engine.now engine);
       tail = Sim.Stats.P2.create ~q:0.99;
       busy = false;
+      issued = 0;
       completed = 0;
       next_off = 0;
     }
@@ -79,11 +87,10 @@ and process t =
   | Ok None -> ()
   | Ok (Some reply) ->
     let now = Sim.Engine.now t.engine in
-    let rec_ =
-      match Queue.take_opt t.pending with
-      | Some r -> r
-      | None -> failwith "kv client: response with no outstanding request"
-    in
+    let last = t.pending in
+    if last == no_pending then failwith "kv client: response with no outstanding request";
+    let rec_ = last.next in
+    if rec_ == last then t.pending <- no_pending else last.next <- rec_.next;
     let latency = Sim.Time.diff now rec_.issued_at in
     t.completed <- t.completed + 1;
     if span_tracing t then
@@ -96,14 +103,22 @@ and process t =
         t.busy <- false;
         process t)
 
-let outstanding t = Queue.length t.pending
-let issued t = t.completed + outstanding t
+let outstanding t = t.issued - t.completed
+let issued t = t.issued
 
 let request t cmd ~on_complete =
   let now = Sim.Engine.now t.engine in
-  let req = issued t in
+  let req = t.issued in
   E2e.Hints.create t.hints ~at:now 1;
-  Queue.add { issued_at = now; on_complete } t.pending;
+  let p = { issued_at = now; on_complete; next = no_pending } in
+  let last = t.pending in
+  if last == no_pending then p.next <- p
+  else begin
+    p.next <- last.next;
+    last.next <- p
+  end;
+  t.pending <- p;
+  t.issued <- t.issued + 1;
   let wire = Command.encode_slices cmd in
   let len = Tcp.Slice.total_length wire in
   if span_tracing t then

@@ -143,15 +143,15 @@ let max_bulk_length = 512 * 1024 * 1024
 module Parser = struct
   module B = Tcp.Bytebuf
 
-  type t = {
-    input : B.t;
-    mutable failed : string option;
-  }
+  (* A parser is its input: [next] takes complete values off the front
+     and leaves a bad one in place, so once a value is malformed every
+     later [next] fails on it again. *)
+  type t = B.t
 
-  let create () = { input = B.create (); failed = None }
-  let feed t s = B.append t.input s
-  let input t = t.input
-  let buffered t = B.length t.input
+  let create = B.create
+  let feed = B.append
+  let input t = t
+  let buffered = B.length
 
   exception Bad of string
 
@@ -317,19 +317,15 @@ module Parser = struct
       v :: items c (n - 1)
 
   let next t =
-    match t.failed with
-    | Some msg -> Result.Error msg
-    | None when B.is_empty t.input -> Ok None
-    | None -> (
-      let c = cursor t.input in
+    if B.is_empty t then Ok None
+    else
+      let c = cursor t in
       match value c with
       | v ->
-        B.skip t.input (offset c);
+        B.skip t (offset c);
         Ok (Some v)
       | exception End_of_file -> Ok None
-      | exception Bad msg ->
-        t.failed <- Some msg;
-        Result.Error msg)
+      | exception Bad msg -> Result.Error msg
 end
 
 let parse_exactly s =

@@ -67,8 +67,8 @@ module Parser : sig
 
   val next : t -> (value option, string) result
   (** [Ok None] when the buffered bytes do not yet form a complete
-      value; [Error _] on protocol violations (parsing cannot continue
-      afterwards).  An integer that does not fit in an [int], and a bulk
+      value; [Error _] on protocol violations (the malformed value stays
+      buffered, so parsing cannot continue afterwards).  An integer that does not fit in an [int], and a bulk
       length above 512 MiB (Redis's [proto-max-bulk-len]), are
       violations. *)
 

@@ -704,13 +704,28 @@ let parse_flat_object line =
 
 let field fields key = List.assoc_opt key fields
 
+let ( let* ) = Result.bind
+
 let num fields key =
   match field fields key with
   | Some (Jnum v) -> Ok v
   | Some _ -> Error (Printf.sprintf "field %S is not a number" key)
   | None -> Error (Printf.sprintf "missing field %S" key)
 
-let int_field fields key = Result.map int_of_float (num fields key)
+(* The float parse of a JSON number is exact for integers up to 2^53. *)
+let max_exact_int = 0x20_0000_0000_0000
+
+let int_field fields key =
+  let* v = num fields key in
+  if Float.is_integer v && Float.abs v <= float_of_int max_exact_int then Ok (int_of_float v)
+  else Error (Printf.sprintf "field %S is not an integer within 2^53: %.17g" key v)
+
+let fopt_field fields key =
+  match field fields key with
+  | Some (Jnum v) -> Ok (Some v)
+  | Some Jnull -> Ok None
+  | Some _ -> Error (Printf.sprintf "field %S is not a number or null" key)
+  | None -> Error (Printf.sprintf "missing field %S" key)
 
 let str fields key =
   match field fields key with
@@ -723,8 +738,6 @@ let bool_field fields key =
   | Some (Jbool v) -> Ok v
   | Some _ -> Error (Printf.sprintf "field %S is not a bool" key)
   | None -> Error (Printf.sprintf "missing field %S" key)
-
-let ( let* ) = Result.bind
 
 (* Raised (internally) by the event decoder when the ["ev"] tag has no
    entry: the line is well-formed JSONL from a newer writer, not
@@ -765,10 +778,7 @@ let record_of_json_ext line =
         | Bool _ -> Result.map (set_bool v k) (bool_field fields fd.key)
         | Ev_bit _ -> Ok (set_bool v k (k = ev_bit))
         | Str -> Result.map (fun s -> v.s.(k) <- s) (str fields fd.key)
-        | Fopt _ ->
-            Ok
-              (set_opt v k
-                 (match field fields fd.key with Some (Jnum x) -> Some x | _ -> None))
+        | Fopt _ -> Result.map (set_opt v k) (fopt_field fields fd.key)
       in
       decode (k + 1)
   in
@@ -898,11 +908,20 @@ module Binary = struct
 
   let u32_ok v = v >= 0 && v <= 0xFFFF_FFFF
 
+  let recent_names = 4
+
+  (* Fills the unused [recent] slots: a string of the writer's own, so
+     no caller's id is ever [==] to it. *)
+  let unseen = Bytes.to_string (Bytes.make 1 '\000')
+
   type writer = {
     oc : out_channel;
     names : (string, int) Hashtbl.t;
     mutable names_rev : string list;
     mutable n_names : int;
+    recent : string array;  (** the names interned last, checked by [==] first *)
+    recent_ids : int array;
+    mutable recent_next : int;  (** the [recent] slot to overwrite next *)
     strs : (string, int) Hashtbl.t;
     mutable strs_rev : string list;
     mutable n_strs : int;
@@ -924,6 +943,9 @@ module Binary = struct
       names = Hashtbl.create 64;
       names_rev = [];
       n_names = 0;
+      recent = Array.make recent_names unseen;
+      recent_ids = Array.make recent_names 0;
+      recent_next = 0;
       strs = Hashtbl.create 64;
       strs_rev = [];
       n_strs = 0;
@@ -933,7 +955,7 @@ module Binary = struct
       finished = false;
     }
 
-  let intern_name w s =
+  let lookup_name w s =
     match Hashtbl.find_opt w.names s with
     | Some i -> i
     | None ->
@@ -944,6 +966,26 @@ module Binary = struct
         w.names_rev <- s :: w.names_rev;
         w.n_names <- i + 1;
         i
+
+  (* A record's id is almost always a string the writer saw a few
+     records ago (a socket's label), so the last few are checked by
+     physical equality before the table is hashed. *)
+  let rec recent_index w s k =
+    if k = recent_names then -1
+    else if Array.unsafe_get w.recent k == s then k
+    else recent_index w s (k + 1)
+
+  let intern_name w s =
+    let k = recent_index w s 0 in
+    if k >= 0 then Array.unsafe_get w.recent_ids k
+    else begin
+      let i = lookup_name w s in
+      let k = w.recent_next in
+      w.recent.(k) <- s;
+      w.recent_ids.(k) <- i;
+      w.recent_next <- (k + 1) mod recent_names;
+      i
+    end
 
   let intern_str w s =
     match Hashtbl.find_opt w.strs s with

@@ -19,15 +19,19 @@ type link_params = { prop_delay : Sim.Time.span; gbit_per_s : float }
 
 let default_link = { prop_delay = Sim.Time.us 10; gbit_per_s = 100.0 }
 
+(* The GROs are built after the record, to deliver into it (see
+   [create]). *)
 type t = {
   a : Socket.t;
   b : Socket.t;
   cpu_a : Sim.Cpu.t;
   cpu_b : Sim.Cpu.t;
-  gro_a : Gro.t;
-  gro_b : Gro.t;
+  host_a : host_params;
+  host_b : host_params;
   ab : Link.t;
   ba : Link.t;
+  mutable gro_a : Gro.t;
+  mutable gro_b : Gro.t;
 }
 
 (* TSO wire split: a super-segment leaves the stack as one unit (one
@@ -85,36 +89,44 @@ let put_packet ~link ~gro (sub : Segment.t) =
   in
   Link.send link ~seq:sub.seq ~wire_bytes (fun () -> Gro.submit gro sub)
 
+(* Receive path: GRO coalescing -> receiver IRQ CPU per delivery ->
+   peer socket.  Header-only batches (pure acks) skip the full stack
+   traversal and wakeup path; only data deliveries pay the per-batch
+   cost. *)
+let deliver ~dst ~cpu ~(params : host_params) batch =
+  let has_payload = List.exists (fun seg -> seg.Segment.payload_len > 0) batch in
+  let cost =
+    (if has_payload then params.rx_batch_cost else 0) + (List.length batch * params.rx_seg_cost)
+  in
+  Sim.Cpu.run cpu ~cost (fun () -> Socket.receive_batch dst batch)
+
+let deliver_a t batch = deliver ~dst:t.a ~cpu:t.cpu_a ~params:t.host_a batch
+let deliver_b t batch = deliver ~dst:t.b ~cpu:t.cpu_b ~params:t.host_b batch
+
 (* Transmit path: sender IRQ CPU per stack segment (one per TSO
    super-segment) -> wire split -> link (serialization + propagation
-   per packet) -> GRO coalescing -> receiver IRQ CPU per delivery ->
-   peer socket. *)
-let wire engine ~src ~dst ~src_cpu ~dst_cpu ~(link : Link.t) ~src_params ~dst_params =
-  let gro =
-    Gro.create engine dst_params.gro ~deliver:(fun batch ->
-        (* Header-only batches (pure acks) skip the full stack
-           traversal and wakeup path; only data deliveries pay the
-           per-batch cost. *)
-        let has_payload = List.exists (fun seg -> seg.Segment.payload_len > 0) batch in
-        let cost =
-          (if has_payload then dst_params.rx_batch_cost else 0)
-          + (List.length batch * dst_params.rx_seg_cost)
-        in
-        Sim.Cpu.run dst_cpu ~cost (fun () -> Socket.receive_batch dst batch))
-  in
-  Socket.set_transmit src (fun seg ->
-      Sim.Cpu.run src_cpu ~cost:src_params.tx_cost (fun () ->
-          let mss = src_params.socket.Socket.mss in
-          if seg.Segment.payload_len <= mss then put_packet ~link ~gro seg
-          else List.iter (put_packet ~link ~gro) (split_tso ~mss seg)));
-  if src_params.socket.Socket.cork then
-    Socket.set_cork_signal src (fun () ->
-        if Link.busy link then
-          (* Approximate the reclaim instant with a short backoff; the
-             socket re-checks on the kick. *)
-          Some (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 1))
-        else None);
-  gro
+   per packet) -> the receiver's GRO. *)
+let put_on_link ~(params : host_params) ~link ~gro seg =
+  let mss = params.socket.Socket.mss in
+  if seg.Segment.payload_len <= mss then put_packet ~link ~gro seg
+  else List.iter (put_packet ~link ~gro) (split_tso ~mss seg)
+
+let send_ab t seg = put_on_link ~params:t.host_a ~link:t.ab ~gro:t.gro_b seg
+let send_ba t seg = put_on_link ~params:t.host_b ~link:t.ba ~gro:t.gro_a seg
+
+let transmit_ab t seg = Sim.Cpu.run t.cpu_a ~cost:t.host_a.tx_cost (fun () -> send_ab t seg)
+let transmit_ba t seg = Sim.Cpu.run t.cpu_b ~cost:t.host_b.tx_cost (fun () -> send_ba t seg)
+
+let cork_signal engine ~link () =
+  if Link.busy link then
+    (* Approximate the reclaim instant with a short backoff; the socket
+       re-checks on the kick. *)
+    Some (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 1))
+  else None
+
+(* Holds a new connection's GRO fields until its GROs exist. *)
+let unwired =
+  Gro.create (Sim.Engine.create ()) (Gro.default_config ~mss:1) ~rx:() ~deliver:(fun () _ -> ())
 
 let create engine ?(a = default_host) ?(b = default_host) ?(link_ab = default_link)
     ?(link_ba = default_link) ?cpu_a ?cpu_b ?(label_a = "A") ?(label_b = "B") () =
@@ -125,15 +137,17 @@ let create engine ?(a = default_host) ?(b = default_host) ?(link_ab = default_li
   let cpu_b = match cpu_b with Some c -> c | None -> Sim.Cpu.create engine in
   let ab = Link.create engine ~prop_delay:link_ab.prop_delay ~gbit_per_s:link_ab.gbit_per_s in
   let ba = Link.create engine ~prop_delay:link_ba.prop_delay ~gbit_per_s:link_ba.gbit_per_s in
-  let gro_b =
-    wire engine ~src:sock_a ~dst:sock_b ~src_cpu:cpu_a ~dst_cpu:cpu_b ~link:ab
-      ~src_params:a ~dst_params:b
+  let t =
+    { a = sock_a; b = sock_b; cpu_a; cpu_b; host_a = a; host_b = b; ab; ba; gro_a = unwired;
+      gro_b = unwired }
   in
-  let gro_a =
-    wire engine ~src:sock_b ~dst:sock_a ~src_cpu:cpu_b ~dst_cpu:cpu_a ~link:ba
-      ~src_params:b ~dst_params:a
-  in
-  { a = sock_a; b = sock_b; cpu_a; cpu_b; gro_a; gro_b; ab; ba }
+  t.gro_b <- Gro.create engine b.gro ~rx:t ~deliver:deliver_b;
+  Socket.set_transmit sock_a (fun seg -> transmit_ab t seg);
+  if a.socket.Socket.cork then Socket.set_cork_signal sock_a (cork_signal engine ~link:ab);
+  t.gro_a <- Gro.create engine a.gro ~rx:t ~deliver:deliver_a;
+  Socket.set_transmit sock_b (fun seg -> transmit_ba t seg);
+  if b.socket.Socket.cork then Socket.set_cork_signal sock_b (cork_signal engine ~link:ba);
+  t
 
 let sock_a t = t.a
 let sock_b t = t.b

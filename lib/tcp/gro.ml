@@ -8,10 +8,14 @@ type config = {
 let default_config ~mss =
   { enabled = true; max_bytes = 64 * 1024; flush_timeout = Sim.Time.us 12; mss }
 
-type t = {
+(* [rx] is what [deliver] hands each batch to: a receive path passes
+   its receiver and a top-level function, so that wiring a GRO builds
+   no closure. *)
+type 'r gro = {
   engine : Sim.Engine.t;
   cfg : config;
-  deliver : Segment.t list -> unit;
+  rx : 'r;
+  deliver : 'r -> Segment.t list -> unit;
   mutable held : Segment.t list;  (* newest first *)
   mutable held_bytes : int;
   mutable timer : Sim.Engine.handle;
@@ -19,60 +23,66 @@ type t = {
   mutable segments : int;
 }
 
-let create engine cfg ~deliver =
+type t = Gro : 'r gro -> t [@@unboxed]
+
+let create engine cfg ~rx ~deliver =
   if cfg.max_bytes < cfg.mss then invalid_arg "Gro.create: max_bytes below one MSS";
   if cfg.flush_timeout <= 0 then invalid_arg "Gro.create: flush_timeout must be positive";
-  {
-    engine;
-    cfg;
-    deliver;
-    held = [];
-    held_bytes = 0;
-    timer = Sim.Engine.idle;
-    batches = 0;
-    segments = 0;
-  }
+  Gro
+    {
+      engine;
+      cfg;
+      rx;
+      deliver;
+      held = [];
+      held_bytes = 0;
+      timer = Sim.Engine.idle;
+      batches = 0;
+      segments = 0;
+    }
 
-let disarm t =
-  Sim.Engine.cancel t.engine t.timer;
-  t.timer <- Sim.Engine.idle
+let disarm g =
+  Sim.Engine.cancel g.engine g.timer;
+  g.timer <- Sim.Engine.idle
 
-let flush t =
-  disarm t;
-  match t.held with
+let flush_gro g =
+  disarm g;
+  match g.held with
   | [] -> ()
   | held ->
-    t.held <- [];
-    t.held_bytes <- 0;
-    t.batches <- t.batches + 1;
-    t.deliver (List.rev held)
+    g.held <- [];
+    g.held_bytes <- 0;
+    g.batches <- g.batches + 1;
+    g.deliver g.rx (List.rev held)
 
-let arm t =
-  if not (Sim.Engine.is_pending t.timer) then
-    t.timer <-
-      Sim.Engine.schedule t.engine ~after:t.cfg.flush_timeout (fun () ->
-          t.timer <- Sim.Engine.idle;
-          flush t)
+let flush (Gro g) = flush_gro g
 
-let submit t seg =
-  t.segments <- t.segments + 1;
-  if not t.cfg.enabled then begin
-    t.batches <- t.batches + 1;
-    t.deliver [ seg ]
+let arm g =
+  if not (Sim.Engine.is_pending g.timer) then
+    g.timer <-
+      Sim.Engine.schedule g.engine ~after:g.cfg.flush_timeout (fun () ->
+          g.timer <- Sim.Engine.idle;
+          flush_gro g)
+
+let submit (Gro g) seg =
+  g.segments <- g.segments + 1;
+  if not g.cfg.enabled then begin
+    g.batches <- g.batches + 1;
+    g.deliver g.rx [ seg ]
   end
   else begin
     let len = seg.Segment.payload_len in
-    if t.held_bytes + len > t.cfg.max_bytes then flush t;
-    t.held <- seg :: t.held;
-    t.held_bytes <- t.held_bytes + len;
+    if g.held_bytes + len > g.cfg.max_bytes then flush_gro g;
+    g.held <- seg :: g.held;
+    g.held_bytes <- g.held_bytes + len;
     (* Only a full-sized data segment can keep a batch open; short
        tails and pure acks terminate it. *)
-    if len < t.cfg.mss then flush t else arm t
+    if len < g.cfg.mss then flush_gro g else arm g
   end
 
-let pending t = List.length t.held
-let batches t = t.batches
-let segments t = t.segments
+let pending (Gro g) = List.length g.held
+let batches (Gro g) = g.batches
+let segments (Gro g) = g.segments
 
-let merge_ratio t =
-  if t.batches = 0 then 0.0 else float_of_int t.segments /. float_of_int t.batches
+let merge_ratio (Gro g) =
+  if g.batches = 0 then 0.0 else float_of_int g.segments /. float_of_int g.batches

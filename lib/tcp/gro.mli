@@ -27,10 +27,12 @@ val default_config : mss:int -> config
 
 type t
 
-val create : Sim.Engine.t -> config -> deliver:(Segment.t list -> unit) -> t
-(** [deliver] receives each flushed batch, oldest segment first.  With
-    [enabled = false] every segment is delivered as its own batch
-    immediately. *)
+val create :
+  Sim.Engine.t -> config -> rx:'r -> deliver:('r -> Segment.t list -> unit) -> t
+(** Each flushed batch, oldest segment first, goes to [deliver rx].
+    With [enabled = false] every segment is delivered as its own batch
+    immediately.  A receive path passes its receiver as [rx] and a
+    top-level [deliver], so the GRO holds no closure of its own. *)
 
 val submit : t -> Segment.t -> unit
 

@@ -19,13 +19,32 @@ type t = {
   mutable trace : (Sim.Trace.t * string) option;
 }
 
+(* The serialization cost of the last rate asked for, as a (rate, cost)
+   pair: links built at one rate share one boxed [ns_per_byte] float
+   instead of a box each.  One per domain, since parallel sweeps build
+   links on several domains at once. *)
+let last_rate = Domain.DLS.new_key (fun () -> ref (0.0, 0.0))
+
+let ns_per_byte gbit_per_s =
+  let cache = Domain.DLS.get last_rate in
+  let ((gbit, _) as pair) = !cache in
+  let pair =
+    if Float.equal gbit gbit_per_s then pair
+    else begin
+      let pair = (gbit_per_s, 8.0 /. gbit_per_s) in
+      cache := pair;
+      pair
+    end
+  in
+  snd pair
+
 let create engine ~prop_delay ~gbit_per_s =
   if prop_delay < 0 then invalid_arg "Link.create: negative propagation delay";
   if gbit_per_s <= 0.0 then invalid_arg "Link.create: rate must be positive";
   {
     engine;
     prop_delay;
-    ns_per_byte = 8.0 /. gbit_per_s;
+    ns_per_byte = ns_per_byte gbit_per_s;
     tx_free_at = Sim.Time.zero;
     packets = 0;
     bytes = 0;
@@ -53,7 +72,7 @@ let set_trace t tr ~id = t.trace <- Some (tr, id)
 
 let set_gbit_per_s t gbit_per_s =
   if gbit_per_s <= 0.0 then invalid_arg "Link.set_gbit_per_s: rate must be positive";
-  t.ns_per_byte <- 8.0 /. gbit_per_s
+  t.ns_per_byte <- ns_per_byte gbit_per_s
 
 let set_prop_delay t prop_delay =
   if prop_delay < 0 then invalid_arg "Link.set_prop_delay: negative propagation delay";
@@ -75,7 +94,7 @@ let note_share_corrupted t ~seq =
   if tracing t then
     emit t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Share_corrupted { seq })
 
-let send ?(seq = -1) t ~wire_bytes k =
+let send t ~seq ~wire_bytes k =
   if wire_bytes <= 0 then invalid_arg "Link.send: packet must have positive size";
   let now = Sim.Engine.now t.engine in
   let tx_time =

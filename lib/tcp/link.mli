@@ -18,10 +18,10 @@ val create :
   Sim.Engine.t -> prop_delay:Sim.Time.span -> gbit_per_s:float -> t
 (** @raise Invalid_argument on negative delay or non-positive rate. *)
 
-val send : ?seq:int -> t -> wire_bytes:int -> (unit -> unit) -> unit
+val send : t -> seq:int -> wire_bytes:int -> (unit -> unit) -> unit
 (** Ship a packet of [wire_bytes]; the callback fires at the receiver
     once serialization (behind any queued packets) and propagation
-    complete.  [seq] (default [-1]) only labels fault trace events. *)
+    complete.  [seq] only labels fault trace events ([-1] for none). *)
 
 val busy : t -> bool
 (** Is the transmitter currently serializing (the NIC "tx ring not yet

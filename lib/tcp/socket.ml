@@ -100,7 +100,9 @@ type unit_fifos = {
 
 (* A transmitted, unacknowledged extent kept for retransmission.  The
    message-boundary metadata travels with it so a retransmitted segment
-   still tells the receiver where application messages end. *)
+   still tells the receiver where application messages end.  The
+   retransmit queue is a circular list threaded through [r_next]: the
+   socket holds its newest entry, whose [r_next] is the oldest. *)
 type retx_entry = {
   mutable r_seq : int;
   mutable r_payload : Slice.t;  (* shares the app write's bytes *)
@@ -110,32 +112,27 @@ type retx_entry = {
   r_msg_ends : int;
   r_fin : bool;
   mutable r_sacked : bool;  (* the peer selectively acknowledged this extent *)
+  mutable r_next : retx_entry;
 }
 
-type t = {
-  engine : Sim.Engine.t;
-  cfg : config;
-  label : string;
-  (* Nagle state: the decision is [Nagle.should_send] *)
-  mutable nagle_enabled : bool;
-  mutable nagle_min_send : int;  (* -1 = no AIMD threshold *)
-  mutable nagle_toggles : int;
-  estim : E2e.Estimator.t;
-  (* E2E option scheduling, see [E2e.Exchange.due] *)
-  mutable exchange_last : Sim.Time.t;  (* -1 = never attached *)
-  mutable exchange_requested : bool;
-  (* sender state *)
-  sndbuf : Bytebuf.t;
-  mutable snd_una : int;  (* oldest unacknowledged byte *)
-  mutable snd_nxt : int;  (* next byte to put on the wire *)
-  boundaries : int Queue.t;  (* stream positions where send() buffers end *)
-  mutable peer_window : int;
-  mutable transmit : Segment.t -> unit;
-  mutable cork_signal : unit -> Sim.Time.t option;
-  mutable cork_kick_armed : bool;
+(* The empty retransmit queue. *)
+let rec no_retx =
+  { r_seq = 0; r_payload = Slice.empty; r_rest = []; r_len = 0; r_push = false;
+    r_msg_ends = 0; r_fin = false; r_sacked = false; r_next = no_retx }
+
+(* The stream positions where send() buffers end, oldest first: a
+   circular list like the retransmit queue. *)
+type boundary = { pos : int; mutable b_next : boundary }
+
+let rec no_boundary = { pos = 0; b_next = no_boundary }
+
+(* The state a clean connection never writes: loss recovery, persist
+   probing, teardown, auto-cork and the rare-event counters.  A socket
+   starts out sharing [no_cold], whose fields hold the defaults, and
+   builds its own record the first time it writes one of them (see
+   [cold]); reads need no check. *)
+type cold = {
   (* reliability *)
-  retx : retx_entry Queue.t;
-  mutable rto_timer : Sim.Engine.handle;
   mutable rto_backoff : int;
   mutable recover : int;  (* recovery episode: snd_nxt at episode entry *)
   mutable retx_next : int;  (* hole recovery: next sequence to resend *)
@@ -143,46 +140,15 @@ type t = {
   (* zero-window persist probing *)
   mutable persist_timer : Sim.Engine.handle;
   mutable persist_backoff : int;
-  (* window scaling: [None] = idealized full-width windows; [Some s] =
-     every advertised window is quantized through a 16-bit field
-     shifted left by [s] (RFC 7323) *)
-  mutable snd_wscale : int option;
-  mutable max_snd_wnd : int;  (* largest peer window seen (RFC 5961 §5) *)
-  (* congestion control (Reno-style, optional) *)
-  mutable cwnd : int;
-  mutable ssthresh : int;
   (* teardown *)
-  mutable conn_state : conn_state;
   mutable fin_pending : bool;  (* close() called, FIN not yet emitted *)
-  mutable fin_sent_seq : int option;
+  mutable fin_sent_seq : int;  (* -1 = no FIN sent *)
   mutable fin_fifo_adjusted : bool;  (* FIN seq excluded from unacked fifo once *)
   mutable peer_fin : bool;
-  (* receiver state *)
-  recvbuf : Bytebuf.t;
-  mutable rcv_nxt : int;  (* next in-order byte expected *)
-  mutable rcv_wup : int;  (* highest ack we have sent *)
-  mutable last_advertised : int;
-  mutable ooo : Segment.t list;  (* out-of-order segments, sorted by seq *)
-  (* [None] in byte units, where a queue's units are its bytes and the
-     estimator's queue size is its pending byte count *)
-  unit_fifos : unit_fifos option;
-  mutable delack : Delayed_ack.t option;
-  mutable readable_cb : unit -> unit;
-  (* RTT estimation (RFC 7323 timestamps feeding RFC 6298) *)
-  rtt : Rtt.t;
-  mutable ts_recent : int;  (* latest peer ts_val seen on data, us; -1 = none *)
-  (* diagnostics *)
-  mutable trace : Sim.Trace.t option;
-  (* hints (§3.3): the tracker whose share rides our segments, and the
-     shares the peer sent us (built at the first one) *)
-  mutable hint_tracker : E2e.Hints.t option;
-  mutable hints_in : hint_window option;
-  (* counters *)
-  mutable segs_out : int;
-  mutable pure_acks_out : int;
-  mutable segs_in : int;
-  mutable sends : int;
-  mutable nagle_holds : int;
+  (* auto-cork *)
+  mutable cork_signal : unit -> Sim.Time.t option;
+  mutable cork_kick_armed : bool;
+  (* rare-event counters *)
   mutable cork_holds : int;
   mutable retransmits : int;
   mutable rto_fires : int;
@@ -191,6 +157,104 @@ type t = {
   mutable probes_sent : int;
   mutable challenges_sent : int;
 }
+
+let fresh_cold () =
+  {
+    rto_backoff = 0;
+    recover = 0;
+    retx_next = 0;
+    dup_acks = 0;
+    persist_timer = Sim.Engine.idle;
+    persist_backoff = 0;
+    fin_pending = false;
+    fin_sent_seq = -1;
+    fin_fifo_adjusted = false;
+    peer_fin = false;
+    cork_signal = (fun () -> None);
+    cork_kick_armed = false;
+    cork_holds = 0;
+    retransmits = 0;
+    rto_fires = 0;
+    fast_retransmits = 0;
+    sack_retransmits = 0;
+    probes_sent = 0;
+    challenges_sent = 0;
+  }
+
+(* Shared by every socket that has not built its own: never written. *)
+let no_cold = fresh_cold ()
+
+(* Fields are laid out hottest first: those every segment touches, then
+   those of every ack and write, then the rarely used ones. *)
+type t = {
+  (* every segment, both directions *)
+  engine : Sim.Engine.t;
+  cfg : config;
+  estim : E2e.Estimator.t;
+  mutable snd_una : int;  (* oldest unacknowledged byte *)
+  mutable snd_nxt : int;  (* next byte to put on the wire *)
+  mutable rcv_nxt : int;  (* next in-order byte expected *)
+  mutable rcv_wup : int;  (* highest ack we have sent *)
+  mutable cold : cold;  (* [no_cold] until first written *)
+  mutable trace : Sim.Trace.t option;
+  (* sender state *)
+  sndbuf : Bytebuf.t;
+  mutable retx_last : retx_entry;  (* newest unacked extent; [no_retx] = none *)
+  mutable boundaries : boundary;  (* newest send() buffer end; [no_boundary] = none *)
+  mutable peer_window : int;
+  mutable transmit : Segment.t -> unit;
+  mutable rto_timer : Sim.Engine.handle;
+  (* Nagle state: the decision is [Nagle.should_send] *)
+  mutable nagle_enabled : bool;
+  mutable nagle_min_send : int;  (* -1 = no AIMD threshold *)
+  (* E2E option scheduling, see [E2e.Exchange.due] *)
+  mutable exchange_last : Sim.Time.t;  (* -1 = never attached *)
+  mutable exchange_requested : bool;
+  (* hints (§3.3): the tracker whose share rides our segments, and the
+     shares the peer sent us (built at the first one) *)
+  mutable hint_tracker : E2e.Hints.t option;
+  mutable hints_in : hint_window option;
+  (* receiver state *)
+  recvbuf : Bytebuf.t;
+  mutable last_advertised : int;
+  mutable ooo : Segment.t list;  (* out-of-order segments, sorted by seq *)
+  mutable delack : Delayed_ack.t option;
+  mutable readable_cb : unit -> unit;
+  (* RTT estimation (RFC 7323 timestamps feeding RFC 6298) *)
+  rtt : Rtt.t;
+  mutable ts_recent : int;  (* latest peer ts_val seen on data, us; -1 = none *)
+  (* window scaling: [None] = idealized full-width windows; [Some s] =
+     every advertised window is quantized through a 16-bit field
+     shifted left by [s] (RFC 7323) *)
+  mutable snd_wscale : int option;
+  mutable max_snd_wnd : int;  (* largest peer window seen (RFC 5961 §5) *)
+  (* congestion control (Reno-style, optional) *)
+  mutable cwnd : int;
+  mutable ssthresh : int;
+  mutable conn_state : conn_state;
+  (* [None] in byte units, where a queue's units are its bytes and the
+     estimator's queue size is its pending byte count *)
+  unit_fifos : unit_fifos option;
+  (* counters *)
+  mutable segs_out : int;
+  mutable pure_acks_out : int;
+  mutable segs_in : int;
+  mutable sends : int;
+  mutable nagle_holds : int;
+  mutable nagle_toggles : int;
+  label : string;
+}
+
+(* The socket's own cold record, built at the first write. *)
+let cold t =
+  if t.cold != no_cold then t.cold
+  else begin
+    let c = fresh_cold () in
+    t.cold <- c;
+    c
+  end
+
+let has_cold_state t = t.cold != no_cold
 
 let label t = t.label
 
@@ -212,43 +276,37 @@ let create ?(label = "sock") engine cfg =
   {
     engine;
     cfg;
-    label;
-    nagle_enabled = cfg.nagle;
-    nagle_min_send = -1;
-    nagle_toggles = 0;
     estim = E2e.Estimator.create ~at:(Sim.Engine.now engine);
-    exchange_last = -1;
-    exchange_requested = false;
-    sndbuf = Bytebuf.create ();
     snd_una = 0;
     snd_nxt = 0;
-    boundaries = Queue.create ();
+    rcv_nxt = 0;
+    rcv_wup = 0;
+    cold = no_cold;
+    trace = None;
+    sndbuf = Bytebuf.create ();
+    retx_last = no_retx;
+    boundaries = no_boundary;
     peer_window = cfg.rcv_buf;
     transmit = (fun _ -> failwith "Socket: transmit path not wired");
-    cork_signal = (fun () -> None);
-    cork_kick_armed = false;
-    retx = Queue.create ();
     rto_timer = Sim.Engine.idle;
-    rto_backoff = 0;
-    recover = 0;
-    retx_next = 0;
-    dup_acks = 0;
-    persist_timer = Sim.Engine.idle;
-    persist_backoff = 0;
+    nagle_enabled = cfg.nagle;
+    nagle_min_send = -1;
+    exchange_last = -1;
+    exchange_requested = false;
+    hint_tracker = None;
+    hints_in = None;
+    recvbuf = Bytebuf.create ();
+    last_advertised = cfg.rcv_buf;
+    ooo = [];
+    delack = None;
+    readable_cb = ignore;
+    rtt = Rtt.create ();
+    ts_recent = -1;
     snd_wscale = offered_wscale cfg;
     max_snd_wnd = cfg.rcv_buf;
     cwnd = initial_cwnd_segments * cfg.mss;
     ssthresh = max_int;
     conn_state = Established;
-    fin_pending = false;
-    fin_sent_seq = None;
-    fin_fifo_adjusted = false;
-    peer_fin = false;
-    recvbuf = Bytebuf.create ();
-    rcv_nxt = 0;
-    rcv_wup = 0;
-    last_advertised = cfg.rcv_buf;
-    ooo = [];
     unit_fifos =
       (match cfg.unit_mode with
       | E2e.Units.Bytes | E2e.Units.Hinted -> None
@@ -256,25 +314,13 @@ let create ?(label = "sock") engine cfg =
         Some
           { unacked_units = Unit_fifo.create (); unread_units = Unit_fifo.create ();
             ackdelay_units = Unit_fifo.create () });
-    delack = None;
-    readable_cb = ignore;
-    rtt = Rtt.create ();
-    ts_recent = -1;
-    trace = None;
-    hint_tracker = None;
-    hints_in = None;
     segs_out = 0;
     pure_acks_out = 0;
     segs_in = 0;
     sends = 0;
     nagle_holds = 0;
-    cork_holds = 0;
-    retransmits = 0;
-    rto_fires = 0;
-    fast_retransmits = 0;
-    sack_retransmits = 0;
-    probes_sent = 0;
-    challenges_sent = 0;
+    nagle_toggles = 0;
+    label;
   }
 
 (* RFC 7323 §2: scaling binds only when both sides offer it.  A
@@ -420,9 +466,36 @@ let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~rest ~len ~push ~
     t.pure_acks_out <- t.pure_acks_out + 1;
   t.transmit seg
 
-(* {2 Retransmission timer} *)
+(* {2 The retransmit queue} *)
 
 let retx_len e = e.r_len + if e.r_fin then 1 else 0
+
+let retx_empty t = t.retx_last == no_retx
+
+(* The oldest entry; only called on a non-empty queue. *)
+let retx_head t = t.retx_last.r_next
+
+let push_retx t e =
+  let last = t.retx_last in
+  if last == no_retx then e.r_next <- e
+  else begin
+    e.r_next <- last.r_next;
+    last.r_next <- e
+  end;
+  t.retx_last <- e
+
+let pop_retx t =
+  let last = t.retx_last in
+  let head = last.r_next in
+  if head == last then t.retx_last <- no_retx else last.r_next <- head.r_next
+
+(* [f] on every entry from [e] to the newest, oldest first, while it
+   returns [true]. *)
+let rec retx_walk t e f = if f e && e != t.retx_last then retx_walk t e.r_next f
+
+let retx_iter t f = if not (retx_empty t) then retx_walk t (retx_head t) (fun e -> f e; true)
+
+(* {2 Retransmission timer} *)
 
 let resend t e =
   put_on_wire t ~fin:e.r_fin ~seq:e.r_seq ~payload:e.r_payload ~rest:e.r_rest ~len:e.r_len
@@ -430,7 +503,7 @@ let resend t e =
 
 let current_rto t =
   let base = Rtt.rto t.rtt in
-  let scaled = base lsl Stdlib.min t.rto_backoff 6 in
+  let scaled = base lsl Stdlib.min t.cold.rto_backoff 6 in
   Stdlib.min scaled Rtt.max_rto
 
 let cancel_rto t =
@@ -446,17 +519,17 @@ and restart_rto t =
   arm_rto t
 
 and retransmit_head t ~counter =
-  match Queue.peek_opt t.retx with
-  | None -> ()
-  | Some entry ->
-    counter t;
-    t.retransmits <- t.retransmits + 1;
+  if not (retx_empty t) then begin
+    let entry = retx_head t and c = cold t in
+    counter c;
+    c.retransmits <- c.retransmits + 1;
     if tracing t then
       event t
         (Sim.Trace.Segment_sent
            { seq = entry.r_seq; len = entry.r_len;
              push = entry.r_push; retx = true });
     resend t entry
+  end
 
 and on_rto t =
   t.rto_timer <- Sim.Engine.idle;
@@ -466,28 +539,33 @@ and on_rto t =
       t.ssthresh <- Stdlib.max (in_flight t / 2) (2 * t.cfg.mss);
       t.cwnd <- t.cfg.mss
     end;
-    t.rto_backoff <- t.rto_backoff + 1;
+    let c = cold t in
+    c.rto_backoff <- c.rto_backoff + 1;
     (* A timeout invalidates the SACK scoreboard (conservative RFC 2018
        reneging posture): recovery restarts from go-back-N and fresh
        SACK blocks re-mark whatever the receiver still holds. *)
-    Queue.iter (fun e -> e.r_sacked <- false) t.retx;
+    retx_iter t (fun e -> e.r_sacked <- false);
     (* Everything below [snd_nxt] is suspect after a timeout; partial
        acks drive go-back-N retransmission up to this mark, restarting
        from the front of the hole. *)
-    t.recover <- Stdlib.max t.recover t.snd_nxt;
-    t.retx_next <- t.snd_una;
-    retransmit_head t ~counter:(fun t -> t.rto_fires <- t.rto_fires + 1);
-    (match Queue.peek_opt t.retx with
-    | Some e -> t.retx_next <- e.r_seq + retx_len e
-    | None -> ());
+    c.recover <- Stdlib.max c.recover t.snd_nxt;
+    c.retx_next <- t.snd_una;
+    retransmit_head t ~counter:(fun c -> c.rto_fires <- c.rto_fires + 1);
+    if not (retx_empty t) then begin
+      let e = retx_head t in
+      c.retx_next <- e.r_seq + retx_len e
+    end;
     arm_rto t
   end
 
 (* {2 Zero-window persist timer} *)
 
 let cancel_persist t =
-  Sim.Engine.cancel t.engine t.persist_timer;
-  t.persist_timer <- Sim.Engine.idle
+  let c = t.cold in
+  if c != no_cold then begin
+    Sim.Engine.cancel t.engine c.persist_timer;
+    c.persist_timer <- Sim.Engine.idle
+  end
 
 (* The persist timer runs exactly when the connection would otherwise
    be deaf: data queued, nothing in flight (so no RTO), and the peer's
@@ -502,7 +580,7 @@ let persist_due t =
 
 let current_persist_timeout t =
   let base = Rtt.rto t.rtt in
-  let scaled = base lsl Stdlib.min t.persist_backoff 6 in
+  let scaled = base lsl Stdlib.min t.cold.persist_backoff 6 in
   Stdlib.min scaled Rtt.max_rto
 
 (* Probes per zero-window episode.  Real stacks probe indefinitely; a
@@ -518,10 +596,9 @@ let emit_fresh t ~payload ~rest ~len ~push ~msg_ends =
   let seq = t.snd_nxt in
   t.snd_nxt <- t.snd_nxt + len;
   t.segs_out <- t.segs_out + 1;
-  Queue.add
+  push_retx t
     { r_seq = seq; r_payload = payload; r_rest = rest; r_len = len; r_push = push;
-      r_msg_ends = msg_ends; r_fin = false; r_sacked = false }
-    t.retx;
+      r_msg_ends = msg_ends; r_fin = false; r_sacked = false; r_next = no_retx };
   if E2e.Units.equal t.cfg.unit_mode E2e.Units.Packets then begin
     E2e.Estimator.track_unacked t.estim ~at:(now t) 1;
     push_units t unacked ~bytes:len ~units:1
@@ -534,24 +611,42 @@ let emit_fresh t ~payload ~rest ~len ~push ~msg_ends =
 let send_pure_ack t =
   put_on_wire t ~seq:t.snd_nxt ~payload:Slice.empty ~rest:[] ~len:0 ~push:false ~msg_ends:0
 
+let push_boundary t pos =
+  let last = t.boundaries in
+  let b = { pos; b_next = no_boundary } in
+  if last == no_boundary then b.b_next <- b
+  else begin
+    b.b_next <- last.b_next;
+    last.b_next <- b
+  end;
+  t.boundaries <- b
+
 (* Pop the send()-buffer boundaries at or below [upto], the end of the
-   bytes about to leave; returns the last one popped, or -1. *)
-let rec pop_boundaries q ~upto last =
-  if Queue.is_empty q || Queue.peek q > upto then last
-  else pop_boundaries q ~upto (Queue.pop q)
+   bytes about to leave, counting them from [n]; the count comes back
+   negated when the last one popped is [upto] itself (the segment ends
+   a write, so it carries PSH). *)
+let rec pop_boundaries t ~upto n =
+  let last = t.boundaries in
+  let head = last.b_next in
+  if last == no_boundary || head.pos > upto then n
+  else begin
+    if head == last then t.boundaries <- no_boundary else last.b_next <- head.b_next;
+    if head.pos = upto then -(n + 1) else pop_boundaries t ~upto (n + 1)
+  end
 
 let probe_byte = Slice.of_string "?"
 
 let rec arm_persist t =
-  if (not (Sim.Engine.is_pending t.persist_timer)) && persist_due t then
-    t.persist_timer <-
+  if (not (Sim.Engine.is_pending t.cold.persist_timer)) && persist_due t then
+    (cold t).persist_timer <-
       Sim.Engine.schedule t.engine ~after:(current_persist_timeout t) (fun () -> on_persist t)
 
 and on_persist t =
-  t.persist_timer <- Sim.Engine.idle;
-  if persist_due t && t.persist_backoff < max_persist_probes then begin
-    t.persist_backoff <- t.persist_backoff + 1;
-    t.probes_sent <- t.probes_sent + 1;
+  let c = cold t in
+  c.persist_timer <- Sim.Engine.idle;
+  if persist_due t && c.persist_backoff < max_persist_probes then begin
+    c.persist_backoff <- c.persist_backoff + 1;
+    c.probes_sent <- c.probes_sent + 1;
     (* The classic BSD window probe: one garbage byte just below the
        window ([snd_una - 1]).  The receiver's duplicate-segment path
        discards the payload wholesale and answers with an immediate ack
@@ -562,7 +657,7 @@ and on_persist t =
        is still shut, we re-arm ourselves with doubled backoff. *)
     let seq = t.snd_una - 1 in
     if tracing t then
-      event t (Sim.Trace.Probe_sent { seq; backoff = t.persist_backoff });
+      event t (Sim.Trace.Probe_sent { seq; backoff = c.persist_backoff });
     put_on_wire t ~seq ~payload:probe_byte ~rest:[] ~len:1 ~push:false ~msg_ends:0;
     arm_persist t
   end
@@ -591,16 +686,17 @@ and try_transmit t =
           event t (Sim.Trace.Nagle_hold { chunk; in_flight = in_flight t })
       end
       else begin
-        match if t.cfg.cork && chunk < t.cfg.mss then t.cork_signal () else None with
+        match if t.cfg.cork && chunk < t.cfg.mss then t.cold.cork_signal () else None with
         | Some free_at ->
           (* Auto-cork: transmitter busy and the segment is small; hold
              until the NIC frees and retry. *)
-          t.cork_holds <- t.cork_holds + 1;
+          let c = cold t in
+          c.cork_holds <- c.cork_holds + 1;
           if tracing t then event t (Sim.Trace.Cork_hold { chunk });
-          if not t.cork_kick_armed then begin
-            t.cork_kick_armed <- true;
+          if not c.cork_kick_armed then begin
+            c.cork_kick_armed <- true;
             Sim.Engine.post_at t.engine ~at:free_at (fun () ->
-                t.cork_kick_armed <- false;
+                c.cork_kick_armed <- false;
                 try_transmit t)
           end
         | None ->
@@ -608,10 +704,8 @@ and try_transmit t =
           let rest = Bytebuf.take t.sndbuf (chunk - payload.Slice.len) in
           (* The buffers that end inside the segment count its
              message ends; one ending exactly at its end sets PSH. *)
-          let upto = t.snd_nxt + chunk and queued = Queue.length t.boundaries in
-          let last = pop_boundaries t.boundaries ~upto (-1) in
-          emit_fresh t ~payload ~rest ~len:chunk ~push:(last = upto)
-            ~msg_ends:(queued - Queue.length t.boundaries);
+          let ends = pop_boundaries t ~upto:(t.snd_nxt + chunk) 0 in
+          emit_fresh t ~payload ~rest ~len:chunk ~push:(ends < 0) ~msg_ends:(abs ends);
           try_transmit t
       end
     end
@@ -626,15 +720,16 @@ and try_transmit t =
 (* The FIN leaves once every queued byte has been handed to the wire;
    it consumes one sequence number and is retransmittable. *)
 and maybe_emit_fin t =
-  if t.fin_pending && Bytebuf.is_empty t.sndbuf && t.fin_sent_seq = None then begin
+  let c = t.cold in
+  (* [fin_pending] is only ever set in a socket's own cold record *)
+  if c.fin_pending && Bytebuf.is_empty t.sndbuf && c.fin_sent_seq < 0 then begin
     let seq = t.snd_nxt in
-    t.fin_sent_seq <- Some seq;
-    t.fin_pending <- false;
+    c.fin_sent_seq <- seq;
+    c.fin_pending <- false;
     t.snd_nxt <- t.snd_nxt + 1;
-    Queue.add
+    push_retx t
       { r_seq = seq; r_payload = Slice.empty; r_rest = []; r_len = 0; r_push = false;
-        r_msg_ends = 0; r_fin = true; r_sacked = false }
-      t.retx;
+        r_msg_ends = 0; r_fin = true; r_sacked = false; r_next = no_retx };
     put_on_wire t ~fin:true ~seq ~payload:Slice.empty ~rest:[] ~len:0 ~push:false
       ~msg_ends:0;
     arm_rto t
@@ -653,7 +748,7 @@ let wrote t len =
   t.sends <- t.sends + 1;
   (* no FIN is out while writes are allowed, so the stream position of
      the write's end is everything handed to the wire plus the queue *)
-  Queue.add (t.snd_nxt + Bytebuf.length t.sndbuf) t.boundaries;
+  push_boundary t (t.snd_nxt + Bytebuf.length t.sndbuf);
   let at = now t in
   (match t.cfg.unit_mode with
   | E2e.Units.Bytes | E2e.Units.Hinted ->
@@ -728,21 +823,48 @@ let rec trim_front e cut =
     trim_front e (cut - n)
   | _ :: _ | [] -> e.r_payload <- Slice.sub e.r_payload cut (n - cut)
 
-let drop_acked_retx t =
-  let rec go () =
-    match Queue.peek_opt t.retx with
-    | Some e when e.r_seq + retx_len e <= t.snd_una ->
-      ignore (Queue.pop t.retx);
-      go ()
-    | Some e when e.r_seq < t.snd_una ->
+let rec drop_acked_retx t =
+  if not (retx_empty t) then begin
+    let e = retx_head t in
+    if e.r_seq + retx_len e <= t.snd_una then begin
+      pop_retx t;
+      drop_acked_retx t
+    end
+    else if e.r_seq < t.snd_una then begin
       (* partial coverage: trim the acknowledged prefix *)
       let cut = t.snd_una - e.r_seq in
       trim_front e cut;
       e.r_len <- e.r_len - cut;
       e.r_seq <- t.snd_una
-    | Some _ | None -> ()
-  in
-  go ()
+    end
+  end
+
+(* Resend, oldest first, every unsacked extent that ends past [from]
+   and starts below [upto], while the [budget] of bytes lasts. *)
+let resend_holes t ~upto ~from ~budget ~sack =
+  let c = cold t in
+  let budget = ref budget in
+  if not (retx_empty t) then
+    retx_walk t (retx_head t) (fun e ->
+        e.r_seq < upto
+        &&
+        (* A sacked extent is sitting in the peer's reassembly queue;
+           resending it would be pure waste. *)
+        if e.r_seq + retx_len e > from && not e.r_sacked then
+          !budget > 0
+          && begin
+            budget := !budget - e.r_len;
+            c.retransmits <- c.retransmits + 1;
+            if sack then c.sack_retransmits <- c.sack_retransmits + 1;
+            if tracing t then
+              event t
+                (Sim.Trace.Segment_sent
+                   { seq = e.r_seq; len = e.r_len; push = e.r_push; retx = true });
+            resend t e;
+            c.retx_next <- e.r_seq + retx_len e;
+            true
+          end
+        else true)
 
 (* Go-back-N after a timeout.  A burst loss (blackout, outage) empties
    the pipe: nothing else is in flight, so no duplicate acks arrive and
@@ -753,7 +875,8 @@ let drop_acked_retx t =
    pre-RTO [recover] mark retransmits the next cwnd's worth of the
    queue, so recovery slow-starts like a fresh connection. *)
 let retransmit_hole t =
-  if t.snd_una < t.recover && not (Queue.is_empty t.retx) then begin
+  let c = t.cold in
+  if t.snd_una < c.recover && not (retx_empty t) then begin
     (* [retx_next .. recover) is the unsent remainder of the hole;
        [snd_una .. retx_next) is already back in flight, so the budget
        is whatever cwnd has left over it.  Each resend advances
@@ -766,28 +889,10 @@ let retransmit_hole t =
        nothing now but still [restart_rto] below — the episode can
        never stall, because either the next ack frees budget or the
        timer re-fires. *)
-    let from = Stdlib.max t.retx_next t.snd_una in
+    let from = Stdlib.max c.retx_next t.snd_una in
     let in_flight_retx = from - t.snd_una in
-    let budget = ref (Stdlib.max (t.cwnd - in_flight_retx) 0) in
-    (try
-       Queue.iter
-         (fun e ->
-           if e.r_seq >= t.recover then raise Exit;
-           (* A sacked extent is sitting in the peer's reassembly
-              queue; resending it would be pure waste. *)
-           if e.r_seq + retx_len e > from && not e.r_sacked then begin
-             if !budget <= 0 then raise Exit;
-             budget := !budget - e.r_len;
-             t.retransmits <- t.retransmits + 1;
-             if tracing t then
-               event t
-                 (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = e.r_len; push = e.r_push; retx = true });
-             resend t e;
-             t.retx_next <- e.r_seq + retx_len e
-           end)
-         t.retx
-     with Exit -> ());
+    resend_holes t ~upto:c.recover ~from
+      ~budget:(Stdlib.max (t.cwnd - in_flight_retx) 0) ~sack:false;
     restart_rto t
   end
 
@@ -798,21 +903,22 @@ let retransmit_hole t =
    ever exist under loss — the loss-free ack path never walks the
    queue. *)
 let ingest_sack t blocks =
-  Queue.iter
-    (fun e ->
+  retx_iter t (fun e ->
       if not e.r_sacked then begin
         let s = e.r_seq and en = e.r_seq + retx_len e in
         if List.exists (fun (l, r) -> l <= s && en <= r) blocks then
           e.r_sacked <- true
       end)
-    t.retx
 
-let has_sack_info t = Queue.fold (fun acc e -> acc || e.r_sacked) false t.retx
+let has_sack_info t =
+  let found = ref false in
+  retx_iter t (fun e -> if e.r_sacked then found := true);
+  !found
 
 let highest_sacked t =
-  Queue.fold
-    (fun acc e -> if e.r_sacked then Stdlib.max acc (e.r_seq + retx_len e) else acc)
-    (-1) t.retx
+  let hs = ref (-1) in
+  retx_iter t (fun e -> if e.r_sacked then hs := Stdlib.max !hs (e.r_seq + retx_len e));
+  !hs
 
 (* SACK-driven hole recovery (RFC 6675 in spirit): everything unsacked
    strictly below the highest SACKed byte is deemed lost and resent
@@ -823,27 +929,10 @@ let highest_sacked t =
 let sack_retransmit_holes t =
   let hs = highest_sacked t in
   if hs >= 0 then begin
-    let from = Stdlib.max t.retx_next t.snd_una in
+    let from = Stdlib.max t.cold.retx_next t.snd_una in
     let in_flight_retx = Stdlib.max 0 (from - t.snd_una) in
-    let budget = ref (Stdlib.max (t.cwnd - in_flight_retx) 0) in
-    (try
-       Queue.iter
-         (fun e ->
-           if e.r_seq >= hs then raise Exit;
-           if e.r_seq + retx_len e > from && not e.r_sacked then begin
-             if !budget <= 0 then raise Exit;
-             budget := !budget - e.r_len;
-             t.retransmits <- t.retransmits + 1;
-             t.sack_retransmits <- t.sack_retransmits + 1;
-             if tracing t then
-               event t
-                 (Sim.Trace.Segment_sent
-                    { seq = e.r_seq; len = e.r_len; push = e.r_push; retx = true });
-             resend t e;
-             t.retx_next <- e.r_seq + retx_len e
-           end)
-         t.retx
-     with Exit -> ());
+    resend_holes t ~upto:hs ~from
+      ~budget:(Stdlib.max (t.cwnd - in_flight_retx) 0) ~sack:true;
     restart_rto t
   end
 
@@ -852,7 +941,7 @@ let sack_retransmit_holes t =
    drains naturally as [snd_una] passes it, so a blackout recovery
    falls back to the sweep for the sackless tail. *)
 let continue_recovery t =
-  if t.snd_una < t.recover && not (Queue.is_empty t.retx) then
+  if t.snd_una < t.cold.recover && not (retx_empty t) then
     if t.cfg.sack && has_sack_info t then sack_retransmit_holes t
     else retransmit_hole t
 
@@ -865,8 +954,10 @@ let process_ack t (seg : Segment.t) ~at =
     if tracing t then
       event t (Sim.Trace.Ack_received { acked; una = t.snd_una + acked });
     t.snd_una <- t.snd_una + acked;
-    t.dup_acks <- 0;
-    t.rto_backoff <- 0;
+    if has_cold_state t then begin
+      t.cold.dup_acks <- 0;
+      t.cold.rto_backoff <- 0
+    end;
     drop_acked_retx t;
     if in_flight t = 0 then cancel_rto t else restart_rto t;
     (* congestion window growth *)
@@ -878,12 +969,14 @@ let process_ack t (seg : Segment.t) ~at =
     continue_recovery t;
     (* the FIN consumes one sequence number that never entered the
        byte-accounting fifo *)
+    let c = t.cold in
+    let fin_acked = c.fin_sent_seq >= 0 && seg.ack > c.fin_sent_seq in
     let fifo_bytes =
-      match t.fin_sent_seq with
-      | Some fs when seg.ack > fs && not t.fin_fifo_adjusted ->
-        t.fin_fifo_adjusted <- true;
+      if fin_acked && not c.fin_fifo_adjusted then begin
+        c.fin_fifo_adjusted <- true;
         acked - 1
-      | _ -> acked
+      end
+      else acked
     in
     let fifo_bytes =
       Stdlib.min fifo_bytes (pending_bytes t unacked ~size:(E2e.Estimator.unacked_size t.estim))
@@ -891,14 +984,13 @@ let process_ack t (seg : Segment.t) ~at =
     let units = drain_units t unacked ~bytes:fifo_bytes in
     if units > 0 then E2e.Estimator.track_unacked t.estim ~at (-units);
     (* teardown progress: our FIN is acknowledged *)
-    (match t.fin_sent_seq with
-    | Some fs when seg.ack > fs -> (
+    if fin_acked then begin
       match t.conn_state with
       | Fin_wait_1 -> t.conn_state <- Fin_wait_2
       | Closing -> enter_time_wait t
       | Last_ack -> t.conn_state <- Closed
-      | Established | Fin_wait_2 | Close_wait | Time_wait | Closed -> ())
-    | _ -> ());
+      | Established | Fin_wait_2 | Close_wait | Time_wait | Closed -> ()
+    end;
     (* RTT sample from the echoed timestamp (RFC 7323 resolves Karn's
        retransmission ambiguity because retransmits carry fresh
        timestamps). *)
@@ -909,8 +1001,9 @@ let process_ack t (seg : Segment.t) ~at =
   end
   else if Segment.is_pure_ack seg && seg.ack = t.snd_una && in_flight t > 0 then begin
     (* duplicate ack: the receiver is missing something *)
-    t.dup_acks <- t.dup_acks + 1;
-    if t.dup_acks = 3 then begin
+    let c = cold t in
+    c.dup_acks <- c.dup_acks + 1;
+    if c.dup_acks = 3 then begin
       if t.cfg.cc_enabled then begin
         t.ssthresh <- Stdlib.max (in_flight t / 2) (2 * t.cfg.mss);
         t.cwnd <- t.ssthresh
@@ -921,26 +1014,28 @@ let process_ack t (seg : Segment.t) ~at =
            highest SACKed byte.  Each later duplicate or partial ack
            continues the episode — no waiting three more dup acks per
            lost segment, and no RTO unless the resends are lost too. *)
-        t.fast_retransmits <- t.fast_retransmits + 1;
-        t.recover <- Stdlib.max t.recover t.snd_nxt;
-        t.retx_next <- t.snd_una;
+        c.fast_retransmits <- c.fast_retransmits + 1;
+        c.recover <- Stdlib.max c.recover t.snd_nxt;
+        c.retx_next <- t.snd_una;
         sack_retransmit_holes t
       end
       else begin
-        retransmit_head t ~counter:(fun t ->
-            t.fast_retransmits <- t.fast_retransmits + 1);
+        retransmit_head t ~counter:(fun c ->
+            c.fast_retransmits <- c.fast_retransmits + 1);
         restart_rto t
       end
     end
-    else if t.dup_acks > 3 && t.cfg.sack then continue_recovery t
+    else if c.dup_acks > 3 && t.cfg.sack then continue_recovery t
   end;
   t.peer_window <- seg.window;
   if seg.window > t.max_snd_wnd then t.max_snd_wnd <- seg.window;
   if seg.window > 0 then begin
     (* the peer's window opened (or was never shut): any persist
        episode is over *)
-    if Sim.Engine.is_pending t.persist_timer then cancel_persist t;
-    t.persist_backoff <- 0
+    if has_cold_state t then begin
+      if Sim.Engine.is_pending t.cold.persist_timer then cancel_persist t;
+      t.cold.persist_backoff <- 0
+    end
   end
 
 (* {2 In-order delivery (receiver side)} *)
@@ -975,10 +1070,10 @@ let accept_payload t (seg : Segment.t) ~at =
   if seg.ts_val >= 0 then t.ts_recent <- seg.ts_val
 
 let process_fin t =
-  if not t.peer_fin then begin
+  if not t.cold.peer_fin then begin
     if tracing t then
       event t (Sim.Trace.Fin_received { rcv_nxt = t.rcv_nxt + 1 });
-    t.peer_fin <- true;
+    (cold t).peer_fin <- true;
     t.rcv_nxt <- t.rcv_nxt + 1;
     (match t.conn_state with
     | Established -> t.conn_state <- Close_wait
@@ -1033,7 +1128,8 @@ let process_payload t (seg : Segment.t) ~at =
    confirms our current state to a genuine peer without acting on a
    possibly-forged segment. *)
 let challenge t ~kind ~seq =
-  t.challenges_sent <- t.challenges_sent + 1;
+  let c = cold t in
+  c.challenges_sent <- c.challenges_sent + 1;
   if tracing t then event t (Sim.Trace.Segment_challenged { seq; kind });
   send_pure_ack t
 
@@ -1101,7 +1197,7 @@ and receive_valid t ~notify (seg : Segment.t) ~at =
      pending FIN. *)
   if seg.ack > 0 || seg.window > 0 then try_transmit t;
   (* the readable callback also signals EOF *)
-  if notify && (len > 0 || t.peer_fin) then t.readable_cb ()
+  if notify && (len > 0 || t.cold.peer_fin) then t.readable_cb ()
 
 let receive_segment t seg = receive_one t ~notify:true seg
 
@@ -1158,7 +1254,7 @@ let recv_available t = Bytebuf.length t.recvbuf
 
 let on_readable t cb = t.readable_cb <- cb
 let set_transmit t f = t.transmit <- f
-let set_cork_signal t f = t.cork_signal <- f
+let set_cork_signal t f = (cold t).cork_signal <- f
 
 let nagle_enabled t = t.nagle_enabled
 let nagle_toggles t = t.nagle_toggles
@@ -1178,11 +1274,11 @@ let close t =
   match t.conn_state with
   | Established ->
     t.conn_state <- Fin_wait_1;
-    t.fin_pending <- true;
+    (cold t).fin_pending <- true;
     try_transmit t
   | Close_wait ->
     t.conn_state <- Last_ack;
-    t.fin_pending <- true;
+    (cold t).fin_pending <- true;
     try_transmit t
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait | Closed ->
     (* closing twice is a no-op *)
@@ -1206,7 +1302,7 @@ let abort t =
 let state t = t.conn_state
 let state_string t = state_to_string t.conn_state
 
-let eof t = t.peer_fin && Bytebuf.is_empty t.recvbuf
+let eof t = t.cold.peer_fin && Bytebuf.is_empty t.recvbuf
 
 let estimator t = t.estim
 let rtt t = t.rtt
@@ -1236,22 +1332,23 @@ let remote_hint_window t =
 let request_exchange t = t.exchange_requested <- true
 
 let counters t =
+  let c = t.cold in
   {
     segs_out = t.segs_out;
     pure_acks_out = t.pure_acks_out;
     (* the FIN takes a sequence number and carries no byte *)
-    bytes_out = (t.snd_nxt - if t.fin_sent_seq = None then 0 else 1);
+    bytes_out = (t.snd_nxt - if c.fin_sent_seq < 0 then 0 else 1);
     segs_in = t.segs_in;
-    bytes_in = (t.rcv_nxt - if t.peer_fin then 1 else 0);
+    bytes_in = (t.rcv_nxt - if c.peer_fin then 1 else 0);
     sends = t.sends;
     nagle_holds = t.nagle_holds;
-    cork_holds = t.cork_holds;
-    retransmits = t.retransmits;
-    rto_fires = t.rto_fires;
-    fast_retransmits = t.fast_retransmits;
-    sack_retransmits = t.sack_retransmits;
-    probes_sent = t.probes_sent;
-    challenges_sent = t.challenges_sent;
+    cork_holds = c.cork_holds;
+    retransmits = c.retransmits;
+    rto_fires = c.rto_fires;
+    fast_retransmits = c.fast_retransmits;
+    sack_retransmits = c.sack_retransmits;
+    probes_sent = c.probes_sent;
+    challenges_sent = c.challenges_sent;
   }
 
 let acks_by_timer t =

@@ -239,6 +239,12 @@ type counters = {
 
 val counters : t -> counters
 
+val has_cold_state : t -> bool
+(** Whether the socket has built its record of the state a clean
+    connection never writes: loss recovery, persist probing, teardown,
+    auto-cork and the rare-event counters.  A socket shares one
+    read-only default record until its first write to any of them. *)
+
 val set_trace : t -> Sim.Trace.t -> unit
 (** Attach a trace ring: the socket emits typed segment/Nagle/cork/FIN
     events labelled with its [label], and propagates the trace to its

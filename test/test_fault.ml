@@ -230,7 +230,7 @@ let test_link_drop_events () =
   for i = 0 to 999 do
     ignore
       (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived)))
+           Tcp.Link.send link ~seq:i ~wire_bytes:100 (fun () -> incr arrived)))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "conservation" 1000 (!arrived + Tcp.Link.dropped link);
@@ -262,7 +262,7 @@ let test_link_reorder_events () =
   for i = 0 to 199 do
     ignore
       (Sim.Engine.schedule_at engine_link ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link2 ~wire_bytes:100 (fun () ->
+           Tcp.Link.send link2 ~seq:i ~wire_bytes:100 (fun () ->
                order := i :: !order)))
   done;
   Sim.Engine.run engine;
@@ -294,7 +294,7 @@ let test_link_duplicate_events () =
   for i = 0 to 499 do
     ignore
       (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived)))
+           Tcp.Link.send link ~seq:i ~wire_bytes:100 (fun () -> incr arrived)))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "arrivals = sends + duplicates"
@@ -444,11 +444,11 @@ let test_rto_backoff_cap_and_reset () =
       if Tcp.Segment.len seg > 0 then begin
         attempts := Sim.Engine.now engine :: !attempts;
         if not !blackhole then
-          Tcp.Link.send inner ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
+          Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
               Tcp.Socket.receive_segment b seg)
       end
       else
-        Tcp.Link.send inner ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
+        Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
             Tcp.Socket.receive_segment b seg));
   (* Prime the RTT estimate so the base RTO is the 200ms floor, not the
      1s initial value. *)

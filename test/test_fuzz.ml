@@ -244,7 +244,8 @@ let prop_gro_conserves_segments =
       let delivered = ref [] in
       let gro =
         Tcp.Gro.create engine (Tcp.Gro.default_config ~mss:1448)
-          ~deliver:(fun batch ->
+          ~rx:delivered
+          ~deliver:(fun delivered batch ->
             List.iter (fun (s : Tcp.Segment.t) -> delivered := s.seq :: !delivered) batch)
       in
       let clock = ref 0 in

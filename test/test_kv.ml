@@ -664,6 +664,73 @@ let test_estimator_does_not_grow () =
   Alcotest.(check int) "server estimator" server_words (words (Tcp.Conn.sock_b conn));
   Alcotest.(check int) "all replied" 100 (Kv.Client.completed client)
 
+(* Loss recovery, persist probing, teardown and cork state live in a
+   record a socket builds the first time it writes any of it: 500 SET
+   round trips on a clean connection leave both ends without one, while
+   a loss, a close and a closed receive window each build it. *)
+let test_cold_state_on_first_use () =
+  let cold sock = Tcp.Socket.has_cold_state sock in
+  let kv_conn ?loss () =
+    let engine = Sim.Engine.create () in
+    let conn = Tcp.Conn.create engine () in
+    Option.iter
+      (fun prob ->
+        Tcp.Link.set_loss (Tcp.Conn.link_ab conn) ~rng:(Sim.Rng.create ~seed:5) ~prob)
+      loss;
+    let cpu = Sim.Cpu.create engine in
+    ignore (Kv.Server.create engine ~cpu ~socket:(Tcp.Conn.sock_b conn) Kv.Server.default_config);
+    let client =
+      Kv.Client.create engine ~cpu ~socket:(Tcp.Conn.sock_a conn) Kv.Client.default_config
+    in
+    let set = Kv.Command.Set { key = "k"; value = String.make 64 'v'; ttl = None } in
+    let round_trips n =
+      for _ = 1 to n do
+        Kv.Client.request client set ~on_complete:(fun ~latency:_ _ -> ());
+        Sim.Engine.run engine
+      done
+    in
+    (engine, conn, client, round_trips)
+  in
+  let _, conn, client, round_trips = kv_conn () in
+  round_trips 500;
+  Alcotest.(check int) "all replied" 500 (Kv.Client.completed client);
+  Alcotest.(check bool) "clean client end" false (cold (Tcp.Conn.sock_a conn));
+  Alcotest.(check bool) "clean server end" false (cold (Tcp.Conn.sock_b conn));
+  (* loss: the client retransmits *)
+  let _, conn, client, round_trips = kv_conn ~loss:0.2 () in
+  round_trips 50;
+  Alcotest.(check int) "lossy: all replied" 50 (Kv.Client.completed client);
+  Alcotest.(check bool) "retransmitted" true
+    ((Tcp.Socket.counters (Tcp.Conn.sock_a conn)).retransmits > 0);
+  Alcotest.(check bool) "loss builds it" true (cold (Tcp.Conn.sock_a conn));
+  (* close: the closer builds it at once, the peer when the FIN lands *)
+  let engine, conn, _, round_trips = kv_conn () in
+  round_trips 5;
+  Tcp.Socket.close (Tcp.Conn.sock_a conn);
+  Alcotest.(check bool) "close builds it" true (cold (Tcp.Conn.sock_a conn));
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "a FIN builds it" true (cold (Tcp.Conn.sock_b conn));
+  (* zero window: a receiver that never reads shuts the sender out *)
+  let engine = Sim.Engine.create () in
+  let host =
+    { Tcp.Conn.default_host with
+      socket = { Tcp.Socket.default_config with rcv_buf = 16 * 1024 } }
+  in
+  let conn = Tcp.Conn.create engine ~a:host ~b:host () in
+  Tcp.Socket.send (Tcp.Conn.sock_a conn) (String.make (64 * 1024) 'z');
+  Sim.Engine.run_until engine (Sim.Time.sec 5);
+  let a = Tcp.Conn.sock_a conn in
+  Alcotest.(check bool) "sender still holds data" true (Tcp.Socket.unsent_bytes a > 0);
+  Alcotest.(check bool) "window probes sent" true ((Tcp.Socket.counters a).probes_sent > 0);
+  Alcotest.(check bool) "zero window builds it" true (cold a);
+  (* the shared default record took none of those writes *)
+  let fresh = Tcp.Conn.sock_a (Tcp.Conn.create (Sim.Engine.create ()) ()) in
+  let c = Tcp.Socket.counters fresh in
+  Alcotest.(check (list int)) "defaults intact" [ 0; 0; 0; 0; 0; 0; 0 ]
+    [ c.cork_holds; c.retransmits; c.rto_fires; c.fast_retransmits; c.sack_retransmits;
+      c.probes_sent; c.challenges_sent ];
+  Alcotest.(check bool) "no FIN seen" false (Tcp.Socket.eof fresh)
+
 let suite =
   [
     ( "kv.resp",
@@ -701,6 +768,8 @@ let suite =
         Alcotest.test_case "16 KiB value crosses uncopied" `Quick test_value_crosses_uncopied;
         Alcotest.test_case "estimators do not grow with traffic" `Quick
           test_estimator_does_not_grow;
+        Alcotest.test_case "cold socket state is built on first use" `Quick
+          test_cold_state_on_first_use;
         Alcotest.test_case "case-insensitive names" `Quick test_command_case_insensitive;
         Alcotest.test_case "unknown command / bad arity" `Quick
           test_command_unknown_and_arity;

@@ -1127,6 +1127,53 @@ let test_trace_fold_jsonl () =
   | Ok _ -> Alcotest.fail "expected an error for a malformed line");
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; empty; bad ]
 
+(* A JSON number converts to an int field only when it is an integer
+   the float parse holds exactly (|n| <= 2^53), and an optional float
+   only from a number or null; anything else fails with the field and
+   the line named. *)
+let test_trace_json_strict_numbers () =
+  let contains msg sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+    go 0
+  in
+  let rejects line ~field =
+    match Sim.Trace.record_of_json line with
+    | Ok _ -> Alcotest.failf "accepted %s" line
+    | Error msg ->
+      if not (contains msg (Printf.sprintf "%S" field)) then
+        Alcotest.failf "error %S does not name %s" msg field
+  in
+  let tx seq len =
+    Printf.sprintf {|{"at_ns":1000,"conn":"c0","ev":"tx","seq":%s,"len":%s,"push":true}|} seq len
+  in
+  rejects (tx "1.5" "1e300") ~field:"seq";
+  rejects (tx "12" "1e300") ~field:"len";
+  rejects (tx "9007199254740994" "1448") ~field:"seq";
+  rejects (tx "-9007199254740994" "1448") ~field:"seq";
+  let est latency =
+    Printf.sprintf
+      {|{"at_ns":24000,"conn":"c3","ev":"estimate",%s"throughput":0,"window_us":0.5}|} latency
+  in
+  rejects (est {|"latency_us":"abc",|}) ~field:"latency_us";
+  rejects (est {|"latency_us":true,|}) ~field:"latency_us";
+  rejects (est "") ~field:"latency_us";
+  (match Sim.Trace.record_of_json (tx "9007199254740992" "1e3") with
+  | Ok (_, { event = Sim.Trace.Segment_sent { seq; len; _ }; _ }) ->
+    Alcotest.(check (pair int int)) "2^53 and 1e3 are exact" (9007199254740992, 1000) (seq, len)
+  | Ok _ | Error _ -> Alcotest.fail "2^53 did not convert");
+  (match Sim.Trace.record_of_json (est {|"latency_us":null,|}) with
+  | Ok (_, { event = Sim.Trace.Estimate_computed { latency_us = None; _ }; _ }) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "null latency did not convert to None");
+  let path = Filename.temp_file "e2e_strict" ".jsonl" in
+  write_lines path [ est {|"latency_us":1.5,|}; tx "1.5" "1e300" ];
+  (match Sim.Trace.fold_jsonl path ~init:0 ~f:(fun acc _ _ -> acc + 1) with
+  | Error msg ->
+    Alcotest.(check bool) "line 2 named" true (contains msg "line 2");
+    Alcotest.(check bool) "field named" true (contains msg {|"seq"|})
+  | Ok _ -> Alcotest.fail "fold accepted a fractional seq");
+  Sys.remove path
+
 (* {1 Binary trace format} *)
 
 let test_trace_binary_roundtrip () =
@@ -1493,6 +1540,7 @@ let suite =
           test_trace_iter_fold_match_records;
         Alcotest.test_case "JSONL roundtrip" `Quick test_trace_json_roundtrip;
         Alcotest.test_case "JSONL malformed input" `Quick test_trace_json_malformed;
+        Alcotest.test_case "JSONL numbers are strict" `Quick test_trace_json_strict_numbers;
         Alcotest.test_case "load_jsonl file handling" `Quick test_trace_load_jsonl;
         Alcotest.test_case "fold_jsonl streams with line numbers" `Quick
           test_trace_fold_jsonl;

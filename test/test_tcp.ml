@@ -584,8 +584,8 @@ let test_link_serialization_and_prop () =
   let link = Tcp.Link.create e ~prop_delay:(us 10) ~gbit_per_s:1.0 in
   let arrivals = ref [] in
   (* 1000 bytes at 1 Gbit/s = 8000 ns of serialization. *)
-  Tcp.Link.send link ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
-  Tcp.Link.send link ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
   Sim.Engine.run e;
   Alcotest.(check (list int)) "FIFO with serialization"
     [ 8_000 + us 10; 16_000 + us 10 ]
@@ -598,7 +598,7 @@ let test_link_busy () =
   let e = Sim.Engine.create () in
   let link = Tcp.Link.create e ~prop_delay:0 ~gbit_per_s:1.0 in
   Alcotest.(check bool) "idle" false (Tcp.Link.busy link);
-  Tcp.Link.send link ~wire_bytes:10_000 ignore;
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:10_000 ignore;
   Alcotest.(check bool) "busy while serializing" true (Tcp.Link.busy link)
 
 (* {1 Gro} *)
@@ -611,7 +611,7 @@ let make_gro e ?(enabled = true) ?(timeout = us 12) () =
   let gro =
     Tcp.Gro.create e
       { enabled; max_bytes = 64 * 1024; flush_timeout = timeout; mss = 1448 }
-      ~deliver:(fun b -> batches := List.length b :: !batches)
+      ~rx:batches ~deliver:(fun batches b -> batches := List.length b :: !batches)
   in
   (gro, batches)
 
@@ -665,7 +665,8 @@ let test_gro_preserves_order () =
   let gro =
     Tcp.Gro.create e
       { enabled = true; max_bytes = 64 * 1024; flush_timeout = us 5; mss = 1448 }
-      ~deliver:(fun b -> List.iter (fun (s : Tcp.Segment.t) -> segs := s.seq :: !segs) b)
+      ~rx:segs
+      ~deliver:(fun segs b -> List.iter (fun (s : Tcp.Segment.t) -> segs := s.seq :: !segs) b)
   in
   Tcp.Gro.submit gro (seg 0);
   Tcp.Gro.submit gro (seg 1448);
