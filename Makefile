@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build + full test suite (the
 # parallel-vs-sequential determinism tests included) with backtraces on.
-.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity bench-par bench-rawspeed bench-scale bench-connscale clean
+.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate trace-identity bench-micro bench-scale bench-connscale clean
 
 all: build
 
@@ -232,17 +232,18 @@ scale-smoke:
 	  || { echo "scale-smoke: sharded run not deterministic (trace)"; exit 1; }
 	@echo "scale-smoke: OK"
 
-# Allocation gate: every guarded hot-path probe (disabled trace
-# emission, event-heap push/take and push/remove, an engine post+step,
-# idle engine polling, delayed-ACK bookkeeping, an Rng.int draw, an
-# estimator's estimate folded into an aggregate) must measure 0.000
-# minor words per op; a restarted timer (cancel + schedule) may take
-# its 2-word handle and no more, an estimate its result, and a binary
-# trace record nothing; each byte-path
-# round trip (a 16 KiB and a 64 B SET and a 16 KiB GET, client -> conn
-# -> server and back) must stay within its words-per-request ceiling,
-# and building one connection within its words-per-connection ceiling.
-# Writes BENCH_alloc.json; exits nonzero on any regression.
+# Allocation gate: one table of probes, each with its ceiling.  Every
+# guarded hot-path probe (disabled trace emission, event-heap push/take
+# and push/remove, an engine post+step, idle engine polling,
+# delayed-ACK bookkeeping, an Rng.int draw, an estimator's estimate
+# folded into an aggregate) must measure 0 minor words per op; a
+# restarted timer (cancel + schedule) may take its 2-word handle and no
+# more, an estimate its result, and a binary trace record nothing; each
+# byte-path round trip (a 16 KiB and a 64 B SET and a 16 KiB GET,
+# client -> conn -> server and back) must stay within its
+# words-per-request ceiling, and building one connection within its
+# words-per-connection ceiling.  Writes BENCH_alloc.json; exits nonzero
+# and names the probe on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc
 
@@ -269,16 +270,12 @@ trace-identity:
 	  || { echo "trace-identity: traces differ from test/regress/trace_digests.txt"; exit 1; }
 	@echo "trace-identity: OK"
 
-# Sequential-vs-parallel sweep wall-clock; writes BENCH_par.json.
-bench-par:
-	dune exec bench/main.exe -- par
-
-# Headline raw-speed bench: a 1M-request traced run comparing JSONL vs
-# binary trace output and batch vs streaming span memory; writes
-# BENCH_rawspeed.json.  Use REQUESTS=n for a quicker shakeout.
-REQUESTS ?= 1000000
-bench-rawspeed:
-	dune exec bench/main.exe -- rawspeed --requests $(REQUESTS)
+# Section 5's overhead claim: Bechamel ns/op of the six estimator hot
+# paths (queue-state track and averages, EWMA update, the 36 B exchange
+# encode/decode and the 40 B TCP option decode), the table in
+# EXPERIMENTS.md "Microbenchmarks".  Wall-clock, so not part of check.
+bench-micro:
+	dune exec bench/main.exe -- micro
 
 # Headline scale bench: the 100k-connection 4-shard fleet with per-shard
 # accounting closure, per-shard dynamic convergence and the hot-shard

@@ -1,21 +1,17 @@
 (* Benchmark harness: regenerates every figure of "Batching with
    End-to-End Performance Estimation" (HotOS'25), plus the ablations
-   called out in DESIGN.md and Bechamel microbenchmarks of the
-   estimator's hot paths.
+   called out in DESIGN.md, Bechamel microbenchmarks of the
+   estimator's hot paths and the allocation gate.
 
-   Usage: main.exe [--domains N] [--trace-out FILE] [--metrics-out FILE]
-                   [--requests N]
+   Usage: main.exe [--domains N]
                    [fig1] [fig2] [fig3] [fig4a] [fig4b]
-                   [small] [dynamic] [ablate] [observe] [micro] [alloc]
-                   [rawspeed] [par] [fault] [fleet] [churn] [scale] [connscale]
+                   [small] [dynamic] [ablate] [micro] [alloc]
+                   [fault] [fleet] [churn] [scale] [connscale]
                    (default: all sections)
 
    --domains N fans independent sweep simulations out over N OCaml
    domains (default: cores - 1); per-seed results are bit-identical to
    the sequential run, only wall-clock time changes.
-
-   --trace-out / --metrics-out set where the observe section writes its
-   JSONL files (defaults: TRACE.jsonl and METRICS.jsonl).
 
    Absolute numbers come from the calibrated simulator (see DESIGN.md);
    the claims under test are the shapes: who wins where, where the
@@ -37,10 +33,6 @@ let slo_us = Loadgen.Runner.slo_us
 (* Set from --domains before any section runs; sweep-shaped sections
    fan their independent simulations out across this many domains. *)
 let domains = ref (Par.Pool.default_domains ())
-
-(* Set from --trace-out / --metrics-out; used by the observe section. *)
-let trace_out = ref "TRACE.jsonl"
-let metrics_out = ref "METRICS.jsonl"
 
 (* Shared sweep configuration: 50 ms warmup + 300 ms measured keeps the
    whole harness to a few minutes while giving >1500 samples per point
@@ -659,69 +651,6 @@ let ablate () =
   ablate_multiconn ()
 
 (* ------------------------------------------------------------------ *)
-(* Observability: residuals of the estimator vs ground truth, plus the *)
-(* JSONL trace/metrics artifacts for offline inspection.               *)
-(* ------------------------------------------------------------------ *)
-
-let observe () =
-  hr "Observability — estimator residuals and JSONL trace/metrics export";
-  pf "Each run attaches the structured trace + metrics registry and pairs\n";
-  pf "every estimate with the measured latency over the same window.\n\n";
-  pf "%6s %6s | %9s %9s | residual summary\n" "kRPS" "nagle" "measured" "estimate";
-  pf "%s\n" (String.make 100 '-');
-  let observed =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun (label, batching) ->
-            let base = base_config ~batching () in
-            let r =
-              Loadgen.Runner.run
-                { base with rate_rps = rate;
-                  observe = Some Loadgen.Observe.default_config }
-            in
-            let run_label = Printf.sprintf "%s@%gk" label (k rate) in
-            (match r.observability with
-            | Some o ->
-              pf "%6.0f %6s | %9.1f %s | %s\n" (k rate) label r.measured_mean_us
-                (opt_us r.estimated_us)
-                (match o.residual with
-                | Some s -> Format.asprintf "%a" E2e.Residual.pp_summary s
-                | None -> "-")
-            | None -> ());
-            (run_label, r))
-          [ ("off", Loadgen.Runner.Static_off); ("on", Loadgen.Runner.Static_on) ])
-      [ 30e3; 60e3; 90e3 ]
-  in
-  let n_records = ref 0 and n_dropped = ref 0 and n_samples = ref 0 in
-  let toc = open_out !trace_out and moc = open_out !metrics_out in
-  List.iter
-    (fun (run, (r : Loadgen.Runner.result)) ->
-      match r.observability with
-      | None -> ()
-      | Some o ->
-        List.iter
-          (fun rec_ ->
-            output_string toc (Sim.Trace.record_to_json ~run rec_);
-            output_char toc '\n';
-            incr n_records)
-          o.records;
-        n_dropped := !n_dropped + o.dropped_records;
-        List.iter
-          (fun s ->
-            output_string moc (Sim.Metrics.sample_to_json ~run s);
-            output_char moc '\n';
-            incr n_samples)
-          o.samples)
-    observed;
-  close_out toc;
-  close_out moc;
-  pf "\n  wrote %s (%d trace events, %d dropped by the ring)\n" !trace_out !n_records
-    !n_dropped;
-  pf "  wrote %s (%d metrics samples)\n" !metrics_out !n_samples;
-  pf "  inspect with: e2ebench inspect %s\n" !trace_out
-
-(* ------------------------------------------------------------------ *)
 (* Microbenchmarks: the per-transition costs the kernel would pay.     *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,123 +698,9 @@ let micro () =
     Test.make ~name:"ewma.update"
       (Staged.stage (fun () -> ignore (E2e.Ewma.update e 42.0)))
   in
-  let resp_parse =
-    let wire =
-      Kv.Resp.encode
-        (Kv.Resp.Array
-           (Some
-              [
-                Kv.Resp.Bulk (Some "SET");
-                Kv.Resp.Bulk (Some "key:0000000001xx");
-                Kv.Resp.Bulk (Some (String.make 128 'v'));
-              ]))
-    in
-    Test.make ~name:"resp.parse_small_set"
-      (Staged.stage (fun () -> ignore (Kv.Resp.parse_exactly wire)))
-  in
-  (* The engine's event heap on a push/take event workload: 256
-     one-shot events pushed, then drained in order. *)
-  let heap_ats = Array.init 256 (fun i -> Sim.Time.ns ((i * 7919) mod 4096)) in
-  let heap_mono_take =
-    Test.make ~name:"heap.mono_take_256"
-      (Staged.stage (fun () ->
-           let h = Sim.Event_heap.create () in
-           Array.iteri
-             (fun seq at -> Sim.Event_heap.push h ~at ~seq Sim.Event_heap.none ignore)
-             heap_ats;
-           while not (Sim.Event_heap.is_empty h) do
-             Sim.Event_heap.take h ()
-           done))
-  in
-  (* Trace overhead: the disabled paths are what every segment pays when
-     nobody is watching, so they must be branch-only.  The enabled paths
-     price the full record construction + ring store. *)
-  let trace_off = Sim.Trace.create ~capacity:256 () in
-  let trace_on = Sim.Trace.create ~capacity:256 () in
-  Sim.Trace.set_enabled trace_on true;
-  let emitf_disabled =
-    Test.make ~name:"trace.emitf_disabled"
-      (Staged.stage (fun () ->
-           Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448))
-  in
-  let emitf_guarded_disabled =
-    Test.make ~name:"trace.emitf_guarded_disabled"
-      (Staged.stage (fun () ->
-           if Sim.Trace.enabled trace_off then
-             Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448))
-  in
-  let emitf_enabled =
-    Test.make ~name:"trace.emitf_enabled"
-      (Staged.stage (fun () ->
-           Sim.Trace.emitf trace_on ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448))
-  in
-  let event_guarded_disabled =
-    Test.make ~name:"trace.event_guarded_disabled"
-      (Staged.stage (fun () ->
-           if Sim.Trace.enabled trace_off then
-             Sim.Trace.event trace_off ~at:0 ~id:"c0"
-               (Sim.Trace.Segment_sent { seq = 42; len = 1448; push = true; retx = false })))
-  in
-  let event_enabled =
-    Test.make ~name:"trace.event_enabled"
-      (Staged.stage (fun () ->
-           Sim.Trace.event trace_on ~at:0 ~id:"c0"
-             (Sim.Trace.Segment_sent { seq = 42; len = 1448; push = true; retx = false })))
-  in
-  (* Span milestones: the client/server emission sites first check the
-     socket's trace (an option) and its enabled flag, so with tracing
-     off the per-request cost is two branches and zero allocation. *)
-  let span_trace_opt : Sim.Trace.t option = Some trace_off in
-  let span_guarded f =
-    match span_trace_opt with
-    | Some tr when Sim.Trace.enabled tr -> f tr
-    | Some _ | None -> ()
-  in
-  let span_req_guarded_disabled =
-    Test.make ~name:"span.req_event_guarded_disabled"
-      (Staged.stage (fun () ->
-           span_guarded (fun tr ->
-               Sim.Trace.event tr ~at:0 ~id:"c0"
-                 (Sim.Trace.Req_issued { req = 42; off = 60_000; len = 72 }))))
-  in
-  let span_build_records =
-    List.concat
-      (List.init 256 (fun i ->
-           let t = i * 1_000 in
-           let off = i * 72 and roff = i * 12 in
-           [
-             { Sim.Trace.at = t; id = "c0";
-               event = Sim.Trace.Req_issued { req = i; off; len = 72 } };
-             { Sim.Trace.at = t + 100; id = "c0";
-               event = Sim.Trace.Req_sent { req = i } };
-             { Sim.Trace.at = t + 200; id = "c0";
-               event = Sim.Trace.Segment_sent { seq = off; len = 72; push = true; retx = false } };
-             { Sim.Trace.at = t + 300; id = "s0";
-               event = Sim.Trace.Segment_received { seq = off; fresh = 72 } };
-             { Sim.Trace.at = t + 400; id = "s0";
-               event = Sim.Trace.Srv_start { req = i } };
-             { Sim.Trace.at = t + 500; id = "s0";
-               event = Sim.Trace.Srv_reply { req = i; off = roff; len = 12 } };
-             { Sim.Trace.at = t + 600; id = "s0";
-               event = Sim.Trace.Segment_sent { seq = roff; len = 12; push = true; retx = false } };
-             { Sim.Trace.at = t + 700; id = "c0";
-               event = Sim.Trace.Segment_received { seq = roff; fresh = 12 } };
-             { Sim.Trace.at = t + 800; id = "c0";
-               event = Sim.Trace.Req_complete { req = i } };
-           ]))
-  in
-  let span_build =
-    Test.make ~name:"span.build_256req"
-      (Staged.stage (fun () -> ignore (Sim.Span.build span_build_records)))
-  in
   let tests =
     Test.make_grouped ~name:"e2e"
-      [
-        queue_state_track; get_avgs; encode; decode; option_codec; ewma; resp_parse;
-        heap_mono_take; emitf_disabled; emitf_guarded_disabled;
-        emitf_enabled; event_guarded_disabled; event_enabled;
-        span_req_guarded_disabled; span_build;
-      ]
+      [ queue_state_track; get_avgs; encode; decode; option_codec; ewma ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
@@ -895,89 +710,23 @@ let micro () =
   pf "\n%-36s %12s\n" "benchmark" "ns/op";
   pf "%s\n" (String.make 50 '-');
   let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
   List.iter
     (fun (name, o) ->
       match Analyze.OLS.estimates o with
       | Some (est :: _) -> pf "%-36s %12.1f\n" name est
       | Some [] | None -> pf "%-36s %12s\n" name "-")
-    rows;
-  (* Allocation probe: the disabled trace paths must not allocate, or a
-     production build could not leave tracing compiled in.  Bechamel
-     measures time; minor_words catches the garbage. *)
-  let alloc_per_op f =
-    let iters = 100_000 in
-    let before = Gc.minor_words () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Gc.minor_words () -. before) /. float_of_int iters
-  in
-  let emitf_off_alloc =
-    alloc_per_op (fun () ->
-        Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448)
-  in
-  let emitf_guard_alloc =
-    alloc_per_op (fun () ->
-        if Sim.Trace.enabled trace_off then
-          Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448)
-  in
-  let event_off_alloc =
-    alloc_per_op (fun () ->
-        if Sim.Trace.enabled trace_off then
-          Sim.Trace.event trace_off ~at:0 ~id:"c0"
-            (Sim.Trace.Segment_sent { seq = 42; len = 1448; push = true; retx = false }))
-  in
-  let span_req_off_alloc =
-    alloc_per_op (fun () ->
-        span_guarded (fun tr ->
-            Sim.Trace.event tr ~at:0 ~id:"c0"
-              (Sim.Trace.Req_issued { req = 42; off = 60_000; len = 72 })))
-  in
-  pf "\nAllocation (minor words/op, disabled trace):\n";
-  pf "  trace.emitf_disabled         : %6.3f  (format-arg consumer closures;\n"
-    emitf_off_alloc;
-  pf "                                         nothing is formatted)\n";
-  pf "  trace.emitf_guarded_disabled : %6.3f  (must be 0)\n" emitf_guard_alloc;
-  pf "  trace.event_guarded_disabled : %6.3f  (must be 0 — the hot-path pattern)\n"
-    event_off_alloc;
-  pf "  span.req_event_guarded_disabled : %.3f  (must be 0 — per-request milestone)\n"
-    span_req_off_alloc;
-  let oc = open_out "BENCH_micro.json" in
-  Printf.fprintf oc "{\n  \"section\": \"micro\",\n  \"ns_per_op\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, o) ->
-      let v =
-        match Analyze.OLS.estimates o with
-        | Some (est :: _) -> Printf.sprintf "%.2f" est
-        | Some [] | None -> "null"
-      in
-      Printf.fprintf oc "    %S: %s%s\n" name v (if i < n - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc
-    "  },\n\
-    \  \"minor_words_per_op\": {\n\
-    \    \"trace.emitf_disabled\": %.4f,\n\
-    \    \"trace.emitf_guarded_disabled\": %.4f,\n\
-    \    \"trace.event_guarded_disabled\": %.4f,\n\
-    \    \"span.req_event_guarded_disabled\": %.4f\n\
-    \  }\n\
-     }\n"
-    emitf_off_alloc emitf_guard_alloc event_off_alloc span_req_off_alloc;
-  close_out oc;
-  pf "  wrote BENCH_micro.json\n";
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   pf "\nA TRACK call is a handful of nanoseconds: cheap enough to run on every\n";
   pf "queue transition, as the prototype does.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Allocation gate: guarded hot paths must run at exactly 0 words/op.  *)
+(* Allocation gate: every probe within its ceiling of words allocated. *)
 (* ------------------------------------------------------------------ *)
 
-(* Same probe as micro's: minor-heap words allocated per call, averaged
-   over enough iterations that a single boxed value shows up as a hard
-   failure.  Each thunk is warmed first so one-time growth (heap
-   arrays, lazy state) is not billed to the steady state. *)
+(* Minor-heap words allocated per call, averaged over enough iterations
+   that a single boxed value shows up as a hard failure.  Each thunk is
+   warmed first so one-time growth (heap arrays, lazy state) is not
+   billed to the steady state. *)
 let alloc_per_op f =
   for _ = 1 to 100 do
     f ()
@@ -1054,14 +803,6 @@ let conn_build_words ~builds =
   let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
   (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int builds
 
-(* 1.25x the words one connection takes to build once its cold socket
-   state is built on first use, its FIFOs are threaded through their
-   entries and its GROs hold their receiver instead of a closure. *)
-let conn_build_ceiling = 1.25 *. 351.0
-
-(* The handle record [Engine.schedule] returns: two words. *)
-let timer_restart_ceiling = 2.0
-
 (* An estimator with a departure on each of its three queues in both
    its local and its remote window, so an estimate takes every branch
    of Algorithm 2. *)
@@ -1088,21 +829,6 @@ let estimate_ceiling () =
   match E2e.Estimator.peek_estimate (busy_estimator ()) ~at:(Sim.Time.us 100) with
   | Some est -> float_of_int (Obj.reachable_words (Obj.repr (Some est)))
   | None -> failwith "alloc: the busy estimator has no estimate"
-
-(* Each ceiling is 1.25x the words per request measured once the
-   retransmit and request FIFOs were threaded through their entries and
-   [Link.send] stopped boxing its [seq] (1,431.7, 431.4 and 1,264.3). *)
-let bytepath_probes =
-  [
-    ("bytepath.set16k_roundtrip", set_of_size 16_384, 500, 1_790.0);
-    ("bytepath.set64_roundtrip", set_of_size 64, 5_000, 539.0);
-    ("bytepath.get16k_roundtrip", Kv.Command.Get "k", 500, 1_580.0);
-  ]
-
-(* [Trace.Binary.write] of a record with no string field allocates
-   nothing: its id is one of the last few names it interned, found
-   without a table lookup. *)
-let binary_write_ceiling = 0.0
 
 let binary_write_words () =
   let records =
@@ -1133,10 +859,11 @@ let binary_write_words () =
   close_out oc;
   words
 
-let alloc () =
-  hr "Allocation gate — guarded hot paths at 0.000 minor words/op (else exit 1)";
-  pf "Every probe is a per-event or per-segment path that production runs\n";
-  pf "execute with tracing disabled; any allocation here is a regression.\n\n";
+(* The gate's probes as (name, unit, measure, ceiling): a probe fails
+   when [measure ()] reads above its ceiling.  The units are the
+   groups of BENCH_alloc.json. *)
+let alloc_probes () =
+  let zero name f = (name, "minor_words_per_op", (fun () -> alloc_per_op f), 0.0) in
   let trace_off = Sim.Trace.create ~capacity:256 () in
   let span_trace_opt : Sim.Trace.t option = Some trace_off in
   let span_guarded f =
@@ -1157,434 +884,120 @@ let alloc () =
   let rng = Sim.Rng.create ~seed:42 in
   let fold_acc = E2e.Aggregate.acc () in
   let peeked = busy_estimator () and closed = busy_estimator () and closed_at = ref 0 in
-  let probes =
-    [
-      ( "trace.emitf_guarded_disabled",
-        fun () ->
-          if Sim.Trace.enabled trace_off then
-            Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448 );
-      ( "trace.event_guarded_disabled",
-        fun () ->
-          if Sim.Trace.enabled trace_off then
-            Sim.Trace.event trace_off ~at:0 ~id:"c0"
-              (Sim.Trace.Segment_sent
-                 { seq = 42; len = 1448; push = true; retx = false }) );
-      ( "span.req_event_guarded_disabled",
-        fun () ->
-          span_guarded (fun tr ->
-              Sim.Trace.event tr ~at:0 ~id:"c0"
-                (Sim.Trace.Req_issued { req = 42; off = 60_000; len = 72 })) );
-      ( "event_heap.push_take",
-        fun () ->
-          Sim.Event_heap.push heap ~at:0 ~seq:0 Sim.Event_heap.none noop;
-          Sim.Event_heap.take heap () );
-      ( "event_heap.push_remove",
-        fun () ->
-          Sim.Event_heap.push heap ~at:0 ~seq:0 heap_handle noop;
-          Sim.Event_heap.remove heap heap_handle );
-      ( "engine.post_step",
-        fun () ->
-          Sim.Engine.post post_engine ~after:0 noop;
-          ignore (Sim.Engine.step post_engine) );
-      ("engine.run_until_idle", fun () -> Sim.Engine.run_until idle_engine 0);
-      ("delack.on_ack_sent_idle", fun () -> Tcp.Delayed_ack.on_ack_sent delack);
-      ("histo.add", fun () -> Sim.Histo.add histo 123.456);
-      ( "ledger.completion_disabled",
-        fun () -> E2e.Ledger.completion ledger_off ~latency:123_456 );
-      ( "shard.steer_disabled",
-        fun () -> ignore (Shard.Steer.lookup steer "bare/c42") );
-      ("rng.int", fun () -> ignore (Sim.Rng.int rng ~bound:1_000_000));
-      (* A group tick's step: one estimator's estimate folded into the
-         aggregate, peeked and with its windows closed. *)
-      ( "estimator.fold",
-        fun () ->
-          ignore (E2e.Estimator.fold peeked ~at:(Sim.Time.us 100) ~advance:false fold_acc);
-          closed_at := !closed_at + Sim.Time.us 100;
-          E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 30) 1;
-          E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 10) (-1);
-          ignore (E2e.Estimator.fold closed ~at:!closed_at ~advance:true fold_acc) );
-    ]
-  in
-  let results = List.map (fun (name, f) -> (name, alloc_per_op f)) probes in
-  pf "%-34s %14s\n" "probe" "words/op";
-  pf "%s\n" (String.make 50 '-');
-  List.iter (fun (name, w) -> pf "%-34s %14.4f\n" name w) results;
-  (* A restarted timer (cancel, then schedule anew) pays for the one
-     handle record [schedule] returns, and nothing else. *)
   let timer_engine = Sim.Engine.create () in
   let timer = ref (Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop) in
-  let restart =
-    alloc_per_op (fun () ->
-        Sim.Engine.cancel timer_engine !timer;
-        timer := Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop)
-  in
-  pf "%-34s %14.4f  (ceiling %.0f)\n" "engine.timer_restart" restart timer_restart_ceiling;
   let estimate_est = busy_estimator () in
-  let estimate =
-    alloc_per_op (fun () -> ignore (E2e.Estimator.peek_estimate estimate_est ~at:(Sim.Time.us 100)))
+  let bytepath name cmd requests ceiling =
+    (name, "words_per_req", (fun () -> bytepath_words_per_req cmd ~requests), ceiling)
   in
-  let estimate_ceiling = estimate_ceiling () in
-  pf "%-34s %14.4f  (ceiling %.0f)\n" "estimator.estimate" estimate estimate_ceiling;
-  let binary_write = binary_write_words () in
-  pf "%-34s %14.4f  (ceiling %.0f)\n" "trace.binary_write" binary_write binary_write_ceiling;
-  let budgets =
+  [
+    zero "trace.emitf_guarded_disabled" (fun () ->
+        if Sim.Trace.enabled trace_off then
+          Sim.Trace.emitf trace_off ~at:0 ~tag:"bench" "seq=%d len=%d" 42 1448);
+    zero "trace.event_guarded_disabled" (fun () ->
+        if Sim.Trace.enabled trace_off then
+          Sim.Trace.event trace_off ~at:0 ~id:"c0"
+            (Sim.Trace.Segment_sent { seq = 42; len = 1448; push = true; retx = false }));
+    zero "span.req_event_guarded_disabled" (fun () ->
+        span_guarded (fun tr ->
+            Sim.Trace.event tr ~at:0 ~id:"c0"
+              (Sim.Trace.Req_issued { req = 42; off = 60_000; len = 72 })));
+    zero "event_heap.push_take" (fun () ->
+        Sim.Event_heap.push heap ~at:0 ~seq:0 Sim.Event_heap.none noop;
+        Sim.Event_heap.take heap ());
+    zero "event_heap.push_remove" (fun () ->
+        Sim.Event_heap.push heap ~at:0 ~seq:0 heap_handle noop;
+        Sim.Event_heap.remove heap heap_handle);
+    zero "engine.post_step" (fun () ->
+        Sim.Engine.post post_engine ~after:0 noop;
+        ignore (Sim.Engine.step post_engine));
+    zero "engine.run_until_idle" (fun () -> Sim.Engine.run_until idle_engine 0);
+    zero "delack.on_ack_sent_idle" (fun () -> Tcp.Delayed_ack.on_ack_sent delack);
+    zero "histo.add" (fun () -> Sim.Histo.add histo 123.456);
+    zero "ledger.completion_disabled" (fun () ->
+        E2e.Ledger.completion ledger_off ~latency:123_456);
+    zero "shard.steer_disabled" (fun () -> ignore (Shard.Steer.lookup steer "bare/c42"));
+    zero "rng.int" (fun () -> ignore (Sim.Rng.int rng ~bound:1_000_000));
+    (* A group tick's step: one estimator's estimate folded into the
+       aggregate, peeked and with its windows closed. *)
+    zero "estimator.fold" (fun () ->
+        ignore (E2e.Estimator.fold peeked ~at:(Sim.Time.us 100) ~advance:false fold_acc);
+        closed_at := !closed_at + Sim.Time.us 100;
+        E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 30) 1;
+        E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 10) (-1);
+        ignore (E2e.Estimator.fold closed ~at:!closed_at ~advance:true fold_acc));
+    (* A restarted timer (cancel, then schedule anew) pays for the
+       two-word handle record [schedule] returns, and nothing else. *)
+    ( "engine.timer_restart",
+      "words_per_op",
+      (fun () ->
+        alloc_per_op (fun () ->
+            Sim.Engine.cancel timer_engine !timer;
+            timer := Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop)),
+      2.0 );
+    ( "estimator.estimate",
+      "words_per_op",
+      (fun () ->
+        alloc_per_op (fun () ->
+            ignore (E2e.Estimator.peek_estimate estimate_est ~at:(Sim.Time.us 100)))),
+      estimate_ceiling () );
+    (* [Trace.Binary.write] of a record with no string field allocates
+       nothing: its id is one of the last few names it interned, found
+       without a table lookup. *)
+    ("trace.binary_write", "words_per_op", binary_write_words, 0.0);
+    (* Each ceiling is 1.25x the words per request measured once the
+       retransmit and request FIFOs were threaded through their entries
+       and [Link.send] stopped boxing its [seq] (1,431.7, 431.4 and
+       1,264.3). *)
+    bytepath "bytepath.set16k_roundtrip" (set_of_size 16_384) 500 1_790.0;
+    bytepath "bytepath.set64_roundtrip" (set_of_size 64) 5_000 539.0;
+    bytepath "bytepath.get16k_roundtrip" (Kv.Command.Get "k") 500 1_580.0;
+    (* 1.25x the words one connection takes to build once its cold
+       socket state is built on first use, its FIFOs are threaded
+       through their entries and its GROs hold their receiver instead
+       of a closure. *)
+    ( "conn.build",
+      "words_per_conn",
+      (fun () -> conn_build_words ~builds:1_000),
+      1.25 *. 351.0 );
+  ]
+
+let alloc () =
+  hr "Allocation gate — every probe within its words ceiling (else exit 1)";
+  pf "Every probe is a per-event, per-segment, per-request or per-connection\n";
+  pf "path that production runs execute with tracing disabled; a reading above\n";
+  pf "its ceiling is a regression.\n\n";
+  pf "%-34s %-18s %12s %10s\n" "probe" "unit" "words" "ceiling";
+  pf "%s\n" (String.make 77 '-');
+  let results =
     List.map
-      (fun (name, cmd, requests, ceiling) -> (name, bytepath_words_per_req cmd ~requests, ceiling))
-      bytepath_probes
+      (fun (name, unit, measure, ceiling) ->
+        let words = measure () in
+        pf "%-34s %-18s %12.4f %10g\n" name unit words ceiling;
+        (name, unit, words, ceiling))
+      (alloc_probes ())
   in
-  let build = conn_build_words ~builds:1_000 in
-  pf "\n%-34s %14s %10s\n" "byte-path probe" "words/req" "ceiling";
-  pf "%s\n" (String.make 60 '-');
-  List.iter (fun (name, w, c) -> pf "%-34s %14.1f %10.0f\n" name w c) budgets;
-  pf "%-34s %14s %10s\n" "construction probe" "words/conn" "ceiling";
-  pf "%s\n" (String.make 60 '-');
-  pf "%-34s %14.1f %10.0f\n" "conn.build" build conn_build_ceiling;
-  let bad =
-    List.filter_map
-      (fun (name, w) ->
-        if w > 0.0 then Some (Printf.sprintf "%s allocates %.4f words/op" name w) else None)
-      results
-    @ List.filter_map
-        (fun (name, w, c) ->
-          if w > c then Some (Printf.sprintf "%s allocates %.1f words/req > %.0f" name w c)
-          else None)
-        budgets
-    @ (if restart > timer_restart_ceiling then
-         [ Printf.sprintf "engine.timer_restart allocates %.4f words/op > %.0f" restart
-             timer_restart_ceiling ]
-       else [])
-    @ (if estimate > estimate_ceiling then
-         [ Printf.sprintf "estimator.estimate allocates %.4f words/op > %.0f" estimate
-             estimate_ceiling ]
-       else [])
-    @ (if binary_write > binary_write_ceiling then
-         [ Printf.sprintf "trace.binary_write allocates %.4f words/record > %.0f" binary_write
-             binary_write_ceiling ]
-       else [])
-    @
-    if build > conn_build_ceiling then
-      [ Printf.sprintf "conn.build allocates %.1f words/conn > %.0f" build conn_build_ceiling ]
-    else []
+  let bad = List.filter (fun (_, _, words, ceiling) -> words > ceiling) results in
+  let group unit =
+    let in_unit (name, u, words, ceiling) =
+      if u <> unit then None
+      else Some (name, Report.Json.(Obj [ ("value", Float words); ("ceiling", Float ceiling) ]))
+    in
+    (unit, Report.Json.Obj (List.filter_map in_unit results))
   in
-  let oc = open_out "BENCH_alloc.json" in
-  Printf.fprintf oc "{\n  \"section\": \"alloc\",\n  \"minor_words_per_op\": {\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, w) ->
-      Printf.fprintf oc "    %S: %.4f%s\n" name w (if i < n - 1 then "," else ""))
-    results;
-  Printf.fprintf oc "  },\n  \"words_per_op\": {\n";
-  Printf.fprintf oc "    \"engine.timer_restart\": { \"value\": %.4f, \"ceiling\": %.0f },\n"
-    restart timer_restart_ceiling;
-  Printf.fprintf oc "    \"estimator.estimate\": { \"value\": %.4f, \"ceiling\": %.0f },\n"
-    estimate estimate_ceiling;
-  Printf.fprintf oc "    \"trace.binary_write\": { \"value\": %.4f, \"ceiling\": %.0f }\n"
-    binary_write binary_write_ceiling;
-  Printf.fprintf oc "  },\n  \"words_per_req\": {\n";
-  let nb = List.length budgets in
-  List.iteri
-    (fun i (name, w, c) ->
-      Printf.fprintf oc "    %S: { \"value\": %.1f, \"ceiling\": %.0f }%s\n" name w c
-        (if i < nb - 1 then "," else ""))
-    budgets;
-  Printf.fprintf oc "  },\n  \"words_per_conn\": {\n";
-  Printf.fprintf oc "    \"conn.build\": { \"value\": %.1f, \"ceiling\": %.0f }\n" build
-    conn_build_ceiling;
-  Printf.fprintf oc "  },\n  \"pass\": %b\n}\n" (bad = []);
-  close_out oc;
+  let units = [ "minor_words_per_op"; "words_per_op"; "words_per_req"; "words_per_conn" ] in
+  Report.Json.to_file "BENCH_alloc.json"
+    Report.Json.(
+      Obj ((("section", String "alloc") :: List.map group units) @ [ ("pass", Bool (bad = [])) ]));
   pf "  wrote BENCH_alloc.json\n";
   match bad with
-  | [] ->
-    pf "alloc-gate          : all %d probes at 0.000 words/op, engine.timer_restart, \
-        estimator.estimate, trace.binary_write, %d byte-path probes and conn.build within \
-        budget\n" n nb
+  | [] -> pf "alloc-gate          : all %d probes within their ceilings\n" (List.length results)
   | bad ->
-    List.iter (fun msg -> pf "alloc-gate FAILURE  : %s\n" msg) bad;
+    List.iter
+      (fun (name, unit, words, ceiling) ->
+        pf "alloc-gate FAILURE  : %s allocates %.4f %s > %g\n" name words unit ceiling)
+      bad;
     exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Raw speed: 1M-request traced run, binary vs JSONL, streaming spans. *)
-(* ------------------------------------------------------------------ *)
-
-(* Set from --requests; the headline run completes about this many
-   requests (100 kRPS of small requests for requests/1e5 seconds). *)
-let rawspeed_requests = ref 1_000_000
-
-let rawspeed () =
-  hr "Raw speed — traced 1M-request run: binary vs JSONL, batch vs streaming spans";
-  let n_req = !rawspeed_requests in
-  let rate = 100e3 in
-  let dir = "_rawspeed.tmp" in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let bin_path = Filename.concat dir "trace.bin" in
-  let jsonl_path = Filename.concat dir "trace.jsonl" in
-  let small_path = Filename.concat dir "small.bin" in
-  let cfg ~requests ~observe =
-    let c =
-      Loadgen.Runner.default_config ~rate_rps:rate
-        ~batching:Loadgen.Runner.Static_on
-    in
-    {
-      c with
-      warmup = Sim.Time.ms 20;
-      duration = int_of_float (Float.ceil (float_of_int requests /. rate *. 1e9));
-      workload = Loadgen.Workload.small_requests;
-      observe;
-    }
-  in
-  let observe_with sink =
-    Some
-      {
-        Loadgen.Observe.default_config with
-        trace_capacity = 1024;
-        trace_sink = Some sink;
-      }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* The traced runs must not change simulation results: compare every
-     scalar the run reports. *)
-  let scalars (r : Loadgen.Runner.result) =
-    ( r.completed, r.achieved_rps, r.measured_mean_us, r.measured_p50_us,
-      r.measured_p99_us, r.packets, r.server_wakeups )
-  in
-  pf "run: %d requests of 64B at %.0f kRPS (batching on), traced via sink\n\n"
-    n_req (rate /. 1e3);
-  let base_r, base_s = time (fun () -> Loadgen.Runner.run (cfg ~requests:n_req ~observe:None)) in
-  pf "  untraced baseline      : %6.2f s  (%d requests completed)\n%!" base_s
-    base_r.completed;
-  (* A traced run that discards every record prices the emission
-     machinery itself (guarded payload construction, record allocation,
-     sink dispatch, sampling ticks) — the part common to both formats —
-     so subtracting it from the sinked runs isolates pure
-     serialization. *)
-  let null_r, null_s =
-    time (fun () ->
-        Loadgen.Runner.run (cfg ~requests:n_req ~observe:(observe_with ignore)))
-  in
-  pf "  traced, null sink      : %6.2f s  (emission overhead %.2f s)\n%!" null_s
-    (null_s -. base_s);
-  let traced_run path make_sink finish =
-    let oc = open_out_bin path in
-    let sink, st = make_sink oc in
-    let r, s =
-      time (fun () ->
-          Loadgen.Runner.run (cfg ~requests:n_req ~observe:(observe_with sink)))
-    in
-    let n = finish st in
-    close_out oc;
-    (r, s, n, (Unix.stat path).Unix.st_size)
-  in
-  let bin_r, bin_s, bin_records, bin_bytes =
-    traced_run bin_path
-      (fun oc ->
-        let w = Sim.Trace.Binary.writer oc in
-        ((fun rec_ -> Sim.Trace.Binary.write w rec_), w))
-      (fun w ->
-        Sim.Trace.Binary.finish w;
-        Sim.Trace.Binary.written w)
-  in
-  pf "  traced, binary sink    : %6.2f s  (%d records, %d bytes)\n%!" bin_s
-    bin_records bin_bytes;
-  let jsonl_r, jsonl_s, jsonl_records, jsonl_bytes =
-    traced_run jsonl_path
-      (fun oc ->
-        let n = ref 0 in
-        ( (fun rec_ ->
-            incr n;
-            output_string oc (Sim.Trace.record_to_json rec_);
-            output_char oc '\n'),
-          n ))
-      (fun n -> !n)
-  in
-  pf "  traced, JSONL sink     : %6.2f s  (%d records, %d bytes)\n%!" jsonl_s
-    jsonl_records jsonl_bytes;
-  let identical =
-    scalars base_r = scalars null_r
-    && scalars base_r = scalars bin_r
-    && scalars base_r = scalars jsonl_r
-  in
-  let bin_write_s = Float.max 1e-9 (bin_s -. null_s) in
-  let jsonl_write_s = Float.max 1e-9 (jsonl_s -. null_s) in
-  let bytes_ratio = float_of_int jsonl_bytes /. float_of_int bin_bytes in
-  let write_speedup = jsonl_write_s /. bin_write_s in
-  pf "  trace write overhead   : binary %.2f s, JSONL %.2f s -> %.2fx faster\n"
-    bin_write_s jsonl_write_s write_speedup;
-  pf "  trace size             : binary %.1f MB, JSONL %.1f MB -> %.2fx smaller\n"
-    (float_of_int bin_bytes /. 1e6)
-    (float_of_int jsonl_bytes /. 1e6)
-    bytes_ratio;
-  pf "  results bit-identical  : %s (untraced vs binary vs JSONL)\n"
-    (if identical then "yes" else "NO — BUG");
-  (* Streaming span fold: peak live heap while folding the full trace
-     vs a 10x smaller one.  Streaming state is bounded by in-flight
-     requests, so the peaks must be about the same. *)
-  let small_req = Stdlib.max 1_000 (n_req / 10) in
-  let small_oc = open_out_bin small_path in
-  let small_w = Sim.Trace.Binary.writer small_oc in
-  let _small_r, _ =
-    time (fun () ->
-        Loadgen.Runner.run
-          (cfg ~requests:small_req
-             ~observe:(observe_with (fun rec_ -> Sim.Trace.Binary.write small_w rec_))))
-  in
-  Sim.Trace.Binary.finish small_w;
-  close_out small_oc;
-  let stream_fold path =
-    Gc.compact ();
-    let s = Sim.Span.Streaming.create () in
-    let n = ref 0 and spans = ref 0 and peak = ref 0 in
-    let sample () =
-      Gc.full_major ();
-      peak := Stdlib.max !peak (Gc.stat ()).live_words
-    in
-    (match
-       Sim.Trace.fold_file path ~init:() ~f:(fun () _run r ->
-           incr n;
-           (match Sim.Span.Streaming.feed s r with
-           | Some _ -> incr spans
-           | None -> ());
-           if !n land 0xFFFFF = 0 then sample ())
-     with
-    | Error e -> failwith e
-    | Ok () -> sample ());
-    (!n, !spans, Sim.Span.Streaming.incomplete s, !peak)
-  in
-  let full_n, full_spans, full_incomplete, full_peak = stream_fold bin_path in
-  let small_n, small_spans, small_incomplete, small_peak = stream_fold small_path in
-  let peak_ratio = float_of_int full_peak /. float_of_int small_peak in
-  pf "\n  streaming span fold    : %d spans from %d records, peak %.1f MW live\n"
-    full_spans full_n
-    (float_of_int full_peak /. 1e6);
-  pf "  streaming on 1/10 run  : %d spans from %d records, peak %.1f MW live\n"
-    small_spans small_n
-    (float_of_int small_peak /. 1e6);
-  pf "  peak ratio (10x data)  : %.2fx  (independent of trace length: %s)\n"
-    peak_ratio
-    (if peak_ratio < 2.0 then "yes" else "NO — BUG");
-  (* Batch comparison on the small file only (materializing the full
-     run's records is exactly what streaming exists to avoid): the
-     whole-trace record list plus Span.build, and a bit-equality check
-     of the two reconstructions. *)
-  let batch_built, batch_live =
-    Gc.compact ();
-    match Sim.Trace.Binary.load_file small_path with
-    | Error e -> failwith e
-    | Ok all ->
-      let records = List.map snd all in
-      let built = Sim.Span.build records in
-      Gc.full_major ();
-      let live = (Gc.stat ()).live_words in
-      ignore (List.length records);  (* keep the list live across the stat *)
-      (built, live)
-  in
-  let stream_small_spans =
-    let s = Sim.Span.Streaming.create () in
-    let spans = ref [] in
-    (match
-       Sim.Trace.fold_file small_path ~init:() ~f:(fun () _run r ->
-           match Sim.Span.Streaming.feed s r with
-           | Some sp -> spans := sp :: !spans
-           | None -> ())
-     with
-    | Error e -> failwith e
-    | Ok () -> ());
-    List.rev !spans
-  in
-  let by_key (a : Sim.Span.span) (b : Sim.Span.span) =
-    match String.compare a.conn b.conn with
-    | 0 -> Int.compare a.req b.req
-    | c -> c
-  in
-  let equals_batch =
-    List.sort by_key stream_small_spans = List.sort by_key batch_built.spans
-    && small_incomplete = batch_built.incomplete
-  in
-  pf "  batch build, 1/10 run  : %d spans, %.1f MW live (records + spans)\n"
-    (List.length batch_built.spans)
-    (float_of_int batch_live /. 1e6);
-  pf "  streaming == batch     : %s\n"
-    (if equals_batch then "yes" else "NO — BUG");
-  let oc = open_out "BENCH_rawspeed.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"rawspeed\",\n\
-    \  \"requests\": %d,\n\
-    \  \"completed\": %d,\n\
-    \  \"records\": %d,\n\
-    \  \"base_run_s\": %.3f,\n\
-    \  \"null_sink_run_s\": %.3f,\n\
-    \  \"binary\": {\"run_s\": %.3f, \"write_s\": %.3f, \"bytes\": %d},\n\
-    \  \"jsonl\": {\"run_s\": %.3f, \"write_s\": %.3f, \"bytes\": %d},\n\
-    \  \"bytes_ratio\": %.3f,\n\
-    \  \"write_speedup\": %.3f,\n\
-    \  \"identical_scalars\": %b,\n\
-    \  \"streaming_spans\": {\n\
-    \    \"full\": {\"records\": %d, \"spans\": %d, \"incomplete\": %d, \"peak_live_words\": %d},\n\
-    \    \"small\": {\"records\": %d, \"spans\": %d, \"incomplete\": %d, \"peak_live_words\": %d},\n\
-    \    \"peak_ratio\": %.3f,\n\
-    \    \"independent_of_n\": %b,\n\
-    \    \"batch_small_live_words\": %d,\n\
-    \    \"equals_batch_on_small\": %b\n\
-    \  }\n\
-     }\n"
-    n_req base_r.completed bin_records base_s null_s bin_s bin_write_s bin_bytes jsonl_s
-    jsonl_write_s jsonl_bytes bytes_ratio write_speedup identical full_n
-    full_spans full_incomplete full_peak small_n small_spans small_incomplete
-    small_peak peak_ratio (peak_ratio < 2.0) batch_live equals_batch;
-  close_out oc;
-  pf "  wrote BENCH_rawspeed.json\n";
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ bin_path; jsonl_path; small_path ];
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweep runner: sequential vs domain-parallel wall-clock.    *)
-(* ------------------------------------------------------------------ *)
-
-let par () =
-  hr "Parallel sweep runner — sequential vs domain-parallel wall-clock";
-  let rates = [ 10e3; 30e3; 50e3; 70e3; 90e3; 110e3; 130e3; 150e3 ] in
-  let base =
-    { (base_config ()) with warmup = Sim.Time.ms 20; duration = Sim.Time.ms 100 }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let n = !domains in
-  pf "%d sweep points (on+off pairs each), %d worker domain(s), %d core(s)\n"
-    (List.length rates) n
-    (Domain.recommended_domain_count ());
-  let seq_points, seq_s = time (fun () -> Loadgen.Sweep.sweep ~domains:1 ~base ~rates ()) in
-  let par_points, par_s = time (fun () -> Loadgen.Sweep.sweep ~domains:n ~base ~rates ()) in
-  let identical = seq_points = par_points in
-  let speedup = seq_s /. par_s in
-  pf "  sequential (domains=1) : %6.2f s\n" seq_s;
-  pf "  parallel   (domains=%d) : %6.2f s\n" n par_s;
-  pf "  speedup                : %5.2fx\n" speedup;
-  pf "  bit-identical results  : %s\n" (if identical then "yes" else "NO — BUG");
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"par\",\n\
-    \  \"cores\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"sweep_points\": %d,\n\
-    \  \"sequential_s\": %.3f,\n\
-    \  \"parallel_s\": %.3f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"deterministic\": %b\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    n (List.length rates) seq_s par_s speedup identical;
-  close_out oc;
-  pf "  wrote BENCH_par.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: degradation curves under bursty loss / blackouts.  *)
@@ -1653,47 +1066,47 @@ let fault () =
           (if s.cell.loss = 0.0 then "(lossless: identical recovery path)"
            else if sp < gp then "sack wins"
            else "gbn wins");
-        Printf.sprintf
-          "    {\"loss\": %g, \"sack_p99_us\": %s, \"gbn_p99_us\": %s, \
-           \"sack_krps\": %.3f, \"gbn_krps\": %.3f, \"sack_wins\": %b}"
-          s.cell.loss
-          (if sp = infinity then "null" else Printf.sprintf "%.1f" sp)
-          (if gp = infinity then "null" else Printf.sprintf "%.1f" gp)
-          (k s.result.achieved_rps)
-          (k g.result.achieved_rps)
-          (s.cell.loss = 0.0 || sp < gp))
+        Report.Json.(
+          Obj
+            [
+              ("loss", Float s.cell.loss);
+              ("sack_p99_us", Float sp);
+              ("gbn_p99_us", Float gp);
+              ("sack_krps", Float (k s.result.achieved_rps));
+              ("gbn_krps", Float (k g.result.achieved_rps));
+              ("sack_wins", Bool (s.cell.loss = 0.0 || sp < gp));
+            ]))
       loss_curve gbn_curve
   in
   pf "  SACK strictly dominates go-back-N at positive loss: %b\n" !dominated;
   let cell_json (v : Loadgen.Chaos.verdict) =
     let r = v.result in
-    Printf.sprintf
-      "    {\"loss\": %g, \"blackout_ms\": %g, \"krps\": %.3f, \"p99_us\": %.1f, \
-       \"drops\": %d, \"completed\": %d, \"issued\": %d, \"freezes\": %s, \
-       \"thaws\": %s, \"frozen_end\": %s, \"ok\": %b}"
-      v.cell.loss v.cell.blackout_ms (k r.achieved_rps) r.measured_p99_us
-      r.link_dropped r.completed_total r.issued
-      (match r.degrade_freezes with None -> "null" | Some n -> string_of_int n)
-      (match r.degrade_thaws with None -> "null" | Some n -> string_of_int n)
-      (match r.degrade_frozen_end with
-      | None -> "null"
-      | Some b -> string_of_bool b)
-      (Loadgen.Chaos.ok v)
+    Report.Json.(
+      Obj
+        [
+          ("loss", Float v.cell.loss);
+          ("blackout_ms", Float v.cell.blackout_ms);
+          ("krps", Float (k r.achieved_rps));
+          ("p99_us", Float r.measured_p99_us);
+          ("drops", Int r.link_dropped);
+          ("completed", Int r.completed_total);
+          ("issued", Int r.issued);
+          ("freezes", opt (fun n -> Int n) r.degrade_freezes);
+          ("thaws", opt (fun n -> Int n) r.degrade_thaws);
+          ("frozen_end", opt (fun b -> Bool b) r.degrade_frozen_end);
+          ("ok", Bool (Loadgen.Chaos.ok v));
+        ])
   in
-  let oc = open_out "BENCH_fault.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"fault\",\n\
-    \  \"loss_curve\": [\n%s\n  ],\n\
-    \  \"blackout_curve\": [\n%s\n  ],\n\
-    \  \"recovery_comparison\": [\n%s\n  ],\n\
-    \  \"sack_dominates\": %b\n\
-     }\n"
-    (String.concat ",\n" (List.map cell_json loss_curve))
-    (String.concat ",\n" (List.map cell_json blackout_curve))
-    (String.concat ",\n" comparison)
-    !dominated;
-  close_out oc;
+  Report.Json.to_file "BENCH_fault.json"
+    Report.Json.(
+      Obj
+        [
+          ("section", String "fault");
+          ("loss_curve", List (List.map cell_json loss_curve));
+          ("blackout_curve", List (List.map cell_json blackout_curve));
+          ("recovery_comparison", List comparison);
+          ("sack_dominates", Bool !dominated);
+        ]);
   pf "  wrote BENCH_fault.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -2271,11 +1684,8 @@ let sections =
     ("small", small);
     ("dynamic", dynamic);
     ("ablate", ablate);
-    ("observe", observe);
     ("micro", micro);
     ("alloc", alloc);
-    ("rawspeed", rawspeed);
-    ("par", par);
     ("fault", fault);
     ("fleet", fleet);
     ("churn", churn);
@@ -2296,26 +1706,6 @@ let () =
         exit 1)
     | [ "--domains" ] ->
       prerr_endline "--domains expects a positive integer";
-      exit 1
-    | "--requests" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1_000 ->
-        rawspeed_requests := n;
-        split_flags acc rest
-      | Some _ | None ->
-        prerr_endline "--requests expects an integer >= 1000";
-        exit 1)
-    | [ "--requests" ] ->
-      prerr_endline "--requests expects an integer >= 1000";
-      exit 1
-    | "--trace-out" :: file :: rest ->
-      trace_out := file;
-      split_flags acc rest
-    | "--metrics-out" :: file :: rest ->
-      metrics_out := file;
-      split_flags acc rest
-    | [ ("--trace-out" | "--metrics-out") as flag ] ->
-      Printf.eprintf "%s expects a file path\n" flag;
       exit 1
     | arg :: rest -> split_flags (arg :: acc) rest
   in

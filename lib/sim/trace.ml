@@ -720,6 +720,16 @@ let int_field fields key =
   if Float.is_integer v && Float.abs v <= float_of_int max_exact_int then Ok (int_of_float v)
   else Error (Printf.sprintf "field %S is not an integer within 2^53: %.17g" key v)
 
+(* [add_float] writes a non-finite [F64] as [null], so [null] reads back
+   as [nan]: a NaN survives the round trip, and an infinity comes back
+   as [nan]. *)
+let f64_field fields key =
+  match field fields key with
+  | Some (Jnum v) -> Ok v
+  | Some Jnull -> Ok Float.nan
+  | Some _ -> Error (Printf.sprintf "field %S is not a number or null" key)
+  | None -> Error (Printf.sprintf "missing field %S" key)
+
 let fopt_field fields key =
   match field fields key with
   | Some (Jnum v) -> Ok (Some v)
@@ -774,7 +784,7 @@ let record_of_json_ext line =
       let* () =
         match fd.ty with
         | I64 | Num -> Result.map (fun n -> v.i.(k) <- n) (int_field fields fd.key)
-        | F64 -> Result.map (fun x -> v.f.(k) <- x) (num fields fd.key)
+        | F64 -> Result.map (fun x -> v.f.(k) <- x) (f64_field fields fd.key)
         | Bool _ -> Result.map (set_bool v k) (bool_field fields fd.key)
         | Ev_bit _ -> Ok (set_bool v k (k = ev_bit))
         | Str -> Result.map (fun s -> v.s.(k) <- s) (str fields fd.key)

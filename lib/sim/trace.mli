@@ -165,7 +165,9 @@ type record = { at : Time.t; id : string; event : event }
 type ty =
   | I64  (** int, 8 bytes *)
   | Num  (** int in a u32 slot: 4 bytes, 8 when the record is wide *)
-  | F64  (** float as its IEEE-754 bits; JSON [null] when not finite *)
+  | F64
+      (** float as its IEEE-754 bits; JSON [null] when not finite, read
+          back as [nan], so a JSONL round trip turns ±inf into [nan] *)
   | Bool of int  (** bool in flag bit [k]; no payload bytes *)
   | Ev_bit of int
       (** bool in flag bit [k]; not a JSON key: when set, the field's

@@ -1174,6 +1174,30 @@ let test_trace_json_strict_numbers () =
   | Ok _ -> Alcotest.fail "fold accepted a fractional seq");
   Sys.remove path
 
+(* A non-finite [F64] field is written as null and reads back as nan,
+   so a trace holding one converts to JSONL and back. *)
+let test_trace_json_nonfinite_float () =
+  List.iter
+    (fun throughput ->
+      let r =
+        {
+          Sim.Trace.at = 24_000;
+          id = "c3";
+          event =
+            Sim.Trace.Estimate_computed
+              { latency_us = Some 31.5; throughput; window_us = 1000.0 };
+        }
+      in
+      match Sim.Trace.record_of_json (Sim.Trace.record_to_json r) with
+      | Ok (None, { at = 24_000; id = "c3"; event = Sim.Trace.Estimate_computed e }) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "throughput %g reads back as nan" throughput)
+          true
+          (Float.is_nan e.throughput && e.latency_us = Some 31.5 && e.window_us = 1000.0)
+      | Ok _ -> Alcotest.failf "throughput %g read back as another record" throughput
+      | Error msg -> Alcotest.failf "throughput %g did not read back: %s" throughput msg)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* {1 Binary trace format} *)
 
 let test_trace_binary_roundtrip () =
@@ -1541,6 +1565,8 @@ let suite =
         Alcotest.test_case "JSONL roundtrip" `Quick test_trace_json_roundtrip;
         Alcotest.test_case "JSONL malformed input" `Quick test_trace_json_malformed;
         Alcotest.test_case "JSONL numbers are strict" `Quick test_trace_json_strict_numbers;
+        Alcotest.test_case "JSONL reads a non-finite float as nan" `Quick
+          test_trace_json_nonfinite_float;
         Alcotest.test_case "load_jsonl file handling" `Quick test_trace_load_jsonl;
         Alcotest.test_case "fold_jsonl streams with line numbers" `Quick
           test_trace_fold_jsonl;

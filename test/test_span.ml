@@ -270,13 +270,18 @@ let spans_sorted spans =
 
 (* Feed every record through the incremental fold and compare against
    the batch builder: same spans (up to completion-vs-connection order),
-   same incomplete count, milestone-for-milestone. *)
-let check_streaming_equals_build ~msg records =
+   same incomplete count, milestone-for-milestone.  [stream] hands the
+   fold its records, by default [records] themselves. *)
+let check_streaming_equals_build ~msg ?stream records =
+  let stream = Option.value stream ~default:(fun f -> List.iter f records) in
   let batch = Sim.Span.build records in
   let st = Sim.Span.Streaming.create () in
-  let streamed =
-    List.filter_map (fun r -> Sim.Span.Streaming.feed st r) records
-  in
+  let streamed_rev = ref [] in
+  stream (fun r ->
+      match Sim.Span.Streaming.feed st r with
+      | Some sp -> streamed_rev := sp :: !streamed_rev
+      | None -> ());
+  let streamed = List.rev !streamed_rev in
   Alcotest.(check int)
     (msg ^ ": resolved count")
     (List.length batch.spans) (List.length streamed);
@@ -354,14 +359,79 @@ let test_streaming_retires_state () =
     true
     (Sim.Span.Streaming.live_state st <= after_one)
 
+(* A 40 kRPS, nagle-on run of [workload] for 5 ms of warmup and [ms] ms
+   measured. *)
+let run_config ?(workload = Loadgen.Workload.paper_set_only) ~ms () =
+  let base =
+    Loadgen.Runner.default_config ~rate_rps:40e3 ~batching:Loadgen.Runner.Static_on
+  in
+  { base with warmup = Sim.Time.ms 5; duration = Sim.Time.ms ms; workload }
+
+(* Runs [cfg] with every trace record streamed to a binary file at
+   [path]. *)
+let run_to_binary_file ~path cfg =
+  let oc = open_out_bin path in
+  let w = Sim.Trace.Binary.writer oc in
+  let observe =
+    { Loadgen.Observe.default_config with trace_sink = Some (Sim.Trace.Binary.write w) }
+  in
+  let r = Loadgen.Runner.run { cfg with Loadgen.Runner.observe = Some observe } in
+  Sim.Trace.Binary.finish w;
+  close_out oc;
+  r
+
+let fold_trace_file path f =
+  match Sim.Trace.fold_file path ~init:() ~f:(fun () _run r -> f r) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fold_file %s: %s" path e
+
+(* The file a binary sink writes, folded back through the streaming
+   reconstruction, gives what [build] gives over the whole loaded file;
+   and the sink changes no result of the run. *)
 let test_streaming_matches_build_on_run () =
-  let r = observed_run ~batching:Loadgen.Runner.Static_on ~rate:40e3 in
-  match r.observability with
-  | None -> Alcotest.fail "no observability output"
-  | Some o ->
-    Alcotest.(check int) "ring did not overflow" 0 o.dropped_records;
-    let streamed = check_streaming_equals_build ~msg:"clean run" o.records in
-    Alcotest.(check bool) "spans reconstructed" true (List.length streamed > 100)
+  let cfg = run_config ~ms:25 () in
+  let path = Filename.temp_file "span_clean" ".bin" in
+  let traced = run_to_binary_file ~path cfg in
+  Alcotest.(check bool) "binary sink does not perturb the run" true
+    ({ traced with observability = None } = Loadgen.Runner.run cfg);
+  let records =
+    match Sim.Trace.Binary.load_file path with
+    | Ok loaded -> List.map snd loaded
+    | Error e -> Alcotest.failf "load_file: %s" e
+  in
+  let streamed =
+    check_streaming_equals_build ~msg:"clean run" ~stream:(fold_trace_file path) records
+  in
+  Sys.remove path;
+  Alcotest.(check bool) "spans reconstructed" true (List.length streamed > 100)
+
+(* The streaming fold's peak state follows in-flight requests, not
+   trace length: a run ten times longer peaks within a few entries of
+   the short one. *)
+let test_streaming_peak_independent_of_length () =
+  let peak ms =
+    let path = Filename.temp_file "span_peak" ".bin" in
+    ignore
+      (run_to_binary_file ~path
+         (run_config ~workload:Loadgen.Workload.small_requests ~ms ()));
+    let st = Sim.Span.Streaming.create () and peak = ref 0 and resolved = ref 0 in
+    fold_trace_file path (fun r ->
+        if Option.is_some (Sim.Span.Streaming.feed st r) then incr resolved;
+        peak := max !peak (Sim.Span.Streaming.live_state st));
+    Sys.remove path;
+    (!peak, !resolved)
+  in
+  (* 15 ms and 150 ms of traffic, warmup included *)
+  let short_peak, short_n = peak 10 and long_peak, long_n = peak 145 in
+  Alcotest.(check bool)
+    (Printf.sprintf "long run resolves ten times the spans (%d vs %d)" long_n short_n)
+    true
+    (long_n >= 9 * short_n);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak live state %d at %d spans vs %d at %d" long_peak long_n short_peak
+       short_n)
+    true
+    (abs (long_peak - short_peak) <= 8)
 
 let test_streaming_matches_build_on_lossy_run () =
   let base =
@@ -415,6 +485,8 @@ let suite =
           test_streaming_retires_state;
         Alcotest.test_case "matches build: clean run" `Quick
           test_streaming_matches_build_on_run;
+        Alcotest.test_case "peak state independent of trace length" `Quick
+          test_streaming_peak_independent_of_length;
         Alcotest.test_case "matches build: lossy run" `Quick
           test_streaming_matches_build_on_lossy_run;
       ] );
