@@ -16,15 +16,22 @@ check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke
 
 # End-to-end observability smoke: a tiny observed sweep writes
 # trace/metrics JSONL, then inspect re-parses every line (it exits
-# nonzero on the first malformed one).
+# nonzero on the first malformed one).  The same sweep on two domains
+# must write a byte-identical trace: each run streams into its own
+# spool file, and the spools are merged in run order.
 smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
 	dune exec bin/e2ebench.exe -- sweep --rates 20,60 \
-	  --warmup-ms 5 --duration-ms 20 \
+	  --warmup-ms 5 --duration-ms 20 --domains 1 \
 	  --trace-out _smoke/trace.jsonl --metrics-out _smoke/metrics.jsonl
 	dune exec bin/e2ebench.exe -- inspect _smoke/trace.jsonl --limit 5
 	@test -s _smoke/metrics.jsonl || { echo "smoke: empty metrics file"; exit 1; }
+	dune exec bin/e2ebench.exe -- sweep --rates 20,60 \
+	  --warmup-ms 5 --duration-ms 20 --domains 2 \
+	  --trace-out _smoke/trace-d2.jsonl > /dev/null
+	@cmp -s _smoke/trace.jsonl _smoke/trace-d2.jsonl \
+	  || { echo "smoke: sweep trace differs between --domains 1 and 2"; exit 1; }
 	@echo "smoke: OK"
 
 # Report smoke: trace two short runs (Nagle on/off), build the HTML
@@ -168,7 +175,7 @@ explain-smoke:
 
 # Time-varying-load smoke: an envelope + scripted-churn scenario runs
 # end to end with a trace, the offline settling table rebuilds from the
-# trace's edge breadcrumbs, and the chaos flash-crowd / churn-storm
+# trace's edge records, and the chaos flash-crowd / churn-storm
 # cells assert bounded re-convergence (exit nonzero on any violation).
 # The ablation run (--ablate-settling) must fail: no settling tracker
 # means no re-convergence evidence.

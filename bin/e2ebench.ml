@@ -225,38 +225,97 @@ let with_out path f =
 
 let binary_trace_path path = Filename.check_suffix path ".bin"
 
-(* [tagged] pairs an optional run label (used by sweeps) with each
-   result; single runs pass [None] and get unlabelled lines. *)
-let write_outputs ~trace_out ~metrics_out
-    (outputs : (string option * Loadgen.Observe.output) list) =
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    let total = ref 0 in
-    with_out path (fun oc ->
-        if binary_trace_path path then begin
-          let w = Sim.Trace.Binary.writer oc in
-          List.iter
-            (fun (run, (o : Loadgen.Observe.output)) ->
-              List.iter
-                (fun rec_ ->
-                  incr total;
-                  Sim.Trace.Binary.write w ?run rec_)
-                o.records)
-            outputs;
-          Sim.Trace.Binary.finish w
+(* A record writer on [oc] in [path]'s format (binary or JSONL, by its
+   suffix), and the function that completes the file. *)
+let trace_writer path oc =
+  if binary_trace_path path then
+    let w = Sim.Trace.Binary.writer oc in
+    ((fun ?run r -> Sim.Trace.Binary.write w ?run r), fun () -> Sim.Trace.Binary.finish w)
+  else
+    ( (fun ?run r ->
+        output_string oc (Sim.Trace.record_to_json ?run r);
+        output_char oc '\n'),
+      ignore )
+
+(* Append the file [src] to [oc]. *)
+let copy_file src oc =
+  In_channel.with_open_bin src (fun ic ->
+      let buf = Bytes.create 65536 in
+      let rec go () =
+        let n = In_channel.input ic buf 0 (Bytes.length buf) in
+        if n > 0 then begin
+          Out_channel.output oc buf 0 n;
+          go ()
         end
-        else
-          List.iter
-            (fun (run, (o : Loadgen.Observe.output)) ->
+      in
+      go ())
+
+(* Run every job [(label, job)] as [job observe] on [domains] domains;
+   returns the results in job order and the number of trace records
+   written to [trace_out] (0 without one).  With [trace_out], each run
+   streams its labelled records through [Observe.config.trace_sink]
+   into a spool file of its own, in [trace_out]'s format, while it runs
+   (runs on parallel domains cannot share a writer), so the file gets
+   every record the run emitted, not just what the ring would keep.
+   After the runs the spools are joined in job order into [trace_out]:
+   JSONL spools byte for byte, binary ones record by record (each has
+   its own string tables).  The spools are removed, also on error. *)
+let traced_runs ~domains ~trace_out ~(observe : Loadgen.Observe.config option) jobs =
+  match (trace_out, observe) with
+  | None, _ | _, None -> (Par.Pool.map ~domains (fun (_, job) -> job observe) jobs, 0)
+  | Some path, Some o ->
+    let spools =
+      List.map
+        (fun _ ->
+          Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path) ".spool")
+        jobs
+    in
+    Fun.protect
+      ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) spools)
+      (fun () ->
+        let runs =
+          Par.Pool.map ~domains
+            (fun ((run, job), spool) ->
+              with_out spool (fun oc ->
+                  let write, finish = trace_writer path oc in
+                  let n = ref 0 in
+                  let sink r =
+                    incr n;
+                    write ?run r
+                  in
+                  let r = job (Some { o with trace_sink = Some sink }) in
+                  finish ();
+                  (r, !n)))
+            (List.combine jobs spools)
+        in
+        with_out path (fun oc ->
+            if binary_trace_path path then begin
+              let write, finish = trace_writer path oc in
               List.iter
-                (fun rec_ ->
-                  incr total;
-                  output_string oc (Sim.Trace.record_to_json ?run rec_);
-                  output_char oc '\n')
-                o.records)
-            outputs);
-    pf "trace               : %d events -> %s\n" !total path);
+                (fun spool ->
+                  match
+                    Sim.Trace.Binary.fold_file spool ~init:() ~f:(fun () run r -> write ?run r)
+                  with
+                  | Ok () -> ()
+                  | Error msg -> failwith msg)
+                spools;
+              finish ()
+            end
+            else List.iter (fun spool -> copy_file spool oc) spools);
+        (List.map fst runs, List.fold_left (fun acc (_, n) -> acc + n) 0 runs))
+
+(* One unlabelled run of [traced_runs]. *)
+let traced_run ~trace_out ~observe job =
+  match traced_runs ~domains:1 ~trace_out ~observe [ (None, job) ] with
+  | [ r ], events -> (r, events)
+  | _ -> assert false
+
+(* Report the trace file [traced_runs] wrote, and write the sampled
+   metrics of [outputs] (run label, observability output) to
+   [metrics_out]. *)
+let write_outputs ~trace_out ~events ~metrics_out
+    (outputs : (string option * Loadgen.Observe.output) list) =
+  Option.iter (pf "trace               : %d events -> %s\n" events) trace_out;
   match metrics_out with
   | None -> ()
   | Some path ->
@@ -273,8 +332,8 @@ let write_outputs ~trace_out ~metrics_out
           outputs);
     pf "metrics             : %d samples -> %s\n" !total path
 
-let write_observability ~trace_out ~metrics_out tagged =
-  write_outputs ~trace_out ~metrics_out
+let write_observability ~trace_out ~events ~metrics_out tagged =
+  write_outputs ~trace_out ~events ~metrics_out
     (List.filter_map
        (fun (run, (r : Loadgen.Runner.result)) ->
          Option.map (fun o -> (run, o)) r.observability)
@@ -318,12 +377,15 @@ let run_cmd =
     | Ok cfg, Ok observe, Ok fault ->
       (* Retransmission needs congestion control once segments can drop. *)
       let cc = cfg.cc || fault <> None in
-      let r = Loadgen.Runner.run { cfg with observe; fault; cc } in
+      let r, events =
+        traced_run ~trace_out ~observe (fun observe ->
+            Loadgen.Runner.run { cfg with observe; fault; cc })
+      in
       print_result r;
       if fault <> None then print_fault r;
       print_residual r;
       print_audit r;
-      write_observability ~trace_out ~metrics_out [ (None, r) ];
+      write_observability ~trace_out ~events ~metrics_out [ (None, r) ];
       `Ok ()
   in
   let term =
@@ -357,12 +419,28 @@ let sweep_cmd =
       with
       | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
       | Ok base, Ok observe, Ok fault ->
-        let base = { base with observe; fault; cc = (base.cc || fault <> None) } in
-        let points =
-          Loadgen.Sweep.sweep ~domains ~base
-            ~rates:(List.map (fun r -> r *. 1e3) parsed)
-            ()
+        let base = { base with fault; cc = (base.cc || fault <> None) } in
+        (* One job per (rate, mode), labelled as its trace lines are:
+           off then on at each rate. *)
+        let jobs =
+          List.concat_map
+            (fun krps ->
+              List.map
+                (fun (which, batching) ->
+                  ( Some (Printf.sprintf "%s@%gk" which krps),
+                    fun observe ->
+                      Loadgen.Runner.run { base with observe; rate_rps = krps *. 1e3; batching } ))
+                [ ("off", Loadgen.Runner.Static_off); ("on", Loadgen.Runner.Static_on) ])
+            parsed
         in
+        let results, events = traced_runs ~domains ~trace_out ~observe jobs in
+        let rec pair rates results =
+          match (rates, results) with
+          | krps :: rates, off :: on :: results ->
+            { Loadgen.Sweep.rate_rps = krps *. 1e3; on; off } :: pair rates results
+          | _ -> []
+        in
+        let points = pair parsed results in
         pf "%6s | %10s %10s | %10s %10s\n" "kRPS" "off-meas" "off-est" "on-meas" "on-est";
         pf "%s\n" (String.make 58 '-');
         List.iter
@@ -384,14 +462,8 @@ let sweep_cmd =
         (match Loadgen.Sweep.range_extension ~slo_us:500.0 points with
         | Some ext -> pf "SLO range ext.    : %.2fx\n" ext
         | None -> ());
-        let tagged =
-          List.concat_map
-            (fun (p : Loadgen.Sweep.point) ->
-              let label which = Printf.sprintf "%s@%gk" which (p.rate_rps /. 1e3) in
-              [ (Some (label "off"), p.off); (Some (label "on"), p.on) ])
-            points
-        in
-        write_observability ~trace_out ~metrics_out tagged;
+        write_observability ~trace_out ~events ~metrics_out
+          (List.combine (List.map fst jobs) results);
         `Ok ()
     end
   in
@@ -560,10 +632,14 @@ let chaos_cmd =
           ~inherit_prior:(not ablate_inherit) ~settling:(not ablate_settling)
     | Ok (losses, reorders, blackouts_ms, base) ->
       let zero_windows = if zero_window then [ false; true ] else [ false ] in
-      let verdicts =
-        Loadgen.Chaos.run_grid ~domains ~zero_windows ~base ~losses ~reorders
-          ~blackouts_ms ()
+      let jobs =
+        List.map
+          (fun cell ->
+            ( Some (Loadgen.Chaos.cell_label cell),
+              fun observe -> Loadgen.Chaos.run_cell ~base:{ base with observe } cell ))
+          (Loadgen.Chaos.grid ~zero_windows ~losses ~reorders ~blackouts_ms ())
       in
+      let verdicts, events = traced_runs ~domains ~trace_out ~observe:base.observe jobs in
       pf "%-40s | %8s %8s %8s | %s\n" "cell" "kRPS" "p99us" "drops" "verdict";
       pf "%s\n" (String.make 84 '-');
       List.iter
@@ -575,13 +651,8 @@ let chaos_cmd =
             (if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures))
         verdicts;
       let bad = List.filter (fun v -> not (Loadgen.Chaos.ok v)) verdicts in
-      let tagged =
-        List.map
-          (fun (v : Loadgen.Chaos.verdict) ->
-            (Some (Loadgen.Chaos.cell_label v.cell), v.result))
-          verdicts
-      in
-      write_observability ~trace_out ~metrics_out tagged;
+      write_observability ~trace_out ~events ~metrics_out
+        (List.map2 (fun (label, _) (v : Loadgen.Chaos.verdict) -> (label, v.result)) jobs verdicts);
       if bad = [] then begin
         pf "chaos               : all %d cells passed\n" (List.length verdicts);
         `Ok ()
@@ -712,28 +783,27 @@ let span_agg_spans sa = List.rev sa.sa_spans_rev
 let span_agg_incomplete sa = Sim.Span.Streaming.incomplete sa.sa_stream
 
 (* Estimate/ground-truth pairs recoverable from the accumulated
-   tuples, in estimate emission order. *)
+   tuples, in estimate emission order: each estimate's truth is the
+   mean latency of the completions in its window, found by the binary
+   search the in-run tracker uses and summed oldest first. *)
 let span_agg_residual_pairs sa =
-  let reqs = List.rev sa.sa_reqs_rev in
+  let reqs = Array.of_list (List.rev sa.sa_reqs_rev) in
+  Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) reqs;
+  let n = Array.length reqs in
+  let at = Array.map fst reqs in
   List.filter_map
     (fun (at_us, window_us, est_us) ->
-      let from_us = at_us -. window_us in
-      let sum, count =
-        List.fold_left
-          (fun (sum, count) (t, lat) ->
-            if t > from_us && t <= at_us then (sum +. lat, count + 1)
-            else (sum, count))
-          (0.0, 0) reqs
-      in
-      if count = 0 then None
-      else
+      let i = Loadgen.Observe.first_after at n (at_us -. window_us) in
+      let j = Loadgen.Observe.first_after at n at_us in
+      if j <= i then None
+      else begin
+        let sum = ref 0.0 in
+        for k = i to j - 1 do
+          sum := !sum +. snd reqs.(k)
+        done;
         Some
-          {
-            E2e.Residual.at_us;
-            window_us;
-            est_us;
-            truth_us = sum /. float_of_int count;
-          })
+          { E2e.Residual.at_us; window_us; est_us; truth_us = !sum /. float_of_int (j - i) }
+      end)
     (List.rev sa.sa_ests_rev)
 
 let print_breakdown ~indent spans =
@@ -990,8 +1060,6 @@ let inspect_cmd =
    scopes are fed in-run without trace events, so offline rows exist
    only for ids whose completions are traced. *)
 
-let slo_budget = 0.01
-
 type slo_agg = {
   g_id : string;
   mutable g_slo_us : float option;
@@ -1080,16 +1148,6 @@ type slo_row = {
   sl_first_burn_us : float option;
 }
 
-(* Index of the first element of [a.(0..n-1)] strictly after [bound]
-   (same binary search the in-run tracker uses). *)
-let first_after_arr a n bound =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) > bound then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 (* Replay the burn series over the completion stream: at each
    completion time t, burn = (violation fraction of the window
    (t - w, t]) / budget. *)
@@ -1106,13 +1164,13 @@ let slo_row_of ~burn_window_us (g : slo_agg) slo_us =
   let max_burn = ref 0.0 and final_burn = ref 0.0 and first = ref None in
   for i = 0 to n - 1 do
     let upto = at.(i) in
-    let lo = first_after_arr at n (upto -. burn_window_us) in
+    let lo = Loadgen.Observe.first_after at n (upto -. burn_window_us) in
     let total = i + 1 - lo in
     let burn =
       if total = 0 then 0.0
       else
         float_of_int (viol.(i + 1) - viol.(lo))
-        /. float_of_int total /. slo_budget
+        /. float_of_int total /. Loadgen.Observe.slo_budget
     in
     if burn > !max_burn then max_burn := burn;
     final_burn := burn;
@@ -1238,7 +1296,7 @@ let print_slo_run ~burn_window_us sr =
   let rows = slo_rows ~burn_window_us sr in
   pf "run %s: SLO attainment (burn window %.0fus, budget %.0f%%)\n"
     (if sr.sr_run = "" then "-" else sr.sr_run)
-    burn_window_us (100.0 *. slo_budget);
+    burn_window_us (100.0 *. Loadgen.Observe.slo_budget);
   pf "  %-16s %10s %8s %6s %8s %10s %10s %10s %9s %9s %12s\n" "id" "slo" "n"
     "viol" "attain" "p50" "p95" "p99" "max-burn" "end-burn" "first-burn";
   List.iter
@@ -2177,29 +2235,6 @@ let scenario_cmd =
     | Ok (_, Some _) when compare ->
       fail "--trace-out/--metrics-out apply to plain runs, not --compare-static"
     | Ok (spec, observe) ->
-      (* Sharded fleets write per-connection assignment and per-shard
-         SLO breadcrumbs up front; size the trace ring so a
-         10k-connection scenario keeps them instead of evicting the
-         oldest records.  cores=1 keeps the default capacity so
-         unsharded runs stay byte-identical. *)
-      let observe =
-        if spec.Scenario.Spec.cores > 1 then
-          let conns =
-            List.fold_left
-              (fun acc (t : Scenario.Spec.tenant) -> acc + t.Scenario.Spec.conns)
-              0 spec.Scenario.Spec.tenants
-          in
-          Option.map
-            (fun (o : Loadgen.Observe.config) ->
-              {
-                o with
-                Loadgen.Observe.trace_capacity =
-                  Stdlib.max o.Loadgen.Observe.trace_capacity
-                    ((8 * conns) + 65536);
-              })
-            observe
-        else observe
-      in
       if print then pf "%s" (Scenario.Spec.to_string spec);
       pf "scope=%s tenants=%d seed=%d\n"
         (Loadgen.Fleet.scope_label spec.Scenario.Spec.scope)
@@ -2227,10 +2262,12 @@ let scenario_cmd =
           comparison_json c
         end
         else begin
-          let r = Scenario.Exec.run ?observe spec in
+          let r, events =
+            traced_run ~trace_out ~observe (fun observe -> Scenario.Exec.run ?observe spec)
+          in
           print_fleet_result r;
           (match r.Loadgen.Fleet.observability with
-          | Some o -> write_outputs ~trace_out ~metrics_out [ (None, o) ]
+          | Some o -> write_outputs ~trace_out ~events ~metrics_out [ (None, o) ]
           | None -> ());
           fleet_json r
         end

@@ -19,26 +19,6 @@ let value_or t ~default = Option.value t.current ~default
 
 let reset t = t.current <- None
 
-module Fixed = struct
-  type t = { shift : int; mutable current : int option }
-
-  let create ~shift =
-    if shift < 1 || shift > 16 then invalid_arg "Ewma.Fixed.create: shift must be in [1,16]";
-    { shift; current = None }
-
-  let update t x =
-    let v =
-      match t.current with
-      | None -> x
-      | Some y -> y + ((x - y) asr t.shift)
-    in
-    t.current <- Some v;
-    v
-
-  let value t = t.current
-  let alpha t = 1.0 /. float_of_int (1 lsl t.shift)
-end
-
 module Irregular = struct
   type nonrec t = {
     tau : float;

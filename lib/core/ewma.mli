@@ -18,21 +18,6 @@ val value : t -> float option
 val value_or : t -> default:float -> float
 val reset : t -> unit
 
-(** Fixed-point EWMA with a power-of-two weight, the in-kernel form
-    (Linux smooths SRTT exactly this way): [avg += (x - avg) >> shift],
-    i.e. alpha = 1/2{^shift}, no floating point. *)
-module Fixed : sig
-  type t
-
-  val create : shift:int -> t
-  (** [shift] in [1, 16]; alpha = 1/2{^shift}.
-      @raise Invalid_argument outside that range. *)
-
-  val update : t -> int -> int
-  val value : t -> int option
-  val alpha : t -> float
-end
-
 (** Irregularly sampled EWMA: the effective weight of a sample depends
     on how much time elapsed since the previous one
     ([alpha_eff = 1 - exp (-dt / tau)]), so estimates arriving at

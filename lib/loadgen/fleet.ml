@@ -616,23 +616,6 @@ let run (cfg : config) =
     | Per_tenant -> s.spec.name
     | Per_conn -> Tcp.Socket.label e.csock
   in
-  (* Sharded runs declare tenant-per-shard SLO ids ("<tenant>/client@s<k>")
-     as trace breadcrumbs only — offline [slo] rebuilds a per-shard
-     attainment roll-up from them while the in-run observatory keeps
-     its tenant-level trackers. *)
-  let declare_shard_slos o ~at =
-    let tr = Observe.trace o in
-    if cores > 1 && Sim.Trace.enabled tr then
-      List.iter
-        (fun s ->
-          for k = 0 to cores - 1 do
-            Sim.Trace.event tr ~at
-              ~id:(Printf.sprintf "%s@s%d" (client_id s.spec) k)
-              (Sim.Trace.Message
-                 { tag = "slo_declared"; detail = Printf.sprintf "%.17g" s.spec.slo_us })
-          done)
-        states
-  in
   (* Decision ledgers (one per control group) and SLO trackers (one per
      tenant), created before the drivers so completions are attributed
      from the first request on. *)
@@ -650,7 +633,21 @@ let run (cfg : config) =
     List.iter
       (fun s -> Observe.declare_slo o ~at ~id:(client_id s.spec) ~slo_us:s.spec.slo_us)
       states;
-    declare_shard_slos o ~at;
+    (* Sharded runs declare tenant-per-shard SLO ids
+       ("<tenant>/client@s<k>") as trace records only — offline [slo]
+       rebuilds a per-shard attainment roll-up from them while the
+       in-run observatory keeps its tenant-level trackers. *)
+    let tr = Observe.trace o in
+    if cores > 1 && Sim.Trace.enabled tr then
+      List.iter
+        (fun s ->
+          for k = 0 to cores - 1 do
+            Sim.Trace.event tr ~at
+              ~id:(Printf.sprintf "%s@s%d" (client_id s.spec) k)
+              (Sim.Trace.Message
+                 { tag = "slo_declared"; detail = Printf.sprintf "%.17g" s.spec.slo_us })
+          done)
+        states;
     List.iter (fun s -> iter_entries s ~f:(fun e -> add_ledger (group_id s e))) states);
   let ledger_for gid = Hashtbl.find_opt ledger_tbl gid in
   (* Completion callback of a tenant's connections on [shard] in group
@@ -850,12 +847,9 @@ let run (cfg : config) =
         Sim.Engine.post engine ~after:interval tick
     in
     Sim.Engine.post engine ~after:interval tick);
-  (* Envelope edges: register every modulation discontinuity at its own
-     instant so the settling tracker can segment the run.  Scheduling
-     (rather than registering up front) keeps the trace breadcrumbs in
-     event order — written at setup time they would be the ring's oldest
-     records and the first dropped on wraparound, leaving offline tools
-     with completions but no edges. *)
+  (* Envelope edges: register every modulation discontinuity up front,
+     as the churn script's epochs are, so the settling tracker can
+     segment the run. *)
   (match obs with
   | None -> ()
   | Some o ->
@@ -866,9 +860,7 @@ let run (cfg : config) =
         | env ->
           List.iter
             (fun at_us ->
-              let at = int_of_float (at_us *. 1e3) in
-              Sim.Engine.post_at engine ~at (fun () ->
-                  Observe.note_edge o ~id:(client_id s.spec) ~at))
+              Observe.note_edge o ~id:(client_id s.spec) ~at:(int_of_float (at_us *. 1e3)))
             (Arrival.edges env ~until_us:(float_of_int total /. 1e3)))
       states);
   (* Control groups, one per scope unit, in group order.  Each entry is
@@ -1119,12 +1111,6 @@ let run (cfg : config) =
                rel_err = r.rel_err;
              }))
       reports);
-  (* Re-emit the tenant-per-shard SLO declarations at run end: the
-     trace is a drop-oldest ring, and on 10k+-connection fleets the
-     start-of-run breadcrumbs are long evicted by completion events.
-     The [slo] reader is order-independent, so the newest copy is as
-     good as the first. *)
-  Option.iter (declare_shard_slos ~at) obs;
   let b_sh_app, b_sh_irq =
     match !shard_baseline with
     | Some b -> b

@@ -195,9 +195,9 @@ let slo_feed tr ~at_us ~latency_us =
   tr.s_viol.(n + 1) <- tr.s_viol.(n) + (if latency_us > tr.slo_us then 1 else 0);
   tr.s_n <- n + 1
 
-(* First index whose completion time exceeds [bound] in a sorted
-   array prefix. *)
-let first_after_arr a n bound =
+(* First index of the sorted [a.(0..n-1)] whose value exceeds [bound];
+   a window [(from, upto]] is the index range between two of these. *)
+let first_after a n bound =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -209,15 +209,15 @@ let first_after_arr a n bound =
    Burn rate = (violation fraction over the window) / budget, so
    burn > 1 means the window is eating budget faster than sustainable
    ("The Site Reliability Workbook" multiwindow burn alerting). *)
-let budget = 0.01
+let slo_budget = 0.01
 
 let slo_burn_over tr ~from_us ~upto_us =
-  let i = first_after_arr tr.s_at tr.s_n from_us in
-  let j = first_after_arr tr.s_at tr.s_n upto_us in
+  let i = first_after tr.s_at tr.s_n from_us in
+  let j = first_after tr.s_at tr.s_n upto_us in
   if j <= i then 0.0
   else
     let viol = tr.s_viol.(j) - tr.s_viol.(i) in
-    float_of_int viol /. float_of_int (j - i) /. budget
+    float_of_int viol /. float_of_int (j - i) /. slo_budget
 
 let slo_tick t ~at =
   let at_us = Sim.Time.to_us at in
@@ -227,14 +227,7 @@ let slo_tick t ~at =
       tr.burn_rev <- (at_us, burn) :: tr.burn_rev;
       tr.final_burn <- burn;
       if burn > tr.max_burn then tr.max_burn <- burn;
-      if burn > 1.0 && tr.first_burn_us = None then tr.first_burn_us <- Some at_us;
-      (* Re-stamp the declaration breadcrumb so it survives the trace
-         ring on runs long enough to evict the original: offline tools
-         only need any one instance within the retained window. *)
-      if Sim.Trace.enabled t.trace then
-        Sim.Trace.event t.trace ~at ~id:tr.slo_id
-          (Sim.Trace.Message
-             { tag = "slo_declared"; detail = Printf.sprintf "%.17g" tr.slo_us }))
+      if burn > 1.0 && tr.first_burn_us = None then tr.first_burn_us <- Some at_us)
     t.slo_rev
 
 let slo_report_of tr =
@@ -281,14 +274,10 @@ let note_request ?(id = "client") t ~at ~latency =
   | None -> ());
   Sim.Trace.event t.trace ~at ~id (Sim.Trace.Request_done { latency_us })
 
-(* First index whose completion time exceeds [bound] — the log is
-   sorted, so a window's edges are two binary searches. *)
-let first_after t bound = first_after_arr t.req_at t.n_reqs bound
-
 (* Mean latency of requests completing in [(from_us, upto_us]]. *)
 let truth_over t ~from_us ~upto_us =
-  let i = first_after t from_us in
-  let j = first_after t upto_us in
+  let i = first_after t.req_at t.n_reqs from_us in
+  let j = first_after t.req_at t.n_reqs upto_us in
   if j <= i then None
   else Some ((t.req_prefix.(j) -. t.req_prefix.(i)) /. float_of_int (j - i))
 

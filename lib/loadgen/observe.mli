@@ -10,14 +10,17 @@
     cannot change simulation results. *)
 
 type config = {
-  trace_capacity : int;  (** trace ring size; oldest records drop *)
+  trace_capacity : int;
+      (** in-memory trace ring size; oldest records drop (unused with a
+          sink) *)
   sample_interval : Sim.Time.span;  (** metrics sampling cadence *)
   trace_sink : (Sim.Trace.record -> unit) option;
       (** When set, trace records stream to this callback (e.g. a
-          {!Sim.Trace.Binary} writer) instead of filling the ring, so a
-          run of any length traces in constant memory; [output.records]
-          is then empty.  Single-run use only — do not share a sinked
-          config across parallel sweep workers. *)
+          {!Sim.Trace.Binary} writer) as they are emitted instead of
+          filling the ring, so the callback sees every record of a run
+          of any length; [output.records] is then empty.  Single-run
+          use only — do not share a sinked config across parallel sweep
+          workers. *)
   burn_window : Sim.Time.span;
       (** sliding window for SLO burn rates (default 10 ms) *)
   settling : bool;
@@ -104,10 +107,22 @@ val finalize_audit : t -> at:Sim.Time.t -> Sim.Audit.report list
 
 val declare_slo : t -> at:Sim.Time.t -> id:string -> slo_us:float -> unit
 (** Start tracking SLO attainment for completions logged under [id]
-    ({!note_request}).  Emits an [slo_declared] trace breadcrumb
-    carrying the SLO so offline tools can recover it from the file
-    alone.  Re-declaring an id is a no-op.
+    ({!note_request}).  Emits one [slo_declared] trace record
+    carrying the SLO so offline tools can recover it from a streamed
+    trace file alone.  Re-declaring an id is a no-op.
     @raise Invalid_argument for a non-positive or non-finite SLO. *)
+
+val slo_budget : float
+(** The error budget of a p99-judged SLO: 1% of completions may
+    violate it.  A window's burn rate is its violating fraction over
+    this budget. *)
+
+val first_after : float array -> int -> float -> int
+(** [first_after a n bound] is the first index of the sorted prefix
+    [a.(0..n-1)] whose value exceeds [bound] (binary search).  A window
+    [(from, upto]] of completion times spans the indices
+    [first_after a n from] to [first_after a n upto - 1]; the SLO burn
+    rate and the residual's ground truth are both taken that way. *)
 
 val slo_tick : t -> at:Sim.Time.t -> unit
 (** Sample every tracker's sliding-window burn rate at [at].  Called
@@ -143,8 +158,9 @@ val note_sample : t -> Sim.Metrics.sample -> unit
     settling cannot perturb the run. *)
 
 val note_edge : t -> id:string -> at:Sim.Time.t -> unit
-(** Register a load discontinuity for [id] and drop an ["edge"]
-    breadcrumb into the trace so offline tools can recover it. *)
+(** Register a load discontinuity for [id] and emit an ["edge"]
+    trace record so offline tools can recover it.  Edges may be
+    registered ahead of their instant (the tracker sorts them). *)
 
 val note_settle :
   t -> id:string -> at:Sim.Time.t -> est_us:float option -> nagle_frac:float -> unit

@@ -538,11 +538,16 @@ let add_str b key v =
   json_escape b v;
   Buffer.add_char b '"'
 
-(* %.17g round-trips every finite float through [float_of_string]. *)
+(* %.17g round-trips every finite float through [float_of_string]; a
+   non-finite one is written as the string "nan", "inf" or "-inf",
+   which [float_of_json] reads back exactly. *)
 let add_float b key v =
   if Float.is_finite v then
     Buffer.add_string b (Printf.sprintf ",\"%s\":%.17g" key v)
-  else Buffer.add_string b (Printf.sprintf ",\"%s\":null" key)
+  else
+    Buffer.add_string b
+      (Printf.sprintf ",\"%s\":\"%s\"" key
+         (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf"))
 
 let record_to_json ?run r =
   let e, v = read_slots r.event in
@@ -559,7 +564,9 @@ let record_to_json ?run r =
       | Bool _ -> Buffer.add_string b (Printf.sprintf ",\"%s\":%b" fd.key (get_bool v k))
       | Ev_bit _ -> ()
       | Str -> add_str b fd.key v.s.(k)
-      | Fopt _ -> add_float b fd.key (if get_bool v k then v.f.(k) else Float.nan))
+      | Fopt _ ->
+          if get_bool v k then add_float b fd.key v.f.(k)
+          else Buffer.add_string b (Printf.sprintf ",\"%s\":null" fd.key))
     e.fields;
   Buffer.add_char b '}';
   Buffer.contents b
@@ -720,22 +727,28 @@ let int_field fields key =
   if Float.is_integer v && Float.abs v <= float_of_int max_exact_int then Ok (int_of_float v)
   else Error (Printf.sprintf "field %S is not an integer within 2^53: %.17g" key v)
 
-(* [add_float] writes a non-finite [F64] as [null], so [null] reads back
-   as [nan]: a NaN survives the round trip, and an infinity comes back
-   as [nan]. *)
-let f64_field fields key =
-  match field fields key with
-  | Some (Jnum v) -> Ok v
-  | Some Jnull -> Ok Float.nan
-  | Some _ -> Error (Printf.sprintf "field %S is not a number or null" key)
-  | None -> Error (Printf.sprintf "missing field %S" key)
+(* A float field's value: a number, or one of the strings [add_float]
+   writes for a non-finite float. *)
+let float_of_json = function
+  | Jnum v -> Some v
+  | Jstr "nan" -> Some Float.nan
+  | Jstr "inf" -> Some Float.infinity
+  | Jstr "-inf" -> Some Float.neg_infinity
+  | Jstr _ | Jbool _ | Jnull -> None
 
+(* A float field as an option: [null] is [None], which is how every
+   file holds a [None] and how files written before the non-finite
+   strings hold a non-finite [F64] (read as [nan]). *)
 let fopt_field fields key =
   match field fields key with
-  | Some (Jnum v) -> Ok (Some v)
   | Some Jnull -> Ok None
-  | Some _ -> Error (Printf.sprintf "field %S is not a number or null" key)
+  | Some j -> (
+      match float_of_json j with
+      | Some _ as v -> Ok v
+      | None -> Error (Printf.sprintf "field %S is not a number or null" key))
   | None -> Error (Printf.sprintf "missing field %S" key)
+
+let f64_field fields key = Result.map (Option.value ~default:Float.nan) (fopt_field fields key)
 
 let str fields key =
   match field fields key with

@@ -166,8 +166,9 @@ type ty =
   | I64  (** int, 8 bytes *)
   | Num  (** int in a u32 slot: 4 bytes, 8 when the record is wide *)
   | F64
-      (** float as its IEEE-754 bits; JSON [null] when not finite, read
-          back as [nan], so a JSONL round trip turns ±inf into [nan] *)
+      (** float as its IEEE-754 bits; in JSON a number, or the string
+          ["nan"], ["inf"] or ["-inf"] when not finite (read back
+          exactly; [null], as older files hold, reads as [nan]) *)
   | Bool of int  (** bool in flag bit [k]; no payload bytes *)
   | Ev_bit of int
       (** bool in flag bit [k]; not a JSON key: when set, the field's
@@ -175,7 +176,7 @@ type ty =
   | Str  (** string, a u32 reference into the string table *)
   | Fopt of int
       (** float option: flag bit [k] when [Some], then 8 bytes (0.0 for
-          [None]); JSON [null] for [None] *)
+          [None]); JSON [null] for [None], a [Some] as an [F64] *)
 
 type field = { key : string; ty : ty }
 (** [key] is the field's JSON key and its label in [detail]. *)

@@ -234,6 +234,72 @@ let test_observe_trace_sink () =
     Alcotest.(check bool) "sink saw the same records in the same order" true
       (List.rev !sunk_rev = o.records)
 
+(* A run streamed into a binary trace file holds every record it
+   emitted, even far past the ring's capacity: nothing is dropped, the
+   SLO declaration appears once per declared id, and the completions in
+   the file rebuild the run's own SLO entry exactly (count, violations,
+   streaming p50/p95/p99). *)
+let test_observe_streamed_trace_complete () =
+  let capacity = 1024 in
+  let path = Filename.temp_file "e2e_stream" ".bin" in
+  let oc = open_out_bin path in
+  let w = Sim.Trace.Binary.writer oc in
+  let handed = ref 0 in
+  let cfg =
+    {
+      Loadgen.Observe.default_config with
+      trace_capacity = capacity;
+      trace_sink =
+        Some
+          (fun r ->
+            incr handed;
+            Sim.Trace.Binary.write w r);
+    }
+  in
+  let r = Loadgen.Runner.run { (small_base ()) with rate_rps = 60e3; observe = Some cfg } in
+  Sim.Trace.Binary.finish w;
+  close_out oc;
+  let records =
+    match Sim.Trace.Binary.load_file path with
+    | Ok l -> List.map snd l
+    | Error msg -> Alcotest.failf "trace file did not load: %s" msg
+  in
+  Sys.remove path;
+  let o = match r.observability with Some o -> o | None -> Alcotest.fail "no observability output" in
+  (* emitted = retained (0 with a sink) + sunk + dropped *)
+  Alcotest.(check int) "nothing dropped" 0 o.dropped_records;
+  Alcotest.(check int) "the file holds every emitted record" !handed (List.length records);
+  Alcotest.(check bool) "more records than the ring holds" true (List.length records > capacity);
+  Alcotest.(check bool) "an SLO is declared" true (o.slo <> []);
+  List.iter
+    (fun (s : Loadgen.Observe.slo_report) ->
+      let mine = List.filter (fun (rc : Sim.Trace.record) -> rc.id = s.r_id) records in
+      let declared =
+        List.filter
+          (fun (rc : Sim.Trace.record) ->
+            match rc.event with Sim.Trace.Message { tag = "slo_declared"; _ } -> true | _ -> false)
+          mine
+      in
+      Alcotest.(check int) (s.r_id ^ ": one slo_declared") 1 (List.length declared);
+      let latencies =
+        List.filter_map
+          (fun (rc : Sim.Trace.record) ->
+            match rc.event with Sim.Trace.Request_done { latency_us } -> Some latency_us | _ -> None)
+          mine
+      in
+      let h = Sim.Histo.create () in
+      List.iter (Sim.Histo.add h) latencies;
+      let q p = Sim.Histo.quantile h p in
+      Alcotest.(check bool) (s.r_id ^ ": completions in the run") true (s.r_total > 0);
+      Alcotest.(check int) (s.r_id ^ ": completions") s.r_total (List.length latencies);
+      Alcotest.(check int) (s.r_id ^ ": violations") s.r_violations
+        (List.length (List.filter (fun l -> l > s.r_slo_us) latencies));
+      Alcotest.(check (list (option (float 0.0))))
+        (s.r_id ^ ": p50/p95/p99")
+        [ s.r_p50_us; s.r_p95_us; s.r_p99_us ]
+        [ q 50.0; q 95.0; q 99.0 ])
+    o.slo
+
 (* {1 Little's-law audit on real runs} *)
 
 (* A deterministic observed run must close its own books: for every
@@ -350,6 +416,8 @@ let suite =
           test_observe_deterministic_dynamic;
         Alcotest.test_case "trace sink streams the ring's records" `Slow
           test_observe_trace_sink;
+        Alcotest.test_case "streamed trace is complete" `Slow
+          test_observe_streamed_trace_complete;
         Alcotest.test_case "little's-law audit closes" `Slow test_audit_sanity;
         Alcotest.test_case "audit identical across domains" `Slow
           test_audit_domains_identical;

@@ -1174,29 +1174,67 @@ let test_trace_json_strict_numbers () =
   | Ok _ -> Alcotest.fail "fold accepted a fractional seq");
   Sys.remove path
 
-(* A non-finite [F64] field is written as null and reads back as nan,
-   so a trace holding one converts to JSONL and back. *)
+(* A non-finite float is written as "nan", "inf" or "-inf" and reads
+   back exactly, in an [F64] field and inside a [Some]: the record comes
+   back equal with its floats compared by bits (marshalled bytes), and a
+   binary -> JSONL -> binary round trip is byte-identical.  [null], as
+   files written before hold it, still reads as [nan] and [None]. *)
 let test_trace_json_nonfinite_float () =
+  let est ~latency_us ~throughput =
+    {
+      Sim.Trace.at = 24_000;
+      id = "c3";
+      event = Sim.Trace.Estimate_computed { latency_us; throughput; window_us = 1000.0 };
+    }
+  in
+  let records =
+    [
+      est ~latency_us:(Some Float.infinity) ~throughput:1.0;
+      est ~latency_us:(Some Float.nan) ~throughput:1.0;
+      est ~latency_us:(Some Float.neg_infinity) ~throughput:Float.nan;
+      est ~latency_us:(Some 31.5) ~throughput:Float.neg_infinity;
+      est ~latency_us:None ~throughput:Float.infinity;
+    ]
+  in
+  let bits r = Marshal.to_string r [ Marshal.No_sharing ] in
   List.iter
-    (fun throughput ->
-      let r =
-        {
-          Sim.Trace.at = 24_000;
-          id = "c3";
-          event =
-            Sim.Trace.Estimate_computed
-              { latency_us = Some 31.5; throughput; window_us = 1000.0 };
-        }
-      in
-      match Sim.Trace.record_of_json (Sim.Trace.record_to_json r) with
-      | Ok (None, { at = 24_000; id = "c3"; event = Sim.Trace.Estimate_computed e }) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "throughput %g reads back as nan" throughput)
-          true
-          (Float.is_nan e.throughput && e.latency_us = Some 31.5 && e.window_us = 1000.0)
-      | Ok _ -> Alcotest.failf "throughput %g read back as another record" throughput
-      | Error msg -> Alcotest.failf "throughput %g did not read back: %s" throughput msg)
-    [ Float.nan; Float.infinity; Float.neg_infinity ]
+    (fun r ->
+      let line = Sim.Trace.record_to_json r in
+      match Sim.Trace.record_of_json line with
+      | Ok (None, r') ->
+        Alcotest.(check bool) (Printf.sprintf "%s reads back bit-exact" line) true (bits r = bits r')
+      | Ok (Some _, _) -> Alcotest.failf "%s read back with a run label" line
+      | Error msg -> Alcotest.failf "%s did not read back: %s" line msg)
+    records;
+  (match
+     Sim.Trace.record_of_json
+       {|{"at_ns":24000,"conn":"c3","ev":"estimate","latency_us":null,"throughput":null,"window_us":1000}|}
+   with
+  | Ok (_, { event = Sim.Trace.Estimate_computed { latency_us = None; throughput; _ }; _ }) ->
+    Alcotest.(check bool) "null F64 reads as nan" true (Float.is_nan throughput)
+  | Ok _ | Error _ -> Alcotest.fail "null fields did not read as nan and None");
+  let write_binary path rs =
+    let oc = open_out_bin path in
+    let w = Sim.Trace.Binary.writer oc in
+    List.iter (fun r -> Sim.Trace.Binary.write w r) rs;
+    Sim.Trace.Binary.finish w;
+    close_out oc
+  in
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
+  let bin = Filename.temp_file "e2e_nonfinite" ".bin" in
+  let bin' = Filename.temp_file "e2e_nonfinite" ".bin" in
+  write_binary bin records;
+  (match
+     Sim.Trace.Binary.fold_file bin ~init:[] ~f:(fun acc _ r ->
+         match Sim.Trace.record_of_json (Sim.Trace.record_to_json r) with
+         | Ok (_, r') -> r' :: acc
+         | Error msg -> Alcotest.failf "JSONL line did not read back: %s" msg)
+   with
+  | Ok rev -> write_binary bin' (List.rev rev)
+  | Error msg -> Alcotest.failf "binary read failed: %s" msg);
+  Alcotest.(check bool) "binary -> JSONL -> binary is byte-identical" true
+    (read_file bin = read_file bin');
+  List.iter Sys.remove [ bin; bin' ]
 
 (* {1 Binary trace format} *)
 
@@ -1565,7 +1603,7 @@ let suite =
         Alcotest.test_case "JSONL roundtrip" `Quick test_trace_json_roundtrip;
         Alcotest.test_case "JSONL malformed input" `Quick test_trace_json_malformed;
         Alcotest.test_case "JSONL numbers are strict" `Quick test_trace_json_strict_numbers;
-        Alcotest.test_case "JSONL reads a non-finite float as nan" `Quick
+        Alcotest.test_case "JSONL reads a non-finite float back exactly" `Quick
           test_trace_json_nonfinite_float;
         Alcotest.test_case "load_jsonl file handling" `Quick test_trace_load_jsonl;
         Alcotest.test_case "fold_jsonl streams with line numbers" `Quick
