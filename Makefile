@@ -32,6 +32,19 @@ smoke:
 	  --trace-out _smoke/trace-d2.jsonl > /dev/null
 	@cmp -s _smoke/trace.jsonl _smoke/trace-d2.jsonl \
 	  || { echo "smoke: sweep trace differs between --domains 1 and 2"; exit 1; }
+	# an output path in a missing directory: one line on stderr naming
+	# the path, and exit 1, for every command that writes a file
+	@for cmd in \
+	  "run --rate 40 --warmup-ms 5 --duration-ms 10 --trace-out _smoke/no-dir/out" \
+	  "run --rate 40 --warmup-ms 5 --duration-ms 10 --metrics-out _smoke/no-dir/out" \
+	  "report _smoke/trace.jsonl --out _smoke/no-dir/out" \
+	  "convert _smoke/trace.jsonl _smoke/no-dir/out"; do \
+	  ./_build/default/bin/e2ebench.exe $$cmd > /dev/null 2> _smoke/no-dir.err; code=$$?; \
+	  if [ $$code -ne 1 ] || [ $$(wc -l < _smoke/no-dir.err) -ne 1 ] \
+	    || ! grep -q '_smoke/no-dir/out' _smoke/no-dir.err; then \
+	    echo "smoke: '$$cmd' into a missing directory: exit $$code, stderr:"; \
+	    cat _smoke/no-dir.err; exit 1; fi; \
+	done
 	@echo "smoke: OK"
 
 # Report smoke: trace two short runs (Nagle on/off), build the HTML
@@ -137,7 +150,8 @@ convert-smoke:
 	@echo "convert-smoke: OK"
 
 # Decision-ledger / SLO-observatory smoke: trace a per-conn dynamic
-# fleet, rebuild the per-tenant SLO tables and the causal chain of the
+# fleet, rebuild the per-tenant SLO tables (which must equal the
+# golden test/regress/explain_slo.txt) and the causal chain of the
 # first mode flip from the file alone, render the SLO-panel report,
 # and confirm the no-decisions / no-SLO error paths exit nonzero.
 explain-smoke:
@@ -154,6 +168,8 @@ explain-smoke:
 	  | tee _smoke/explain-slo.out
 	@grep -q 'bare/client' _smoke/explain-slo.out || { echo "explain-smoke: no bare SLO row"; exit 1; }
 	@grep -q 'vm/client' _smoke/explain-slo.out || { echo "explain-smoke: no vm SLO row"; exit 1; }
+	@diff -u test/regress/explain_slo.txt _smoke/explain-slo.out \
+	  || { echo "explain-smoke: SLO table differs from test/regress/explain_slo.txt"; exit 1; }
 	dune exec bin/e2ebench.exe -- explain _smoke/explain-trace.bin --flip 0 \
 	  | tee _smoke/explain-flip.out
 	@grep -q 'estimates :' _smoke/explain-flip.out || { echo "explain-smoke: no estimates in chain"; exit 1; }
@@ -175,7 +191,8 @@ explain-smoke:
 
 # Time-varying-load smoke: an envelope + scripted-churn scenario runs
 # end to end with a trace, the offline settling table rebuilds from the
-# trace's edge records, and the chaos flash-crowd / churn-storm
+# trace's edge records (equal to the golden
+# test/regress/churn_slo.txt), and the chaos flash-crowd / churn-storm
 # cells assert bounded re-convergence (exit nonzero on any violation).
 # The ablation run (--ablate-settling) must fail: no settling tracker
 # means no re-convergence evidence.
@@ -195,6 +212,8 @@ churn-smoke:
 	  || { echo "churn-smoke: no settling table from trace"; exit 1; }
 	@grep -q 'churny/client .*us' _smoke/churn-slo.out \
 	  || { echo "churn-smoke: no per-edge settling row"; exit 1; }
+	@diff -u test/regress/churn_slo.txt _smoke/churn-slo.out \
+	  || { echo "churn-smoke: SLO/settling table differs from test/regress/churn_slo.txt"; exit 1; }
 	dune exec bin/e2ebench.exe -- chaos --flash-crowd --churn-storm
 	@if dune exec bin/e2ebench.exe -- chaos --churn-storm --ablate-settling \
 	  > /dev/null 2>&1; then echo "churn-smoke: settling ablation passed the gate"; exit 1; fi
@@ -205,6 +224,7 @@ churn-smoke:
 # the trace rebuilds per-shard slo and inspect breakdowns, and the
 # whole run repeats bit-identically (the LB and steering are hashes
 # and counters — no rng, so sharding must not perturb determinism).
+# Its traces are binary (45 MB each; JSONL would be 137 MB).
 scale-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -215,27 +235,27 @@ scale-smoke:
 	  'tenant name=vm conns=4000 rate_rps=15000 mix=small cpu_mult=4 batching=dynamic' \
 	  > _smoke/scale.scn
 	dune exec bin/e2ebench.exe -- scenario _smoke/scale.scn --print \
-	  --trace-out _smoke/scale-trace.jsonl | tee _smoke/scale.out
+	  --trace-out _smoke/scale-trace.bin | tee _smoke/scale.out
 	@grep -q '^server cores=4 lb=least_loaded' _smoke/scale.out \
 	  || { echo "scale-smoke: server directive lost in round-trip"; exit 1; }
 	@grep -q '^s0 ' _smoke/scale.out || { echo "scale-smoke: no shard 0 row"; exit 1; }
 	@grep -q '^s3 ' _smoke/scale.out || { echo "scale-smoke: no shard 3 row"; exit 1; }
-	dune exec bin/e2ebench.exe -- slo _smoke/scale-trace.jsonl \
+	dune exec bin/e2ebench.exe -- slo _smoke/scale-trace.bin \
 	  | tee _smoke/scale-slo.out
 	@grep -q 'shard s0:' _smoke/scale-slo.out || { echo "scale-smoke: no per-shard SLO roll-up"; exit 1; }
-	dune exec bin/e2ebench.exe -- inspect _smoke/scale-trace.jsonl --limit 0 \
+	dune exec bin/e2ebench.exe -- inspect _smoke/scale-trace.bin --limit 0 \
 	  > _smoke/scale-inspect.out
 	@grep -q 'shard s0:' _smoke/scale-inspect.out || { echo "scale-smoke: no per-shard inspect section"; exit 1; }
 	@grep -q 'shard s3:' _smoke/scale-inspect.out || { echo "scale-smoke: no shard 3 inspect section"; exit 1; }
 	# determinism x2: same scenario, byte-identical stdout and trace
 	# (the trace-file name appears in stdout, so strip that line)
 	dune exec bin/e2ebench.exe -- scenario _smoke/scale.scn --print \
-	  --trace-out _smoke/scale-trace2.jsonl > _smoke/scale2.out
+	  --trace-out _smoke/scale-trace2.bin > _smoke/scale2.out
 	@grep -v '_smoke/scale-trace' _smoke/scale.out > _smoke/scale.out.norm
 	@grep -v '_smoke/scale-trace' _smoke/scale2.out > _smoke/scale2.out.norm
 	@cmp -s _smoke/scale.out.norm _smoke/scale2.out.norm \
 	  || { echo "scale-smoke: sharded run not deterministic (stdout)"; exit 1; }
-	@cmp -s _smoke/scale-trace.jsonl _smoke/scale-trace2.jsonl \
+	@cmp -s _smoke/scale-trace.bin _smoke/scale-trace2.bin \
 	  || { echo "scale-smoke: sharded run not deterministic (trace)"; exit 1; }
 	@echo "scale-smoke: OK"
 

@@ -219,8 +219,26 @@ let observe_of_flags ~trace_out ~metrics_out ~sample_us =
            sample_interval = Sim.Time.us sample_us;
          })
 
+(* An output file that cannot be created, as a one-line message.
+   Raised by [create_out] and caught once, at the bottom of this file:
+   e2ebench prints the message and exits 1, after every [Fun.protect]
+   on the way has cleaned up. *)
+exception Cannot_write of string
+
+(* [create ()] makes [path] or a spool file beside it. *)
+let create_out path create =
+  try create ()
+  with Sys_error e ->
+    (* [e] is "<file>: <reason>", and the file may be the spool *)
+    let reason =
+      match String.rindex_opt e ':' with
+      | Some i -> String.trim (String.sub e (i + 1) (String.length e - i - 1))
+      | None -> e
+    in
+    raise (Cannot_write (Printf.sprintf "cannot write %s: %s" path reason))
+
 let with_out path f =
-  let oc = open_out_bin path in
+  let oc = create_out path (fun () -> open_out_bin path) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
 let binary_trace_path path = Filename.check_suffix path ".bin"
@@ -264,15 +282,22 @@ let traced_runs ~domains ~trace_out ~(observe : Loadgen.Observe.config option) j
   match (trace_out, observe) with
   | None, _ | _, None -> (Par.Pool.map ~domains (fun (_, job) -> job observe) jobs, 0)
   | Some path, Some o ->
-    let spools =
-      List.map
-        (fun _ ->
-          Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path) ".spool")
-        jobs
-    in
+    let made = ref [] in
     Fun.protect
-      ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) spools)
+      ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) !made)
       (fun () ->
+        let spools =
+          List.map
+            (fun _ ->
+              let spool =
+                create_out path (fun () ->
+                    Filename.temp_file ~temp_dir:(Filename.dirname path)
+                      (Filename.basename path) ".spool")
+              in
+              made := spool :: !made;
+              spool)
+            jobs
+        in
         let runs =
           Par.Pool.map ~domains
             (fun ((run, job), spool) ->
@@ -970,36 +995,37 @@ let print_run_agg ra =
     (List.sort compare (List.rev ra.ra_shard_order_rev));
   spans
 
-(* Stream a trace file into per-run aggregates, first-appearance
-   order; the empty key stands for unlabelled single-run files.
-   Event kinds from trace versions newer than this build are skipped
-   and counted rather than failing the whole file. *)
-let fold_runs ~limit path =
+(* Stream a trace file into one aggregate per run ([make key], fed each
+   record of the run), in first-appearance order; the empty key stands
+   for unlabelled single-run files.  Event kinds from trace versions
+   newer than this build are skipped and counted rather than failing
+   the whole file. *)
+let fold_runs ~make ~feed path =
   let order_rev = ref [] in
   let skipped = ref 0 in
-  let runs : (string, run_agg) Hashtbl.t = Hashtbl.create 4 in
+  let runs = Hashtbl.create 4 in
   match
     Sim.Trace.fold_file path
       ~unknown:(fun _ -> incr skipped)
       ~init:()
       ~f:(fun () run r ->
         let key = Option.value run ~default:"" in
-        let ra =
+        let agg =
           match Hashtbl.find_opt runs key with
-          | Some ra -> ra
+          | Some agg -> agg
           | None ->
-            let ra = run_agg ~limit key in
-            Hashtbl.add runs key ra;
+            let agg = make key in
+            Hashtbl.add runs key agg;
             order_rev := key :: !order_rev;
-            ra
+            agg
         in
-        run_agg_feed ra r)
+        feed agg r)
   with
   | Error _ as e -> e
   | Ok () when !order_rev = [] ->
     Error (Printf.sprintf "%s: no trace records" path)
   | Ok () ->
-    Ok (List.rev_map (fun key -> Hashtbl.find runs key) !order_rev, !skipped)
+    Ok (List.rev_map (fun key -> (key, Hashtbl.find runs key)) !order_rev, !skipped)
 
 let inspect_cmd =
   let file_arg =
@@ -1019,10 +1045,10 @@ let inspect_cmd =
     Arg.(value & opt string "c0" & info [ "conn" ] ~docv:"ID" ~doc)
   in
   let action file limit request conn =
-    match fold_runs ~limit file with
+    match fold_runs ~make:(run_agg ~limit) ~feed:run_agg_feed file with
     | Error msg -> fail "%s" msg
     | Ok (runs, skipped) ->
-      let spans_by_run = List.map print_run_agg runs in
+      let spans_by_run = List.map (fun (_, ra) -> print_run_agg ra) runs in
       if skipped > 0 then
         pf "skipped %d unknown event records (newer trace version)\n" skipped;
       (match request with
@@ -1051,262 +1077,39 @@ let inspect_cmd =
 
 (* {1 SLO observatory (offline)} *)
 
-(* Rebuild per-id SLO attainment and burn series from a trace file:
+(* Per-run SLO tables are [Observe]'s SLO fold over the trace file:
    [slo_declared] breadcrumbs carry each id's target, [Request_done]
-   events its completions.  Mirrors the in-run tracker in
-   [Loadgen.Observe] — same log-bucketed histogram, same 1% error
-   budget, same sliding window — so offline tables agree with the
-   live observatory.  Per-connection trackers in per-tenant fleet
-   scopes are fed in-run without trace events, so offline rows exist
-   only for ids whose completions are traced. *)
+   events its completions and "edge" breadcrumbs the discontinuities
+   offline settling segments on.  Rows are the ids that both declared
+   an SLO and traced completions. *)
+let slo_rows reports =
+  List.filter (fun (r : Loadgen.Observe.slo_report) -> r.r_total > 0) reports
 
-type slo_agg = {
-  g_id : string;
-  mutable g_slo_us : float option;
-  g_histo : Sim.Histo.t;
-  mutable g_done_rev : (float * float) list;  (* completion us, latency us *)
-  mutable g_total : int;
-  mutable g_edges_rev : float list;  (* "edge" breadcrumbs, µs *)
-}
-
-type slo_run = {
-  sr_run : string;
-  mutable sr_order_rev : string list;
-  sr_tbl : (string, slo_agg) Hashtbl.t;
-}
-
-let slo_agg_of sr id =
-  match Hashtbl.find_opt sr.sr_tbl id with
-  | Some g -> g
-  | None ->
-    let g =
-      { g_id = id; g_slo_us = None; g_histo = Sim.Histo.create ();
-        g_done_rev = []; g_total = 0; g_edges_rev = [] }
-    in
-    Hashtbl.add sr.sr_tbl id g;
-    sr.sr_order_rev <- id :: sr.sr_order_rev;
-    g
-
-let slo_run_feed sr (r : Sim.Trace.record) =
-  match r.event with
-  | Sim.Trace.Message { tag = "slo_declared"; detail } -> (
-    match float_of_string_opt detail with
-    | Some slo_us when slo_us > 0.0 ->
-      (slo_agg_of sr r.id).g_slo_us <- Some slo_us
-    | Some _ | None -> ())
-  | Sim.Trace.Message { tag = "edge"; detail } -> (
-    (* Settling-tracker breadcrumb: a load discontinuity for this id. *)
-    match float_of_string_opt detail with
-    | Some at_us when Float.is_finite at_us ->
-      let g = slo_agg_of sr r.id in
-      g.g_edges_rev <- at_us :: g.g_edges_rev
-    | Some _ | None -> ())
-  | Sim.Trace.Request_done { latency_us } ->
-    let g = slo_agg_of sr r.id in
-    Sim.Histo.add g.g_histo latency_us;
-    g.g_done_rev <- (Sim.Time.to_us r.at, latency_us) :: g.g_done_rev;
-    g.g_total <- g.g_total + 1
-  | _ -> ()
-
-(* Stream a trace into per-run SLO aggregates (first-appearance run
-   order, like [fold_runs]). *)
-let fold_slo_runs path =
-  let order_rev = ref [] in
-  let runs : (string, slo_run) Hashtbl.t = Hashtbl.create 4 in
-  match
-    Sim.Trace.fold_file path ~init:() ~f:(fun () run r ->
-        let key = Option.value run ~default:"" in
-        let sr =
-          match Hashtbl.find_opt runs key with
-          | Some sr -> sr
-          | None ->
-            let sr =
-              { sr_run = key; sr_order_rev = []; sr_tbl = Hashtbl.create 8 }
-            in
-            Hashtbl.add runs key sr;
-            order_rev := key :: !order_rev;
-            sr
-        in
-        slo_run_feed sr r)
-  with
-  | Error _ as e -> e
-  | Ok () when !order_rev = [] ->
-    Error (Printf.sprintf "%s: no trace records" path)
-  | Ok () -> Ok (List.rev_map (fun key -> Hashtbl.find runs key) !order_rev)
-
-type slo_row = {
-  sl_id : string;
-  sl_slo_us : float;
-  sl_total : int;
-  sl_violations : int;
-  sl_attainment : float;
-  sl_p50_us : float option;
-  sl_p95_us : float option;
-  sl_p99_us : float option;
-  sl_max_burn : float;
-  sl_final_burn : float;
-  sl_first_burn_us : float option;
-}
-
-(* Replay the burn series over the completion stream: at each
-   completion time t, burn = (violation fraction of the window
-   (t - w, t]) / budget. *)
-let slo_row_of ~burn_window_us (g : slo_agg) slo_us =
-  let pairs = Array.of_list (List.rev g.g_done_rev) in
-  Array.sort (fun (a, _) (b, _) -> Float.compare a b) pairs;
-  let n = Array.length pairs in
-  let at = Array.map fst pairs in
-  (* viol.(i) = violations among the first i completions *)
-  let viol = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    viol.(i + 1) <- viol.(i) + (if snd pairs.(i) > slo_us then 1 else 0)
-  done;
-  let max_burn = ref 0.0 and final_burn = ref 0.0 and first = ref None in
-  for i = 0 to n - 1 do
-    let upto = at.(i) in
-    let lo = Loadgen.Observe.first_after at n (upto -. burn_window_us) in
-    let total = i + 1 - lo in
-    let burn =
-      if total = 0 then 0.0
-      else
-        float_of_int (viol.(i + 1) - viol.(lo))
-        /. float_of_int total /. Loadgen.Observe.slo_budget
-    in
-    if burn > !max_burn then max_burn := burn;
-    final_burn := burn;
-    if burn > 1.0 && !first = None then first := Some upto
-  done;
-  {
-    sl_id = g.g_id;
-    sl_slo_us = slo_us;
-    sl_total = n;
-    sl_violations = viol.(n);
-    sl_attainment =
-      (if n = 0 then 1.0
-       else 1.0 -. (float_of_int viol.(n) /. float_of_int n));
-    sl_p50_us = Sim.Histo.quantile g.g_histo 50.0;
-    sl_p95_us = Sim.Histo.quantile g.g_histo 95.0;
-    sl_p99_us = Sim.Histo.quantile g.g_histo 99.0;
-    sl_max_burn = !max_burn;
-    sl_final_burn = !final_burn;
-    sl_first_burn_us = !first;
-  }
-
-(* Rows for the ids that both declared an SLO and traced completions. *)
-let slo_rows ~burn_window_us sr =
-  List.filter_map
-    (fun id ->
-      let g = Hashtbl.find sr.sr_tbl id in
-      match g.g_slo_us with
-      | Some slo_us when g.g_total > 0 -> Some (slo_row_of ~burn_window_us g slo_us)
-      | Some _ | None -> None)
-    (List.rev sr.sr_order_rev)
+let settle_verdict (g : Loadgen.Observe.settle_report) =
+  match (g.g_steady_us, g.g_settle_us) with
+  | None, _ -> "too few samples"
+  | Some _, None -> "never settled"
+  | Some _, Some _ -> "settled"
 
 let fopt = function Some v -> Printf.sprintf "%8.1fus" v | None -> "         -"
 
-(* Offline settling: recompute re-convergence per edge-to-edge segment
-   from the completion stream, bucketed to 1 ms means.  The trace file
-   does not carry the in-run estimator series, but ground-truth latency
-   re-converging is the same question asked of a coarser signal, and
-   the "edge" breadcrumbs mark exactly the discontinuities the in-run
-   tracker judged. *)
-type settle_row = {
-  st_id : string;
-  st_edge_us : float;
-  st_end_us : float;
-  st_steady_us : float option;
-  st_settle_us : float option;
-}
-
-let settle_rows sr =
-  let ids = List.rev sr.sr_order_rev in
-  List.concat_map
-    (fun id ->
-      let g = Hashtbl.find sr.sr_tbl id in
-      let edges = List.sort_uniq compare (List.rev g.g_edges_rev) in
-      if edges = [] || g.g_done_rev = [] then []
-      else begin
-        let pairs = List.rev g.g_done_rev in
-        let tbl : (int, float * int) Hashtbl.t = Hashtbl.create 256 in
-        List.iter
-          (fun (at, lat) ->
-            let b = int_of_float (at /. 1000.0) in
-            let sum, n =
-              Option.value (Hashtbl.find_opt tbl b) ~default:(0.0, 0)
-            in
-            Hashtbl.replace tbl b (sum +. lat, n + 1))
-          pairs;
-        let series =
-          List.sort
-            (fun (a, _) (b, _) -> Float.compare a b)
-            (Hashtbl.fold
-               (fun b (sum, n) acc ->
-                 (((float_of_int b +. 0.5) *. 1000.0), sum /. float_of_int n)
-                 :: acc)
-               tbl [])
-        in
-        let last =
-          List.fold_left (fun acc (at, _) -> Float.max acc at) 0.0 pairs
-        in
-        let until = last +. 1.0 in
-        let rec segs = function
-          | [] -> []
-          | e :: rest ->
-            let seg_end = match rest with n :: _ -> n | [] -> until in
-            (e, seg_end) :: segs rest
-        in
-        List.map
-          (fun (edge_us, end_us) ->
-            let steady, settle =
-              Loadgen.Observe.judge_settle series ~edge_us ~end_us
-                ~kind:`Estimate
-            in
-            {
-              st_id = id;
-              st_edge_us = edge_us;
-              st_end_us = end_us;
-              st_steady_us = steady;
-              st_settle_us = settle;
-            })
-          (segs (List.filter (fun e -> e < until) edges))
-      end)
-    ids
-
-let print_settle_rows rows =
-  if rows <> [] then begin
-    pf "  settling (1 ms ground-truth buckets between edge breadcrumbs):\n";
-    pf "    %-16s %10s %10s %10s %10s  %s\n" "id" "edge" "seg-end" "steady"
-      "settle" "verdict";
-    List.iter
-      (fun s ->
-        let f = function
-          | Some v -> Printf.sprintf "%8.1fus" v
-          | None -> "         -"
-        in
-        pf "    %-16s %8.0fus %8.0fus %s %s  %s\n" s.st_id s.st_edge_us
-          s.st_end_us (f s.st_steady_us) (f s.st_settle_us)
-          (match (s.st_steady_us, s.st_settle_us) with
-          | None, _ -> "too few samples"
-          | Some _, None -> "never settled"
-          | Some _, Some _ -> "settled"))
-      rows
-  end
-
-let print_slo_run ~burn_window_us sr =
-  let rows = slo_rows ~burn_window_us sr in
+(* Print one run's tables; returns every declared id's report. *)
+let print_slo_run (run, fold) =
+  let reports = Loadgen.Observe.slo_reports fold in
+  let rows = slo_rows reports in
   pf "run %s: SLO attainment (burn window %.0fus, budget %.0f%%)\n"
-    (if sr.sr_run = "" then "-" else sr.sr_run)
-    burn_window_us (100.0 *. Loadgen.Observe.slo_budget);
+    (if run = "" then "-" else run)
+    Loadgen.Observe.slo_burn_window_us (100.0 *. Loadgen.Observe.slo_budget);
   pf "  %-16s %10s %8s %6s %8s %10s %10s %10s %9s %9s %12s\n" "id" "slo" "n"
     "viol" "attain" "p50" "p95" "p99" "max-burn" "end-burn" "first-burn";
   List.iter
-    (fun r ->
-      pf "  %-16s %8.1fus %8d %6d %7.2f%% %s %s %s %9.2f %9.2f %s\n" r.sl_id
-        r.sl_slo_us r.sl_total r.sl_violations
-        (100.0 *. r.sl_attainment)
-        (fopt r.sl_p50_us) (fopt r.sl_p95_us) (fopt r.sl_p99_us) r.sl_max_burn
-        r.sl_final_burn
-        (match r.sl_first_burn_us with
+    (fun (r : Loadgen.Observe.slo_report) ->
+      pf "  %-16s %8.1fus %8d %6d %7.2f%% %s %s %s %9.2f %9.2f %s\n" r.r_id
+        r.r_slo_us r.r_total r.r_violations
+        (100.0 *. r.r_attainment)
+        (fopt r.r_p50_us) (fopt r.r_p95_us) (fopt r.r_p99_us) r.r_max_burn
+        r.r_final_burn
+        (match r.r_first_burn_us with
         | Some us -> Printf.sprintf "%10.1fus" us
         | None -> "           -"))
     rows;
@@ -1314,8 +1117,8 @@ let print_slo_run ~burn_window_us sr =
   let by_shard = Hashtbl.create 4 in
   let shard_order_rev = ref [] in
   List.iter
-    (fun r ->
-      match Sim.Trace.shard_of_id r.sl_id with
+    (fun (r : Loadgen.Observe.slo_report) ->
+      match Sim.Trace.shard_of_id r.r_id with
       | None -> ()
       | Some k ->
         if not (Hashtbl.mem by_shard k) then
@@ -1324,7 +1127,7 @@ let print_slo_run ~burn_window_us sr =
           Option.value (Hashtbl.find_opt by_shard k) ~default:(0, 0, 0.0)
         in
         Hashtbl.replace by_shard k
-          (n + r.sl_total, viol + r.sl_violations, Float.max burn r.sl_max_burn))
+          (n + r.r_total, viol + r.r_violations, Float.max burn r.r_max_burn))
     rows;
   List.iter
     (fun k ->
@@ -1336,47 +1139,45 @@ let print_slo_run ~burn_window_us sr =
          else 100.0 *. (1.0 -. (float_of_int viol /. float_of_int n)))
         burn)
     (List.sort compare !shard_order_rev);
-  print_settle_rows (settle_rows sr);
-  rows
-
-let burn_window_us_arg =
-  let doc =
-    "Sliding burn-rate window in microseconds (matches the in-run \
-     observatory default)."
-  in
-  Arg.(value & opt float 10_000.0 & info [ "burn-window-us" ] ~docv:"US" ~doc)
+  let settles = Loadgen.Observe.slo_settling fold in
+  if settles <> [] then begin
+    pf "  settling (1 ms ground-truth buckets between edge breadcrumbs):\n";
+    pf "    %-16s %10s %10s %10s %10s  %s\n" "id" "edge" "seg-end" "steady"
+      "settle" "verdict";
+    List.iter
+      (fun (g : Loadgen.Observe.settle_report) ->
+        pf "    %-16s %8.0fus %8.0fus %s %s  %s\n" g.g_id g.g_edge_us g.g_end_us
+          (fopt g.g_steady_us) (fopt g.g_settle_us) (settle_verdict g))
+      settles
+  end;
+  reports
 
 let slo_cmd =
   let file_arg =
     let doc = "Trace file produced by --trace-out (JSONL or binary)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
-  let action file burn_window_us =
-    if burn_window_us <= 0.0 then fail "--burn-window-us must be positive"
-    else
-      match fold_slo_runs file with
-      | Error msg -> fail "%s" msg
-      | Ok runs ->
-        let printed =
-          List.concat_map (print_slo_run ~burn_window_us) runs
-        in
-        let declared =
-          List.exists
-            (fun sr ->
-              Hashtbl.fold (fun _ g acc -> acc || g.g_slo_us <> None)
-                sr.sr_tbl false)
-            runs
-        in
-        if not declared then
-          fail
-            "%s declares no SLOs (trace written without observability, or \
-             by an older version?)"
-            file
-        else if printed = [] then
-          fail "%s has no traced completions for any declared SLO" file
-        else `Ok ()
+  let action file =
+    match
+      fold_runs file
+        ~make:(fun _ -> Loadgen.Observe.slo_fold ())
+        ~feed:Loadgen.Observe.slo_fold_record
+    with
+    | Error msg -> fail "%s" msg
+    | Ok (runs, skipped) ->
+      let reports = List.concat_map print_slo_run runs in
+      if skipped > 0 then
+        pf "skipped %d unknown event records (newer trace version)\n" skipped;
+      if reports = [] then
+        fail
+          "%s declares no SLOs (trace written without observability, or \
+           by an older version?)"
+          file
+      else if slo_rows reports = [] then
+        fail "%s has no traced completions for any declared SLO" file
+      else `Ok ()
   in
-  let term = Term.(ret (const action $ file_arg $ burn_window_us_arg)) in
+  let term = Term.(ret (const action $ file_arg)) in
   Cmd.v
     (Cmd.info "slo"
        ~doc:
@@ -1592,29 +1393,39 @@ let dataset_of_agg ~label ~audits sa =
     ds_requests = List.length sa.sa_reqs_rev;
   }
 
+(* The datasets of a trace file and each run's SLO fold, labelled
+   "<file>[:<run>]", from one pass over the file. *)
 let datasets_of_file path =
-  match fold_runs ~limit:0 path with
+  match
+    fold_runs path
+      ~make:(fun key -> (run_agg ~limit:0 key, Loadgen.Observe.slo_fold ()))
+      ~feed:(fun (ra, fold) r ->
+        run_agg_feed ra r;
+        Loadgen.Observe.slo_fold_record fold r)
+  with
   | Error e -> Error e
   | Ok (runs, _skipped) ->
+    let label run =
+      if run = "" then Filename.basename path
+      else Printf.sprintf "%s:%s" (Filename.basename path) run
+    in
     Ok
-      (List.concat_map
-         (fun ra ->
-           let label =
-             if ra.ra_run = "" then Filename.basename path
-             else Printf.sprintf "%s:%s" (Filename.basename path) ra.ra_run
-           in
-           (* fleet traces additionally get one dataset per tenant tag
-              (untagged traces contribute none); audits stay on the
-              whole-run dataset so they are not repeated per tenant *)
-           dataset_of_agg ~label ~audits:(List.rev ra.ra_audits_rev) ra.ra_all
-           :: List.map
-                (fun tenant ->
-                  dataset_of_agg
-                    ~label:(Printf.sprintf "%s %s" label tenant)
-                    ~audits:[]
-                    (Hashtbl.find ra.ra_tenants tenant))
-                (List.rev ra.ra_tenant_order_rev))
-         runs)
+      ( List.concat_map
+          (fun (run, (ra, _)) ->
+            let label = label run in
+            (* fleet traces additionally get one dataset per tenant tag
+               (untagged traces contribute none); audits stay on the
+               whole-run dataset so they are not repeated per tenant *)
+            dataset_of_agg ~label ~audits:(List.rev ra.ra_audits_rev) ra.ra_all
+            :: List.map
+                 (fun tenant ->
+                   dataset_of_agg
+                     ~label:(Printf.sprintf "%s %s" label tenant)
+                     ~audits:[]
+                     (Hashtbl.find ra.ra_tenants tenant))
+                 (List.rev ra.ra_tenant_order_rev))
+          runs,
+        List.map (fun (run, (_, fold)) -> (label run, fold)) runs )
 
 (* Stacked bars for a dataset: one bar per percentile, one segment per
    phase.  Interleaved across datasets by [bars_for_all] so same
@@ -1684,80 +1495,65 @@ let summary_table datasets =
            Printf.sprintf "%.1fus" (pct spans 0.99) ])
        datasets)
 
-(* Per-file SLO panel: one table per run that declared SLOs, rebuilt
-   from the same trace the datasets came from. *)
+(* SLO panel: one table per [(label, fold)] run that declared SLOs,
+   rebuilt from the same pass over the trace the datasets came from. *)
 let slo_panel_sections slo_tables =
+  let cell = function Some v -> Printf.sprintf "%.1fus" v | None -> "-" in
   String.concat ""
-    (List.concat_map
-       (fun (file, runs) ->
-         List.filter_map
-           (fun (sr : slo_run) ->
-             let rows = slo_rows ~burn_window_us:10_000.0 sr in
-             if rows = [] then None
+    (List.filter_map
+       (fun (label, fold) ->
+         let rows = slo_rows (Loadgen.Observe.slo_reports fold) in
+         if rows = [] then None
+         else
+           let settles = Loadgen.Observe.slo_settling fold in
+           let settle_section =
+             if settles = [] then ""
              else
-               let label =
-                 if sr.sr_run = "" then Filename.basename file
-                 else
-                   Printf.sprintf "%s:%s" (Filename.basename file) sr.sr_run
-               in
-               let cell = function
-                 | Some v -> Printf.sprintf "%.1fus" v
-                 | None -> "-"
-               in
-               let settles = settle_rows sr in
-               let settle_section =
-                 if settles = [] then ""
-                 else
-                   Report.Html.paragraph
-                     "Re-convergence after load discontinuities (envelope \
-                      edges / churn epochs), recomputed from 1 ms \
-                      ground-truth buckets between the trace's edge \
-                      breadcrumbs."
-                   ^ Report.Html.table
-                       ~header:
-                         [ "id"; "edge"; "segment end"; "steady"; "settle";
-                           "verdict" ]
-                       (List.map
-                          (fun s ->
-                            [ s.st_id;
-                              Printf.sprintf "%.0fus" s.st_edge_us;
-                              Printf.sprintf "%.0fus" s.st_end_us;
-                              cell s.st_steady_us;
-                              cell s.st_settle_us;
-                              (match (s.st_steady_us, s.st_settle_us) with
-                              | None, _ -> "too few samples"
-                              | Some _, None -> "never settled"
-                              | Some _, Some _ -> "settled") ])
-                          settles)
-               in
-               Some
-                 (Report.Html.section
-                    ~title:(Printf.sprintf "SLO attainment — %s" label)
-                    (Report.Html.paragraph
-                       "Histogram-derived tail percentiles against each \
-                        tenant's declared SLO; burn is the sliding-window \
-                        violation rate over a 1% error budget (window \
-                        10000us)."
-                    ^ Report.Html.table
-                        ~header:
-                          [ "id"; "slo"; "requests"; "violations"; "attainment";
-                            "p50"; "p95"; "p99"; "max burn"; "first burn" ]
-                        (List.map
-                           (fun r ->
-                             [ r.sl_id;
-                               Printf.sprintf "%.1fus" r.sl_slo_us;
-                               string_of_int r.sl_total;
-                               string_of_int r.sl_violations;
-                               Printf.sprintf "%.2f%%" (100.0 *. r.sl_attainment);
-                               cell r.sl_p50_us; cell r.sl_p95_us;
-                               cell r.sl_p99_us;
-                               Printf.sprintf "%.2f" r.sl_max_burn;
-                               (match r.sl_first_burn_us with
-                               | Some us -> Printf.sprintf "%.1fus" us
-                               | None -> "-") ])
-                           rows)
-                    ^ settle_section)))
-           runs)
+               Report.Html.paragraph
+                 "Re-convergence after load discontinuities (envelope \
+                  edges / churn epochs), recomputed from 1 ms \
+                  ground-truth buckets between the trace's edge \
+                  breadcrumbs."
+               ^ Report.Html.table
+                   ~header:[ "id"; "edge"; "segment end"; "steady"; "settle"; "verdict" ]
+                   (List.map
+                      (fun (g : Loadgen.Observe.settle_report) ->
+                        [ g.g_id;
+                          Printf.sprintf "%.0fus" g.g_edge_us;
+                          Printf.sprintf "%.0fus" g.g_end_us;
+                          cell g.g_steady_us;
+                          cell g.g_settle_us;
+                          settle_verdict g ])
+                      settles)
+           in
+           Some
+             (Report.Html.section
+                ~title:(Printf.sprintf "SLO attainment — %s" label)
+                (Report.Html.paragraph
+                   (Printf.sprintf
+                      "Histogram-derived tail percentiles against each \
+                       tenant's declared SLO; burn is the sliding-window \
+                       violation rate over a 1%% error budget (window \
+                       %.0fus)."
+                      Loadgen.Observe.slo_burn_window_us)
+                ^ Report.Html.table
+                    ~header:
+                      [ "id"; "slo"; "requests"; "violations"; "attainment";
+                        "p50"; "p95"; "p99"; "max burn"; "first burn" ]
+                    (List.map
+                       (fun (r : Loadgen.Observe.slo_report) ->
+                         [ r.r_id;
+                           Printf.sprintf "%.1fus" r.r_slo_us;
+                           string_of_int r.r_total;
+                           string_of_int r.r_violations;
+                           Printf.sprintf "%.2f%%" (100.0 *. r.r_attainment);
+                           cell r.r_p50_us; cell r.r_p95_us; cell r.r_p99_us;
+                           Printf.sprintf "%.2f" r.r_max_burn;
+                           (match r.r_first_burn_us with
+                           | Some us -> Printf.sprintf "%.1fus" us
+                           | None -> "-") ])
+                       rows)
+                ^ settle_section)))
        slo_tables)
 
 let report_html ~slo_tables datasets =
@@ -1900,13 +1696,15 @@ let report_cmd =
     in
     match inputs with
     | Error e -> fail "%s" e
-    | Ok ([], _, _) -> fail "no datasets"
-    | Ok ((a_ds :: _ as a), b, gate) -> (
-      let datasets = a @ (match b with None -> [] | Some (_, db) -> db) in
+    | Ok (([], _), _, _) -> fail "no datasets"
+    | Ok (((a_ds :: _ as a), a_slo), b, gate) -> (
+      let datasets, slo_tables =
+        match b with None -> (a, a_slo) | Some (_, (db, b_slo)) -> (a @ db, a_slo @ b_slo)
+      in
       if List.for_all (fun ds -> ds.ds_spans = []) datasets then
         fail
-          "no complete spans in input (trace ring too small, or written by an \
-           older version?)"
+          "no complete spans in input (no request completed in the traced \
+           runs, or the file was written by an older version?)"
       else
         let gated =
           match gate with
@@ -1914,9 +1712,9 @@ let report_cmd =
           | Some g -> (
             match b with
             | None -> Error "--gate requires --compare"
-            | Some (_, []) | Some (_, { ds_spans = []; _ } :: _) ->
+            | Some (_, ([], _)) | Some (_, ({ ds_spans = []; _ } :: _, _)) ->
               Error "--gate baseline has no complete spans"
-            | Some (bfile, b_ds :: _) -> (
+            | Some (bfile, (b_ds :: _, _)) -> (
               match (gate_value g a_ds, gate_value g b_ds) with
               | Some cand, Some base ->
                 let delta = cand -. base in
@@ -1945,14 +1743,6 @@ let report_cmd =
             `Ok ()
           end
           else begin
-            let slo_tables =
-              List.filter_map
-                (fun f ->
-                  match fold_slo_runs f with
-                  | Ok runs -> Some (f, runs)
-                  | Error _ -> None)
-                (file :: (match b with None -> [] | Some (bf, _) -> [ bf ]))
-            in
             let html = report_html ~slo_tables datasets in
             if not (Report.Html.well_formed html) then
               fail "internal error: generated HTML is not well-formed"
@@ -2300,8 +2090,19 @@ let scenario_cmd =
 let () =
   let doc = "end-to-end-aware batching benchmarks (HotOS'25 reproduction)" in
   let info = Cmd.info "e2ebench" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ run_cmd; sweep_cmd; chaos_cmd; model_cmd; trace_cmd; inspect_cmd;
+        explain_cmd; slo_cmd; report_cmd; convert_cmd; scenario_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; sweep_cmd; chaos_cmd; model_cmd; trace_cmd; inspect_cmd;
-            explain_cmd; slo_cmd; report_cmd; convert_cmd; scenario_cmd ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Cannot_write msg ->
+      Printf.eprintf "e2ebench: %s\n" msg;
+      1
+    | e ->
+      (* what [Cmd.eval] itself does with an uncaught exception *)
+      Printf.eprintf "e2ebench: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      Printexc.print_backtrace stderr;
+      Cmd.Exit.internal_error)

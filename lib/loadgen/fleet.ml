@@ -616,8 +616,8 @@ let run (cfg : config) =
     | Per_tenant -> s.spec.name
     | Per_conn -> Tcp.Socket.label e.csock
   in
-  (* Decision ledgers (one per control group) and SLO trackers (one per
-     tenant), created before the drivers so completions are attributed
+  (* Decision ledgers (one per control group) and SLO declarations (one
+     per tenant), made before the drivers so completions are attributed
      from the first request on. *)
   let ledger_tbl : (string, E2e.Ledger.t) Hashtbl.t = Hashtbl.create 16 in
   let add_ledger group =
@@ -633,26 +633,23 @@ let run (cfg : config) =
     List.iter
       (fun s -> Observe.declare_slo o ~at ~id:(client_id s.spec) ~slo_us:s.spec.slo_us)
       states;
-    (* Sharded runs declare tenant-per-shard SLO ids
-       ("<tenant>/client@s<k>") as trace records only — offline [slo]
-       rebuilds a per-shard attainment roll-up from them while the
-       in-run observatory keeps its tenant-level trackers. *)
-    let tr = Observe.trace o in
-    if cores > 1 && Sim.Trace.enabled tr then
+    (* Sharded runs also declare tenant-per-shard ids
+       ("<tenant>/client@s<k>"), so [slo] rolls attainment up per shard. *)
+    if cores > 1 then
       List.iter
         (fun s ->
           for k = 0 to cores - 1 do
-            Sim.Trace.event tr ~at
+            Observe.declare_slo o ~at
               ~id:(Printf.sprintf "%s@s%d" (client_id s.spec) k)
-              (Sim.Trace.Message
-                 { tag = "slo_declared"; detail = Printf.sprintf "%.17g" s.spec.slo_us })
+              ~slo_us:s.spec.slo_us
           done)
         states;
     List.iter (fun s -> iter_entries s ~f:(fun e -> add_ledger (group_id s e))) states);
   let ledger_for gid = Hashtbl.find_opt ledger_tbl gid in
   (* Completion callback of a tenant's connections on [shard] in group
-     [gid]: records latency in every distinct recorder and feeds the
-     group's ledger and the tenant's SLO tracker.  Built before the
+     [gid]: records latency in every distinct recorder, feeds the
+     group's ledger and traces the completion under the tenant's SLO
+     ids.  Built before the
      first request so the hot path allocates no closures. *)
   let completion s ~shard ~gid =
     let lg = ledger_for gid in
@@ -827,7 +824,6 @@ let run (cfg : config) =
         | None -> sample
       in
       Observe.note_sample o sample;
-      Observe.slo_tick o ~at;
       List.iter2
         (fun s tacc ->
           let accepting = ref 0 and on = ref 0 in

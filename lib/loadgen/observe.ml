@@ -1,16 +1,16 @@
 (* Per-run observability state: one trace ring, one metrics registry,
-   one residual tracker, the completed-request log that supplies the
-   residual's ground truth, and the SLO observatory — streaming
-   per-tenant latency histograms with sliding-window burn rates.  The
-   fleet engine owns the sampling tick; this module only holds state and
-   turns it into a pure [output] at the end of the run, so results
-   stay structurally comparable across runs and domains. *)
+   one residual tracker and the completed-request log that supplies the
+   residual's ground truth.  The fleet engine owns the sampling tick;
+   this module only holds state and turns it into a pure [output] at
+   the end of the run, so results stay structurally comparable across
+   runs and domains.  SLO attainment is not tracked in-run: it is one
+   fold over the run's trace records ({!slo_fold}), fed from the ring,
+   a sink or a trace file alike. *)
 
 type config = {
   trace_capacity : int;
   sample_interval : Sim.Time.span;
   trace_sink : (Sim.Trace.record -> unit) option;
-  burn_window : Sim.Time.span;
   settling : bool;
 }
 
@@ -19,26 +19,8 @@ let default_config =
     trace_capacity = 65536;
     sample_interval = Sim.Time.ms 1;
     trace_sink = None;
-    burn_window = Sim.Time.ms 10;
     settling = true;
   }
-
-(* One SLO tracker per declared id (the whole run or a tenant).  The
-   completion log mirrors the request log's layout: sorted completion
-   times plus a violation prefix sum, so a sliding window is two binary
-   searches. *)
-type slo_tracker = {
-  slo_id : string;
-  slo_us : float;
-  histo : Sim.Histo.t;
-  mutable s_at : float array; (* completion time us, oldest first *)
-  mutable s_viol : int array; (* length n+1: violations prefix sum *)
-  mutable s_n : int;
-  mutable burn_rev : (float * float) list; (* (tick us, burn rate) *)
-  mutable max_burn : float;
-  mutable final_burn : float;
-  mutable first_burn_us : float option;
-}
 
 type slo_report = {
   r_id : string;
@@ -52,7 +34,6 @@ type slo_report = {
   r_max_burn : float;
   r_final_burn : float;
   r_first_burn_us : float option;
-  r_burn : (float * float) list;
 }
 
 (* One settling tracker per id: the envelope edges / churn bursts to
@@ -83,7 +64,6 @@ type output = {
   residual_pairs : E2e.Residual.pair list;
   residual : E2e.Residual.summary option;
   audits : Sim.Audit.report list;
-  slo : slo_report list;
   settling : settle_report list;
 }
 
@@ -91,13 +71,10 @@ type t = {
   trace : Sim.Trace.t;
   metrics : Sim.Metrics.t;
   interval : Sim.Time.span;
-  burn_window_us : float;
   residual : E2e.Residual.t;
   audit : Sim.Audit.t;
   mutable audits : Sim.Audit.report list;
   mutable samples_rev : Sim.Metrics.sample list;
-  mutable slo_rev : slo_tracker list; (* declaration order, reversed *)
-  slo_tbl : (string, slo_tracker) Hashtbl.t;
   settling_on : bool;
   mutable settle_rev : settle_tracker list; (* declaration order, reversed *)
   settle_tbl : (string, settle_tracker) Hashtbl.t;
@@ -116,8 +93,6 @@ type t = {
 let create (cfg : config) =
   if cfg.sample_interval <= 0 then
     invalid_arg "Observe.create: sample_interval must be positive";
-  if cfg.burn_window <= 0 then
-    invalid_arg "Observe.create: burn_window must be positive";
   let trace = Sim.Trace.create ~capacity:cfg.trace_capacity () in
   Sim.Trace.set_enabled trace true;
   Sim.Trace.set_sink trace cfg.trace_sink;
@@ -125,13 +100,10 @@ let create (cfg : config) =
     trace;
     metrics = Sim.Metrics.create ();
     interval = cfg.sample_interval;
-    burn_window_us = Sim.Time.to_us cfg.burn_window;
     residual = E2e.Residual.create ();
     audit = Sim.Audit.create ();
     audits = [];
     samples_rev = [];
-    slo_rev = [];
-    slo_tbl = Hashtbl.create 8;
     settling_on = cfg.settling;
     settle_rev = [];
     settle_tbl = Hashtbl.create 8;
@@ -150,50 +122,26 @@ let finalize_audit t ~at =
   t.audits <- reports;
   reports
 
-(* {1 SLO observatory} *)
-
+(* A trace breadcrumb so the SLO fold ([e2ebench slo]/[report], tests)
+   can recover each id's declared SLO from the records alone. *)
 let declare_slo t ~at ~id ~slo_us =
   if (not (Float.is_finite slo_us)) || slo_us <= 0.0 then
     invalid_arg "Observe.declare_slo: slo_us must be positive and finite";
-  if not (Hashtbl.mem t.slo_tbl id) then begin
-    let tr =
-      {
-        slo_id = id;
-        slo_us;
-        histo = Sim.Histo.create ();
-        s_at = [||];
-        s_viol = [| 0 |];
-        s_n = 0;
-        burn_rev = [];
-        max_burn = 0.0;
-        final_burn = 0.0;
-        first_burn_us = None;
-      }
-    in
-    Hashtbl.add t.slo_tbl id tr;
-    t.slo_rev <- tr :: t.slo_rev;
-    (* A trace breadcrumb so offline tools ([e2ebench slo]/[report])
-       can recover each id's declared SLO from the file alone. *)
-    Sim.Trace.event t.trace ~at ~id
-      (Sim.Trace.Message
-         { tag = "slo_declared"; detail = Printf.sprintf "%.17g" slo_us })
-  end
+  Sim.Trace.event t.trace ~at ~id
+    (Sim.Trace.Message { tag = "slo_declared"; detail = Printf.sprintf "%.17g" slo_us })
 
-let slo_feed tr ~at_us ~latency_us =
-  Sim.Histo.add tr.histo latency_us;
-  let n = tr.s_n in
-  if n = Array.length tr.s_at then begin
-    let cap = Stdlib.max 1024 (2 * n) in
-    let at' = Array.make cap 0.0 in
-    Array.blit tr.s_at 0 at' 0 n;
-    tr.s_at <- at';
-    let v' = Array.make (cap + 1) 0 in
-    Array.blit tr.s_viol 0 v' 0 (n + 1);
-    tr.s_viol <- v'
-  end;
-  tr.s_at.(n) <- at_us;
-  tr.s_viol.(n + 1) <- tr.s_viol.(n) + (if latency_us > tr.slo_us then 1 else 0);
-  tr.s_n <- n + 1
+(* Append [x] at [n] to a growable float array, doubling it when full. *)
+let push a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let a' = Array.make (Stdlib.max 1024 (2 * n)) 0.0 in
+      Array.blit a 0 a' 0 n;
+      a'
+    end
+  in
+  a.(n) <- x;
+  a
 
 (* First index of the sorted [a.(0..n-1)] whose value exceeds [bound];
    a window [(from, upto]] is the index range between two of these. *)
@@ -210,68 +158,14 @@ let first_after a n bound =
    burn > 1 means the window is eating budget faster than sustainable
    ("The Site Reliability Workbook" multiwindow burn alerting). *)
 let slo_budget = 0.01
-
-let slo_burn_over tr ~from_us ~upto_us =
-  let i = first_after tr.s_at tr.s_n from_us in
-  let j = first_after tr.s_at tr.s_n upto_us in
-  if j <= i then 0.0
-  else
-    let viol = tr.s_viol.(j) - tr.s_viol.(i) in
-    float_of_int viol /. float_of_int (j - i) /. slo_budget
-
-let slo_tick t ~at =
-  let at_us = Sim.Time.to_us at in
-  List.iter
-    (fun tr ->
-      let burn = slo_burn_over tr ~from_us:(at_us -. t.burn_window_us) ~upto_us:at_us in
-      tr.burn_rev <- (at_us, burn) :: tr.burn_rev;
-      tr.final_burn <- burn;
-      if burn > tr.max_burn then tr.max_burn <- burn;
-      if burn > 1.0 && tr.first_burn_us = None then tr.first_burn_us <- Some at_us)
-    t.slo_rev
-
-let slo_report_of tr =
-  let q p = Sim.Histo.quantile tr.histo p in
-  let total = tr.s_n in
-  let violations = tr.s_viol.(total) in
-  {
-    r_id = tr.slo_id;
-    r_slo_us = tr.slo_us;
-    r_total = total;
-    r_violations = violations;
-    r_attainment =
-      (if total = 0 then 1.0
-       else 1.0 -. (float_of_int violations /. float_of_int total));
-    r_p50_us = q 50.0;
-    r_p95_us = q 95.0;
-    r_p99_us = q 99.0;
-    r_max_burn = tr.max_burn;
-    r_final_burn = tr.final_burn;
-    r_first_burn_us = tr.first_burn_us;
-    r_burn = List.rev tr.burn_rev;
-  }
-
-let slo_reports t = List.rev_map slo_report_of t.slo_rev
+let slo_burn_window_us = 10_000.0
 
 let note_request ?(id = "client") t ~at ~latency =
   let latency_us = Sim.Time.to_us latency in
   let n = t.n_reqs in
-  if n = Array.length t.req_at then begin
-    let cap = Stdlib.max 1024 (2 * n) in
-    let at' = Array.make cap 0.0 in
-    Array.blit t.req_at 0 at' 0 n;
-    t.req_at <- at';
-    let pf' = Array.make (cap + 1) 0.0 in
-    Array.blit t.req_prefix 0 pf' 0 (n + 1);
-    t.req_prefix <- pf'
-  end;
-  let at_us = Sim.Time.to_us at in
-  t.req_at.(n) <- at_us;
-  t.req_prefix.(n + 1) <- t.req_prefix.(n) +. latency_us;
+  t.req_at <- push t.req_at n (Sim.Time.to_us at);
+  t.req_prefix <- push t.req_prefix (n + 1) (t.req_prefix.(n) +. latency_us);
   t.n_reqs <- n + 1;
-  (match Hashtbl.find_opt t.slo_tbl id with
-  | Some tr -> slo_feed tr ~at_us ~latency_us
-  | None -> ());
   Sim.Trace.event t.trace ~at ~id (Sim.Trace.Request_done { latency_us })
 
 (* Mean latency of requests completing in [(from_us, upto_us]]. *)
@@ -401,16 +295,13 @@ let judge_settle samples ~edge_us ~end_us ~kind =
   in
   settle_of_series samples ~edge:edge_us ~seg_end:end_us ~band
 
-let settle_report_of tr ~until_us =
+(* One report per edge-to-edge segment of [edges] (any order, repeats
+   allowed), judging the [ests] series and, when not empty, the [modes]
+   series; the last segment ends at [until_us]. *)
+let settle_segments ~id ~edges ~ests ~modes ~until_us =
   (* An edge at (or past) the end of the run opens a zero-length
      segment with nothing to judge — drop it. *)
-  let edges =
-    List.filter
-      (fun e -> e < until_us)
-      (List.sort_uniq compare (List.rev tr.edges_rev))
-  in
-  let ests = List.rev tr.est_rev in
-  let modes = List.rev tr.mode_rev in
+  let edges = List.filter (fun e -> e < until_us) (List.sort_uniq compare edges) in
   let rec segments = function
     | [] -> []
     | edge :: rest ->
@@ -418,28 +309,146 @@ let settle_report_of tr ~until_us =
       (edge, seg_end) :: segments rest
   in
   List.map
-    (fun (edge, seg_end) ->
-      let steady, settle =
-        settle_of_series ests ~edge ~seg_end ~band:(fun steady ->
-            Stdlib.max (settle_rel_tol *. Float.abs steady) settle_abs_floor_us)
-      in
-      let _, mode_settle =
-        settle_of_series modes ~edge ~seg_end ~band:(fun _ -> mode_abs_tol)
+    (fun (edge_us, end_us) ->
+      let steady, settle = judge_settle ests ~edge_us ~end_us ~kind:`Estimate in
+      let mode_settle =
+        if modes = [] then None else snd (judge_settle modes ~edge_us ~end_us ~kind:`Mode)
       in
       {
-        g_id = tr.set_id;
-        g_edge_us = edge;
-        g_end_us = seg_end;
+        g_id = id;
+        g_edge_us = edge_us;
+        g_end_us = end_us;
         g_steady_us = steady;
         g_settle_us = settle;
-        g_mode_settle_us = (if modes = [] then None else mode_settle);
-        g_settled =
-          settle <> None && (modes = [] || mode_settle <> None);
+        g_mode_settle_us = mode_settle;
+        g_settled = settle <> None && (modes = [] || mode_settle <> None);
       })
     (segments edges)
 
 let settle_reports t ~until_us =
-  List.concat_map (fun tr -> settle_report_of tr ~until_us) (List.rev t.settle_rev)
+  List.concat_map
+    (fun tr ->
+      settle_segments ~id:tr.set_id ~edges:tr.edges_rev ~ests:(List.rev tr.est_rev)
+        ~modes:(List.rev tr.mode_rev) ~until_us)
+    (List.rev t.settle_rev)
+
+(* {1 SLO observatory}
+
+   One fold over trace records, whether they come from a run's ring,
+   its sink or a trace file: a [slo_declared] breadcrumb declares an id
+   and its SLO, a [Request_done] under a declared id feeds that id's
+   histogram and completion log, and an ["edge"] breadcrumb marks a
+   load discontinuity for offline settling.  Everything else, and
+   anything under an undeclared id, is ignored. *)
+
+type slo_entry = {
+  e_id : string;
+  mutable e_slo_us : float;  (* the latest declaration wins *)
+  e_histo : Sim.Histo.t;
+  mutable e_at : float array;  (* completion time us, in feed order *)
+  mutable e_lat : float array;  (* latency us *)
+  mutable e_n : int;
+  mutable e_edges_rev : float list;  (* edge instants us *)
+}
+
+type slo_fold = {
+  mutable f_rev : slo_entry list;  (* declaration order, reversed *)
+  f_tbl : (string, slo_entry) Hashtbl.t;
+}
+
+let slo_fold () = { f_rev = []; f_tbl = Hashtbl.create 8 }
+
+let slo_fold_record f (r : Sim.Trace.record) =
+  let declared = Hashtbl.find_opt f.f_tbl r.id in
+  match (r.event, declared) with
+  | Sim.Trace.Message { tag = "slo_declared"; detail }, _ -> (
+    match (float_of_string_opt detail, declared) with
+    | Some slo_us, Some e when slo_us > 0.0 -> e.e_slo_us <- slo_us
+    | Some slo_us, None when slo_us > 0.0 ->
+      let e =
+        { e_id = r.id; e_slo_us = slo_us; e_histo = Sim.Histo.create (); e_at = [||];
+          e_lat = [||]; e_n = 0; e_edges_rev = [] }
+      in
+      Hashtbl.add f.f_tbl r.id e;
+      f.f_rev <- e :: f.f_rev
+    | _ -> ())
+  | Sim.Trace.Message { tag = "edge"; detail }, Some e -> (
+    match float_of_string_opt detail with
+    | Some at_us when Float.is_finite at_us -> e.e_edges_rev <- at_us :: e.e_edges_rev
+    | Some _ | None -> ())
+  | Sim.Trace.Request_done { latency_us }, Some e ->
+    Sim.Histo.add e.e_histo latency_us;
+    e.e_at <- push e.e_at e.e_n (Sim.Time.to_us r.at);
+    e.e_lat <- push e.e_lat e.e_n latency_us;
+    e.e_n <- e.e_n + 1
+  | _ -> ()
+
+(* Burn is evaluated at each completion t over the window (t - w, t]:
+   the window's violating fraction over the budget. *)
+let slo_report_of e =
+  let n = e.e_n in
+  (* viol.(i) = violations among the first i completions *)
+  let viol = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    viol.(i + 1) <- viol.(i) + if e.e_lat.(i) > e.e_slo_us then 1 else 0
+  done;
+  let max_burn = ref 0.0 and final_burn = ref 0.0 and first = ref None in
+  for i = 0 to n - 1 do
+    let upto = e.e_at.(i) in
+    let lo = first_after e.e_at n (upto -. slo_burn_window_us) in
+    let total = i + 1 - lo in
+    let burn =
+      if total <= 0 then 0.0
+      else float_of_int (viol.(i + 1) - viol.(lo)) /. float_of_int total /. slo_budget
+    in
+    if burn > !max_burn then max_burn := burn;
+    final_burn := burn;
+    if burn > 1.0 && !first = None then first := Some upto
+  done;
+  let q p = Sim.Histo.quantile e.e_histo p in
+  {
+    r_id = e.e_id;
+    r_slo_us = e.e_slo_us;
+    r_total = n;
+    r_violations = viol.(n);
+    r_attainment =
+      (if n = 0 then 1.0 else 1.0 -. (float_of_int viol.(n) /. float_of_int n));
+    r_p50_us = q 50.0;
+    r_p95_us = q 95.0;
+    r_p99_us = q 99.0;
+    r_max_burn = !max_burn;
+    r_final_burn = !final_burn;
+    r_first_burn_us = !first;
+  }
+
+let slo_reports f = List.rev_map slo_report_of f.f_rev
+
+(* Offline settling judges ground truth: each id's completions as
+   1 ms-bucket mean latencies, segmented by its edges, the last
+   segment ending just past the last completion. *)
+let slo_settling f =
+  List.concat_map
+    (fun e ->
+      if e.e_edges_rev = [] || e.e_n = 0 then []
+      else begin
+        let buckets = Hashtbl.create 256 in
+        let last = ref 0.0 in
+        for i = 0 to e.e_n - 1 do
+          let b = int_of_float (e.e_at.(i) /. 1000.0) in
+          let sum, k = Option.value (Hashtbl.find_opt buckets b) ~default:(0.0, 0) in
+          Hashtbl.replace buckets b (sum +. e.e_lat.(i), k + 1);
+          last := Float.max !last e.e_at.(i)
+        done;
+        let ests =
+          List.sort
+            (fun (a, _) (b, _) -> Float.compare a b)
+            (Hashtbl.fold
+               (fun b (sum, k) acc -> (((float_of_int b +. 0.5) *. 1000.0), sum /. float_of_int k) :: acc)
+               buckets [])
+        in
+        settle_segments ~id:e.e_id ~edges:e.e_edges_rev ~ests ~modes:[] ~until_us:(!last +. 1.0)
+      end)
+    (List.rev f.f_rev)
 
 let output ?(until_us = 0.0) t =
   let until_us =
@@ -459,6 +468,5 @@ let output ?(until_us = 0.0) t =
     residual_pairs = E2e.Residual.pairs t.residual;
     residual = E2e.Residual.summary t.residual;
     audits = t.audits;
-    slo = slo_reports t;
     settling = settle_reports t ~until_us;
   }

@@ -1,5 +1,5 @@
 (** Per-run observability: trace ring + metrics registry + estimator
-    residuals.
+    residuals, and the SLO fold over trace records.
 
     Created by {!Fleet.run} when [config.observe] is set.  Sockets get
     the trace attached, queue-depth gauges are registered for every
@@ -21,8 +21,6 @@ type config = {
           of any length; [output.records] is then empty.  Single-run
           use only — do not share a sinked config across parallel sweep
           workers. *)
-  burn_window : Sim.Time.span;
-      (** sliding window for SLO burn rates (default 10 ms) *)
   settling : bool;
       (** track re-convergence after envelope edges / churn bursts
           (default true); when off, {!note_edge}/{!note_settle} are
@@ -30,29 +28,7 @@ type config = {
 }
 
 val default_config : config
-(** 65536 records, 1 ms cadence, no sink, 10 ms burn window, settling
-    tracker on. *)
-
-type slo_report = {
-  r_id : string;  (** the declared id (run or tenant) *)
-  r_slo_us : float;  (** declared SLO, judged at p99 *)
-  r_total : int;
-  r_violations : int;  (** completions above the SLO *)
-  r_attainment : float;  (** 1 - violations/total (1.0 when empty) *)
-  r_p50_us : float option;  (** streaming-histogram quantiles; [None]
-                                when no request completed *)
-  r_p95_us : float option;
-  r_p99_us : float option;
-  r_max_burn : float;  (** worst sliding-window burn rate seen *)
-  r_final_burn : float;  (** burn rate at the last tick *)
-  r_first_burn_us : float option;
-      (** first tick whose burn rate exceeded 1.0 (budget-eating) *)
-  r_burn : (float * float) list;  (** (tick µs, burn rate), oldest first *)
-}
-(** Per-id SLO attainment from the streaming observatory.  Burn rate
-    is the window's violation fraction over the 1% error budget a
-    p99-judged SLO allows: burn > 1 means the budget is being consumed
-    faster than sustainable. *)
+(** 65536 records, 1 ms cadence, no sink, settling tracker on. *)
 
 type settle_report = {
   g_id : string;  (** the tracked id (typically ["tenant/client"]) *)
@@ -81,7 +57,6 @@ type output = {
   audits : Sim.Audit.report list;
       (** Little's-law audit per queue over the measured window
           (registration order); empty until {!finalize_audit}. *)
-  slo : slo_report list;  (** declaration order *)
   settling : settle_report list;
       (** per-id, per-edge re-convergence reports (edge order within
           declaration order) *)
@@ -106,16 +81,11 @@ val finalize_audit : t -> at:Sim.Time.t -> Sim.Audit.report list
     {!output} carries them, and return them. *)
 
 val declare_slo : t -> at:Sim.Time.t -> id:string -> slo_us:float -> unit
-(** Start tracking SLO attainment for completions logged under [id]
-    ({!note_request}).  Emits one [slo_declared] trace record
-    carrying the SLO so offline tools can recover it from a streamed
-    trace file alone.  Re-declaring an id is a no-op.
+(** Emit one [slo_declared] trace record carrying [id]'s SLO, so the
+    SLO fold ({!slo_fold_record}) judges the completions logged under
+    [id] ({!note_request}) against it.  Nothing is tracked in-run; each
+    call writes one record, so declare an id once.
     @raise Invalid_argument for a non-positive or non-finite SLO. *)
-
-val slo_budget : float
-(** The error budget of a p99-judged SLO: 1% of completions may
-    violate it.  A window's burn rate is its violating fraction over
-    this budget. *)
 
 val first_after : float array -> int -> float -> int
 (** [first_after a n bound] is the first index of the sorted prefix
@@ -124,18 +94,12 @@ val first_after : float array -> int -> float -> int
     [first_after a n from] to [first_after a n upto - 1]; the SLO burn
     rate and the residual's ground truth are both taken that way. *)
 
-val slo_tick : t -> at:Sim.Time.t -> unit
-(** Sample every tracker's sliding-window burn rate at [at].  Called
-    from the read-only observability tick; touches no simulation
-    state. *)
-
 val note_request :
   ?id:string -> t -> at:Sim.Time.t -> latency:Sim.Time.span -> unit
 (** Log one completed request (the residual ground-truth source) and
     emit a [Request_done] trace event under [id] (default ["client"]).
     Fleet runs pass tenant-tagged ids like ["bare/c0"] so reports can
-    group request events by tenant.  When [id] has a declared SLO the
-    completion also feeds its tracker. *)
+    group request events by tenant. *)
 
 val note_residual :
   t -> at:Sim.Time.t -> window_us:float -> est_us:float -> float option
@@ -176,10 +140,67 @@ val judge_settle :
   float option * float option
 (** [(steady, settle_us)] for an arbitrary [(time µs, value)] series
     over one segment, under the tracker's own median filter and
-    tolerance bands — how offline tools (e.g. [e2ebench slo]) recompute
-    settling from a trace file's ["edge"] breadcrumbs and
-    request-completion buckets.  Samples at [edge_us] and [end_us]
-    themselves are excluded, matching the in-run tracker. *)
+    tolerance bands — the judgement both the in-run tracker and
+    {!slo_settling} (settling from a trace's ["edge"] breadcrumbs and
+    request-completion buckets) apply per segment.  Samples at
+    [edge_us] and [end_us] themselves are excluded. *)
+
+(** {1 SLO observatory}
+
+    One fold over {!Sim.Trace.record}s, fed from a run's ring, its sink
+    or a trace file alike: [slo_declared] declares an id and its SLO
+    (the latest declaration wins), [Request_done] under a declared id
+    feeds that id's {!Sim.Histo} and completion log, and ["edge"]
+    records under a declared id are kept for offline settling.  Other
+    records, and records under undeclared ids, are ignored.
+    Completions are expected in time order per id, as every trace
+    holds them. *)
+
+val slo_budget : float
+(** The error budget of a p99-judged SLO: 1% of completions may
+    violate it.  A window's burn rate is its violating fraction over
+    this budget. *)
+
+val slo_burn_window_us : float
+(** The burn-rate window: 10 ms. *)
+
+type slo_report = {
+  r_id : string;  (** the declared id (run, tenant or tenant per shard) *)
+  r_slo_us : float;  (** declared SLO, judged at p99 *)
+  r_total : int;
+  r_violations : int;  (** completions above the SLO *)
+  r_attainment : float;  (** 1 - violations/total (1.0 when empty) *)
+  r_p50_us : float option;  (** histogram quantiles; [None] when no
+                                request completed *)
+  r_p95_us : float option;
+  r_p99_us : float option;
+  r_max_burn : float;  (** worst burn rate over all completions *)
+  r_final_burn : float;  (** burn rate at the last completion *)
+  r_first_burn_us : float option;
+      (** first completion whose burn rate exceeded 1.0 (budget-eating) *)
+}
+(** Per-id SLO attainment.  Burn is evaluated at each completion [t]
+    over the window [(t - 10 ms, t]]: the window's violating fraction
+    over the 1% budget, so burn > 1 means the budget is being consumed
+    faster than sustainable. *)
+
+type slo_fold
+
+val slo_fold : unit -> slo_fold
+(** An empty fold. *)
+
+val slo_fold_record : slo_fold -> Sim.Trace.record -> unit
+
+val slo_reports : slo_fold -> slo_report list
+(** One report per declared id, in declaration order, including ids
+    with no completions ([r_total = 0]). *)
+
+val slo_settling : slo_fold -> settle_report list
+(** Offline settling: for each declared id with edges and completions,
+    its completions as 1 ms-bucket mean latencies judged per
+    edge-to-edge segment under {!judge_settle}'s [`Estimate] band; the
+    last segment ends 1 µs past the last completion.  No mode series,
+    so [g_mode_settle_us] is [None]. *)
 
 val output : ?until_us:float -> t -> output
 (** [until_us] closes the last settling segment (defaults to the last

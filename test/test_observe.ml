@@ -234,11 +234,25 @@ let test_observe_trace_sink () =
     Alcotest.(check bool) "sink saw the same records in the same order" true
       (List.rev !sunk_rev = o.records)
 
+let slo_reports_of records =
+  let fold = Loadgen.Observe.slo_fold () in
+  List.iter (Loadgen.Observe.slo_fold_record fold) records;
+  Loadgen.Observe.slo_reports fold
+
+let slo_reports_of_file path =
+  let fold = Loadgen.Observe.slo_fold () in
+  match
+    Sim.Trace.fold_file path ~init:() ~f:(fun () _ r -> Loadgen.Observe.slo_fold_record fold r)
+  with
+  | Ok () -> Loadgen.Observe.slo_reports fold
+  | Error msg -> Alcotest.failf "%s did not load: %s" path msg
+
 (* A run streamed into a binary trace file holds every record it
    emitted, even far past the ring's capacity: nothing is dropped, the
-   SLO declaration appears once per declared id, and the completions in
-   the file rebuild the run's own SLO entry exactly (count, violations,
-   streaming p50/p95/p99). *)
+   SLO declaration appears once per declared id, the completions in the
+   file rebuild each id's SLO report exactly (count, violations,
+   histogram p50/p95/p99), and the file folds to the same reports as a
+   ring that kept the whole run. *)
 let test_observe_streamed_trace_complete () =
   let capacity = 1024 in
   let path = Filename.temp_file "e2e_stream" ".bin" in
@@ -264,13 +278,14 @@ let test_observe_streamed_trace_complete () =
     | Ok l -> List.map snd l
     | Error msg -> Alcotest.failf "trace file did not load: %s" msg
   in
+  let reports = slo_reports_of_file path in
   Sys.remove path;
   let o = match r.observability with Some o -> o | None -> Alcotest.fail "no observability output" in
   (* emitted = retained (0 with a sink) + sunk + dropped *)
   Alcotest.(check int) "nothing dropped" 0 o.dropped_records;
   Alcotest.(check int) "the file holds every emitted record" !handed (List.length records);
   Alcotest.(check bool) "more records than the ring holds" true (List.length records > capacity);
-  Alcotest.(check bool) "an SLO is declared" true (o.slo <> []);
+  Alcotest.(check bool) "an SLO is declared" true (reports <> []);
   List.iter
     (fun (s : Loadgen.Observe.slo_report) ->
       let mine = List.filter (fun (rc : Sim.Trace.record) -> rc.id = s.r_id) records in
@@ -298,7 +313,95 @@ let test_observe_streamed_trace_complete () =
         (s.r_id ^ ": p50/p95/p99")
         [ s.r_p50_us; s.r_p95_us; s.r_p99_us ]
         [ q 50.0; q 95.0; q 99.0 ])
-    o.slo
+    reports;
+  match (observed_run ()).observability with
+  | None -> Alcotest.fail "no observability output (ring run)"
+  | Some ring ->
+    Alcotest.(check int) "the ring kept the whole run" 0 ring.dropped_records;
+    Alcotest.(check bool) "file and ring fold to the same reports" true
+      (slo_reports_of ring.records = reports)
+
+(* {1 SLO fold} *)
+
+let record ~at_us id event = { Sim.Trace.at = Sim.Time.us at_us; id; event }
+let declared ~at_us id slo_us =
+  record ~at_us id
+    (Sim.Trace.Message { tag = "slo_declared"; detail = Printf.sprintf "%.17g" slo_us })
+let done_ ~at_us id latency_us = record ~at_us id (Sim.Trace.Request_done { latency_us })
+
+(* Burn is evaluated at each completion t over (t - 10 ms, t]: the
+   completion at t itself is in, one at exactly t - 10 ms is out. *)
+let test_slo_fold_exact () =
+  match
+    slo_reports_of
+      [ declared ~at_us:0 "a" 100.0;
+        done_ ~at_us:1_000 "a" 50.0;
+        (* in its own window: 1 of 2 violate, burn 0.5 / 1% = 50 *)
+        done_ ~at_us:2_000 "a" 200.0;
+        done_ ~at_us:5_000 "a" 50.0;
+        (* (2 ms, 12 ms]: the violation at exactly 2 ms is out, burn 0 *)
+        done_ ~at_us:12_000 "a" 50.0 ]
+  with
+  | [ r ] ->
+    Alcotest.(check string) "id" "a" r.r_id;
+    Alcotest.(check (float 0.0)) "slo" 100.0 r.r_slo_us;
+    Alcotest.(check int) "total" 4 r.r_total;
+    Alcotest.(check int) "violations" 1 r.r_violations;
+    Alcotest.(check (float 1e-12)) "attainment" 0.75 r.r_attainment;
+    Alcotest.(check (float 1e-9)) "max burn" 50.0 r.r_max_burn;
+    Alcotest.(check (float 0.0)) "final burn" 0.0 r.r_final_burn;
+    Alcotest.(check (option (float 0.0))) "first crossing" (Some 2_000.0) r.r_first_burn_us
+  | l -> Alcotest.failf "expected one report, got %d" (List.length l)
+
+(* Completions, edges and anything else under an id that declared no
+   SLO are ignored; a declared id with no completions still reports. *)
+let test_slo_fold_undeclared () =
+  let reports =
+    slo_reports_of
+      [ done_ ~at_us:500 "a" 900.0;
+        declared ~at_us:1_000 "a" 100.0;
+        declared ~at_us:1_000 "idle" 100.0;
+        done_ ~at_us:2_000 "a" 50.0;
+        done_ ~at_us:2_000 "b" 900.0;
+        done_ ~at_us:3_000 "b" 900.0;
+        record ~at_us:3_000 "b" (Sim.Trace.Message { tag = "edge"; detail = "3000" }) ]
+  in
+  Alcotest.(check (list string)) "declared ids, in order" [ "a"; "idle" ]
+    (List.map (fun (r : Loadgen.Observe.slo_report) -> r.r_id) reports);
+  match reports with
+  | [ a; idle ] ->
+    Alcotest.(check int) "a: only its declared completions" 1 a.r_total;
+    Alcotest.(check int) "a: no violations" 0 a.r_violations;
+    Alcotest.(check int) "idle: no completions" 0 idle.r_total;
+    Alcotest.(check (float 0.0)) "idle: attainment 1" 1.0 idle.r_attainment
+  | _ -> Alcotest.fail "expected two reports"
+
+(* The same run written as JSONL and as binary folds to equal reports. *)
+let test_slo_fold_formats () =
+  let bin = Filename.temp_file "e2e_slo" ".bin" and jsonl = Filename.temp_file "e2e_slo" ".jsonl" in
+  let boc = open_out_bin bin and joc = open_out_bin jsonl in
+  let w = Sim.Trace.Binary.writer boc in
+  let sink r =
+    Sim.Trace.Binary.write w r;
+    output_string joc (Sim.Trace.record_to_json r);
+    output_char joc '\n'
+  in
+  ignore
+    (Loadgen.Runner.run
+       {
+         (small_base ()) with
+         rate_rps = 60e3;
+         observe = Some { Loadgen.Observe.default_config with trace_sink = Some sink };
+       });
+  Sim.Trace.Binary.finish w;
+  close_out boc;
+  close_out joc;
+  let from_bin = slo_reports_of_file bin and from_jsonl = slo_reports_of_file jsonl in
+  Sys.remove bin;
+  Sys.remove jsonl;
+  Alcotest.(check bool) "the run has completions" true
+    (List.exists (fun (r : Loadgen.Observe.slo_report) -> r.r_total > 0) from_bin);
+  Alcotest.(check bool) "JSONL = binary" true (from_jsonl = from_bin)
 
 (* {1 Little's-law audit on real runs} *)
 
@@ -418,6 +521,11 @@ let suite =
           test_observe_trace_sink;
         Alcotest.test_case "streamed trace is complete" `Slow
           test_observe_streamed_trace_complete;
+        Alcotest.test_case "slo fold: exact burn and window edges" `Quick
+          test_slo_fold_exact;
+        Alcotest.test_case "slo fold: undeclared ids ignored" `Quick
+          test_slo_fold_undeclared;
+        Alcotest.test_case "slo fold: JSONL = binary" `Slow test_slo_fold_formats;
         Alcotest.test_case "little's-law audit closes" `Slow test_audit_sanity;
         Alcotest.test_case "audit identical across domains" `Slow
           test_audit_domains_identical;
