@@ -16,16 +16,21 @@ check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke
 
 # End-to-end observability smoke: a tiny observed sweep writes
 # trace/metrics JSONL, then inspect re-parses every line (it exits
-# nonzero on the first malformed one).  The same sweep on two domains
-# must write a byte-identical trace: each run streams into its own
-# spool file, and the spools are merged in run order.
+# nonzero on the first malformed one) and prints the golden
+# test/regress/smoke_inspect.txt for the sweep's four runs.  The same
+# sweep on two domains must write a byte-identical trace: each run
+# streams into its own spool file, and the spools are merged in run
+# order.
 smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
 	dune exec bin/e2ebench.exe -- sweep --rates 20,60 \
 	  --warmup-ms 5 --duration-ms 20 --domains 1 \
 	  --trace-out _smoke/trace.jsonl --metrics-out _smoke/metrics.jsonl
-	dune exec bin/e2ebench.exe -- inspect _smoke/trace.jsonl --limit 5
+	dune exec bin/e2ebench.exe -- inspect _smoke/trace.jsonl --limit 5 \
+	  | tee _smoke/inspect.out
+	@diff -u test/regress/smoke_inspect.txt _smoke/inspect.out \
+	  || { echo "smoke: inspect differs from test/regress/smoke_inspect.txt"; exit 1; }
 	@test -s _smoke/metrics.jsonl || { echo "smoke: empty metrics file"; exit 1; }
 	dune exec bin/e2ebench.exe -- sweep --rates 20,60 \
 	  --warmup-ms 5 --duration-ms 20 --domains 2 \
@@ -33,17 +38,21 @@ smoke:
 	@cmp -s _smoke/trace.jsonl _smoke/trace-d2.jsonl \
 	  || { echo "smoke: sweep trace differs between --domains 1 and 2"; exit 1; }
 	# an output path in a missing directory: one line on stderr naming
-	# the path, and exit 1, for every command that writes a file
+	# the path, exit 1, and nothing on stdout (the file is opened
+	# before any run), for every command that writes a file
+	printf 'fleet seed=11 warmup_ms=5 duration_ms=10\ntenant name=a rate_rps=4000\n' \
+	  > _smoke/no-dir.scn
 	@for cmd in \
 	  "run --rate 40 --warmup-ms 5 --duration-ms 10 --trace-out _smoke/no-dir/out" \
 	  "run --rate 40 --warmup-ms 5 --duration-ms 10 --metrics-out _smoke/no-dir/out" \
+	  "scenario _smoke/no-dir.scn --json _smoke/no-dir/out" \
 	  "report _smoke/trace.jsonl --out _smoke/no-dir/out" \
 	  "convert _smoke/trace.jsonl _smoke/no-dir/out"; do \
-	  ./_build/default/bin/e2ebench.exe $$cmd > /dev/null 2> _smoke/no-dir.err; code=$$?; \
+	  ./_build/default/bin/e2ebench.exe $$cmd > _smoke/no-dir.out 2> _smoke/no-dir.err; code=$$?; \
 	  if [ $$code -ne 1 ] || [ $$(wc -l < _smoke/no-dir.err) -ne 1 ] \
-	    || ! grep -q '_smoke/no-dir/out' _smoke/no-dir.err; then \
-	    echo "smoke: '$$cmd' into a missing directory: exit $$code, stderr:"; \
-	    cat _smoke/no-dir.err; exit 1; fi; \
+	    || ! grep -q '_smoke/no-dir/out' _smoke/no-dir.err || [ -s _smoke/no-dir.out ]; then \
+	    echo "smoke: '$$cmd' into a missing directory: exit $$code, stdout:"; \
+	    cat _smoke/no-dir.out; echo "stderr:"; cat _smoke/no-dir.err; exit 1; fi; \
 	done
 	@echo "smoke: OK"
 
@@ -51,6 +60,9 @@ smoke:
 # comparison report from them, and validate the result is a complete
 # self-contained document (the report command itself also runs a
 # tag-balance check and exits nonzero if its output is malformed).
+# Gates: off's e2e p99 is below on's, so the first gate passes (exit
+# 0); on's p50 is above off's, so the second fails (exit 1); a
+# malformed gate spec is a command-line error (exit 124).
 report-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -61,6 +73,14 @@ report-smoke:
 	dune exec bin/e2ebench.exe -- report _smoke/report-off.jsonl \
 	  --compare _smoke/report-on.jsonl --out _smoke/report.html
 	dune exec bin/e2ebench.exe -- report _smoke/report-off.jsonl --ascii
+	./_build/default/bin/e2ebench.exe report _smoke/report-off.jsonl \
+	  --compare _smoke/report-on.jsonl --gate e2e:p99:0 --ascii > /dev/null
+	@./_build/default/bin/e2ebench.exe report _smoke/report-on.jsonl \
+	  --compare _smoke/report-off.jsonl --gate e2e:p50:0 --ascii > /dev/null 2>&1; \
+	  code=$$?; [ $$code -eq 1 ] || { echo "report-smoke: failing gate exited $$code, not 1"; exit 1; }
+	@./_build/default/bin/e2ebench.exe report _smoke/report-on.jsonl \
+	  --compare _smoke/report-off.jsonl --gate e2e:p42:0 --ascii > /dev/null 2>&1; \
+	  code=$$?; [ $$code -eq 124 ] || { echo "report-smoke: bad gate spec exited $$code, not 124"; exit 1; }
 	@test -s _smoke/report.html || { echo "report-smoke: empty report"; exit 1; }
 	@grep -q "</html>" _smoke/report.html || { echo "report-smoke: truncated HTML"; exit 1; }
 	@grep -q "<svg" _smoke/report.html || { echo "report-smoke: no chart in report"; exit 1; }
@@ -150,10 +170,11 @@ convert-smoke:
 	@echo "convert-smoke: OK"
 
 # Decision-ledger / SLO-observatory smoke: trace a per-conn dynamic
-# fleet, rebuild the per-tenant SLO tables (which must equal the
-# golden test/regress/explain_slo.txt) and the causal chain of the
-# first mode flip from the file alone, render the SLO-panel report,
-# and confirm the no-decisions / no-SLO error paths exit nonzero.
+# fleet, rebuild from the file alone the per-tenant SLO tables, the
+# inspect summary, every flip's causal chain and the ASCII report
+# (each equal to its golden file under test/regress/), render the
+# SLO-panel report, and confirm the no-decisions / no-SLO error paths
+# exit 1.
 explain-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -176,6 +197,16 @@ explain-smoke:
 	@grep -q 'action    :' _smoke/explain-flip.out || { echo "explain-smoke: no action in chain"; exit 1; }
 	dune exec bin/e2ebench.exe -- explain _smoke/explain-trace.bin --tenant vm \
 	  > /dev/null
+	./_build/default/bin/e2ebench.exe inspect _smoke/explain-trace.bin --limit 5 \
+	  > _smoke/explain-inspect.out
+	./_build/default/bin/e2ebench.exe explain _smoke/explain-trace.bin \
+	  > _smoke/explain-flips.out
+	./_build/default/bin/e2ebench.exe report _smoke/explain-trace.bin --ascii \
+	  > _smoke/explain-report.out
+	@for f in inspect flips report; do \
+	  diff -u test/regress/explain_$$f.txt _smoke/explain-$$f.out \
+	    || { echo "explain-smoke: $$f differs from test/regress/explain_$$f.txt"; exit 1; }; \
+	done
 	dune exec bin/e2ebench.exe -- report _smoke/explain-trace.bin \
 	  --out _smoke/slo-report.html
 	@grep -q 'SLO attainment' _smoke/slo-report.html || { echo "explain-smoke: report lacks SLO panel"; exit 1; }
@@ -183,10 +214,12 @@ explain-smoke:
 	# trace without declared SLOs must fail slo — both with exit 1
 	dune exec bin/e2ebench.exe -- run --rate 20 --nagle off \
 	  --warmup-ms 5 --duration-ms 10 --trace-out _smoke/explain-static.jsonl > /dev/null
-	@if dune exec bin/e2ebench.exe -- explain _smoke/explain-static.jsonl \
-	  > /dev/null 2>&1; then echo "explain-smoke: explain accepted a decision-free trace"; exit 1; fi
-	@if dune exec bin/e2ebench.exe -- slo /dev/null > /dev/null 2>&1; \
-	  then echo "explain-smoke: slo accepted an empty trace"; exit 1; fi
+	@./_build/default/bin/e2ebench.exe explain _smoke/explain-static.jsonl > /dev/null 2>&1; \
+	  code=$$?; [ $$code -eq 1 ] \
+	  || { echo "explain-smoke: explain of a decision-free trace exited $$code, not 1"; exit 1; }
+	@./_build/default/bin/e2ebench.exe slo /dev/null > /dev/null 2>&1; \
+	  code=$$?; [ $$code -eq 1 ] \
+	  || { echo "explain-smoke: slo of an empty trace exited $$code, not 1"; exit 1; }
 	@echo "explain-smoke: OK"
 
 # Time-varying-load smoke: an envelope + scripted-churn scenario runs

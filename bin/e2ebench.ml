@@ -88,7 +88,18 @@ let fault_plan_arg =
   in
   Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"FILE" ~doc)
 
-let fail fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
+(* A runtime error (an input that cannot be read or holds no answer, a
+   failed run or gate, an output that cannot be written) as a one-line
+   message.  Raised by [fail] and [create_out] and caught once, at the
+   bottom of this file: e2ebench prints the message and exits 1, after
+   every [Fun.protect] on the way has cleaned up. *)
+exception Failed of string
+
+let fail fmt = Printf.ksprintf (fun s -> raise (Failed s)) fmt
+
+(* A command-line error (a bad flag value, or flags that conflict):
+   cmdliner prints it and exits 124. *)
+let usage fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
 
 let load_fault_plan = function
   | None -> Ok None
@@ -219,13 +230,8 @@ let observe_of_flags ~trace_out ~metrics_out ~sample_us =
            sample_interval = Sim.Time.us sample_us;
          })
 
-(* An output file that cannot be created, as a one-line message.
-   Raised by [create_out] and caught once, at the bottom of this file:
-   e2ebench prints the message and exits 1, after every [Fun.protect]
-   on the way has cleaned up. *)
-exception Cannot_write of string
-
-(* [create ()] makes [path] or a spool file beside it. *)
+(* [create ()] makes [path] or a spool file beside it; a failure is a
+   [Failed] that names [path]. *)
 let create_out path create =
   try create ()
   with Sys_error e ->
@@ -235,11 +241,17 @@ let create_out path create =
       | Some i -> String.trim (String.sub e (i + 1) (String.length e - i - 1))
       | None -> e
     in
-    raise (Cannot_write (Printf.sprintf "cannot write %s: %s" path reason))
+    fail "cannot write %s: %s" path reason
 
 let with_out path f =
   let oc = create_out path (fun () -> open_out_bin path) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+
+(* Create an optional output file before the runs that fill it, so a
+   path that cannot be written fails before any work; the writer closes
+   the channel. *)
+let open_out_opt =
+  Option.map (fun path -> (path, create_out path (fun () -> open_out_bin path)))
 
 let binary_trace_path path = Filename.check_suffix path ".bin"
 
@@ -322,7 +334,7 @@ let traced_runs ~domains ~trace_out ~(observe : Loadgen.Observe.config option) j
                     Sim.Trace.Binary.fold_file spool ~init:() ~f:(fun () run r -> write ?run r)
                   with
                   | Ok () -> ()
-                  | Error msg -> failwith msg)
+                  | Error msg -> fail "%s" msg)
                 spools;
               finish ()
             end
@@ -336,29 +348,29 @@ let traced_run ~trace_out ~observe job =
   | _ -> assert false
 
 (* Report the trace file [traced_runs] wrote, and write the sampled
-   metrics of [outputs] (run label, observability output) to
-   [metrics_out]. *)
-let write_outputs ~trace_out ~events ~metrics_out
+   metrics of [outputs] (run label, observability output) to [metrics],
+   the --metrics-out file from [open_out_opt], and close it. *)
+let write_outputs ~trace_out ~events ~metrics
     (outputs : (string option * Loadgen.Observe.output) list) =
   Option.iter (pf "trace               : %d events -> %s\n" events) trace_out;
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let total = ref 0 in
-    with_out path (fun oc ->
-        List.iter
-          (fun (run, (o : Loadgen.Observe.output)) ->
-            List.iter
-              (fun s ->
-                incr total;
-                output_string oc (Sim.Metrics.sample_to_json ?run s);
-                output_char oc '\n')
-              o.samples)
-          outputs);
-    pf "metrics             : %d samples -> %s\n" !total path
+  Option.iter
+    (fun (path, oc) ->
+      let total = ref 0 in
+      List.iter
+        (fun (run, (o : Loadgen.Observe.output)) ->
+          List.iter
+            (fun s ->
+              incr total;
+              output_string oc (Sim.Metrics.sample_to_json ?run s);
+              output_char oc '\n')
+            o.samples)
+        outputs;
+      close_out oc;
+      pf "metrics             : %d samples -> %s\n" !total path)
+    metrics
 
-let write_observability ~trace_out ~events ~metrics_out tagged =
-  write_outputs ~trace_out ~events ~metrics_out
+let write_observability ~trace_out ~events ~metrics tagged =
+  write_outputs ~trace_out ~events ~metrics
     (List.filter_map
        (fun (run, (r : Loadgen.Runner.result)) ->
          Option.map (fun o -> (run, o)) r.observability)
@@ -398,8 +410,10 @@ let run_cmd =
         observe_of_flags ~trace_out ~metrics_out ~sample_us,
         load_fault_plan fault_plan )
     with
-    | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
+    | Error e, _, _ | _, Error e, _ -> usage "%s" e
+    | _, _, Error e -> fail "%s" e
     | Ok cfg, Ok observe, Ok fault ->
+      let metrics = open_out_opt metrics_out in
       (* Retransmission needs congestion control once segments can drop. *)
       let cc = cfg.cc || fault <> None in
       let r, events =
@@ -410,7 +424,7 @@ let run_cmd =
       if fault <> None then print_fault r;
       print_residual r;
       print_audit r;
-      write_observability ~trace_out ~events ~metrics_out [ (None, r) ];
+      write_observability ~trace_out ~events ~metrics [ (None, r) ];
       `Ok ()
   in
   let term =
@@ -433,8 +447,8 @@ let sweep_cmd =
   let action rates seed duration warmup unit_mode value_size set_ratio vm_mult domains
       fault_plan trace_out metrics_out sample_us =
     let parsed = List.filter_map float_of_string_opt (String.split_on_char ',' rates) in
-    if parsed = [] then fail "no valid rates in %S" rates
-    else if domains < 1 then fail "--domains must be at least 1"
+    if parsed = [] then usage "no valid rates in %S" rates
+    else if domains < 1 then usage "--domains must be at least 1"
     else begin
       match
         ( build_config ~rate:1.0 ~seed ~duration ~warmup ~nagle:"off" ~policy:"slo"
@@ -442,8 +456,10 @@ let sweep_cmd =
           observe_of_flags ~trace_out ~metrics_out ~sample_us,
           load_fault_plan fault_plan )
       with
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> fail "%s" e
+      | Error e, _, _ | _, Error e, _ -> usage "%s" e
+      | _, _, Error e -> fail "%s" e
       | Ok base, Ok observe, Ok fault ->
+        let metrics = open_out_opt metrics_out in
         let base = { base with fault; cc = (base.cc || fault <> None) } in
         (* One job per (rate, mode), labelled as its trace lines are:
            off then on at each rate. *)
@@ -487,7 +503,7 @@ let sweep_cmd =
         (match Loadgen.Sweep.range_extension ~slo_us:500.0 points with
         | Some ext -> pf "SLO range ext.    : %.2fx\n" ext
         | None -> ());
-        write_observability ~trace_out ~events ~metrics_out
+        write_observability ~trace_out ~events ~metrics
           (List.combine (List.map fst jobs) results);
         `Ok ()
     end
@@ -649,13 +665,12 @@ let chaos_cmd =
       else Ok (losses, reorders, blackouts_ms, { base with observe })
     in
     match checked with
-    | Error e -> fail "%s" e
+    | Error e -> usage "%s" e
     | Ok _ when flash_crowd || churn_storm ->
-      if domains < 1 then fail "--domains must be at least 1"
-      else
-        run_churn_cells ~domains ~flash:flash_crowd ~storm:churn_storm
-          ~inherit_prior:(not ablate_inherit) ~settling:(not ablate_settling)
+      run_churn_cells ~domains ~flash:flash_crowd ~storm:churn_storm
+        ~inherit_prior:(not ablate_inherit) ~settling:(not ablate_settling)
     | Ok (losses, reorders, blackouts_ms, base) ->
+      let metrics = open_out_opt metrics_out in
       let zero_windows = if zero_window then [ false; true ] else [ false ] in
       let jobs =
         List.map
@@ -676,7 +691,7 @@ let chaos_cmd =
             (if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures))
         verdicts;
       let bad = List.filter (fun v -> not (Loadgen.Chaos.ok v)) verdicts in
-      write_observability ~trace_out ~events ~metrics_out
+      write_observability ~trace_out ~events ~metrics
         (List.map2 (fun (label, _) (v : Loadgen.Chaos.verdict) -> (label, v.result)) jobs verdicts);
       if bad = [] then begin
         pf "chaos               : all %d cells passed\n" (List.length verdicts);
@@ -720,7 +735,7 @@ let trace_cmd =
             ~epsilon:0.05 ~unit_mode:"bytes" ~value_size ~set_ratio ~vm_mult:1.0
             ~exchange:"100" ()
         with
-        | Error e -> fail "%s" e
+        | Error e -> usage "%s" e
         | Ok cfg ->
           pf "replaying %d requests spanning %s from %s\n"
             (Loadgen.Trace.count entries)
@@ -733,7 +748,7 @@ let trace_cmd =
         Loadgen.Workload.validate
           { Loadgen.Workload.paper_set_only with value_size; set_ratio }
       with
-      | Error e -> fail "%s" e
+      | Error e -> usage "%s" e
       | Ok workload -> (
         let entries =
           Loadgen.Trace.synthesize ~workload ~rate_rps:(rate *. 1e3)
@@ -759,77 +774,25 @@ let trace_cmd =
        ~doc:"Synthesize a workload trace, or replay one with --replay FILE")
     term
 
+(* {1 Trace readers}
+
+   [inspect], [slo], [explain] and [report] each read their trace files
+   (JSONL or binary) once through [Monitor.fold_runs], feeding every
+   run's records to the monitors they print. *)
+
+module Monitor = Loadgen.Monitor
+
+let trace_file_arg =
+  let doc = "Trace file produced by --trace-out (JSONL or binary)." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+
+let read_runs path ~make ~feed =
+  match Monitor.fold_runs path ~make ~feed with Ok runs -> runs | Error msg -> fail "%s" msg
+
+let print_skipped skipped =
+  if skipped > 0 then pf "skipped %d unknown event records (newer trace version)\n" skipped
+
 (* {1 inspect} *)
-
-(* Per-connection timeline and estimator-residual summary from a trace
-   file written by --trace-out (JSONL or binary; the reader sniffs the
-   magic).  The file is folded as a stream — records are never
-   materialized as a list — with spans reconstructed incrementally by
-   [Span.Streaming], so memory is bounded by in-flight requests plus
-   the retained spans rather than by trace length.  Ground truth is
-   reconstructed the same way the in-run residual tracker computes it:
-   each estimate event is paired with the mean latency of the request
-   events that completed inside that estimate's window. *)
-
-(* Span + residual accumulator shared by whole-run and per-tenant
-   aggregation: feeds every record to the streaming span fold and keeps
-   only the compact (time, latency) and estimate tuples the residual
-   summary needs. *)
-type span_agg = {
-  sa_stream : Sim.Span.Streaming.t;
-  mutable sa_events : int;
-  mutable sa_spans_rev : Sim.Span.span list;
-  mutable sa_reqs_rev : (float * float) list;  (* completion us, latency us *)
-  mutable sa_ests_rev : (float * float * float) list;  (* at, window, est us *)
-}
-
-let span_agg () =
-  {
-    sa_stream = Sim.Span.Streaming.create ();
-    sa_events = 0;
-    sa_spans_rev = [];
-    sa_reqs_rev = [];
-    sa_ests_rev = [];
-  }
-
-let span_agg_feed sa (r : Sim.Trace.record) =
-  sa.sa_events <- sa.sa_events + 1;
-  (match r.event with
-  | Sim.Trace.Request_done { latency_us } ->
-    sa.sa_reqs_rev <- (Sim.Time.to_us r.at, latency_us) :: sa.sa_reqs_rev
-  | Sim.Trace.Estimate_computed { latency_us = Some est_us; window_us; _ } ->
-    sa.sa_ests_rev <- (Sim.Time.to_us r.at, window_us, est_us) :: sa.sa_ests_rev
-  | _ -> ());
-  match Sim.Span.Streaming.feed sa.sa_stream r with
-  | Some s -> sa.sa_spans_rev <- s :: sa.sa_spans_rev
-  | None -> ()
-
-let span_agg_spans sa = List.rev sa.sa_spans_rev
-let span_agg_incomplete sa = Sim.Span.Streaming.incomplete sa.sa_stream
-
-(* Estimate/ground-truth pairs recoverable from the accumulated
-   tuples, in estimate emission order: each estimate's truth is the
-   mean latency of the completions in its window, found by the binary
-   search the in-run tracker uses and summed oldest first. *)
-let span_agg_residual_pairs sa =
-  let reqs = Array.of_list (List.rev sa.sa_reqs_rev) in
-  Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) reqs;
-  let n = Array.length reqs in
-  let at = Array.map fst reqs in
-  List.filter_map
-    (fun (at_us, window_us, est_us) ->
-      let i = Loadgen.Observe.first_after at n (at_us -. window_us) in
-      let j = Loadgen.Observe.first_after at n at_us in
-      if j <= i then None
-      else begin
-        let sum = ref 0.0 in
-        for k = i to j - 1 do
-          sum := !sum +. snd reqs.(k)
-        done;
-        Some
-          { E2e.Residual.at_us; window_us; est_us; truth_us = !sum /. float_of_int (j - i) }
-      end)
-    (List.rev sa.sa_ests_rev)
 
 let print_breakdown ~indent spans =
   if spans <> [] then begin
@@ -842,196 +805,53 @@ let print_breakdown ~indent spans =
       (Sim.Span.breakdown spans)
   end
 
-(* Everything [inspect] prints about one run, accumulated in one
-   streaming pass: time range, per-connection tallies, the first
-   [limit] timeline records, audits, spans and residuals for the whole
-   run and per tenant ("<tenant>/c0"-style ids from fleet runs;
-   untagged traces accumulate no tenant entries, so tenant sections
-   degrade to a no-op on pre-fleet traces). *)
-type run_agg = {
-  ra_run : string;
-  ra_limit : int;
-  mutable ra_t0 : Sim.Time.t;
-  mutable ra_t1 : Sim.Time.t;
-  mutable ra_conn_order_rev : string list;
-  ra_conn_tags : (string, (string * int ref) list ref) Hashtbl.t;
-  mutable ra_timeline_rev : Sim.Trace.record list;  (* first ra_limit *)
-  mutable ra_kept : int;
-  mutable ra_audits_rev : Sim.Trace.record list;
-  ra_all : span_agg;
-  mutable ra_tenant_order_rev : string list;
-  ra_tenants : (string, span_agg) Hashtbl.t;
-  mutable ra_shard_order_rev : int list;
-  ra_shards : (int, span_agg) Hashtbl.t;
-}
-
-let run_agg ~limit run =
-  {
-    ra_run = run;
-    ra_limit = limit;
-    ra_t0 = max_int;
-    ra_t1 = 0;
-    ra_conn_order_rev = [];
-    ra_conn_tags = Hashtbl.create 8;
-    ra_timeline_rev = [];
-    ra_kept = 0;
-    ra_audits_rev = [];
-    ra_all = span_agg ();
-    ra_tenant_order_rev = [];
-    ra_tenants = Hashtbl.create 4;
-    ra_shard_order_rev = [];
-    ra_shards = Hashtbl.create 4;
-  }
-
-let run_agg_feed ra (r : Sim.Trace.record) =
-  ra.ra_t0 <- Sim.Time.min ra.ra_t0 r.at;
-  ra.ra_t1 <- Sim.Time.max ra.ra_t1 r.at;
-  (* per-connection event tallies, in first-appearance order *)
-  let id = if r.id = "" then "-" else r.id in
-  let tags =
-    match Hashtbl.find_opt ra.ra_conn_tags id with
-    | Some tags -> tags
-    | None ->
-      let tags = ref [] in
-      Hashtbl.add ra.ra_conn_tags id tags;
-      ra.ra_conn_order_rev <- id :: ra.ra_conn_order_rev;
-      tags
-  in
-  let tag = Sim.Trace.tag r in
-  (match List.assoc_opt tag !tags with
-  | Some c -> incr c
-  | None -> tags := !tags @ [ (tag, ref 1) ]);
-  if ra.ra_kept < ra.ra_limit then begin
-    ra.ra_timeline_rev <- r :: ra.ra_timeline_rev;
-    ra.ra_kept <- ra.ra_kept + 1
-  end;
-  (match r.event with
-  | Sim.Trace.Audit_window _ -> ra.ra_audits_rev <- r :: ra.ra_audits_rev
-  | _ -> ());
-  span_agg_feed ra.ra_all r;
-  (match Sim.Trace.tenant_of_id r.Sim.Trace.id with
-  | None -> ()
-  | Some tenant ->
-    let sa =
-      match Hashtbl.find_opt ra.ra_tenants tenant with
-      | Some sa -> sa
-      | None ->
-        let sa = span_agg () in
-        Hashtbl.add ra.ra_tenants tenant sa;
-        ra.ra_tenant_order_rev <- tenant :: ra.ra_tenant_order_rev;
-        sa
-    in
-    span_agg_feed sa r);
-  (* sharded fleet traces suffix ids "@s<k>"; break down per shard too *)
-  match Sim.Trace.shard_of_id r.Sim.Trace.id with
-  | None -> ()
-  | Some shard ->
-    let sa =
-      match Hashtbl.find_opt ra.ra_shards shard with
-      | Some sa -> sa
-      | None ->
-        let sa = span_agg () in
-        Hashtbl.add ra.ra_shards shard sa;
-        ra.ra_shard_order_rev <- shard :: ra.ra_shard_order_rev;
-        sa
-    in
-    span_agg_feed sa r
-
-(* Print one run's inspection; returns its complete spans for the
-   --request critical-path lookup. *)
-let print_run_agg ra =
-  let n = ra.ra_all.sa_events in
+(* Print one run's inspection: time range, per-connection tallies, the
+   timeline, then residuals, spans and audits for the whole run, per
+   tenant and per shard.  Returns its complete spans for the --request
+   critical-path lookup. *)
+let print_run (run, ra) =
+  let all = Monitor.Run.all ra in
+  let n = Monitor.Spans.events all in
+  let t0, t1 = Monitor.Run.range ra in
   pf "run %s: %d events spanning %s .. %s\n"
-    (if ra.ra_run = "" then "-" else ra.ra_run)
-    n (Sim.Time.to_string ra.ra_t0) (Sim.Time.to_string ra.ra_t1);
+    (if run = "" then "-" else run)
+    n (Sim.Time.to_string t0) (Sim.Time.to_string t1);
   List.iter
-    (fun id ->
-      let tags = !(Hashtbl.find ra.ra_conn_tags id) in
-      let total = List.fold_left (fun acc (_, c) -> acc + !c) 0 tags in
-      let breakdown =
-        String.concat " "
-          (List.map (fun (tag, c) -> Printf.sprintf "%s=%d" tag !c) tags)
-      in
-      pf "  %-8s %7d events | %s\n" id total breakdown)
-    (List.rev ra.ra_conn_order_rev);
-  pf "  timeline (first %d of %d):\n" ra.ra_kept n;
-  List.iter
-    (fun r -> pf "    %s\n" (Format.asprintf "%a" Sim.Trace.pp_record r))
-    (List.rev ra.ra_timeline_rev);
-  (match E2e.Residual.summary_of_pairs (span_agg_residual_pairs ra.ra_all) with
+    (fun (id, tags) ->
+      pf "  %-8s %7d events | %s\n" id
+        (List.fold_left (fun acc (_, c) -> acc + c) 0 tags)
+        (String.concat " " (List.map (fun (tag, c) -> Printf.sprintf "%s=%d" tag c) tags)))
+    (Monitor.Run.conns ra);
+  let timeline = Monitor.Run.timeline ra in
+  pf "  timeline (first %d of %d):\n" (List.length timeline) n;
+  List.iter (fun r -> pf "    %s\n" (Format.asprintf "%a" Sim.Trace.pp_record r)) timeline;
+  (match Monitor.Spans.residual all with
   | Some s ->
     pf "  estimator residual: %s\n" (Format.asprintf "%a" E2e.Residual.pp_summary s)
   | None -> pf "  estimator residual: no estimate/request pairs\n");
-  (* causal spans: per-phase latency decomposition *)
-  let spans = span_agg_spans ra.ra_all in
+  let spans = Monitor.Spans.spans all in
   pf "  spans: %d complete, %d incomplete\n" (List.length spans)
-    (span_agg_incomplete ra.ra_all);
+    (Monitor.Spans.incomplete all);
   print_breakdown ~indent:"  " spans;
+  List.iter (fun r -> pf "  audit: %s\n" (Sim.Trace.detail r)) (Monitor.Spans.audits all);
+  (* per tenant ("<tenant>/c0" ids), then per shard ("...@s<k>" ids) *)
+  let group ~residual name sa =
+    let gspans = Monitor.Spans.spans sa in
+    pf "  %s: %d events, %d spans (%d incomplete)\n" name (Monitor.Spans.events sa)
+      (List.length gspans) (Monitor.Spans.incomplete sa);
+    if residual then
+      Option.iter
+        (fun s -> pf "    estimator residual: %s\n" (Format.asprintf "%a" E2e.Residual.pp_summary s))
+        (Monitor.Spans.residual sa);
+    print_breakdown ~indent:"    " gspans
+  in
+  List.iter (fun (tenant, sa) -> group ~residual:true ("tenant " ^ tenant) sa) (Monitor.Run.tenants ra);
   List.iter
-    (fun r -> pf "  audit: %s\n" (Sim.Trace.detail r))
-    (List.rev ra.ra_audits_rev);
-  (* fleet traces tag ids "<tenant>/..."; break the run down per tenant *)
-  List.iter
-    (fun tenant ->
-      let sa = Hashtbl.find ra.ra_tenants tenant in
-      let tspans = span_agg_spans sa in
-      pf "  tenant %s: %d events, %d spans (%d incomplete)\n" tenant
-        sa.sa_events (List.length tspans) (span_agg_incomplete sa);
-      (match E2e.Residual.summary_of_pairs (span_agg_residual_pairs sa) with
-      | Some s ->
-        pf "    estimator residual: %s\n"
-          (Format.asprintf "%a" E2e.Residual.pp_summary s)
-      | None -> ());
-      print_breakdown ~indent:"    " tspans)
-    (List.rev ra.ra_tenant_order_rev);
-  (* sharded traces ("...@s<k>" ids): per-shard sections, shard order *)
-  List.iter
-    (fun shard ->
-      let sa = Hashtbl.find ra.ra_shards shard in
-      let sspans = span_agg_spans sa in
-      pf "  shard s%d: %d events, %d spans (%d incomplete)\n" shard sa.sa_events
-        (List.length sspans) (span_agg_incomplete sa);
-      print_breakdown ~indent:"    " sspans)
-    (List.sort compare (List.rev ra.ra_shard_order_rev));
+    (fun (shard, sa) -> group ~residual:false (Printf.sprintf "shard s%d" shard) sa)
+    (Monitor.Run.shards ra);
   spans
 
-(* Stream a trace file into one aggregate per run ([make key], fed each
-   record of the run), in first-appearance order; the empty key stands
-   for unlabelled single-run files.  Event kinds from trace versions
-   newer than this build are skipped and counted rather than failing
-   the whole file. *)
-let fold_runs ~make ~feed path =
-  let order_rev = ref [] in
-  let skipped = ref 0 in
-  let runs = Hashtbl.create 4 in
-  match
-    Sim.Trace.fold_file path
-      ~unknown:(fun _ -> incr skipped)
-      ~init:()
-      ~f:(fun () run r ->
-        let key = Option.value run ~default:"" in
-        let agg =
-          match Hashtbl.find_opt runs key with
-          | Some agg -> agg
-          | None ->
-            let agg = make key in
-            Hashtbl.add runs key agg;
-            order_rev := key :: !order_rev;
-            agg
-        in
-        feed agg r)
-  with
-  | Error _ as e -> e
-  | Ok () when !order_rev = [] ->
-    Error (Printf.sprintf "%s: no trace records" path)
-  | Ok () ->
-    Ok (List.rev_map (fun key -> (key, Hashtbl.find runs key)) !order_rev, !skipped)
-
 let inspect_cmd =
-  let file_arg =
-    let doc = "Trace file produced by --trace-out (JSONL or binary)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let limit_arg =
     let doc = "Timeline events to print per run." in
     Arg.(value & opt int 30 & info [ "limit" ] ~docv:"N" ~doc)
@@ -1045,29 +865,25 @@ let inspect_cmd =
     Arg.(value & opt string "c0" & info [ "conn" ] ~docv:"ID" ~doc)
   in
   let action file limit request conn =
-    match fold_runs ~make:(run_agg ~limit) ~feed:run_agg_feed file with
-    | Error msg -> fail "%s" msg
-    | Ok (runs, skipped) ->
-      let spans_by_run = List.map (fun (_, ra) -> print_run_agg ra) runs in
-      if skipped > 0 then
-        pf "skipped %d unknown event records (newer trace version)\n" skipped;
-      (match request with
-      | None -> `Ok ()
-      | Some req ->
-        let found =
-          List.concat spans_by_run
-          |> List.find_opt (fun (s : Sim.Span.span) ->
-                 s.req = req && String.equal s.conn conn)
-        in
-        (match found with
-        | Some span ->
-          pf "%s\n" (Format.asprintf "%a" Sim.Span.pp span);
-          `Ok ()
+    let runs, skipped =
+      read_runs file ~make:(fun _ -> Monitor.Run.create ~limit) ~feed:Monitor.Run.feed
+    in
+    let spans = List.concat_map print_run runs in
+    print_skipped skipped;
+    Option.iter
+      (fun req ->
+        match
+          List.find_opt
+            (fun (s : Sim.Span.span) -> s.req = req && String.equal s.conn conn)
+            spans
+        with
+        | Some span -> pf "%s\n" (Format.asprintf "%a" Sim.Span.pp span)
         | None ->
-          fail "no complete span for request %d on %s (incomplete, or not in trace)"
-            req conn))
+          fail "no complete span for request %d on %s (incomplete, or not in trace)" req conn)
+      request;
+    `Ok ()
   in
-  let term = Term.(ret (const action $ file_arg $ limit_arg $ request_arg $ conn_arg)) in
+  let term = Term.(ret (const action $ trace_file_arg $ limit_arg $ request_arg $ conn_arg)) in
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
@@ -1114,31 +930,26 @@ let print_slo_run (run, fold) =
         | None -> "           -"))
     rows;
   (* sharded traces ("...@s<k>" ids): per-shard attainment roll-up *)
-  let by_shard = Hashtbl.create 4 in
-  let shard_order_rev = ref [] in
+  let by_shard = Monitor.Table.create () in
   List.iter
     (fun (r : Loadgen.Observe.slo_report) ->
-      match Sim.Trace.shard_of_id r.r_id with
-      | None -> ()
-      | Some k ->
-        if not (Hashtbl.mem by_shard k) then
-          shard_order_rev := k :: !shard_order_rev;
-        let n, viol, burn =
-          Option.value (Hashtbl.find_opt by_shard k) ~default:(0, 0, 0.0)
-        in
-        Hashtbl.replace by_shard k
-          (n + r.r_total, viol + r.r_violations, Float.max burn r.r_max_burn))
+      Option.iter
+        (fun k ->
+          let acc = Monitor.Table.find_or_add by_shard k (fun _ -> ref (0, 0, 0.0)) in
+          let n, viol, burn = !acc in
+          acc := (n + r.r_total, viol + r.r_violations, Float.max burn r.r_max_burn))
+        (Sim.Trace.shard_of_id r.r_id))
     rows;
   List.iter
-    (fun k ->
-      let n, viol, burn = Hashtbl.find by_shard k in
+    (fun (k, acc) ->
+      let n, viol, burn = !acc in
       pf "  shard s%d: %d completions, %d violations, attain %.2f%%, \
           max-burn %.2f\n"
         k n viol
         (if n = 0 then 100.0
          else 100.0 *. (1.0 -. (float_of_int viol /. float_of_int n)))
         burn)
-    (List.sort compare !shard_order_rev);
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) (Monitor.Table.to_list by_shard));
   let settles = Loadgen.Observe.slo_settling fold in
   if settles <> [] then begin
     pf "  settling (1 ms ground-truth buckets between edge breadcrumbs):\n";
@@ -1153,31 +964,24 @@ let print_slo_run (run, fold) =
   reports
 
 let slo_cmd =
-  let file_arg =
-    let doc = "Trace file produced by --trace-out (JSONL or binary)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let action file =
-    match
-      fold_runs file
+    let runs, skipped =
+      read_runs file
         ~make:(fun _ -> Loadgen.Observe.slo_fold ())
         ~feed:Loadgen.Observe.slo_fold_record
-    with
-    | Error msg -> fail "%s" msg
-    | Ok (runs, skipped) ->
-      let reports = List.concat_map print_slo_run runs in
-      if skipped > 0 then
-        pf "skipped %d unknown event records (newer trace version)\n" skipped;
-      if reports = [] then
-        fail
-          "%s declares no SLOs (trace written without observability, or \
-           by an older version?)"
-          file
-      else if slo_rows reports = [] then
-        fail "%s has no traced completions for any declared SLO" file
-      else `Ok ()
+    in
+    let reports = List.concat_map print_slo_run runs in
+    print_skipped skipped;
+    if reports = [] then
+      fail
+        "%s declares no SLOs (trace written without observability, or by an \
+         older version?)"
+        file
+    else if slo_rows reports = [] then
+      fail "%s has no traced completions for any declared SLO" file
+    else `Ok ()
   in
-  let term = Term.(ret (const action $ file_arg)) in
+  let term = Term.(ret (const action $ trace_file_arg)) in
   Cmd.v
     (Cmd.info "slo"
        ~doc:
@@ -1191,93 +995,48 @@ let slo_cmd =
    [Decision_made] records carry both arms' estimates and the chosen
    action, [Decision_outcome] the realized latency of each tenure.
    A $(b,flip) is a decision whose action differs from the mode in
-   force; [explain] prints its full causal chain. *)
+   force; [explain] prints its full causal chain.  Control groups are
+   keyed by (run, id), so runs of a multi-run file stay apart. *)
 
-type exp_group = {
-  x_id : string;
-  mutable x_decisions_rev : Sim.Trace.record list;
-  x_outcomes : (int, Sim.Trace.record) Hashtbl.t;
-}
-
-let fold_decisions path =
-  let order_rev = ref [] in
-  let groups : (string, exp_group) Hashtbl.t = Hashtbl.create 8 in
-  let group id =
-    match Hashtbl.find_opt groups id with
-    | Some g -> g
-    | None ->
-      let g =
-        { x_id = id; x_decisions_rev = []; x_outcomes = Hashtbl.create 16 }
-      in
-      Hashtbl.add groups id g;
-      order_rev := id :: !order_rev;
-      g
-  in
-  match
-    Sim.Trace.fold_file path ~init:() ~f:(fun () _run r ->
-        match r.event with
-        | Sim.Trace.Decision_made _ ->
-          let g = group r.id in
-          g.x_decisions_rev <- r :: g.x_decisions_rev
-        | Sim.Trace.Decision_outcome { decision; _ } ->
-          Hashtbl.replace (group r.id).x_outcomes decision r
-        | _ -> ())
-  with
-  | Error _ as e -> e
-  | Ok () -> Ok (List.rev_map (fun id -> Hashtbl.find groups id) !order_rev)
+(* A control group's name: its id, and its run in multi-run files. *)
+let group_name (run, (g : Monitor.Decisions.group)) =
+  if run = "" then g.id else Printf.sprintf "%s [%s]" g.id run
 
 let arm_str = function
   | Some us -> Printf.sprintf "%.1fus" us
   | None -> "unsampled"
 
-let print_flip ~flip_no (g : exp_group) (r : Sim.Trace.record) =
-  match r.event with
-  | Sim.Trace.Decision_made
-      { decision; on_us; off_us; mode; action; reason; frozen; stale_us } ->
+let print_flip ~flip_no (group, (f : Monitor.Decisions.flip)) =
+  match f.made.event with
+  | Sim.Trace.Decision_made { on_us; off_us; mode; action; reason; frozen; stale_us; _ } ->
     pf "flip #%d at %s on %s (decision #%d)\n" flip_no
-      (Sim.Time.to_string r.at) g.x_id decision;
+      (Sim.Time.to_string f.made.at) (group_name group) f.decision;
     pf "  estimates : on %s | off %s\n" (arm_str on_us) (arm_str off_us);
     pf "  reason    : %s%s%s\n" reason
       (if frozen then " [FROZEN]" else "")
       (if stale_us < 0.0 then " (no remote share yet)"
        else Printf.sprintf " (freshest share %.1fus old)" stale_us);
     pf "  action    : %s -> %s\n" mode action;
-    let outcome_of seq =
-      match Hashtbl.find_opt g.x_outcomes seq with
-      | Some { event = Sim.Trace.Decision_outcome { mean_us; p99_us; n; _ }; _ }
-        when n > 0 ->
-        Some (mean_us, p99_us, n)
-      | _ -> None
-    in
-    let this = outcome_of decision and prev = outcome_of (decision - 1) in
-    (match this with
-    | Some (mean, p99, n) ->
-      pf "  outcome   : mean %.1fus p99 %.1fus over %d requests\n" mean p99 n
-    | None ->
-      if Hashtbl.mem g.x_outcomes decision then
-        pf "  outcome   : tenure saw no completions\n"
-      else pf "  outcome   : open (run ended before the next decision)\n");
-    (match prev with
-    | Some (mean, p99, n) ->
+    (match f.outcome with
+    | Done { mean_us; p99_us; n } ->
+      pf "  outcome   : mean %.1fus p99 %.1fus over %d requests\n" mean_us p99_us n
+    | Idle -> pf "  outcome   : tenure saw no completions\n"
+    | Open -> pf "  outcome   : open (run ended before the next decision)\n");
+    (match f.previous with
+    | Done { mean_us; p99_us; n } ->
       pf "  previous  : mean %.1fus p99 %.1fus over %d requests (decision \
           #%d's tenure)\n"
-        mean p99 n (decision - 1)
-    | None -> ());
-    (match (this, prev) with
-    | Some (mean, _, _), Some (pmean, _, _) ->
-      let d = mean -. pmean in
+        mean_us p99_us n (f.decision - 1)
+    | Idle | Open -> ());
+    (match Monitor.Decisions.verdict f with
+    | Some v ->
       pf "  verdict   : %s mean by %.1fus (%+.1f%%)\n"
-        (if d < 0.0 then "improved" else "regressed")
-        (Float.abs d)
-        (if pmean > 0.0 then 100.0 *. d /. pmean else 0.0)
-    | _ -> pf "  verdict   : no before/after pair to judge\n")
+        (if v.improved then "improved" else "regressed")
+        v.by_us v.pct
+    | None -> pf "  verdict   : no before/after pair to judge\n")
   | _ -> assert false
 
 let explain_cmd =
-  let file_arg =
-    let doc = "Trace file produced by --trace-out (JSONL or binary)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let conn_arg =
     let doc =
       "Restrict to the control group $(docv) (a group id as traced: \
@@ -1296,71 +1055,61 @@ let explain_cmd =
   in
   let action file conn tenant flip =
     match (conn, tenant) with
-    | Some _, Some _ -> fail "--conn and --tenant are mutually exclusive"
-    | _ -> (
-      match fold_decisions file with
-      | Error msg -> fail "%s" msg
-      | Ok [] ->
+    | Some _, Some _ -> usage "--conn and --tenant are mutually exclusive"
+    | _ ->
+      let runs, skipped =
+        read_runs file
+          ~make:(fun _ -> Monitor.Decisions.create ())
+          ~feed:Monitor.Decisions.feed
+      in
+      let groups =
+        List.concat_map
+          (fun (run, d) -> List.map (fun g -> (run, g)) (Monitor.Decisions.groups d))
+          runs
+      in
+      if groups = [] then
         fail
-          "%s records no control decisions (trace a dynamic or aimd run \
-           with --trace-out, or was the file written by an older version?)"
-          file
-      | Ok groups ->
-        let keep (g : exp_group) =
-          match (conn, tenant) with
-          | Some id, _ -> String.equal g.x_id id
-          | _, Some t ->
-            String.equal g.x_id t
-            || Sim.Trace.tenant_of_id g.x_id = Some t
-          | None, None -> true
-        in
-        let kept = List.filter keep groups in
-        if kept = [] then
-          fail "no control group matches (groups in this trace: %s)"
-            (String.concat ", " (List.map (fun g -> g.x_id) groups))
-        else begin
-          let decisions =
-            List.concat_map
-              (fun g -> List.rev_map (fun r -> (g, r)) g.x_decisions_rev)
-              kept
-          in
-          let flips =
-            List.filter
-              (fun ((_, r) : exp_group * Sim.Trace.record) ->
-                match r.event with
-                | Sim.Trace.Decision_made { mode; action; _ } ->
-                  not (String.equal mode action)
-                | _ -> false)
-              decisions
-          in
-          pf "%s: %d control group%s, %d decisions, %d flips\n" file
-            (List.length kept)
-            (if List.length kept = 1 then "" else "s")
-            (List.length decisions) (List.length flips);
-          match flip with
-          | None ->
-            if flips = [] then
-              pf "no mode flips: every decision kept the mode in force\n";
-            List.iteri
-              (fun i (g, r) ->
-                if i > 0 then pf "\n";
-                print_flip ~flip_no:i g r)
-              flips;
-            `Ok ()
-          | Some n ->
-            if n < 0 || n >= List.length flips then
-              fail "flip %d out of range (%d flip%s in selection)" n
-                (List.length flips)
-                (if List.length flips = 1 then "" else "s")
-            else begin
-              let g, r = List.nth flips n in
-              print_flip ~flip_no:n g r;
-              `Ok ()
-            end
-        end)
+          "%s records no control decisions (trace a dynamic or aimd run with \
+           --trace-out, or was the file written by an older version?)"
+          file;
+      let keep (_, (g : Monitor.Decisions.group)) =
+        match (conn, tenant) with
+        | Some id, _ -> String.equal g.id id
+        | _, Some t -> String.equal g.id t || Sim.Trace.tenant_of_id g.id = Some t
+        | None, None -> true
+      in
+      let kept = List.filter keep groups in
+      if kept = [] then
+        fail "no control group matches (groups in this trace: %s)"
+          (String.concat ", " (List.map group_name groups));
+      let flips =
+        List.concat_map
+          (fun ((_, (g : Monitor.Decisions.group)) as group) ->
+            List.map (fun f -> (group, f)) g.flips)
+          kept
+      in
+      let n_flips = List.length flips in
+      pf "%s: %d control group%s, %d decisions, %d flips\n" file (List.length kept)
+        (if List.length kept = 1 then "" else "s")
+        (List.fold_left (fun acc (_, (g : Monitor.Decisions.group)) -> acc + g.decisions) 0 kept)
+        n_flips;
+      (match flip with
+      | None ->
+        if flips = [] then pf "no mode flips: every decision kept the mode in force\n";
+        List.iteri
+          (fun i f ->
+            if i > 0 then pf "\n";
+            print_flip ~flip_no:i f)
+          flips
+      | Some n when n < 0 || n >= n_flips ->
+        fail "flip %d out of range (%d flip%s in selection)" n n_flips
+          (if n_flips = 1 then "" else "s")
+      | Some n -> print_flip ~flip_no:n (List.nth flips n));
+      print_skipped skipped;
+      `Ok ()
   in
   let term =
-    Term.(ret (const action $ file_arg $ conn_arg $ tenant_arg $ flip_arg))
+    Term.(ret (const action $ trace_file_arg $ conn_arg $ tenant_arg $ flip_arg))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1372,70 +1121,51 @@ let explain_cmd =
 
 (* {1 report} *)
 
-(* One dataset per (file, run label): spans + audit verdicts + request
-   count, everything the report renders.  Built by re-using inspect's
-   streaming per-run aggregation, so report also reads both trace
-   formats without materializing records. *)
-type dataset = {
-  ds_label : string;
-  ds_spans : Sim.Span.span list;
-  ds_incomplete : int;
-  ds_audits : Sim.Trace.record list;
-  ds_requests : int;
-}
-
-let dataset_of_agg ~label ~audits sa =
-  {
-    ds_label = label;
-    ds_spans = span_agg_spans sa;
-    ds_incomplete = span_agg_incomplete sa;
-    ds_audits = audits;
-    ds_requests = List.length sa.sa_reqs_rev;
-  }
-
-(* The datasets of a trace file and each run's SLO fold, labelled
-   "<file>[:<run>]", from one pass over the file. *)
+(* The datasets of a trace file, each a label and the span group it
+   renders: per run "<file>[:<run>]" for the whole run, then
+   "<label> <tenant>" per tenant tag (untagged traces have none; audit
+   records carry no tenant, so audits show on the whole run only).
+   Also each run's SLO fold, and the skipped-record count, from one
+   pass over the file. *)
 let datasets_of_file path =
-  match
-    fold_runs path
-      ~make:(fun key -> (run_agg ~limit:0 key, Loadgen.Observe.slo_fold ()))
+  let runs, skipped =
+    read_runs path
+      ~make:(fun _ -> (Monitor.Run.create ~limit:0, Loadgen.Observe.slo_fold ()))
       ~feed:(fun (ra, fold) r ->
-        run_agg_feed ra r;
+        Monitor.Run.feed ra r;
         Loadgen.Observe.slo_fold_record fold r)
-  with
-  | Error e -> Error e
-  | Ok (runs, _skipped) ->
-    let label run =
-      if run = "" then Filename.basename path
-      else Printf.sprintf "%s:%s" (Filename.basename path) run
-    in
-    Ok
-      ( List.concat_map
-          (fun (run, (ra, _)) ->
-            let label = label run in
-            (* fleet traces additionally get one dataset per tenant tag
-               (untagged traces contribute none); audits stay on the
-               whole-run dataset so they are not repeated per tenant *)
-            dataset_of_agg ~label ~audits:(List.rev ra.ra_audits_rev) ra.ra_all
-            :: List.map
-                 (fun tenant ->
-                   dataset_of_agg
-                     ~label:(Printf.sprintf "%s %s" label tenant)
-                     ~audits:[]
-                     (Hashtbl.find ra.ra_tenants tenant))
-                 (List.rev ra.ra_tenant_order_rev))
-          runs,
-        List.map (fun (run, (_, fold)) -> (label run, fold)) runs )
+  in
+  let label run =
+    if run = "" then Filename.basename path
+    else Printf.sprintf "%s:%s" (Filename.basename path) run
+  in
+  ( List.concat_map
+      (fun (run, (ra, _)) ->
+        let label = label run in
+        (label, Monitor.Run.all ra)
+        :: List.map
+             (fun (tenant, sa) -> (Printf.sprintf "%s %s" label tenant, sa))
+             (Monitor.Run.tenants ra))
+      runs,
+    List.map (fun (run, (_, fold)) -> (label run, fold)) runs,
+    skipped )
+
+(* The percentiles a report shows and gates on: name, quantile, and
+   its value in a span breakdown row. *)
+let percentiles =
+  [ ("p50", 0.50, fun (r : Sim.Span.row) -> r.p50_us);
+    ("p95", 0.95, fun r -> r.p95_us);
+    ("p99", 0.99, fun r -> r.p99_us) ]
 
 (* Stacked bars for a dataset: one bar per percentile, one segment per
    phase.  Interleaved across datasets by [bars_for_all] so same
    percentiles of the two runs sit next to each other. *)
-let bars_for ds =
-  let rows = Sim.Span.breakdown ds.ds_spans in
+let bars_for (label, sa) =
+  let rows = Sim.Span.breakdown (Monitor.Spans.spans sa) in
   List.map
-    (fun (pct, pick) ->
+    (fun (pct, _, pick) ->
       {
-        Report.Stacked.label = Printf.sprintf "%s %s" ds.ds_label pct;
+        Report.Stacked.label = Printf.sprintf "%s %s" label pct;
         segs =
           List.map
             (fun (row : Sim.Span.row) ->
@@ -1443,9 +1173,7 @@ let bars_for ds =
                 value = pick row })
             rows;
       })
-    [ ("p50", fun (r : Sim.Span.row) -> r.p50_us);
-      ("p95", fun r -> r.p95_us);
-      ("p99", fun r -> r.p99_us) ]
+    percentiles
 
 let bars_for_all datasets =
   match List.map bars_for datasets with
@@ -1457,7 +1185,7 @@ let bars_for_all datasets =
          (fun i bar -> bar :: List.map (fun bars -> List.nth bars i) rest)
          first)
 
-let audit_table_rows ds =
+let audit_table_rows sa =
   List.filter_map
     (fun (r : Sim.Trace.record) ->
       match r.event with
@@ -1467,32 +1195,20 @@ let audit_table_rows ds =
             Printf.sprintf "%.1f" lambda_per_s; Printf.sprintf "%.2f" w_us;
             Printf.sprintf "%.2f%%" (100.0 *. rel_err) ]
       | _ -> None)
-    ds.ds_audits
-
-(* Nearest-rank end-to-end percentile over a dataset's spans (0.0 when
-   empty), shared by the summary table and the --gate check. *)
-let e2e_percentile spans q =
-  let a = Array.of_list (List.map Sim.Span.latency_us spans) in
-  Array.sort Stdlib.compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else a.(Stdlib.max 0 (Stdlib.min (n - 1)
-                          (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
+    (Monitor.Spans.audits sa)
 
 let summary_table datasets =
-  let pct = e2e_percentile in
   Report.Html.table
     ~header:[ "run"; "requests"; "spans"; "incomplete"; "e2e p50"; "e2e p95"; "e2e p99" ]
     (List.map
-       (fun ds ->
-         let spans = ds.ds_spans in
-         [ ds.ds_label;
-           string_of_int ds.ds_requests;
-           string_of_int (List.length spans);
-           string_of_int ds.ds_incomplete;
-           Printf.sprintf "%.1fus" (pct spans 0.50);
-           Printf.sprintf "%.1fus" (pct spans 0.95);
-           Printf.sprintf "%.1fus" (pct spans 0.99) ])
+       (fun (label, sa) ->
+         [ label;
+           string_of_int (Monitor.Spans.requests sa);
+           string_of_int (List.length (Monitor.Spans.spans sa));
+           string_of_int (Monitor.Spans.incomplete sa) ]
+         @ List.map
+             (fun (_, q, _) -> Printf.sprintf "%.1fus" (Monitor.Spans.e2e_us sa q))
+             percentiles)
        datasets)
 
 (* SLO panel: one table per [(label, fold)] run that declared SLOs,
@@ -1549,9 +1265,7 @@ let slo_panel_sections slo_tables =
                            Printf.sprintf "%.2f%%" (100.0 *. r.r_attainment);
                            cell r.r_p50_us; cell r.r_p95_us; cell r.r_p99_us;
                            Printf.sprintf "%.2f" r.r_max_burn;
-                           (match r.r_first_burn_us with
-                           | Some us -> Printf.sprintf "%.1fus" us
-                           | None -> "-") ])
+                           cell r.r_first_burn_us ])
                        rows)
                 ^ settle_section)))
        slo_tables)
@@ -1571,12 +1285,12 @@ let report_html ~slo_tables datasets =
             (Report.Stacked.render_svg bars))
     ^ String.concat ""
         (List.map
-           (fun ds ->
-             match audit_table_rows ds with
+           (fun (label, sa) ->
+             match audit_table_rows sa with
              | [] -> ""
              | rows ->
                Report.Html.section
-                 ~title:(Printf.sprintf "Little's-law audit — %s" ds.ds_label)
+                 ~title:(Printf.sprintf "Little's-law audit — %s" label)
                  (Report.Html.table
                     ~header:[ "queue"; "L (avg occupancy)"; "lambda (/s)";
                               "W (us)"; "|L-lW| rel err" ]
@@ -1585,76 +1299,56 @@ let report_html ~slo_tables datasets =
   in
   Report.Html.page ~title:"e2ebench report" ~body
 
-let report_ascii datasets =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Report.Stacked.render_ascii (bars_for_all datasets));
+let print_report_ascii datasets =
+  print_string (Report.Stacked.render_ascii (bars_for_all datasets));
   List.iter
-    (fun ds ->
-      Buffer.add_string b
-        (Printf.sprintf "\n%s: %d spans (%d incomplete)\n" ds.ds_label
-           (List.length ds.ds_spans) ds.ds_incomplete);
-      List.iter
-        (fun (r : Sim.Trace.record) ->
-          Buffer.add_string b
-            (Printf.sprintf "  audit %s\n" (Sim.Trace.detail r)))
-        ds.ds_audits)
-    datasets;
-  Buffer.contents b
+    (fun (label, sa) ->
+      pf "\n%s: %d spans (%d incomplete)\n" label
+        (List.length (Monitor.Spans.spans sa)) (Monitor.Spans.incomplete sa);
+      List.iter (fun r -> pf "  audit %s\n" (Sim.Trace.detail r)) (Monitor.Spans.audits sa))
+    datasets
 
 (* --gate PHASE:P:TOL_US regression check: PHASE is a span phase name
    or "e2e", P one of p50/p95/p99.  The positional FILE is the
    candidate, --compare the baseline; the gate trips when the
    candidate's percentile exceeds the baseline's by more than TOL_US. *)
-type gate = { gt_phase : string; gt_pct : string; gt_tol_us : float }
+type gate = {
+  gt_phase : string;
+  gt_pct : string * float * (Sim.Span.row -> float);  (* one of [percentiles] *)
+  gt_tol_us : float;
+}
 
 let parse_gate spec =
   match String.split_on_char ':' spec with
   | [ phase; pct; tol ] -> (
     let phase = String.lowercase_ascii phase in
     let pct = String.lowercase_ascii pct in
-    let phase_ok =
-      String.equal phase "e2e"
-      || List.exists
-           (fun ph -> String.equal (Sim.Span.phase_name ph) phase)
-           Sim.Span.all_phases
-    in
-    if not phase_ok then
+    let phases = List.map Sim.Span.phase_name Sim.Span.all_phases in
+    if not (List.mem phase ("e2e" :: phases)) then
       Error
         (Printf.sprintf "unknown gate phase %S (e2e or one of: %s)" phase
-           (String.concat ", "
-              (List.map Sim.Span.phase_name Sim.Span.all_phases)))
-    else if not (List.mem pct [ "p50"; "p95"; "p99" ]) then
-      Error (Printf.sprintf "gate percentile must be p50/p95/p99, not %S" pct)
+           (String.concat ", " phases))
     else
-      match float_of_string_opt tol with
-      | Some t when t >= 0.0 -> Ok { gt_phase = phase; gt_pct = pct; gt_tol_us = t }
-      | Some _ | None ->
+      match
+        ( List.find_opt (fun (name, _, _) -> String.equal name pct) percentiles,
+          float_of_string_opt tol )
+      with
+      | None, _ -> Error (Printf.sprintf "gate percentile must be p50/p95/p99, not %S" pct)
+      | Some p, Some t when t >= 0.0 -> Ok { gt_phase = phase; gt_pct = p; gt_tol_us = t }
+      | Some _, _ ->
         Error (Printf.sprintf "gate tolerance must be a non-negative float, not %S" tol))
   | _ -> Error (Printf.sprintf "bad gate spec %S (want PHASE:P:TOL_US)" spec)
 
-let gate_value g ds =
-  let q = match g.gt_pct with "p50" -> 0.50 | "p95" -> 0.95 | _ -> 0.99 in
-  if String.equal g.gt_phase "e2e" then Some (e2e_percentile ds.ds_spans q)
+let gate_value g sa =
+  let _, q, pick = g.gt_pct in
+  if String.equal g.gt_phase "e2e" then Some (Monitor.Spans.e2e_us sa q)
   else
-    let pick (r : Sim.Span.row) =
-      match g.gt_pct with
-      | "p50" -> r.p50_us
-      | "p95" -> r.p95_us
-      | _ -> r.p99_us
-    in
     List.find_map
       (fun (r : Sim.Span.row) ->
-        if String.equal (Sim.Span.phase_name r.phase) g.gt_phase then
-          Some (pick r)
-        else None)
-      (Sim.Span.breakdown ds.ds_spans)
+        if String.equal (Sim.Span.phase_name r.phase) g.gt_phase then Some (pick r) else None)
+      (Sim.Span.breakdown (Monitor.Spans.spans sa))
 
 let report_cmd =
-  let file_arg =
-    let doc = "Trace file produced by --trace-out (JSONL or binary)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let compare_arg =
     let doc = "Second trace to compare side by side (the --gate baseline)." in
     Arg.(value & opt (some string) None & info [ "compare" ] ~docv:"FILE" ~doc)
@@ -1677,87 +1371,57 @@ let report_cmd =
     Arg.(value & opt (some string) None & info [ "gate" ] ~docv:"SPEC" ~doc)
   in
   let action file compare out ascii gate =
-    let ( let* ) = Result.bind in
-    let inputs =
-      let* a = datasets_of_file file in
-      let* b =
-        match compare with
-        | None -> Ok None
-        | Some bf ->
-          let* db = datasets_of_file bf in
-          Ok (Some (bf, db))
+    match (Option.map parse_gate gate, compare) with
+    | Some (Error e), _ -> usage "%s" e
+    | Some (Ok _), None -> usage "--gate requires --compare"
+    | gate, _ ->
+      let a, a_slo, a_skipped = datasets_of_file file in
+      let b = Option.map (fun bf -> (bf, datasets_of_file bf)) compare in
+      let datasets, slo_tables, skipped =
+        match b with
+        | None -> (a, a_slo, a_skipped)
+        | Some (_, (db, b_slo, b_skipped)) -> (a @ db, a_slo @ b_slo, a_skipped + b_skipped)
       in
-      let* gate =
-        match gate with
-        | None -> Ok None
-        | Some spec -> Result.map Option.some (parse_gate spec)
-      in
-      Ok (a, b, gate)
-    in
-    match inputs with
-    | Error e -> fail "%s" e
-    | Ok (([], _), _, _) -> fail "no datasets"
-    | Ok (((a_ds :: _ as a), a_slo), b, gate) -> (
-      let datasets, slo_tables =
-        match b with None -> (a, a_slo) | Some (_, (db, b_slo)) -> (a @ db, a_slo @ b_slo)
-      in
-      if List.for_all (fun ds -> ds.ds_spans = []) datasets then
+      let no_spans (_, sa) = Monitor.Spans.spans sa = [] in
+      if List.for_all no_spans datasets then
         fail
           "no complete spans in input (no request completed in the traced \
-           runs, or the file was written by an older version?)"
-      else
-        let gated =
-          match gate with
-          | None -> Ok ()
-          | Some g -> (
-            match b with
-            | None -> Error "--gate requires --compare"
-            | Some (_, ([], _)) | Some (_, ({ ds_spans = []; _ } :: _, _)) ->
-              Error "--gate baseline has no complete spans"
-            | Some (bfile, (b_ds :: _, _)) -> (
-              match (gate_value g a_ds, gate_value g b_ds) with
-              | Some cand, Some base ->
-                let delta = cand -. base in
-                let verdict = delta <= g.gt_tol_us in
-                pf "gate %s:%s       : candidate %.1fus baseline %.1fus \
-                    delta %+.1fus tol %.1fus -> %s\n"
-                  g.gt_phase g.gt_pct cand base delta g.gt_tol_us
-                  (if verdict then "PASS" else "FAIL");
-                if verdict then Ok ()
-                else
-                  Error
-                    (Printf.sprintf
-                       "gate %s:%s failed: %s regressed %.1fus over %s \
-                        (tolerance %.1fus)"
-                       g.gt_phase g.gt_pct file delta bfile g.gt_tol_us)
-              | _ ->
-                Error
-                  (Printf.sprintf "gate phase %s has no spans to judge"
-                     g.gt_phase)))
-        in
-        match gated with
-        | Error e -> fail "%s" e
-        | Ok () ->
-          if ascii then begin
-            print_string (report_ascii datasets);
-            `Ok ()
-          end
-          else begin
-            let html = report_html ~slo_tables datasets in
-            if not (Report.Html.well_formed html) then
-              fail "internal error: generated HTML is not well-formed"
-            else begin
-              with_out out (fun oc -> output_string oc html);
-              pf "report              : %d datasets, %d bytes -> %s\n"
-                (List.length datasets) (String.length html) out;
-              `Ok ()
-            end
-          end)
+           runs, or the file was written by an older version?)";
+      (match (gate, b) with
+      | Some (Ok g), Some (bfile, (db, _, _)) -> (
+        (* each file's first dataset is its first run's whole run *)
+        let b_ds = List.hd db in
+        if no_spans b_ds then fail "--gate baseline has no complete spans";
+        let pct, _, _ = g.gt_pct in
+        match (gate_value g (snd (List.hd a)), gate_value g (snd b_ds)) with
+        | Some cand, Some base ->
+          let delta = cand -. base in
+          let verdict = delta <= g.gt_tol_us in
+          pf "gate %s:%s       : candidate %.1fus baseline %.1fus \
+              delta %+.1fus tol %.1fus -> %s\n"
+            g.gt_phase pct cand base delta g.gt_tol_us
+            (if verdict then "PASS" else "FAIL");
+          if not verdict then
+            fail "gate %s:%s failed: %s regressed %.1fus over %s (tolerance %.1fus)"
+              g.gt_phase pct file delta bfile g.gt_tol_us
+        | _ -> fail "gate phase %s has no spans to judge" g.gt_phase)
+      | _ -> ());
+      if ascii then print_report_ascii datasets
+      else begin
+        let html = report_html ~slo_tables datasets in
+        if not (Report.Html.well_formed html) then
+          fail "internal error: generated HTML is not well-formed";
+        with_out out (fun oc -> output_string oc html);
+        pf "report              : %d datasets, %d bytes -> %s\n"
+          (List.length datasets) (String.length html) out
+      end;
+      print_skipped skipped;
+      `Ok ()
   in
   let term =
     Term.(
       ret
-        (const action $ file_arg $ compare_arg $ out_arg $ ascii_arg
+        (const action $ trace_file_arg $ compare_arg $ out_arg $ ascii_arg
        $ gate_arg))
   in
   Cmd.v
@@ -1788,7 +1452,7 @@ let convert_cmd =
   in
   let action input output =
     if String.equal input output then
-      fail "input and output are the same file"
+      usage "input and output are the same file"
     else begin
       let from_binary = Sim.Trace.Binary.is_binary input in
       let result =
@@ -1839,7 +1503,7 @@ let model_cmd =
   let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Queued requests.") in
   let action alpha beta client_cost n =
     if n <= 0 || alpha < 0.0 || beta < 0.0 || client_cost < 0.0 then
-      fail "parameters must be non-negative (n positive)"
+      usage "parameters must be non-negative (n positive)"
     else begin
       let p = { E2e.Batch_model.alpha; beta; client_cost; n } in
       let b = E2e.Batch_model.batched p in
@@ -2012,19 +1676,15 @@ let scenario_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let action file compare tol print json trace_out metrics_out sample_us =
-    let ( let* ) = Result.bind in
-    let outcome =
-      let* spec =
-        Scenario.Spec.of_file file
+    match observe_of_flags ~trace_out ~metrics_out ~sample_us with
+    | Error e -> usage "%s" e
+    | Ok (Some _) when compare ->
+      usage "--trace-out/--metrics-out apply to plain runs, not --compare-static"
+    | Ok observe ->
+      let spec =
+        match Scenario.Spec.of_file file with Ok spec -> spec | Error msg -> fail "%s" msg
       in
-      let* observe = observe_of_flags ~trace_out ~metrics_out ~sample_us in
-      Ok (spec, observe)
-    in
-    match outcome with
-    | Error msg -> fail "%s" msg
-    | Ok (_, Some _) when compare ->
-      fail "--trace-out/--metrics-out apply to plain runs, not --compare-static"
-    | Ok (spec, observe) ->
+      let json_out = open_out_opt json and metrics = open_out_opt metrics_out in
       if print then pf "%s" (Scenario.Spec.to_string spec);
       pf "scope=%s tenants=%d seed=%d\n"
         (Loadgen.Fleet.scope_label spec.Scenario.Spec.scope)
@@ -2057,21 +1717,24 @@ let scenario_cmd =
           in
           print_fleet_result r;
           (match r.Loadgen.Fleet.observability with
-          | Some o -> write_outputs ~trace_out ~events ~metrics_out [ (None, o) ]
+          | Some o -> write_outputs ~trace_out ~events ~metrics [ (None, o) ]
           | None -> ());
           fleet_json r
         end
       in
-      (match json with
-      | Some path ->
-        Report.Json.to_file path
-          (Report.Json.Obj
-             [
-               ("scenario", Report.Json.String (Scenario.Spec.to_string spec));
-               ("result", payload);
-             ]);
-        pf "wrote %s\n" path
-      | None -> ());
+      Option.iter
+        (fun (path, oc) ->
+          output_string oc
+            (Report.Json.to_string_pretty
+               (Report.Json.Obj
+                  [
+                    ("scenario", Report.Json.String (Scenario.Spec.to_string spec));
+                    ("result", payload);
+                  ]));
+          output_char oc '\n';
+          close_out oc;
+          pf "wrote %s\n" path)
+        json_out;
       `Ok ()
   in
   let term =
@@ -2097,7 +1760,7 @@ let () =
   in
   exit
     (try Cmd.eval ~catch:false cmd with
-    | Cannot_write msg ->
+    | Failed msg ->
       Printf.eprintf "e2ebench: %s\n" msg;
       1
     | e ->

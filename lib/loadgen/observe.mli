@@ -87,6 +87,10 @@ val declare_slo : t -> at:Sim.Time.t -> id:string -> slo_us:float -> unit
     call writes one record, so declare an id once.
     @raise Invalid_argument for a non-positive or non-finite SLO. *)
 
+val push : float array -> int -> float -> float array
+(** [push a n x] stores [x] at [a.(n)], [a]'s first [n] slots in use,
+    and returns [a], or a copy twice as large when [a] was full. *)
+
 val first_after : float array -> int -> float -> int
 (** [first_after a n bound] is the first index of the sorted prefix
     [a.(0..n-1)] whose value exceeds [bound] (binary search).  A window

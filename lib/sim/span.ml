@@ -497,7 +497,6 @@ type row = {
   max_us : float;
 }
 
-(* Nearest-rank percentile over a sorted array of ns durations. *)
 let rank sorted q =
   let n = Array.length sorted in
   let i = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in

@@ -116,6 +116,11 @@ type row = {
   max_us : float;
 }
 
+val rank : 'a array -> float -> 'a
+(** [rank sorted q] is the nearest-rank [q]-quantile ([q] in [0,1]) of
+    the non-empty ascending array [sorted]: its
+    [ceil (q * n)]-th smallest element, clamped to the array. *)
+
 val breakdown : span list -> row list
 (** Per-phase nearest-rank percentiles over the given spans, in
     critical-path order; empty input gives an empty list. *)
