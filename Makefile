@@ -62,7 +62,9 @@ smoke:
 # tag-balance check and exits nonzero if its output is malformed).
 # Gates: off's e2e p99 is below on's, so the first gate passes (exit
 # 0); on's p50 is above off's, so the second fails (exit 1); a
-# malformed gate spec is a command-line error (exit 124).
+# malformed gate spec is a command-line error (exit 124); a multi-run
+# sweep trace on either side fails the gate with one stderr line
+# (exit 1), however loose the tolerance.
 report-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -81,6 +83,18 @@ report-smoke:
 	@./_build/default/bin/e2ebench.exe report _smoke/report-on.jsonl \
 	  --compare _smoke/report-off.jsonl --gate e2e:p42:0 --ascii > /dev/null 2>&1; \
 	  code=$$?; [ $$code -eq 124 ] || { echo "report-smoke: bad gate spec exited $$code, not 124"; exit 1; }
+	dune exec bin/e2ebench.exe -- sweep --rates 20,60 \
+	  --warmup-ms 5 --duration-ms 20 --trace-out _smoke/report-sweep.jsonl > /dev/null
+	@for pair in "_smoke/report-sweep.jsonl _smoke/report-off.jsonl" \
+	  "_smoke/report-off.jsonl _smoke/report-sweep.jsonl"; do \
+	  set -- $$pair; \
+	  ./_build/default/bin/e2ebench.exe report $$1 --compare $$2 --gate e2e:p99:1e9 \
+	    --ascii > /dev/null 2> _smoke/report-gate.err; code=$$?; \
+	  if [ $$code -ne 1 ] || [ $$(wc -l < _smoke/report-gate.err) -ne 1 ] \
+	    || ! grep -q 'report-sweep.jsonl holds [0-9]* runs' _smoke/report-gate.err; then \
+	    echo "report-smoke: gate on a multi-run trace ($$pair) exited $$code:"; \
+	    cat _smoke/report-gate.err; exit 1; fi; \
+	done
 	@test -s _smoke/report.html || { echo "report-smoke: empty report"; exit 1; }
 	@grep -q "</html>" _smoke/report.html || { echo "report-smoke: truncated HTML"; exit 1; }
 	@grep -q "<svg" _smoke/report.html || { echo "report-smoke: no chart in report"; exit 1; }
@@ -96,14 +110,18 @@ chaos-smoke:
 	dune exec bin/e2ebench.exe -- run --rate 10 --nagle dynamic \
 	  --warmup-ms 5 --duration-ms 40 --fault-plan _smoke/chaos.fault > /dev/null
 	dune exec bin/e2ebench.exe -- chaos --losses 0,0.02 --reorders 0 \
-	  --blackouts-ms 0,20
+	  --blackouts-ms 0,20 > _smoke/chaos-grid.out
+	@diff -u test/regress/chaos_grid.txt _smoke/chaos-grid.out \
+	  || { echo "chaos-smoke: grid differs from test/regress/chaos_grid.txt"; exit 1; }
 	# Zero-window cells: the receive window genuinely closes, and the
 	# blackout eats the lone window-update ack — the regime that
 	# deadlocked permanently before the persist timer existed.  The
 	# bursty-loss column additionally soaks probe recovery under a
 	# Gilbert channel (closure/progress invariants).
 	dune exec bin/e2ebench.exe -- chaos --losses 0,0.02 --reorders 0 \
-	  --blackouts-ms 0,20 --zero-window
+	  --blackouts-ms 0,20 --zero-window > _smoke/chaos-zw.out
+	@diff -u test/regress/chaos_zero_window.txt _smoke/chaos-zw.out \
+	  || { echo "chaos-smoke: grid differs from test/regress/chaos_zero_window.txt"; exit 1; }
 	@echo "chaos-smoke: OK"
 
 # Scenario smoke: a two-tenant heterogeneous fleet parsed from the
@@ -227,8 +245,9 @@ explain-smoke:
 # trace's edge records (equal to the golden
 # test/regress/churn_slo.txt), and the chaos flash-crowd / churn-storm
 # cells assert bounded re-convergence (exit nonzero on any violation).
-# The ablation run (--ablate-settling) must fail: no settling tracker
-# means no re-convergence evidence.
+# The ablation run (--ablate-inherit) must fail: spawned connections
+# that re-explore from scratch blow the mode re-convergence bound.
+# Every chaos table is diffed against its test/regress/chaos_*.txt.
 churn-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -247,9 +266,15 @@ churn-smoke:
 	  || { echo "churn-smoke: no per-edge settling row"; exit 1; }
 	@diff -u test/regress/churn_slo.txt _smoke/churn-slo.out \
 	  || { echo "churn-smoke: SLO/settling table differs from test/regress/churn_slo.txt"; exit 1; }
-	dune exec bin/e2ebench.exe -- chaos --flash-crowd --churn-storm
-	@if dune exec bin/e2ebench.exe -- chaos --churn-storm --ablate-settling \
-	  > /dev/null 2>&1; then echo "churn-smoke: settling ablation passed the gate"; exit 1; fi
+	dune exec bin/e2ebench.exe -- chaos --flash-crowd --churn-storm \
+	  > _smoke/chaos-churn.out
+	@diff -u test/regress/chaos_churn.txt _smoke/chaos-churn.out \
+	  || { echo "churn-smoke: cells differ from test/regress/chaos_churn.txt"; exit 1; }
+	@if ./_build/default/bin/e2ebench.exe chaos --churn-storm --ablate-inherit \
+	  > _smoke/chaos-no-inherit.out 2> /dev/null; then \
+	  echo "churn-smoke: inheritance ablation passed the gate"; exit 1; fi
+	@diff -u test/regress/chaos_no_inherit.txt _smoke/chaos-no-inherit.out \
+	  || { echo "churn-smoke: ablation differs from test/regress/chaos_no_inherit.txt"; exit 1; }
 	@echo "churn-smoke: OK"
 
 # Sharded-serving smoke: a 10k-connection 4-shard fleet behind the

@@ -1017,18 +1017,29 @@ let fault () =
       duration = Sim.Time.ms 400;
     }
   in
-  let curve ~losses ~blackouts_ms =
-    Loadgen.Chaos.run_grid ~domains:!domains ~base ~losses ~reorders:[ 0.0 ]
-      ~blackouts_ms ()
+  (* Each verdict comes back with its grid coordinates and the sole
+     tenant, control group and run detail of its one-tenant fleet. *)
+  let curve ?(base = base) ~losses ~blackouts_ms () =
+    let coords =
+      List.concat_map (fun loss -> List.map (fun b -> (loss, b)) blackouts_ms) losses
+    in
+    List.map2
+      (fun (loss, blackout_ms) (v : Loadgen.Chaos.verdict) ->
+        match (v.result.tenants, v.result.groups, v.result.detail) with
+        | [ t ], [ g ], Some d -> (loss, blackout_ms, v, t, g, d)
+        | _ -> invalid_arg "fault: expected a one-tenant fleet")
+      coords
+      (Loadgen.Chaos.run_grid ~domains:!domains
+         (Loadgen.Chaos.grid ~base ~losses ~reorders:[ 0.0 ] ~blackouts_ms ()))
   in
-  let loss_curve = curve ~losses:[ 0.0; 0.005; 0.01; 0.02; 0.05 ] ~blackouts_ms:[ 0.0 ] in
-  let blackout_curve = curve ~losses:[ 0.0 ] ~blackouts_ms:[ 10.0; 20.0; 40.0 ] in
-  let row (v : Loadgen.Chaos.verdict) =
-    let r = v.result in
-    pf "  %-32s  %6.1f kRPS  p99 %9.1f us  drops %5d  freezes %s  %s\n"
-      (Loadgen.Chaos.cell_label v.cell)
-      (k r.achieved_rps) r.measured_p99_us r.link_dropped
-      (match r.degrade_freezes with None -> "-" | Some n -> string_of_int n)
+  let recovery_losses = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
+  let loss_curve = curve ~losses:recovery_losses ~blackouts_ms:[ 0.0 ] () in
+  let blackout_curve = curve ~losses:[ 0.0 ] ~blackouts_ms:[ 10.0; 20.0; 40.0 ] () in
+  let row (_, _, (v : Loadgen.Chaos.verdict), (t : Loadgen.Fleet.tenant_result),
+      (g : Loadgen.Fleet.group_result), (d : Loadgen.Fleet.run_detail)) =
+    pf "  %-32s  %6.1f kRPS  p99 %9.1f us  drops %5d  freezes %s  %s\n" v.cell.label
+      (k t.t_achieved_rps) t.t_p99_us d.d_link_dropped
+      (match g.g_degrade_freezes with None -> "-" | Some n -> string_of_int n)
       (if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures)
   in
   pf "loss curve (Gilbert-Elliott bursts, no blackout):\n";
@@ -1041,59 +1052,57 @@ let fault () =
      go-back-N repairs one hole per round trip (or RTO) while SACK
      retransmits exactly the holes, so its tail should strictly
      dominate at every positive loss rate. *)
-  let recovery_losses = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
   let gbn_curve =
-    Loadgen.Chaos.run_grid ~domains:!domains
-      ~base:{ base with Loadgen.Runner.sack = false }
-      ~losses:recovery_losses ~reorders:[ 0.0 ] ~blackouts_ms:[ 0.0 ] ()
+    curve ~base:{ base with Loadgen.Runner.sack = false } ~losses:recovery_losses
+      ~blackouts_ms:[ 0.0 ] ()
   in
   pf "recovery comparison (SACK scoreboard vs go-back-N, same bursty loss):\n";
   (* A run that completed nothing inside the measured window reports a
      p99 of 0 — that is starvation, the worst possible tail, so rank it
      as infinite rather than letting 0 "win" the comparison. *)
-  let eff_p99 (r : Loadgen.Runner.result) =
-    if r.completed = 0 then infinity else r.measured_p99_us
+  let eff_p99 (t : Loadgen.Fleet.tenant_result) =
+    if t.t_completed = 0 then infinity else t.t_p99_us
   in
   let dominated = ref true in
   let comparison =
     List.map2
-      (fun (s : Loadgen.Chaos.verdict) (g : Loadgen.Chaos.verdict) ->
-        let sp = eff_p99 s.result and gp = eff_p99 g.result in
-        if s.cell.loss > 0.0 && sp >= gp then dominated := false;
-        pf "  loss=%-6g  sack p99 %9s  gbn p99 %9s  %s\n" s.cell.loss
+      (fun (loss, _, _, s, _, _) (_, _, _, g, _, _) ->
+        let sp = eff_p99 s and gp = eff_p99 g in
+        if loss > 0.0 && sp >= gp then dominated := false;
+        pf "  loss=%-6g  sack p99 %9s  gbn p99 %9s  %s\n" loss
           (if sp = infinity then "starved" else Printf.sprintf "%.1f us" sp)
           (if gp = infinity then "starved" else Printf.sprintf "%.1f us" gp)
-          (if s.cell.loss = 0.0 then "(lossless: identical recovery path)"
+          (if loss = 0.0 then "(lossless: identical recovery path)"
            else if sp < gp then "sack wins"
            else "gbn wins");
         Report.Json.(
           Obj
             [
-              ("loss", Float s.cell.loss);
+              ("loss", Float loss);
               ("sack_p99_us", Float sp);
               ("gbn_p99_us", Float gp);
-              ("sack_krps", Float (k s.result.achieved_rps));
-              ("gbn_krps", Float (k g.result.achieved_rps));
-              ("sack_wins", Bool (s.cell.loss = 0.0 || sp < gp));
+              ("sack_krps", Float (k s.t_achieved_rps));
+              ("gbn_krps", Float (k g.t_achieved_rps));
+              ("sack_wins", Bool (loss = 0.0 || sp < gp));
             ]))
       loss_curve gbn_curve
   in
   pf "  SACK strictly dominates go-back-N at positive loss: %b\n" !dominated;
-  let cell_json (v : Loadgen.Chaos.verdict) =
-    let r = v.result in
+  let cell_json (loss, blackout_ms, v, (t : Loadgen.Fleet.tenant_result),
+      (g : Loadgen.Fleet.group_result), (d : Loadgen.Fleet.run_detail)) =
     Report.Json.(
       Obj
         [
-          ("loss", Float v.cell.loss);
-          ("blackout_ms", Float v.cell.blackout_ms);
-          ("krps", Float (k r.achieved_rps));
-          ("p99_us", Float r.measured_p99_us);
-          ("drops", Int r.link_dropped);
-          ("completed", Int r.completed_total);
-          ("issued", Int r.issued);
-          ("freezes", opt (fun n -> Int n) r.degrade_freezes);
-          ("thaws", opt (fun n -> Int n) r.degrade_thaws);
-          ("frozen_end", opt (fun b -> Bool b) r.degrade_frozen_end);
+          ("loss", Float loss);
+          ("blackout_ms", Float blackout_ms);
+          ("krps", Float (k t.t_achieved_rps));
+          ("p99_us", Float t.t_p99_us);
+          ("drops", Int d.d_link_dropped);
+          ("completed", Int t.t_completed_total);
+          ("issued", Int t.t_issued);
+          ("freezes", opt (fun n -> Int n) g.g_degrade_freezes);
+          ("thaws", opt (fun n -> Int n) g.g_degrade_thaws);
+          ("frozen_end", opt (fun b -> Bool b) g.g_degrade_frozen_end);
           ("ok", Bool (Loadgen.Chaos.ok v));
         ])
   in
@@ -1264,8 +1273,8 @@ let churn_scenario =
 let churn () =
   hr "Churn — flash crowds, connection lifecycle, re-convergence";
   (* chaos cells: bounded re-convergence, with the bound printed *)
-  let cells = Loadgen.Chaos.churn_grid () in
-  let verdicts = Loadgen.Chaos.run_churn_grid ~domains:!domains cells in
+  let verdicts = Loadgen.Chaos.run_grid ~domains:!domains (Loadgen.Chaos.churn_grid ()) in
+  let bound (v : Loadgen.Chaos.verdict) = Option.get v.cell.owed.settle_us in
   let worst sel (r : Loadgen.Fleet.result) =
     match r.observability with
     | None -> None
@@ -1281,20 +1290,18 @@ let churn () =
   pf "%-14s %12s %12s %10s  %s\n" "cell" "est-settle" "mode-settle" "bound"
     "verdict";
   List.iter
-    (fun (v : Loadgen.Chaos.churn_verdict) ->
+    (fun (v : Loadgen.Chaos.verdict) ->
       let s = function
         | Some us -> Printf.sprintf "%10.0fus" us
         | None -> "         -"
       in
-      pf "%-14s %s %s %8.0fus  %s\n"
-        (Loadgen.Chaos.churn_cell_label v.churn_cell)
-        (s (worst (fun g -> g.Loadgen.Observe.g_settle_us) v.fleet_result))
-        (s (worst (fun g -> g.Loadgen.Observe.g_mode_settle_us) v.fleet_result))
-        (Loadgen.Chaos.settle_bound_us v.churn_cell)
-        (if Loadgen.Chaos.churn_ok v then "ok"
-         else String.concat "; " v.churn_failures))
+      pf "%-14s %s %s %8.0fus  %s\n" v.cell.label
+        (s (worst (fun g -> g.Loadgen.Observe.g_settle_us) v.result))
+        (s (worst (fun g -> g.Loadgen.Observe.g_mode_settle_us) v.result))
+        (bound v)
+        (if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures))
     verdicts;
-  let reconverges = List.for_all Loadgen.Chaos.churn_ok verdicts in
+  let reconverges = List.for_all Loadgen.Chaos.ok verdicts in
   pf "per-conn control re-converges within bounds: %b\n" reconverges;
   (* the mixed fleet, now with the load moving under it *)
   let spec =
@@ -1323,24 +1330,20 @@ let churn () =
     c.verdicts;
   pf "no global static fits all tenants: %b\n" c.no_global_static_fits;
   pf "per-conn dynamic fits all tenants under churn: %b\n" c.candidate_fits_all;
-  let cell_json (v : Loadgen.Chaos.churn_verdict) =
+  let cell_json (v : Loadgen.Chaos.verdict) =
     Report.Json.(
       Obj
         [
-          ("cell", String (Loadgen.Chaos.churn_cell_label v.churn_cell));
+          ("cell", String v.cell.label);
           ( "est_settle_worst_us",
-            opt
-              (fun x -> Float x)
-              (worst (fun g -> g.Loadgen.Observe.g_settle_us) v.fleet_result) );
+            opt (fun x -> Float x) (worst (fun g -> g.Loadgen.Observe.g_settle_us) v.result) );
           ( "mode_settle_worst_us",
             opt
               (fun x -> Float x)
-              (worst
-                 (fun g -> g.Loadgen.Observe.g_mode_settle_us)
-                 v.fleet_result) );
-          ("bound_us", Float (Loadgen.Chaos.settle_bound_us v.churn_cell));
-          ("ok", Bool (Loadgen.Chaos.churn_ok v));
-          ("failures", List (List.map (fun m -> String m) v.churn_failures));
+              (worst (fun g -> g.Loadgen.Observe.g_mode_settle_us) v.result) );
+          ("bound_us", Float (bound v));
+          ("ok", Bool (Loadgen.Chaos.ok v));
+          ("failures", List (List.map (fun m -> String m) v.failures));
         ])
   in
   Report.Json.to_file "BENCH_churn.json"
@@ -1457,16 +1460,18 @@ let scale () =
     construction_words peak_heap_mb;
   pf "%-6s %8s %10s %10s %12s %8s\n" "shard" "conns" "issued" "completed"
     "outstanding" "closure";
-  let closure_ok = ref true in
+  (* The oracle: closure per tenant and per shard, and liveness. *)
+  let failures = Loadgen.Invariants.(check base) r in
+  let closure_ok = failures = [] in
   List.iter
     (fun (s : Fleet.shard_result) ->
-      let ok = s.sh_issued = s.sh_completed_total + s.sh_outstanding_end in
-      if not ok then closure_ok := false;
+      let shard = Printf.sprintf "accounting: shard %d " s.sh_index in
+      let ok = not (List.exists (String.starts_with ~prefix:shard) failures) in
       pf "s%-5d %8d %10d %10d %12d %8s\n" s.sh_index s.sh_conns s.sh_issued
         s.sh_completed_total s.sh_outstanding_end
         (if ok then "exact" else "BROKEN"))
     r.Fleet.shards;
-  pf "per-shard accounting closure: %b\n" !closure_ok;
+  pf "per-shard accounting closure: %b\n" closure_ok;
   (* -- 2: per-conn dynamic batching converging per shard -- *)
   let conv_spec =
     match Scenario.Spec.of_string scale_convergence_scenario with
@@ -1565,7 +1570,7 @@ let scale () =
           ("wall_s", Float dt);
           ("construction_words_per_conn", Float construction_words);
           ("peak_heap_mb", Float peak_heap_mb);
-          ("closure_pass", Bool !closure_ok);
+          ("closure_pass", Bool closure_ok);
           ("headline_shards", List (List.map shard_json r.Fleet.shards));
           ("convergence_pass", Bool !conv_ok);
           ("convergence_shards", List (List.map shard_json conv.Fleet.shards));
@@ -1575,7 +1580,7 @@ let scale () =
           ("deterministic", Bool deterministic);
         ]);
   pf "  wrote BENCH_scale.json\n";
-  if not (!closure_ok && !conv_ok && ll_wins && deterministic) then exit 1
+  if not (closure_ok && !conv_ok && ll_wins && deterministic) then exit 1
 
 (* Wall time per request against connection count: 4 tenants of 64 B
    SETs at 10 req/s per connection on 4 shards behind least_loaded,

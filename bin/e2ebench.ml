@@ -554,7 +554,7 @@ let chaos_cmd =
   let zero_window_arg =
     let doc =
       "Also run every cell in a zero-window variant (receive buffer squeezed \
-       to 4 MSS, rate divided by 5) and assert the connection never stalls — \
+       to 4 MSS, rate divided by 40) and assert the connection never stalls — \
        the regime where a lost window-update ack deadlocks a stack without \
        persist probing."
     in
@@ -586,36 +586,21 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "ablate-inherit" ] ~doc)
   in
-  let ablate_settling_arg =
-    let doc =
-      "Ablation: disable the settling-time tracker in the flash-crowd/\
-       churn-storm cells (expected to fail for lack of re-convergence \
-       evidence)."
-    in
-    Arg.(value & flag & info [ "ablate-settling" ] ~doc)
-  in
   let parse_floats name s =
     let parsed = List.filter_map float_of_string_opt (String.split_on_char ',' s) in
     if parsed = [] then Error (Printf.sprintf "no valid values in --%s %S" name s)
     else Ok parsed
   in
-  let run_churn_cells ~domains ~flash ~storm ~inherit_prior ~settling =
-    let cells =
-      (if flash then
-         [ { Loadgen.Chaos.flash = true; storm = false; inherit_prior; settling } ]
-       else [])
-      @
-      if storm then
-        [ { Loadgen.Chaos.flash = false; storm = true; inherit_prior; settling } ]
-      else []
-    in
-    let verdicts = Loadgen.Chaos.run_churn_grid ~domains cells in
+  let verdict (v : Loadgen.Chaos.verdict) =
+    if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures
+  in
+  let print_load_cells verdicts =
     pf "%-30s | %9s %6s %6s | %9s %9s | %s\n" "cell" "completed" "opened" "closed"
       "est-settle" "mode-settle" "verdict";
     pf "%s\n" (String.make 96 '-');
     List.iter
-      (fun (v : Loadgen.Chaos.churn_verdict) ->
-        let r = v.fleet_result in
+      (fun (v : Loadgen.Chaos.verdict) ->
+        let r = v.result in
         let completed, opened, closed =
           List.fold_left
             (fun (c, o, cl) (t : Loadgen.Fleet.tenant_result) ->
@@ -630,26 +615,26 @@ let chaos_cmd =
             if settles = [] then "-"
             else Printf.sprintf "%.0fus" (List.fold_left Float.max 0.0 settles)
         in
-        pf "%-30s | %9d %6d %6d | %9s %9s | %s\n"
-          (Loadgen.Chaos.churn_cell_label v.churn_cell)
-          completed opened closed
+        pf "%-30s | %9d %6d %6d | %9s %9s | %s\n" v.cell.label completed opened closed
           (worst (fun g -> g.Loadgen.Observe.g_settle_us))
           (worst (fun g -> g.Loadgen.Observe.g_mode_settle_us))
-          (if Loadgen.Chaos.churn_ok v then "ok"
-           else String.concat "; " v.churn_failures))
-      verdicts;
-    let bad = List.filter (fun v -> not (Loadgen.Chaos.churn_ok v)) verdicts in
-    if bad = [] then begin
-      pf "chaos               : all %d cells passed\n" (List.length verdicts);
-      `Ok ()
-    end
-    else
-      fail "chaos: %d of %d cells failed invariants" (List.length bad)
-        (List.length verdicts)
+          (verdict v))
+      verdicts
+  in
+  let print_wire_cells verdicts =
+    pf "%-40s | %8s %8s %8s | %s\n" "cell" "kRPS" "p99us" "drops" "verdict";
+    pf "%s\n" (String.make 84 '-');
+    List.iter
+      (fun (v : Loadgen.Chaos.verdict) ->
+        let t = List.hd v.result.tenants in
+        pf "%-40s | %8.1f %8.1f %8d | %s\n" v.cell.label (t.t_achieved_rps /. 1e3)
+          t.t_p99_us
+          (match v.result.detail with Some d -> d.d_link_dropped | None -> 0)
+          (verdict v))
+      verdicts
   in
   let action rate seed duration warmup losses reorders blackouts zero_window
-      flash_crowd churn_storm ablate_inherit ablate_settling domains trace_out
-      metrics_out sample_us =
+      flash_crowd churn_storm ablate_inherit domains trace_out metrics_out sample_us =
     let ( let* ) = Result.bind in
     let checked =
       let* losses = parse_floats "losses" losses in
@@ -664,41 +649,45 @@ let chaos_cmd =
       if domains < 1 then Error "--domains must be at least 1"
       else Ok (losses, reorders, blackouts_ms, { base with observe })
     in
+    let judged verdicts =
+      match List.filter (fun v -> not (Loadgen.Chaos.ok v)) verdicts with
+      | [] ->
+        pf "chaos               : all %d cells passed\n" (List.length verdicts);
+        `Ok ()
+      | bad ->
+        fail "chaos: %d of %d cells failed invariants" (List.length bad)
+          (List.length verdicts)
+    in
     match checked with
     | Error e -> usage "%s" e
     | Ok _ when flash_crowd || churn_storm ->
-      run_churn_cells ~domains ~flash:flash_crowd ~storm:churn_storm
-        ~inherit_prior:(not ablate_inherit) ~settling:(not ablate_settling)
+      let inherit_prior = not ablate_inherit in
+      let cells =
+        (if flash_crowd then [ Loadgen.Chaos.(load_cell ~inherit_prior Flash_crowd) ] else [])
+        @ if churn_storm then [ Loadgen.Chaos.(load_cell ~inherit_prior Churn_storm) ] else []
+      in
+      let verdicts = Loadgen.Chaos.run_grid ~domains cells in
+      print_load_cells verdicts;
+      judged verdicts
     | Ok (losses, reorders, blackouts_ms, base) ->
       let metrics = open_out_opt metrics_out in
       let zero_windows = if zero_window then [ false; true ] else [ false ] in
       let jobs =
         List.map
-          (fun cell ->
-            ( Some (Loadgen.Chaos.cell_label cell),
-              fun observe -> Loadgen.Chaos.run_cell ~base:{ base with observe } cell ))
-          (Loadgen.Chaos.grid ~zero_windows ~losses ~reorders ~blackouts_ms ())
+          (fun (cell : Loadgen.Chaos.cell) ->
+            ( Some cell.label,
+              fun observe ->
+                Loadgen.Chaos.run_cell { cell with config = { cell.config with observe } } ))
+          (Loadgen.Chaos.grid ~zero_windows ~base ~losses ~reorders ~blackouts_ms ())
       in
       let verdicts, events = traced_runs ~domains ~trace_out ~observe:base.observe jobs in
-      pf "%-40s | %8s %8s %8s | %s\n" "cell" "kRPS" "p99us" "drops" "verdict";
-      pf "%s\n" (String.make 84 '-');
-      List.iter
-        (fun (v : Loadgen.Chaos.verdict) ->
-          let r = v.result in
-          pf "%-40s | %8.1f %8.1f %8d | %s\n"
-            (Loadgen.Chaos.cell_label v.cell)
-            (r.achieved_rps /. 1e3) r.measured_p99_us r.link_dropped
-            (if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures))
-        verdicts;
-      let bad = List.filter (fun v -> not (Loadgen.Chaos.ok v)) verdicts in
-      write_observability ~trace_out ~events ~metrics
-        (List.map2 (fun (label, _) (v : Loadgen.Chaos.verdict) -> (label, v.result)) jobs verdicts);
-      if bad = [] then begin
-        pf "chaos               : all %d cells passed\n" (List.length verdicts);
-        `Ok ()
-      end
-      else fail "chaos: %d of %d cells failed invariants" (List.length bad)
-             (List.length verdicts)
+      print_wire_cells verdicts;
+      write_outputs ~trace_out ~events ~metrics
+        (List.filter_map
+           (fun (v : Loadgen.Chaos.verdict) ->
+             Option.map (fun o -> (Some v.cell.label, o)) v.result.observability)
+           verdicts);
+      judged verdicts
   in
   let term =
     Term.(
@@ -706,8 +695,8 @@ let chaos_cmd =
         (const action $ chaos_rate_arg $ seed_arg $ chaos_duration_arg
        $ chaos_warmup_arg $ losses_arg
        $ reorders_arg $ blackouts_arg $ zero_window_arg $ flash_crowd_arg
-       $ churn_storm_arg $ ablate_inherit_arg $ ablate_settling_arg
-       $ domains_arg $ trace_out_arg $ metrics_out_arg $ sample_us_arg))
+       $ churn_storm_arg $ ablate_inherit_arg $ domains_arg $ trace_out_arg
+       $ metrics_out_arg $ sample_us_arg))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -930,12 +919,12 @@ let print_slo_run (run, fold) =
         | None -> "           -"))
     rows;
   (* sharded traces ("...@s<k>" ids): per-shard attainment roll-up *)
-  let by_shard = Monitor.Table.create () in
+  let by_shard = Loadgen.Table.create () in
   List.iter
     (fun (r : Loadgen.Observe.slo_report) ->
       Option.iter
         (fun k ->
-          let acc = Monitor.Table.find_or_add by_shard k (fun _ -> ref (0, 0, 0.0)) in
+          let acc = Loadgen.Table.find_or_add by_shard k (fun _ -> ref (0, 0, 0.0)) in
           let n, viol, burn = !acc in
           acc := (n + r.r_total, viol + r.r_violations, Float.max burn r.r_max_burn))
         (Sim.Trace.shard_of_id r.r_id))
@@ -949,7 +938,7 @@ let print_slo_run (run, fold) =
         (if n = 0 then 100.0
          else 100.0 *. (1.0 -. (float_of_int viol /. float_of_int n)))
         burn)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) (Monitor.Table.to_list by_shard));
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) (Loadgen.Table.to_list by_shard));
   let settles = Loadgen.Observe.slo_settling fold in
   if settles <> [] then begin
     pf "  settling (1 ms ground-truth buckets between edge breadcrumbs):\n";
@@ -1050,7 +1039,10 @@ let explain_cmd =
     Arg.(value & opt (some string) None & info [ "tenant" ] ~docv:"T" ~doc)
   in
   let flip_arg =
-    let doc = "Explain only flip number $(docv) (0-based, in trace order)." in
+    let doc =
+      "Explain only flip number $(docv) (0-based, in printed order: every flip \
+       of the first control group, then the next group's)."
+    in
     Arg.(value & opt (some int) None & info [ "flip" ] ~docv:"N" ~doc)
   in
   let action file conn tenant flip =
@@ -1364,9 +1356,11 @@ let report_cmd =
   let gate_arg =
     let doc =
       "Regression gate $(i,PHASE):$(i,P):$(i,TOL_US) (requires --compare): \
-       exit nonzero when $(i,FILE)'s percentile $(i,P) of $(i,PHASE) \
-       (\"e2e\" or a span phase) exceeds the --compare baseline's by more \
-       than $(i,TOL_US) microseconds."
+       exit nonzero when the percentile $(i,P) of $(i,PHASE) (\"e2e\" or a \
+       span phase) over $(i,FILE)'s whole run exceeds the --compare \
+       baseline's by more than $(i,TOL_US) microseconds.  Both files must \
+       hold a single run; a multi-run (sweep or chaos) trace fails the \
+       gate."
     in
     Arg.(value & opt (some string) None & info [ "gate" ] ~docv:"SPEC" ~doc)
   in
@@ -1388,8 +1382,14 @@ let report_cmd =
           "no complete spans in input (no request completed in the traced \
            runs, or the file was written by an older version?)";
       (match (gate, b) with
-      | Some (Ok g), Some (bfile, (db, _, _)) -> (
-        (* each file's first dataset is its first run's whole run *)
+      | Some (Ok g), Some (bfile, (db, b_slo, _)) -> (
+        (* A gate judges one run against one run: each file's first
+           dataset is its (only) run's whole run. *)
+        List.iter
+          (fun (f, slo) ->
+            let n = List.length slo in
+            if n > 1 then fail "--gate needs single-run traces, but %s holds %d runs" f n)
+          [ (file, a_slo); (bfile, b_slo) ];
         let b_ds = List.hd db in
         if no_spans b_ds then fail "--gate baseline has no complete spans";
         let pct, _, _ = g.gt_pct in

@@ -5,7 +5,6 @@ let default_config = { freeze_after = 2; thaw_after = 2 }
 type state = Active | Frozen
 
 let state_to_string = function Active -> "active" | Frozen -> "frozen"
-let pp_state ppf s = Format.pp_print_string ppf (state_to_string s)
 
 type t = {
   cfg : config;

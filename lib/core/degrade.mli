@@ -19,7 +19,6 @@ val default_config : config
 type state = Active | Frozen
 
 val state_to_string : state -> string
-val pp_state : Format.formatter -> state -> unit
 
 type t
 

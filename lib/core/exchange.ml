@@ -4,10 +4,6 @@ type triple = {
   ackdelay : Queue_state.share;
 }
 
-let pp_triple ppf t =
-  Format.fprintf ppf "@[<h>unacked=%a unread=%a ackdelay=%a@]" Queue_state.pp_share
-    t.unacked Queue_state.pp_share t.unread Queue_state.pp_share t.ackdelay
-
 let wire_size = 36
 
 let mask32 = 0xFFFF_FFFF

@@ -14,8 +14,6 @@ type triple = {
 }
 (** One side's three queue snapshots, all taken at the same instant. *)
 
-val pp_triple : Format.formatter -> triple -> unit
-
 (** {1 Wire codec} *)
 
 val wire_size : int

@@ -22,7 +22,6 @@ type t = {
 let create ~trace ~group = { trace; group; next = 0; open_ = false; histo = Sim.Histo.create () }
 
 let group t = t.group
-let decisions t = t.next
 
 let completion t ~latency =
   if Sim.Trace.enabled t.trace && t.open_ then

@@ -21,9 +21,6 @@ val create : trace:Sim.Trace.t -> group:string -> t
 
 val group : t -> string
 
-val decisions : t -> int
-(** Decisions recorded so far. *)
-
 val completion : t -> latency:Sim.Time.span -> unit
 (** Attribute one completed request to the open decision's tenure.
     Allocation-free when the trace is disabled or no decision is open

@@ -1,7 +1,6 @@
 type mode = Batch_on | Batch_off
 
 let mode_to_string = function Batch_on -> "on" | Batch_off -> "off"
-let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
 let flip = function Batch_on -> Batch_off | Batch_off -> Batch_on
 
 type arm = { latency : Ewma.t; throughput : Ewma.t; mutable samples : int }

@@ -9,7 +9,6 @@
 type mode = Batch_on | Batch_off
 
 val mode_to_string : mode -> string
-val pp_mode : Format.formatter -> mode -> unit
 val flip : mode -> mode
 
 type t

@@ -98,4 +98,3 @@ let drops t = t.drops
 let reorders t = t.reorders
 let duplicates t = t.duplicates
 let corruptions t = t.corruptions
-let bursting t = t.bad

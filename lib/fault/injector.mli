@@ -42,6 +42,3 @@ val drops : t -> int
 val reorders : t -> int
 val duplicates : t -> int
 val corruptions : t -> int
-
-val bursting : t -> bool
-(** Is the Gilbert–Elliott channel currently in its Bad state? *)

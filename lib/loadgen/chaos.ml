@@ -1,33 +1,10 @@
-type cell = {
-  loss : float;
-  reorder : float;
-  blackout_ms : float;
-  zero_window : bool;
-}
+type cell = { label : string; config : Fleet.config; owed : Invariants.owed }
 
-let cell_label c =
-  Printf.sprintf "loss=%g reorder=%g blackout=%gms%s" c.loss c.reorder c.blackout_ms
-    (if c.zero_window then " zw" else "")
-
-let grid ?(zero_windows = [ false ]) ~losses ~reorders ~blackouts_ms () =
-  List.concat_map
-    (fun loss ->
-      List.concat_map
-        (fun reorder ->
-          List.concat_map
-            (fun blackout_ms ->
-              List.map
-                (fun zero_window -> { loss; reorder; blackout_ms; zero_window })
-                zero_windows)
-            blackouts_ms)
-        reorders)
-    losses
-
-(* Bursty loss calibrated so the long-run loss rate matches [cell.loss]
-   but drops cluster in bursts of ~4 packets (mean Bad-state dwell
-   1/p_bg with everything dropped while Bad): the regime where loss
-   actually stresses estimators, per the TCP-variants analysis.  The
-   stationary Bad probability p_gb/(p_gb + p_bg) is set to [loss]. *)
+(* Bursty loss calibrated so the long-run loss rate matches [loss] but
+   drops cluster in bursts of ~4 packets (mean Bad-state dwell 1/p_bg
+   with everything dropped while Bad): the regime where loss actually
+   stresses estimators, per the TCP-variants analysis.  The stationary
+   Bad probability p_gb/(p_gb + p_bg) is set to [loss]. *)
 let gilbert_of_loss loss =
   if loss <= 0.0 then None
   else
@@ -40,15 +17,14 @@ let gilbert_of_loss loss =
         loss_bad = 1.0;
       }
 
-let plan_of_cell (base : Runner.config) c =
+let plan ~(base : Runner.config) ~loss ~reorder ~blackout_ms ~zero_window =
   let side =
     {
       Fault.Plan.empty_side with
-      loss = gilbert_of_loss c.loss;
+      loss = gilbert_of_loss loss;
       reorder =
-        (if c.reorder > 0.0 then
-           Some
-             { Fault.Plan.reorder_prob = c.reorder; max_displacement = 3; quantum_us = 20.0 }
+        (if reorder > 0.0 then
+           Some { Fault.Plan.reorder_prob = reorder; max_displacement = 3; quantum_us = 20.0 }
          else None);
     }
   in
@@ -61,93 +37,32 @@ let plan_of_cell (base : Runner.config) c =
      run to drain the stranded backlog — a quarter-way blackout leaves
      too little room to tell recovery from deadlock. *)
   let side =
-    if c.blackout_ms <= 0.0 then side
+    if blackout_ms <= 0.0 then side
     else begin
       let from_us =
-        Sim.Time.to_us base.Runner.warmup
-        +. Sim.Time.to_us base.Runner.duration
-           /. (if c.zero_window then 8.0 else 4.0)
+        Sim.Time.to_us base.warmup
+        +. (Sim.Time.to_us base.duration /. if zero_window then 8.0 else 4.0)
       in
       {
         side with
         Fault.Plan.blackouts =
-          [ { Fault.Plan.from_us; until_us = from_us +. (c.blackout_ms *. 1e3) } ];
+          [ { Fault.Plan.from_us; until_us = from_us +. (blackout_ms *. 1e3) } ];
       }
     end
   in
   { Fault.Plan.c2s = side; s2c = side; steps = [] }
 
-type verdict = { cell : cell; result : Runner.result; failures : string list }
-
-let ok v = v.failures = []
-
-let audit_bound = 0.15
-
-let check (r : Runner.result) ~cell =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (* Liveness: every issued request completed or is still accounted as
-     outstanding — anything else means the stack silently lost one. *)
-  if r.issued <> r.completed_total + r.outstanding_end then
-    fail "accounting: issued=%d <> completed=%d + outstanding=%d" r.issued
-      r.completed_total r.outstanding_end;
-  if r.completed_total = 0 then fail "liveness: no request ever completed";
-  (* Zero-window cells squeeze the receive buffer down to a few MSS, so
-     the window genuinely closes under batching; a lost window-update
-     ack then deadlocks a stack without persist probing and every
-     request issued after the stall is stranded.  A live connection
-     keeps [outstanding_end] down at pipeline depth; a stall strands
-     the majority of the open-loop arrivals.  The bound is only owed
-     when the cell has no ongoing random loss (clean or blackout
-     cells): there the one dropped update ack is repaired by the first
-     persist probe, deterministically.  Under Gilbert bursts the chain
-     advances per packet, and during a stall the probe replies are the
-     only packets on the return path, so a Bad dwell can eat several
-     RTO-spaced probes back to back — slow recovery is the channel's
-     physics, not a deadlock, and only closure/progress are owed. *)
-  if
-    cell.zero_window && cell.loss = 0.0 && r.issued > 0
-    && 2 * r.outstanding_end > r.issued
-  then
-    fail "stall: %d of %d issued requests still outstanding at run end"
-      r.outstanding_end r.issued;
-  (* Little's-law audit closure must stay bounded even under faults:
-     the audit mirrors locally-observed queue transitions, so loss or
-     reordering is no excuse for the books not balancing. *)
-  (match r.observability with
-  | Some o ->
-    List.iter
-      (fun (a : Sim.Audit.report) ->
-        if Float.is_finite a.rel_err && a.rel_err > audit_bound then
-          fail "audit: %s rel_err %.3f > %.2f" a.queue a.rel_err audit_bound)
-      o.Observe.audits
-  | None -> ());
-  (* A blackout must trip the degradation machinery.  Release by run
-     end is only owed when the blackout is the *sole* fault: it clears,
-     so shares must flow again.  Under ongoing random loss, bursts can
-     wipe the whole in-flight window arbitrarily close to run end
-     (every such wipe costs a >=200ms RTO stall), so a toggler still
-     frozen then is the fallback working as designed, not a failure. *)
-  let transient_only = cell.blackout_ms > 0.0 && cell.loss = 0.0 in
-  (match (cell.blackout_ms > 0.0, r.degrade_freezes) with
-  | true, Some 0 -> fail "degrade: blackout never froze the toggler"
-  | _ -> ());
-  (match (transient_only, r.degrade_frozen_end) with
-  | true, Some true -> fail "degrade: still frozen at run end (no recovery)"
-  | _ -> ());
-  List.rev !failures
-
-let run_cell ~base cell =
+let wire_cell ~(base : Runner.config) ~loss ~reorder ~blackout_ms ~zero_window =
   let cfg =
     {
       base with
-      Runner.fault = Some (plan_of_cell base cell);
+      fault = Some (plan ~base ~loss ~reorder ~blackout_ms ~zero_window);
       (* Retransmission needs congestion control under real loss. *)
-      cc = base.Runner.cc || cell.loss > 0.0 || cell.blackout_ms > 0.0;
+      cc = base.cc || loss > 0.0 || blackout_ms > 0.0;
     }
   in
   let cfg =
-    if not cell.zero_window then cfg
+    if not zero_window then cfg
     else
       {
         cfg with
@@ -164,45 +79,50 @@ let run_cell ~base cell =
            capacity, so the stall invariant discriminates deadlock from
            saturation and a revived run can actually drain its
            backlog. *)
-        Runner.rcv_buf = 4 * cfg.Runner.mss;
-        rate_rps = cfg.Runner.rate_rps /. 40.0;
-        server = { cfg.Runner.server with Kv.Server.wake_delay = Sim.Time.ms 1 };
+        rcv_buf = 4 * cfg.mss;
+        rate_rps = cfg.rate_rps /. 40.0;
+        server = { cfg.server with Kv.Server.wake_delay = Sim.Time.ms 1 };
       }
   in
-  let result = Runner.run cfg in
-  { cell; result; failures = check result ~cell }
+  (* A blackout clears, so shares must flow again by run end; ongoing
+     random loss does not, and bursts can wipe the whole in-flight
+     window arbitrarily close to run end (each wipe a >= 200 ms RTO
+     stall), so a toggler still frozen then is the fallback working as
+     designed.  The same physics exempts lossy zero-window cells from
+     the stall bound: under Gilbert bursts a Bad dwell can eat several
+     RTO-spaced persist probes back to back, which is slow recovery,
+     not a deadlock.  Without random loss the one dropped window
+     update is repaired by the first probe, deterministically. *)
+  let transient = loss = 0.0 in
+  {
+    label =
+      Printf.sprintf "loss=%g reorder=%g blackout=%gms%s" loss reorder blackout_ms
+        (if zero_window then " zw" else "");
+    config = Runner.fleet_config cfg;
+    owed =
+      {
+        Invariants.base with
+        stall_free = zero_window && transient;
+        froze = blackout_ms > 0.0;
+        thawed = blackout_ms > 0.0 && transient;
+      };
+  }
 
-let run_grid ?(domains = 1) ?zero_windows ~base ~losses ~reorders ~blackouts_ms () =
-  Par.Pool.map ~domains (run_cell ~base)
-    (grid ?zero_windows ~losses ~reorders ~blackouts_ms ())
+let grid ?(zero_windows = [ false ]) ~base ~losses ~reorders ~blackouts_ms () =
+  List.concat_map
+    (fun loss ->
+      List.concat_map
+        (fun reorder ->
+          List.concat_map
+            (fun blackout_ms ->
+              List.map
+                (fun zero_window -> wire_cell ~base ~loss ~reorder ~blackout_ms ~zero_window)
+                zero_windows)
+            blackouts_ms)
+        reorders)
+    losses
 
-(* {1 Time-varying-load chaos: flash crowds and churn storms}
-
-   Fleet-based cells that stress the re-convergence machinery instead
-   of the wire: a flash-crowd cell drives a 10x square-wave envelope, a
-   churn-storm cell mass-connects and mass-disconnects mid-run.  The
-   verdicts demand liveness (per-tenant accounting closure, lifecycle
-   actually exercised) and bounded re-convergence (every judged
-   settling segment back in band within the cell's bound).  The
-   [inherit_prior] and [settling] knobs are the ablations: without
-   cold-start inheritance freshly spawned per-connection togglers
-   re-explore from scratch and blow the bound; without the settling
-   tracker there is no re-convergence evidence at all. *)
-
-type churn_cell = {
-  flash : bool;  (* 10x square-wave envelope on the arrival process *)
-  storm : bool;  (* scripted mass connect / disconnect epochs *)
-  inherit_prior : bool;  (* Fleet.cold_start_inherit *)
-  settling : bool;  (* Observe settling tracker enabled *)
-}
-
-let churn_cell_label c =
-  Printf.sprintf "%s%s%s%s"
-    (if c.flash then "flash-crowd" else "")
-    (if c.flash && c.storm then "+" else "")
-    (if c.storm then "churn-storm" else "")
-    ((if c.inherit_prior then "" else " no-inherit")
-    ^ if c.settling then "" else " no-settling")
+type load = Flash_crowd | Churn_storm
 
 (* Storm disturbances are population changes against a constant rate:
    the estimate moves a little and the seeded modes not at all, so
@@ -212,10 +132,8 @@ let churn_cell_label c =
 let churn_settle_bound_us = 25_000.0
 let flash_settle_bound_us = 60_000.0
 
-let settle_bound_us cell =
-  if cell.flash then flash_settle_bound_us else churn_settle_bound_us
-
-let churn_config c =
+let churn_config ~inherit_prior load =
+  let storm = load = Churn_storm in
   (* The 150 µs policy SLO makes batching-off the decisive winner at
      these rates (nagle delay blows the budget), so converged togglers
      hold their arm instead of hunting between near-tied arms on
@@ -233,17 +151,17 @@ let churn_config c =
       {
         Control.default_dynamic with
         policy = E2e.Policy.Throughput_under_slo { slo_ns = 150_000.0 };
-        epsilon = (if c.storm then 0.02 else 0.005);
-        tick = (if c.storm then Sim.Time.ms 4 else Sim.Time.ms 1);
-        min_observations = (if c.storm then 4 else 3);
+        epsilon = (if storm then 0.02 else 0.005);
+        tick = (if storm then Sim.Time.ms 4 else Sim.Time.ms 1);
+        min_observations = (if storm then 4 else 3);
       }
   in
   let envelope =
-    if c.flash then Arrival.Square { period_us = 80_000.0; duty = 0.25; high = 10.0 }
-    else Arrival.Flat
+    if storm then Arrival.Flat
+    else Arrival.Square { period_us = 80_000.0; duty = 0.25; high = 10.0 }
   in
   let churn =
-    if c.storm then
+    if storm then
       Some
         {
           Fleet.no_churn with
@@ -261,8 +179,7 @@ let churn_config c =
      bound is asserting. *)
   let tenant =
     {
-      (Fleet.default_tenant ~name:"churny"
-         ~rate_rps:(if c.flash then 15000.0 else 20000.0))
+      (Fleet.default_tenant ~name:"churny" ~rate_rps:(if storm then 20000.0 else 15000.0))
       with
       Fleet.n_conns = 8;
       batching = dyn;
@@ -276,87 +193,40 @@ let churn_config c =
     warmup = Sim.Time.ms 20;
     duration = Sim.Time.ms 160;
     scope = Fleet.Per_conn;
-    cold_start_inherit = c.inherit_prior;
-    observe = Some { Observe.default_config with Observe.settling = c.settling };
+    cold_start_inherit = inherit_prior;
+    observe = Some Observe.default_config;
   }
 
-type churn_verdict = {
-  churn_cell : churn_cell;
-  fleet_result : Fleet.result;
-  churn_failures : string list;
-}
+let load_cell ?(inherit_prior = true) load =
+  let storm = load = Churn_storm in
+  {
+    label =
+      (if storm then "churn-storm" else "flash-crowd")
+      ^ if inherit_prior then "" else " no-inherit";
+    config = churn_config ~inherit_prior load;
+    (* Mode re-convergence is owed only by storm cells (a flash crowd
+       never changes the winning arm), and always against the tight
+       churn bound: a spawned toggler that has to re-explore from
+       scratch alternates arms for 32 ms whatever the rate envelope is
+       doing. *)
+    owed =
+      {
+        Invariants.base with
+        measured_progress = true;
+        churned = storm;
+        settle_us = Some (if storm then churn_settle_bound_us else flash_settle_bound_us);
+        mode_settle_us = (if storm then Some churn_settle_bound_us else None);
+      };
+  }
 
-let churn_ok v = v.churn_failures = []
+let churn_grid () = [ load_cell Flash_crowd; load_cell Churn_storm ]
 
-let check_churn (r : Fleet.result) ~cell =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  List.iter
-    (fun (t : Fleet.tenant_result) ->
-      if t.Fleet.t_issued <> t.Fleet.t_completed_total + t.Fleet.t_outstanding_end then
-        fail "accounting: tenant %s issued=%d <> completed=%d + outstanding=%d"
-          t.Fleet.t_name t.Fleet.t_issued t.Fleet.t_completed_total
-          t.Fleet.t_outstanding_end;
-      if t.Fleet.t_completed = 0 then
-        fail "liveness: tenant %s completed nothing" t.Fleet.t_name)
-    r.Fleet.tenants;
-  if cell.storm then begin
-    let opened =
-      List.fold_left (fun acc t -> acc + t.Fleet.t_conns_opened) 0 r.Fleet.tenants
-    in
-    let closed =
-      List.fold_left (fun acc t -> acc + t.Fleet.t_conns_closed) 0 r.Fleet.tenants
-    in
-    if opened = 0 then fail "churn: no connection ever spawned";
-    if closed = 0 then fail "churn: no connection ever drained and closed"
-  end;
-  (match r.Fleet.observability with
-  | None -> fail "settling: no observability attached"
-  | Some o ->
-    let judged =
-      List.filter
-        (fun (g : Observe.settle_report) -> g.Observe.g_steady_us <> None)
-        o.Observe.settling
-    in
-    if judged = [] then
-      fail "settling: no re-convergence evidence (tracker off or no judged segment)"
-    else
-      let est_bound = settle_bound_us cell in
-      List.iter
-        (fun (g : Observe.settle_report) ->
-          (match g.Observe.g_settle_us with
-          | None ->
-            fail "settling: %s edge %.0fus estimate never re-converged" g.Observe.g_id
-              g.Observe.g_edge_us
-          | Some s when s > est_bound ->
-            fail "settling: %s edge %.0fus estimate took %.0fus > %.0fus bound"
-              g.Observe.g_id g.Observe.g_edge_us s est_bound
-          | Some _ -> ());
-          (* Mode re-convergence is only owed by storm cells (a flash
-             crowd never changes the winning arm), and always against
-             the tight churn bound: a spawned toggler that has to
-             re-explore from scratch alternates arms for 32 ms
-             regardless of what the rate envelope is doing. *)
-          if cell.storm then
-            match g.Observe.g_mode_settle_us with
-            | None ->
-              fail "settling: %s edge %.0fus modes never re-converged" g.Observe.g_id
-                g.Observe.g_edge_us
-            | Some s when s > churn_settle_bound_us ->
-              fail "settling: %s edge %.0fus modes took %.0fus > %.0fus bound"
-                g.Observe.g_id g.Observe.g_edge_us s churn_settle_bound_us
-            | Some _ -> ())
-        judged);
-  List.rev !failures
+type verdict = { cell : cell; result : Fleet.result; failures : string list }
 
-let run_churn_cell cell =
-  let fleet_result = Fleet.run (churn_config cell) in
-  { churn_cell = cell; fleet_result; churn_failures = check_churn fleet_result ~cell }
+let ok v = v.failures = []
 
-let churn_grid () =
-  [
-    { flash = true; storm = false; inherit_prior = true; settling = true };
-    { flash = false; storm = true; inherit_prior = true; settling = true };
-  ]
+let run_cell cell =
+  let result = Fleet.run cell.config in
+  { cell; result; failures = Invariants.check cell.owed result }
 
-let run_churn_grid ?(domains = 1) cells = Par.Pool.map ~domains run_churn_cell cells
+let run_grid ?(domains = 1) cells = Par.Pool.map ~domains run_cell cells

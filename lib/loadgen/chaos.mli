@@ -1,154 +1,72 @@
-(** Chaos soak harness: sweep a loss × reorder × blackout grid and
-    assert liveness invariants on every cell.
+(** Chaos harness: cells that break the network or move the load, each
+    run as one {!Fleet.run} and judged by {!Invariants.check}.
 
-    Each cell builds a deterministic {!Fault.Plan} (bursty loss
-    calibrated to the cell's long-run rate, bounded-displacement
-    reordering, a blackout starting a quarter into the measured
-    window — an eighth in for zero-window cells, whose persist-paced
-    recovery needs more drain room), runs it through {!Runner.run},
-    and checks:
+    {e Wire} cells come from a loss × reorder × blackout grid over a
+    single-run {!Runner.config}: bursty loss calibrated to the cell's
+    long-run rate, bounded-displacement reordering, and a blackout
+    starting a quarter into the measured window (an eighth in for
+    zero-window cells, whose persist-paced recovery needs more drain
+    room).  Blackout cells owe a toggler freeze, and a thaw by run end
+    when the blackout is the only fault; zero-window cells without
+    random loss owe the stall bound.
 
-    - accounting closure — [issued = completed + outstanding]: no
-      request silently lost, whatever the network did;
-    - progress — at least one request completed;
-    - zero-window cells without random loss stayed live: a majority of
-      issued requests completed (a zero-window deadlock strands
-      everything issued after the stall; under ongoing bursty loss
-      RTO-paced probe recovery is legitimately slow, so only
-      closure/progress are demanded there);
-    - Little's-law audit closure stays bounded (observed runs);
-    - blackout cells froze the toggler and thawed it again before the
-      run ended (the estimator recovered).
+    {e Load} cells stress re-convergence instead of the wire: a
+    flash-crowd cell drives a 10x square-wave rate envelope, a
+    churn-storm cell mass-connects six extra connections mid-run and
+    mass-disconnects them again.  Both owe bounded estimate
+    re-convergence after every judged edge; storms also owe churn
+    (connections opened {e and} drained/closed) and mode
+    re-convergence within 25 ms.  With [inherit_prior = false] freshly
+    spawned per-connection togglers re-explore from scratch and blow
+    the storm's mode bound: the ablation that shows the check can
+    fail.
 
     Cells are independent seeded simulations, so grids parallelize
     across domains with bit-identical verdicts. *)
 
 type cell = {
-  loss : float;
-  reorder : float;
-  blackout_ms : float;
-  zero_window : bool;
-      (** squeeze the receive buffer to 4 MSS, slow the server's read
-          loop down (1 ms {!Kv.Server.config.wake_delay}) and cut the
-          offered rate to a fortieth of [base]'s, so advertised windows
-          genuinely close and stay closed for most of each window-fill
-          cycle — the regime where a lost window-update ack deadlocks a
-          stack without persist probing *)
+  label : string;
+  config : Fleet.config;
+  owed : Invariants.owed;  (** beyond what every run owes *)
 }
 
-val cell_label : cell -> string
-
 val grid :
-  ?zero_windows:bool list ->
-  losses:float list ->
-  reorders:float list ->
-  blackouts_ms:float list ->
-  unit ->
-  cell list
-(** Cross product, in row-major order; [zero_windows] defaults to
-    [[false]]. *)
-
-val gilbert_of_loss : float -> Fault.Plan.gilbert option
-(** Bursty channel whose stationary loss rate is the argument (mean
-    burst ~4 packets); [None] for rates [<= 0]. *)
-
-val plan_of_cell : Runner.config -> cell -> Fault.Plan.t
-(** The cell's fault plan, applied to both directions; the blackout is
-    placed a quarter into [base]'s measured window (an eighth for
-    zero-window cells). *)
-
-type verdict = { cell : cell; result : Runner.result; failures : string list }
-
-val ok : verdict -> bool
-(** No failed invariant. *)
-
-val audit_bound : float
-(** Worst tolerated Little's-law relative error (0.15). *)
-
-val check : Runner.result -> cell:cell -> string list
-(** The invariant list above; empty when all hold.  Recovery (unfrozen
-    at run end) is demanded only of blackout-only cells — a blackout
-    clears, ongoing loss does not. *)
-
-val run_cell : base:Runner.config -> cell -> verdict
-(** Run one cell ([base] with the cell's plan; congestion control is
-    forced on for lossy cells, since retransmission needs it;
-    zero-window cells also shrink [rcv_buf], slow the server and cut
-    the rate as above). *)
-
-val run_grid :
-  ?domains:int ->
   ?zero_windows:bool list ->
   base:Runner.config ->
   losses:float list ->
   reorders:float list ->
   blackouts_ms:float list ->
   unit ->
-  verdict list
-(** The whole grid, fanned out over [domains] (default 1). *)
+  cell list
+(** Wire cells: the cross product, in row-major order; [zero_windows]
+    defaults to [[false]].  Each is [base] with the cell's fault plan
+    on both directions and congestion control forced on for lossy
+    cells (retransmission needs it).  Zero-window cells squeeze the
+    receive buffer to 4 MSS, slow the server's read loop (1 ms
+    {!Kv.Server.config.wake_delay}) and cut the rate to a fortieth, so
+    advertised windows genuinely close and stay closed for most of
+    each window-fill cycle — the regime where a lost window-update ack
+    deadlocks a stack without persist probing. *)
 
-(** {1 Time-varying-load chaos}
+type load = Flash_crowd | Churn_storm
 
-    Fleet-based cells that stress the re-convergence machinery instead
-    of the wire.  A {e flash-crowd} cell drives a 10x square-wave rate
-    envelope; a {e churn-storm} cell mass-connects six extra
-    connections mid-run and mass-disconnects them again.  Verdicts
-    demand liveness (per-tenant accounting closure, progress, and — for
-    storms — connections actually opened {e and} drained/closed) and
-    bounded re-convergence: every judged {!Observe.settle_report}
-    segment must re-enter its steady band within the cell's bound of
-    the disturbance edge (storm cells additionally bound the mode
-    series, always against the tight {!churn_settle_bound_us}).
+val load_cell : ?inherit_prior:bool -> load -> cell
+(** One 8-connection per-connection-dynamic tenant, 20 ms warmup +
+    160 ms measured, observed.  The estimate bound is 60 ms after an
+    envelope edge (a 10x peak melts the server for 20 ms, and the
+    bound budgets for the backlog drain) and 25 ms after a churn edge.
+    [inherit_prior] is {!Fleet.config.cold_start_inherit}, default
+    [true]. *)
 
-    The two booleans are ablations wired for falsifiability: with
-    [inherit_prior = false] freshly spawned per-connection togglers
-    re-explore from scratch and blow the mode-settle bound; with
-    [settling = false] the tracker emits no reports and the
-    re-convergence invariant fails for lack of evidence. *)
+val churn_grid : unit -> cell list
+(** The default flash-crowd and churn-storm cells. *)
 
-type churn_cell = {
-  flash : bool;  (** 10x square-wave envelope on the arrival process *)
-  storm : bool;  (** scripted mass connect / disconnect epochs *)
-  inherit_prior : bool;  (** {!Fleet.config.cold_start_inherit} *)
-  settling : bool;  (** {!Observe.config.settling} *)
-}
+type verdict = { cell : cell; result : Fleet.result; failures : string list }
 
-val churn_cell_label : churn_cell -> string
+val ok : verdict -> bool
+(** No failed invariant. *)
 
-val churn_settle_bound_us : float
-(** Worst tolerated re-convergence time after a churn edge (25 ms) —
-    population changes against a constant rate barely move the
-    estimate, and seeded modes not at all. *)
+val run_cell : cell -> verdict
 
-val flash_settle_bound_us : float
-(** Worst tolerated re-convergence time after an envelope edge
-    (60 ms): a 10x peak melts the server for the 20 ms burst, and the
-    bound budgets for the backlog drain afterwards. *)
-
-val settle_bound_us : churn_cell -> float
-(** The estimate-series bound for this cell: the flash bound when an
-    envelope is in play, the churn bound otherwise. *)
-
-val churn_config : churn_cell -> Fleet.config
-(** The cell's fleet: one 8-connection per-conn-dynamic tenant, 20 ms
-    warmup + 160 ms measured, with the cell's envelope/churn script and
-    ablation knobs applied. *)
-
-type churn_verdict = {
-  churn_cell : churn_cell;
-  fleet_result : Fleet.result;
-  churn_failures : string list;
-}
-
-val churn_ok : churn_verdict -> bool
-
-val check_churn : Fleet.result -> cell:churn_cell -> string list
-(** The invariant list above; empty when all hold. *)
-
-val run_churn_cell : churn_cell -> churn_verdict
-
-val churn_grid : unit -> churn_cell list
-(** The default two cells: flash-crowd and churn-storm, both with
-    inheritance and settling enabled. *)
-
-val run_churn_grid : ?domains:int -> churn_cell list -> churn_verdict list
+val run_grid : ?domains:int -> cell list -> verdict list
+(** Every cell, fanned out over [domains] (default 1). *)

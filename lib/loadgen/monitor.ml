@@ -1,23 +1,6 @@
 (* Trace-reading monitors: create, feed one record at a time, read out.
    [fold_runs] is the one reader of a trace file behind them. *)
 
-module Table = struct
-  type ('k, 'v) t = { tbl : ('k, 'v) Hashtbl.t; mutable order_rev : 'k list }
-
-  let create () = { tbl = Hashtbl.create 8; order_rev = [] }
-
-  let find_or_add t k make =
-    match Hashtbl.find_opt t.tbl k with
-    | Some v -> v
-    | None ->
-      let v = make k in
-      Hashtbl.add t.tbl k v;
-      t.order_rev <- k :: t.order_rev;
-      v
-
-  let to_list t = List.rev_map (fun k -> (k, Hashtbl.find t.tbl k)) t.order_rev
-end
-
 let fold_runs path ~make ~feed =
   let runs = Table.create () and skipped = ref 0 in
   match

@@ -3,19 +3,6 @@
     a time in file order by [feed], then read out; {!Observe.slo_fold}
     has the same shape.  {!fold_runs} reads a file into them. *)
 
-(** A find-or-create table that remembers first-appearance order. *)
-module Table : sig
-  type ('k, 'v) t
-
-  val create : unit -> ('k, 'v) t
-
-  val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
-  (** The key's value, made from the key on its first appearance. *)
-
-  val to_list : ('k, 'v) t -> ('k * 'v) list
-  (** In first-appearance order. *)
-end
-
 val fold_runs :
   string ->
   make:(string -> 'a) ->

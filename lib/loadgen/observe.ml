@@ -11,7 +11,6 @@ type config = {
   trace_capacity : int;
   sample_interval : Sim.Time.span;
   trace_sink : (Sim.Trace.record -> unit) option;
-  settling : bool;
 }
 
 let default_config =
@@ -19,7 +18,6 @@ let default_config =
     trace_capacity = 65536;
     sample_interval = Sim.Time.ms 1;
     trace_sink = None;
-    settling = true;
   }
 
 type slo_report = {
@@ -75,9 +73,7 @@ type t = {
   audit : Sim.Audit.t;
   mutable audits : Sim.Audit.report list;
   mutable samples_rev : Sim.Metrics.sample list;
-  settling_on : bool;
-  mutable settle_rev : settle_tracker list; (* declaration order, reversed *)
-  settle_tbl : (string, settle_tracker) Hashtbl.t;
+  settle : (string, settle_tracker) Table.t;
   (* Completed-request log as parallel growable arrays: completion
      times (nondecreasing — requests are logged at sim-now) and the
      prefix sums of their latencies, so [truth_over] answers any
@@ -104,9 +100,7 @@ let create (cfg : config) =
     audit = Sim.Audit.create ();
     audits = [];
     samples_rev = [];
-    settling_on = cfg.settling;
-    settle_rev = [];
-    settle_tbl = Hashtbl.create 8;
+    settle = Table.create ();
     req_at = [||];
     req_prefix = [| 0.0 |];
     n_reqs = 0;
@@ -188,34 +182,25 @@ let note_sample t s = t.samples_rev <- s :: t.samples_rev
 (* {1 Settling-time tracker} *)
 
 let settle_tracker_of t id =
-  match Hashtbl.find_opt t.settle_tbl id with
-  | Some tr -> tr
-  | None ->
-    let tr = { set_id = id; edges_rev = []; est_rev = []; mode_rev = [] } in
-    Hashtbl.add t.settle_tbl id tr;
-    t.settle_rev <- tr :: t.settle_rev;
-    tr
+  Table.find_or_add t.settle id (fun id ->
+      { set_id = id; edges_rev = []; est_rev = []; mode_rev = [] })
 
 let note_edge t ~id ~at =
-  if t.settling_on then begin
-    let tr = settle_tracker_of t id in
-    tr.edges_rev <- Sim.Time.to_us at :: tr.edges_rev;
-    (* Breadcrumb so offline tools can recompute settling from the
-       trace file alone. *)
-    Sim.Trace.event t.trace ~at ~id
-      (Sim.Trace.Message { tag = "edge"; detail = Printf.sprintf "%.17g" (Sim.Time.to_us at) })
-  end
+  let tr = settle_tracker_of t id in
+  tr.edges_rev <- Sim.Time.to_us at :: tr.edges_rev;
+  (* Breadcrumb so offline tools can recompute settling from the
+     trace file alone. *)
+  Sim.Trace.event t.trace ~at ~id
+    (Sim.Trace.Message { tag = "edge"; detail = Printf.sprintf "%.17g" (Sim.Time.to_us at) })
 
 let note_settle t ~id ~at ~est_us ~nagle_frac =
-  if t.settling_on then begin
-    let tr = settle_tracker_of t id in
-    let at_us = Sim.Time.to_us at in
-    (match est_us with
-    | Some v when Float.is_finite v -> tr.est_rev <- (at_us, v) :: tr.est_rev
-    | Some _ | None -> ());
-    if Float.is_finite nagle_frac then
-      tr.mode_rev <- (at_us, nagle_frac) :: tr.mode_rev
-  end
+  let tr = settle_tracker_of t id in
+  let at_us = Sim.Time.to_us at in
+  (match est_us with
+  | Some v when Float.is_finite v -> tr.est_rev <- (at_us, v) :: tr.est_rev
+  | Some _ | None -> ());
+  if Float.is_finite nagle_frac then
+    tr.mode_rev <- (at_us, nagle_frac) :: tr.mode_rev
 
 (* Tolerances: an estimate has re-converged when it is back within
    ±25% (floored at 60 µs of absolute slack) of the segment's eventual
@@ -327,10 +312,10 @@ let settle_segments ~id ~edges ~ests ~modes ~until_us =
 
 let settle_reports t ~until_us =
   List.concat_map
-    (fun tr ->
+    (fun (_, tr) ->
       settle_segments ~id:tr.set_id ~edges:tr.edges_rev ~ests:(List.rev tr.est_rev)
         ~modes:(List.rev tr.mode_rev) ~until_us)
-    (List.rev t.settle_rev)
+    (Table.to_list t.settle)
 
 (* {1 SLO observatory}
 
@@ -351,26 +336,23 @@ type slo_entry = {
   mutable e_edges_rev : float list;  (* edge instants us *)
 }
 
-type slo_fold = {
-  mutable f_rev : slo_entry list;  (* declaration order, reversed *)
-  f_tbl : (string, slo_entry) Hashtbl.t;
-}
+(* Declared ids, in declaration order. *)
+type slo_fold = (string, slo_entry) Table.t
 
-let slo_fold () = { f_rev = []; f_tbl = Hashtbl.create 8 }
+let slo_fold () = Table.create ()
 
 let slo_fold_record f (r : Sim.Trace.record) =
-  let declared = Hashtbl.find_opt f.f_tbl r.id in
+  let declared = Table.find_opt f r.id in
   match (r.event, declared) with
   | Sim.Trace.Message { tag = "slo_declared"; detail }, _ -> (
-    match (float_of_string_opt detail, declared) with
-    | Some slo_us, Some e when slo_us > 0.0 -> e.e_slo_us <- slo_us
-    | Some slo_us, None when slo_us > 0.0 ->
+    match float_of_string_opt detail with
+    | Some slo_us when slo_us > 0.0 ->
       let e =
-        { e_id = r.id; e_slo_us = slo_us; e_histo = Sim.Histo.create (); e_at = [||];
-          e_lat = [||]; e_n = 0; e_edges_rev = [] }
+        Table.find_or_add f r.id (fun id ->
+            { e_id = id; e_slo_us = slo_us; e_histo = Sim.Histo.create (); e_at = [||];
+              e_lat = [||]; e_n = 0; e_edges_rev = [] })
       in
-      Hashtbl.add f.f_tbl r.id e;
-      f.f_rev <- e :: f.f_rev
+      e.e_slo_us <- slo_us
     | _ -> ())
   | Sim.Trace.Message { tag = "edge"; detail }, Some e -> (
     match float_of_string_opt detail with
@@ -421,14 +403,14 @@ let slo_report_of e =
     r_first_burn_us = !first;
   }
 
-let slo_reports f = List.rev_map slo_report_of f.f_rev
+let slo_reports f = List.map (fun (_, e) -> slo_report_of e) (Table.to_list f)
 
 (* Offline settling judges ground truth: each id's completions as
    1 ms-bucket mean latencies, segmented by its edges, the last
    segment ending just past the last completion. *)
 let slo_settling f =
   List.concat_map
-    (fun e ->
+    (fun (_, e) ->
       if e.e_edges_rev = [] || e.e_n = 0 then []
       else begin
         let buckets = Hashtbl.create 256 in
@@ -448,7 +430,7 @@ let slo_settling f =
         in
         settle_segments ~id:e.e_id ~edges:e.e_edges_rev ~ests ~modes:[] ~until_us:(!last +. 1.0)
       end)
-    (List.rev f.f_rev)
+    (Table.to_list f)
 
 let output ?(until_us = 0.0) t =
   let until_us =
@@ -456,10 +438,10 @@ let output ?(until_us = 0.0) t =
     if until_us > 0.0 then until_us
     else
       List.fold_left
-        (fun acc tr ->
+        (fun acc (_, tr) ->
           let m = function [] -> acc | (at, _) :: _ -> Stdlib.max acc at in
           Stdlib.max (m tr.est_rev) (m tr.mode_rev))
-        0.0 t.settle_rev
+        0.0 (Table.to_list t.settle)
   in
   {
     records = Sim.Trace.records t.trace;

@@ -21,14 +21,10 @@ type config = {
           of any length; [output.records] is then empty.  Single-run
           use only — do not share a sinked config across parallel sweep
           workers. *)
-  settling : bool;
-      (** track re-convergence after envelope edges / churn bursts
-          (default true); when off, {!note_edge}/{!note_settle} are
-          no-ops and [output.settling] is empty *)
 }
 
 val default_config : config
-(** 65536 records, 1 ms cadence, no sink, settling tracker on. *)
+(** 65536 records, 1 ms cadence, no sink. *)
 
 type settle_report = {
   g_id : string;  (** the tracked id (typically ["tenant/client"]) *)

@@ -178,7 +178,15 @@ type result = {
       (** present iff [config.observe] was set *)
 }
 
+val fleet_config : config -> Fleet.config
+(** The one-tenant fleet a run is. *)
+
+val of_fleet : config -> Fleet.result -> result
+(** A run's result from its fleet's. *)
+
 val run : config -> result
+(** [of_fleet cfg (Fleet.run (fleet_config cfg))], after checking the
+    connection count, rate and burst. *)
 
 val slo_us : float
 (** 500 µs, the paper's SLO. *)

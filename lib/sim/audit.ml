@@ -58,7 +58,6 @@ let queue t name =
       Hashtbl.add t.by_name name q;
       q
 
-let queue_name q = q.name
 let occupancy q = q.occ
 
 let advance q ~at =

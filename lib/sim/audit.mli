@@ -32,8 +32,6 @@ val queue : t -> string -> queue
 (** Get or create the queue named [string].  Names are unique per [t];
     repeated calls return the same queue. *)
 
-val queue_name : queue -> string
-
 val occupancy : queue -> int
 (** Current occupancy in units. *)
 

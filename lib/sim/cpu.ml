@@ -15,14 +15,6 @@ let run t ~cost k =
   t.busy <- t.busy + cost;
   Engine.post_at t.engine ~at:finish k
 
-let run_after t ~delay ~cost k =
-  if delay < 0 then invalid_arg "Cpu.run_after: negative delay";
-  Engine.post t.engine ~after:delay (fun () -> run t ~cost k)
-
-let busy_until t = Time.max t.free_at (Engine.now t.engine)
-
-let is_idle t = Time.compare t.free_at (Engine.now t.engine) <= 0
-
 let busy_ns t = t.busy
 
 let utilization t ~over =

@@ -14,14 +14,6 @@ val run : t -> cost:Time.span -> (unit -> unit) -> unit
     fires when the item completes (after all previously queued work).
     @raise Invalid_argument on negative cost. *)
 
-val run_after : t -> delay:Time.span -> cost:Time.span -> (unit -> unit) -> unit
-(** Convenience: enqueue the work item only after a fixed delay. *)
-
-val busy_until : t -> Time.t
-(** When the currently queued work drains; the current time when idle. *)
-
-val is_idle : t -> bool
-
 val busy_ns : t -> Time.span
 (** Total CPU time consumed so far (including queued-but-unfinished
     work's share only once it runs). *)

@@ -9,7 +9,6 @@ let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
 
 let of_us_float x = int_of_float (Float.round (x *. 1e3))
-let of_sec_float x = int_of_float (Float.round (x *. 1e9))
 
 let to_ns t = t
 let to_us t = float_of_int t /. 1e3

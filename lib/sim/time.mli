@@ -21,8 +21,6 @@ val sec : int -> span
 val of_us_float : float -> span
 (** [of_us_float x] is [x] microseconds rounded to whole nanoseconds. *)
 
-val of_sec_float : float -> span
-(** [of_sec_float x] is [x] seconds rounded to whole nanoseconds. *)
 
 val to_ns : t -> int
 val to_us : t -> float

@@ -513,8 +513,6 @@ let pp_record ppf r =
     (if r.id = "" then "-" else r.id)
     (tag r) (detail r)
 
-let dump t ppf = iter t (fun r -> Format.fprintf ppf "%a@." pp_record r)
-
 (* {1 JSONL export} *)
 
 let json_escape b s =

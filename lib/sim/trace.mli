@@ -276,7 +276,6 @@ val find : t -> tag:string -> record list
 val clear : t -> unit
 
 val pp_record : Format.formatter -> record -> unit
-val dump : t -> Format.formatter -> unit
 
 (** {1 JSONL}
 

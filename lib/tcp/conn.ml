@@ -151,8 +151,6 @@ let create engine ?(a = default_host) ?(b = default_host) ?(link_ab = default_li
 
 let sock_a t = t.a
 let sock_b t = t.b
-let irq_cpu_a t = t.cpu_a
-let irq_cpu_b t = t.cpu_b
 let gro_a t = t.gro_a
 let gro_b t = t.gro_b
 let link_ab t = t.ab

@@ -56,9 +56,6 @@ val sock_a : t -> Socket.t
 val sock_b : t -> Socket.t
 (** By convention the server side. *)
 
-val irq_cpu_a : t -> Sim.Cpu.t
-val irq_cpu_b : t -> Sim.Cpu.t
-
 val gro_a : t -> Gro.t
 (** The GRO stage in front of socket A (traffic B→A). *)
 

@@ -7,11 +7,6 @@
 
 type verdict = Accept | Challenge | Discard
 
-let pp_verdict ppf = function
-  | Accept -> Format.pp_print_string ppf "accept"
-  | Challenge -> Format.pp_print_string ppf "challenge"
-  | Discard -> Format.pp_print_string ppf "discard"
-
 (* RFC 5961 §3.2: a RST is honoured only when its sequence number is
    exactly RCV.NXT; anywhere else inside the receive window it earns a
    challenge ACK (forcing a genuine peer to re-send an exact RST), and

@@ -7,8 +7,6 @@
 
 type verdict = Accept | Challenge | Discard
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val check_rst : rcv_nxt:Seq32.t -> rcv_wnd:int -> seq:Seq32.t -> verdict
 (** §3.2: [Accept] only when [seq = rcv_nxt]; [Challenge] when [seq]
     falls elsewhere inside [rcv_nxt, rcv_nxt + rcv_wnd); [Discard]

@@ -2,8 +2,8 @@
    validation, envelope factor/edge math, gap-trace replay, the
    estimator cold-start path, settling-time judgement on synthetic
    series, churn fleet lifecycle/determinism, and the chaos churn
-   cells' ablation contract (inheritance off or settling off must
-   fail the re-convergence invariants). *)
+   cells' ablation contract (inheritance off must fail the
+   re-convergence invariants). *)
 
 module Arrival = Loadgen.Arrival
 module Fleet = Loadgen.Fleet
@@ -305,10 +305,11 @@ let test_churn_fleet_lifecycle () =
   Alcotest.(check int) "scripted spawns" 2 t.Fleet.t_conns_opened;
   Alcotest.(check int) "scripted retires drained and closed" 2
     t.Fleet.t_conns_closed;
-  Alcotest.(check bool) "progress" true (t.Fleet.t_completed > 0);
-  Alcotest.(check int) "accounting closure over departed conns too"
-    t.Fleet.t_issued
-    (t.Fleet.t_completed_total + t.Fleet.t_outstanding_end);
+  (* closure over departed conns too, progress and drained closes *)
+  Alcotest.(check (list string)) "invariants hold" []
+    (Loadgen.Invariants.check
+       { Loadgen.Invariants.base with measured_progress = true; churned = true }
+       r);
   let o =
     match r.Fleet.observability with
     | Some o -> o
@@ -348,41 +349,27 @@ let test_churn_fleet_deterministic () =
 
 (* {1 Chaos churn cells: ablation contract} *)
 
-let storm_cell : Chaos.churn_cell =
-  { flash = false; storm = true; inherit_prior = true; settling = true }
-
 let test_chaos_churn_defaults_pass () =
-  let v = Chaos.run_churn_cell storm_cell in
-  Alcotest.(check bool)
-    (Printf.sprintf "storm ok (failures: %s)"
-       (String.concat "; " v.Chaos.churn_failures))
-    true (Chaos.churn_ok v);
-  let f = Chaos.run_churn_cell { storm_cell with flash = true; storm = false } in
-  Alcotest.(check bool)
-    (Printf.sprintf "flash ok (failures: %s)"
-       (String.concat "; " f.Chaos.churn_failures))
-    true (Chaos.churn_ok f)
+  List.iter
+    (fun (v : Chaos.verdict) ->
+      Alcotest.(check (list string)) (v.cell.label ^ " ok") [] v.failures)
+    (Chaos.run_grid (Chaos.churn_grid ()))
 
 let test_chaos_churn_ablations_fail () =
   (* No inheritance: spawned togglers re-explore in lockstep and blow
      the mode-settle bound. *)
-  let v = Chaos.run_churn_cell { storm_cell with inherit_prior = false } in
-  Alcotest.(check bool) "no-inherit fails" false (Chaos.churn_ok v);
+  let v = Chaos.run_cell (Chaos.load_cell ~inherit_prior:false Chaos.Churn_storm) in
+  Alcotest.(check bool) "no-inherit fails" false (Chaos.ok v);
   Alcotest.(check bool) "failure names the mode series" true
-    (List.exists (fun m -> contains m "modes") v.Chaos.churn_failures);
-  (* No settling tracker: no evidence, so the invariant cannot pass. *)
-  let v = Chaos.run_churn_cell { storm_cell with settling = false } in
-  Alcotest.(check bool) "no-settling fails" false (Chaos.churn_ok v);
-  Alcotest.(check bool) "failure names the missing evidence" true
-    (List.exists
-       (fun m -> contains m "no re-convergence evidence")
-       v.Chaos.churn_failures)
+    (List.exists (fun m -> contains m "modes") v.failures)
 
 let test_chaos_churn_grid_parallel () =
-  let cells = Chaos.churn_grid () in
-  let seq = Chaos.run_churn_grid ~domains:1 cells in
-  let par = Chaos.run_churn_grid ~domains:2 cells in
-  Alcotest.(check bool) "domains 1 = 2" true (seq = par)
+  let run domains =
+    List.map
+      (fun (v : Chaos.verdict) -> (v.cell.label, v.result, v.failures))
+      (Chaos.run_grid ~domains (Chaos.churn_grid ()))
+  in
+  Alcotest.(check bool) "domains 1 = 2" true (run 1 = run 2)
 
 let suite =
   [

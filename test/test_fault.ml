@@ -544,15 +544,20 @@ let fingerprint (r : Loadgen.Runner.result) =
     r.measured_mean_us,
     r.measured_p99_us )
 
+(* Run [cfg] as the one-tenant fleet it is, check it against the
+   invariant oracle, and project the single-run result. *)
+let run_checked ?(owed = Loadgen.Invariants.base) cfg =
+  let r = Loadgen.Fleet.run (Loadgen.Runner.fleet_config cfg) in
+  Alcotest.(check (list string)) "invariants hold" [] (Loadgen.Invariants.check owed r);
+  Loadgen.Runner.of_fleet cfg r
+
 let test_fault_run_deterministic () =
-  let r1 = Loadgen.Runner.run (dyn_config ~fault:adverse_plan ()) in
+  let r1 = run_checked (dyn_config ~fault:adverse_plan ()) in
   let r2 = Loadgen.Runner.run (dyn_config ~fault:adverse_plan ()) in
   Alcotest.(check bool) "identical fingerprints across repeats" true
     (fingerprint r1 = fingerprint r2);
   Alcotest.(check bool) "the plan actually dropped packets" true
-    (r1.link_dropped > 0);
-  Alcotest.(check bool) "accounting closes under faults" true
-    (r1.issued = r1.completed_total + r1.outstanding_end)
+    (r1.link_dropped > 0)
 
 let test_fault_grid_deterministic_across_domains () =
   (* The chaos grid must produce bit-identical per-cell results whether
@@ -560,21 +565,20 @@ let test_fault_grid_deterministic_across_domains () =
      only from its own config. *)
   let base = dyn_config ~duration:(Sim.Time.ms 120) () in
   let run domains =
-    Loadgen.Chaos.run_grid ~domains ~base ~losses:[ 0.0; 0.02 ]
-      ~reorders:[ 0.0 ] ~blackouts_ms:[ 0.0 ] ()
+    Loadgen.Chaos.grid ~base ~losses:[ 0.0; 0.02 ] ~reorders:[ 0.0 ] ~blackouts_ms:[ 0.0 ] ()
+    |> Loadgen.Chaos.run_grid ~domains
     |> List.map (fun (v : Loadgen.Chaos.verdict) ->
-           (v.cell, fingerprint v.result))
+           (v.cell.label, fingerprint (Loadgen.Runner.of_fleet base v.result)))
   in
   Alcotest.(check bool) "domains=1 equals domains=2" true (run 1 = run 2)
 
 let test_blackout_liveness_and_recovery () =
+  (* Closure and liveness: nothing silently lost across the outage. *)
   let r =
-    Loadgen.Runner.run
+    run_checked
+      ~owed:{ Loadgen.Invariants.base with froze = true; thawed = true }
       (dyn_config ~fault:(blackout_plan ~from_ms:100.0 ~until_ms:120.0) ())
   in
-  (* Liveness closure: nothing silently lost across the outage. *)
-  Alcotest.(check int) "issued = completed + outstanding" r.issued
-    (r.completed_total + r.outstanding_end);
   Alcotest.(check bool) "blackout visible as drops" true (r.link_dropped > 0);
   (* The toggler fell back during the outage... *)
   (match r.degrade_freezes with
@@ -634,12 +638,10 @@ let test_corruption_surfaces_and_is_rejected () =
   let plan =
     Result.get_ok (Fault.Plan.of_string "corrupt dir=both prob=0.3\n")
   in
-  let r = Loadgen.Runner.run (dyn_config ~fault:plan ()) in
+  let r = run_checked (dyn_config ~fault:plan ()) in
   Alcotest.(check bool) "shares were corrupted" true (r.shares_corrupted > 0);
   Alcotest.(check bool) "no packet was dropped by corruption" true
     (r.link_dropped = 0);
-  Alcotest.(check bool) "accounting still closes" true
-    (r.issued = r.completed_total + r.outstanding_end);
   (* Corruption that survives decode must be caught by the clamps;
      either way it never poisons throughput. *)
   Alcotest.(check bool) "throughput unaffected" true
