@@ -887,6 +887,15 @@ let alloc_probes () =
   let timer_engine = Sim.Engine.create () in
   let timer = ref (Sim.Engine.schedule timer_engine ~after:(Sim.Time.ms 200) noop) in
   let estimate_est = busy_estimator () in
+  let ingest_est = busy_estimator () in
+  let remote_share time =
+    let s : E2e.Queue_state.share = { time; total = 4; integral = 28_000.0 } in
+    E2e.Exchange.of_triple { unacked = s; unread = s; ackdelay = s }
+  in
+  let latest_share = remote_share (Sim.Time.us 90) and future_share = remote_share (Sim.Time.us 200) in
+  let share_est = busy_estimator () and hint = E2e.Hints.tracker ~at:0 in
+  E2e.Hints.create hint ~at:(Sim.Time.us 20) 2;
+  let hint = Some hint in
   let bytepath name cmd requests ceiling =
     (name, "words_per_req", (fun () -> bytepath_words_per_req cmd ~requests), ceiling)
   in
@@ -926,6 +935,20 @@ let alloc_probes () =
         E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 30) 1;
         E2e.Estimator.track_unacked closed ~at:(!closed_at - Sim.Time.us 10) (-1);
         ignore (E2e.Estimator.fold closed ~at:!closed_at ~advance:true fold_acc));
+    (* A received share checked and ingested in place, tracing off:
+       one accepted (the latest share again, which is not behind
+       itself) and one rejected (from the future). *)
+    zero "estimator.ingest_share" (fun () ->
+        E2e.Estimator.ingest_wire ingest_est ~at:(Sim.Time.us 100) latest_share;
+        E2e.Estimator.ingest_wire ingest_est ~at:(Sim.Time.us 100) future_share);
+    (* The metadata a socket puts on a segment, a share with its hint,
+       costs its one record of ten floats (11 words) and nothing else. *)
+    ( "socket.share_snapshot",
+      "words_per_op",
+      (fun () ->
+        alloc_per_op (fun () ->
+            ignore (E2e.Estimator.share share_est ~at:(Sim.Time.us 100) ~hint))),
+      11.0 );
     (* A restarted timer (cancel, then schedule anew) pays for the
        two-word handle record [schedule] returns, and nothing else. *)
     ( "engine.timer_restart",
@@ -945,13 +968,12 @@ let alloc_probes () =
        nothing: its id is one of the last few names it interned, found
        without a table lookup. *)
     ("trace.binary_write", "words_per_op", binary_write_words, 0.0);
-    (* Each ceiling is 1.25x the words per request measured once the
-       retransmit and request FIFOs were threaded through their entries
-       and [Link.send] stopped boxing its [seq] (1,431.7, 431.4 and
-       1,264.3). *)
-    bytepath "bytepath.set16k_roundtrip" (set_of_size 16_384) 500 1_790.0;
-    bytepath "bytepath.set64_roundtrip" (set_of_size 64) 5_000 539.0;
-    bytepath "bytepath.get16k_roundtrip" (Kv.Command.Get "k") 500 1_580.0;
+    (* Each ceiling is 1.25x the words per request measured once a
+       segment's share and hint became one float-only record (1,367.7,
+       384.4 and 1,223.3). *)
+    bytepath "bytepath.set16k_roundtrip" (set_of_size 16_384) 500 1_710.0;
+    bytepath "bytepath.set64_roundtrip" (set_of_size 64) 5_000 481.0;
+    bytepath "bytepath.get16k_roundtrip" (Kv.Command.Get "k") 500 1_530.0;
     (* 1.25x the words one connection takes to build once its cold
        socket state is built on first use, its FIFOs are threaded
        through their entries and its GROs hold their receiver instead

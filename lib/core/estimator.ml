@@ -17,8 +17,8 @@ let remote_latest = 2
    integrals.  The saved triples' times and departures are int fields:
    [lp_*] for the local window's baseline, [rb_*] and [rl_*] for the
    remote window's.  A saved triple's three shares share one time:
-   local snapshots are taken at one instant, and remote ones with
-   different times are refused. *)
+   local snapshots are taken at one instant, and a share on the wire
+   carries one time. *)
 type t = {
   floats : float array;
   mutable lp_time : Sim.Time.t;
@@ -124,42 +124,41 @@ let unacked_size t = Queue_state.size_in t.floats (queue_at unacked)
 let unread_size t = Queue_state.size_in t.floats (queue_at unread)
 let ackdelay_size t = Queue_state.size_in t.floats (queue_at ackdelay)
 
-let live_share t q ~at = Queue_state.snapshot_in t.floats (queue_at q) ~at
+(* Scratch for a call to write floats into and read them back: the
+   three queues' live integrals in slots 0-2 ([compute] writes them for
+   [close_windows]), and in slots 3-5 the hint's share that [share]
+   puts on the wire.  One per domain, since parallel sweeps run
+   estimators on several domains at once. *)
+let scratch_floats = Domain.DLS.new_key (fun () -> Array.make 6 0.0)
 
-let local_snapshot t ~at : Exchange.triple =
+let share t ~at ~hint : Exchange.wire =
+  let live = Domain.DLS.get scratch_floats in
+  for q = unacked to ackdelay do
+    Queue_state.integral_into t.floats (queue_at q) ~at live q
+  done;
+  (match hint with
+  | Some h -> Hints.share_into h ~at live 3
+  | None -> Array.fill live 3 3 Float.nan);
   {
-    unacked = live_share t unacked ~at;
-    unread = live_share t unread ~at;
-    ackdelay = live_share t ackdelay ~at;
+    time = float_of_int at;
+    unacked_total = float_of_int (Queue_state.total_in t.floats (queue_at unacked));
+    unread_total = float_of_int (Queue_state.total_in t.floats (queue_at unread));
+    ackdelay_total = float_of_int (Queue_state.total_in t.floats (queue_at ackdelay));
+    unacked_integral = live.(unacked);
+    unread_integral = live.(unread);
+    ackdelay_integral = live.(ackdelay);
+    hint_time = live.(3);
+    hint_total = live.(4);
+    hint_integral = live.(5);
   }
 
-let share time total integral : Queue_state.share = { time; total; integral }
+let local_snapshot t ~at = Exchange.to_triple (share t ~at ~hint:None)
 
 let[@inline] integral t w q = t.floats.(integral_slot w q)
 
 let remote_triple t w ~time ~unacked ~unread ~ackdelay : Exchange.triple =
-  { unacked = share time unacked (integral t w 0);
-    unread = share time unread (integral t w 1);
-    ackdelay = share time ackdelay (integral t w 2) }
-
-let save_integrals t w (tr : Exchange.triple) =
-  t.floats.(integral_slot w unacked) <- tr.unacked.integral;
-  t.floats.(integral_slot w unread) <- tr.unread.integral;
-  t.floats.(integral_slot w ackdelay) <- tr.ackdelay.integral
-
-let save_baseline t (tr : Exchange.triple) =
-  t.rb_time <- tr.unacked.time;
-  t.rb_unacked <- tr.unacked.total;
-  t.rb_unread <- tr.unread.total;
-  t.rb_ackdelay <- tr.ackdelay.total;
-  save_integrals t remote_baseline tr
-
-let save_latest t (tr : Exchange.triple) =
-  t.rl_time <- tr.unacked.time;
-  t.rl_unacked <- tr.unacked.total;
-  t.rl_unread <- tr.unread.total;
-  t.rl_ackdelay <- tr.ackdelay.total;
-  save_integrals t remote_latest tr
+  let share total q : Queue_state.share = { time; total; integral = integral t w q } in
+  { unacked = share unacked 0; unread = share unread 1; ackdelay = share ackdelay 2 }
 
 (* The latest remote share becomes the remote window's baseline. *)
 let latest_to_baseline t =
@@ -170,53 +169,73 @@ let latest_to_baseline t =
   Array.blit t.floats (integral_slot remote_latest 0) t.floats
     (integral_slot remote_baseline 0) 3
 
-(* Any counter of [cur] behind the last accepted share's.  Times are
-   compared once: both triples passed the skew check. *)
-let regressed t (cur : Exchange.triple) =
-  let behind q latest (s : Queue_state.share) =
-    s.total < latest || s.integral < integral t remote_latest q
-  in
-  t.rl_time >= 0
-  && (Sim.Time.compare cur.unacked.time t.rl_time < 0
-     || behind unacked t.rl_unacked cur.unacked
-     || behind unread t.rl_unread cur.unread
-     || behind ackdelay t.rl_ackdelay cur.ackdelay)
+(* A count or integral that is neither negative nor non-finite. *)
+let[@inline] in_range x = x >= 0.0 && x < Float.infinity
 
-let ingest_remote t ~at (triple : Exchange.triple) =
-  let verdict =
-    match Exchange.check_plausible ~now:at triple with
-    | Ok () when regressed t triple -> Error "regress"
-    | v -> v
-  in
-  match verdict with
-  | Error reason ->
-    (* Corrupted or implausible shares must never poison the monotone
-       counters: count, trace, and leave every window untouched. *)
-    t.rejected <- t.rejected + 1;
-    (match t.trace with
-    | Some (tr, id) when Sim.Trace.enabled tr ->
-      Sim.Trace.event tr ~at ~id (Share_rejected { reason })
-    | _ -> ())
-  | Ok () -> (
+let verdict t ~at (w : Exchange.wire) =
+  if
+    not
+      (in_range w.time && in_range w.unacked_total && in_range w.unread_total
+     && in_range w.ackdelay_total && in_range w.unacked_integral
+     && in_range w.unread_integral && in_range w.ackdelay_integral)
+  then "range"
+  else if w.time > float_of_int at then "future"
+  else if
+    t.rl_time >= 0
+    && (w.time < float_of_int t.rl_time
+       || w.unacked_total < float_of_int t.rl_unacked
+       || w.unread_total < float_of_int t.rl_unread
+       || w.ackdelay_total < float_of_int t.rl_ackdelay
+       || w.unacked_integral < integral t remote_latest unacked
+       || w.unread_integral < integral t remote_latest unread
+       || w.ackdelay_integral < integral t remote_latest ackdelay)
+  then "regress"
+  else ""
+
+(* Corrupted or implausible shares must never poison the monotone
+   counters: count, trace, and leave every window untouched. *)
+let reject t ~at reason =
+  t.rejected <- t.rejected + 1;
+  match t.trace with
+  | Some (tr, id) when Sim.Trace.enabled tr ->
+    Sim.Trace.event tr ~at ~id (Share_rejected { reason })
+  | _ -> ()
+
+let ingest_wire t ~at (w : Exchange.wire) =
+  match verdict t ~at w with
+  | "" -> (
     (* The first-ever share anchors the remote window, exactly as
        [local_prev] anchors the local window at creation: until the first
        [estimate] both windows span creation-to-now, so pinning the
        baseline to the first share (rather than sliding it with every
        pre-estimate ingest) is what keeps the two vantage points' windows
        aligned.  Pinned by a regression test in test_exchange.ml. *)
-    if not (has_shares t) then save_baseline t triple;
-    save_latest t triple;
+    let first = not (has_shares t) in
+    t.rl_time <- int_of_float w.time;
+    t.rl_unacked <- int_of_float w.unacked_total;
+    t.rl_unread <- int_of_float w.unread_total;
+    t.rl_ackdelay <- int_of_float w.ackdelay_total;
+    t.floats.(integral_slot remote_latest unacked) <- w.unacked_integral;
+    t.floats.(integral_slot remote_latest unread) <- w.unread_integral;
+    t.floats.(integral_slot remote_latest ackdelay) <- w.ackdelay_integral;
+    if first then latest_to_baseline t;
     t.last_share_at <- at;
     match t.trace with
     | Some (tr, id) when Sim.Trace.enabled tr ->
-        Sim.Trace.event tr ~at:triple.unacked.time ~id
+        Sim.Trace.event tr ~at:t.rl_time ~id
           (Share_ingested
              {
-               unacked_total = triple.unacked.total;
-               unread_total = triple.unread.total;
-               ackdelay_total = triple.ackdelay.total;
+               unacked_total = t.rl_unacked;
+               unread_total = t.rl_unread;
+               ackdelay_total = t.rl_ackdelay;
              })
     | _ -> ())
+  | reason -> reject t ~at reason
+
+let ingest_remote t ~at (tr : Exchange.triple) =
+  if tr.unacked.time <> tr.unread.time || tr.unread.time <> tr.ackdelay.time then
+    reject t ~at "skew"
+  else ingest_wire t ~at (Exchange.of_triple tr)
 
 let rejected_shares t = t.rejected
 let last_share_at t = if has_shares t then t.last_share_at else -1
@@ -243,11 +262,6 @@ type estimate = {
   window : Sim.Time.span;
   stale : bool;
 }
-
-(* The local window's live end: each queue's integral at [at], written
-   by [compute] and read back within the same call.  One per domain,
-   since parallel sweeps run estimators on several domains at once. *)
-let live_integrals = Domain.DLS.new_key (fun () -> Array.make 3 0.0)
 
 (* Algorithm 2 on one queue: the mean delay of the [d_total] items that
    departed while the occupancy integral grew by [d_integral]; nan (the
@@ -290,7 +304,7 @@ let[@inline] combine ~unacked ~peer_ackdelay ~unread ~peer_unread =
    counts once it spans time.  Both vantage points take the absent
    peer terms as zero, and the estimate is the larger of the two. *)
 let compute t ~at (a : Aggregate.acc) =
-  let live = Domain.DLS.get live_integrals in
+  let live = Domain.DLS.get scratch_floats in
   for q = unacked to ackdelay do
     Queue_state.integral_into t.floats (queue_at q) ~at live q
   done;
@@ -330,7 +344,7 @@ let compute t ~at (a : Aggregate.acc) =
    baseline, as does the latest remote share) and report whether the
    estimate stands: a cold start's first window is discarded. *)
 let close_windows t ~at (a : Aggregate.acc) =
-  let live = Domain.DLS.get live_integrals in
+  let live = Domain.DLS.get scratch_floats in
   t.lp_time <- at;
   t.lp_unacked <- Queue_state.total_in t.floats (queue_at unacked);
   t.lp_unread <- Queue_state.total_in t.floats (queue_at unread);

@@ -53,20 +53,32 @@ val ackdelay_size : t -> int
 
 (** {1 Sharing} *)
 
+val share : t -> at:Sim.Time.t -> hint:Hints.t option -> Exchange.wire
+(** The three local queues' 3-tuples at [at], with [hint]'s share when
+    given: what a segment carries.  Allocates the record and nothing
+    else. *)
+
 val local_snapshot : t -> at:Sim.Time.t -> Exchange.triple
-(** The three 3-tuples to put on the wire. *)
+(** {!share} without a hint, as a triple. *)
 
-val ingest_remote : t -> at:Sim.Time.t -> Exchange.triple -> unit
-(** Record a snapshot received from the peer at local time [at].  The
-    remote measurement window runs from the snapshot that was current
-    at the last window advance (see {!estimate}) to the latest one,
-    mirroring the local window.
+val verdict : t -> at:Sim.Time.t -> Exchange.wire -> string
+(** The ingest rule: [""] when {!ingest_wire} at local time [at] would
+    accept the share, else why it would not — a negative or non-finite
+    counter (["range"]), a snapshot from the future (["future"]), or a
+    counter running behind the last accepted share (["regress"]; times,
+    totals and integrals are all monotone by construction). *)
 
-    The triple first passes {!Exchange.check_plausible} and must not
-    run behind the last accepted share: implausible ones (corruption
-    that survived decode, counters running backwards, future
-    timestamps) are dropped without touching any window, counted in
-    {!rejected_shares}, and traced as [Share_rejected].
+val ingest_wire : t -> at:Sim.Time.t -> Exchange.wire -> unit
+(** Record a share received from the peer at local time [at]; its hint,
+    if any, is the socket's.  The remote measurement window runs from
+    the share that was current at the last window advance (see
+    {!estimate}) to the latest one, mirroring the local window.
+
+    A share the {!verdict} refuses (corruption that survived decode,
+    counters running backwards, future timestamps) is dropped without
+    touching any window, counted in {!rejected_shares}, and traced as
+    [Share_rejected] with the verdict as its reason.  Allocates nothing
+    with tracing off.
 
     Before the first {!estimate} the baseline stays pinned to the
     first-ever share — intentional: [local_prev] likewise anchors at
@@ -74,8 +86,12 @@ val ingest_remote : t -> at:Sim.Time.t -> Exchange.triple -> unit
     the baseline with every pre-estimate ingest would shrink the remote
     window to one share interval while the local window kept growing. *)
 
+val ingest_remote : t -> at:Sim.Time.t -> Exchange.triple -> unit
+(** {!ingest_wire} of the triple, which is first refused as ["skew"]
+    when its three snapshot times disagree. *)
+
 val rejected_shares : t -> int
-(** Shares {!ingest_remote} refused since creation. *)
+(** Shares refused since creation. *)
 
 (** {1 Staleness}
 
@@ -144,7 +160,7 @@ val fold : t -> at:Sim.Time.t -> advance:bool -> Aggregate.acc -> bool
 (** {1 Observability} *)
 
 val set_trace : t -> Sim.Trace.t -> id:string -> unit
-(** Emit [Share_ingested] on {!ingest_remote} (timestamped with the
+(** Emit [Share_ingested] on {!ingest_wire} (timestamped with the
     peer's snapshot time) and [Estimate_computed] on every successful
     {!estimate} into [trace], labelled [id]. *)
 

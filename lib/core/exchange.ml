@@ -4,6 +4,55 @@ type triple = {
   ackdelay : Queue_state.share;
 }
 
+type wire = {
+  time : float;
+  unacked_total : float;
+  unread_total : float;
+  ackdelay_total : float;
+  unacked_integral : float;
+  unread_integral : float;
+  ackdelay_integral : float;
+  hint_time : float;
+  hint_total : float;
+  hint_integral : float;
+}
+
+let none =
+  { time = Float.nan; unacked_total = Float.nan; unread_total = Float.nan;
+    ackdelay_total = Float.nan; unacked_integral = Float.nan; unread_integral = Float.nan;
+    ackdelay_integral = Float.nan; hint_time = Float.nan; hint_total = Float.nan;
+    hint_integral = Float.nan }
+
+let has_share w = not (Float.is_nan w.time)
+let has_hint w = not (Float.is_nan w.hint_time)
+
+let with_share w (tr : triple) =
+  { w with
+    time = float_of_int tr.unacked.time;
+    unacked_total = float_of_int tr.unacked.total;
+    unread_total = float_of_int tr.unread.total;
+    ackdelay_total = float_of_int tr.ackdelay.total;
+    unacked_integral = tr.unacked.integral;
+    unread_integral = tr.unread.integral;
+    ackdelay_integral = tr.ackdelay.integral }
+
+let of_triple tr = with_share none tr
+
+let without_share w =
+  if has_hint w then
+    { none with hint_time = w.hint_time; hint_total = w.hint_total;
+      hint_integral = w.hint_integral }
+  else none
+
+let to_triple w : triple =
+  let time = int_of_float w.time in
+  let share total integral : Queue_state.share =
+    { time; total = int_of_float total; integral }
+  in
+  { unacked = share w.unacked_total w.unacked_integral;
+    unread = share w.unread_total w.unread_integral;
+    ackdelay = share w.ackdelay_total w.ackdelay_integral }
+
 let wire_size = 36
 
 let mask32 = 0xFFFF_FFFF
@@ -63,25 +112,6 @@ let decode s =
     then Error "Exchange.decode: snapshot times disagree across shares"
     else Ok t
   end
-
-(* Plausibility clamps for a reconstructed triple (after {!decode} /
-   {!unwrap}, or a triple arriving by value in the simulator): callers
-   reject shares that could poison monotone counters. *)
-let check_plausible ~now (cur : triple) =
-  let skewed =
-    Sim.Time.compare cur.unacked.time cur.unread.time <> 0
-    || Sim.Time.compare cur.unread.time cur.ackdelay.time <> 0
-  in
-  let bad_range (s : Queue_state.share) =
-    s.total < 0 || Sim.Time.compare s.time Sim.Time.zero < 0
-    || not (Float.is_finite s.integral)
-    || s.integral < 0.0
-  in
-  if skewed then Error "skew"
-  else if bad_range cur.unacked || bad_range cur.unread || bad_range cur.ackdelay
-  then Error "range"
-  else if Sim.Time.compare cur.unacked.time now > 0 then Error "future"
-  else Ok ()
 
 (* Reconstruct a monotone counter from its wrapped 32-bit value, given
    the previous full-width value: advance by the wrapped delta. *)

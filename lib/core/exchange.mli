@@ -14,6 +14,50 @@ type triple = {
 }
 (** One side's three queue snapshots, all taken at the same instant. *)
 
+(** {1 On a segment}
+
+    What rides a segment in the simulator: one side's snapshot and the
+    hint of a cooperative application (§3.3), as one record of floats.
+    OCaml stores a float-only record's fields flat, so a share costs
+    this one block and reading or checking it boxes nothing.  Times are
+    nanoseconds and totals item counts, held exactly (below 2{^53}). *)
+
+type wire = {
+  time : float;  (** snapshot time of the three queues; nan: no share *)
+  unacked_total : float;
+  unread_total : float;
+  ackdelay_total : float;
+  unacked_integral : float;
+  unread_integral : float;
+  ackdelay_integral : float;
+  hint_time : float;
+      (** the hint's snapshot time: [time] as sent, kept apart because
+          a garbled share's time is not the hint's; nan: no hint *)
+  hint_total : float;
+  hint_integral : float;
+}
+
+val none : wire
+(** The shared "no metadata" record: neither a share nor a hint. *)
+
+val has_share : wire -> bool
+val has_hint : wire -> bool
+
+val of_triple : triple -> wire
+(** The triple's totals and integrals, at its unacked share's time
+    (the caller checks that the three times agree); no hint. *)
+
+val to_triple : wire -> triple
+(** The three shares, each at [time]: [to_triple (of_triple tr) = tr]
+    for a triple whose times agree. *)
+
+val with_share : wire -> triple -> wire
+(** [w]'s hint with the triple's share in place of [w]'s. *)
+
+val without_share : wire -> wire
+(** [w]'s hint alone ({!none} when [w] has none): what is left of a
+    segment's metadata when its share no longer decodes. *)
+
 (** {1 Wire codec} *)
 
 val wire_size : int
@@ -33,16 +77,6 @@ val decode : string -> (triple, string) result
     three shares' snapshot times must agree (they are taken at one
     instant), which random 36-byte garbage survives with probability
     2{^-64}. *)
-
-val check_plausible : now:Sim.Time.t -> triple -> (unit, string) result
-(** Sanity clamps on a reconstructed triple before it may touch
-    estimator state.  Rejects (with a short reason usable as a trace
-    tag): shares whose snapshot times disagree (["skew"]), negative or
-    non-finite counters (["range"]) and snapshots from the future
-    relative to [now] (["future"]).  The estimator then refuses any
-    counter running backwards against the last accepted share
-    (["regress"]; times, totals and integrals are all monotone by
-    construction). *)
 
 val unwrap : prev:triple -> cur:triple -> triple
 (** Reconstruct full-width monotone counters for [cur] given the

@@ -27,6 +27,11 @@ val in_flight : t -> int
 val share : t -> at:Sim.Time.t -> Queue_state.share
 (** The 3-tuple handed to the stack / shared with the server. *)
 
+val share_into : t -> at:Sim.Time.t -> float array -> int -> unit
+(** [share_into t ~at dst i] writes {!share}'s time, total and
+    integral into [dst.(i)], [dst.(i + 1)] and [dst.(i + 2)]: what the
+    stack puts on the wire, with nothing allocated. *)
+
 val avgs :
   prev:Queue_state.share -> cur:Queue_state.share -> Queue_state.avgs option
 (** End-to-end performance between two shares: [latency_ns] is the

@@ -76,12 +76,12 @@ let decide t ~now_us =
     end
   end
 
-let corrupt_triple t triple =
+let corrupt_share t w =
   if t.side.Plan.corrupt <= 0.0 || Sim.Rng.float t.rng >= t.side.Plan.corrupt
   then None
   else begin
     t.corruptions <- t.corruptions + 1;
-    let wire = Bytes.of_string (E2e.Exchange.encode triple) in
+    let wire = Bytes.of_string (E2e.Exchange.encode (E2e.Exchange.to_triple w)) in
     let flips = 1 + Sim.Rng.int t.rng ~bound:4 in
     for _ = 1 to flips do
       let pos = Sim.Rng.int t.rng ~bound:(Bytes.length wire) in
@@ -89,8 +89,8 @@ let corrupt_triple t triple =
       Bytes.set_uint8 wire pos (Bytes.get_uint8 wire pos lxor mask)
     done;
     match E2e.Exchange.decode (Bytes.unsafe_to_string wire) with
-    | Ok garbled -> Some (Some garbled)
-    | Error _ -> Some None
+    | Ok garbled -> Some (E2e.Exchange.with_share w garbled)
+    | Error _ -> Some (E2e.Exchange.without_share w)
   end
 
 let packets t = t.packets

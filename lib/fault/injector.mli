@@ -2,7 +2,7 @@
 
     One injector owns one {!Plan.side} plus a dedicated {!Sim.Rng}
     stream and the Gilbert–Elliott channel state.  {!Tcp.Link} asks it
-    for a {!decision} per packet; {!Tcp.Conn} asks {!corrupt_triple}
+    for a {!decision} per packet; {!Tcp.Conn} asks {!corrupt_share}
     per exchange-carrying wire segment.  The per-packet draw order is
     fixed (loss, reorder, duplication — each only when configured), so
     seeded runs replay bit-identically. *)
@@ -26,14 +26,14 @@ val create : side:Plan.side -> rng:Sim.Rng.t -> t
 val decide : t -> now_us:float -> decision
 (** Decide the fate of one packet entering the link at [now_us]. *)
 
-val corrupt_triple :
-  t -> E2e.Exchange.triple -> E2e.Exchange.triple option option
-(** Corruption targeted at the 36-byte exchange option: [None] when
-    corruption does not fire; [Some None] when the mangled bytes no
-    longer decode (the receiver drops the option); [Some (Some g)]
-    when they decode to a garbage triple (the estimator's ingest
-    clamps must reject it).  Implemented as encode → random byte
-    flips → decode, so the corruption model matches the wire codec. *)
+val corrupt_share : t -> E2e.Exchange.wire -> E2e.Exchange.wire option
+(** Corruption targeted at the 36-byte exchange option of a segment's
+    metadata: [None] when corruption does not fire; otherwise the
+    metadata the receiver gets, with the hint untouched and the share
+    either dropped (the mangled bytes no longer decode) or replaced by
+    the garbage triple they decode to (the estimator's ingest clamps
+    must reject it).  Implemented as encode → random byte flips →
+    decode, so the corruption model matches the wire codec. *)
 
 (** {1 Counters} *)
 

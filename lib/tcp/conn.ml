@@ -55,8 +55,7 @@ let split_tso ~mss (seg : Segment.t) =
           payload_len = n;
           push = seg.push && last;
           msg_ends = (if last then seg.msg_ends else 0);
-          e2e = (if first then seg.e2e else None);
-          hint = (if first then seg.hint else None);
+          e2e = (if first then seg.e2e else E2e.Exchange.none);
           (* SACK blocks, like the other option metadata, ride the
              first wire packet only (RST/SYN never carry payload, so
              they are never split). *)
@@ -72,17 +71,17 @@ let split_tso ~mss (seg : Segment.t) =
    GRO.  Corruption targets the exchange option bytes, so it has to
    happen here where the option still rides the segment; the wire size
    is unchanged (same 36 bytes, different contents — or none, when the
-   mangled payload no longer decodes). *)
+   mangled payload no longer decodes, which leaves the hint). *)
 let put_packet ~link ~gro (sub : Segment.t) =
   let wire_bytes = Segment.wire_bytes sub in
   let sub =
-    match (Link.fault link, sub.e2e) with
-    | Some inj, Some triple -> (
-      match Fault.Injector.corrupt_triple inj triple with
+    match Link.fault link with
+    | Some inj when E2e.Exchange.has_share sub.e2e -> (
+      match Fault.Injector.corrupt_share inj sub.e2e with
       | None -> sub
       | Some garbled ->
-        (* An undecodable option ([garbled = None]) still crossed the
-           wire: bill [wire_bytes] from the original segment. *)
+        (* An undecodable option still crossed the wire: bill
+           [wire_bytes] from the original segment. *)
         Link.note_share_corrupted link ~seq:sub.seq;
         { sub with e2e = garbled })
     | _ -> sub

@@ -7,8 +7,7 @@ type t = {
   window : int;
   push : bool;
   msg_ends : int;
-  e2e : E2e.Exchange.triple option;
-  hint : E2e.Queue_state.share option;
+  e2e : E2e.Exchange.wire;  (* Exchange.none for none *)
   ts_val : int;  (* sender clock, us; -1 = absent *)
   ts_ecr : int;  (* echoed peer clock, us; -1 = absent *)
   sack : (int * int) list;  (* [left, right) received ranges, RFC 2018 *)
@@ -17,11 +16,12 @@ type t = {
   fin : bool;
 }
 
-let make ?payload ?(push = false) ?(msg_ends = 0) ?e2e ?hint ?(ts_val = -1) ?(ts_ecr = -1)
-    ?(sack = []) ?(rst = false) ?(syn = false) ?(fin = false) ~seq ~ack ~window () =
+let make ?payload ?(push = false) ?(msg_ends = 0) ?(e2e = E2e.Exchange.none) ?(ts_val = -1)
+    ?(ts_ecr = -1) ?(sack = []) ?(rst = false) ?(syn = false) ?(fin = false) ~seq ~ack ~window
+    () =
   let payload = match payload with Some s -> Slice.of_string s | None -> Slice.empty in
   { seq; ack; payload; payload_rest = []; payload_len = payload.Slice.len; window; push;
-    msg_ends; e2e; hint; ts_val; ts_ecr; sack; rst; syn; fin }
+    msg_ends; e2e; ts_val; ts_ecr; sack; rst; syn; fin }
 
 let len t = t.payload_len
 
@@ -54,7 +54,7 @@ let seq_len t = len t + if t.fin then 1 else 0
 let header_bytes = 78
 
 let wire_bytes t =
-  let opt = match t.e2e with None -> 0 | Some _ -> E2e.Exchange.wire_size + 4 in
+  let opt = if E2e.Exchange.has_share t.e2e then E2e.Exchange.wire_size + 4 else 0 in
   let sack_opt =
     match t.sack with [] -> 0 | blocks -> 4 + (8 * List.length blocks)
   in
@@ -69,4 +69,4 @@ let pp ppf t =
     (match t.sack with
     | [] -> ""
     | b -> Printf.sprintf " SACK(%d)" (List.length b))
-    (match t.e2e with None -> "" | Some _ -> " E2E")
+    (if E2e.Exchange.has_share t.e2e then " E2E" else "")

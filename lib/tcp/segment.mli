@@ -20,10 +20,11 @@ type t = {
   msg_ends : int;
       (** how many application send() buffers end inside this segment —
           the receive-side message-boundary signal for syscall units *)
-  e2e : E2e.Exchange.triple option;  (** the 36-byte E2E option, §5 *)
-  hint : E2e.Queue_state.share option;
-      (** a cooperative application's in-flight-request queue state
-          (§3.3), forwarded by the sender's stack *)
+  e2e : E2e.Exchange.wire;
+      (** the metadata riding this segment, {!E2e.Exchange.none} for
+          none: the 36-byte E2E option (§5) when it has a share, and a
+          cooperative application's in-flight-request queue state
+          (§3.3), forwarded by the sender's stack, when it has a hint *)
   ts_val : int;
       (** RFC 7323 timestamp: the sender's clock in microseconds; -1
           when absent *)
@@ -46,8 +47,7 @@ val make :
   ?payload:string ->
   ?push:bool ->
   ?msg_ends:int ->
-  ?e2e:E2e.Exchange.triple ->
-  ?hint:E2e.Queue_state.share ->
+  ?e2e:E2e.Exchange.wire ->
   ?ts_val:int ->
   ?ts_ecr:int ->
   ?sack:(int * int) list ->
@@ -81,7 +81,7 @@ val header_bytes : int
     = 78 bytes. *)
 
 val wire_bytes : t -> int
-(** [header_bytes + len + option bytes] — E2E exchange and SACK blocks
-    both count toward option bytes. *)
+(** [header_bytes + len + option bytes] — the E2E option (when [e2e]
+    has a share) and SACK blocks both count toward option bytes. *)
 
 val pp : Format.formatter -> t -> unit

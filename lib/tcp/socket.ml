@@ -415,8 +415,8 @@ let note_ack_leaving t =
   end;
   match t.delack with Some d -> Delayed_ack.on_ack_sent d | None -> ()
 
-(* The queue state due on this segment, if any; a hint rides only
-   alongside it. *)
+(* The metadata due on this segment, if any: the queue state, with the
+   hint alongside it. *)
 let e2e_due t ~at =
   if
     E2e.Exchange.due t.cfg.exchange ~last_sent:t.exchange_last
@@ -424,14 +424,9 @@ let e2e_due t ~at =
   then begin
     t.exchange_last <- at;
     t.exchange_requested <- false;
-    Some (E2e.Estimator.local_snapshot t.estim ~at)
+    E2e.Estimator.share t.estim ~at ~hint:t.hint_tracker
   end
-  else None
-
-let hint_due t ~at e2e =
-  match (e2e, t.hint_tracker) with
-  | Some _, Some tracker -> Some (E2e.Hints.share tracker ~at)
-  | _ -> None
+  else E2e.Exchange.none
 
 (* Put one segment on the wire, piggybacking the cumulative ack and
    whatever metadata is due.  [seq] may be below [snd_nxt] for a
@@ -439,7 +434,6 @@ let hint_due t ~at e2e =
 let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~rest ~len ~push ~msg_ends =
   let at = now t in
   let e2e = e2e_due t ~at in
-  let hint = hint_due t ~at e2e in
   let seg =
     {
       Segment.seq;
@@ -451,7 +445,6 @@ let put_on_wire ?(fin = false) ?(rst = false) t ~seq ~payload ~rest ~len ~push ~
       push;
       msg_ends;
       e2e;
-      hint;
       ts_val = Sim.Time.to_ns at / 1_000;
       ts_ecr = t.ts_recent;
       sack = (if t.cfg.sack && t.ooo <> [] then sack_blocks t.ooo else []);
@@ -1170,26 +1163,25 @@ let rec receive_one t ~notify (seg : Segment.t) =
 and receive_valid t ~notify (seg : Segment.t) ~at =
   (* Metadata first so estimates are fresh for any controller that runs
      from the readable callback. *)
-  (match seg.e2e with
-  | Some triple -> E2e.Estimator.ingest_remote t.estim ~at:(now t) triple
-  | None -> ());
-  (match seg.hint with
-  | Some share ->
-    (* Keep a (baseline, latest) pair: the first share anchors the
-       window so consumers can estimate over the whole connection (or
-       re-anchor themselves from a snapshot they saved). *)
-    let time = float_of_int share.time and total = float_of_int share.total in
-    (match t.hints_in with
-    | Some w ->
-      w.last_time <- time;
-      w.last_total <- total;
-      w.last_integral <- share.integral
-    | None ->
-      t.hints_in <-
-        Some
-          { first_time = time; first_total = total; first_integral = share.integral;
-            last_time = time; last_total = total; last_integral = share.integral })
-  | None -> ());
+  let w = seg.e2e in
+  if w != E2e.Exchange.none then begin
+    if E2e.Exchange.has_share w then E2e.Estimator.ingest_wire t.estim ~at:(now t) w;
+    if E2e.Exchange.has_hint w then
+      (* Keep a (baseline, latest) pair: the first share anchors the
+         window so consumers can estimate over the whole connection (or
+         re-anchor themselves from a snapshot they saved). *)
+      match t.hints_in with
+      | Some h ->
+        h.last_time <- w.hint_time;
+        h.last_total <- w.hint_total;
+        h.last_integral <- w.hint_integral
+      | None ->
+        t.hints_in <-
+          Some
+            { first_time = w.hint_time; first_total = w.hint_total;
+              first_integral = w.hint_integral; last_time = w.hint_time;
+              last_total = w.hint_total; last_integral = w.hint_integral }
+  end;
   process_ack t seg ~at;
   let len = seg.Segment.payload_len in
   if len > 0 || seg.fin then process_payload t seg ~at;

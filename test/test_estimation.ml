@@ -98,9 +98,15 @@ let model_estimate m ~at ~advance =
       else Some est
     | Some (est, _) -> Some est
 
-(* Accepted by the estimator: plausible, and no counter behind the last
-   accepted share. *)
-let model_ingest m ~at (tr : E2e.Exchange.triple) =
+(* Accepted by the estimator [e] (before it ingests [tr]): the three
+   times agree and the ingest rule finds nothing wrong.  For a share in
+   range and not from the future, the rule's "regress" must be the
+   model's own: a counter behind the last share the model accepted. *)
+let model_ingest m e ~at (tr : E2e.Exchange.triple) =
+  let verdict =
+    if tr.unacked.time <> tr.unread.time || tr.unread.time <> tr.ackdelay.time then "skew"
+    else Est.verdict e ~at (E2e.Exchange.of_triple tr)
+  in
   let behind (s : Q.share) (l : Q.share) = s.total < l.total || s.integral < l.integral in
   let regressed =
     match m.remote_latest with
@@ -109,7 +115,9 @@ let model_ingest m ~at (tr : E2e.Exchange.triple) =
       tr.unacked.time < l.unacked.time || behind tr.unacked l.unacked
       || behind tr.unread l.unread || behind tr.ackdelay l.ackdelay
   in
-  let accepted = Result.is_ok (E2e.Exchange.check_plausible ~now:at tr) && not regressed in
+  if (verdict = "" || verdict = "regress") && regressed <> (verdict = "regress") then
+    failwith "the ingest rule and the model disagree on a regressed share";
+  let accepted = verdict = "" in
   if accepted then begin
     if m.remote_base = None then m.remote_base <- Some tr;
     m.remote_latest <- Some tr
@@ -226,8 +234,8 @@ let replay ?(check = fun _ _ -> ()) ops =
           { unacked = step 0 base.unacked; unread = step 1 base.unread; ackdelay = step 2 base.ackdelay }
         in
         let rejected = Est.rejected_shares e in
+        let accepted = model_ingest m e ~at:!now tr in
         Est.ingest_remote e ~at:!now tr;
-        let accepted = model_ingest m ~at:!now tr in
         if accepted <> (Est.rejected_shares e = rejected) then
           failwith "the model and the estimator disagree on a share"
       | Estimate (dt, via_fold) | Peek (dt, via_fold) ->

@@ -239,6 +239,130 @@ let test_estimator_throughput () =
     Alcotest.(check (float 1.0)) "100k msg/s" 100_000.0 est.throughput
   | None -> Alcotest.fail "expected estimate"
 
+(* {1 The triple path and the wire path}
+
+   [Estimator.ingest_remote] is [ingest_wire] of [Exchange.of_triple]
+   behind a skew check.  Shares of every kind, drawn relative to the
+   last accepted one, must get the same verdict and reject reason and
+   leave the same remote window and estimate on both paths. *)
+
+type share_kind = Valid | Skewed | Negative | Non_finite | Future | Regressing
+
+let kind_name = function
+  | Valid -> "valid"
+  | Skewed -> "skewed"
+  | Negative -> "negative"
+  | Non_finite -> "non-finite"
+  | Future -> "future"
+  | Regressing -> "regressing"
+
+(* One step: µs the clock advances, the kind of share, which queue the
+   kind's fault hits, and the three totals' and integrals' steps. *)
+type step = { dt : int; kind : share_kind; q : int; d_total : int array; d_integral : float array }
+
+let gen_step =
+  QCheck.Gen.(
+    map
+      (fun ((dt, kind, q), (d_total, d_integral)) -> { dt; kind; q; d_total; d_integral })
+      (pair
+         (triple (0 -- 50)
+            (frequency
+               [ (4, return Valid); (1, return Skewed); (1, return Negative);
+                 (1, return Non_finite); (1, return Future); (1, return Regressing) ])
+            (0 -- 2))
+         (pair (array_repeat 3 (0 -- 5)) (array_repeat 3 (float_range 0.0 1e5)))))
+
+let arb_steps =
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat " "
+        (List.map (fun s -> Printf.sprintf "%s@+%d/q%d" (kind_name s.kind) s.dt s.q) steps))
+    QCheck.Gen.(list_size (1 -- 40) gen_step)
+
+(* The share of kind [s.kind] drawn from the last accepted [base] at
+   local time [now]. *)
+let draw (base : E2e.Exchange.triple) ~now s : E2e.Exchange.triple =
+  let valid_time = Stdlib.min now (base.unacked.time + us s.dt) in
+  (* a third of the negative and regressing shares are so in time, on
+     all three queues (on one, they would be skewed) *)
+  let in_time = s.dt mod 3 = 0 in
+  let time =
+    match s.kind with
+    | Negative when in_time -> -1 - s.dt
+    | Regressing when in_time -> base.unacked.time - 1
+    | Future -> now + 1 + us s.dt
+    | _ -> valid_time
+  in
+  let step i (b : E2e.Queue_state.share) : E2e.Queue_state.share =
+    let hit = i = s.q and in_total = s.dt mod 3 = 1 in
+    let total = b.total + s.d_total.(i) and integral = b.integral +. s.d_integral.(i) in
+    match s.kind with
+    | Skewed when hit -> { time = time + 1 + s.dt; total; integral }
+    | Negative when hit && in_total -> { time; total = -1 - s.d_total.(i); integral }
+    | Negative when hit && not in_time -> { time; total; integral = -1.0 -. s.d_integral.(i) }
+    | Non_finite when hit ->
+      let bad = [| Float.nan; Float.infinity; Float.neg_infinity |] in
+      { time; total; integral = bad.(s.dt mod 3) }
+    | Regressing when hit && in_total -> { time; total = b.total - 1; integral }
+    | Regressing when hit && not in_time -> { time; total; integral = b.integral -. 1.0 }
+    | Valid | Skewed | Negative | Non_finite | Future | Regressing -> { time; total; integral }
+  in
+  { unacked = step 0 base.unacked; unread = step 1 base.unread; ackdelay = step 2 base.ackdelay }
+
+let traced () =
+  let e = E2e.Estimator.create ~at:0 and tr = Sim.Trace.create ~capacity:256 () in
+  Sim.Trace.set_enabled tr true;
+  E2e.Estimator.set_trace e tr ~id:"p";
+  (e, tr)
+
+let last_record tr = List.nth_opt (List.rev (Sim.Trace.records tr)) 0
+
+let prop_triple_path_is_wire_path =
+  QCheck.Test.make ~name:"ingest_remote = ingest_wire of_triple; triple <-> wire exact"
+    ~count:500 arb_steps (fun steps ->
+      let e_tri, tr_tri = traced () and e_wire, tr_wire = traced () in
+      let zero = share 0 0 0.0 in
+      let base = ref (triple zero zero zero) and now = ref 0 and skews = ref 0 in
+      List.for_all
+        (fun s ->
+          now := !now + us (s.dt + 1);
+          List.iter
+            (fun e ->
+              E2e.Estimator.track_unacked e ~at:(!now - us s.dt) 1;
+              E2e.Estimator.track_unacked e ~at:!now (-1))
+            [ e_tri; e_wire ];
+          let tr = draw !base ~now:!now s in
+          let w = E2e.Exchange.of_triple tr in
+          let skewed =
+            tr.unacked.time <> tr.unread.time || tr.unread.time <> tr.ackdelay.time
+          in
+          let round_trip =
+            skewed
+            || compare (E2e.Exchange.to_triple w) tr = 0
+               && E2e.Exchange.has_share w
+               && not (E2e.Exchange.has_hint w)
+          in
+          let want = if skewed then "skew" else E2e.Estimator.verdict e_wire ~at:!now w in
+          E2e.Estimator.ingest_remote e_tri ~at:!now tr;
+          if not skewed then E2e.Estimator.ingest_wire e_wire ~at:!now w;
+          let traced_as =
+            match last_record tr_tri with
+            | Some { event = Share_rejected { reason }; _ } -> reason
+            | Some { event = Share_ingested _; _ } -> ""
+            | _ -> "(nothing)"
+          in
+          if want = "" then base := tr;
+          if skewed then incr skews;
+          round_trip && traced_as = want
+          && (skewed || last_record tr_tri = last_record tr_wire)
+          && E2e.Estimator.rejected_shares e_tri = E2e.Estimator.rejected_shares e_wire + !skews
+          && compare (E2e.Estimator.remote_window e_tri) (E2e.Estimator.remote_window e_wire) = 0
+          && compare
+               (E2e.Estimator.peek_estimate e_tri ~at:!now)
+               (E2e.Estimator.peek_estimate e_wire ~at:!now)
+             = 0)
+        steps)
+
 let suite =
   [
     ( "core.exchange",
@@ -252,6 +376,7 @@ let suite =
         Alcotest.test_case "scheduler: every segment" `Quick test_scheduler_every_segment;
         Alcotest.test_case "scheduler: periodic" `Quick test_scheduler_periodic;
         Alcotest.test_case "scheduler: on demand" `Quick test_scheduler_on_demand;
+        QCheck_alcotest.to_alcotest prop_triple_path_is_wire_path;
       ] );
     ( "core.latency",
       [

@@ -188,26 +188,97 @@ let sample_triple at : E2e.Exchange.triple =
   let share : E2e.Queue_state.share = { time = at; total = 10; integral = 1e6 } in
   { unacked = share; unread = share; ackdelay = share }
 
+(* A segment's metadata: the sample triple's share and a hint. *)
+let sample_wire at : E2e.Exchange.wire =
+  { (E2e.Exchange.of_triple (sample_triple at)) with
+    hint_time = float_of_int at; hint_total = 4.0; hint_integral = 5e5 }
+
 let test_injector_corruption () =
   let side = { Fault.Plan.empty_side with corrupt = 0.9 } in
   let inj = Fault.Injector.create ~side ~rng:(Sim.Rng.create ~seed:5) in
-  let original = sample_triple (us 1000) in
+  let original = sample_wire (us 1000) in
   let fired = ref 0 and garbled = ref 0 and undecodable = ref 0 in
   for _ = 1 to 300 do
-    match Fault.Injector.corrupt_triple inj original with
+    match Fault.Injector.corrupt_share inj original with
     | None -> ()
-    | Some None ->
+    | Some g ->
       incr fired;
-      incr undecodable
-    | Some (Some g) ->
-      incr fired;
-      incr garbled;
-      if g = original then Alcotest.fail "corruption returned the original"
+      if (g.hint_time, g.hint_total, g.hint_integral)
+         <> (original.hint_time, original.hint_total, original.hint_integral)
+      then Alcotest.fail "corruption touched the hint";
+      if E2e.Exchange.has_share g then begin
+        incr garbled;
+        if g = original then Alcotest.fail "corruption returned the original"
+      end
+      else incr undecodable
   done;
   Alcotest.(check int) "counter matches fires" !fired
     (Fault.Injector.corruptions inj);
   Alcotest.(check bool) "mostly fires at prob=0.9" true (!fired > 200);
-  Alcotest.(check bool) "some corruptions break the codec" true (!undecodable > 0)
+  Alcotest.(check bool) "some corruptions break the codec" true (!undecodable > 0);
+  Alcotest.(check bool) "some decode to garbage" true (!garbled > 0)
+
+(* Every share [a] sends is corrupted on its way to [b].  One whose
+   option no longer decodes is dropped (no [Share_ingested] or
+   [Share_rejected] at [b]), but the hint beside it still arrives: [b]'s
+   hint window advances exactly as on a clean link, and the link bills
+   the same wire bytes. *)
+let test_undecodable_share_keeps_hint () =
+  let run corrupt =
+    let engine = Sim.Engine.create () in
+    let host =
+      {
+        Tcp.Conn.default_host with
+        socket = { Tcp.Socket.default_config with nagle = false; exchange = Every_segment };
+      }
+    in
+    let conn = Tcp.Conn.create engine ~a:host ~b:host () in
+    let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
+    let side = { Fault.Plan.empty_side with corrupt } in
+    Tcp.Link.set_fault (Tcp.Conn.link_ab conn)
+      (Fault.Injector.create ~side ~rng:(Sim.Rng.create ~seed:11));
+    let tracker = E2e.Hints.tracker ~at:0 in
+    Tcp.Socket.set_hint_tracker a tracker;
+    let tr = Sim.Trace.create ~capacity:4096 () in
+    Sim.Trace.set_enabled tr true;
+    Tcp.Socket.set_trace b tr;
+    Tcp.Socket.on_readable b (fun () ->
+        ignore (Tcp.Socket.recv b (Tcp.Socket.recv_available b)));
+    let shares_at_b () =
+      List.length (Sim.Trace.find tr ~tag:"share")
+      + List.length (Sim.Trace.find tr ~tag:"share_reject")
+    in
+    let steps =
+      List.init 60 (fun i ->
+          let at = us (100 * (i + 1)) in
+          ignore
+            (Sim.Engine.schedule_at engine ~at (fun () ->
+                 E2e.Hints.create tracker ~at 1;
+                 Tcp.Socket.send a "req"));
+          let before = shares_at_b () in
+          Sim.Engine.run_until engine (at + us 90);
+          (shares_at_b () - before, Tcp.Socket.remote_hint_window b))
+    in
+    (steps, Tcp.Link.bytes (Tcp.Conn.link_ab conn), Tcp.Link.corrupted_shares (Tcp.Conn.link_ab conn))
+  in
+  let clean, clean_bytes, _ = run 0.0 in
+  let corrupted, bytes, n_corrupted = run 1.0 in
+  Alcotest.(check int) "every share corrupted" 60 n_corrupted;
+  Alcotest.(check int) "same wire bytes billed" clean_bytes bytes;
+  let last = function
+    | Some (_, (s : E2e.Queue_state.share)) -> s.time
+    | None -> -1
+  in
+  let dropped = ref 0 and prev = ref (-1) in
+  List.iter2
+    (fun (n_clean, w_clean) (n, w) ->
+      Alcotest.(check int) "one share per request on a clean link" 1 n_clean;
+      if n = 0 then incr dropped;
+      Alcotest.(check bool) "hint window as on a clean link" true (w = w_clean);
+      Alcotest.(check bool) "hint window advances" true (last w > !prev);
+      prev := last w)
+    clean corrupted;
+  Alcotest.(check bool) "some shares no longer decoded" true (!dropped > 0)
 
 (* {1 Link-level injection and trace events} *)
 
@@ -665,6 +736,8 @@ let suite =
         Alcotest.test_case "blackout window" `Quick test_injector_blackout_window;
         Alcotest.test_case "Gilbert-Elliott bursts" `Quick test_injector_bursts;
         Alcotest.test_case "exchange corruption" `Quick test_injector_corruption;
+        Alcotest.test_case "undecodable share keeps its hint" `Quick
+          test_undecodable_share_keeps_hint;
       ] );
     ( "fault.link",
       [

@@ -720,7 +720,7 @@ let test_segment_wire_bytes () =
   Alcotest.(check int) "headers + payload" (Tcp.Segment.header_bytes + 5)
     (Tcp.Segment.wire_bytes s);
   let with_opt =
-    Tcp.Segment.make ~payload:"hello" ~e2e:sample_triple ~seq:0 ~ack:0 ~window:100 ()
+    Tcp.Segment.make ~payload:"hello" ~e2e:(E2e.Exchange.of_triple sample_triple) ~seq:0 ~ack:0 ~window:100 ()
   in
   Alcotest.(check int) "option adds 40"
     (Tcp.Segment.header_bytes + 5 + 40)
