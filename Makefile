@@ -127,7 +127,11 @@ chaos-smoke:
 # Scenario smoke: a two-tenant heterogeneous fleet parsed from the
 # declarative grammar, run end to end with a tenant-tagged trace, then
 # re-inspected.  Asserts that both tenants appear in the per-tenant
-# table and in the trace's tenant breakdown.
+# table and in the trace's tenant breakdown.  Then inputs the line
+# readers must refuse (a non-finite fault-plan number, a repeated
+# scenario key, an unreadable --rates item): each prints one stderr
+# line naming the line or the item, nothing on stdout, and exits 1 for
+# a file error or 124 for a flag error.
 scenario-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -148,6 +152,19 @@ scenario-smoke:
 	@grep -q 'tenant bare:' _smoke/fleet-inspect.out || { echo "scenario-smoke: trace lost bare tag"; exit 1; }
 	@grep -q 'tenant vm:' _smoke/fleet-inspect.out || { echo "scenario-smoke: trace lost vm tag"; exit 1; }
 	@test -s _smoke/fleet.json || { echo "scenario-smoke: empty json"; exit 1; }
+	printf 'loss prob=nan\n' > _smoke/nan.fault
+	printf 'tenant name=a rate_rps=4000 conns=1 conns=5\n' > _smoke/dup-key.scn
+	@for case in \
+	  "1|fault plan line 1|run --rate 40 --warmup-ms 5 --duration-ms 10 --fault-plan _smoke/nan.fault" \
+	  "1|scenario line 1|scenario _smoke/dup-key.scn" \
+	  "124|abc|sweep --rates 10,abc --warmup-ms 5 --duration-ms 10"; do \
+	  want=$${case%%|*}; rest=$${case#*|}; needle=$${rest%%|*}; cmd=$${rest#*|}; \
+	  ./_build/default/bin/e2ebench.exe $$cmd > _smoke/refused.out 2> _smoke/refused.err; code=$$?; \
+	  if [ $$code -ne $$want ] || [ $$(wc -l < _smoke/refused.err) -ne 1 ] \
+	    || ! grep -qF "$$needle" _smoke/refused.err || [ -s _smoke/refused.out ]; then \
+	    echo "scenario-smoke: '$$cmd': exit $$code (want $$want), stdout:"; \
+	    cat _smoke/refused.out; echo "stderr:"; cat _smoke/refused.err; exit 1; fi; \
+	done
 	@echo "scenario-smoke: OK"
 
 # Binary trace smoke: the same run traced as .bin and as .jsonl must

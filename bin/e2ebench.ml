@@ -104,7 +104,7 @@ let usage fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
 let load_fault_plan = function
   | None -> Ok None
   | Some path -> (
-    match Fault.Plan.of_file path with
+    match Sim.Directive.file Fault.Plan.of_string path with
     | Ok plan when Fault.Plan.is_empty plan ->
       Error (Printf.sprintf "fault plan %s has no directives" path)
     | Ok plan -> Ok (Some plan)
@@ -126,9 +126,9 @@ let parse_exchange = function
   | "every" -> Ok E2e.Exchange.Every_segment
   | "demand" -> Ok E2e.Exchange.On_demand
   | us -> (
-    match int_of_string_opt us with
-    | Some us when us > 0 -> Ok (E2e.Exchange.Periodic (Sim.Time.us us))
-    | Some _ | None -> Error (Printf.sprintf "bad exchange spec %S" us))
+    match Sim.Directive.integer ~unit:(Sim.Time.us 1) us with
+    | Ok us when us > 0 -> Ok (E2e.Exchange.Periodic (Sim.Time.us us))
+    | Ok _ | Error _ -> Error (Printf.sprintf "bad exchange spec %S" us))
 
 let build_config ?(conns = 1) ?(tso = false) ?(loss = 0.0) ~rate ~seed ~duration
     ~warmup ~nagle ~policy ~epsilon ~unit_mode ~value_size ~set_ratio ~vm_mult
@@ -446,10 +446,10 @@ let rates_arg =
 let sweep_cmd =
   let action rates seed duration warmup unit_mode value_size set_ratio vm_mult domains
       fault_plan trace_out metrics_out sample_us =
-    let parsed = List.filter_map float_of_string_opt (String.split_on_char ',' rates) in
-    if parsed = [] then usage "no valid rates in %S" rates
-    else if domains < 1 then usage "--domains must be at least 1"
-    else begin
+    match Sim.Directive.list Sim.Directive.number rates with
+    | Error e -> usage "--rates: %s" e
+    | Ok _ when domains < 1 -> usage "--domains must be at least 1"
+    | Ok parsed -> begin
       match
         ( build_config ~rate:1.0 ~seed ~duration ~warmup ~nagle:"off" ~policy:"slo"
             ~epsilon:0.05 ~unit_mode ~value_size ~set_ratio ~vm_mult ~exchange:"100" (),
@@ -586,10 +586,8 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "ablate-inherit" ] ~doc)
   in
-  let parse_floats name s =
-    let parsed = List.filter_map float_of_string_opt (String.split_on_char ',' s) in
-    if parsed = [] then Error (Printf.sprintf "no valid values in --%s %S" name s)
-    else Ok parsed
+  let numbers ?unit name s =
+    Result.map_error (Printf.sprintf "--%s: %s" name) (Sim.Directive.(list (number ?unit)) s)
   in
   let verdict (v : Loadgen.Chaos.verdict) =
     if Loadgen.Chaos.ok v then "ok" else String.concat "; " v.failures
@@ -637,9 +635,9 @@ let chaos_cmd =
       flash_crowd churn_storm ablate_inherit domains trace_out metrics_out sample_us =
     let ( let* ) = Result.bind in
     let checked =
-      let* losses = parse_floats "losses" losses in
-      let* reorders = parse_floats "reorders" reorders in
-      let* blackouts_ms = parse_floats "blackouts-ms" blackouts in
+      let* losses = numbers "losses" losses in
+      let* reorders = numbers "reorders" reorders in
+      let* blackouts_ms = numbers ~unit:(Sim.Time.ms 1) "blackouts-ms" blackouts in
       let* base =
         build_config ~rate ~seed ~duration ~warmup ~nagle:"dynamic" ~policy:"slo"
           ~epsilon:0.05 ~unit_mode:"bytes" ~value_size:16384 ~set_ratio:1.0
@@ -716,7 +714,7 @@ let trace_cmd =
   let action rate seed duration out replay value_size set_ratio =
     match replay with
     | Some path -> (
-      match Loadgen.Trace.load_file path with
+      match Sim.Directive.file Loadgen.Trace.of_string path with
       | Error e -> fail "%s" e
       | Ok entries -> (
         match
@@ -1323,10 +1321,10 @@ let parse_gate spec =
     else
       match
         ( List.find_opt (fun (name, _, _) -> String.equal name pct) percentiles,
-          float_of_string_opt tol )
+          Sim.Directive.number tol )
       with
       | None, _ -> Error (Printf.sprintf "gate percentile must be p50/p95/p99, not %S" pct)
-      | Some p, Some t when t >= 0.0 -> Ok { gt_phase = phase; gt_pct = p; gt_tol_us = t }
+      | Some p, Ok t when t >= 0.0 -> Ok { gt_phase = phase; gt_pct = p; gt_tol_us = t }
       | Some _, _ ->
         Error (Printf.sprintf "gate tolerance must be a non-negative float, not %S" tol))
   | _ -> Error (Printf.sprintf "bad gate spec %S (want PHASE:P:TOL_US)" spec)
@@ -1682,7 +1680,9 @@ let scenario_cmd =
       usage "--trace-out/--metrics-out apply to plain runs, not --compare-static"
     | Ok observe ->
       let spec =
-        match Scenario.Spec.of_file file with Ok spec -> spec | Error msg -> fail "%s" msg
+        match Sim.Directive.file Scenario.Spec.of_string file with
+        | Ok spec -> spec
+        | Error msg -> fail "%s" msg
       in
       let json_out = open_out_opt json and metrics = open_out_opt metrics_out in
       if print then pf "%s" (Scenario.Spec.to_string spec);

@@ -4,8 +4,6 @@ let default_config = { freeze_after = 2; thaw_after = 2 }
 
 type state = Active | Frozen
 
-let state_to_string = function Active -> "active" | Frozen -> "frozen"
-
 type t = {
   cfg : config;
   mutable state : state;

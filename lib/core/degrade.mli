@@ -18,8 +18,6 @@ val default_config : config
 
 type state = Active | Frozen
 
-val state_to_string : state -> string
-
 type t
 
 val create : ?config:config -> unit -> t

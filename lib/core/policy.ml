@@ -32,8 +32,6 @@ let to_string = function
   | Throughput_under_slo { slo_ns } ->
     Printf.sprintf "slo:%.0f" (slo_ns /. 1e3)
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let of_string s =
   match s with
   | "latency" -> Ok Prefer_latency
@@ -41,7 +39,7 @@ let of_string s =
   | "slo" -> Ok (Throughput_under_slo { slo_ns = default_slo_ns })
   | s when String.length s > 4 && String.sub s 0 4 = "slo:" -> (
     let rest = String.sub s 4 (String.length s - 4) in
-    match float_of_string_opt rest with
-    | Some us when us > 0.0 -> Ok (Throughput_under_slo { slo_ns = us *. 1e3 })
-    | Some _ | None -> Error (Printf.sprintf "invalid SLO microseconds: %S" rest))
+    match Sim.Directive.number ~unit:(Sim.Time.us 1) rest with
+    | Ok us when us > 0.0 -> Ok (Throughput_under_slo { slo_ns = us *. 1e3 })
+    | Ok _ | Error _ -> Error (Printf.sprintf "invalid SLO microseconds: %S" rest))
   | s -> Error (Printf.sprintf "unknown policy %S (expected latency|throughput|slo[:us])" s)

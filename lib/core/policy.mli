@@ -20,8 +20,8 @@ val better : t -> outcome -> outcome -> bool
 val default_slo_ns : float
 (** 500 µs — the SLO the paper's evaluation uses. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Accepts ["latency"], ["throughput"], ["slo"] (default 500 µs) or
-    ["slo:<microseconds>"]. *)
+    ["slo:<microseconds>"], a positive time under {!Sim.Directive}'s
+    number rule. *)

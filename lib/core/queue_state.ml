@@ -73,11 +73,3 @@ let get_avgs ~prev ~cur =
     in
     Some { q_avg; throughput; latency_ns }
   end
-
-let pp_share ppf s =
-  Format.fprintf ppf "(time=%a total=%d integral=%.0f)" Sim.Time.pp s.time s.total
-    s.integral
-
-let pp ppf t =
-  Format.fprintf ppf "(time=%a size=%d total=%d integral=%.0f)" Sim.Time.pp
-    (int_of_float t.(0)) (size t) (total t) t.(3)

@@ -82,6 +82,3 @@ val integral_into : float array -> int -> at:Sim.Time.t -> float array -> int ->
 (** [integral_into a o ~at dst i] writes the integral {!snapshot_in}
     would share into [dst.(i)], with the same check.  It allocates
     nothing, where a float returned across modules is boxed. *)
-
-val pp_share : Format.formatter -> share -> unit
-val pp : Format.formatter -> t -> unit

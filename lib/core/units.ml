@@ -15,5 +15,4 @@ let of_string = function
   | "hinted" -> Ok Hinted
   | s -> Error (Printf.sprintf "unknown unit %S (expected bytes|packets|syscalls|hinted)" s)
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let equal a b = a = b

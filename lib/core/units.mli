@@ -17,5 +17,4 @@ type t =
 val all : t list
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -1,7 +1,5 @@
 type dir = C2s | S2c | Both
 
-let dir_to_string = function C2s -> "c2s" | S2c -> "s2c" | Both -> "both"
-
 let dir_of_string = function
   | "c2s" -> Ok C2s
   | "s2c" -> Ok S2c
@@ -64,53 +62,12 @@ let side t = function C2s -> t.c2s | S2c -> t.s2c | Both -> invalid_arg "Plan.si
 
    Time keys accept both [_us] and [_ms] suffixes. *)
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let tokens line =
-  String.split_on_char ' ' (strip_comment line)
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let kv tok =
-  match String.index_opt tok '=' with
-  | Some i ->
-    Ok (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-  | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
+module D = Sim.Directive
 
 let ( let* ) = Result.bind
 
-let assoc_all toks =
-  List.fold_left
-    (fun acc tok ->
-      let* acc = acc in
-      let* pair = kv tok in
-      Ok (pair :: acc))
-    (Ok []) toks
-  |> Result.map List.rev
-
-let known keys pairs =
-  match List.find_opt (fun (k, _) -> not (List.mem k keys)) pairs with
-  | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
-  | None -> Ok pairs
-
-let float_of pairs key ~default =
-  match List.assoc_opt key pairs with
-  | None -> Ok default
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s: not a number: %S" key v))
-
-let require pairs key =
-  match List.assoc_opt key pairs with
-  | Some _ -> float_of pairs key ~default:nan
-  | None -> Error (Printf.sprintf "missing required key %S" key)
-
 let prob_of pairs key ~default =
-  let* p = float_of pairs key ~default in
+  let* p = D.get pairs key D.number ~default in
   if p < 0.0 || p >= 1.0 then
     Error (Printf.sprintf "%s=%g out of range [0,1)" key p)
   else Ok p
@@ -118,19 +75,21 @@ let prob_of pairs key ~default =
 (* Gilbert–Elliott parameters admit 1.0: [bad=1] (drop everything while
    Bad) and [p_bg=1] (leave Bad immediately) are both meaningful. *)
 let prob_incl_of pairs key ~default =
-  let* p = float_of pairs key ~default in
+  let* p = D.get pairs key D.number ~default in
   if p < 0.0 || p > 1.0 then
     Error (Printf.sprintf "%s=%g out of range [0,1]" key p)
   else Ok p
 
+let us = Sim.Time.us 1
+
 (* A time-valued key: [key_us] or [key_ms], whichever is present. *)
 let time_us_of pairs key =
-  match (List.assoc_opt (key ^ "_us") pairs, List.assoc_opt (key ^ "_ms") pairs) with
-  | None, None -> Error (Printf.sprintf "missing %s_us or %s_ms" key key)
-  | Some _, Some _ -> Error (Printf.sprintf "both %s_us and %s_ms given" key key)
-  | Some _, None -> require pairs (key ^ "_us")
-  | None, Some _ ->
-    let* ms = require pairs (key ^ "_ms") in
+  match (List.mem_assoc (key ^ "_us") pairs, List.mem_assoc (key ^ "_ms") pairs) with
+  | false, false -> Error (Printf.sprintf "missing %s_us or %s_ms" key key)
+  | true, true -> Error (Printf.sprintf "both %s_us and %s_ms given" key key)
+  | true, false -> D.need pairs (key ^ "_us") (D.number ~unit:us)
+  | false, true ->
+    let* ms = D.need pairs (key ^ "_ms") (D.number ~unit:(Sim.Time.ms 1)) in
     Ok (ms *. 1e3)
 
 let dir_of pairs =
@@ -144,16 +103,13 @@ let update plan dir f =
   | S2c -> { plan with s2c = f plan.s2c }
   | Both -> { plan with c2s = f plan.c2s; s2c = f plan.s2c }
 
-let parse_directive plan toks =
-  match toks with
+let parse_directive plan = function
   | [] -> Ok plan
-  | verb :: rest -> (
-    let* pairs = assoc_all rest in
+  | verb :: fields -> (
+    let pairs keys = D.pairs ~keys fields in
     match verb with
     | "loss" ->
-      let* pairs =
-        known [ "dir"; "prob"; "p_gb"; "p_bg"; "good"; "bad" ] pairs
-      in
+      let* pairs = pairs [ "dir"; "prob"; "p_gb"; "p_bg"; "good"; "bad" ] in
       let* dir = dir_of pairs in
       let* ge =
         if List.mem_assoc "prob" pairs then
@@ -168,13 +124,14 @@ let parse_directive plan toks =
       in
       Ok (update plan dir (fun s -> { s with loss = Some ge }))
     | "reorder" ->
-      let* pairs = known [ "dir"; "prob"; "disp"; "quantum_us" ] pairs in
+      let* pairs = pairs [ "dir"; "prob"; "disp"; "quantum_us" ] in
       let* dir = dir_of pairs in
       let* reorder_prob = prob_of pairs "prob" ~default:0.0 in
-      let* disp = float_of pairs "disp" ~default:3.0 in
-      let* quantum_us = float_of pairs "quantum_us" ~default:20.0 in
-      if disp < 1.0 || quantum_us <= 0.0 then
-        Error "reorder: disp must be >= 1 and quantum_us > 0"
+      let* disp = D.get pairs "disp" D.number ~default:3.0 in
+      let* quantum_us = D.get pairs "quantum_us" (D.number ~unit:us) ~default:20.0 in
+      if disp < 1.0 || disp >= 0x1p62 then
+        Error (Printf.sprintf "reorder: disp=%g out of range [1, 2^62)" disp)
+      else if quantum_us <= 0.0 then Error "reorder: quantum_us must be > 0"
       else
         Ok
           (update plan dir (fun s ->
@@ -189,19 +146,17 @@ let parse_directive plan toks =
                      };
                }))
     | "dup" ->
-      let* pairs = known [ "dir"; "prob" ] pairs in
+      let* pairs = pairs [ "dir"; "prob" ] in
       let* dir = dir_of pairs in
       let* prob = prob_of pairs "prob" ~default:0.0 in
       Ok (update plan dir (fun s -> { s with duplicate = prob }))
     | "corrupt" ->
-      let* pairs = known [ "dir"; "prob" ] pairs in
+      let* pairs = pairs [ "dir"; "prob" ] in
       let* dir = dir_of pairs in
       let* prob = prob_of pairs "prob" ~default:0.0 in
       Ok (update plan dir (fun s -> { s with corrupt = prob }))
     | "blackout" ->
-      let* pairs =
-        known [ "dir"; "from_us"; "from_ms"; "until_us"; "until_ms" ] pairs
-      in
+      let* pairs = pairs [ "dir"; "from_us"; "from_ms"; "until_us"; "until_ms" ] in
       let* dir = dir_of pairs in
       let* from_us = time_us_of pairs "from" in
       let* until_us = time_us_of pairs "until" in
@@ -211,9 +166,9 @@ let parse_directive plan toks =
           (update plan dir (fun s ->
                { s with blackouts = s.blackouts @ [ { from_us; until_us } ] }))
     | "rate" ->
-      let* pairs = known [ "at_us"; "at_ms"; "gbps" ] pairs in
+      let* pairs = pairs [ "at_us"; "at_ms"; "gbps" ] in
       let* at_us = time_us_of pairs "at" in
-      let* gbps = require pairs "gbps" in
+      let* gbps = D.need pairs "gbps" D.number in
       if gbps <= 0.0 then Error "rate: gbps must be positive"
       else
         Ok
@@ -223,33 +178,22 @@ let parse_directive plan toks =
               plan.steps @ [ { at_us; gbit_per_s = Some gbps; delay_us = None } ];
           }
     | "delay" ->
-      let* pairs = known [ "at_us"; "at_ms"; "us" ] pairs in
+      let* pairs = pairs [ "at_us"; "at_ms"; "us" ] in
       let* at_us = time_us_of pairs "at" in
-      let* us = require pairs "us" in
-      if us < 0.0 then Error "delay: us must be non-negative"
+      let* delay = D.need pairs "us" (D.number ~unit:us) in
+      if delay < 0.0 then Error "delay: us must be non-negative"
       else
         Ok
           {
             plan with
-            steps = plan.steps @ [ { at_us; gbit_per_s = None; delay_us = Some us } ];
+            steps = plan.steps @ [ { at_us; gbit_per_s = None; delay_us = Some delay } ];
           }
-    | verb -> Error (Printf.sprintf "unknown directive %S" verb))
+    | verb ->
+      Error
+        (Printf.sprintf
+           "unknown directive %S (want loss|reorder|dup|corrupt|blackout|rate|delay)" verb))
 
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go plan n = function
-    | [] -> Ok plan
-    | line :: rest -> (
-      match parse_directive plan (tokens line) with
-      | Ok plan -> go plan (n + 1) rest
-      | Error msg -> Error (Printf.sprintf "fault plan line %d: %s" n msg))
-  in
-  go empty 1 lines
-
-let of_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_string text
-  | exception Sys_error msg -> Error msg
+let of_string text = D.fold D.Directives ~what:"fault plan" parse_directive empty text
 
 let pp_side ppf (name, s) =
   Option.iter

@@ -21,12 +21,12 @@
     delay at_ms=200 us=100
     v}
 
-    [dir] defaults to [both]; time keys accept [_us] or [_ms]. *)
+    [dir] defaults to [both]; time keys accept [_us] or [_ms].  Lines,
+    [key=value] pairs and numbers are read by {!Sim.Directive}: an
+    unknown or repeated key is an error, every number must be finite,
+    and times must fit the simulated clock. *)
 
 type dir = C2s | S2c | Both
-
-val dir_to_string : dir -> string
-val dir_of_string : string -> (dir, string) result
 
 type gilbert = {
   p_gb : float;  (** P(Good → Bad) per packet *)
@@ -75,9 +75,8 @@ val side : t -> dir -> side
 (** [C2s] or [S2c] only.  @raise Invalid_argument on [Both]. *)
 
 val of_string : string -> (t, string) result
-(** Parse the directive grammar; errors carry the 1-based line. *)
-
-val of_file : string -> (t, string) result
+(** Parse the directive grammar; errors carry the 1-based line.  Read
+    a file with [Sim.Directive.file of_string]. *)
 
 val to_string : t -> string
 (** Render back to the directive grammar (parses to an equal plan). *)

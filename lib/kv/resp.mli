@@ -33,6 +33,10 @@ val encode_slices : value -> Tcp.Slice.t list
 val encoded_length : value -> int
 (** [String.length (encode v)] without building the string. *)
 
+val max_bulk_length : int
+(** 512 MiB, Redis's default [proto-max-bulk-len]: the parser rejects
+    a longer bulk string. *)
+
 (** {2 Arrays of bulk strings}
 
     The pieces {!encode} writes a request with, for an encoder that

@@ -24,27 +24,37 @@ let value_of_size n =
     Hashtbl.add cache n v;
     v
 
-let parse_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then Ok None
-  else begin
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ us; "SET"; key; size ] -> (
-      match (int_of_string_opt us, int_of_string_opt size) with
-      | Some us, Some size when us >= 0 && size > 0 ->
-        Ok
-          (Some
-             {
-               at = Sim.Time.us us;
-               cmd = Kv.Command.Set { key; value = value_of_size size; ttl = None };
-             })
-      | _ -> Error "bad SET line (expected: <us> SET <key> <bytes>)")
-    | [ us; "GET"; key ] -> (
-      match int_of_string_opt us with
-      | Some us when us >= 0 -> Ok (Some { at = Sim.Time.us us; cmd = Kv.Command.Get key })
-      | _ -> Error "bad GET line (expected: <us> GET <key>)")
-    | _ -> Error "unrecognized trace line"
-  end
+module D = Sim.Directive
+
+let ( let* ) = Result.bind
+
+let us = Sim.Time.us 1
+
+let timestamp s =
+  let* t = Result.map_error (fun msg -> "timestamp: " ^ msg) (D.integer ~unit:us s) in
+  if t < 0 then Error (Printf.sprintf "timestamp %d must be >= 0" t) else Ok (Sim.Time.us t)
+
+(* A SET's value must fit one RESP bulk string. *)
+let value_size s =
+  let* n = Result.map_error (fun msg -> "value size: " ^ msg) (D.integer s) in
+  if n < 1 || n > Kv.Resp.max_bulk_length then
+    Error (Printf.sprintf "value size %d out of range [1, %d]" n Kv.Resp.max_bulk_length)
+  else Ok n
+
+let entry (acc, last_at) fields =
+  let* e =
+    match fields with
+    | [ at; "SET"; key; size ] ->
+      let* at = timestamp at in
+      let* size = value_size size in
+      Ok { at; cmd = Kv.Command.Set { key; value = value_of_size size; ttl = None } }
+    | [ at; "GET"; key ] ->
+      let* at = timestamp at in
+      Ok { at; cmd = Kv.Command.Get key }
+    | _ -> Error "unrecognized trace line (expected: <us> SET <key> <bytes> | <us> GET <key>)"
+  in
+  if Sim.Time.compare e.at last_at < 0 then Error "timestamps must be non-decreasing"
+  else Ok (e :: acc, e.at)
 
 let to_string entries =
   let buf = Buffer.create 4096 in
@@ -60,19 +70,7 @@ let to_string entries =
   Buffer.contents buf
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go acc last_at lineno = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line line with
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-      | Ok None -> go acc last_at (lineno + 1) rest
-      | Ok (Some e) ->
-        if Sim.Time.compare e.at last_at < 0 then
-          Error (Printf.sprintf "line %d: timestamps must be non-decreasing" lineno)
-        else go (e :: acc) e.at (lineno + 1) rest)
-  in
-  go [] Sim.Time.zero 1 lines
+  Result.map (fun (acc, _) -> List.rev acc) (D.fold D.Records entry ([], Sim.Time.zero) s)
 
 let save_file path entries =
   try
@@ -82,14 +80,6 @@ let save_file path entries =
       (fun () -> output_string oc (to_string entries));
     Ok ()
   with Sys_error msg | Invalid_argument msg -> Error msg
-
-let load_file path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string (In_channel.input_all ic))
-  with Sys_error msg -> Error msg
 
 let synthesize ~workload ~rate_rps ~duration ~rng =
   if rate_rps <= 0.0 then invalid_arg "Trace.synthesize: rate must be positive";
@@ -112,27 +102,15 @@ let count = List.length
    One non-negative gap in microseconds per line ([#] comments and
    blanks allowed); feeds [Arrival.replay]. *)
 
+let gap acc = function
+  | [ g ] ->
+    let* g_us = Result.map_error (fun msg -> "gap: " ^ msg) (D.number ~unit:us g) in
+    if g_us < 0.0 then Error (Printf.sprintf "gap %g must be non-negative" g_us)
+    else Ok (int_of_float (g_us *. 1e3) :: acc)
+  | _ -> Error "bad gap line (expected one number, microseconds)"
+
 let gaps_of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go acc lineno = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc (lineno + 1) rest
-      else begin
-        match float_of_string_opt line with
-        | Some us when Float.is_finite us && us >= 0.0 ->
-          go (int_of_float (us *. 1e3) :: acc) (lineno + 1) rest
-        | Some _ ->
-          Error
-            (Printf.sprintf "line %d: gap must be a finite non-negative number" lineno)
-        | None ->
-          Error
-            (Printf.sprintf "line %d: bad gap line (expected one number, microseconds)"
-               lineno)
-      end
-  in
-  go [] 1 lines
+  Result.map (fun acc -> Array.of_list (List.rev acc)) (D.fold D.Records gap [] s)
 
 let gaps_to_string gaps =
   let buf = Buffer.create 1024 in
@@ -141,14 +119,3 @@ let gaps_to_string gaps =
     (fun g -> Buffer.add_string buf (Printf.sprintf "%.3f\n" (float_of_int g /. 1e3)))
     gaps;
   Buffer.contents buf
-
-let load_gaps path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match gaps_of_string (In_channel.input_all ic) with
-        | Ok gaps -> Ok gaps
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  with Sys_error msg -> Error msg

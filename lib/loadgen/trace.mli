@@ -6,10 +6,15 @@
     is the substitution path for the production traces a general-
     purpose deployment would use.
 
-    Line format (one request per line, [#] comments allowed):
+    Line format (one request per line; a line starting with [#] is a
+    comment, and a [#] elsewhere is part of the line, since a key may
+    hold one):
     {v <microseconds> SET <key> <value_bytes>
        <microseconds> GET <key> v}
-    Timestamps must be non-decreasing. *)
+    Timestamps must be non-decreasing and fit the simulated clock; a
+    value size lies in [[1, Kv.Resp.max_bulk_length]].  Both formats
+    are read by {!Sim.Directive} ([Records] syntax); read a file with
+    [Sim.Directive.file of_string] or [Sim.Directive.file gaps_of_string]. *)
 
 type entry = { at : Sim.Time.t; cmd : Kv.Command.t }
 
@@ -18,7 +23,6 @@ val of_string : string -> (entry list, string) result
 (** Checks timestamp monotonicity; errors carry the line number. *)
 
 val save_file : string -> entry list -> (unit, string) result
-val load_file : string -> (entry list, string) result
 
 val synthesize :
   workload:Workload.t ->
@@ -37,14 +41,10 @@ val count : entry list -> int
 
     A second, simpler format feeding {!Arrival.replay}: one recorded
     inter-arrival gap per line, in microseconds (fractions allowed),
-    [#] comments and blank lines skipped.  Gaps are returned in
+    [#] comment lines and blank lines skipped.  Gaps are returned in
     nanoseconds. *)
 
 val gaps_of_string : string -> (int array, string) result
 (** Errors carry the 1-based line number. *)
 
 val gaps_to_string : int array -> string
-
-val load_gaps : string -> (int array, string) result
-(** Like {!gaps_of_string}; errors are prefixed with the path. *)
-

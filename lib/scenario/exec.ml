@@ -37,7 +37,7 @@ let to_envelope : Spec.envelope -> Loadgen.Arrival.envelope = function
    message. *)
 let to_replay_gaps : Spec.envelope -> int array option = function
   | Spec.Replay path -> (
-    match Loadgen.Trace.load_gaps path with
+    match Sim.Directive.file Loadgen.Trace.gaps_of_string path with
     | Ok gaps -> Some gaps
     | Error msg -> failwith ("scenario: " ^ msg))
   | _ -> None

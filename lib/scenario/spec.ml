@@ -104,65 +104,20 @@ let default =
 
 (* {2 Parsing} *)
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let tokens line =
-  String.split_on_char ' ' (strip_comment line)
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let kv tok =
-  match String.index_opt tok '=' with
-  | Some i ->
-    Ok (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
-  | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
+module D = Sim.Directive
 
 let ( let* ) = Result.bind
 
-let assoc_all toks =
-  List.fold_left
-    (fun acc tok ->
-      let* acc = acc in
-      let* pair = kv tok in
-      Ok (pair :: acc))
-    (Ok []) toks
-  |> Result.map List.rev
-
-let known keys pairs =
-  match List.find_opt (fun (k, _) -> not (List.mem k keys)) pairs with
-  | Some (k, _) ->
-    Error
-      (Printf.sprintf "unknown key %S (accepted: %s)" k (String.concat ", " keys))
-  | None -> Ok pairs
-
-let float_of pairs key ~default =
-  match List.assoc_opt key pairs with
-  | None -> Ok default
-  | Some v -> (
-    match float_of_string_opt v with
-    | Some f when Float.is_finite f -> Ok f
-    | Some _ | None -> Error (Printf.sprintf "%s: not a finite number: %S" key v))
-
-let int_of pairs key ~default =
-  match List.assoc_opt key pairs with
-  | None -> Ok default
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s: not an integer: %S" key v))
+let ms = Sim.Time.ms 1
+let us = Sim.Time.us 1
 
 let positive key v =
   if v > 0.0 then Ok v else Error (Printf.sprintf "%s=%g must be positive" key v)
 
 (* The batching mode plus its (optional) dynamic-only epsilon key. *)
 let batching_of pairs ~default =
-  let* name =
-    match List.assoc_opt "batching" pairs with
-    | None -> Ok (batching_to_string default)
-    | Some v -> Ok v
+  let name =
+    Option.value (List.assoc_opt "batching" pairs) ~default:(batching_to_string default)
   in
   let eps_given = List.mem_assoc "epsilon" pairs in
   match name with
@@ -173,19 +128,20 @@ let batching_of pairs ~default =
   | "aimd" -> Ok Aimd
   | "dynamic" ->
     let inherited = match default with Dynamic e -> e | _ -> default_epsilon in
-    let* eps = float_of pairs "epsilon" ~default:inherited in
+    let* eps = D.get pairs "epsilon" D.number ~default:inherited in
     if eps < 0.0 || eps >= 1.0 then
       Error (Printf.sprintf "epsilon=%g out of range [0,1)" eps)
     else Ok (Dynamic eps)
   | s -> Error (Printf.sprintf "unknown batching %S (want on|off|dynamic|aimd)" s)
 
+let fleet_keys = [ "seed"; "warmup_ms"; "duration_ms"; "scope"; "batching"; "epsilon" ]
+
 let parse_fleet spec pairs =
-  let* pairs =
-    known [ "seed"; "warmup_ms"; "duration_ms"; "scope"; "batching"; "epsilon" ] pairs
+  let* seed = D.get pairs "seed" D.integer ~default:spec.seed in
+  let* warmup_ms = D.get pairs "warmup_ms" (D.number ~unit:ms) ~default:spec.warmup_ms in
+  let* duration_ms =
+    D.get pairs "duration_ms" (D.number ~unit:ms) ~default:spec.duration_ms
   in
-  let* seed = int_of pairs "seed" ~default:spec.seed in
-  let* warmup_ms = float_of pairs "warmup_ms" ~default:spec.warmup_ms in
-  let* duration_ms = float_of pairs "duration_ms" ~default:spec.duration_ms in
   let* duration_ms = positive "duration_ms" duration_ms in
   let* scope =
     match List.assoc_opt "scope" pairs with
@@ -199,8 +155,7 @@ let parse_fleet spec pairs =
 (* The server tier: how many shards (simulated cores) and which
    front-LB policy steers connections onto them. *)
 let parse_server spec pairs =
-  let* pairs = known [ "cores"; "lb" ] pairs in
-  let* cores = int_of pairs "cores" ~default:spec.cores in
+  let* cores = D.get pairs "cores" D.integer ~default:spec.cores in
   let* lb =
     match List.assoc_opt "lb" pairs with
     | None -> Ok spec.lb
@@ -225,22 +180,15 @@ let valid_name name =
          || c = '_' || c = '-')
        name
 
-(* Comma-separated [a:b] pair lists, e.g. [env_steps=100:4,200:1] or
-   [churn_script=150:+4,250:-4]. *)
-let pair_list key v parse_item =
-  let items = String.split_on_char ',' v in
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      match String.index_opt item ':' with
-      | None -> Error (Printf.sprintf "%s: expected at:value pairs, got %S" key item)
-      | Some i ->
-        let a = String.sub item 0 i in
-        let b = String.sub item (i + 1) (String.length item - i - 1) in
-        let* pair = parse_item a b in
-        Ok (pair :: acc))
-    (Ok []) items
-  |> Result.map List.rev
+(* One [at_ms:value] item of a comma-separated list, e.g.
+   [env_steps=100:4,200:1] or [churn_script=150:+4,250:-4]. *)
+let at_ms_pair read item =
+  match String.index_opt item ':' with
+  | None -> Error (Printf.sprintf "expected at:value pairs, got %S" item)
+  | Some i ->
+    let* at = D.number ~unit:ms (String.sub item 0 i) in
+    let* v = read (String.sub item (i + 1) (String.length item - i - 1)) in
+    if at < 0.0 then Error (Printf.sprintf "time %g must be >= 0" at) else Ok (at, v)
 
 let env_keys =
   [ "env_period_ms"; "env_duty"; "env_high"; "env_from"; "env_to"; "env_steps"; "env_trace" ]
@@ -253,10 +201,9 @@ let envelope_of pairs =
     | Some k -> Error (Printf.sprintf "%s does not apply to this envelope" k)
     | None -> Ok ()
   in
-  let req_float key =
-    match List.assoc_opt key pairs with
-    | None -> Error (Printf.sprintf "missing required key %S for this envelope" key)
-    | Some _ -> float_of pairs key ~default:nan
+  let positive_of ?unit key =
+    let* v = D.need pairs key (D.number ?unit) in
+    positive key v
   in
   match List.assoc_opt "envelope" pairs with
   | None -> (
@@ -268,54 +215,39 @@ let envelope_of pairs =
     Ok Flat
   | Some "square" ->
     let* () = reject_stray [ "env_period_ms"; "env_duty"; "env_high" ] in
-    let* period_ms = req_float "env_period_ms" in
-    let* period_ms = positive "env_period_ms" period_ms in
-    let* duty = float_of pairs "env_duty" ~default:0.5 in
-    let* high = req_float "env_high" in
-    let* high = positive "env_high" high in
+    let* period_ms = positive_of ~unit:ms "env_period_ms" in
+    let* duty = D.get pairs "env_duty" D.number ~default:0.5 in
+    let* high = positive_of "env_high" in
     if duty <= 0.0 || duty >= 1.0 then
       Error (Printf.sprintf "env_duty=%g out of range (0,1)" duty)
     else Ok (Square { period_ms; duty; high })
   | Some "ramp" ->
     let* () = reject_stray [ "env_period_ms"; "env_from"; "env_to" ] in
-    let* period_ms = req_float "env_period_ms" in
-    let* period_ms = positive "env_period_ms" period_ms in
-    let* from_f = req_float "env_from" in
-    let* from_f = positive "env_from" from_f in
-    let* to_f = req_float "env_to" in
-    let* to_f = positive "env_to" to_f in
+    let* period_ms = positive_of ~unit:ms "env_period_ms" in
+    let* from_f = positive_of "env_from" in
+    let* to_f = positive_of "env_to" in
     Ok (Ramp { period_ms; from_f; to_f })
   | Some "steps" ->
     let* () = reject_stray [ "env_steps" ] in
-    let* steps =
-      match List.assoc_opt "env_steps" pairs with
-      | None -> Error "missing required key \"env_steps\" for this envelope"
-      | Some v ->
-        pair_list "env_steps" v (fun a b ->
-            match (float_of_string_opt a, float_of_string_opt b) with
-            | Some at, Some f when Float.is_finite at && Float.is_finite f ->
-              if at < 0.0 then Error (Printf.sprintf "env_steps: time %g must be >= 0" at)
-              else if f <= 0.0 then
-                Error (Printf.sprintf "env_steps: factor %g must be positive" f)
-              else Ok (at, f)
-            | _ -> Error (Printf.sprintf "env_steps: bad pair %S:%S" a b))
+    let factor b =
+      let* f = D.number b in
+      if f <= 0.0 then Error (Printf.sprintf "factor %g must be positive" f) else Ok f
     in
-    if steps = [] then Error "env_steps: at least one at:factor pair required"
-    else
-      let rec sorted = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-          if a >= b then
-            Error (Printf.sprintf "env_steps: times must be strictly increasing (%g >= %g)" a b)
-          else sorted rest
-        | _ -> Ok (Steps steps)
-      in
-      sorted steps
+    let* steps = D.need pairs "env_steps" (D.list (at_ms_pair factor)) in
+    let rec sorted = function
+      | (a, _) :: ((b, _) :: _ as rest) ->
+        if a >= b then
+          Error (Printf.sprintf "env_steps: times must be strictly increasing (%g >= %g)" a b)
+        else sorted rest
+      | _ -> Ok (Steps steps)
+    in
+    sorted steps
   | Some "replay" ->
     let* () = reject_stray [ "env_trace" ] in
     (match List.assoc_opt "env_trace" pairs with
     | Some path when path <> "" -> Ok (Replay path)
     | Some _ -> Error "env_trace: path must be non-empty"
-    | None -> Error "missing required key \"env_trace\" for this envelope")
+    | None -> Error "missing required key \"env_trace\"")
   | Some s ->
     Error (Printf.sprintf "unknown envelope %S (want flat|square|ramp|steps|replay)" s)
 
@@ -325,23 +257,15 @@ let churn_keys =
 let churn_of pairs ~conns =
   if not (List.exists (fun k -> List.mem_assoc k pairs) churn_keys) then Ok None
   else
-    let* c_arrive_rps = float_of pairs "churn_arrive_rps" ~default:0.0 in
-    let* c_depart_rps = float_of pairs "churn_depart_rps" ~default:0.0 in
-    let* c_min = int_of pairs "churn_min" ~default:1 in
-    let* c_max = int_of pairs "churn_max" ~default:64 in
-    let* c_script =
-      match List.assoc_opt "churn_script" pairs with
-      | None -> Ok []
-      | Some v ->
-        pair_list "churn_script" v (fun a b ->
-            match (float_of_string_opt a, int_of_string_opt b) with
-            | Some at, Some d when Float.is_finite at ->
-              if at < 0.0 then
-                Error (Printf.sprintf "churn_script: time %g must be >= 0" at)
-              else if d = 0 then Error "churn_script: delta must be non-zero"
-              else Ok (at, d)
-            | _ -> Error (Printf.sprintf "churn_script: bad pair %S:%S" a b))
+    let* c_arrive_rps = D.get pairs "churn_arrive_rps" D.number ~default:0.0 in
+    let* c_depart_rps = D.get pairs "churn_depart_rps" D.number ~default:0.0 in
+    let* c_min = D.get pairs "churn_min" D.integer ~default:1 in
+    let* c_max = D.get pairs "churn_max" D.integer ~default:64 in
+    let delta b =
+      let* d = D.integer b in
+      if d = 0 then Error "delta must be non-zero" else Ok d
     in
+    let* c_script = D.get pairs "churn_script" (D.list (at_ms_pair delta)) ~default:[] in
     if c_arrive_rps < 0.0 then
       Error (Printf.sprintf "churn_arrive_rps=%g must be >= 0" c_arrive_rps)
     else if c_depart_rps < 0.0 then
@@ -355,16 +279,14 @@ let churn_of pairs ~conns =
            c_min c_max)
     else Ok (Some { c_arrive_rps; c_depart_rps; c_min; c_max; c_script })
 
+let tenant_keys =
+  [
+    "name"; "conns"; "rate_rps"; "burst"; "mix"; "cpu_mult"; "link_us"; "slo_us";
+    "batching"; "epsilon"; "envelope";
+  ]
+  @ env_keys @ churn_keys
+
 let parse_tenant spec pairs =
-  let* pairs =
-    known
-      ([
-         "name"; "conns"; "rate_rps"; "burst"; "mix"; "cpu_mult"; "link_us";
-         "slo_us"; "batching"; "epsilon"; "envelope";
-       ]
-      @ env_keys @ churn_keys)
-      pairs
-  in
   let* name =
     match List.assoc_opt "name" pairs with
     | Some n when valid_name n -> Ok n
@@ -374,24 +296,20 @@ let parse_tenant spec pairs =
   if List.exists (fun t -> t.name = name) spec.tenants then
     Error (Printf.sprintf "duplicate tenant name %S" name)
   else
-    let* rate_rps =
-      match List.assoc_opt "rate_rps" pairs with
-      | None -> Error "missing required key \"rate_rps\""
-      | Some _ -> float_of pairs "rate_rps" ~default:nan
-    in
+    let* rate_rps = D.need pairs "rate_rps" D.number in
     let* rate_rps = positive "rate_rps" rate_rps in
     let d = default_tenant ~name ~rate_rps in
-    let* conns = int_of pairs "conns" ~default:d.conns in
-    let* burst = int_of pairs "burst" ~default:d.burst in
+    let* conns = D.get pairs "conns" D.integer ~default:d.conns in
+    let* burst = D.get pairs "burst" D.integer ~default:d.burst in
     let* mix =
       match List.assoc_opt "mix" pairs with
       | None -> Ok d.mix
       | Some v -> mix_of_string v
     in
-    let* cpu_mult = float_of pairs "cpu_mult" ~default:d.cpu_mult in
+    let* cpu_mult = D.get pairs "cpu_mult" D.number ~default:d.cpu_mult in
     let* cpu_mult = positive "cpu_mult" cpu_mult in
-    let* link_us = float_of pairs "link_us" ~default:d.link_us in
-    let* slo_us = float_of pairs "slo_us" ~default:d.slo_us in
+    let* link_us = D.get pairs "link_us" (D.number ~unit:us) ~default:d.link_us in
+    let* slo_us = D.get pairs "slo_us" (D.number ~unit:us) ~default:d.slo_us in
     let* slo_us = positive "slo_us" slo_us in
     let* batching = batching_of pairs ~default:d.batching in
     let* envelope = envelope_of pairs in
@@ -408,35 +326,23 @@ let parse_tenant spec pairs =
       in
       Ok { spec with tenants = spec.tenants @ [ tenant ] }
 
-let parse_directive spec toks =
-  match toks with
+let parse_directive spec = function
   | [] -> Ok spec
-  | verb :: rest -> (
-    let* pairs = assoc_all rest in
+  | verb :: fields -> (
+    let directive keys parse =
+      let* pairs = D.pairs ~keys fields in
+      parse spec pairs
+    in
     match verb with
-    | "fleet" -> parse_fleet spec pairs
-    | "server" -> parse_server spec pairs
-    | "tenant" -> parse_tenant spec pairs
+    | "fleet" -> directive fleet_keys parse_fleet
+    | "server" -> directive [ "cores"; "lb" ] parse_server
+    | "tenant" -> directive tenant_keys parse_tenant
     | verb ->
       Error (Printf.sprintf "unknown directive %S (want fleet|server|tenant)" verb))
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go spec n = function
-    | [] ->
-      if spec.tenants = [] then Error "scenario: at least one tenant line required"
-      else Ok spec
-    | line :: rest -> (
-      match parse_directive spec (tokens line) with
-      | Ok spec -> go spec (n + 1) rest
-      | Error msg -> Error (Printf.sprintf "scenario line %d: %s" n msg))
-  in
-  go default 1 lines
-
-let of_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_string text
-  | exception Sys_error msg -> Error msg
+  let* spec = D.fold D.Directives ~what:"scenario" parse_directive default text in
+  if spec.tenants = [] then Error "scenario: at least one tenant line required" else Ok spec
 
 (* {2 Printing} *)
 

@@ -32,6 +32,9 @@
     must lie within), and [churn_script=at_ms:+n,at_ms:-n,…] scripted
     epochs.
 
+    Lines, [key=value] pairs and numbers are read by {!Sim.Directive}:
+    an unknown or repeated key is an error, every number must be
+    finite, and [_ms]/[_us] times must fit the simulated clock.
     Parsing is total: errors come back as [Error "scenario line N: …"]
     with the 1-based line number.  {!to_string} prints a canonical form
     and round-trips: [of_string (to_string s) = Ok s]. *)
@@ -114,7 +117,7 @@ val default : t
     not parse back until one is added. *)
 
 val of_string : string -> (t, string) result
-val of_file : string -> (t, string) result
+(** Read a file with [Sim.Directive.file of_string]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

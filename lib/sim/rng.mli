@@ -20,8 +20,6 @@ val float : t -> float
 val int : t -> bound:int -> int
 (** Uniform in [0, bound).  @raise Invalid_argument if [bound <= 0]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (Poisson
     inter-arrivals).  @raise Invalid_argument if [mean <= 0]. *)

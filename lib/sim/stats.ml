@@ -47,10 +47,6 @@ module Summary = struct
         total = a.total +. b.total;
       }
     end
-
-  let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" (count t) (mean t)
-      (stddev t) t.min t.max
 end
 
 module Histogram = struct

@@ -28,8 +28,6 @@ module Summary : sig
   val total : t -> float
   val merge : t -> t -> t
   (** Combine two summaries as if all samples were added to one. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Log-bucketed histogram with percentile queries}

@@ -59,14 +59,3 @@ let wire_bytes t =
     match t.sack with [] -> 0 | blocks -> 4 + (8 * List.length blocks)
   in
   header_bytes + len t + opt + sack_opt
-
-let pp ppf t =
-  Format.fprintf ppf "seq=%d ack=%d len=%d win=%d%s%s%s%s%s" t.seq t.ack (len t)
-    t.window
-    (if t.push then " PSH" else "" ^ if t.fin then " FIN" else "")
-    (if t.rst then " RST" else "")
-    (if t.syn then " SYN" else "")
-    (match t.sack with
-    | [] -> ""
-    | b -> Printf.sprintf " SACK(%d)" (List.length b))
-    (if E2e.Exchange.has_share t.e2e then " E2E" else "")

@@ -83,5 +83,3 @@ val header_bytes : int
 val wire_bytes : t -> int
 (** [header_bytes + len + option bytes] — the E2E option (when [e2e]
     has a share) and SACK blocks both count toward option bytes. *)
-
-val pp : Format.formatter -> t -> unit

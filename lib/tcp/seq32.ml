@@ -5,7 +5,6 @@ let mask = modulus - 1
 
 let of_int x = x land mask
 let to_int x = x
-let zero = 0
 
 let add a n = (a + n) land mask
 let sub a b = (a - b) land mask
@@ -25,5 +24,3 @@ let leq a b = compare a b <= 0
 let between x ~low ~high =
   let width = sub high low in
   sub x low < width
-
-let pp ppf x = Format.fprintf ppf "%u" x

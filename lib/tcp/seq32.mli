@@ -11,7 +11,6 @@ val of_int : int -> t
 (** Truncates modulo 2{^32}. *)
 
 val to_int : t -> int
-val zero : t
 
 val add : t -> int -> t
 val sub : t -> t -> int
@@ -27,5 +26,3 @@ val leq : t -> t -> bool
 val between : t -> low:t -> high:t -> bool
 (** [between x ~low ~high]: does [x] lie in the half-open window
     [low, high) under serial arithmetic? *)
-
-val pp : Format.formatter -> t -> unit

@@ -380,18 +380,51 @@ let real_trace =
      in
      (bin, jsonl))
 
-(* Truncated at a random length, with random bits flipped, either file
+(* The line-oriented inputs: bench's fleet scenario, the identity
+   fault plan, a synthesized request trace and a gap trace, each with
+   the reader that parses it. *)
+let line_inputs =
+  lazy
+    (let fleet_scenario =
+       "fleet seed=42 warmup_ms=100 duration_ms=400 scope=per_conn batching=off\n\
+        tenant name=bare conns=1 rate_rps=70000 mix=set_only cpu_mult=1 slo_us=500 \
+        batching=dynamic epsilon=0.02\n\
+        tenant name=vm conns=1 rate_rps=15000 mix=small cpu_mult=4 slo_us=2000 \
+        batching=dynamic epsilon=0.02\n"
+     in
+     let requests =
+       Loadgen.Trace.synthesize ~workload:Loadgen.Workload.paper_set_only ~rate_rps:20e3
+         ~duration:(Sim.Time.ms 2) ~rng:(Sim.Rng.create ~seed:3)
+     in
+     let ignore_ok parse text = Result.map ignore (parse text) in
+     [
+       (fleet_scenario, ignore_ok Scenario.Spec.of_string);
+       ( In_channel.with_open_text "regress/identity.fault" In_channel.input_all,
+         ignore_ok Fault.Plan.of_string );
+       (Loadgen.Trace.to_string requests, ignore_ok Loadgen.Trace.of_string);
+       ( Loadgen.Trace.gaps_to_string [| 0; 1_000; 123_456; 2_500_000; 40 |],
+         ignore_ok Loadgen.Trace.gaps_of_string );
+     ])
+
+(* Truncated at a random length, with random bits flipped, every input
    reads as [Ok] or as an [Error] that says where (a byte offset or a
-   line), and [record_of_json] takes every JSONL line without raising.
-   A raise or a hang fails the property. *)
+   line): the two trace encodings through [Sim.Trace.fold_file] (and
+   [record_of_json] takes every JSONL line without raising), and the
+   four line-oriented inputs through their readers.  A raise or a hang
+   fails the property. *)
 let prop_trace_readers_survive_corruption =
-  QCheck.Test.make ~name:"trace readers survive truncation and bit flips" ~count:200
+  QCheck.Test.make ~name:"trace readers survive truncation and bit flips" ~count:300
     QCheck.(
-      triple bool (float_range 0.0 1.0)
+      triple (int_range 0 5) (float_range 0.0 1.0)
         (list_of_size Gen.(0 -- 6) (pair (float_range 0.0 1.0) (int_range 0 7))))
-    (fun (binary, cut, flips) ->
+    (fun (source, cut, flips) ->
       let bin, jsonl = Lazy.force real_trace in
-      let src = if binary then bin else jsonl in
+      let src =
+        match source with
+        | 0 -> bin
+        | 1 -> jsonl
+        | i -> fst (List.nth (Lazy.force line_inputs) (i - 2))
+      in
       let len = int_of_float (cut *. float_of_int (String.length src)) in
       let by = Bytes.sub (Bytes.of_string src) 0 len in
       if len > 0 then
@@ -400,23 +433,70 @@ let prop_trace_readers_survive_corruption =
             let i = min (len - 1) (int_of_float (at *. float_of_int len)) in
             Bytes.set_uint8 by i (Bytes.get_uint8 by i lxor (1 lsl bit)))
           flips;
-      let path = Filename.temp_file "e2e_fuzz" (if binary then ".bin" else ".jsonl") in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc by);
-      let result = Sim.Trace.fold_file path ~init:0 ~f:(fun n _ _ -> n + 1) in
-      Sys.remove path;
       let has msg sub =
         let n = String.length sub in
         let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
         go 0
       in
-      (binary
-      || List.for_all
-           (fun line -> match Sim.Trace.record_of_json line with Ok _ | Error _ -> true)
-           (String.split_on_char '\n' (Bytes.to_string by)))
-      &&
-      match result with
-      | Ok _ -> true
-      | Error msg -> has msg "offset " || has msg "line ")
+      let located = function Ok _ -> true | Error msg -> has msg "offset " || has msg "line " in
+      if source >= 2 then
+        located ((snd (List.nth (Lazy.force line_inputs) (source - 2))) (Bytes.to_string by))
+      else begin
+        let binary = source = 0 in
+        let path = Filename.temp_file "e2e_fuzz" (if binary then ".bin" else ".jsonl") in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc by);
+        let result = Sim.Trace.fold_file path ~init:0 ~f:(fun n _ _ -> n + 1) in
+        Sys.remove path;
+        (binary
+        || List.for_all
+             (fun line -> match Sim.Trace.record_of_json line with Ok _ | Error _ -> true)
+             (String.split_on_char '\n' (Bytes.to_string by)))
+        && located result
+      end)
+
+(* {1 Line readers reject what they cannot hold}
+
+   A non-finite number, a time that overflows the simulated clock, a
+   repeated key, or a SET too large for one RESP bulk: each row must be
+   an [Error] that carries its line prefix and names the key or item. *)
+let test_readers_reject_unrepresentable () =
+  let ignore_ok parse text = Result.map ignore (parse text) in
+  let scenario = ignore_ok Scenario.Spec.of_string
+  and plan = ignore_ok Fault.Plan.of_string
+  and requests = ignore_ok Loadgen.Trace.of_string
+  and gaps = ignore_ok Loadgen.Trace.gaps_of_string
+  and policy = ignore_ok E2e.Policy.of_string in
+  let rows =
+    [
+      (plan, "loss dir=both prob=nan", "fault plan line 1:", "prob");
+      (plan, "delay at_ms=nan us=nan", "fault plan line 1:", "at_ms");
+      (plan, "rate at_ms=inf gbps=inf", "fault plan line 1:", "at_ms");
+      (plan, "blackout from_ms=-inf until_ms=5", "fault plan line 1:", "from_ms");
+      (plan, "reorder prob=0.1 disp=1e300", "fault plan line 1:", "disp");
+      (plan, "corrupt prob=0.1 prob=0.5", "fault plan line 1:", "\"prob\" given twice");
+      (scenario, "tenant name=a rate_rps=1000 conns=1 conns=5", "scenario line 1:",
+       "\"conns\" given twice");
+      (scenario, "fleet duration_ms=1e300\ntenant name=a rate_rps=1000", "scenario line 1:",
+       "duration_ms");
+      (gaps, "10\n1e300\n", "line 2:", "\"1e300\"");
+      (requests, "99999999999999999 GET k", "line 1:", "\"99999999999999999\"");
+      (policy, "slo:inf", "", "\"inf\"");
+      (requests, "1 SET k 536870913", "line 1:", "536870913");
+    ]
+  in
+  List.iter
+    (fun (read, text, prefix, item) ->
+      match read text with
+      | Ok () -> Alcotest.failf "accepted %S" text
+      | Error msg ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+          go 0
+        in
+        if not (String.starts_with ~prefix msg && has item) then
+          Alcotest.failf "%S: error %S does not start with %S and name %S" text msg prefix item)
+    rows
 
 let suite =
   [
@@ -438,5 +518,7 @@ let suite =
           test_decode_garbage_exchange;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
           prop_trace_readers_survive_corruption;
+        Alcotest.test_case "line readers reject unrepresentable input" `Quick
+          test_readers_reject_unrepresentable;
       ] );
   ]

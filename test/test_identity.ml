@@ -8,7 +8,7 @@
 module R = Loadgen.Runner
 
 let fault_plan () =
-  match Fault.Plan.of_file "regress/identity.fault" with
+  match Sim.Directive.file Fault.Plan.of_string "regress/identity.fault" with
   | Ok p -> p
   | Error e -> Alcotest.failf "regress/identity.fault: %s" e
 

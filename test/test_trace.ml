@@ -63,7 +63,7 @@ let test_file_roundtrip () =
       (match Loadgen.Trace.save_file path sample_entries with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      match Loadgen.Trace.load_file path with
+      match Sim.Directive.file Loadgen.Trace.of_string path with
       | Ok parsed -> Alcotest.(check int) "count" 4 (List.length parsed)
       | Error e -> Alcotest.fail e)
 
