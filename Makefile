@@ -129,9 +129,10 @@ chaos-smoke:
 # re-inspected.  Asserts that both tenants appear in the per-tenant
 # table and in the trace's tenant breakdown.  Then inputs the line
 # readers must refuse (a non-finite fault-plan number, a repeated
-# scenario key, an unreadable --rates item): each prints one stderr
-# line naming the line or the item, nothing on stdout, and exits 1 for
-# a file error or 124 for a flag error.
+# scenario key, an unreadable --rates item, a number flag that is not
+# finite or out of its range): each prints one stderr line naming the
+# line, the item or the flag, nothing on stdout, and exits 1 for a
+# file error or 124 for a flag error.
 scenario-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -157,7 +158,12 @@ scenario-smoke:
 	@for case in \
 	  "1|fault plan line 1|run --rate 40 --warmup-ms 5 --duration-ms 10 --fault-plan _smoke/nan.fault" \
 	  "1|scenario line 1|scenario _smoke/dup-key.scn" \
-	  "124|abc|sweep --rates 10,abc --warmup-ms 5 --duration-ms 10"; do \
+	  "124|abc|sweep --rates 10,abc --warmup-ms 5 --duration-ms 10" \
+	  "124|epsilon must be in [0,1]|run --nagle dynamic --epsilon 2" \
+	  "124|loss: not a finite number|run --loss nan" \
+	  "124|set-ratio: not a finite number|run --set-ratio nan" \
+	  "124|vm-mult: not a finite number|run --vm-mult nan" \
+	  "124|rate: not a finite number|run --rate nan"; do \
 	  want=$${case%%|*}; rest=$${case#*|}; needle=$${rest%%|*}; cmd=$${rest#*|}; \
 	  ./_build/default/bin/e2ebench.exe $$cmd > _smoke/refused.out 2> _smoke/refused.err; code=$$?; \
 	  if [ $$code -ne $$want ] || [ $$(wc -l < _smoke/refused.err) -ne 1 ] \

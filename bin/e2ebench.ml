@@ -13,9 +13,26 @@ let pf = Printf.printf
 
 (* {1 Shared options} *)
 
+(* A number flag reads its text through [Sim.Directive.number] (a
+   finite float) and then its range, which [range] names: a value
+   outside it is a one-line flag error (exit 124). *)
+let number_arg name ?docv ~doc ~default ~range ok =
+  let read s =
+    match Sim.Directive.number s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (Printf.sprintf "--%s must be %s, not %s" name range s)
+    | Error e -> Error (Printf.sprintf "--%s: %s" name e)
+  in
+  let text = Arg.(value & opt string default & info [ name ] ?docv ~doc) in
+  Term.(term_result' (const read $ text))
+
+let positive v = v > 0.0
+let non_negative v = v >= 0.0
+let share v = v >= 0.0 && v <= 1.0
+
 let rate_arg =
-  let doc = "Offered load in kRPS." in
-  Arg.(value & opt float 50.0 & info [ "rate" ] ~docv:"KRPS" ~doc)
+  number_arg "rate" ~docv:"KRPS" ~doc:"Offered load in kRPS." ~default:"50" ~range:"positive"
+    positive
 
 let seed_arg =
   let doc = "Simulation seed (runs are deterministic per seed)." in
@@ -38,8 +55,8 @@ let policy_arg =
   Arg.(value & opt string "slo" & info [ "policy" ] ~doc)
 
 let epsilon_arg =
-  let doc = "Exploration rate for dynamic mode." in
-  Arg.(value & opt float 0.05 & info [ "epsilon" ] ~doc)
+  number_arg "epsilon" ~doc:"Exploration rate for dynamic mode." ~default:"0.05"
+    ~range:"in [0,1]" share
 
 let unit_arg =
   let doc = "Estimator message unit: bytes, packets, syscalls, or hinted." in
@@ -50,12 +67,12 @@ let value_size_arg =
   Arg.(value & opt int 16384 & info [ "value-size" ] ~doc)
 
 let set_ratio_arg =
-  let doc = "Fraction of SETs (paper: 1.0 for Fig 4a, 0.95 for Fig 4b)." in
-  Arg.(value & opt float 1.0 & info [ "set-ratio" ] ~doc)
+  number_arg "set-ratio" ~doc:"Fraction of SETs (paper: 1.0 for Fig 4a, 0.95 for Fig 4b)."
+    ~default:"1" ~range:"in [0,1]" share
 
 let vm_mult_arg =
-  let doc = "Client CPU cost multiplier (models the Figure-2 VM client)." in
-  Arg.(value & opt float 1.0 & info [ "vm-mult" ] ~doc)
+  number_arg "vm-mult" ~doc:"Client CPU cost multiplier (models the Figure-2 VM client)."
+    ~default:"1" ~range:"positive" positive
 
 let exchange_arg =
   let doc = "Metadata exchange: every, <microseconds>, or demand." in
@@ -70,8 +87,8 @@ let tso_arg =
   Arg.(value & flag & info [ "tso" ] ~doc)
 
 let loss_arg =
-  let doc = "Per-packet drop probability (enables congestion control)." in
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~doc)
+  number_arg "loss" ~doc:"Per-packet drop probability (enables congestion control)."
+    ~default:"0" ~range:"in [0,1)" (fun v -> v >= 0.0 && v < 1.0)
 
 let domains_arg =
   let doc =
@@ -142,8 +159,7 @@ let build_config ?(conns = 1) ?(tso = false) ?(loss = 0.0) ~rate ~seed ~duration
       { Loadgen.Workload.paper_set_only with value_size; set_ratio }
   in
   let base = Loadgen.Runner.default_config ~rate_rps:(rate *. 1e3) ~batching in
-  if loss < 0.0 || loss >= 1.0 then Error "loss must be in [0,1)"
-  else if conns < 1 then Error "conns must be at least 1"
+  if conns < 1 then Error "conns must be at least 1"
   else
     Ok
       {
@@ -525,8 +541,8 @@ let chaos_cmd =
      need a measured window comfortably past it, and an offered rate the
      congestion-controlled path can absorb while draining the backlog. *)
   let chaos_rate_arg =
-    let doc = "Offered load in kRPS for every cell." in
-    Arg.(value & opt float 10.0 & info [ "rate" ] ~docv:"KRPS" ~doc)
+    number_arg "rate" ~docv:"KRPS" ~doc:"Offered load in kRPS for every cell." ~default:"10"
+      ~range:"positive" positive
   in
   let chaos_duration_arg =
     let doc =
@@ -1495,13 +1511,15 @@ let convert_cmd =
 (* {1 model} *)
 
 let model_cmd =
-  let alpha = Arg.(value & opt float 2.0 & info [ "alpha" ] ~doc:"Per-request cost.") in
-  let beta = Arg.(value & opt float 4.0 & info [ "beta" ] ~doc:"Per-batch cost.") in
-  let cost = Arg.(value & opt float 3.0 & info [ "client-cost" ] ~doc:"Client cost c.") in
+  let cost name ~doc ~default =
+    number_arg name ~doc ~default ~range:"non-negative" non_negative
+  in
+  let alpha = cost "alpha" ~doc:"Per-request cost." ~default:"2" in
+  let beta = cost "beta" ~doc:"Per-batch cost." ~default:"4" in
+  let cost = cost "client-cost" ~doc:"Client cost c." ~default:"3" in
   let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Queued requests.") in
   let action alpha beta client_cost n =
-    if n <= 0 || alpha < 0.0 || beta < 0.0 || client_cost < 0.0 then
-      usage "parameters must be non-negative (n positive)"
+    if n <= 0 then usage "-n must be positive"
     else begin
       let p = { E2e.Batch_model.alpha; beta; client_cost; n } in
       let b = E2e.Batch_model.batched p in
@@ -1662,8 +1680,8 @@ let scenario_cmd =
     Arg.(value & flag & info [ "compare-static" ] ~doc)
   in
   let tol_arg =
-    let doc = "Relative tolerance for --compare-static verdicts." in
-    Arg.(value & opt float 0.10 & info [ "tol" ] ~doc)
+    number_arg "tol" ~doc:"Relative tolerance for --compare-static verdicts." ~default:"0.1"
+      ~range:"non-negative" non_negative
   in
   let print_arg =
     let doc = "Echo the canonical form of the parsed scenario before running." in

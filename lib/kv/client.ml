@@ -99,9 +99,11 @@ and process t =
     E2e.Hints.complete t.hints ~at:now 1;
     rec_.on_complete ~latency reply;
     t.busy <- true;
-    Sim.Cpu.run t.cpu ~cost:t.response_cost (fun () ->
-        t.busy <- false;
-        process t)
+    Sim.Cpu.call t.cpu ~cost:t.response_cost resume t ()
+
+and resume t () =
+  t.busy <- false;
+  process t
 
 let outstanding t = t.issued - t.completed
 let issued t = t.issued

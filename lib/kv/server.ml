@@ -88,25 +88,30 @@ and process t =
     done
   end;
   let cost = t.cfg.beta + (k * t.cfg.alpha) in
-  Sim.Cpu.run t.cpu ~cost (fun () ->
-      let now = Sim.Engine.now t.engine in
-      List.iteri
-        (fun j cmd ->
-          let reply = Command.execute t.store ~now cmd in
-          t.served <- t.served + 1;
-          let wire =
-            match reply with Resp.Simple "OK" -> ok_wire | _ -> Resp.encode_slices reply
-          in
-          let len = Tcp.Slice.total_length wire in
-          if span_tracing t then
-            span_event t ~at:now
-              (Sim.Trace.Srv_reply { req = first_req + j; off = t.reply_off; len });
-          t.reply_off <- t.reply_off + len;
-          Tcp.Socket.send_slices t.socket wire)
-        requests;
-      t.busy <- false;
-      (* Data may have accumulated while we were processing. *)
-      if Tcp.Socket.recv_available t.socket > 0 then process t)
+  Sim.Cpu.call t.cpu ~cost serve t requests
+
+(* The batch's CPU item completes: reply to each request in order.
+   Nothing dequeues while the server is busy, so the batch's first
+   request is still [req_seq] minus its length. *)
+and serve t requests =
+  let now = Sim.Engine.now t.engine in
+  reply_each t ~now (t.req_seq - List.length requests) requests;
+  t.busy <- false;
+  (* Data may have accumulated while we were processing. *)
+  if Tcp.Socket.recv_available t.socket > 0 then process t
+
+and reply_each t ~now req = function
+  | [] -> ()
+  | cmd :: rest ->
+    let reply = Command.execute t.store ~now cmd in
+    t.served <- t.served + 1;
+    let wire = match reply with Resp.Simple "OK" -> ok_wire | _ -> Resp.encode_slices reply in
+    let len = Tcp.Slice.total_length wire in
+    if span_tracing t then
+      span_event t ~at:now (Sim.Trace.Srv_reply { req; off = t.reply_off; len });
+    t.reply_off <- t.reply_off + len;
+    Tcp.Socket.send_slices t.socket wire;
+    reply_each t ~now (req + 1) rest
 
 let create engine ~cpu ~socket ?(store = Store.create ()) cfg =
   if cfg.alpha < 0 || cfg.beta < 0 then invalid_arg "Server.create: negative costs";

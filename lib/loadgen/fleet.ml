@@ -742,13 +742,15 @@ let run (cfg : config) =
               Sim.Engine.post_at engine ~at:en.at (fun () -> issue en.cmd))
           entries
       | None ->
+        (* One pair of closures per tenant carries the whole chain: each
+           arrival posts the same [arrive]. *)
         let rec schedule_request () =
           let gap = Arrival.next_gap s.arrival ~now:(Sim.Engine.now engine) in
           let at = Sim.Time.add (Sim.Engine.now engine) gap in
-          if Sim.Time.compare at total <= 0 then
-            Sim.Engine.post engine ~after:gap (fun () ->
-                issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
-                schedule_request ())
+          if Sim.Time.compare at total <= 0 then Sim.Engine.post engine ~after:gap arrive
+        and arrive () =
+          issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
+          schedule_request ()
         in
         schedule_request ())
     states;
@@ -1013,10 +1015,10 @@ let run (cfg : config) =
                int_of_float (Sim.Rng.exponential crng ~mean:(1e9 /. ch.arrive_rps))
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
-             if Sim.Time.compare at total <= 0 then
-               Sim.Engine.post engine ~after:gap (fun () ->
-                   if accepting_count s < ch.max_conns then spawn_one i s crng;
-                   arrivals ())
+             if Sim.Time.compare at total <= 0 then Sim.Engine.post engine ~after:gap arrive
+           and arrive () =
+             if accepting_count s < ch.max_conns then spawn_one i s crng;
+             arrivals ()
            in
            arrivals ());
         (if ch.depart_rps > 0.0 then
@@ -1025,12 +1027,12 @@ let run (cfg : config) =
                int_of_float (Sim.Rng.exponential crng ~mean:(1e9 /. ch.depart_rps))
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
-             if Sim.Time.compare at total <= 0 then
-               Sim.Engine.post engine ~after:gap (fun () ->
-                   (if accepting_count s > ch.min_conns then
-                      let k = Sim.Rng.int crng ~bound:(accepting_count s) in
-                      retire_entry s s.rotation.(k));
-                   departures ())
+             if Sim.Time.compare at total <= 0 then Sim.Engine.post engine ~after:gap depart
+           and depart () =
+             (if accepting_count s > ch.min_conns then
+                let k = Sim.Rng.int crng ~bound:(accepting_count s) in
+                retire_entry s s.rotation.(k));
+             departures ()
            in
            departures ());
         List.iter

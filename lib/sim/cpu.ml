@@ -6,14 +6,17 @@ type t = {
 
 let create engine = { engine; free_at = Time.zero; busy = 0 }
 
-let run t ~cost k =
-  if cost < 0 then invalid_arg "Cpu.run: negative cost";
+let call t ~cost fn a b =
+  if cost < 0 then invalid_arg "Cpu: negative cost";
   let now = Engine.now t.engine in
   let start = Time.max now t.free_at in
   let finish = Time.add start cost in
   t.free_at <- finish;
   t.busy <- t.busy + cost;
-  Engine.post_at t.engine ~at:finish k
+  Engine.call_at t.engine ~at:finish fn a b
+
+let run_thunk k () = k ()
+let run t ~cost k = call t ~cost run_thunk k ()
 
 let busy_ns t = t.busy
 

@@ -14,6 +14,11 @@ val run : t -> cost:Time.span -> (unit -> unit) -> unit
     fires when the item completes (after all previously queued work).
     @raise Invalid_argument on negative cost. *)
 
+val call : t -> cost:Time.span -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [call t ~cost fn a b] is {!run} with the call [fn a b] as the
+    continuation: with a top-level [fn] it allocates nothing (see
+    {!Engine.call_at}). *)
+
 val busy_ns : t -> Time.span
 (** Total CPU time consumed so far (including queued-but-unfinished
     work's share only once it runs). *)

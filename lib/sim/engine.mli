@@ -8,9 +8,9 @@
 type t
 
 type handle
-(** Identifies a scheduled event so it can be cancelled: one small
-    record per {!schedule}.  An event that nobody cancels is {!post}ed
-    and has none. *)
+(** Identifies a queued event so it can be cancelled: one small record,
+    made by each {!schedule} or once by its owner for {!arm}.  An event
+    that nobody cancels is {!post}ed and has none. *)
 
 val create : unit -> t
 (** Fresh engine with the clock at {!Time.zero}. *)
@@ -25,6 +25,13 @@ val post : t -> after:Time.span -> (unit -> unit) -> unit
 
 val post_at : t -> at:Time.t -> (unit -> unit) -> unit
 (** Absolute-time variant.  [at] must not be in the simulated past. *)
+
+val call_at : t -> at:Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [call_at t ~at fn a b] makes the call [fn a b] at [at]: the call
+    form of {!post_at}.  With a top-level [fn] (typically the receiver
+    and the packet as [a] and [b]) the event allocates nothing.  Events
+    fire in queue order whichever form they take.  [at] must not be in
+    the simulated past. *)
 
 val schedule : t -> after:Time.span -> (unit -> unit) -> handle
 (** Like {!post}, but returns a handle that can {!cancel} the event.
@@ -41,8 +48,20 @@ val cancel : t -> handle -> unit
 
 val idle : handle
 (** Names no event: never pending, and cancelling it does nothing.  A
-    timer field holds it while disarmed, so arming overwrites the field
-    instead of boxing each handle in an option. *)
+    timer field holds it until the timer first arms and replaces it
+    with its own {!handle}, so the field needs no option. *)
+
+val handle : unit -> handle
+(** A fresh handle for {!arm}, not yet pending.  A timer makes one the
+    first time it arms and keeps it. *)
+
+val arm : t -> handle -> after:Time.span -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [arm t h ~after fn a b] queues the call [fn a b] at [now t + after]
+    under the caller's handle [h], which {!cancel} then names.  Once
+    the event has fired or been cancelled, [h] can be armed again: a
+    re-armed timer allocates nothing.
+    @raise Invalid_argument if [h] is pending or {!idle}, or on a
+    negative delay. *)
 
 val is_pending : handle -> bool
 (** [true] from scheduling until the event fires or is cancelled. *)

@@ -3,11 +3,30 @@ type handle = { mutable slot : int }
 let handle () = { slot = -1 }
 let none = { slot = -1 }
 
+(* Each slot holds one typed call [fn a b], stored untyped in three
+   adjacent cells of [call] ([3s], [3s + 1], [3s + 2] for slot [s]), so
+   that queuing or firing a call touches adjacent words, not three
+   cache lines.  The invariant that makes the casts sound: [push] is
+   the only writer of a slot's cells, and writes all three from one
+   well-typed application [fn : 'a -> 'b -> unit], [a : 'a],
+   [b : 'b]; [fire] reads the three back from the same slot and
+   applies them.  The cells are typed [fn], so that the compiler reads
+   and writes them as pointers without checking for a float array; the
+   arguments are cast to it and back.  A free slot holds [unit_fn] or
+   the last [fn] pushed into it, and [cleared] in both argument cells
+   once the call that freed it has returned (see [fire]). *)
+type fn = Obj.t -> Obj.t -> unit
+
+let unit_fn : fn = fun _ _ -> ()
+let cleared : fn = Obj.magic 0
+
 type t = {
   mutable at : int array;  (** by heap position *)
   mutable seq : int array;  (** by heap position *)
   mutable slots : int array;  (** by heap position: the event's pool slot *)
-  mutable action : (unit -> unit) array;  (** by slot; [ignore] when free *)
+  mutable call : fn array;
+      (** by slot, three cells each: [fn], then the two arguments,
+          [cleared] when free *)
   mutable owner : handle array;  (** by slot; [none] for one-shot and free slots *)
   mutable pos : int array;
       (** by slot: the heap position while queued; a free slot holds
@@ -21,7 +40,7 @@ let create () =
     at = [||];
     seq = [||];
     slots = [||];
-    action = [||];
+    call = [||];
     owner = [||];
     pos = [||];
     size = 0;
@@ -44,7 +63,12 @@ let grow h =
   h.at <- extend h.at 0;
   h.seq <- extend h.seq 0;
   h.slots <- extend h.slots 0;
-  h.action <- extend h.action ignore;
+  let call = Array.make (3 * ncap) cleared in
+  Array.blit h.call 0 call 0 (3 * cap);
+  for s = cap to ncap - 1 do
+    call.(3 * s) <- unit_fn
+  done;
+  h.call <- call;
   h.owner <- extend h.owner none;
   h.pos <- extend h.pos (-1);
   for s = cap to ncap - 2 do
@@ -113,12 +137,21 @@ let sift_down h i at seq s =
   Array.unsafe_set slots !i s;
   Array.unsafe_set pos s !i
 
-let push h ~at ~seq owner action =
+(* A store into [call] goes through the write barrier; skip it when
+   the cell already holds the value, as a free slot's second argument
+   does for a unit argument and its [fn] does for a function pushed
+   there before. *)
+let[@inline] set_cell call i (v : fn) = if Array.unsafe_get call i != v then Array.unsafe_set call i v
+
+let push (type a b) h ~at ~seq owner (fn : a -> b -> unit) (a : a) (b : b) =
   if owner.slot >= 0 then invalid_arg "Event_heap.push: handle already queued";
   if h.free < 0 then grow h;
   let s = h.free in
   h.free <- -2 - h.pos.(s);
-  h.action.(s) <- action;
+  let call = h.call and i = 3 * s in
+  set_cell call i (Obj.magic fn : fn);
+  set_cell call (i + 1) (Obj.magic a : fn);
+  set_cell call (i + 2) (Obj.magic b : fn);
   if owner != none then begin
     h.owner.(s) <- owner;
     owner.slot <- s
@@ -140,10 +173,18 @@ let vacate h i =
     else sift_down h i at seq s
   end
 
-(* Return slot [s] to the free chain, dropping its closure and
-   unbinding its handle. *)
+(* Drop what a free slot's arguments hold: sockets, packets, whole
+   simulation worlds.  An immediate holds nothing and is left as it
+   is, and so is [fn]: a top-level function is static. *)
+let clear_args h s =
+  let call = h.call and i = 3 * s in
+  if Obj.is_block (Obj.repr (Array.unsafe_get call (i + 1))) then
+    Array.unsafe_set call (i + 1) cleared;
+  if Obj.is_block (Obj.repr (Array.unsafe_get call (i + 2))) then
+    Array.unsafe_set call (i + 2) cleared
+
+(* Return slot [s] to the free chain and unbind its handle. *)
 let release h s =
-  h.action.(s) <- ignore;
   let owner = h.owner.(s) in
   if owner != none then begin
     owner.slot <- -1;
@@ -152,25 +193,37 @@ let release h s =
   h.pos.(s) <- -2 - h.free;
   h.free <- s
 
-let take h =
-  if h.size = 0 then ignore
-  else begin
-    let s = h.slots.(0) in
-    let action = h.action.(s) in
+(* The slot is free before the call, so that the call can queue its
+   successor in it: the next push takes the slot just freed, and its
+   arguments overwrite the old ones.  Only a slot still free when the
+   call returns needs its arguments cleared, which saves two
+   write-barrier stores on most events.  (A call that raises leaves
+   them until the slot is reused.) *)
+let fire h =
+  if h.size > 0 then begin
+    let s = Array.unsafe_get h.slots 0 in
+    let call = h.call and i = 3 * s in
+    let fn = Array.unsafe_get call i
+    and a = Obj.repr (Array.unsafe_get call (i + 1))
+    and b = Obj.repr (Array.unsafe_get call (i + 2)) in
     vacate h 0;
     release h s;
-    action
+    fn a b;
+    if Array.unsafe_get h.pos s < 0 then clear_args h s
   end
 
 let remove h owner =
   let s = owner.slot in
   if s >= 0 && s < Array.length h.owner && h.owner.(s) == owner then begin
     vacate h h.pos.(s);
-    release h s
+    release h s;
+    clear_args h s
   end
 
 let clear h =
   for i = 0 to h.size - 1 do
-    release h h.slots.(i)
+    let s = h.slots.(i) in
+    release h s;
+    clear_args h s
   done;
   h.size <- 0

@@ -5,15 +5,19 @@
     arrays.  Three int arrays in heap order hold each event's [at], its
     [seq] and its pool slot, so a sift compares and moves only
     immediates: no pointer chase, no write barrier.  A slot pool holds
-    what is not an int: each slot's action closure and its owner
-    handle, plus the slot's heap position, so {!remove} takes an event
-    out of the middle of the heap in O(log n).
+    what is not an int: each slot's call — a function and its two
+    arguments, in three adjacent cells of one array — and its owner handle, plus the slot's heap position, so
+    {!remove} takes an event out of the middle of the heap in O(log n).
 
-    Pushing an event allocates nothing beyond the caller's closure once
-    the arrays have grown to the queue's peak size.  A slot is cleared
-    when its event is taken, removed or cleared, so the action closure
-    — which can capture sockets, connections, whole simulation worlds —
-    becomes collectable as soon as the event leaves the queue. *)
+    An event is a typed call [fn a b] rather than a closure, so a
+    caller that passes a top-level [fn] and the receiver and packet as
+    [a] and [b] allocates nothing per event once the arrays have grown
+    to the queue's peak size.  A slot's arguments are cleared when its
+    event is removed or cleared, and when its call returns unless that
+    call queued a successor into the freed slot (whose arguments then
+    replace them), so what they hold becomes collectable as soon as the
+    event has left the queue.  Its [fn] stays until the slot is reused:
+    pass a top-level function, and put the state in [a] and [b]. *)
 
 type handle = private { mutable slot : int }
 (** Names one queued event so it can be removed.  [slot] is the event's
@@ -34,18 +38,19 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val push : t -> at:Time.t -> seq:int -> handle -> (unit -> unit) -> unit
-(** [push h ~at ~seq owner action] queues [action] at [(at, seq)].  A
-    handle other than {!none} is bound to the event until it leaves the
-    heap.  @raise Invalid_argument if [owner] is already queued. *)
+val push : t -> at:Time.t -> seq:int -> handle -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [push h ~at ~seq owner fn a b] queues the call [fn a b] at
+    [(at, seq)].  A handle other than {!none} is bound to the event
+    until it leaves the heap.  @raise Invalid_argument if [owner] is
+    already queued. *)
 
 val min_at : t -> Time.t
 (** [at] of the earliest event; [max_int] when empty. *)
 
-val take : t -> (unit -> unit)
-(** Remove the earliest event and return its action, clearing its slot
-    and unbinding its handle.  Returns [ignore] when empty — check
-    {!is_empty} first to tell the two apart. *)
+val fire : t -> unit
+(** Remove the earliest event, unbinding its handle, then make its
+    call and clear its slot, unless the call queued an event there.
+    Does nothing when empty. *)
 
 val remove : t -> handle -> unit
 (** Take the handle's event out of the heap in O(log n), clearing its
@@ -54,5 +59,5 @@ val remove : t -> handle -> unit
     {!none}. *)
 
 val clear : t -> unit
-(** Drop every queued event, clearing all live slots so their action
-    closures are immediately collectable. *)
+(** Drop every queued event, clearing all live slots so their
+    arguments are immediately collectable. *)

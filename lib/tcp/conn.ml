@@ -86,7 +86,7 @@ let put_packet ~link ~gro (sub : Segment.t) =
         { sub with e2e = garbled })
     | _ -> sub
   in
-  Link.send link ~seq:sub.seq ~wire_bytes (fun () -> Gro.submit gro sub)
+  Link.send link ~seq:sub.seq ~wire_bytes Gro.submit gro sub
 
 (* Receive path: GRO coalescing -> receiver IRQ CPU per delivery ->
    peer socket.  Header-only batches (pure acks) skip the full stack
@@ -97,7 +97,7 @@ let deliver ~dst ~cpu ~(params : host_params) batch =
   let cost =
     (if has_payload then params.rx_batch_cost else 0) + (List.length batch * params.rx_seg_cost)
   in
-  Sim.Cpu.run cpu ~cost (fun () -> Socket.receive_batch dst batch)
+  Sim.Cpu.call cpu ~cost Socket.receive_batch dst batch
 
 let deliver_a t batch = deliver ~dst:t.a ~cpu:t.cpu_a ~params:t.host_a batch
 let deliver_b t batch = deliver ~dst:t.b ~cpu:t.cpu_b ~params:t.host_b batch
@@ -113,8 +113,8 @@ let put_on_link ~(params : host_params) ~link ~gro seg =
 let send_ab t seg = put_on_link ~params:t.host_a ~link:t.ab ~gro:t.gro_b seg
 let send_ba t seg = put_on_link ~params:t.host_b ~link:t.ba ~gro:t.gro_a seg
 
-let transmit_ab t seg = Sim.Cpu.run t.cpu_a ~cost:t.host_a.tx_cost (fun () -> send_ab t seg)
-let transmit_ba t seg = Sim.Cpu.run t.cpu_b ~cost:t.host_b.tx_cost (fun () -> send_ba t seg)
+let transmit_ab t seg = Sim.Cpu.call t.cpu_a ~cost:t.host_a.tx_cost send_ab t seg
+let transmit_ba t seg = Sim.Cpu.call t.cpu_b ~cost:t.host_b.tx_cost send_ba t seg
 
 let cork_signal engine ~link () =
   if Link.busy link then

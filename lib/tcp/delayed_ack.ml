@@ -39,9 +39,7 @@ let emit t ev =
   | Some (tr, id) -> Sim.Trace.event tr ~at:(Sim.Engine.now t.engine) ~id ev
   | None -> ()
 
-let disarm t =
-  Sim.Engine.cancel t.engine t.timer;
-  t.timer <- Sim.Engine.idle
+let disarm t = Sim.Engine.cancel t.engine t.timer
 
 let on_ack_sent t =
   (* An armed timer that never fires: the ack went out another way. *)
@@ -50,8 +48,7 @@ let on_ack_sent t =
   t.pending <- 0;
   disarm t
 
-let fire t =
-  t.timer <- Sim.Engine.idle;
+let fire t () =
   if t.pending > 0 then begin
     t.by_timer <- t.by_timer + 1;
     if tracing t then emit t (Sim.Trace.Delack_fire { pending = t.pending });
@@ -66,8 +63,10 @@ let on_data_segment t =
     t.by_count <- t.by_count + 1;
     t.send_ack ()
   end
-  else if not (Sim.Engine.is_pending t.timer) then
-    t.timer <- Sim.Engine.schedule t.engine ~after:t.timeout (fun () -> fire t)
+  else if not (Sim.Engine.is_pending t.timer) then begin
+    if t.timer == Sim.Engine.idle then t.timer <- Sim.Engine.handle ();
+    Sim.Engine.arm t.engine t.timer ~after:t.timeout fire t ()
+  end
 
 let pending t = t.pending
 let timer_armed t = Sim.Engine.is_pending t.timer

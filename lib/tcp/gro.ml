@@ -41,9 +41,7 @@ let create engine cfg ~rx ~deliver =
       segments = 0;
     }
 
-let disarm g =
-  Sim.Engine.cancel g.engine g.timer;
-  g.timer <- Sim.Engine.idle
+let disarm g = Sim.Engine.cancel g.engine g.timer
 
 let flush_gro g =
   disarm g;
@@ -57,12 +55,13 @@ let flush_gro g =
 
 let flush (Gro g) = flush_gro g
 
+let on_timer g () = flush_gro g
+
 let arm g =
-  if not (Sim.Engine.is_pending g.timer) then
-    g.timer <-
-      Sim.Engine.schedule g.engine ~after:g.cfg.flush_timeout (fun () ->
-          g.timer <- Sim.Engine.idle;
-          flush_gro g)
+  if not (Sim.Engine.is_pending g.timer) then begin
+    if g.timer == Sim.Engine.idle then g.timer <- Sim.Engine.handle ();
+    Sim.Engine.arm g.engine g.timer ~after:g.cfg.flush_timeout on_timer g ()
+  end
 
 let submit (Gro g) seg =
   g.segments <- g.segments + 1;

@@ -94,7 +94,7 @@ let note_share_corrupted t ~seq =
   if tracing t then
     emit t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Share_corrupted { seq })
 
-let send t ~seq ~wire_bytes k =
+let send t ~seq ~wire_bytes fn a b =
   if wire_bytes <= 0 then invalid_arg "Link.send: packet must have positive size";
   let now = Sim.Engine.now t.engine in
   let tx_time =
@@ -108,7 +108,7 @@ let send t ~seq ~wire_bytes k =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + wire_bytes;
   match t.impair with
-  | None -> Sim.Engine.post_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k
+  | None -> Sim.Engine.call_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) fn a b
   | Some i ->
     (* Loss is decided after serialization: the sender still spent the
        wire time, the receiver just never sees the packet. *)
@@ -126,7 +126,7 @@ let send t ~seq ~wire_bytes k =
     else begin
       match i.fault with
       | None ->
-        Sim.Engine.post_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k
+        Sim.Engine.call_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) fn a b
       | Some inj -> (
         match Fault.Injector.decide inj ~now_us:(Sim.Time.to_us now) with
         | { action = Drop reason; _ } ->
@@ -145,13 +145,13 @@ let send t ~seq ~wire_bytes k =
             end
             else arrival
           in
-          Sim.Engine.post_at t.engine ~at:arrival k;
+          Sim.Engine.call_at t.engine ~at:arrival fn a b;
           if duplicate then begin
             if tracing t then emit t ~at:now (Sim.Trace.Segment_duplicated { seq });
             (* The copy trails by a microsecond — far enough apart to be
                two deliveries, close enough to stress duplicate
                detection. *)
-            Sim.Engine.post_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k
+            Sim.Engine.call_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) fn a b
           end)
     end
 

@@ -18,10 +18,12 @@ val create :
   Sim.Engine.t -> prop_delay:Sim.Time.span -> gbit_per_s:float -> t
 (** @raise Invalid_argument on negative delay or non-positive rate. *)
 
-val send : t -> seq:int -> wire_bytes:int -> (unit -> unit) -> unit
-(** Ship a packet of [wire_bytes]; the callback fires at the receiver
-    once serialization (behind any queued packets) and propagation
-    complete.  [seq] only labels fault trace events ([-1] for none). *)
+val send : t -> seq:int -> wire_bytes:int -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [send t ~seq ~wire_bytes fn a b] ships a packet of [wire_bytes];
+    the call [fn a b] (typically the receiver's GRO and the packet)
+    happens at the receiver once serialization (behind any queued
+    packets) and propagation complete, once per delivered copy.  [seq]
+    only labels fault trace events ([-1] for none). *)
 
 val busy : t -> bool
 (** Is the transmitter currently serializing (the NIC "tx ring not yet

@@ -499,13 +499,15 @@ let current_rto t =
   let scaled = base lsl Stdlib.min t.cold.rto_backoff 6 in
   Stdlib.min scaled Rtt.max_rto
 
-let cancel_rto t =
-  Sim.Engine.cancel t.engine t.rto_timer;
-  t.rto_timer <- Sim.Engine.idle
+let cancel_rto t = Sim.Engine.cancel t.engine t.rto_timer
 
+(* The timer's handle is made at the first arm and re-armed ever
+   after, so a restart allocates nothing. *)
 let rec arm_rto t =
-  if (not (Sim.Engine.is_pending t.rto_timer)) && in_flight t > 0 then
-    t.rto_timer <- Sim.Engine.schedule t.engine ~after:(current_rto t) (fun () -> on_rto t)
+  if (not (Sim.Engine.is_pending t.rto_timer)) && in_flight t > 0 then begin
+    if t.rto_timer == Sim.Engine.idle then t.rto_timer <- Sim.Engine.handle ();
+    Sim.Engine.arm t.engine t.rto_timer ~after:(current_rto t) on_rto t ()
+  end
 
 and restart_rto t =
   cancel_rto t;
@@ -524,8 +526,7 @@ and retransmit_head t ~counter =
     resend t entry
   end
 
-and on_rto t =
-  t.rto_timer <- Sim.Engine.idle;
+and on_rto t () =
   if in_flight t > 0 then begin
     (* Loss signal: collapse the congestion window and back off. *)
     if t.cfg.cc_enabled then begin
@@ -555,10 +556,7 @@ and on_rto t =
 
 let cancel_persist t =
   let c = t.cold in
-  if c != no_cold then begin
-    Sim.Engine.cancel t.engine c.persist_timer;
-    c.persist_timer <- Sim.Engine.idle
-  end
+  if c != no_cold then Sim.Engine.cancel t.engine c.persist_timer
 
 (* The persist timer runs exactly when the connection would otherwise
    be deaf: data queued, nothing in flight (so no RTO), and the peer's
@@ -630,13 +628,14 @@ let rec pop_boundaries t ~upto n =
 let probe_byte = Slice.of_string "?"
 
 let rec arm_persist t =
-  if (not (Sim.Engine.is_pending t.cold.persist_timer)) && persist_due t then
-    (cold t).persist_timer <-
-      Sim.Engine.schedule t.engine ~after:(current_persist_timeout t) (fun () -> on_persist t)
+  if (not (Sim.Engine.is_pending t.cold.persist_timer)) && persist_due t then begin
+    let c = cold t in
+    if c.persist_timer == Sim.Engine.idle then c.persist_timer <- Sim.Engine.handle ();
+    Sim.Engine.arm t.engine c.persist_timer ~after:(current_persist_timeout t) on_persist t ()
+  end
 
-and on_persist t =
+and on_persist t () =
   let c = cold t in
-  c.persist_timer <- Sim.Engine.idle;
   if persist_due t && c.persist_backoff < max_persist_probes then begin
     c.persist_backoff <- c.persist_backoff + 1;
     c.probes_sent <- c.probes_sent + 1;

@@ -282,6 +282,10 @@ let test_undecodable_share_keeps_hint () =
 
 (* {1 Link-level injection and trace events} *)
 
+(* What a delivery does, as the call [Tcp.Link.send] makes. *)
+let bump counter () = incr counter
+let prepend log x = log := x :: !log
+
 let link_fixture side =
   let engine = Sim.Engine.create () in
   let link = Tcp.Link.create engine ~prop_delay:(us 2) ~gbit_per_s:1.0 in
@@ -301,7 +305,7 @@ let test_link_drop_events () =
   for i = 0 to 999 do
     ignore
       (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send link ~seq:i ~wire_bytes:100 (fun () -> incr arrived)))
+           Tcp.Link.send link ~seq:i ~wire_bytes:100 bump arrived ()))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "conservation" 1000 (!arrived + Tcp.Link.dropped link);
@@ -333,8 +337,7 @@ let test_link_reorder_events () =
   for i = 0 to 199 do
     ignore
       (Sim.Engine.schedule_at engine_link ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send link2 ~seq:i ~wire_bytes:100 (fun () ->
-               order := i :: !order)))
+           Tcp.Link.send link2 ~seq:i ~wire_bytes:100 prepend order i))
   done;
   Sim.Engine.run engine;
   let order = List.rev !order in
@@ -365,7 +368,7 @@ let test_link_duplicate_events () =
   for i = 0 to 499 do
     ignore
       (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send link ~seq:i ~wire_bytes:100 (fun () -> incr arrived)))
+           Tcp.Link.send link ~seq:i ~wire_bytes:100 bump arrived ()))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "arrivals = sends + duplicates"
@@ -515,12 +518,12 @@ let test_rto_backoff_cap_and_reset () =
       if Tcp.Segment.len seg > 0 then begin
         attempts := Sim.Engine.now engine :: !attempts;
         if not !blackhole then
-          Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
-              Tcp.Socket.receive_segment b seg)
+          Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg)
+            Tcp.Socket.receive_segment b seg
       end
       else
-        Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
-            Tcp.Socket.receive_segment b seg));
+        Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg)
+          Tcp.Socket.receive_segment b seg);
   (* Prime the RTT estimate so the base RTO is the 200ms floor, not the
      1s initial value. *)
   Tcp.Socket.send a "prime";

@@ -65,10 +65,10 @@ let prop_pool_map_matches_list_map =
 let fired = ref (-1, -1)
 
 let push h ~at ~seq =
-  Sim.Event_heap.push h ~at ~seq Sim.Event_heap.none (fun () -> fired := (at, seq))
+  Sim.Event_heap.push h ~at ~seq Sim.Event_heap.none (fun at seq -> fired := (at, seq)) at seq
 
 let take_key h =
-  Sim.Event_heap.take h ();
+  Sim.Event_heap.fire h;
   !fired
 
 let prop_event_heap_sorted =

@@ -33,7 +33,7 @@ let test_link_loss_drops () =
   Tcp.Link.set_loss link ~rng:(Sim.Rng.create ~seed:3) ~prob:0.5;
   let arrived = ref 0 in
   for _ = 1 to 1000 do
-    Tcp.Link.send link ~seq:(-1) ~wire_bytes:100 (fun () -> incr arrived)
+    Tcp.Link.send link ~seq:(-1) ~wire_bytes:100 (fun r () -> incr r) arrived ()
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "conservation" 1000 (!arrived + Tcp.Link.dropped link);
@@ -107,8 +107,8 @@ let test_fast_retransmit_via_dup_acks () =
       incr intercepted;
       if !intercepted = 3 && Tcp.Segment.len seg > 0 then () (* drop *)
       else
-        Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
-            Tcp.Socket.receive_segment b seg));
+        Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg)
+          Tcp.Socket.receive_segment b seg);
   let data = String.init 20_000 (fun i -> Char.chr (i mod 256)) in
   Tcp.Socket.send a data;
   Sim.Engine.run_until engine (Sim.Time.ms 100);
@@ -147,8 +147,8 @@ let test_duplicate_data_reacked () =
   let inner = Tcp.Conn.link_ab conn in
   Tcp.Socket.set_transmit a (fun seg ->
       if Tcp.Segment.len seg > 0 && !copy = None then copy := Some seg;
-      Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg) (fun () ->
-          Tcp.Socket.receive_segment b seg));
+      Tcp.Link.send inner ~seq:(-1) ~wire_bytes:(Tcp.Segment.wire_bytes seg)
+        Tcp.Socket.receive_segment b seg);
   Tcp.Socket.send a "hello";
   Sim.Engine.run engine;
   let acks_before = (Tcp.Socket.counters b).pure_acks_out in

@@ -28,8 +28,11 @@ let test_time_pp () =
 
 (* {1 Event heap} *)
 
+(* A closure as an event's call, the way [Sim.Engine.post] queues one. *)
+let run k () = k ()
+
 (* A one-shot event keyed [(at, at)]. *)
-let push_at h at action = Sim.Event_heap.push h ~at ~seq:at Sim.Event_heap.none action
+let push_at h at action = Sim.Event_heap.push h ~at ~seq:at Sim.Event_heap.none run action ()
 
 let test_event_heap_order_and_sentinel () =
   let h = Sim.Event_heap.create () in
@@ -41,17 +44,17 @@ let test_event_heap_order_and_sentinel () =
   let order =
     List.init 4 (fun _ ->
         let at = Sim.Event_heap.min_at h in
-        Sim.Event_heap.take h ();
+        Sim.Event_heap.fire h;
         at)
   in
   Alcotest.(check (list int)) "take drains in order" [ 1; 3; 5; 8 ] order;
   Alcotest.(check (list int)) "each take returns its own action" [ 1; 3; 5; 8 ]
     (List.rev !fired);
   Alcotest.(check bool) "drained" true (Sim.Event_heap.is_empty h);
-  (* past empty, min_at returns a sentinel and take a no-op action
+  (* past empty, min_at returns a sentinel and fire does nothing,
      instead of raising or boxing an option *)
   Alcotest.(check int) "sentinel min_at" max_int (Sim.Event_heap.min_at h);
-  Sim.Event_heap.take h ();
+  Sim.Event_heap.fire h;
   Alcotest.(check bool) "take past empty changes nothing" true (Sim.Event_heap.is_empty h);
   Alcotest.(check int) "nothing else fired" 4 (List.length !fired);
   (* the one-shot handle is never bound, and removing it is a no-op *)
@@ -60,10 +63,10 @@ let test_event_heap_order_and_sentinel () =
   Sim.Event_heap.remove h Sim.Event_heap.none;
   Alcotest.(check int) "removing none is a no-op" 1 (Sim.Event_heap.length h);
   let hd = Sim.Event_heap.handle () in
-  Sim.Event_heap.push h ~at:9 ~seq:9 hd ignore;
+  Sim.Event_heap.push h ~at:9 ~seq:9 hd run ignore ();
   Alcotest.check_raises "a queued handle cannot be pushed again"
     (Invalid_argument "Event_heap.push: handle already queued") (fun () ->
-      Sim.Event_heap.push h ~at:10 ~seq:10 hd ignore)
+      Sim.Event_heap.push h ~at:10 ~seq:10 hd run ignore ())
 
 let test_event_heap_take_releases_action () =
   let h = Sim.Event_heap.create () in
@@ -74,7 +77,7 @@ let test_event_heap_take_releases_action () =
     push_at h 5 (fun () -> ignore (Array.length big));
     push_at h 9 ignore;
     Alcotest.(check int) "taking earliest" 5 (Sim.Event_heap.min_at h);
-    Sim.Event_heap.take h ())
+    Sim.Event_heap.fire h)
     ();
   Gc.full_major ();
   Alcotest.(check bool) "taken event's closure collectable" false (Weak.check w 0);
@@ -85,7 +88,7 @@ let test_event_heap_take_releases_action () =
   (fun () ->
     let big = Array.make 256 1 in
     Weak.set w 0 (Some big);
-    Sim.Event_heap.push h ~at:7 ~seq:7 hd (fun () -> ignore (Array.length big));
+    Sim.Event_heap.push h ~at:7 ~seq:7 hd run (fun () -> ignore (Array.length big)) ();
     Sim.Event_heap.remove h hd)
     ();
   Gc.full_major ();
@@ -101,8 +104,9 @@ let test_event_heap_clear_releases_actions () =
     for i = 0 to 2 do
       let big = Array.make 256 i in
       Weak.set w i (Some big);
-      Sim.Event_heap.push h ~at:(i * 10) ~seq:i handles.(i) (fun () ->
-          ignore (Array.length big))
+      Sim.Event_heap.push h ~at:(i * 10) ~seq:i handles.(i) run
+        (fun () -> ignore (Array.length big))
+        ()
     done)
     ();
   Sim.Event_heap.clear h;
@@ -170,7 +174,7 @@ let prop_event_heap_model =
       (* a handle bound in another heap, at slot 0 like this heap's
          first event *)
       let foreign = Sim.Event_heap.handle () in
-      Sim.Event_heap.push (Sim.Event_heap.create ()) ~at:0 ~seq:0 foreign ignore;
+      Sim.Event_heap.push (Sim.Event_heap.create ()) ~at:0 ~seq:0 foreign run ignore ();
       (* model: live (key, handle) pairs, and handles that left *)
       let live = ref [] and removed = ref [] and taken = ref [] in
       let fired = ref (-1, -1) in
@@ -185,7 +189,7 @@ let prop_event_heap_model =
       let push at hd =
         let key = (at, !next_seq) in
         incr next_seq;
-        Sim.Event_heap.push h ~at ~seq:(snd key) hd (fun () -> fired := key);
+        Sim.Event_heap.push h ~at ~seq:(snd key) hd run (fun () -> fired := key) ();
         live := (key, hd) :: !live
       in
       let with_handle () =
@@ -197,7 +201,7 @@ let prop_event_heap_model =
         | Take ->
           if !live <> [] then begin
             let expected = min_live () in
-            Sim.Event_heap.take h ();
+            Sim.Event_heap.fire h;
             if !fired <> expected then QCheck.Test.fail_report "take out of order";
             let hd = List.assoc expected !live in
             live := List.remove_assoc expected !live;
@@ -240,7 +244,7 @@ let prop_event_heap_model =
       let expected = List.sort compare (List.map fst !live) in
       let drained =
         List.init (List.length expected) (fun _ ->
-            Sim.Event_heap.take h ();
+            Sim.Event_heap.fire h;
             !fired)
       in
       drained = expected && Sim.Event_heap.is_empty h)
@@ -372,10 +376,111 @@ let test_engine_post_releases () =
   let words = Obj.reachable_words (Obj.repr e) in
   if words > 1_000 then Alcotest.failf "engine retains %d words after 100k posts" words
 
-(* Random schedule/post/cancel/step scripts fire the same (at, seq)
-   sequence as a naive list model.  Cancels pick any handle ever
-   issued, so they also hit fired and already-cancelled events. *)
-type engine_op = Schedule of int | Post of int | Cancel of int | Step | Run_until of int
+(* Events queued at one instant fire in queue order, whichever form
+   each took: a call, a closure, an owned handle's or a scheduled one. *)
+let test_engine_call_and_closure_order () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note log tag = log := tag :: !log in
+  let at = Sim.Time.us 10 in
+  Sim.Engine.call_at e ~at note log "call 1";
+  Sim.Engine.post_at e ~at (fun () -> note log "post 2");
+  Sim.Engine.arm e (Sim.Engine.handle ()) ~after:at note log "arm 3";
+  ignore (Sim.Engine.schedule_at e ~at (fun () -> note log "schedule 4"));
+  Sim.Engine.call_at e ~at note log "call 5";
+  Sim.Engine.post e ~after:at (fun () -> note log "post 6");
+  Sim.Cpu.call (Sim.Cpu.create e) ~cost:at note log "cpu call 7";
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "queue order"
+    [ "call 1"; "post 2"; "arm 3"; "schedule 4"; "call 5"; "post 6"; "cpu call 7" ]
+    (List.rev !log)
+
+(* An owned handle re-arms after its event fires, after a cancel and
+   from inside its own event, and names only its current event. *)
+let test_engine_arm_rearms () =
+  let e = Sim.Engine.create () in
+  let h = Sim.Engine.handle () in
+  let fired = ref [] in
+  let note fired tag = fired := tag :: !fired in
+  Alcotest.(check bool) "a fresh handle is not pending" false (Sim.Engine.is_pending h);
+  Sim.Engine.arm e h ~after:(Sim.Time.us 10) note fired 1;
+  Alcotest.(check bool) "armed" true (Sim.Engine.is_pending h);
+  Sim.Engine.run e;
+  Alcotest.(check bool) "fired, so not pending" false (Sim.Engine.is_pending h);
+  Sim.Engine.arm e h ~after:(Sim.Time.us 10) note fired 2;
+  Sim.Engine.cancel e h;
+  Alcotest.(check bool) "cancelled" false (Sim.Engine.is_pending h);
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e);
+  Sim.Engine.arm e h ~after:(Sim.Time.us 5) note fired 3;
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "the cancelled arm never fired" [ 1; 3 ] (List.rev !fired);
+  Alcotest.(check int) "re-armed deadline" (Sim.Time.us 15) (Sim.Engine.now e);
+  let ticks = ref 0 in
+  let rec tick h () =
+    incr ticks;
+    if !ticks < 3 then Sim.Engine.arm e h ~after:(Sim.Time.us 1) tick h ()
+  in
+  Sim.Engine.arm e h ~after:(Sim.Time.us 1) tick h ();
+  Sim.Engine.run e;
+  Alcotest.(check int) "re-armed from its own event" 3 !ticks;
+  Alcotest.(check int) "one microsecond apart" (Sim.Time.us 18) (Sim.Engine.now e)
+
+let test_engine_arm_rejects () =
+  let e = Sim.Engine.create () in
+  let h = Sim.Engine.handle () in
+  Sim.Engine.arm e h ~after:(Sim.Time.us 10) (fun () () -> ()) () ();
+  Alcotest.check_raises "a queued handle"
+    (Invalid_argument "Engine.arm: handle already pending") (fun () ->
+      Sim.Engine.arm e h ~after:(Sim.Time.us 20) (fun () () -> ()) () ());
+  Alcotest.check_raises "a handle queued on another engine"
+    (Invalid_argument "Engine.arm: handle already pending") (fun () ->
+      Sim.Engine.arm (Sim.Engine.create ()) h ~after:0 (fun () () -> ()) () ());
+  Alcotest.check_raises "idle" (Invalid_argument "Engine.arm: idle names no timer")
+    (fun () -> Sim.Engine.arm e Sim.Engine.idle ~after:0 (fun () () -> ()) () ());
+  Alcotest.check_raises "a negative delay" (Invalid_argument "Engine.arm: negative delay")
+    (fun () -> Sim.Engine.arm e (Sim.Engine.handle ()) ~after:(-1) (fun () () -> ()) () ());
+  Alcotest.(check int) "only the first arm queued" 1 (Sim.Engine.pending e)
+
+(* Once an event has fired or been cancelled, its slot keeps neither
+   of its arguments alive. *)
+let test_engine_call_releases_arguments () =
+  let e = Sim.Engine.create () in
+  let w = Weak.create 2 in
+  let consume (a : int array) (b : int array) = ignore (Array.length a + Array.length b) in
+  let queue k =
+    let a = Array.make 256 0 and b = Array.make 256 1 in
+    Weak.set w 0 (Some a);
+    Weak.set w 1 (Some b);
+    k a b
+  in
+  let collected what =
+    Gc.full_major ();
+    Alcotest.(check bool) (what ^ ": receiver collectable") false (Weak.check w 0);
+    Alcotest.(check bool) (what ^ ": packet collectable") false (Weak.check w 1)
+  in
+  Sim.Engine.post e ~after:(Sim.Time.ms 1) ignore;
+  queue (Sim.Engine.call_at e ~at:(Sim.Time.us 5) consume);
+  ignore (Sim.Engine.step e);
+  collected "fired";
+  let h = Sim.Engine.handle () in
+  queue (Sim.Engine.arm e h ~after:(Sim.Time.us 5) consume);
+  Sim.Engine.cancel e h;
+  collected "cancelled";
+  Alcotest.(check int) "the later event still queued" 1 (Sim.Engine.pending e)
+
+(* Random schedule/post/call/arm/cancel/step scripts fire the same
+   (at, seq) sequence as a naive list model.  Cancels pick any handle
+   ever issued, so they also hit fired and already-cancelled events;
+   arms pick one of three owned handles and skip a pending one. *)
+type engine_op =
+  | Schedule of int
+  | Post of int
+  | Call of int
+  | Arm of int * int
+  | Cancel of int
+  | Cancel_owned of int
+  | Step
+  | Run_until of int
 
 let prop_engine_model =
   let gen =
@@ -385,7 +490,10 @@ let prop_engine_model =
            [
              (4, map (fun d -> Schedule d) (0 -- 30));
              (3, map (fun d -> Post d) (0 -- 30));
+             (3, map (fun d -> Call d) (0 -- 30));
+             (3, map2 (fun k d -> Arm (k, d)) nat (0 -- 30));
              (2, map (fun k -> Cancel k) nat);
+             (1, map (fun k -> Cancel_owned k) nat);
              (2, return Step);
              (1, map (fun d -> Run_until d) (0 -- 20));
            ]))
@@ -395,6 +503,8 @@ let prop_engine_model =
       let e = Sim.Engine.create () in
       let fired = ref [] in
       let handles = ref [||] in
+      let owned = Array.init 3 (fun _ -> (Sim.Engine.handle (), ref (-1, -1))) in
+      let note fired key = fired := key :: !fired in
       let next_seq = ref 0 in
       (* model: live (at, seq) keys, and what fired *)
       let live = ref [] and model_fired = ref [] in
@@ -419,6 +529,24 @@ let prop_engine_model =
           let at = Sim.Engine.now e + d in
           Sim.Engine.post e ~after:d (fun () -> fired := (at, seq) :: !fired);
           live := (at, seq) :: !live
+        | Call d ->
+          let key = (Sim.Engine.now e + d, !next_seq) in
+          incr next_seq;
+          Sim.Engine.call_at e ~at:(fst key) note fired key;
+          live := key :: !live
+        | Arm (k, d) ->
+          let h, current = owned.(k mod 3) in
+          if not (Sim.Engine.is_pending h) then begin
+            let key = (Sim.Engine.now e + d, !next_seq) in
+            incr next_seq;
+            Sim.Engine.arm e h ~after:d note fired key;
+            current := key;
+            live := key :: !live
+          end
+        | Cancel_owned k ->
+          let h, current = owned.(k mod 3) in
+          Sim.Engine.cancel e h;
+          live := List.filter (( <> ) !current) !live
         | Cancel k ->
           let n = Array.length !handles in
           if n > 0 then begin
@@ -439,7 +567,11 @@ let prop_engine_model =
       List.for_all
         (fun op ->
           apply op;
-          Sim.Engine.pending e = List.length !live && !fired = !model_fired)
+          Sim.Engine.pending e = List.length !live
+          && !fired = !model_fired
+          && Array.for_all
+               (fun (h, current) -> Sim.Engine.is_pending h = List.mem !current !live)
+               owned)
         ops
       &&
       (Sim.Engine.run e;
@@ -1540,6 +1672,12 @@ let suite =
         Alcotest.test_case "cancel after slot reuse" `Quick test_engine_cancel_after_slot_reuse;
         Alcotest.test_case "fresh foreign handle" `Quick test_engine_fresh_foreign_handle;
         Alcotest.test_case "post releases the event" `Quick test_engine_post_releases;
+        Alcotest.test_case "calls and closures fire in queue order" `Quick
+          test_engine_call_and_closure_order;
+        Alcotest.test_case "an owned handle re-arms" `Quick test_engine_arm_rearms;
+        Alcotest.test_case "arming a pending handle raises" `Quick test_engine_arm_rejects;
+        Alcotest.test_case "a slot keeps nothing alive" `Quick
+          test_engine_call_releases_arguments;
         QCheck_alcotest.to_alcotest prop_engine_model;
         Alcotest.test_case "schedule from callback" `Quick test_engine_schedule_from_callback;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;

@@ -584,8 +584,9 @@ let test_link_serialization_and_prop () =
   let link = Tcp.Link.create e ~prop_delay:(us 10) ~gbit_per_s:1.0 in
   let arrivals = ref [] in
   (* 1000 bytes at 1 Gbit/s = 8000 ns of serialization. *)
-  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
-  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 (fun () -> arrivals := Sim.Engine.now e :: !arrivals);
+  let arrive e () = arrivals := Sim.Engine.now e :: !arrivals in
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 arrive e ();
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:1000 arrive e ();
   Sim.Engine.run e;
   Alcotest.(check (list int)) "FIFO with serialization"
     [ 8_000 + us 10; 16_000 + us 10 ]
@@ -598,7 +599,7 @@ let test_link_busy () =
   let e = Sim.Engine.create () in
   let link = Tcp.Link.create e ~prop_delay:0 ~gbit_per_s:1.0 in
   Alcotest.(check bool) "idle" false (Tcp.Link.busy link);
-  Tcp.Link.send link ~seq:(-1) ~wire_bytes:10_000 ignore;
+  Tcp.Link.send link ~seq:(-1) ~wire_bytes:10_000 (fun () () -> ()) () ();
   Alcotest.(check bool) "busy while serializing" true (Tcp.Link.busy link)
 
 (* {1 Gro} *)
